@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples experiments clean
+.PHONY: install test bench nightbench examples experiments clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -15,6 +15,10 @@ test-output:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+nightbench:
+	$(PYTHON) -m pytest nightbench/tests -q
+	$(PYTHON) nightbench/run.py --quick
 
 bench-output:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

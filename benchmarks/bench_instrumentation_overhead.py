@@ -24,7 +24,8 @@ from repro.core.generator import generate_css
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
-from repro.engine.streaming import StreamExecutor, StreamingTaps
+from repro.engine.instrumentation import TapSet
+from repro.engine.streaming import StreamExecutor
 from repro.workloads import case
 
 WORKFLOW = 14
@@ -50,7 +51,7 @@ def _overhead():
     def timed(stats):
         best = float("inf")
         for _ in range(REPEATS):
-            taps = StreamingTaps(stats)
+            taps = TapSet(stats)
             t0 = time.perf_counter()
             executor.run(tables, taps=taps)
             best = min(best, time.perf_counter() - t0)

@@ -1,21 +1,16 @@
-"""Ablation: the plan-compilation layer's fused-kernel throughput.
+"""The block runtime's lowering cost and plan-cache behaviour.
 
-The compile layer lowers each block's algebra DAG to a physical-operator
-IR, fuses select/project/transform chains into whole-column kernels, and
-caches the result under the workflow's structural signature.  This bench
-measures the three claims that justify it:
+Every block runs as a lowered program: the algebra DAG becomes a
+physical-operator IR, select/project/transform chains fuse into
+whole-column kernels, and the result is cached under the workflow's
+structural signature.  This bench measures the two claims about that
+step on wf21 (the 8-way-join block), per backend:
 
-- **fused vs interpreted**: source rows/second per backend on wf21 (the
-  8-way-join block) with compilation off, cold (compile included in the
-  wall), and warm (plan cache hit).  Shape to reproduce: the streaming
-  engine -- which pays per-tuple dict materialization in its interpreter
-  -- gains >= 5x from batched fused kernels; the vectorized engine,
-  already bulk, still gains >= 1.5x.
-- **amortization**: the one-time compile cost against the per-run saving,
-  i.e. how many runs until compilation has paid for itself (for every
-  backend here: less than one).
+- **lowering is cheap**: the one-time lowering cost is a small fraction
+  of a single run, so a cold run (lowering included in the wall) is
+  within noise of a warm one;
 - **cache**: the warm run reports zero misses -- recurring loads (the
-  paper's premise: the same workflow re-runs nightly) never recompile.
+  paper's premise: the same workflow re-runs nightly) never re-lower.
 
 Alongside the markdown artifact this bench emits
 ``results/plan_compile.json`` for downstream tooling.
@@ -29,7 +24,7 @@ from conftest import single_process_backends, write_report
 
 from repro.algebra.blocks import analyze
 from repro.engine.backend import BackendExecutor
-from repro.engine.compile import compile_blocks
+from repro.engine.compile import compile_block
 from repro.workloads import case
 
 WORKFLOW = 21  # largest single-block workload: 8-way join
@@ -55,12 +50,15 @@ def _best_wall(fn):
 
 def _compile_time(analysis, backend_name):
     """Median one-shot compile wall for the backend's profile."""
-    backend = BackendExecutor(analysis, backend_name).backend
-    profile = backend.compiled_profile()
+    profile = BackendExecutor(analysis, backend_name).backend.profile
     walls = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        compile_blocks(analysis, backend=backend_name, profile=profile)
+        for block in analysis.blocks:
+            compile_block(
+                analysis, block, block.initial_tree,
+                backend=backend_name, profile=profile,
+            )
         walls.append(time.perf_counter() - t0)
     return sorted(walls)[len(walls) // 2]
 
@@ -74,38 +72,25 @@ def _measure():
     rows = []
     records = []
     for backend in single_process_backends():
-        interp = _best_wall(
-            lambda: BackendExecutor(
-                analysis, backend, compile_plans=False
-            ).run(sources)
-        )
-        # cold: a fresh executor per run, so every wall pays compilation
+        # cold: a fresh executor per run, so every wall pays lowering
         cold = _best_wall(
-            lambda: BackendExecutor(
-                analysis, backend, compile_plans=True
-            ).run(sources)
+            lambda: BackendExecutor(analysis, backend).run(sources)
         )
         # warm: one executor, cache primed before timing
-        executor = BackendExecutor(analysis, backend, compile_plans=True)
+        executor = BackendExecutor(analysis, backend)
         executor.run(sources)
         warm = _best_wall(lambda: executor.run(sources))
         assert executor.plan_cache.misses == len(analysis.blocks)
 
         compile_s = _compile_time(analysis, backend)
-        saving = interp - warm
-        amortize = compile_s / saving if saving > 0 else float("inf")
-        speedup = interp / warm
         rows.append(
             [
                 backend,
-                round(interp * 1e3, 1),
                 round(cold * 1e3, 1),
                 round(warm * 1e3, 1),
-                round(n_rows / interp),
                 round(n_rows / warm),
-                round(speedup, 2),
                 round(compile_s * 1e3, 2),
-                round(amortize, 3),
+                round(compile_s / warm, 4),
             ]
         )
         records.append(
@@ -114,14 +99,11 @@ def _measure():
                 "scale": SCALE,
                 "source_rows": n_rows,
                 "backend": backend,
-                "interpreted_wall_s": interp,
-                "compiled_cold_wall_s": cold,
-                "compiled_warm_wall_s": warm,
-                "interpreted_rows_per_s": n_rows / interp,
-                "compiled_rows_per_s": n_rows / warm,
-                "speedup": speedup,
+                "cold_wall_s": cold,
+                "warm_wall_s": warm,
+                "rows_per_s": n_rows / warm,
                 "compile_s": compile_s,
-                "runs_to_amortize": amortize,
+                "compile_share_of_run": compile_s / warm,
             }
         )
     return rows, records
@@ -132,23 +114,15 @@ def test_plan_compile(benchmark, results_dir):
     write_report(
         results_dir,
         "plan_compile",
-        f"Plan compilation: fused vs interpreted (wf{WORKFLOW} @ {SCALE:g})",
-        ["backend", "interp ms", "cold ms", "warm ms", "interp rows/s",
-         "fused rows/s", "speedup", "compile ms", "runs to amortize"],
+        f"Plan lowering: cold vs warm (wf{WORKFLOW} @ {SCALE:g})",
+        ["backend", "cold ms", "warm ms", "rows/s", "compile ms",
+         "compile / run"],
         rows,
     )
     (results_dir / "plan_compile.json").write_text(
         json.dumps({"plan_compile": records}, indent=2) + "\n"
     )
 
-    by_backend = {r["backend"]: r for r in records}
-    # the issue's acceptance floors: batched fused kernels lift the
-    # per-tuple streaming engine >= 5x; the already-bulk vectorized
-    # kernels still gain >= 1.5x from fusion + gather engines
-    assert by_backend["streaming"]["speedup"] >= 5.0, by_backend["streaming"]
-    assert by_backend["vectorized"]["speedup"] >= 1.5, by_backend["vectorized"]
-    # compilation itself is cheap: it pays for itself within a single run
+    # lowering is cheap: a small fraction of one run of the block it lowers
     for r in records:
-        assert r["runs_to_amortize"] < 1.0, r
-        # and the cold run (compile included) never loses to the interpreter
-        assert r["compiled_cold_wall_s"] <= r["interpreted_wall_s"], r
+        assert r["compile_share_of_run"] < 0.1, r

@@ -44,17 +44,15 @@ def _tap_suite(workflow_cases, spec=None):
             stats = [
                 Statistic.distinct(se, attr) for attr in sorted(table.attrs)
             ]
-            if spec is None:
-                taps = TapSet(stats, mergeable=True)
-                taps.observe(se, table)
-            else:
-                with sketch_scope(spec):
-                    taps = TapSet(stats, mergeable=True)
-                    taps.observe(se, table)
+            taps = TapSet(stats)
+            with sketch_scope(spec or {"mode": "exact"}):
+                taps.observe_columns(se, table.num_rows, table.columns)
+            taps.mark_streamed(se)
             total_bytes += taps.distinct_bytes()
+            observed = taps.collect()
             for stat in stats:
                 estimates[(case.number, name, stat.attrs[0])] = (
-                    taps.store.get(stat)
+                    observed.get(stat)
                 )
     return estimates, total_bytes
 

@@ -252,7 +252,6 @@ def _cmd_run(args) -> int:
         backend=args.backend,
         workers=args.workers,
         shards=args.shards,
-        compile=False if args.no_compile else None,
         distinct_sketch=args.distinct_sketch,
         sketch_precision=args.sketch_precision,
     )
@@ -733,11 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="row shards per block for the multiprocess backend "
         "(implies --backend multiprocess)",
-    )
-    p.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="skip plan compilation and run the backend's interpreter",
     )
     p.add_argument("--scale", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=7)

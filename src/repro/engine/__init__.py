@@ -1,17 +1,16 @@
 """Execution engine: columnar tables, physical operators, instrumentation.
 
-Execution is organized around pluggable backends (see
-:mod:`repro.engine.backend`): the columnar, streaming and vectorized
-backends share one plan-walking core and differ only in kernels and
-instrumentation style.  ``get_backend("columnar" | "streaming" |
-"vectorized")`` resolves one by name; :class:`BackendExecutor` runs it,
-optionally scheduling independent blocks in parallel.
+There is one execution path (see :mod:`repro.engine.backend`): blocks are
+lowered and run by :mod:`repro.engine.compile`, observed by one
+:class:`TapSet`.  The named backends are configurations of it --
+``get_backend("columnar" | "streaming" | "vectorized" | "multiprocess")``
+resolves one by name; :class:`BackendExecutor` runs it, optionally
+scheduling independent blocks in parallel.
 """
 
 from repro.engine.backend import (
     BackendExecutor,
     ExecutionBackend,
-    Kernels,
     RunContext,
     WorkflowRun,
     available_backends,
@@ -37,18 +36,18 @@ from repro.engine.scheduler import (
     classify_error,
     topological_waves,
 )
-from repro.engine.streaming import StreamExecutor, StreamingBackend, StreamingTaps
+from repro.engine.streaming import StreamExecutor, StreamingBackend
 from repro.engine.table import Table, TableError
-from repro.engine.vectorized import VectorizedBackend, VectorizedKernels
+from repro.engine.vectorized import VectorizedBackend
 
 __all__ = [
     "available_backends", "BackendExecutor", "classify_error",
     "ColumnarBackend", "execute_workflow", "ExecutionBackend", "Executor",
     "FaultInjector", "FaultPlan", "FaultSpec", "get_backend",
-    "ground_truth_cardinalities", "InstrumentationError", "Kernels",
+    "ground_truth_cardinalities", "InstrumentationError",
     "ParallelScheduler", "PermanentFault", "register_backend", "RetryPolicy",
     "RunContext", "RunFailure", "ScheduleResult", "SchedulerError",
-    "StreamExecutor", "StreamingBackend", "StreamingTaps", "Table",
+    "StreamExecutor", "StreamingBackend", "Table",
     "TableError", "TapSet", "topological_waves", "TransientFault",
-    "VectorizedBackend", "VectorizedKernels", "WorkflowRun",
+    "VectorizedBackend", "WorkflowRun",
 ]

@@ -1,29 +1,30 @@
-"""Pluggable execution backends: one plan-walking core, many kernel sets.
+"""Execution backends: one plan-walking core, one block runtime.
 
 The paper treats the ETL engine as a swappable component with fixed
 observation points (Sections 3.2.5-3.2.6): the optimization framework only
 needs *some* engine that executes the analyzed plan and fires the taps at
-every plan point.  This module makes that explicit.  An
-:class:`ExecutionBackend` owns
+every plan point.  Here that engine is a single path: every optimizable
+block is lowered to a :class:`~repro.engine.compile.BlockProgram`
+(through the run's :class:`~repro.engine.compile.PlanCache`) and executed
+by :class:`~repro.engine.compile.CompiledBlockRunner`, which feeds one
+kind of instrumentation (:class:`~repro.engine.instrumentation.TapSet`).
 
-- the **physical operator kernels** (:class:`Kernels`): filter/transform/
-  project steps, hash join, group-by, blocking UDFs;
-- the **block execution strategy**: materialized column-at-a-time
-  (columnar, vectorized) or per-tuple pipelined (streaming);
-- the **instrumentation style**: table-level taps
-  (:class:`~repro.engine.instrumentation.TapSet`) or per-tuple accumulators
-  (:class:`~repro.engine.streaming.StreamingTaps`).
+An :class:`ExecutionBackend` is a named *configuration* of that path --
+its :class:`~repro.engine.compile.CompiledProfile` says how rows are
+batched (whole columns, or bounded chunks for ``streaming``) and which
+gather rung moves them -- plus the hooks a sharding backend needs to run
+the same path inside worker processes.
 
-:class:`BackendExecutor` is the shared plan-walking core that used to be
-duplicated between the columnar and streaming executors: it checks the
-sources, turns blocks and boundaries into dependency tasks, runs them
-through a :class:`~repro.engine.scheduler.ParallelScheduler` (serially by
-default, concurrently with ``workers > 1``), applies boundary operators,
-and collects the observations.
+:class:`BackendExecutor` is the plan-walking core: it checks the sources,
+turns blocks and boundaries into dependency tasks, runs them through a
+:class:`~repro.engine.scheduler.ParallelScheduler` (serially by default,
+concurrently with ``workers > 1``), applies boundary operators, and
+collects the observations.
 
 Backends register by name; :func:`get_backend` resolves ``"columnar"``,
-``"streaming"`` and ``"vectorized"`` lazily so the framework, the CLI and
-the benchmarks can thread a backend choice around as a plain string.
+``"streaming"``, ``"vectorized"`` and ``"multiprocess"`` lazily so the
+framework, the CLI and the benchmarks can thread a backend choice around
+as a plain string.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ from repro.algebra.operators import Aggregate, AggregateUDF, Materialize, Target
 from repro.algebra.plans import PlanTree
 from repro.core.statistics import StatisticsStore
 from repro.engine import physical
+from repro.engine.compile import (
+    CompiledBlockRunner,
+    CompiledProfile,
+    PlanCache,
+    compile_block,
+    make_engine,
+)
+from repro.engine.instrumentation import TapSet
 from repro.engine.scheduler import (
     ParallelScheduler,
     RetryPolicy,
@@ -98,32 +107,12 @@ class WorkflowRun:
         return sorted(name for name in self.failures if name in block_names)
 
 
-class Kernels:
-    """Physical operator namespace a backend executes with.
-
-    The base set is the row-at-a-time reference implementation from
-    :mod:`repro.engine.physical`; the vectorized backend substitutes
-    column-at-a-time kernels with the same signatures and semantics.
-    A fresh instance is created per run (:meth:`ExecutionBackend
-    .make_kernels`) so kernels may keep run-scoped state such as join
-    build caches.
-    """
-
-    name = "reference"
-
-    apply_step = staticmethod(physical.apply_step)
-    hash_join = staticmethod(physical.hash_join)
-    group_by = staticmethod(physical.group_by)
-    apply_aggregate_udf = staticmethod(physical.apply_aggregate_udf)
-
-
 @dataclass
 class RunContext:
-    """Per-run state shared by the core and the backend's block executor.
+    """Per-run state shared by the core and the block runtime.
 
     ``lock`` serializes writes to the run-wide mutable maps when blocks
-    execute on scheduler threads; ``state`` is backend scratch space
-    (e.g. the streaming backend's claimed observation points).
+    execute on scheduler threads.
 
     ``tracer`` (optional) records an instant *operator point* for every
     plan point a block materializes -- actual rows, the prior estimate
@@ -133,33 +122,56 @@ class RunContext:
     """
 
     run: WorkflowRun
-    taps: Any
-    kernels: Kernels
+    taps: TapSet
+    analysis: BlockAnalysis
+    #: lowered block programs, shared across runs by whoever owns it
+    plan_cache: PlanCache
+    #: per-source contract fingerprints folded into plan-cache keys
+    context_tokens: "dict[str, str] | None" = None
     lock: threading.Lock = field(default_factory=threading.Lock)
-    state: dict = field(default_factory=dict)
     tracer: Any = None
     estimates: "dict[AnySE, float] | None" = None
     #: the run's fault injector (or ``None``); sharding backends consult
     #: it for shard-scoped faults (worker kill/hang) at dispatch time
     injector: Any = None
+    _published: set = field(default_factory=set)
+    _claimed: set = field(default_factory=set)
 
-    def note(self, se: AnySE, table: Table) -> None:
-        """Record a plan point's size and fire the table-level taps."""
+    def publish(
+        self,
+        block_name: str,
+        taps: TapSet,
+        sizes: "dict[AnySE, int]",
+        rejects: "dict[RejectSE, Table]",
+    ) -> None:
+        """Fold one finished block's observations into the run, once.
+
+        Everything a block observed arrives here together, so a block
+        that fails contributes nothing.  A second publish for the same
+        block (a timed-out attempt whose abandoned thread finished after
+        its retry did) is dropped: both computed the same thing.  So is
+        a point another block already published -- a raw feed several
+        blocks read in full is observed by each of them, and the taps
+        are additive, so only the first publisher's accumulators count.
+        """
+        points = set(sizes) | set(rejects)
         with self.lock:
-            self.run.se_sizes[se] = table.num_rows
-            self.taps.observe(se, table)
-        if self.tracer is not None and self.tracer.enabled:
-            self.trace_point(se, table.num_rows)
+            if block_name in self._published:
+                return
+            self._published.add(block_name)
+            taps.discard_points(points & self._claimed)
+            self._claimed |= points
+            self.taps.merge(taps)
+            self.run.se_sizes.update(sizes)
+            for rej, table in rejects.items():
+                self.run.rejects[rej] = table
+                self.run.se_sizes[rej] = table.num_rows
+        if self.tracer is not None:
+            for se, rows in sizes.items():
+                self.trace_point(se, rows)
+            for rej, table in rejects.items():
+                self.trace_point(rej, table.num_rows, reject=True)
 
-    def note_reject(self, se: RejectSE, table: Table) -> None:
-        with self.lock:
-            self.run.rejects[se] = table
-            self.run.se_sizes[se] = table.num_rows
-            self.taps.observe(se, table)
-        if self.tracer is not None and self.tracer.enabled:
-            self.trace_point(se, table.num_rows, reject=True)
-
-    # -- tracing -------------------------------------------------------
     def trace_point(self, se: AnySE, rows: int, **extra) -> None:
         """One operator point under the executing task's span."""
         attrs = {"rows": rows, **extra}
@@ -167,41 +179,28 @@ class RunContext:
             estimate = self.estimates.get(se)
             if estimate is not None:
                 attrs["estimated_rows"] = float(estimate)
-        wants = getattr(self.taps, "wants", None)
-        if wants is not None and wants(se):
+        if self.taps.wants(se):
             attrs["tapped"] = True
         self.tracer.point(repr(se), kind="operator", **attrs)
 
-    def trace_sizes(self, sizes: "dict[AnySE, int]") -> None:
-        """Operator points for backends that record sizes in bulk
-        (the streaming backend accumulates per-tuple counters and
-        publishes them once per block)."""
-        if self.tracer is None or not self.tracer.enabled:
-            return
-        for se, rows in sizes.items():
-            self.trace_point(se, rows)
-
 
 class ExecutionBackend:
-    """The protocol every execution backend implements."""
+    """A named configuration of the one block runtime."""
 
     #: registry key; also used for per-backend cost-model constants
     name: str = "abstract"
+    #: how the runtime batches and gathers rows under this backend
+    profile = CompiledProfile()
 
-    def make_kernels(self) -> Kernels:
-        """Fresh per-run kernel set (may carry run-scoped caches)."""
-        return Kernels()
-
-    def make_taps(self, stats: Iterable = ()):
-        """Instrumentation object compatible with this backend."""
+    def make_taps(self, stats: Iterable = ()) -> TapSet:
+        """Instrumentation object for a run on this backend."""
         raise NotImplementedError
 
     def begin_run(
         self,
         analysis: BlockAnalysis,
         sources: dict[str, Table],
-        taps,
-        compile_plans: bool,
+        taps: TapSet,
     ) -> None:
         """Run-start hook, fired after source faults and before screening.
 
@@ -223,26 +222,34 @@ class ExecutionBackend:
         )
 
     def execute_block(self, block: Block, tree: PlanTree, ctx: RunContext) -> Table:
-        """Run one optimizable block with the given join tree."""
-        raise NotImplementedError
+        """Run one optimizable block with the given join tree: lower it
+        (a plan-cache hit on warm runs) and execute the program."""
 
-    def observe_boundary(self, ctx: RunContext, se: SubExpression, table: Table) -> None:
-        """Fire taps for a boundary output (no-op for per-tuple backends,
-        whose downstream block streams already observe the same point)."""
-        ctx.note(se, table)
+        def lower():
+            return compile_block(
+                ctx.analysis,
+                block,
+                tree,
+                backend=self.name,
+                profile=self.profile,
+                cache=ctx.plan_cache,
+                context_tokens=ctx.context_tokens,
+            )
 
-    def collect(self, taps) -> StatisticsStore:
-        """Turn the taps' accumulated state into a statistics store."""
-        raise NotImplementedError
-
-    def compiled_profile(self):
-        """Execution profile for compiled plans, or ``None`` to opt out.
-
-        Backends that return ``None`` (the default, so third-party
-        backends are unaffected) always execute through their own
-        :meth:`execute_block` interpreter.
-        """
-        return None
+        if ctx.tracer is None:
+            program, _hit = lower()
+        else:
+            with ctx.tracer.span("compile", kind="phase") as span:
+                program, hit = lower()
+                span.annotate(
+                    fused_ops=program.fused_ops,
+                    cache_hits=int(hit),
+                    cache_misses=int(not hit),
+                )
+        runner = CompiledBlockRunner(
+            program, block, self.profile, make_engine(self.profile.gather)
+        )
+        return runner.execute(ctx)
 
 
 class BackendExecutor:
@@ -250,7 +257,8 @@ class BackendExecutor:
 
     This is the engine-side half of the Figure 2 loop -- "run the
     instrumented plan".  It is backend-agnostic: all physical work happens
-    inside :meth:`ExecutionBackend.execute_block` and the boundary kernels.
+    inside :meth:`ExecutionBackend.execute_block` and the boundary
+    operators of :mod:`repro.engine.physical`.
     """
 
     def __init__(
@@ -259,8 +267,7 @@ class BackendExecutor:
         backend: "ExecutionBackend | str | None" = None,
         workers: int = 1,
         *,
-        compile_plans: "bool | None" = None,
-        plan_cache=None,
+        plan_cache: "PlanCache | None" = None,
     ):
         self.analysis = analysis
         if backend is None:
@@ -269,18 +276,9 @@ class BackendExecutor:
             backend = get_backend(backend)
         self.backend = backend
         self.workers = max(int(workers), 1)
-        #: None defers to the process default (``REPRO_COMPILE``)
-        self.compile_plans = compile_plans
-        #: created lazily on the first compiled run when not injected, so
-        #: a long-lived executor gets warm-cache behaviour for free
-        self.plan_cache = plan_cache
-
-    def _compile_enabled(self) -> bool:
-        if self.compile_plans is not None:
-            return bool(self.compile_plans)
-        from repro.engine.compile import compile_enabled_default
-
-        return compile_enabled_default()
+        #: an executor's own cache when none is injected, so a long-lived
+        #: executor gets warm-cache behaviour for free
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
 
     def run(
         self,
@@ -300,7 +298,7 @@ class BackendExecutor:
 
         ``trees`` maps block names to replacement join trees (defaults to
         each block's initial plan); ``taps`` is the instrumentation to fire
-        (defaults to an empty tap set of the backend's flavour).
+        (defaults to an empty tap set).
 
         Resilience (all optional):
 
@@ -341,9 +339,7 @@ class BackendExecutor:
         injector = as_injector(faults)
         if injector is not None:
             sources = injector.apply_sources(sources)
-        self.backend.begin_run(
-            self.analysis, sources, taps, self._compile_enabled()
-        )
+        self.backend.begin_run(self.analysis, sources, taps)
         if quality is not None:
             sources = self.backend.screen_sources(
                 quality, sources, tracer=tracer, trace_parent=trace_parent
@@ -354,17 +350,21 @@ class BackendExecutor:
             run.quarantined = quality.quarantined_tables()
             run.violations = quality.all_violations()
             run.schema_drift = quality.drift_events()
+        # schema drift means the cached programs were compiled against a
+        # source shape that no longer holds: evict, never silently reuse
+        for event in run.schema_drift:
+            self.plan_cache.invalidate_source(event.source)
         ctx = RunContext(
             run=run,
             taps=taps,
-            kernels=self.backend.make_kernels(),
+            analysis=self.analysis,
+            plan_cache=self.plan_cache,
+            context_tokens=(
+                contract_tokens(quality) if quality is not None else None
+            ),
             tracer=tracer,
             estimates=estimates,
             injector=injector,
-        )
-
-        compiled, profile, engine = self._compile(
-            run, trees, quality, tracer, trace_parent
         )
 
         resumed: set[str] = set()
@@ -383,15 +383,6 @@ class BackendExecutor:
             if block.name in resumed:
                 continue
             tree = trees.get(block.name, block.initial_tree)
-            runner = None
-            if compiled is not None:
-                program = compiled.get(block.name)
-                if program is not None:
-                    from repro.engine.compile import CompiledBlockRunner
-
-                    runner = CompiledBlockRunner(
-                        program, block, profile, engine
-                    )
             tasks.append(
                 Task(
                     name=block.name,
@@ -399,9 +390,7 @@ class BackendExecutor:
                     requires=tuple(
                         sorted({inp.base_name for inp in block.inputs.values()})
                     ),
-                    fn=partial(
-                        self._run_block, block, tree, ctx, checkpoint, runner
-                    ),
+                    fn=partial(self._run_block, block, tree, ctx, checkpoint),
                     kind="block",
                 )
             )
@@ -437,7 +426,7 @@ class BackendExecutor:
             ) from exc
 
         run.failures = dict(result.failures)
-        observations = self.backend.collect(taps)
+        observations = taps.collect()
         if checkpoint is not None and checkpoint.statistics is not None:
             # statistics present only in the journal were observed on the
             # crashed attempt, not tonight: remember them so the catalog
@@ -454,65 +443,14 @@ class BackendExecutor:
         return run
 
     # ------------------------------------------------------------------
-    def _compile(self, run, trees, quality, tracer, trace_parent):
-        """Compile every block (cached) unless compilation is off or the
-        backend opts out; returns ``(plan, profile, gather engine)``."""
-        if not self._compile_enabled():
-            return None, None, None
-        profile = self.backend.compiled_profile()
-        if profile is None:
-            return None, None, None
-        from repro.engine.compile import (
-            PlanCache,
-            compile_blocks,
-            make_engine,
-        )
-
-        if self.plan_cache is None:
-            self.plan_cache = PlanCache()
-        # schema drift means the cached programs were compiled against a
-        # source shape that no longer holds: evict, never silently reuse
-        invalidated = 0
-        for event in run.schema_drift:
-            invalidated += self.plan_cache.invalidate_source(event.source)
-        tokens = _contract_tokens(quality) if quality is not None else None
-        span = None
-        compiled = None
-        if tracer is not None:
-            span = tracer.start("compile", kind="phase", parent=trace_parent)
-        try:
-            compiled = compile_blocks(
-                self.analysis,
-                trees,
-                backend=self.backend.name,
-                profile=profile,
-                cache=self.plan_cache,
-                context_tokens=tokens,
-            )
-        finally:
-            if tracer is not None and span is not None:
-                tracer.end(
-                    span,
-                    blocks=len(self.analysis.blocks),
-                    fused_ops=compiled.fused_ops if compiled else None,
-                    cache_hits=compiled.cache_hits if compiled else None,
-                    cache_misses=compiled.cache_misses if compiled else None,
-                    cache_invalidations=invalidated,
-                )
-        return compiled, profile, make_engine(profile.gather)
-
     def _run_block(
         self,
         block: Block,
         tree: PlanTree,
         ctx: RunContext,
         checkpoint=None,
-        runner=None,
     ) -> None:
-        if runner is not None:
-            out = runner.execute(ctx)
-        else:
-            out = self.backend.execute_block(block, tree, ctx)
+        out = self.backend.execute_block(block, tree, ctx)
         ctx.run.env[block.output_name] = out
         if checkpoint is not None:
             with ctx.lock:
@@ -520,7 +458,7 @@ class BackendExecutor:
                     block,
                     out,
                     dict(ctx.run.se_sizes),
-                    self.backend.collect(ctx.taps),
+                    ctx.taps.collect(),
                 )
 
     def _run_boundary(self, boundary: BoundaryOp, ctx: RunContext) -> None:
@@ -530,20 +468,18 @@ class BackendExecutor:
         if isinstance(node, Target):
             run.targets[node.name] = table
             return
-        kernels = ctx.kernels
         if isinstance(node, Aggregate):
-            out = kernels.group_by(table, node.group_attrs, node.aggregates)
+            out = physical.group_by(table, node.group_attrs, node.aggregates)
         elif isinstance(node, AggregateUDF):
-            out = kernels.apply_aggregate_udf(table, node.fn)
+            out = physical.apply_aggregate_udf(table, node.fn)
         elif isinstance(node, Materialize):
             out = table
         else:  # pragma: no cover - analysis emits only these
             raise TableError(f"unexpected boundary {node.label}")
         run.env[boundary.output_name] = out
-        out_se = SubExpression.of(boundary.output_name)
+        # no tap here: the consuming block's raw chain observes this point
         with ctx.lock:
-            run.se_sizes[out_se] = out.num_rows
-        self.backend.observe_boundary(ctx, out_se, out)
+            run.se_sizes[SubExpression.of(boundary.output_name)] = out.num_rows
 
     def _check_sources(self, sources: dict[str, Table]) -> None:
         missing = [
@@ -555,7 +491,7 @@ class BackendExecutor:
             raise TableError(f"missing source tables: {missing}")
 
 
-def _contract_tokens(quality) -> dict[str, str]:
+def contract_tokens(quality) -> dict[str, str]:
     """Per-source contract fingerprints, folded into plan-cache keys so a
     contract revision is a cache miss rather than a silent stale reuse."""
     from repro.catalog.signatures import digest

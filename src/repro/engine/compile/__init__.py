@@ -1,27 +1,23 @@
-"""Plan compilation: lowering, fusion, and caching of physical plans.
+"""The block runtime: lowering, fusion, caching and batched execution.
 
-The interpreters in :mod:`repro.engine` re-walk the logical DAG on every
-run.  This package compiles each optimizable block once -- lowering the
-algebra to a physical-operator IR, fusing unary-operator chains into
-whole-column kernels on a numba -> numpy -> pure-Python fallback ladder
--- and caches the result keyed by :class:`~repro.catalog.signatures.
-WorkflowSigner` signatures, so warm runs skip compilation entirely.
-Schema-drift events and contract changes invalidate affected entries.
-
-``REPRO_COMPILE=0`` (or ``run --no-compile`` / ``compile=False``)
-disables the whole layer and falls back to the interpreters.
+Every optimizable block executes the same way: it is lowered once to a
+physical-operator IR (:mod:`.lower`, :mod:`.ir`), with unary-operator
+chains fused into whole-column kernels on a numba -> numpy -> pure-Python
+gather ladder (:mod:`.accel`), cached keyed by
+:class:`~repro.catalog.signatures.WorkflowSigner` signatures so warm runs
+skip lowering entirely (:mod:`.cache`; schema-drift events and contract
+changes invalidate affected entries), and run over column batches by
+:class:`CompiledBlockRunner` (:mod:`.runtime`).  A backend is a
+:class:`CompiledProfile` of this path, not a different engine.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.engine.compile.accel import accel_backend, make_engine
 from repro.engine.compile.cache import PlanCache
 from repro.engine.compile.ir import (
     BlockProgram,
     ChainIR,
-    CompiledPlan,
     CompiledProfile,
     FusedStep,
     JoinIR,
@@ -29,29 +25,19 @@ from repro.engine.compile.ir import (
 from repro.engine.compile.lower import (
     CompileError,
     block_source_deps,
-    compile_blocks,
+    compile_block,
     lower_block,
 )
 from repro.engine.compile.runtime import (
     CompiledBlockRunner,
     ObservationBuffer,
-    execute_compiled_block,
 )
-
-_OFF = {"0", "false", "off", "no"}
-
-
-def compile_enabled_default() -> bool:
-    """Process-wide default for plan compilation (``REPRO_COMPILE``)."""
-    return os.environ.get("REPRO_COMPILE", "1").strip().lower() not in _OFF
-
 
 __all__ = [
     "BlockProgram",
     "ChainIR",
     "CompileError",
     "CompiledBlockRunner",
-    "CompiledPlan",
     "CompiledProfile",
     "FusedStep",
     "JoinIR",
@@ -59,9 +45,7 @@ __all__ = [
     "PlanCache",
     "accel_backend",
     "block_source_deps",
-    "compile_blocks",
-    "compile_enabled_default",
-    "execute_compiled_block",
+    "compile_block",
     "lower_block",
     "make_engine",
 ]

@@ -92,8 +92,7 @@ class NumpyGatherEngine(PythonGatherEngine):
 
     Columns are immutable for the duration of a block run, so caching
     the ndarray view by ``id(column)`` lets every gather after the first
-    skip the list->array conversion (the same trick the vectorized
-    interpreter kernels use).
+    skip the list->array conversion.
     """
 
     name = "numpy"

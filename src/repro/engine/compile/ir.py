@@ -4,26 +4,25 @@ Lowering (:mod:`repro.engine.compile.lower`) turns one optimizable block's
 algebra -- stage chains, a join tree, floating operators, post-steps --
 into a small tree of IR nodes whose operator payloads are *pre-resolved*:
 predicate and UDF callables are looked up once at compile time, attribute
-tuples are frozen, and every observation point the interpreters would
-fire (``ctx.note`` per plan point) is recorded on the node that produces
-it.  The runtime (:mod:`repro.engine.compile.runtime`) then walks this IR
-over column batches with zero per-row plan interpretation.
+tuples are frozen, and every observation point (plan-point size, taps) is
+recorded on the node that produces it.  The runtime
+(:mod:`repro.engine.compile.runtime`) then walks this IR over column
+batches with zero per-row plan interpretation.
 
 The IR is deliberately tiny:
 
 - :class:`FusedStep` -- one unary operator inside a fused segment
   (an anchored chain, a join's floating tail, or the block's post-steps);
 - :class:`ChainIR` -- a block input's whole stage chain, fused;
-- :class:`JoinIR` -- one hash join plus the floating operators the
-  columnar interpreter would apply at that node;
+- :class:`JoinIR` -- one hash join plus the floating operators applied
+  at that node;
 - :class:`BlockProgram` -- one block's executable program plus the
-  metadata the cache needs (transitive source dependencies);
-- :class:`CompiledPlan` -- the per-run bundle of block programs.
+  metadata the cache needs (transitive source dependencies).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.algebra.expressions import RejectSE, SubExpression
@@ -34,8 +33,8 @@ class FusedStep:
     """One unary operator inside a fused segment.
 
     ``se`` is the observation point *after* this step fires (a stage SE
-    for chain/post steps), or ``None`` for floating operators, which the
-    interpreters never observe individually.
+    for chain/post steps), or ``None`` for floating operators, which are
+    never observed individually.
     """
 
     kind: str  # "filter" | "transform" | "project"
@@ -80,33 +79,11 @@ class BlockProgram:
     root: PlanIR
     root_se: SubExpression
     post: tuple[FusedStep, ...]
-    #: every observation point the program fires, in execution order
-    obs_ses: tuple[SubExpression, ...]
-    #: raw feed SEs (claim-guarded under additive taps, like streaming)
-    raw_ses: tuple[SubExpression, ...]
     #: transitive *raw source* names feeding this block -- the plan
     #: cache invalidates on schema drift against any of these
     sources: frozenset[str]
     #: operators fused into segments (chains + floating + post)
     fused_ops: int
-
-
-@dataclass
-class CompiledPlan:
-    """Everything one run needs to execute every block compiled."""
-
-    backend: str
-    chunk_rows: Optional[int]
-    programs: dict[str, BlockProgram] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def fused_ops(self) -> int:
-        return sum(p.fused_ops for p in self.programs.values())
-
-    def get(self, block_name: str) -> Optional[BlockProgram]:
-        return self.programs.get(block_name)
 
 
 @dataclass(frozen=True)
@@ -117,9 +94,9 @@ class CompiledProfile:
     over row chunks (the streaming backend's mode); ``gather`` picks the
     gather engine rung (``"auto"`` climbs the numba -> numpy -> Python
     ladder, ``"python"`` pins the reference rung);
-    ``canonical_output`` reorders block outputs and reject tables to the
-    streaming interpreter's canonical (sorted) attribute order so the
-    compiled backend is column-order-identical to its interpreter.
+    ``canonical_output`` emits block outputs and reject tables in the
+    block's canonical (sorted) attribute order -- the streaming
+    backend's column order.
     """
 
     chunk_rows: Optional[int] = None
@@ -130,7 +107,6 @@ class CompiledProfile:
 __all__ = [
     "BlockProgram",
     "ChainIR",
-    "CompiledPlan",
     "CompiledProfile",
     "FusedStep",
     "JoinIR",

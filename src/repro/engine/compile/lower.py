@@ -1,11 +1,11 @@
 """Lowering: algebra blocks + join trees -> physical-operator IR.
 
 One :class:`~repro.engine.compile.ir.BlockProgram` is produced per
-optimizable block.  Lowering mirrors the columnar interpreter's execution
-order *exactly* -- same stage chains, same post-order join walk, same
-floating-operator placement (first join node, in declaration order, whose
-SE covers the anchor), same reject SEs -- so a compiled run fires the
-identical observation points with identical contents.
+optimizable block.  Lowering fixes the block's execution order -- stage
+chains, a post-order join walk, floating-operator placement (first join
+node, in declaration order, whose SE covers the anchor), reject SEs -- and
+with it the observation points a run fires (the row-at-a-time oracle in
+``tests/oracle.py`` pins both).
 
 The fusion happening here is structural: each input's stage chain, each
 join's floating tail, and the block's post-steps become *fused segments*
@@ -17,6 +17,7 @@ materialization.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.algebra.blocks import Block, BlockAnalysis, Step
@@ -27,7 +28,6 @@ from repro.engine.table import TableError
 from repro.engine.compile.ir import (
     BlockProgram,
     ChainIR,
-    CompiledPlan,
     CompiledProfile,
     FusedStep,
     JoinIR,
@@ -69,8 +69,6 @@ def lower_block(block: Block, tree: PlanTree) -> BlockProgram:
             f"plan tree for {block.name} does not cover its inputs"
         )
 
-    obs_ses: list[SubExpression] = []
-    raw_ses: list[SubExpression] = []
     applied: set[int] = set()
     fused_ops = 0
 
@@ -84,9 +82,6 @@ def lower_block(block: Block, tree: PlanTree) -> BlockProgram:
             for step, stage in zip(inp.steps, stage_names[1:])
         )
         fused_ops += len(steps)
-        raw_ses.append(raw_se)
-        obs_ses.append(raw_se)
-        obs_ses.extend(s.se for s in steps)
         return ChainIR(leaf.name, inp.base_name, raw_se, steps)
 
     def build(node: PlanTree) -> PlanIR:
@@ -104,7 +99,6 @@ def lower_block(block: Block, tree: PlanTree) -> BlockProgram:
             floating.append(_fused(op.step, None))
             applied.add(idx)
         fused_ops += len(floating)
-        obs_ses.append(node.se)
         return JoinIR(
             left=left,
             right=right,
@@ -121,7 +115,6 @@ def lower_block(block: Block, tree: PlanTree) -> BlockProgram:
         for step, se in zip(block.post_steps, block.post_stage_ses())
     )
     fused_ops += len(post)
-    obs_ses.extend(s.se for s in post)
 
     return BlockProgram(
         block_name=block.name,
@@ -129,9 +122,7 @@ def lower_block(block: Block, tree: PlanTree) -> BlockProgram:
         root=root,
         root_se=tree.se,
         post=post,
-        obs_ses=tuple(obs_ses),
-        raw_ses=tuple(raw_ses),
-        sources=frozenset(),  # filled in by compile_blocks
+        sources=frozenset(),  # filled in by compile_block
         fused_ops=fused_ops,
     )
 
@@ -167,60 +158,47 @@ def block_source_deps(
     return result
 
 
-def compile_blocks(
+def compile_block(
     analysis: BlockAnalysis,
-    trees: Optional[dict[str, PlanTree]] = None,
+    block: Block,
+    tree: PlanTree,
     *,
     backend: str = "columnar",
     profile: Optional[CompiledProfile] = None,
     cache=None,
     context_tokens: Optional[dict[str, str]] = None,
-) -> CompiledPlan:
-    """Compile every block of the analysis, consulting ``cache`` if given.
+) -> tuple[BlockProgram, bool]:
+    """Lower one block, consulting ``cache`` if given.
 
-    ``context_tokens`` maps source names to fingerprints of their active
-    contracts; they are folded into cache keys so a contract change is a
-    cache miss rather than a silent reuse.
+    Returns ``(program, cache hit?)``.  ``context_tokens`` maps source
+    names to fingerprints of their active contracts; they are folded into
+    cache keys so a contract change is a cache miss rather than a silent
+    reuse.
     """
-    from dataclasses import replace as _replace
-
-    profile = profile or CompiledProfile()
-    trees = trees or {}
-    tokens = context_tokens or {}
-    programs: dict[str, BlockProgram] = {}
-    hits = misses = 0
-    signer = cache.signer_for(analysis) if cache is not None else None
-    memo: dict = {}
-    for block in analysis.blocks:
-        tree = trees.get(block.name, block.initial_tree)
-        deps = block_source_deps(analysis, block, memo)
-        program = None
-        key = None
-        if cache is not None:
-            key = cache.block_key(
-                signer, block, tree, backend, profile, deps, tokens
-            )
-            program = cache.lookup(key)
-        if program is None:
-            misses += 1
-            program = _replace(lower_block(block, tree), sources=deps)
-            if cache is not None:
-                cache.store(key, program)
-        else:
-            hits += 1
-        programs[block.name] = program
-    return CompiledPlan(
-        backend=backend,
-        chunk_rows=profile.chunk_rows,
-        programs=programs,
-        cache_hits=hits,
-        cache_misses=misses,
-    )
+    deps = block_source_deps(analysis, block)
+    key = None
+    if cache is not None:
+        key = cache.block_key(
+            cache.signer_for(analysis),
+            block,
+            tree,
+            backend,
+            profile or CompiledProfile(),
+            deps,
+            context_tokens or {},
+        )
+        program = cache.lookup(key)
+        if program is not None:
+            return program, True
+    program = replace(lower_block(block, tree), sources=deps)
+    if cache is not None:
+        cache.store(key, program)
+    return program, False
 
 
 __all__ = [
     "CompileError",
     "block_source_deps",
-    "compile_blocks",
+    "compile_block",
     "lower_block",
 ]

@@ -1,25 +1,24 @@
-"""Batched execution of compiled block programs.
+"""Batched execution of lowered block programs: the engine's one runtime.
 
 One :class:`CompiledBlockRunner` executes one lowered block over column
 *batches* -- a ``(columns dict, row count)`` pair.  Whole-column profiles
 (columnar, vectorized) run a single batch per input; the streaming
-profile slices inputs into row chunks, so joins probe and instrumentation
-accumulates incrementally just like the per-tuple interpreter, only a
-few thousand rows at a time.
+profile slices inputs into bounded row chunks, so joins probe and
+instrumentation accumulates incrementally -- the paper's per-tuple
+handlers (Section 3.2.5), a few thousand tuples per call.
 
-Equivalence with the interpreters is the contract here:
+The observable contract (checked against the row-at-a-time oracle in
+``tests/oracle.py``):
 
-- every plan point the interpreters note is recorded with the same row
-  count, and every tap sees the same rows (the
-  :class:`ObservationBuffer` speaks the taps' column-batch protocol:
-  accumulate for additive/streaming taps, replace for table-level taps);
-- raw feed points are claim-guarded under additive taps exactly like the
-  streaming interpreter, so shared sources count once per run;
-- sizes flush at block end and additive points are only marked streamed
-  then, so a failed block's statistics read as *missing*, not zeros
-  (faults fire at attempt start, before any accumulation);
-- reject links carry the same rows, and the streaming profile's
-  canonical column order.
+- every plan point of the block is recorded with its row count, and
+  every tap sees exactly the rows that pass its point, in any number of
+  batches (:class:`~repro.engine.instrumentation.TapSet` accumulates);
+- a block's sizes, reject tables and tap accumulations publish together
+  at block end (:class:`ObservationBuffer`), so a failed block's
+  statistics read as *missing*, not zeros or partial counts, and a raw
+  feed shared by several blocks is counted once per run;
+- the streaming profile emits outputs and reject tables in canonical
+  (sorted) column order.
 
 The speed comes from never interpreting the plan per row: fused filter
 runs compose selection vectors and materialize survivors once, joins
@@ -33,6 +32,7 @@ from typing import Iterator, Optional
 
 from repro.algebra.blocks import Block
 from repro.algebra.expressions import AnySE, RejectSE
+from repro.engine.instrumentation import TapSet
 from repro.engine.table import Table, TableError
 
 from repro.engine.compile.ir import (
@@ -105,18 +105,29 @@ def _build_side(cols: dict, key: tuple, engine) -> tuple[dict, bool]:
     return build, unique
 
 
+def _reject_table(cols: dict, attr_order: Optional[tuple]) -> Table:
+    if attr_order is not None:
+        cols = {a: _col(cols, a) for a in attr_order}
+    return Table.wrap(
+        {a: (c if isinstance(c, list) else list(c)) for a, c in cols.items()}
+    )
+
+
 class ObservationBuffer:
-    """Batched plan-point observation with interpreter-equal semantics."""
+    """One block attempt's observations, published to the run on success.
+
+    Sizes, reject tables and tap accumulations collect here -- in a tap
+    set private to the attempt -- and reach the run only through
+    :meth:`flush`, so a block that dies mid-stream contributes nothing
+    and a retried block counts once.
+    """
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.taps = ctx.taps
-        self.additive = bool(getattr(ctx.taps, "additive", False))
+        self.taps = TapSet(ctx.taps.requested)
         self.counts: dict[AnySE, int] = {}
+        self.rejects: dict[RejectSE, Table] = {}
         self._attr_cache: dict[AnySE, tuple] = {}
-        #: non-additive (replace) taps buffer value columns until flush
-        self._pending: dict[AnySE, dict[str, list]] = {}
-        self._rejects: list[RejectSE] = []
 
     def value_attrs(self, se: AnySE) -> tuple:
         got = self._attr_cache.get(se, _MISSING)
@@ -125,30 +136,11 @@ class ObservationBuffer:
             self._attr_cache[se] = got
         return got
 
-    def claim(self, se: AnySE) -> bool:
-        """Claim a shared raw point (additive taps only, like streaming)."""
-        if not self.additive:
-            return True
-        ctx = self.ctx
-        with ctx.lock:
-            claimed = ctx.state.setdefault("claimed_points", set())
-            if se in claimed:
-                return False
-            claimed.add(se)
-            return True
-
     # ------------------------------------------------------------------
     def record(self, se: AnySE, n: int, columns: Optional[dict]) -> None:
         self.counts[se] = self.counts.get(se, 0) + n
-        if not self.taps.wants(se):
-            return
-        if self.additive:
+        if self.taps.wants(se):
             self.taps.observe_columns(se, n, columns)
-        elif columns:
-            pending = self._pending.setdefault(se, {})
-            for attr, col in columns.items():
-                acc = pending.setdefault(attr, [])
-                acc.extend(col if isinstance(col, list) else list(col))
 
     def add(self, se: AnySE, n: int, cols: dict) -> None:
         attrs = self.value_attrs(se)
@@ -174,42 +166,18 @@ class ObservationBuffer:
                 }
         self.record(se, n, columns)
 
-    def add_reject(
-        self, rej: RejectSE, cols: dict, attr_order: Optional[tuple]
-    ) -> None:
-        if attr_order is not None:
-            cols = {a: _col(cols, a) for a in attr_order}
-        table = Table.wrap(
-            {
-                a: (c if isinstance(c, list) else list(c))
-                for a, c in cols.items()
-            }
-        )
-        ctx = self.ctx
-        with ctx.lock:
-            ctx.run.rejects[rej] = table
-            ctx.run.se_sizes[rej] = table.num_rows
+    def add_reject(self, rej: RejectSE, table: Table) -> None:
+        self.rejects[rej] = table
         if self.taps.wants(rej):
             self.taps.observe_columns(rej, table.num_rows, table.columns)
-        self._rejects.append(rej)
-        if ctx.tracer is not None and ctx.tracer.enabled:
-            ctx.trace_point(rej, table.num_rows, reject=True)
 
-    def flush(self) -> None:
-        """Publish sizes (and buffered replace-mode taps) at block end."""
-        ctx = self.ctx
-        with ctx.lock:
-            ctx.run.se_sizes.update(self.counts)
-        if self.additive:
-            for se in self.counts:
-                self.taps.mark_streamed(se)
-            for rej in self._rejects:
-                self.taps.mark_streamed(rej)
-        else:
-            for se, n in self.counts.items():
-                if self.taps.wants(se):
-                    self.taps.observe_columns(se, n, self._pending.get(se))
-        ctx.trace_sizes(self.counts)
+    def flush(self, block_name: str) -> None:
+        """Publish at block end: only now do the points count as streamed."""
+        for se in self.counts:
+            self.taps.mark_streamed(se)
+        for rej in self.rejects:
+            self.taps.mark_streamed(rej)
+        self.ctx.publish(block_name, self.taps, self.counts, self.rejects)
 
 
 class CompiledBlockRunner:
@@ -246,7 +214,7 @@ class CompiledBlockRunner:
                 order = tuple(self.block.se_attrs(program.root_se))
             out_cols = {a: _col(out_cols, a) for a in order}
         table = Table.wrap(dict(out_cols))
-        obs.flush()
+        obs.flush(program.block_name)
         return table
 
     # ------------------------------------------------------------------
@@ -263,7 +231,6 @@ class CompiledBlockRunner:
         table = ctx.run.env[chain.base_name]
         cols = table.columns
         n = table.num_rows
-        count_raw = obs.claim(chain.raw_se)
         chunk = self.profile.chunk_rows
         if chunk is None or n <= chunk:
             spans = ((0, n),)
@@ -276,8 +243,7 @@ class CompiledBlockRunner:
                 batch = dict(cols)
             else:
                 batch = {a: col[lo:hi] for a, col in cols.items()}
-            if count_raw:
-                obs.add(chain.raw_se, hi - lo, batch)
+            obs.add(chain.raw_se, hi - lo, batch)
             yield self._segment(batch, hi - lo, chain.steps, obs)
 
     # ------------------------------------------------------------------
@@ -439,7 +405,7 @@ class CompiledBlockRunner:
                 if canonical
                 else None
             )
-            obs.add_reject(jir.rej_left, cols, order)
+            obs.add_reject(jir.rej_left, _reject_table(cols, order))
         if want_r:
             unmatched = [i for i in range(rn) if i not in matched_right]
             idx = engine.index(unmatched)
@@ -449,7 +415,7 @@ class CompiledBlockRunner:
                 if canonical
                 else None
             )
-            obs.add_reject(jir.rej_right, cols, order)
+            obs.add_reject(jir.rej_right, _reject_table(cols, order))
 
     def _gather_pair(self, lcols: dict, rcols: dict, li, ri) -> dict:
         engine = self.engine
@@ -462,13 +428,7 @@ class CompiledBlockRunner:
         return out
 
 
-def execute_compiled_block(program, block, profile, engine, ctx) -> Table:
-    """Convenience one-shot entry point (tests, ad-hoc callers)."""
-    return CompiledBlockRunner(program, block, profile, engine).execute(ctx)
-
-
 __all__ = [
     "CompiledBlockRunner",
     "ObservationBuffer",
-    "execute_compiled_block",
 ]

@@ -16,10 +16,11 @@ as ``k`` shard tasks in a pool of forked worker processes:
    post-fork tables through shared memory, dispatches the shards (with
    injected worker faults, a per-shard timeout and bounded retries over a
    rebuilt pool), and folds the :class:`~repro.engine.dist.worker
-   .ShardResult` pieces back together: mergeable tap sets merge
-   additively, SE sizes sum, reject tables recompose by concatenation or
-   key-set intersection, and the parent re-observes every reject so the
-   run's taps are exact.
+   .ShardResult` pieces back together: shard tap sets merge additively,
+   SE sizes sum, reject tables recompose by concatenation or key-set
+   intersection, and the parent re-observes every reject so the run's
+   taps are exact.  Each worker runs its shard through the same
+   :meth:`ExecutionBackend.execute_block` every other backend uses.
 
 Retries that exhaust ``shard_retries`` surface as a *transient*
 :class:`ShardExecutionError`, so a scheduler retry policy treats a dead
@@ -37,10 +38,14 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.algebra.blocks import Block, BlockAnalysis
-from repro.algebra.expressions import AnySE, RejectSE
+from repro.algebra.expressions import RejectSE
 from repro.algebra.plans import PlanTree
-from repro.core.statistics import StatisticsStore
-from repro.engine.backend import ExecutionBackend, RunContext
+from repro.engine.backend import (
+    ExecutionBackend,
+    RunContext,
+    contract_tokens,
+)
+from repro.engine.compile import ObservationBuffer
 from repro.engine.dist.sharding import (
     ShardPlan,
     plan_block_shards,
@@ -111,7 +116,6 @@ class MultiprocessBackend(ExecutionBackend):
         self._analysis: "BlockAnalysis | None" = None
         self._fork_env: dict[str, Table] = {}
         self._stats: tuple = ()
-        self._compile = False
         self._context_tokens: "dict | None" = None
         self._run_token = 0
         #: (table, ref, segment) triples kept alive until the next run:
@@ -127,28 +131,18 @@ class MultiprocessBackend(ExecutionBackend):
     def make_taps(self, stats=()):
         return TapSet(stats)
 
-    def collect(self, taps: TapSet) -> StatisticsStore:
-        return taps.store
-
-    def compiled_profile(self):
-        # the parent never runs compiled programs itself: each worker
-        # compiles against its own per-process PlanCache (see worker.py)
-        return None
-
-    def begin_run(self, analysis, sources, taps, compile_plans) -> None:
+    def begin_run(self, analysis, sources, taps) -> None:
         with self._lock:
             self._run_token += 1
             self._drop_segments()
-            stats = tuple(getattr(taps, "requested", ()) or ())
+            stats = tuple(taps.requested)
             reusable = (
                 self._pool is not None
                 and self._analysis is analysis
                 and self._stats == stats
-                and self._compile == bool(compile_plans)
             )
             self._analysis = analysis
             self._stats = stats
-            self._compile = bool(compile_plans)
             self._context_tokens = None
             if reusable:
                 # same workflow, warm pool: tables that changed since the
@@ -161,7 +155,7 @@ class MultiprocessBackend(ExecutionBackend):
 
     def screen_sources(self, quality, sources, *, tracer=None, trace_parent=None):
         with self._lock:
-            self._context_tokens = _contract_tokens(quality)
+            self._context_tokens = contract_tokens(quality)
         out = dict(sources)
         trace = tracer is not None and tracer.enabled
         from repro.quality.drift import reconcile_schema
@@ -225,7 +219,6 @@ class MultiprocessBackend(ExecutionBackend):
                 analysis=self._analysis,
                 env=self._fork_env,
                 stats=self._stats,
-                compile_plans=self._compile,
             )
         )
         self._pool = ProcessPoolExecutor(
@@ -349,7 +342,6 @@ class MultiprocessBackend(ExecutionBackend):
                     analysis=self._analysis,
                     env=ctx.run.env,
                     stats=self._stats,
-                    compile_plans=self._compile,
                 )
                 for shard in pending:
                     try:
@@ -443,19 +435,15 @@ class MultiprocessBackend(ExecutionBackend):
 
         # measured before folding: what the shards actually shipped
         sketch_bytes = sum(r.taps.distinct_bytes() for r in ordered)
-        merged = ordered[0].taps
-        for result in ordered[1:]:
-            merged.merge(result.taps)
-        sizes: dict[AnySE, int] = {}
+        obs = ObservationBuffer(ctx)
         for result in ordered:
+            obs.taps.merge(result.taps)
             for se, n in result.sizes.items():
-                sizes[se] = sizes.get(se, 0) + n
-        with ctx.lock:
-            for stat, value in merged.store.items():
-                ctx.taps.store.put(stat, value)
-            ctx.run.se_sizes.update(sizes)
-        if ctx.tracer is not None and ctx.tracer.enabled:
-            ctx.trace_sizes(sizes)
+                obs.counts[se] = obs.counts.get(se, 0) + n
+        for rej, table in self._merge_rejects(tree, plan, ordered).items():
+            obs.add_reject(rej, table)
+        obs.flush(block.name)
+        if ctx.tracer is not None:
             for result in ordered:
                 ctx.tracer.point(
                     f"{block.name}#shard{result.shard}",
@@ -463,9 +451,6 @@ class MultiprocessBackend(ExecutionBackend):
                     rows=result.rows_out,
                     strategy=plan.strategy,
                 )
-
-        for rej, table in self._merge_rejects(tree, plan, ordered).items():
-            ctx.note_reject(rej, table)
 
         out_columns: dict[str, list] = {
             a: list(ordered[0].output_columns[a]) for a in ordered[0].output_attrs
@@ -611,15 +596,6 @@ def _inline_screen(table: Table, payload: dict) -> list:
         part, payload["contract"], source=payload["source"]
     )
     return [dataclasses.replace(v, row=v.row + lo) for v in violations]
-
-
-def _contract_tokens(quality) -> "dict | None":
-    from repro.engine.backend import _contract_tokens as tokens
-
-    try:
-        return tokens(quality)
-    except Exception:
-        return None
 
 
 __all__ = ["MultiprocessBackend", "ShardExecutionError"]

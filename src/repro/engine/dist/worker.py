@@ -2,11 +2,11 @@
 
 A worker executes **one shard of one block** per task: it slices its input
 tables according to the block's :class:`~repro.engine.dist.sharding
-.ShardPlan`, runs the ordinary columnar interpreter (or a compiled plan
-from a per-process :class:`~repro.engine.compile.PlanCache`) over the
-slice with a *mergeable* tap set, strips the observation points it is not
-responsible for, and ships back a compact :class:`ShardResult` the parent
-folds together.
+.ShardPlan`, runs the ordinary columnar block path
+(:meth:`~repro.engine.backend.ExecutionBackend.execute_block`, against a
+per-process :class:`~repro.engine.compile.PlanCache`) over the slice with
+its own tap set, strips the observation points it is not responsible for,
+and ships back a compact :class:`ShardResult` the parent folds together.
 
 Big tables never travel through the task pickle.  The pool is forked, so
 every worker inherits :data:`_STATE` -- the analysis (whose step
@@ -34,6 +34,7 @@ from repro.algebra.blocks import Block, BlockAnalysis
 from repro.algebra.expressions import AnySE, RejectSE
 from repro.algebra.plans import PlanTree
 from repro.engine.backend import RunContext, WorkflowRun
+from repro.engine.compile import PlanCache
 from repro.engine.dist.sharding import (
     ShardPlan,
     hash_partition_indexes,
@@ -43,6 +44,7 @@ from repro.engine.dist.sharding import (
     sharded_points,
 )
 from repro.engine.dist.shm import ShmRef, attach_table
+from repro.engine.executor import ColumnarBackend
 from repro.engine.instrumentation import TapSet
 from repro.engine.table import Table
 
@@ -63,7 +65,6 @@ class WorkerState:
     analysis: BlockAnalysis
     env: dict[str, Table]
     stats: tuple
-    compile_plans: bool = False
 
 
 @dataclass
@@ -82,7 +83,7 @@ class ShardResult:
 
 # -- per-process state -----------------------------------------------------
 _STATE: WorkerState | None = None
-_PLAN_CACHE = None  # compiled programs, reused across runs in this process
+_PLAN_CACHE = PlanCache()  # lowered programs, reused across runs in this process
 _TABLE_CACHE: dict[str, Table] = {}  # decoded shm tables by segment name
 _RUN_TOKEN: Any = None
 
@@ -96,15 +97,14 @@ def set_fork_state(state: "WorkerState | None") -> None:
 
 def _begin_task(payload: dict) -> None:
     """Per-run cache upkeep, run once when a new run token appears."""
-    global _RUN_TOKEN, _PLAN_CACHE
+    global _RUN_TOKEN
     token = payload.get("run_token")
     if token == _RUN_TOKEN:
         return
     _RUN_TOKEN = token
     _TABLE_CACHE.clear()  # segments from the previous run are unlinked
-    if _PLAN_CACHE is not None:
-        for source in payload.get("invalidate_sources", ()):
-            _PLAN_CACHE.invalidate_source(source)
+    for source in payload.get("invalidate_sources", ()):
+        _PLAN_CACHE.invalidate_source(source)
 
 
 def _maybe_fault(directive: "dict | None") -> None:
@@ -146,35 +146,6 @@ def _block_named(analysis: BlockAnalysis, name: str) -> Block:
         if block.name == name:
             return block
     raise ShardError(f"worker analysis has no block named {name!r}")
-
-
-def _compiled_runner(state: WorkerState, block: Block, tree: PlanTree,
-                     context_tokens: "dict | None"):
-    """Compile (or fetch from this process's cache) the block's program."""
-    global _PLAN_CACHE
-    from repro.engine.compile import (
-        CompiledBlockRunner,
-        PlanCache,
-        compile_blocks,
-        make_engine,
-    )
-    from repro.engine.executor import ColumnarBackend
-
-    if _PLAN_CACHE is None:
-        _PLAN_CACHE = PlanCache()
-    profile = ColumnarBackend().compiled_profile()
-    compiled = compile_blocks(
-        state.analysis,
-        {block.name: tree},
-        backend="columnar",
-        profile=profile,
-        cache=_PLAN_CACHE,
-        context_tokens=context_tokens,
-    )
-    program = compiled.get(block.name)
-    if program is None:
-        return None
-    return CompiledBlockRunner(program, block, profile, make_engine(profile.gather))
 
 
 def _shard_env(block: Block, plan: ShardPlan, shard: int,
@@ -230,19 +201,16 @@ def run_shard(payload: dict, state: "WorkerState | None" = None) -> ShardResult:
     shard: int = payload["shard"]
 
     env = _shard_env(block, plan, shard, payload.get("overrides", {}), state)
-    taps = TapSet(state.stats, mergeable=True)
+    taps = TapSet(state.stats)
     run = WorkflowRun(env=env)
-    from repro.engine.executor import ColumnarBackend
-
-    backend = ColumnarBackend()
-    ctx = RunContext(run=run, taps=taps, kernels=backend.make_kernels())
-    runner = None
-    if state.compile_plans:
-        runner = _compiled_runner(state, block, tree, payload.get("context_tokens"))
-    if runner is not None:
-        out = runner.execute(ctx)
-    else:
-        out = backend.execute_block(block, tree, ctx)
+    ctx = RunContext(
+        run=run,
+        taps=taps,
+        analysis=state.analysis,
+        plan_cache=_PLAN_CACHE,
+        context_tokens=payload.get("context_tokens"),
+    )
+    out = ColumnarBackend().execute_block(block, tree, ctx)
 
     # -- responsibility filter ------------------------------------------
     # Broadcast shards all compute the replicated points identically;

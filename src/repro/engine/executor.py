@@ -1,4 +1,4 @@
-"""Columnar workflow execution: runs blocks (optionally re-ordered) over tables.
+"""The default (columnar) backend and the convenience executors.
 
 The executor is the "run instrumented plan" step of the framework
 (Section 3.2.6).  It executes each optimizable block with either its
@@ -11,26 +11,22 @@ this is the passive monitoring signal (the LEO-style baseline) and the
 previous-run SE sizes the CPU cost metric needs (Section 5.4).
 
 The plan-walking core (scheduling blocks and boundaries over the analysis
-DAG) lives in :class:`~repro.engine.backend.BackendExecutor`;
-:class:`ColumnarBackend` supplies the materialized column-at-a-time block
-execution strategy, shared with the vectorized backend which only swaps
-the kernels.
+DAG) lives in :class:`~repro.engine.backend.BackendExecutor` and the block
+runtime in :mod:`repro.engine.compile`; :class:`ColumnarBackend` is that
+runtime over whole columns on the reference (pure Python) gather rung.
 """
 
 from __future__ import annotations
 
-from repro.algebra.blocks import Block
-from repro.algebra.expressions import RejectSE, SubExpression
-from repro.algebra.plans import Leaf, PlanTree, leaves as _tree_leaves
-from repro.core.statistics import StatisticsStore
+from repro.algebra.plans import PlanTree
 from repro.engine.backend import (
     BackendExecutor,
     ExecutionBackend,
-    RunContext,
     WorkflowRun,
 )
+from repro.engine.compile import CompiledProfile
 from repro.engine.instrumentation import TapSet
-from repro.engine.table import Table, TableError
+from repro.engine.table import Table
 
 __all__ = [
     "ColumnarBackend",
@@ -41,87 +37,13 @@ __all__ = [
 
 
 class ColumnarBackend(ExecutionBackend):
-    """Materialized column-at-a-time execution with table-level taps."""
+    """Whole-column batches on the reference (pure Python) gather rung."""
 
     name = "columnar"
+    profile = CompiledProfile(chunk_rows=None, gather="python")
 
     def make_taps(self, stats=()):
         return TapSet(stats)
-
-    def collect(self, taps: TapSet) -> StatisticsStore:
-        return taps.store
-
-    def compiled_profile(self):
-        from repro.engine.compile import CompiledProfile
-
-        # whole-column batches; the reference (pure Python) gather rung
-        return CompiledProfile(chunk_rows=None, gather="python")
-
-    # ------------------------------------------------------------------
-    def execute_block(self, block: Block, tree: PlanTree, ctx: RunContext) -> Table:
-        if {leaf.name for leaf in _tree_leaves(tree)} != set(block.inputs):
-            raise TableError(
-                f"plan tree for {block.name} does not cover its inputs"
-            )
-        kernels = ctx.kernels
-        run, taps = ctx.run, ctx.taps
-        inputs: dict[str, Table] = {}
-        for name, inp in sorted(block.inputs.items()):
-            table = run.env[inp.base_name]
-            stage_names = inp.stage_names()
-            ctx.note(SubExpression.of(stage_names[0]), table)
-            for step, stage in zip(inp.steps, stage_names[1:]):
-                table = kernels.apply_step(table, step)
-                ctx.note(SubExpression.of(stage), table)
-            inputs[name] = table
-
-        wanted_rejects = taps.reject_requests() | set(block.materialized_rejects)
-        applied_floating: set[int] = set()
-
-        def exec_tree(node: PlanTree) -> Table:
-            if isinstance(node, Leaf):
-                return inputs[node.name]
-            left = exec_tree(node.left)
-            right = exec_tree(node.right)
-            key = tuple(node.key)
-            rej_key = key[0] if len(key) == 1 else key
-            rej_left = RejectSE(node.left.se, rej_key, node.right.se)
-            rej_right = RejectSE(node.right.se, rej_key, node.left.se)
-            want_l = rej_left in wanted_rejects
-            want_r = rej_right in wanted_rejects
-            result, reject_l, reject_r = kernels.hash_join(
-                left, right, key, want_l, want_r
-            )
-            if want_l:
-                ctx.note_reject(rej_left, reject_l)
-            if want_r:
-                ctx.note_reject(rej_right, reject_r)
-            result = self._apply_floating(
-                block, node.se, result, applied_floating, ctx
-            )
-            ctx.note(node.se, result)
-            return result
-
-        table = exec_tree(tree)
-        for step, stage in zip(block.post_steps, block.post_stage_ses()):
-            table = kernels.apply_step(table, step)
-            ctx.note(stage, table)
-        return table
-
-    def _apply_floating(
-        self,
-        block: Block,
-        se: SubExpression,
-        table: Table,
-        applied: set[int],
-        ctx: RunContext,
-    ) -> Table:
-        for idx, op in enumerate(block.floating):
-            if idx in applied or not (op.anchor <= se.relations):
-                continue
-            table = ctx.kernels.apply_step(table, op.step)
-            applied.add(idx)
-        return table
 
 
 class Executor(BackendExecutor):

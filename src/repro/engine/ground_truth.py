@@ -6,11 +6,9 @@ module executes every connected join subset directly (a spanning join
 order per subset) and returns the exact counts the estimator must match
 (exact histograms admit no estimation error; see Section 3.1).
 
-Brute force is backend-agnostic: any registered
-:class:`~repro.engine.backend.ExecutionBackend` can drive it.  The
-vectorized backend is the natural choice at scale -- its per-kernel-set
-join build cache pays off handsomely here, since every join subset of a
-block probes the same processed inputs.
+The brute force itself runs on the reference row-at-a-time operators of
+:mod:`repro.engine.physical`; ``backend`` only picks which backend
+produces the boundary outputs it starts from.
 """
 
 from __future__ import annotations
@@ -20,23 +18,21 @@ from repro.algebra.expressions import AnySE, SubExpression
 from repro.engine.backend import (
     BackendExecutor,
     ExecutionBackend,
-    Kernels,
     WorkflowRun,
-    get_backend,
 )
+from repro.engine.physical import apply_step, hash_join
 from repro.engine.table import Table
 
 
 def block_input_tables(
-    block: Block, env: dict[str, Table], kernels: Kernels | None = None
+    block: Block, env: dict[str, Table]
 ) -> dict[str, Table]:
     """Processed input tables for a block (stage chains applied)."""
-    kernels = kernels or Kernels()
     out: dict[str, Table] = {}
     for name, inp in block.inputs.items():
         table = env[inp.base_name]
         for step in inp.steps:
-            table = kernels.apply_step(table, step)
+            table = apply_step(table, step)
         out[name] = table
     return out
 
@@ -45,10 +41,8 @@ def join_subset(
     block: Block,
     inputs: dict[str, Table],
     se: SubExpression,
-    kernels: Kernels | None = None,
 ) -> Table:
     """Evaluate an SE by joining its members along a spanning order."""
-    kernels = kernels or Kernels()
     members = sorted(se.relations)
     done = {members[0]}
     table = inputs[members[0]]
@@ -59,7 +53,7 @@ def join_subset(
             key = block.graph.crossing_key(frozenset(done), frozenset({name}))
             if not key:
                 continue
-            table, _l, _r = kernels.hash_join(table, inputs[name], key)
+            table, _l, _r = hash_join(table, inputs[name], key)
             done.add(name)
             remaining.discard(name)
             progressed = True
@@ -79,32 +73,29 @@ def ground_truth_cardinalities(
     Runs the workflow once (initial plans) to build the boundary outputs,
     then brute-forces each block's join subsets from its processed inputs.
     """
-    if isinstance(backend, str):
-        backend = get_backend(backend)
     run: WorkflowRun = BackendExecutor(analysis, backend).run(sources)
-    kernels = backend.make_kernels()
     truth: dict[AnySE, int] = {}
     for block in analysis.blocks:
-        inputs = block_input_tables(block, run.env, kernels)
+        inputs = block_input_tables(block, run.env)
         for name, inp in block.inputs.items():
             table = run.env[inp.base_name]
             stage_names = inp.stage_names()
             truth[SubExpression.of(stage_names[0])] = table.num_rows
             for step, stage in zip(inp.steps, stage_names[1:]):
-                table = kernels.apply_step(table, step)
+                table = apply_step(table, step)
                 truth[SubExpression.of(stage)] = table.num_rows
         for se in block.join_ses():
             if len(se) == 1:
                 truth[se] = inputs[se.base_name].num_rows
             else:
-                truth[se] = join_subset(block, inputs, se, kernels).num_rows
+                truth[se] = join_subset(block, inputs, se).num_rows
         # post stages operate on the full join result
-        table = join_subset(block, inputs, block.join_se, kernels) if len(
+        table = join_subset(block, inputs, block.join_se) if len(
             block.join_se
         ) > 1 else inputs[block.join_se.base_name]
         for op in block.floating:
-            table = kernels.apply_step(table, op.step)
+            table = apply_step(table, op.step)
         for step, stage in zip(block.post_steps, block.post_stage_ses()):
-            table = kernels.apply_step(table, step)
+            table = apply_step(table, step)
             truth[stage] = table.num_rows
     return truth

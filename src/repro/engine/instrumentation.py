@@ -4,9 +4,9 @@ Section 3.2.5: *"Many commercial ETL engines provide a mechanism to plug in
 user defined handlers at any point in the flow ... invoked for every tuple
 that passes through that point."*  Our equivalent is the :class:`TapSet`:
 it is handed the set of statistics the selection step chose, groups them by
-observation point (an SE of the plan, or a reject link), and the executor
-calls :meth:`TapSet.observe` whenever a tuple stream materializes at such a
-point.
+observation point (an SE of the plan, or a reject link), and the runtime
+calls :meth:`TapSet.observe_columns` with every batch of tuples that passes
+such a point.
 
 - cardinality  -> a counter (one integer);
 - histogram    -> an exact frequency histogram on the tapped attributes;
@@ -21,12 +21,12 @@ ones to produce.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from collections.abc import Iterable
 
 from repro.algebra.expressions import AnySE, RejectJoinSE, RejectSE
 from repro.core.histogram import Histogram
 from repro.core.statistics import StatKind, Statistic, StatisticsStore
-from repro.engine.table import Table
 
 
 class InstrumentationError(ValueError):
@@ -91,8 +91,8 @@ class DistinctAccumulator:
 def make_distinct_accumulator(values: Iterable[tuple] = ()):
     """Factory for the distinct combiner every tap implementation uses.
 
-    This is the single seam behind all five backends' distinct taps:
-    under the default spec it returns the exact
+    This is the single seam behind every distinct tap: under the default
+    spec it returns the exact
     :class:`DistinctAccumulator`; inside a ``mode="hll"``
     :func:`~repro.estimation.sketches.sketch_scope` it returns a
     mergeable :class:`~repro.estimation.sketches.HllSketch`, so shard
@@ -108,27 +108,28 @@ def make_distinct_accumulator(values: Iterable[tuple] = ()):
 
 
 class TapSet:
-    """Groups requested statistics by observation point and collects them."""
+    """Per-point statistic accumulators: additive, mergeable, fail-closed.
 
-    #: whether :meth:`observe_columns` *accumulates* across calls for the
-    #: same point (streaming taps) or *replaces* (table-level taps) --
-    #: compiled plans batch their observations accordingly
-    additive = False
+    - **additive**: :meth:`observe_columns` may feed one point in any
+      number of column batches; counts, buckets and distinct values add
+      up (the runtime hands over a few thousand rows at a time under the
+      streaming profile, whole columns otherwise);
+    - **mergeable**: :meth:`merge` folds in another tap set that observed
+      *disjoint* rows of the same points (another block of the run, or
+      another row shard of the same block) and the result is exact;
+    - **fail-closed**: accumulators are provisional until the producing
+      stream calls :meth:`mark_streamed`; :meth:`collect` reports only
+      streamed points, so a failed block's statistics read as *missing*,
+      never as zeros or partial counts.
+    """
 
-    def __init__(
-        self, stats: Iterable[Statistic] = (), *, mergeable: bool = False
-    ):
+    def __init__(self, stats: Iterable[Statistic] = ()):
         self._by_se: dict[AnySE, list[Statistic]] = {}
-        self.store = StatisticsStore()
-        #: mergeable tap sets retain distinct *value* accumulators (not
-        #: just the counts) so disjoint row shards can be folded together
-        #: with :meth:`merge`; plain tap sets skip that memory cost
-        self.mergeable = mergeable
+        self._counters: dict[Statistic, int] = {}
+        self._hists: dict[Statistic, Counter] = {}
         #: stat -> accumulator (exact set or HLL sketch, per the factory)
-        self._distinct_values: dict[Statistic, object] = {}
-        #: stat -> bytes of the last transient accumulator a non-mergeable
-        #: observe built (replace semantics, mirrors the stored count)
-        self._sketch_bytes: dict[Statistic, int] = {}
+        self._distinct: dict[Statistic, object] = {}
+        self._streamed: set[AnySE] = set()
         for stat in stats:
             self.request(stat)
 
@@ -152,38 +153,10 @@ class TapSet:
         """Reject links the executor must produce (even instrumentation-only)."""
         return {se for se in self._by_se if isinstance(se, RejectSE)}
 
-    # ------------------------------------------------------------------
-    def observe(self, se: AnySE, table: Table) -> None:
-        """Collect every statistic requested at this point."""
-        for stat in self._by_se.get(se, []):
-            if stat.kind is StatKind.CARDINALITY:
-                self.store.put(stat, table.num_rows)
-            elif stat.kind is StatKind.HISTOGRAM:
-                missing = [a for a in stat.attrs if not table.has_column(a)]
-                if missing:
-                    raise InstrumentationError(
-                        f"cannot observe {stat!r}: attributes {missing} are "
-                        f"not live at {se!r} (have {table.attrs})"
-                    )
-                self.store.put(stat, table.histogram(stat.attrs))
-            elif self.mergeable:
-                acc = self._distinct_values.setdefault(
-                    stat, make_distinct_accumulator()
-                )
-                acc.update(table.rows(stat.attrs))
-                self.store.put(stat, acc.result())
-            else:
-                # non-mergeable taps replace: a fresh factory accumulator
-                # per call keeps replace semantics while still flowing
-                # through the exact/sketch seam
-                acc = make_distinct_accumulator(table.rows(stat.attrs))
-                self._sketch_bytes[stat] = acc.size_bytes()
-                self.store.put(stat, acc.result())
-
     def value_attrs(self, se: AnySE) -> tuple[str, ...]:
         """Attributes whose *values* (not just counts) are tapped at ``se``.
 
-        Compiled plans use this to materialize only the columns a
+        The runtime uses this to materialize only the columns a
         histogram/distinct tap actually reads, instead of whole tables.
         """
         attrs: set[str] = set()
@@ -192,22 +165,22 @@ class TapSet:
                 attrs.update(stat.attrs)
         return tuple(sorted(attrs))
 
+    # ------------------------------------------------------------------
     def observe_columns(
         self,
         se: AnySE,
         num_rows: int,
         columns: dict[str, list] | None = None,
     ) -> None:
-        """Column-batch counterpart of :meth:`observe`.
+        """Accumulate one column batch at ``se``.
 
         ``columns`` needs to carry (at least) :meth:`value_attrs`; it may
         be ``None`` when only cardinalities are tapped at this point.
-        Semantics are identical to observing the materialized table.
         """
         columns = columns or {}
-        for stat in self._by_se.get(se, []):
+        for stat in self._by_se.get(se, ()):
             if stat.kind is StatKind.CARDINALITY:
-                self.store.put(stat, num_rows)
+                self._counters[stat] = self._counters.get(stat, 0) + num_rows
                 continue
             missing = [a for a in stat.attrs if a not in columns]
             if missing:
@@ -217,111 +190,96 @@ class TapSet:
                 )
             rows = zip(*(columns[a] for a in stat.attrs))
             if stat.kind is StatKind.HISTOGRAM:
-                self.store.put(stat, Histogram.from_rows(tuple(stat.attrs), rows))
-            elif self.mergeable:
-                acc = self._distinct_values.setdefault(
-                    stat, make_distinct_accumulator()
-                )
-                acc.update(rows)
-                self.store.put(stat, acc.result())
+                self._hists.setdefault(stat, Counter()).update(rows)
             else:
-                acc = make_distinct_accumulator(rows)
-                self._sketch_bytes[stat] = acc.size_bytes()
-                self.store.put(stat, acc.result())
+                self._accumulator(stat).update(rows)
 
-    # ------------------------------------------------------------------
-    # mergeable-observation protocol (sharded execution)
+    def mark_streamed(self, se: AnySE) -> None:
+        """Record that this observation point's stream ran to completion.
+
+        Accumulators start empty, so :meth:`collect` must distinguish
+        "streamed and saw nothing" from "the producing block never ran"
+        (a failed block's requested statistics have to read as *missing*,
+        not as zeros, or a degraded run would silently optimize from
+        wrong cardinalities instead of falling back).
+        """
+        self._streamed.add(se)
+
+    def collect(self) -> StatisticsStore:
+        """The statistics of every streamed point (request order)."""
+        store = StatisticsStore()
+        for se, bucket in self._by_se.items():
+            if se not in self._streamed:
+                continue
+            for stat in bucket:
+                if stat.kind is StatKind.CARDINALITY:
+                    store.put(stat, self._counters.get(stat, 0))
+                elif stat.kind is StatKind.HISTOGRAM:
+                    store.put(
+                        stat, Histogram(stat.attrs, self._hists.get(stat, {}))
+                    )
+                else:
+                    acc = self._distinct.get(stat)
+                    store.put(stat, acc.result() if acc is not None else 0)
+        return store
+
+    def _accumulator(self, stat: Statistic):
+        acc = self._distinct.get(stat)
+        if acc is None:
+            # always factory-fresh (never a copy of another tap set's
+            # internals): the factory decides exact vs sketch, and the
+            # accumulators' merge() rejects mixed implementations
+            acc = self._distinct[stat] = make_distinct_accumulator()
+        return acc
+
     # ------------------------------------------------------------------
     def merge(self, other: "TapSet") -> None:
-        """Fold another tap set's observations into this one.
+        """Fold another tap set's accumulators into this one.
 
-        Both operands must be :attr:`mergeable` and must have observed
-        **disjoint row shards** of the same logical points; under that
-        contract the merge is exact:
+        The operands must have observed **disjoint rows** of the same
+        logical points; under that contract the merge is exact:
 
         - cardinalities add;
-        - histogram buckets add (:meth:`Histogram.add`, Equation 1's
-          union of disjoint row sets);
-        - distinct values merge through the
-          :class:`DistinctAccumulator` combiner (set union today, a
-          sketch later).
+        - histogram buckets add (Equation 1's union of disjoint row sets);
+        - distinct values merge through the accumulator's own ``merge``
+          (set union, or register-max for sketches);
+        - a point counts as streamed if either side streamed it.
         """
-        if not (self.mergeable and other.mergeable):
-            raise InstrumentationError(
-                "merge() requires both tap sets to be constructed with "
-                "mergeable=True (distinct counts cannot be merged without "
-                "their value accumulators)"
-            )
         for se, bucket in other._by_se.items():
             mine = self._by_se.setdefault(se, [])
             for stat in bucket:
                 if stat not in mine:
                     mine.append(stat)
-        for stat, value in other.store.items():
-            if stat.kind is StatKind.CARDINALITY:
-                self.store.put(stat, self.store.maybe(stat, 0) + value)
-            elif stat.kind is StatKind.HISTOGRAM:
-                base = self.store.maybe(stat)
-                self.store.put(stat, value if base is None else base.add(value))
-            else:
-                acc = self._distinct_values.setdefault(
-                    stat, make_distinct_accumulator()
-                )
-                theirs = other._distinct_values.get(stat)
-                if theirs is None:
-                    raise InstrumentationError(
-                        f"cannot merge {stat!r}: the other tap set has no "
-                        "distinct-value accumulator for it"
-                    )
-                acc.merge(theirs)
-                self.store.put(stat, acc.result())
+        for stat, count in other._counters.items():
+            self._counters[stat] = self._counters.get(stat, 0) + count
+        for stat, buckets in other._hists.items():
+            self._hists.setdefault(stat, Counter()).update(buckets)
+        for stat, acc in other._distinct.items():
+            self._accumulator(stat).merge(acc)
+        self._streamed |= other._streamed
 
     def discard_points(self, ses: Iterable[AnySE]) -> None:
         """Drop every observation (and request) at the given points.
 
-        Shard workers use this to strip the points they are not
-        responsible for (broadcast-replicated inputs, reject links the
-        parent re-observes from merged tables) before shipping their tap
-        set back, so the parent-side merge stays purely additive.
+        Used to strip points someone else is responsible for (a shared
+        feed another block already published, broadcast-replicated shard
+        inputs, reject links the parent re-observes from merged tables)
+        so the merge that follows stays purely additive.
         """
         drop = set(ses)
-        if not drop:
-            return
-        kept = StatisticsStore()
-        for stat, value in self.store.items():
-            if stat.se not in drop:
-                kept.put(stat, value)
-        self.store = kept
         for se in drop:
-            self._by_se.pop(se, None)
-        self._distinct_values = {
-            stat: acc
-            for stat, acc in self._distinct_values.items()
-            if stat.se not in drop
-        }
-        self._sketch_bytes = {
-            stat: n
-            for stat, n in self._sketch_bytes.items()
-            if stat.se not in drop
-        }
+            for stat in self._by_se.pop(se, ()):
+                self._counters.pop(stat, None)
+                self._hists.pop(stat, None)
+                self._distinct.pop(stat, None)
+        self._streamed -= drop
 
     def distinct_bytes(self) -> int:
-        """Bytes of distinct-accumulator state behind this tap set.
-
-        Mergeable tap sets report their retained accumulators (what a
-        shard actually ships to the parent); plain tap sets report the
-        footprint of the last transient accumulator per statistic.  The
-        ``etl_sketch_bytes`` gauge and the sketch-ablation bench read
-        this to compare exact sets against HLL registers.
-        """
-        total = sum(
-            acc.size_bytes() for acc in self._distinct_values.values()
-        )
-        for stat, n in self._sketch_bytes.items():
-            if stat not in self._distinct_values:
-                total += n
-        return total
+        """Bytes of distinct-accumulator state held by these taps (what a
+        shard ships to the parent; the ``etl_sketch_bytes`` gauge)."""
+        return sum(acc.size_bytes() for acc in self._distinct.values())
 
     def missing(self) -> list[Statistic]:
-        """Requested statistics that no observation reached (plan bug)."""
-        return [s for s in self.requested if s not in self.store]
+        """Requested statistics whose point never streamed (plan bug, or
+        the producing block failed)."""
+        return [s for s in self.requested if s.se not in self._streamed]

@@ -223,7 +223,6 @@ class StatisticsPipeline:
     workflow: Workflow
     generator_options: GeneratorOptions = field(default_factory=GeneratorOptions)
     solver: str = "ilp"  # "ilp" | "greedy"
-    executor: str = "columnar"  # deprecated alias for ``backend``
     cost_metric: str = "cout"
     free_statistics: set[Statistic] = field(default_factory=set)
     memory_weight: float = 1.0
@@ -233,9 +232,6 @@ class StatisticsPipeline:
     #: row shards per block for the multiprocess backend (None = that
     #: backend's own default); ignored by single-process backends
     shards: int | None = None
-    #: plan compilation: True/False force it on/off, None defers to the
-    #: process default (``REPRO_COMPILE``, on unless disabled)
-    compile: bool | None = None
     #: distinct-tap implementation: "exact" (set union) or "hll"
     #: (mergeable HyperLogLog sketches through the accumulator factory)
     distinct_sketch: str = "exact"
@@ -247,8 +243,6 @@ class StatisticsPipeline:
     clock: Callable[[], float] = time.perf_counter
 
     def __post_init__(self) -> None:
-        if self.executor != "columnar" and self.backend == "columnar":
-            self.backend = self.executor
         if self.shards is not None and self.backend != "multiprocess":
             # asking for row shards selects the sharded backend (keeps the
             # cost-model constants and metric labels consistent)
@@ -517,7 +511,6 @@ class StatisticsPipeline:
                     analysis,
                     backend,
                     workers=self.workers,
-                    compile_plans=self.compile,
                     plan_cache=self.plan_cache,
                 ).run(
                     sources,
@@ -541,7 +534,7 @@ class StatisticsPipeline:
         timings["execution"] = clock() - t0
         sketch_bytes = 0
         if self.sketch_spec.mode != "exact":
-            sketch_bytes = getattr(taps, "distinct_bytes", lambda: 0)()
+            sketch_bytes = taps.distinct_bytes()
             sketch_bytes += run.shard_stats.get("sketch_bytes", 0)
         self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
 

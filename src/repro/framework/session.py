@@ -100,7 +100,6 @@ class EtlSession:
     backend: str | None = None  # override the pipeline's execution backend
     workers: int | None = None  # override the pipeline's scheduler width
     shards: int | None = None  # override row shards (multiprocess backend)
-    compile: bool | None = None  # override plan compilation (False = interpret)
     retry: RetryPolicy | None = None  # scheduler policy for every run
     faults: "FaultPlan | None" = None  # chaos sessions (tests/benchmarks)
     stats_catalog: "object | None" = None  # shared StatisticsCatalog
@@ -124,8 +123,6 @@ class EtlSession:
             self.pipeline.shards = self.shards
             if self.pipeline.backend != "multiprocess":
                 self.pipeline.backend = "multiprocess"
-        if self.compile is not None:
-            self.pipeline.compile = self.compile
 
     def run(self, sources: dict[str, Table]) -> RunRecord:
         """Execute one load with the current plans; maybe re-optimize."""

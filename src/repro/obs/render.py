@@ -43,18 +43,11 @@ def _span_suffix(span: Span) -> str:
         value = span.attrs.get(key)
         if value not in (None, 0, ""):
             parts.append(f"{key}={value}")
-    # compile-phase spans: always show hit/miss (0 is meaningful -- an
-    # all-hits warm run has cache_misses=0 and that is the headline);
-    # invalidations only when drift actually evicted something
+    # compile-phase spans: always show hit/miss (0 is meaningful -- a
+    # warm block has cache_misses=0 and that is the headline)
     if span.name == "compile" and "cache_hits" in span.attrs:
         for key in ("fused_ops", "cache_hits", "cache_misses"):
-            value = span.attrs.get(key)
-            if value is not None:
-                parts.append(f"{key}={value}")
-        if span.attrs.get("cache_invalidations"):
-            parts.append(
-                f"cache_invalidations={span.attrs['cache_invalidations']}"
-            )
+            parts.append(f"{key}={span.attrs[key]}")
     error = span.attrs.get("error")
     if error:
         parts.append(f"error={error}")

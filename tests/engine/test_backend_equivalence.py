@@ -1,17 +1,16 @@
-"""Suite-wide cross-backend equivalence.
+"""Suite-wide backend equivalence against the row-at-a-time oracle.
 
 The :class:`~repro.engine.backend.ExecutionBackend` contract is that every
 backend computes the *same workflow semantics* and surfaces the *same
 observation points* (the paper's Section 3.2.5 premise that statistics
 identification is engine-independent).  This pins it across all 30 suite
-workflows: the columnar reference, the vectorized kernels, the streaming
-executor, and the parallel block scheduler must produce identical targets,
-identical SE sizes, and identical observed statistics for the
-greedy-selected set.
+workflows: every profile of the one runtime -- columnar, streaming,
+vectorized, the parallel block scheduler, and 1/2/4 row shards -- must
+produce the oracle's targets, SE sizes, reject tables and observed
+statistics for the greedy-selected set.
 
-Target rows are compared under a canonical (sorted) attribute order: the
-streaming backend materializes targets from row dicts, so its column
-*order* may differ while the content is identical.
+Rows are compared under a canonical (sorted) attribute order: the
+streaming backend emits columns in sorted order, the others in plan order.
 """
 
 import pytest
@@ -21,20 +20,25 @@ from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
-from repro.engine.backend import BackendExecutor, get_backend
+from repro.engine.backend import BackendExecutor
 from repro.workloads import suite
+from tests.oracle import (
+    assert_matches_reference,
+    reference_run,
+    variant_backend,
+)
 
-#: (backend, scheduler width) variants checked against the serial columnar
-#: reference -- covering the vectorized kernels, the per-tuple streaming
-#: engine, the parallel scheduler on both materializing backends, and the
-#: sharded multiprocess backend (where the second element is the shard
-#: count; ``inline`` keeps this suite fork-free, the pool path is pinned
-#: by tests/dist)
+#: (backend, scheduler width) variants; for ``multiprocess`` rows the
+#: second element is the shard count (``inline`` keeps this suite
+#: fork-free, the pool path is pinned by tests/dist)
 VARIANTS = [
+    ("columnar", 1),
+    ("columnar", 4),
     ("vectorized", 1),
     ("vectorized", 4),
+    ("streaming", 1),
     ("streaming", 2),
-    ("columnar", 4),
+    ("multiprocess", 1),
     ("multiprocess", 2),
     ("multiprocess", 4),
 ]
@@ -42,23 +46,9 @@ VARIANTS = [
 SCALE, SEED = 0.06, 23
 
 
-def _variant_backend(backend_name: str, workers: int):
-    """``(backend instance, scheduler width)`` for one variant row."""
-    if backend_name == "multiprocess":
-        from repro.engine.dist import MultiprocessBackend
-
-        backend = MultiprocessBackend(
-            shards=workers,
-            inline=True,
-            factors={"min_shard_rows": 0},  # tiny test tables still shard
-        )
-        return backend, 1
-    return get_backend(backend_name), workers
-
-
 @pytest.fixture(scope="module")
 def reference():
-    """Per-workflow (analysis, selection, sources, columnar run), cached."""
+    """Per-workflow (analysis, selection, sources, oracle run), cached."""
     cache = {}
 
     def get(case):
@@ -70,11 +60,8 @@ def reference():
                 build_problem(catalog, CostModel(workflow.catalog))
             )
             sources = case.tables(scale=SCALE, seed=SEED)
-            backend = get_backend("columnar")
-            run = BackendExecutor(analysis, backend).run(
-                sources, taps=backend.make_taps(selection.observed)
-            )
-            cache[case.number] = (analysis, selection, sources, run)
+            ref = reference_run(analysis, sources, stats=selection.observed)
+            cache[case.number] = (analysis, selection, sources, ref)
         return cache[case.number]
 
     return get
@@ -84,30 +71,10 @@ def reference():
     "backend_name,workers", VARIANTS, ids=lambda v: str(v)
 )
 @pytest.mark.parametrize("case", suite(), ids=lambda c: f"wf{c.number:02d}")
-def test_backend_matches_columnar(case, backend_name, workers, reference):
+def test_backend_matches_oracle(case, backend_name, workers, reference):
     analysis, selection, sources, ref = reference(case)
-    backend, workers = _variant_backend(backend_name, workers)
+    backend, workers = variant_backend(backend_name, workers)
     run = BackendExecutor(analysis, backend, workers=workers).run(
         sources, taps=backend.make_taps(selection.observed)
     )
-
-    # identical targets (canonical attribute order)
-    assert set(run.targets) == set(ref.targets)
-    for name, table in ref.targets.items():
-        other = run.targets[name]
-        attrs = sorted(table.attrs)
-        assert sorted(other.attrs) == attrs, (case.number, name)
-        assert sorted(other.rows(attrs)) == sorted(table.rows(attrs)), (
-            case.number,
-            name,
-        )
-
-    # identical observation-point sizes
-    assert run.se_sizes == ref.se_sizes, case.number
-
-    # identical observed statistics for the selected set
-    for stat in selection.observed:
-        assert run.observations.maybe(stat) == ref.observations.get(stat), (
-            case.number,
-            stat,
-        )
+    assert_matches_reference(run, ref, selection.observed)

@@ -1,8 +1,8 @@
-"""Plan compilation: lowering, fused execution, and the signature cache.
+"""The block runtime: lowering, fused execution, and the signature cache.
 
-The compiled path's contract is *interpreter equivalence*: same targets,
-same SE sizes, same tapped statistics, same reject rows -- on every
-backend, chunked or whole-column.  On top of that this file pins the
+The runtime's contract is *oracle equivalence* (``tests/oracle.py``): same
+targets, same SE sizes, same tapped statistics, same reject rows -- under
+every profile, chunked or whole-column.  On top of that this file pins the
 cache behaviour: warm runs hit, plan changes miss, schema drift and
 contract changes invalidate instead of silently reusing stale programs.
 """
@@ -15,20 +15,21 @@ from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
-from repro.engine.backend import BackendExecutor, get_backend
+from repro.engine.backend import BackendExecutor
 from repro.engine.compile import (
     ChainIR,
     CompiledProfile,
     JoinIR,
     PlanCache,
     block_source_deps,
-    compile_blocks,
+    compile_block,
     lower_block,
 )
 from repro.engine.instrumentation import TapSet
-from repro.engine.streaming import StreamingBackend, StreamingTaps
+from repro.engine.streaming import StreamingBackend
 from repro.engine.table import Table
 from repro.workloads import case
+from tests.oracle import assert_matches_reference, reference_run
 
 SCALE, SEED = 0.06, 23
 
@@ -41,6 +42,20 @@ def _setup(number):
     selection = solve_greedy(build_problem(catalog, CostModel(workflow.catalog)))
     sources = wfcase.tables(scale=SCALE, seed=SEED)
     return analysis, selection, sources
+
+
+def compile_blocks(analysis, trees=None, **options):
+    """Lower every block; returns the cache traffic it caused."""
+    from types import SimpleNamespace
+
+    hits = 0
+    for block in analysis.blocks:
+        tree = (trees or {}).get(block.name, block.initial_tree)
+        _program, hit = compile_block(analysis, block, tree, **options)
+        hits += hit
+    return SimpleNamespace(
+        cache_hits=hits, cache_misses=len(analysis.blocks) - hits
+    )
 
 
 def _floating_workflow():
@@ -76,33 +91,6 @@ def _floating_workflow():
         "C": Table({"cid": [1, 2, 4], "cname": [5, 6, 7]}),
     }
     return analyze(workflow), sources
-
-
-def _assert_equal_runs(run, ref, selection, label=""):
-    assert set(run.targets) == set(ref.targets), label
-    for name, table in ref.targets.items():
-        other = run.targets[name]
-        attrs = sorted(table.attrs)
-        assert sorted(other.attrs) == attrs, (label, name)
-        assert sorted(other.rows(attrs)) == sorted(table.rows(attrs)), (
-            label,
-            name,
-        )
-    assert run.se_sizes == ref.se_sizes, label
-    for stat in selection.observed:
-        assert run.observations.maybe(stat) == ref.observations.get(stat), (
-            label,
-            stat,
-        )
-    assert set(run.rejects) == set(ref.rejects), label
-    for rej, table in ref.rejects.items():
-        other = run.rejects[rej]
-        attrs = sorted(table.attrs)
-        assert sorted(other.attrs) == attrs, (label, rej)
-        assert sorted(other.rows(attrs)) == sorted(table.rows(attrs)), (
-            label,
-            rej,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +144,12 @@ class TestLowering:
         count(program.root)
         assert placed == len(block.floating) > 0
 
+        ref = reference_run(analysis, sources)
+        assert ref.rejects  # the reject path actually fires
+        assert all(table.num_rows > 0 for table in ref.rejects.values())
         for backend in ("columnar", "streaming", "vectorized"):
-            ref = BackendExecutor(analysis, backend, compile_plans=False).run(
-                sources
-            )
-            run = BackendExecutor(analysis, backend, compile_plans=True).run(
-                sources
-            )
-            t, u = ref.target("out"), run.target("out")
-            attrs = sorted(t.attrs)
-            assert sorted(u.rows(attrs)) == sorted(t.rows(attrs)), backend
-            assert run.se_sizes == ref.se_sizes, backend
-            assert set(run.rejects) == set(ref.rejects), backend
-            for rej, table in ref.rejects.items():
-                assert table.num_rows > 0  # the reject path actually fires
-                rattrs = sorted(table.attrs)
-                assert sorted(run.rejects[rej].rows(rattrs)) == sorted(
-                    table.rows(rattrs)
-                ), backend
+            run = BackendExecutor(analysis, backend).run(sources)
+            assert_matches_reference(run, ref)
 
     def test_post_steps_carry_their_stage_ses(self):
         analysis, _, _ = _setup(21)
@@ -194,69 +170,32 @@ class TestLowering:
 
 
 # ---------------------------------------------------------------------------
-# compiled-vs-interpreted equivalence (incl. reject links and taps)
+# profile knobs: chunk size and gather rung never change what a run observes
 # ---------------------------------------------------------------------------
-class TestCompiledEquivalence:
-    @pytest.mark.parametrize("backend_name", ["columnar", "streaming", "vectorized"])
-    def test_matches_interpreter_with_taps_and_rejects(self, backend_name):
-        analysis, selection, sources = _setup(21)
-        rb = get_backend(backend_name)
-        ref = BackendExecutor(analysis, rb, compile_plans=False).run(
-            sources, taps=rb.make_taps(selection.observed)
-        )
-        b = get_backend(backend_name)
-        run = BackendExecutor(analysis, b, compile_plans=True).run(
-            sources, taps=b.make_taps(selection.observed)
-        )
-        _assert_equal_runs(run, ref, selection, backend_name)
-
-    def test_chunked_equals_whole_column(self):
+class TestProfileEquivalence:
+    def _check(self, backend, workers=1):
         analysis, selection, sources = _setup(9)
+        ref = reference_run(analysis, sources, stats=selection.observed)
+        run = BackendExecutor(analysis, backend, workers=workers).run(
+            sources, taps=backend.make_taps(selection.observed)
+        )
+        assert_matches_reference(run, ref, selection.observed)
 
+    def test_tiny_chunks_equal_the_oracle(self):
         class TinyChunks(StreamingBackend):
-            def compiled_profile(self):
-                return CompiledProfile(
-                    chunk_rows=5, gather="auto", canonical_output=True
-                )
+            profile = CompiledProfile(
+                chunk_rows=5, gather="auto", canonical_output=True
+            )
 
-        rb = get_backend("streaming")
-        ref = BackendExecutor(analysis, rb, compile_plans=True).run(
-            sources, taps=rb.make_taps(selection.observed)
-        )
-        b = TinyChunks()
-        run = BackendExecutor(analysis, b, workers=4, compile_plans=True).run(
-            sources, taps=b.make_taps(selection.observed)
-        )
-        _assert_equal_runs(run, ref, selection, "chunked")
+        self._check(TinyChunks(), workers=4)
 
-    def test_pure_python_rung_matches_auto(self):
-        analysis, selection, sources = _setup(9)
-
+    def test_pure_python_rung_equals_the_oracle(self):
         class PinnedPython(StreamingBackend):
-            def compiled_profile(self):
-                return CompiledProfile(
-                    chunk_rows=64, gather="python", canonical_output=True
-                )
+            profile = CompiledProfile(
+                chunk_rows=64, gather="python", canonical_output=True
+            )
 
-        rb = get_backend("streaming")
-        ref = BackendExecutor(analysis, rb, compile_plans=False).run(
-            sources, taps=rb.make_taps(selection.observed)
-        )
-        b = PinnedPython()
-        run = BackendExecutor(analysis, b, compile_plans=True).run(
-            sources, taps=b.make_taps(selection.observed)
-        )
-        _assert_equal_runs(run, ref, selection, "python-rung")
-
-    def test_repro_compile_env_disables_compilation(self, monkeypatch):
-        analysis, _, sources = _setup(1)
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        ex = BackendExecutor(analysis, "vectorized")
-        ex.run(sources)
-        assert ex.plan_cache is None  # compiled path never engaged
-        monkeypatch.setenv("REPRO_COMPILE", "1")
-        ex.run(sources)
-        assert ex.plan_cache is not None and len(ex.plan_cache) > 0
+        self._check(PinnedPython())
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +280,7 @@ class TestStaleCacheInvalidation:
         from repro.quality import ContractSet, QualityGate
 
         contracts = ContractSet.infer(sources)
-        ex = BackendExecutor(analysis, "vectorized", compile_plans=True)
+        ex = BackendExecutor(analysis, "vectorized")
         ex.run(sources, quality=QualityGate(contracts=contracts))
         warm = len(ex.plan_cache)
         assert warm > 0
@@ -361,17 +300,13 @@ class TestStaleCacheInvalidation:
             ),
             seed=11,
         )
-        rb = get_backend("vectorized")
-        ref = BackendExecutor(analysis, rb, compile_plans=False).run(
-            sources,
-            taps=rb.make_taps(selection.observed),
-            faults=drifty.injector(),
-            quality=QualityGate(contracts=ContractSet.infer(sources)),
-        )
-        b = get_backend("vectorized")
+        survivors = QualityGate(
+            contracts=ContractSet.infer(sources)
+        ).screen_sources(drifty.injector().apply_sources(sources))
+        ref = reference_run(analysis, survivors, stats=selection.observed)
         run = ex.run(
             sources,
-            taps=b.make_taps(selection.observed),
+            taps=ex.backend.make_taps(selection.observed),
             faults=drifty.injector(),
             quality=QualityGate(contracts=ContractSet.infer(sources)),
         )
@@ -383,7 +318,7 @@ class TestStaleCacheInvalidation:
         )
         assert ex.plan_cache.invalidations >= fed > 0
         # and the recompiled programs are correct on the drifted extract
-        _assert_equal_runs(run, ref, selection, "post-drift")
+        assert_matches_reference(run, ref, selection.observed)
 
     def test_contract_change_is_a_cache_miss(self):
         analysis, _, sources = _setup(25)
@@ -391,9 +326,7 @@ class TestStaleCacheInvalidation:
 
         contracts = ContractSet.infer(sources)
         cache = PlanCache()
-        ex = BackendExecutor(
-            analysis, "vectorized", compile_plans=True, plan_cache=cache
-        )
+        ex = BackendExecutor(analysis, "vectorized", plan_cache=cache)
         ex.run(sources, quality=QualityGate(contracts=contracts))
         misses_cold = cache.misses
         ex.run(sources, quality=QualityGate(contracts=contracts))
@@ -413,69 +346,89 @@ class TestStaleCacheInvalidation:
         ex.run(sources, quality=QualityGate(contracts=relaxed))
         assert cache.misses > misses_cold  # revised contract: recompile
 
+    def test_contract_change_is_a_cache_miss_in_shard_workers(self, monkeypatch):
+        """Shard workers key their own plan cache on the contract tokens
+        the parent ships; a revision must miss there too, and a contract
+        that cannot be fingerprinted must fail the run, not silently drop
+        out of the key (the stale-program bug)."""
+        from dataclasses import replace as d_replace
+
+        from repro.engine.dist import MultiprocessBackend, worker
+        from repro.quality import ContractSet, QualityGate
+        from repro.quality.contracts import SourceContract
+
+        analysis, _, sources = _setup(25)
+        contracts = ContractSet.infer(sources)
+        backend = MultiprocessBackend(
+            shards=2, inline=True, factors={"min_shard_rows": 0}
+        )
+        ex = BackendExecutor(analysis, backend)
+        cache = worker._PLAN_CACHE  # inline shards share this process's
+        ex.run(sources, quality=QualityGate(contracts=contracts))
+        misses_cold = cache.misses
+        ex.run(sources, quality=QualityGate(contracts=contracts))
+        assert cache.misses == misses_cold  # identical contracts: warm
+
+        relaxed = ContractSet.from_dict(contracts.to_dict())
+        target = relaxed.get("DimDate")
+        flipped = d_replace(
+            target.columns[0], nullable=not target.columns[0].nullable
+        )
+        relaxed.add(d_replace(target, columns=(flipped,) + target.columns[1:]))
+        ex.run(sources, quality=QualityGate(contracts=relaxed))
+        assert cache.misses > misses_cold  # revised contract: recompile
+
+        def boom(self):
+            raise RuntimeError("unfingerprintable contract")
+
+        monkeypatch.setattr(SourceContract, "to_dict", boom)
+        with pytest.raises(RuntimeError, match="unfingerprintable"):
+            ex.run(sources, quality=QualityGate(contracts=contracts))
+
 
 # ---------------------------------------------------------------------------
 # column-batch tap protocol
 # ---------------------------------------------------------------------------
 class TestObserveColumns:
-    def _stats(self):
-        analysis, selection, sources = _setup(1)
-        return selection.observed, analysis, sources
+    def test_batched_observation_equals_direct_table_statistics(self):
+        from repro.core.statistics import StatKind
 
-    def test_tapset_columns_equal_table_observation(self):
-        stats, analysis, sources = self._stats()
+        _analysis, selection, sources = _setup(1)
+        stats = selection.observed
         table = next(iter(sources.values()))
-        by_table = TapSet(stats)
-        by_columns = TapSet(stats)
-        for stat in stats:
-            se = stat.se
-            by_table.observe(se, table)
-            cols = {
-                a: table.columns[a] for a in table.attrs
-            }
-            by_columns.observe_columns(se, table.num_rows, cols)
-        for stat in stats:
-            assert by_columns.store.get(stat) == by_table.store.get(stat)
-
-    def test_streaming_columns_equal_row_observation(self):
-        stats, analysis, sources = self._stats()
-        table = next(iter(sources.values()))
-        by_rows = StreamingTaps(stats)
-        by_columns = StreamingTaps(stats)
-        for stat in stats:
-            se = stat.se
-            for row in table.row_dicts():
-                by_rows.observe_row(se, row)
-            by_rows.mark_streamed(se)
-            # two half batches: additive accumulators must add up
-            half = table.num_rows // 2
-            cols = dict(table.columns)
-            by_columns.observe_columns(
+        taps = TapSet(stats)
+        half = table.num_rows // 2
+        cols = dict(table.columns)
+        for se in {stat.se for stat in stats}:
+            # two half batches: the accumulators must add up
+            taps.observe_columns(
                 se, half, {a: c[:half] for a, c in cols.items()}
             )
-            by_columns.observe_columns(
+            taps.observe_columns(
                 se,
                 table.num_rows - half,
                 {a: c[half:] for a, c in cols.items()},
             )
-            by_columns.mark_streamed(se)
-        got = by_columns.collect()
-        want = by_rows.collect()
+            taps.mark_streamed(se)
+        got = taps.collect()
         for stat in stats:
-            assert got.get(stat) == want.get(stat)
+            if stat.kind is StatKind.CARDINALITY:
+                want = table.num_rows
+            elif stat.kind is StatKind.HISTOGRAM:
+                want = table.histogram(stat.attrs)
+            else:
+                want = len(set(table.rows(stat.attrs)))
+            assert got.get(stat) == want, stat
 
-    def test_missing_attr_raises_like_interpreter(self):
+    def test_missing_attr_raises(self):
         from repro.core.statistics import StatKind, Statistic
         from repro.engine.instrumentation import InstrumentationError
 
         se = SubExpression.of("T")
         stat = Statistic(StatKind.HISTOGRAM, se, ("missing",))
         taps = TapSet([stat])
-        with pytest.raises(InstrumentationError):
+        with pytest.raises(InstrumentationError, match="not live"):
             taps.observe_columns(se, 3, {"present": [1, 2, 3]})
-        staps = StreamingTaps([stat])
-        with pytest.raises(InstrumentationError):
-            staps.observe_columns(se, 3, {"present": [1, 2, 3]})
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +440,22 @@ class TestCompileTrace:
         from repro.obs.render import render_trace
 
         analysis, _, sources = _setup(1)
-        ex = BackendExecutor(analysis, "vectorized", compile_plans=True)
+        ex = BackendExecutor(analysis, "vectorized")
         tracer = Tracer()
         ex.run(sources, tracer=tracer)
-        spans = tracer.root.find(name="compile")
-        assert spans
-        cold = spans[0]
-        assert cold.attrs["cache_misses"] == len(analysis.blocks)
-        assert cold.attrs["cache_hits"] == 0
-        assert cold.attrs["fused_ops"] > 0
+        # one compile span per block, under that block's task span
+        cold = tracer.root.find(name="compile")
+        assert len(cold) == len(analysis.blocks)
+        assert all(s.attrs["cache_misses"] == 1 for s in cold)
+        assert all(s.attrs["cache_hits"] == 0 for s in cold)
+        assert sum(s.attrs["fused_ops"] for s in cold) > 0
 
         warm_tracer = Tracer()
         ex.run(sources, tracer=warm_tracer)
-        warm = warm_tracer.root.find(name="compile")[0]
-        assert warm.attrs["cache_hits"] == len(analysis.blocks)
-        assert warm.attrs["cache_misses"] == 0
+        warm = warm_tracer.root.find(name="compile")
+        assert len(warm) == len(analysis.blocks)
+        assert all(s.attrs["cache_hits"] == 1 for s in warm)
+        assert all(s.attrs["cache_misses"] == 0 for s in warm)
         # trace show renders hit/miss even when one of them is zero
         text = render_trace(warm_tracer.root)
         assert "cache_hits=" in text and "cache_misses=0" in text
@@ -545,7 +499,7 @@ class TestCompiledCostFactors:
         from repro.estimation.physical import physical_plans
 
         analysis, _, sources = _setup(9)  # a 3-way join block
-        ex = BackendExecutor(analysis, "columnar", compile_plans=False)
+        ex = BackendExecutor(analysis, "columnar")
         run = ex.run(sources)
         cards = {se: float(n) for se, n in run.se_sizes.items()}
         interp = physical_plans(analysis, cards, backend="streaming")

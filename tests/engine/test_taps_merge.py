@@ -19,10 +19,15 @@ from repro.engine.instrumentation import (
     TapSet,
     make_distinct_accumulator,
 )
-from repro.engine.streaming import StreamingTaps
 from repro.engine.table import Table
 
 SE = SubExpression.of
+
+
+def observe(taps: TapSet, se, table: Table) -> None:
+    """Stream one whole table past ``se``."""
+    taps.observe_columns(se, table.num_rows, table.columns)
+    taps.mark_streamed(se)
 
 
 def _random_table(rng: random.Random, rows: int) -> Table:
@@ -63,78 +68,55 @@ class TestTapSetMergeRoundTrip:
         table = _random_table(rng, rows=rng.randrange(1, 120))
         stats = _stats()
 
-        whole = TapSet(stats, mergeable=True)
-        whole.observe(SE("T"), table)
+        whole = TapSet(stats)
+        observe(whole, SE("T"), table)
 
-        shards = [TapSet(stats, mergeable=True) for _ in range(k)]
+        shards = [TapSet(stats) for _ in range(k)]
         for taps, piece in zip(shards, _random_shards(rng, table, k)):
-            taps.observe(SE("T"), piece)
+            observe(taps, SE("T"), piece)
         merged, *rest = shards
         for taps in rest:
             merged.merge(taps)
 
         for stat in stats:
-            assert merged.store.get(stat) == whole.store.get(stat), stat
+            assert merged.collect().get(stat) == whole.collect().get(stat), stat
         assert merged.missing() == []
+
+    def test_streamed_flag_survives_merge(self, seed, k):
+        # "streamed but empty" must merge to zero, never to missing
+        stats = [Statistic.card(SE("T"))]
+        shards = [TapSet(stats) for _ in range(k)]
+        shards[seed % k].mark_streamed(SE("T"))
+        merged, *rest = shards
+        for taps in rest:
+            merged.merge(taps)
+        assert merged.collect().get(stats[0]) == 0
 
     def test_column_batch_observation_merges_identically(self, seed, k):
         rng = random.Random(seed * 31 + 1)
         table = _random_table(rng, rows=rng.randrange(1, 80))
         stats = _stats()
 
-        whole = TapSet(stats, mergeable=True)
-        whole.observe(SE("T"), table)
+        whole = TapSet(stats)
+        observe(whole, SE("T"), table)
 
-        shards = [TapSet(stats, mergeable=True) for _ in range(k)]
+        shards = [TapSet(stats) for _ in range(k)]
         for taps, piece in zip(shards, _random_shards(rng, table, k)):
-            taps.observe_columns(
-                SE("T"),
-                piece.num_rows,
-                {a: list(piece.column(a)) for a in piece.attrs},
-            )
-        merged, *rest = shards
-        for taps in rest:
-            merged.merge(taps)
-
-        for stat in stats:
-            assert merged.store.get(stat) == whole.store.get(stat), stat
-
-
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("k", [2, 3, 7])
-class TestStreamingTapsMergeRoundTrip:
-    def test_sharded_merge_equals_unsharded(self, seed, k):
-        rng = random.Random(seed * 17 + 3)
-        table = _random_table(rng, rows=rng.randrange(1, 120))
-        stats = _stats()
-
-        whole = StreamingTaps(stats)
-        whole.mark_streamed(SE("T"))
-        for row in table.rows():
-            whole.observe_row(SE("T"), dict(zip(table.attrs, row)))
-
-        shards = [StreamingTaps(stats) for _ in range(k)]
-        for taps, piece in zip(shards, _random_shards(rng, table, k)):
+            # each shard itself arrives in two column batches
+            half = piece.num_rows // 2
+            for lo, hi in ((0, half), (half, piece.num_rows)):
+                taps.observe_columns(
+                    SE("T"),
+                    hi - lo,
+                    {a: list(piece.column(a))[lo:hi] for a in piece.attrs},
+                )
             taps.mark_streamed(SE("T"))
-            for row in piece.rows():
-                taps.observe_row(SE("T"), dict(zip(piece.attrs, row)))
         merged, *rest = shards
         for taps in rest:
             merged.merge(taps)
 
-        reference, folded = whole.collect(), merged.collect()
         for stat in stats:
-            assert folded.get(stat) == reference.get(stat), stat
-
-    def test_streamed_flag_survives_merge(self, seed, k):
-        # "streamed but empty" must merge to zero, never to missing
-        stats = [Statistic.card(SE("T"))]
-        shards = [StreamingTaps(stats) for _ in range(k)]
-        shards[seed % k].mark_streamed(SE("T"))
-        merged, *rest = shards
-        for taps in rest:
-            merged.merge(taps)
-        assert merged.collect().get(stats[0]) == 0
+            assert merged.collect().get(stat) == whole.collect().get(stat), stat
 
 
 class TestDistinctAccumulator:
@@ -160,67 +142,50 @@ class TestDistinctAccumulator:
 
 
 class TestMergeProtocolEdges:
-    def test_non_mergeable_operand_rejected(self):
-        mergeable = TapSet([Statistic.card(SE("T"))], mergeable=True)
-        plain = TapSet([Statistic.card(SE("T"))])
-        with pytest.raises(InstrumentationError, match="mergeable=True"):
-            mergeable.merge(plain)
-        with pytest.raises(InstrumentationError, match="mergeable=True"):
-            plain.merge(mergeable)
-
-    def test_mergeable_distinct_counts_stay_exact_across_observes(self):
+    def test_distinct_counts_stay_exact_across_observes(self):
         # the accumulator (not the last batch) backs the stored count
         stat = Statistic.distinct(SE("T"), "a")
-        taps = TapSet([stat], mergeable=True)
-        taps.observe(SE("T"), Table({"a": [1, 2]}))
-        taps.observe(SE("T"), Table({"a": [2, 3]}))
-        assert taps.store.get(stat) == 3
+        taps = TapSet([stat])
+        observe(taps, SE("T"), Table({"a": [1, 2]}))
+        observe(taps, SE("T"), Table({"a": [2, 3]}))
+        assert taps.collect().get(stat) == 3
 
     def test_discard_points_drops_observations_and_requests(self):
         card_t = Statistic.card(SE("T"))
         dist_t = Statistic.distinct(SE("T"), "a")
         card_r = Statistic.card(SE("R"))
-        taps = TapSet([card_t, dist_t, card_r], mergeable=True)
-        taps.observe(SE("T"), Table({"a": [1, 2]}))
-        taps.observe(SE("R"), Table({"a": [5]}))
+        taps = TapSet([card_t, dist_t, card_r])
+        observe(taps, SE("T"), Table({"a": [1, 2]}))
+        observe(taps, SE("R"), Table({"a": [5]}))
         taps.discard_points([SE("T")])
         assert not taps.wants(SE("T"))
-        assert card_t not in taps.store and dist_t not in taps.store
-        assert taps.store.get(card_r) == 1
+        assert card_t not in taps.collect() and dist_t not in taps.collect()
+        assert taps.collect().get(card_r) == 1
         # a discarded point no longer counts as missing either
         assert taps.missing() == []
 
     def test_merge_after_discard_is_purely_additive(self):
         stat = Statistic.card(SE("T"))
         other_stat = Statistic.card(SE("R"))
-        base = TapSet([stat, other_stat], mergeable=True)
-        base.observe(SE("T"), Table({"a": [1, 2]}))
-        base.observe(SE("R"), Table({"a": [7]}))
-        shard = TapSet([stat, other_stat], mergeable=True)
-        shard.observe(SE("T"), Table({"a": [3]}))
-        shard.observe(SE("R"), Table({"a": [7]}))  # replicated input
+        base = TapSet([stat, other_stat])
+        observe(base, SE("T"), Table({"a": [1, 2]}))
+        observe(base, SE("R"), Table({"a": [7]}))
+        shard = TapSet([stat, other_stat])
+        observe(shard, SE("T"), Table({"a": [3]}))
+        observe(shard, SE("R"), Table({"a": [7]}))  # replicated input
         shard.discard_points([SE("R")])  # shard>0 drops replicated points
         base.merge(shard)
-        assert base.store.get(stat) == 3
-        assert base.store.get(other_stat) == 1
-
-    def test_distinct_merge_without_accumulator_rejected(self):
-        stat = Statistic.distinct(SE("T"), "a")
-        left = TapSet([stat], mergeable=True)
-        right = TapSet([stat], mergeable=True)
-        # forge a distinct observation with no accumulator behind it
-        right.store.put(stat, 2)
-        with pytest.raises(InstrumentationError, match="accumulator"):
-            left.merge(right)
+        assert base.collect().get(stat) == 3
+        assert base.collect().get(other_stat) == 1
 
     def test_histograms_merge_by_bucket_addition(self):
         stat = Statistic.hist(SE("T"), "a")
-        left = TapSet([stat], mergeable=True)
-        right = TapSet([stat], mergeable=True)
-        left.observe(SE("T"), Table({"a": [1, 1, 2]}))
-        right.observe(SE("T"), Table({"a": [2, 3]}))
+        left = TapSet([stat])
+        right = TapSet([stat])
+        observe(left, SE("T"), Table({"a": [1, 1, 2]}))
+        observe(right, SE("T"), Table({"a": [2, 3]}))
         left.merge(right)
-        merged = left.store.get(stat)
+        merged = left.collect().get(stat)
         assert merged.frequency(1) == 2
         assert merged.frequency(2) == 2
         assert merged.frequency(3) == 1
@@ -228,35 +193,31 @@ class TestMergeProtocolEdges:
 
 
 class TestSketchModeFactorySeam:
-    """Regression: every tap type builds accumulators via the factory.
+    """Regression: taps build every accumulator via the factory.
 
-    StreamingTaps once constructed ``DistinctAccumulator`` directly,
-    which under ``mode="hll"`` would have mixed implementations inside
-    one run -- the exact accumulator on the merge side, sketches on the
-    observe side -- and ``merge`` now refuses that instead of silently
-    unioning a sketch into a set.
+    A tap class once constructed ``DistinctAccumulator`` directly, which
+    under ``mode="hll"`` would have mixed implementations inside one run
+    -- the exact accumulator on the merge side, sketches on the observe
+    side -- and ``merge`` now refuses that instead of silently unioning a
+    sketch into a set.
     """
 
     HLL = {"mode": "hll", "precision": 10, "exact_threshold": 4}
 
-    def test_streaming_merge_builds_factory_accumulators(self):
+    def test_merge_builds_factory_accumulators(self):
         from repro.estimation.sketches import HllSketch, sketch_scope
 
         stat = Statistic.distinct(SE("T"), "a")
         with sketch_scope(self.HLL):
-            shards = [StreamingTaps([stat]) for _ in range(2)]
-            for taps, lo in zip(shards, (0, 40)):
-                taps.mark_streamed(SE("T"))
-                for i in range(lo, lo + 40):
-                    taps.observe_row(SE("T"), {"a": i})
-            merged, other = shards
-            merged.merge(other)
+            merged = TapSet([stat])  # never observed: merge must create
+            for lo in (0, 40):
+                shard = TapSet([stat])
+                observe(shard, SE("T"), Table({"a": list(range(lo, lo + 40))}))
+                merged.merge(shard)
             assert isinstance(merged._distinct[stat], HllSketch)
 
-            whole = StreamingTaps([stat])
-            whole.mark_streamed(SE("T"))
-            for i in range(80):
-                whole.observe_row(SE("T"), {"a": i})
+            whole = TapSet([stat])
+            observe(whole, SE("T"), Table({"a": list(range(80))}))
             assert merged.collect().get(stat) == whole.collect().get(stat)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -268,28 +229,28 @@ class TestSketchModeFactorySeam:
         table = _random_table(rng, rows=rng.randrange(1, 120))
         stats = _stats()
         with sketch_scope(self.HLL):
-            whole = TapSet(stats, mergeable=True)
-            whole.observe(SE("T"), table)
+            whole = TapSet(stats)
+            observe(whole, SE("T"), table)
 
-            shards = [TapSet(stats, mergeable=True) for _ in range(k)]
+            shards = [TapSet(stats) for _ in range(k)]
             for taps, piece in zip(shards, _random_shards(rng, table, k)):
-                taps.observe(SE("T"), piece)
+                observe(taps, SE("T"), piece)
             merged, *rest = shards
             for taps in rest:
                 merged.merge(taps)
 
             for stat in stats:
-                assert merged.store.get(stat) == whole.store.get(stat), stat
+                assert merged.collect().get(stat) == whole.collect().get(stat), stat
 
     def test_mixed_implementation_merge_raises(self):
         from repro.estimation.sketches import sketch_scope
 
         stat = Statistic.distinct(SE("T"), "a")
-        exact_taps = TapSet([stat], mergeable=True)
-        exact_taps.observe(SE("T"), Table({"a": [1, 2]}))
+        exact_taps = TapSet([stat])
+        observe(exact_taps, SE("T"), Table({"a": [1, 2]}))
         with sketch_scope(self.HLL):
-            hll_taps = TapSet([stat], mergeable=True)
-            hll_taps.observe(SE("T"), Table({"a": [2, 3]}))
+            hll_taps = TapSet([stat])
+            observe(hll_taps, SE("T"), Table({"a": [2, 3]}))
             with pytest.raises(InstrumentationError, match="mixed"):
                 hll_taps.merge(exact_taps)
         with pytest.raises(InstrumentationError, match="mixed"):
@@ -300,10 +261,10 @@ class TestSketchModeFactorySeam:
 
         stat = Statistic.distinct(SE("T"), "a")
         with sketch_scope(self.HLL):
-            taps = TapSet([stat], mergeable=True)
-            taps.observe(SE("T"), Table({"a": list(range(100))}))
+            taps = TapSet([stat])
+            observe(taps, SE("T"), Table({"a": list(range(100))}))
             # past the threshold the accumulator densified: exactly 2^p
             assert taps.distinct_bytes() == 1 << self.HLL["precision"]
-        plain = TapSet([stat], mergeable=True)
-        plain.observe(SE("T"), Table({"a": list(range(100))}))
+        plain = TapSet([stat])
+        observe(plain, SE("T"), Table({"a": list(range(100))}))
         assert plain.distinct_bytes() > 1 << self.HLL["precision"]

@@ -11,8 +11,7 @@ Two guarantees make ``--distinct-sketch hll`` safe to turn on:
   forced onto every observable point stay within 5% relative error of
   the exact counts, and -- because the sketch hash is deterministic
   across processes -- every backend (columnar, streaming, vectorized,
-  the compiled path and the multiprocess backend at 1/2/4 shards)
-  produces the *same* estimate, not merely an equally-close one.
+  and the multiprocess backend at 1/2/4 shards) produces the *same* estimate, not merely an equally-close one.
 
 The dist-marker chaos case at the bottom pins the no-double-merge
 property: a worker killed mid-shard is retried, and the retried shard's
@@ -32,6 +31,7 @@ from repro.engine.backend import BackendExecutor, get_backend
 from repro.estimation.sketches import SketchSpec, sketch_scope
 from repro.framework.pipeline import StatisticsPipeline
 from repro.workloads import case, suite
+from tests.oracle import variant_backend
 
 pytestmark = pytest.mark.estimation
 
@@ -49,27 +49,10 @@ VARIANTS = [
     ("columnar", 1),
     ("streaming", 1),
     ("vectorized", 1),
-    ("compiled", 1),
     ("multiprocess", 1),
     ("multiprocess", 2),
     ("multiprocess", 4),
 ]
-
-
-def _variant_backend(backend_name: str, workers: int):
-    """``(backend, scheduler width, compile_plans)`` for one variant."""
-    if backend_name == "multiprocess":
-        from repro.engine.dist import MultiprocessBackend
-
-        backend = MultiprocessBackend(
-            shards=workers,
-            inline=True,
-            factors={"min_shard_rows": 0},
-        )
-        return backend, 1, False
-    if backend_name == "compiled":
-        return get_backend("columnar"), 1, True
-    return get_backend(backend_name), workers, False
 
 
 def _forced_distincts(selection, sources) -> list[Statistic]:
@@ -186,11 +169,11 @@ def test_distinct_estimates_accurate_and_backend_identical(
     analysis, tapped, observed, sources, ref = prepared(wfcase)
     assert observed, "no distinct tap materialized -- the test is vacuous"
 
-    backend, width, compile_plans = _variant_backend(backend_name, workers)
+    backend, width = variant_backend(backend_name, workers)
     with sketch_scope(HLL):
-        run = BackendExecutor(
-            analysis, backend, workers=width, compile_plans=compile_plans
-        ).run(sources, taps=backend.make_taps(tapped))
+        run = BackendExecutor(analysis, backend, workers=width).run(
+            sources, taps=backend.make_taps(tapped)
+        )
 
     for stat in observed:
         exact = ref.observations.get(stat)

@@ -167,7 +167,7 @@ class TestSessionPersistence:
 
 class TestStreamingPipeline:
     def test_streaming_executor_option(self):
-        pipeline = StatisticsPipeline(drift_workflow(), executor="streaming")
+        pipeline = StatisticsPipeline(drift_workflow(), backend="streaming")
         report = pipeline.run_once(night(0.5, 0.5, seed=6))
         assert report.selection.is_valid
         have, total = report.estimator.coverage()
@@ -177,7 +177,7 @@ class TestStreamingPipeline:
         data = night(0.4, 0.6, seed=8)
         columnar = StatisticsPipeline(drift_workflow()).run_once(data)
         streaming = StatisticsPipeline(
-            drift_workflow(), executor="streaming"
+            drift_workflow(), backend="streaming"
         ).run_once(data)
         assert columnar.estimator.all_cardinalities() == pytest.approx(
             streaming.estimator.all_cardinalities()

@@ -1,12 +1,13 @@
-"""Differential fuzz: every backend agrees on random workflows.
+"""Differential fuzz: every backend agrees with the oracle on random workflows.
 
 The suite-wide equivalence test pins the backend contract on the 30
 hand-written workflows; this one extends it to *seeded random* workflows,
 where operator mixes (reject links under transforms, projected join keys,
 aggregations over filtered joins) occur in combinations no suite workflow
-exercises.  The columnar serial run is the reference; every other
-(backend, workers) variant must produce identical sorted target tables,
-identical observation-point sizes, and identical tapped statistics.
+exercises.  The row-at-a-time oracle (``tests/oracle.py``) is the
+reference; every (backend, workers) variant must produce identical sorted
+target tables, identical observation-point sizes, identical reject-link
+victims and identical tapped statistics.
 
 Seeds derive from ``REPRO_PROPERTY_SEED`` (default 0), so the CI sample is
 fixed and failures replay locally with the same environment variable.
@@ -21,19 +22,25 @@ from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
-from repro.engine.backend import BackendExecutor, get_backend
+from repro.engine.backend import BackendExecutor
 from repro.workloads.randomgen import random_workflow
+from tests.oracle import (
+    assert_matches_reference,
+    reference_run,
+    variant_backend,
+)
 
 pytestmark = pytest.mark.property
 
 BASE_SEED = int(os.environ.get("REPRO_PROPERTY_SEED", "0"))
 SEEDS = [BASE_SEED * 1000 + i for i in range(12)]
 
-#: every non-reference variant: both materializing backends, the
-#: streaming engine (serial and under the 4-wide parallel scheduler),
-#: and the sharded multiprocess backend at 1/2/4 shards (the second
-#: element is the shard count for multiprocess rows)
+#: both whole-column backends and the streaming one (serial and under
+#: the 4-wide parallel scheduler), and the sharded multiprocess backend
+#: at 1/2/4 shards (the second element is the shard count for
+#: multiprocess rows)
 VARIANTS = [
+    ("columnar", 1),
     ("columnar", 4),
     ("streaming", 1),
     ("streaming", 4),
@@ -45,23 +52,9 @@ VARIANTS = [
 ]
 
 
-def _variant_backend(backend_name: str, workers: int):
-    """``(backend instance, scheduler width)`` for one variant row."""
-    if backend_name == "multiprocess":
-        from repro.engine.dist import MultiprocessBackend
-
-        backend = MultiprocessBackend(
-            shards=workers,
-            inline=True,  # fork-free here; the pool path is pinned in tests/dist
-            factors={"min_shard_rows": 0},
-        )
-        return backend, 1
-    return get_backend(backend_name), workers
-
-
 @pytest.fixture(scope="module")
 def reference():
-    """Per-seed (analysis, selection, tables, columnar serial run)."""
+    """Per-seed (analysis, selection, tables, oracle run)."""
     cache = {}
 
     def get(seed):
@@ -72,11 +65,8 @@ def reference():
             selection = solve_greedy(
                 build_problem(catalog, CostModel(workflow.catalog))
             )
-            backend = get_backend("columnar")
-            run = BackendExecutor(analysis, backend).run(
-                tables, taps=backend.make_taps(selection.observed)
-            )
-            cache[seed] = (analysis, selection, tables, run)
+            ref = reference_run(analysis, tables, stats=selection.observed)
+            cache[seed] = (analysis, selection, tables, ref)
         return cache[seed]
 
     return get
@@ -84,30 +74,12 @@ def reference():
 
 @pytest.mark.parametrize("backend_name,workers", VARIANTS, ids=lambda v: str(v))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_backends_agree_on_random_workflow(seed, backend_name, workers, reference):
+def test_backend_matches_oracle_on_random_workflow(
+    seed, backend_name, workers, reference
+):
     analysis, selection, tables, ref = reference(seed)
-    backend, workers = _variant_backend(backend_name, workers)
+    backend, workers = variant_backend(backend_name, workers)
     run = BackendExecutor(analysis, backend, workers=workers).run(
         tables, taps=backend.make_taps(selection.observed)
     )
-
-    # identical targets under a canonical (sorted) attribute + row order
-    assert set(run.targets) == set(ref.targets)
-    for name, table in ref.targets.items():
-        other = run.targets[name]
-        attrs = sorted(table.attrs)
-        assert sorted(other.attrs) == attrs, (seed, name)
-        assert sorted(other.rows(attrs)) == sorted(table.rows(attrs)), (
-            seed,
-            name,
-        )
-
-    # identical observation-point sizes
-    assert run.se_sizes == ref.se_sizes, seed
-
-    # identical tapped statistics
-    for stat in selection.observed:
-        assert run.observations.maybe(stat) == ref.observations.get(stat), (
-            seed,
-            stat,
-        )
+    assert_matches_reference(run, ref, selection.observed)

@@ -1,113 +1,39 @@
-"""Differential fuzz: compiled plans agree with the interpreter.
+"""Differential: dirty extracts through every backend, against the oracle.
 
-The plan-compilation layer promises bit-for-bit observational equivalence
-with each backend's interpreter: same targets, same observation-point
-sizes, same tapped statistics, same reject rows.  The hand-written suite
-pins that on 30 workflows; this file extends it to seeded random
-workflows (operator mixes the suite never produces), to dirty extracts
-(quarantine victims and schema-drift resolutions must be identical), and
-to the optimizer itself (the chosen plans cannot depend on whether the
-executor compiled).
-
-Seeds derive from ``REPRO_PROPERTY_SEED`` (default 0), so the CI sample
-is fixed and failures replay locally with the same environment variable.
+The oracle differential on clean data lives in
+``tests/engine/test_backend_equivalence.py`` (30 suite workflows) and
+``tests/proptest/test_backend_differential.py`` (seeded random
+workflows).  This file covers the dirty path: with fault-injected
+sources behind a quality gate, every profile of the runtime -- and every
+shard count, whose screening runs shard-wise -- must quarantine exactly
+the victims a plain ``QualityGate.screen_sources`` call quarantines, and
+then execute the survivors exactly like the oracle does.
 """
-
-import os
 
 import pytest
 
 from repro.algebra.blocks import analyze
-from repro.core.costs import CostModel
-from repro.core.generator import generate_css
-from repro.core.greedy import solve_greedy
-from repro.core.selection import build_problem
-from repro.engine.backend import BackendExecutor, get_backend
+from repro.engine.backend import BackendExecutor
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.quality import ContractSet, QualityGate
 from repro.workloads import case
-from repro.workloads.randomgen import random_workflow
+from tests.oracle import (
+    assert_matches_reference,
+    reference_run,
+    variant_backend,
+)
 
 pytestmark = pytest.mark.property
 
-BASE_SEED = int(os.environ.get("REPRO_PROPERTY_SEED", "0"))
-SEEDS = [BASE_SEED * 1000 + i for i in range(8)]
-BACKENDS = ("columnar", "streaming", "vectorized")
+VARIANTS = [
+    ("columnar", 1),
+    ("streaming", 1),
+    ("vectorized", 1),
+    ("multiprocess", 1),
+    ("multiprocess", 2),
+    ("multiprocess", 4),
+]
 
-
-@pytest.fixture(scope="module")
-def reference():
-    """Per-seed (analysis, selection, tables) plus interpreted runs."""
-    cache = {}
-
-    def get(seed, backend_name):
-        if seed not in cache:
-            workflow, tables = random_workflow(seed)
-            analysis = analyze(workflow)
-            catalog = generate_css(analysis)
-            selection = solve_greedy(
-                build_problem(catalog, CostModel(workflow.catalog))
-            )
-            cache[seed] = (analysis, selection, tables, {})
-        analysis, selection, tables, runs = cache[seed]
-        if backend_name not in runs:
-            backend = get_backend(backend_name)
-            runs[backend_name] = BackendExecutor(
-                analysis, backend, compile_plans=False
-            ).run(tables, taps=backend.make_taps(selection.observed))
-        return analysis, selection, tables, runs[backend_name]
-
-    return get
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_compiled_matches_interpreter_on_random_workflow(
-    seed, backend_name, reference
-):
-    analysis, selection, tables, ref = reference(seed, backend_name)
-    backend = get_backend(backend_name)
-    run = BackendExecutor(analysis, backend, compile_plans=True).run(
-        tables, taps=backend.make_taps(selection.observed)
-    )
-
-    # identical targets under a canonical (sorted) attribute + row order
-    assert set(run.targets) == set(ref.targets)
-    for name, table in ref.targets.items():
-        other = run.targets[name]
-        attrs = sorted(table.attrs)
-        assert sorted(other.attrs) == attrs, (seed, name)
-        assert sorted(other.rows(attrs)) == sorted(table.rows(attrs)), (
-            seed,
-            name,
-        )
-
-    # identical observation-point sizes (the statistics the optimizer eats)
-    assert run.se_sizes == ref.se_sizes, seed
-
-    # identical tapped statistics -- the fused kernels feed the same
-    # column batches the interpreter feeds row-by-row or table-at-once
-    for stat in selection.observed:
-        assert run.observations.maybe(stat) == ref.observations.get(stat), (
-            seed,
-            stat,
-        )
-
-    # identical reject-link victims, row for row
-    assert set(run.rejects) == set(ref.rejects), seed
-    for rej, table in ref.rejects.items():
-        other = run.rejects[rej]
-        attrs = sorted(table.attrs)
-        assert sorted(other.attrs) == attrs, (seed, rej)
-        assert sorted(other.rows(attrs)) == sorted(table.rows(attrs)), (
-            seed,
-            rej,
-        )
-
-
-# ---------------------------------------------------------------------------
-# dirty extracts: quarantine victims must not depend on compilation
-# ---------------------------------------------------------------------------
 DIRTY = FaultPlan(
     (
         FaultSpec(target="Trade", kind="corrupt-row", fraction=0.02),
@@ -122,62 +48,43 @@ DIRTY = FaultPlan(
 )
 
 
-def _quality_fingerprint(run):
+def _quality_fingerprint(quarantined, violations, drift):
     return {
         "quarantined": {
-            name: list(table.rows())
-            for name, table in run.quarantined.items()
+            name: list(table.rows()) for name, table in quarantined.items()
         },
-        "violations": [
-            (v.source, v.row, v.column, v.code) for v in run.violations
-        ],
-        "drift": [
-            (e.source, e.kind, e.column, e.resolution)
-            for e in run.schema_drift
-        ],
-        "targets": {
-            name: sorted(table.rows(sorted(table.attrs)), key=repr)
-            for name, table in run.targets.items()
-        },
-        "se_sizes": {repr(se): size for se, size in run.se_sizes.items()},
+        "violations": [(v.source, v.row, v.column, v.code) for v in violations],
+        "drift": [(e.source, e.kind, e.column, e.resolution) for e in drift],
     }
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_quarantine_victims_identical_compiled_vs_interpreted(backend_name):
+@pytest.fixture(scope="module")
+def dirty_reference():
     wfcase = case(25)
     analysis = analyze(wfcase.build())
-    fingerprints = {}
-    for compiled in (False, True):
-        sources = wfcase.tables(scale=0.05, seed=7)
-        gate = QualityGate(contracts=ContractSet.infer(sources))
-        run = BackendExecutor(
-            analysis, get_backend(backend_name), compile_plans=compiled
-        ).run(sources, faults=DIRTY.injector(), quality=gate)
-        fingerprints[compiled] = _quality_fingerprint(run)
-    assert fingerprints[True]["quarantined"]  # the injection actually bit
-    assert fingerprints[True]["drift"]
-    assert fingerprints[True] == fingerprints[False], backend_name
+    sources = wfcase.tables(scale=0.05, seed=7)
+    gate = QualityGate(contracts=ContractSet.infer(sources))
+    survivors = gate.screen_sources(DIRTY.injector().apply_sources(sources))
+    expected = _quality_fingerprint(
+        gate.quarantined_tables(), gate.all_violations(), gate.drift_events()
+    )
+    assert expected["quarantined"] and expected["drift"]  # the injection bit
+    return wfcase, analysis, expected, reference_run(analysis, survivors)
 
 
-# ---------------------------------------------------------------------------
-# the optimizer: chosen plans must not depend on compilation
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("seed", SEEDS[:4])
-def test_chosen_plans_identical_compiled_vs_interpreted(seed):
-    from repro.framework.pipeline import StatisticsPipeline
-
-    workflow, tables = random_workflow(seed)
-    chosen = {}
-    for compiled in (False, True):
-        pipeline = StatisticsPipeline(
-            workflow,
-            solver="greedy",
-            backend="vectorized",
-            compile=compiled,
-        )
-        report = pipeline.run_once(tables)
-        chosen[compiled] = {
-            name: repr(tree) for name, tree in report.chosen_trees.items()
-        }
-    assert chosen[True] == chosen[False], seed
+@pytest.mark.parametrize("backend_name,workers", VARIANTS, ids=lambda v: str(v))
+def test_quarantine_victims_and_survivor_run_match_oracle(
+    backend_name, workers, dirty_reference
+):
+    wfcase, analysis, expected, ref = dirty_reference
+    sources = wfcase.tables(scale=0.05, seed=7)
+    gate = QualityGate(contracts=ContractSet.infer(sources))
+    backend, workers = variant_backend(backend_name, workers)
+    run = BackendExecutor(analysis, backend, workers=workers).run(
+        sources, faults=DIRTY.injector(), quality=gate
+    )
+    assert (
+        _quality_fingerprint(run.quarantined, run.violations, run.schema_drift)
+        == expected
+    )
+    assert_matches_reference(run, ref)

@@ -514,17 +514,10 @@ class TestObservabilityCli:
         self._assert_one_line_error(capsys, "not a trace")
 
 
-class TestCompileFlag:
+class TestCompileTrace:
     def test_trace_shows_compile_phase_with_cache_traffic(self, capsys):
         assert main(["run", "--number", "9", "--scale", "0.05",
                      "--trace"]) == 0
         out = capsys.readouterr().out
         assert "phase:compile" in out
         assert "cache_misses=" in out and "cache_hits=" in out
-
-    def test_no_compile_runs_the_interpreter(self, capsys):
-        assert main(["run", "--number", "9", "--scale", "0.05",
-                     "--no-compile", "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "phase:compile" not in out
-        assert "target" in out

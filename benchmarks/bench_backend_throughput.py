@@ -2,9 +2,7 @@
 
 The pluggable :class:`~repro.engine.backend.ExecutionBackend` layer claims
 that statistics identification is engine-independent while engines differ
-in *cost* (the premise behind the per-backend constants in
-``repro.estimation.physical.BACKEND_COST_FACTORS``).  This bench measures
-the real constants:
+in *cost*.  This bench measures the real constants:
 
 - **throughput**: source rows/second for each backend on wf21, the
   suite's largest single-block workload (8-way join), at increasing data

@@ -14,8 +14,9 @@ Typical entry points:
 - run the whole Figure-2 loop with :class:`StatisticsPipeline` /
   :class:`EtlSession`;
 - or drive the stages directly: :func:`analyze` (optimizable blocks),
-  :func:`generate_css` (Algorithm 1), :func:`build_problem` +
-  :func:`solve_ilp` / :func:`solve_greedy` (Section 5),
+  :func:`generate_css` (Algorithm 1), :func:`select_statistics`
+  (Section 5 in one call; or its steps :func:`build_problem` +
+  :func:`solve_ilp` / :func:`solve_greedy`),
   :class:`~repro.engine.instrumentation.TapSet` +
   :class:`~repro.engine.executor.Executor` (instrumented runs), and
   :class:`~repro.estimation.estimator.CardinalityEstimator` +
@@ -45,6 +46,7 @@ from repro.catalog import (
     plan_fleet,
     reconcile_run,
 )
+from repro.core import select_statistics
 from repro.core.costs import CostModel
 from repro.core.css import CSS, CssCatalog
 from repro.core.generator import GeneratorOptions, generate_css
@@ -87,7 +89,8 @@ __all__ = [
     "plan_fleet", "PlanOptimizer", "Predicate", "Project",
     "reconcile_run", "RejectJoinSE", "RejectSE",
     "RetryPolicy", "RunCheckpoint", "RunFailure",
-    "save_statistics", "SelectionResult", "SessionState", "load_statistics",
+    "save_statistics", "select_statistics", "SelectionResult", "SessionState",
+    "load_statistics",
     "solve_greedy", "solve_ilp", "Source", "StatKind",
     "Statistic", "StatisticsCatalog", "StatisticsPipeline",
     "StatisticsStore", "SubExpression",

@@ -18,15 +18,16 @@ every other workflow consumes the value from the catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.algebra.blocks import analyze
-from repro.catalog.signatures import SignatureError, WorkflowSigner
+from repro.catalog.signatures import WorkflowSigner
 from repro.catalog.store import StatisticsCatalog
+from repro.core import select_statistics
 from repro.core.costs import CostModel
+from repro.core.css import CssCatalog
 from repro.core.generator import GeneratorOptions, generate_css
-from repro.core.greedy import solve_greedy
-from repro.core.ilp import solve_ilp
-from repro.core.selection import SelectionResult, build_problem
+from repro.core.selection import SelectionResult
 from repro.core.statistics import Statistic
 
 
@@ -38,8 +39,19 @@ class WorkflowObservationPlan:
     selection: SelectionResult
     observe: list[Statistic]  # statistics this workflow actually taps
     shared: dict[Statistic, str]  # covered stat -> provider ("catalog" | wf)
-    standalone_cost: float  # cost if this workflow planned alone
+    keys: dict[Statistic, str]  # catalog signature of every signable stat
     planned_cost: float  # cost of the statistics it observes in the fleet
+    css: CssCatalog
+    cost_model: CostModel
+    solver: str
+
+    @cached_property
+    def standalone_cost(self) -> float:
+        """Cost if this workflow planned alone: a second solve, paid only
+        by whoever reads it (the served share never does)."""
+        return select_statistics(
+            self.css, self.cost_model, solver=self.solver
+        ).total_cost
 
     @property
     def saved(self) -> float:
@@ -89,6 +101,65 @@ class FleetPlan:
         return "\n".join(lines)
 
 
+def plan_share(
+    workflow,
+    claimed: dict[str, str],
+    catalog_keys,
+    *,
+    client: str,
+    solver: str = "greedy",
+    generator_options: GeneratorOptions | None = None,
+) -> WorkflowObservationPlan:
+    """One workflow's share of tonight's fleet observation plan.
+
+    Statistics whose signature is in ``catalog_keys`` (usable catalog
+    entries) or in ``claimed`` (signature -> the client observing it
+    tonight) enter the workflow's selection problem at zero cost, the
+    Section 6.2 mechanism.  Whatever the solver still wants observed is
+    tapped by this workflow and recorded in ``claimed`` under ``client``,
+    so the next caller sees it as free: each shared statistic is tapped
+    exactly once per night.  Both
+    :func:`plan_fleet` and the served ``POST /fleet/claim`` are this call.
+    """
+    analysis = analyze(workflow)
+    css = generate_css(analysis, generator_options or GeneratorOptions())
+    cost_model = CostModel(workflow.catalog)
+    keys = WorkflowSigner(analysis).statistic_keys(css.all_statistics)
+    free = {
+        stat
+        for stat, key in keys.items()
+        if key in claimed or key in catalog_keys
+    }
+    selection = select_statistics(css, cost_model, free=free, solver=solver)
+
+    observe: list[Statistic] = []
+    shared: dict[Statistic, str] = {}
+    planned_cost = 0.0
+    for stat in selection.observed:
+        key = keys.get(stat)
+        if key is not None and key in claimed:
+            shared[stat] = claimed[key]
+            continue
+        if key is not None and key in catalog_keys:
+            shared[stat] = "catalog"
+            continue
+        observe.append(stat)
+        planned_cost += selection.problem.costs[selection.problem.index[stat]]
+        if key is not None:
+            claimed[key] = client
+    return WorkflowObservationPlan(
+        name=workflow.name,
+        selection=selection,
+        observe=observe,
+        shared=shared,
+        keys=keys,
+        planned_cost=planned_cost,
+        css=css,
+        cost_model=cost_model,
+        solver=solver,
+    )
+
+
 def plan_fleet(
     workflows,
     catalog: StatisticsCatalog | None = None,
@@ -113,8 +184,6 @@ def plan_fleet(
     re-observes them), and each workflow's ``observe`` list is ordered
     by ``priority`` so persistently misestimated statistics come first.
     """
-    options = generator_options or GeneratorOptions()
-    solve = solve_greedy if solver == "greedy" else solve_ilp
     catalog_keys = catalog.usable_keys(now) if catalog is not None else set()
     if feedback is not None:
         catalog_keys = {
@@ -124,66 +193,23 @@ def plan_fleet(
     #: signature -> workflow name that will observe it tonight
     claimed: dict[str, str] = {}
     fleet = FleetPlan()
-
     for workflow in workflows:
-        analysis = analyze(workflow)
-        css = generate_css(analysis, options)
-        signer = WorkflowSigner(analysis)
-        cost_model = CostModel(workflow.catalog)
-
-        keys: dict[Statistic, str] = {}
-        for stat in css.all_statistics:
-            try:
-                keys[stat] = signer.statistic_key(stat)
-            except SignatureError:
-                continue
-        free = {
-            stat
-            for stat, key in keys.items()
-            if key in claimed or key in catalog_keys
-        }
-
-        standalone = solve(build_problem(css, cost_model))
-        selection = solve(
-            build_problem(css, cost_model, free_statistics=free)
+        share = plan_share(
+            workflow,
+            claimed,
+            catalog_keys,
+            client=workflow.name,
+            solver=solver,
+            generator_options=generator_options,
         )
-
-        observe: list[Statistic] = []
-        shared: dict[Statistic, str] = {}
-        planned_cost = 0.0
-        for stat in selection.observed:
-            key = keys.get(stat)
-            if key is not None and key in claimed:
-                shared[stat] = claimed[key]
-                continue
-            if key is not None and key in catalog_keys:
-                shared[stat] = "catalog"
-                continue
-            observe.append(stat)
-            planned_cost += selection.problem.costs[
-                selection.problem.index[stat]
-            ]
-            if key is not None:
-                claimed[key] = workflow.name
-
-        if feedback is not None and observe:
+        if feedback is not None:
             # stable sort: misestimated statistics first, untouched
             # solver order otherwise
-            observe.sort(
-                key=lambda stat: -feedback.priority(keys.get(stat))
+            share.observe.sort(
+                key=lambda stat: -feedback.priority(share.keys.get(stat))
             )
-
-        fleet.workflows.append(
-            WorkflowObservationPlan(
-                name=workflow.name,
-                selection=selection,
-                observe=observe,
-                shared=shared,
-                standalone_cost=standalone.total_cost,
-                planned_cost=planned_cost,
-            )
-        )
+        fleet.workflows.append(share)
     return fleet
 
 
-__all__ = ["FleetPlan", "WorkflowObservationPlan", "plan_fleet"]
+__all__ = ["FleetPlan", "WorkflowObservationPlan", "plan_fleet", "plan_share"]

@@ -235,6 +235,21 @@ class WorkflowSigner:
         """Catalog key identifying ``stat`` across workflows and runs."""
         return digest(self.statistic_signature(stat))
 
+    def statistic_keys(self, stats) -> dict[Statistic, str]:
+        """Catalog keys of the candidate statistics this workflow can sign.
+
+        A statistic whose SE does not resolve against the analyzed
+        workflow has no cross-workflow identity: it is skipped, so it can
+        neither be offered at zero cost nor claimed for the fleet.
+        """
+        keys: dict[Statistic, str] = {}
+        for stat in stats:
+            try:
+                keys[stat] = self.statistic_key(stat)
+            except SignatureError:
+                continue
+        return keys
+
 
 class _PostStage:
     """Lazy post-stage feed: the join signature underneath is only

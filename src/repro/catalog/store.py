@@ -233,6 +233,30 @@ class CatalogEntry:
             and not self.expired(now, ttl)
         )
 
+    # -- the entry rules: every store (file, mirror, server) applies these --
+    def collectable(
+        self, now: float, ttl: float, min_quality: float, drop_stale: bool
+    ) -> bool:
+        """Should ``gc`` drop this entry?"""
+        return (
+            self.expired(now, ttl)
+            or self.quality < min_quality
+            or (drop_stale and self.stale)
+        )
+
+    def supersedes(self, mine: "CatalogEntry | None") -> bool:
+        """Merge rule: an entry replaces ``mine`` only if observed later."""
+        return mine is None or self.observed_at > mine.observed_at
+
+    def as_stale(self) -> "CatalogEntry":
+        """Flagged so the next run re-observes it instead of reusing it."""
+        return replace(self, stale=True)
+
+    def with_error(self, rel_error: float) -> "CatalogEntry":
+        """A fresh prediction error blended half-and-half into the quality."""
+        accuracy = max(0.0, 1.0 - min(float(rel_error), 1.0))
+        return replace(self, quality=0.5 * self.quality + 0.5 * accuracy)
+
     def to_dict(self) -> dict:
         return {
             "key": self.key,
@@ -285,6 +309,24 @@ class CatalogHits:
 
     def __len__(self) -> int:
         return len(self.free)
+
+    @classmethod
+    def of(
+        cls, keys: dict[Statistic, str], usable: dict[str, CatalogEntry]
+    ) -> "CatalogHits":
+        """The signed candidates ``keys`` that a usable entry covers."""
+        hits = cls()
+        for stat, key in keys.items():
+            entry = usable.get(key)
+            if entry is None:
+                continue
+            hits.free.add(stat)
+            hits.values.put(stat, entry.value())
+            hits.keys[stat] = key
+            hits.newest_observed_at = max(
+                hits.newest_observed_at, entry.observed_at
+            )
+        return hits
 
 
 class StatisticsCatalog:
@@ -357,10 +399,7 @@ class StatisticsCatalog:
                 except PersistenceError:
                     pass  # corrupt on-disk catalog: ours replaces it
                 else:
-                    for key, entry in disk.entries.items():
-                        mine = self.entries.get(key)
-                        if mine is None or entry.observed_at > mine.observed_at:
-                            self.entries[key] = entry
+                    self.merge(disk)
             # fence check: if we slept past the stale deadline and another
             # run took the lock over, fail here rather than clobber it
             lock.validate()
@@ -400,27 +439,17 @@ class StatisticsCatalog:
         without being re-observed.  Stale, expired and low-quality entries
         never match (that is what triggers their re-observation).
         """
-        from repro.catalog.signatures import SignatureError
-
         now = time.time() if now is None else now
-        hits = CatalogHits()
-        for stat in stats:
-            try:
-                key = signer.statistic_key(stat)
-            except SignatureError:
-                continue
+        keys = signer.statistic_keys(stats)
+        usable: dict[str, CatalogEntry] = {}
+        for key in keys.values():
             entry = self.entries.get(key)
             if entry is None or not entry.usable(now, self.ttl, self.min_quality):
                 continue
-            hits.free.add(stat)
-            hits.values.put(stat, entry.value())
-            hits.keys[stat] = key
-            hits.newest_observed_at = max(
-                hits.newest_observed_at, entry.observed_at
-            )
+            usable[key] = entry
             if count_hits:
                 self.entries[key] = replace(entry, hits=entry.hits + 1)
-        return hits
+        return CatalogHits.of(keys, usable)
 
     # ------------------------------------------------------------------
     # writes
@@ -463,7 +492,7 @@ class StatisticsCatalog:
         for key in keys:
             entry = self.entries.get(key)
             if entry is not None and not entry.stale:
-                self.entries[key] = replace(entry, stale=True)
+                self.entries[key] = entry.as_stale()
                 marked += 1
         return marked
 
@@ -477,12 +506,8 @@ class StatisticsCatalog:
     def adjust_quality(self, key: str, rel_error: float) -> None:
         """Blend a fresh prediction error into an entry's quality score."""
         entry = self.entries.get(key)
-        if entry is None:
-            return
-        accuracy = max(0.0, 1.0 - min(rel_error, 1.0))
-        self.entries[key] = replace(
-            entry, quality=0.5 * entry.quality + 0.5 * accuracy
-        )
+        if entry is not None:
+            self.entries[key] = entry.with_error(rel_error)
 
     def gc(
         self,
@@ -498,9 +523,7 @@ class StatisticsCatalog:
         doomed = [
             key
             for key, entry in self.entries.items()
-            if entry.expired(now, ttl)
-            or entry.quality < min_quality
-            or (drop_stale and entry.stale)
+            if entry.collectable(now, ttl, min_quality, drop_stale)
         ]
         for key in doomed:
             del self.entries[key]
@@ -510,8 +533,7 @@ class StatisticsCatalog:
         """Import entries from another catalog; newer observation wins."""
         imported = 0
         for key, entry in other.entries.items():
-            mine = self.entries.get(key)
-            if mine is None or entry.observed_at > mine.observed_at:
+            if entry.supersedes(self.entries.get(key)):
                 self.entries[key] = entry
                 imported += 1
         return imported

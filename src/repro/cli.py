@@ -86,12 +86,10 @@ from repro.algebra.serialize import (
     workflow_to_json,
     workflow_to_xml,
 )
+from repro.core import select_statistics
 from repro.core.costs import CostModel
 from repro.core.generator import GeneratorOptions, generate_css
-from repro.core.greedy import solve_greedy
-from repro.core.ilp import solve_ilp
 from repro.core.persistence import PersistenceError
-from repro.core.selection import build_problem
 from repro.engine.backend import available_backends
 from repro.engine.faults import FaultError
 from repro.quality import QualityError
@@ -141,16 +139,20 @@ def _cmd_analyze(args) -> int:
 
 
 def _open_catalog(path: str, must_exist: bool = False, fallback: str | None = None):
-    from pathlib import Path
+    from repro.serve.client import resolve_stats_catalog
 
-    from repro.catalog import StatisticsCatalog
-    from repro.serve.client import CatalogClient, is_catalog_url
-
-    if is_catalog_url(path):
-        return CatalogClient(path, fallback=fallback)
-    if must_exist and not Path(path).exists():
+    catalog = resolve_stats_catalog(path, fallback=fallback)
+    # a file store's path is a Path, a served catalog's its URL
+    if must_exist and isinstance(catalog.path, Path) and not catalog.path.exists():
         raise CliError(f"catalog file not found: {path}")
-    return StatisticsCatalog.open(path)
+    return catalog
+
+
+def _close_catalog(catalog) -> None:
+    """Drop a served catalog's connections (a file store holds none)."""
+    close = getattr(catalog, "close", None)
+    if close is not None:
+        close()
 
 
 def _cmd_identify(args) -> int:
@@ -171,10 +173,16 @@ def _cmd_identify(args) -> int:
     if args.catalog:
         from repro.catalog import WorkflowSigner
 
-        stats_catalog = _open_catalog(args.catalog)
-        hits = stats_catalog.lookup(
-            WorkflowSigner(analysis), catalog.all_statistics, count_hits=False
-        )
+        # identify never writes a catalog, so a missing file is a typo
+        stats_catalog = _open_catalog(args.catalog, must_exist=True)
+        try:
+            hits = stats_catalog.lookup(
+                WorkflowSigner(analysis),
+                catalog.all_statistics,
+                count_hits=False,
+            )
+        finally:
+            _close_catalog(stats_catalog)
         free_statistics = hits.free
         print(
             f"catalog {args.catalog}: {len(hits.free)} statistics already "
@@ -186,23 +194,32 @@ def _cmd_identify(args) -> int:
 
         schedule = plan_constrained(
             analysis, catalog, cost_model, budget=args.budget,
-            solver=args.solver,
+            solver=args.solver, free=free_statistics,
+            time_limit=args.time_limit,
         )
         print(
             f"memory budget {args.budget:g}: {schedule.executions} "
             f"execution(s), peak memory {schedule.peak_memory:g}"
         )
+        if free_statistics and schedule.executions > 1:
+            print(
+                "  the optimum does not fit even with the catalog's "
+                "zero-cost statistics; the multi-execution schedule below "
+                "does not use them"
+            )
         for i, step in enumerate(schedule.steps, start=1):
             print(f"  run {i}: observe {len(step.observe)} statistics "
                   f"({step.memory:g} units)")
             for name, tree in sorted(step.trees.items()):
                 print(f"    {name}: {tree}")
         return 0
-    problem = build_problem(catalog, cost_model, free_statistics=free_statistics)
-    if args.solver == "greedy":
-        result = solve_greedy(problem)
-    else:
-        result = solve_ilp(problem, time_limit=args.time_limit)
+    result = select_statistics(
+        catalog,
+        cost_model,
+        free=free_statistics,
+        solver=args.solver,
+        time_limit=args.time_limit,
+    )
     print(result.describe())
     if args.verbose:
         print()
@@ -364,9 +381,7 @@ def _cmd_run(args) -> int:
             f"{len(report.tapped)} observed fresh, "
             f"{len(stats_catalog.entries)} entries after reconcile"
         )
-        close = getattr(stats_catalog, "close", None)
-        if close is not None:
-            close()
+        _close_catalog(stats_catalog)
     if contracts is not None:
         print(
             f"quality gate: {report.rows_quarantined} row(s) quarantined, "

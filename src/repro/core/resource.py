@@ -26,11 +26,9 @@ from repro.algebra.expressions import RejectJoinSE, RejectSE, SubExpression
 from repro.algebra.index import SEIndex
 from repro.algebra.plans import PlanTree, tree_ses, subtrees, JoinNode
 from repro.baselines.payg import CoverageScheduler
+from repro.core import select_statistics
 from repro.core.costs import INFINITE, CostModel
 from repro.core.css import CssCatalog
-from repro.core.greedy import solve_greedy
-from repro.core.ilp import solve_ilp
-from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
 
 
@@ -61,7 +59,12 @@ class ConstrainedSchedule:
 
 
 class ConstrainedPlanner:
-    """Builds a :class:`ConstrainedSchedule` for a memory budget."""
+    """Builds a :class:`ConstrainedSchedule` for a memory budget.
+
+    ``free`` (zero-cost statistics, Section 6.2) and ``time_limit`` apply
+    to the single-execution optimum only; the multi-execution fallback
+    costs every statistic as if it had to be observed.
+    """
 
     def __init__(
         self,
@@ -70,25 +73,33 @@ class ConstrainedPlanner:
         cost_model: CostModel,
         budget: float,
         solver: str = "ilp",
+        free: set[Statistic] | None = None,
+        time_limit: float | None = None,
     ):
         self.analysis = analysis
         self.catalog = catalog
         self.cost_model = cost_model
         self.budget = budget
         self.solver = solver
+        self.free = free
+        self.time_limit = time_limit
         self.index = SEIndex(analysis)
 
     # ------------------------------------------------------------------
     def plan(self) -> ConstrainedSchedule:
-        problem = build_problem(self.catalog, self.cost_model)
-        optimal = (
-            solve_greedy(problem) if self.solver == "greedy" else solve_ilp(problem)
+        optimal = select_statistics(
+            self.catalog,
+            self.cost_model,
+            free=self.free,
+            solver=self.solver,
+            time_limit=self.time_limit,
         )
         if optimal.total_cost <= self.budget:
             trees = {b.name: b.initial_tree for b in self.analysis.blocks}
+            free = self.free or set()
             step = ExecutionStep(
                 trees=trees,
-                observe=optimal.observed,
+                observe=[s for s in optimal.observed if s not in free],
                 memory=optimal.total_cost,
             )
             return ConstrainedSchedule(
@@ -266,6 +277,10 @@ def plan_constrained(
     cost_model: CostModel,
     budget: float,
     solver: str = "ilp",
+    free: set[Statistic] | None = None,
+    time_limit: float | None = None,
 ) -> ConstrainedSchedule:
     """Convenience wrapper over :class:`ConstrainedPlanner`."""
-    return ConstrainedPlanner(analysis, catalog, cost_model, budget, solver).plan()
+    return ConstrainedPlanner(
+        analysis, catalog, cost_model, budget, solver, free, time_limit
+    ).plan()

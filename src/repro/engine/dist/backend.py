@@ -47,6 +47,7 @@ from repro.engine.backend import (
 )
 from repro.engine.compile import ObservationBuffer
 from repro.engine.dist.sharding import (
+    DIST_COST_FACTORS,
     ShardPlan,
     plan_block_shards,
     reject_join_keys,
@@ -64,7 +65,6 @@ from repro.engine.dist.worker import (
 from repro.engine.faults import TransientFault
 from repro.engine.instrumentation import TapSet
 from repro.engine.table import Table
-from repro.estimation.physical import DIST_COST_FACTORS
 from repro.estimation.sketches import active_sketch_spec
 
 

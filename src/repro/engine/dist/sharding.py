@@ -19,7 +19,7 @@ recompose *exactly* into the whole-table statistics:
     key with a process-stable hash: every row lands in exactly one shard
     and co-located keys join completely there, so *every* point decomposes
     disjointly.  Chosen when the smaller input exceeds the broadcast
-    threshold from :data:`repro.estimation.physical.DIST_COST_FACTORS`.
+    threshold from :data:`DIST_COST_FACTORS`.
 
 ``single``
     One whole-table shard (shard count 1).  The correctness fallback for
@@ -43,6 +43,22 @@ from repro.algebra.expressions import AnySE, RejectSE, SubExpression
 from repro.algebra.plans import JoinNode, Leaf, PlanTree
 from repro.engine.table import Table
 
+#: constants the sharded (multiprocess) backend's dispatch planner uses to
+#: pick a per-block strategy.  A join input smaller than
+#: ``broadcast_max_rows`` is cheaper to replicate into every worker than to
+#: hash-partition (fork inheritance makes replication nearly free); above
+#: it, both join inputs are hash-partitioned on the join key.  The
+#: ``*_factor`` entries weigh the two strategies' per-row costs when the
+#: cap alone does not decide (see :func:`plan_block_shards`), and
+#: ``min_shard_rows`` stops over-sharding tiny tables.
+DIST_COST_FACTORS: dict[str, float] = {
+    "broadcast_max_rows": 50_000.0,
+    "broadcast_build_factor": 1.5,  # per replicated build row, per shard
+    "partition_scan_factor": 1.0,  # per row hashed + routed to its shard
+    "merge_row_factor": 0.2,  # per output row folded back into the parent
+    "min_shard_rows": 64.0,
+}
+
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -64,10 +80,8 @@ def plan_block_shards(
     """Pick the shard strategy for one block from the dist cost factors.
 
     ``factors`` may be a partial override; anything missing falls back to
-    :data:`repro.estimation.physical.DIST_COST_FACTORS`.
+    :data:`DIST_COST_FACTORS`.
     """
-    from repro.estimation.physical import DIST_COST_FACTORS
-
     factors = {**DIST_COST_FACTORS, **factors}
     sizes = {
         name: env[inp.base_name].num_rows

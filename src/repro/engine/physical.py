@@ -104,73 +104,6 @@ def hash_join(
     return result, reject_left, reject_right
 
 
-def merge_join(
-    left: Table,
-    right: Table,
-    key: Sequence[str],
-) -> Table:
-    """Sort-merge equi-join; result rows match :func:`hash_join` exactly
-    (order may differ).  Used by the physical-implementation layer."""
-    key = tuple(key)
-    left_idx = sorted(range(left.num_rows), key=lambda i: _key_of(left, key, i))
-    right_idx = sorted(
-        range(right.num_rows), key=lambda i: _key_of(right, key, i)
-    )
-    out_left_attrs = left.attrs
-    out_right_attrs = tuple(a for a in right.attrs if a not in left.attrs)
-    out_cols: dict[str, list] = {a: [] for a in out_left_attrs + out_right_attrs}
-
-    li = ri = 0
-    while li < len(left_idx) and ri < len(right_idx):
-        lk = _key_of(left, key, left_idx[li])
-        rk = _key_of(right, key, right_idx[ri])
-        if lk < rk:
-            li += 1
-        elif rk < lk:
-            ri += 1
-        else:
-            # gather both equal runs and emit the cross product
-            l_end = li
-            while l_end < len(left_idx) and _key_of(left, key, left_idx[l_end]) == lk:
-                l_end += 1
-            r_end = ri
-            while r_end < len(right_idx) and _key_of(right, key, right_idx[r_end]) == rk:
-                r_end += 1
-            for i in left_idx[li:l_end]:
-                for j in right_idx[ri:r_end]:
-                    for a in out_left_attrs:
-                        out_cols[a].append(left.columns[a][i])
-                    for a in out_right_attrs:
-                        out_cols[a].append(right.columns[a][j])
-            li, ri = l_end, r_end
-    return Table.wrap(out_cols)
-
-
-def nested_loop_join(
-    left: Table,
-    right: Table,
-    key: Sequence[str],
-) -> Table:
-    """Quadratic nested-loop equi-join (the tiny-input fallback)."""
-    key = tuple(key)
-    out_left_attrs = left.attrs
-    out_right_attrs = tuple(a for a in right.attrs if a not in left.attrs)
-    out_cols: dict[str, list] = {a: [] for a in out_left_attrs + out_right_attrs}
-    right_keys = list(right.rows(key))
-    for i, lk in enumerate(left.rows(key)):
-        for j, rk in enumerate(right_keys):
-            if lk == rk:
-                for a in out_left_attrs:
-                    out_cols[a].append(left.columns[a][i])
-                for a in out_right_attrs:
-                    out_cols[a].append(right.columns[a][j])
-    return Table.wrap(out_cols)
-
-
-def _key_of(table: Table, key: Sequence[str], row: int) -> tuple:
-    return tuple(table.columns[a][row] for a in key)
-
-
 def group_by(
     table: Table,
     group_attrs: Sequence[str],

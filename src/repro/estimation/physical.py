@@ -72,91 +72,6 @@ class PhysicalPlan:
         return "\n".join(lines)
 
 
-#: per-backend cost-factor presets.  The abstract row-unit formulas are the
-#: same for every execution backend, but the *constants* are not: the
-#: streaming backend pays per-tuple dict materialization on every operator,
-#: while the vectorized backend amortizes per-row interpreter overhead into
-#: bulk gathers (calibrate with ``benchmarks/bench_backend_throughput.py``).
-BACKEND_COST_FACTORS: dict[str, dict[str, float]] = {
-    "columnar": {
-        "hash_build_factor": 1.5,
-        "sort_factor": 1.0,
-        "merge_factor": 1.0,
-        "nested_factor": 0.25,
-    },
-    "streaming": {
-        "hash_build_factor": 1.9,
-        "sort_factor": 1.3,
-        "merge_factor": 1.25,
-        "nested_factor": 0.32,
-    },
-    "vectorized": {
-        "hash_build_factor": 0.7,
-        "sort_factor": 0.45,
-        "merge_factor": 0.4,
-        "nested_factor": 0.12,
-    },
-    # shard workers execute with the columnar kernel set; a small
-    # surcharge covers shard dispatch and observation merging
-    "multiprocess": {
-        "hash_build_factor": 1.6,
-        "sort_factor": 1.05,
-        "merge_factor": 1.05,
-        "nested_factor": 0.26,
-    },
-}
-
-#: constants the sharded (multiprocess) backend's dispatch planner uses to
-#: pick a per-block strategy.  A join input smaller than
-#: ``broadcast_max_rows`` is cheaper to replicate into every worker than to
-#: hash-partition (fork inheritance makes replication nearly free); above
-#: it, both join inputs are hash-partitioned on the join key.  The
-#: ``*_factor`` entries weigh the two strategies' per-row costs when the
-#: cap alone does not decide (see ``repro.engine.dist.sharding``), and
-#: ``min_shard_rows`` stops over-sharding tiny tables.
-DIST_COST_FACTORS: dict[str, float] = {
-    "broadcast_max_rows": 50_000.0,
-    "broadcast_build_factor": 1.5,  # per replicated build row, per shard
-    "partition_scan_factor": 1.0,  # per row hashed + routed to its shard
-    "merge_row_factor": 0.2,  # per output row folded back into the parent
-    "min_shard_rows": 64.0,
-}
-
-#: cost factors when the plan-compilation layer executes the block: fused
-#: whole-column kernels collapse the per-row interpretation gap between
-#: backends, so the constants both shrink and converge (the streaming
-#: backend keeps a small chunking surcharge; calibrated against
-#: ``benchmarks/bench_plan_compile.py`` on wf21).
-COMPILED_COST_FACTORS: dict[str, dict[str, float]] = {
-    "columnar": {
-        "hash_build_factor": 0.12,
-        "sort_factor": 0.08,
-        "merge_factor": 0.08,
-        "nested_factor": 0.02,
-    },
-    "streaming": {
-        "hash_build_factor": 0.17,
-        "sort_factor": 0.11,
-        "merge_factor": 0.10,
-        "nested_factor": 0.03,
-    },
-    "vectorized": {
-        "hash_build_factor": 0.11,
-        "sort_factor": 0.07,
-        "merge_factor": 0.07,
-        "nested_factor": 0.02,
-    },
-    # workers compile per process against the columnar profile; the same
-    # dispatch/merge surcharge as the interpreted constants applies
-    "multiprocess": {
-        "hash_build_factor": 0.13,
-        "sort_factor": 0.09,
-        "merge_factor": 0.09,
-        "nested_factor": 0.02,
-    },
-}
-
-
 @dataclass
 class PhysicalCostModel:
     """Abstract per-row costs of the three join implementations."""
@@ -166,30 +81,6 @@ class PhysicalCostModel:
     sort_factor: float = 1.0  # multiplies n*log2(n)
     merge_factor: float = 1.0
     nested_factor: float = 0.25  # per inner-pair probe
-
-    @classmethod
-    def for_backend(
-        cls,
-        backend: str,
-        cardinalities: dict[AnySE, float],
-        compiled: bool = False,
-        **overrides: float,
-    ) -> "PhysicalCostModel":
-        """Cost model tuned to an execution backend's kernel constants.
-
-        ``compiled=True`` selects the fused-operator constants of the
-        plan-compilation layer instead of the interpreter's.
-        """
-        table = COMPILED_COST_FACTORS if compiled else BACKEND_COST_FACTORS
-        try:
-            factors = dict(table[backend])
-        except KeyError:
-            raise KeyError(
-                f"no cost factors for backend {backend!r}; "
-                f"known: {sorted(table)}"
-            ) from None
-        factors.update(overrides)
-        return cls(cardinalities, **factors)
 
     def size(self, se: AnySE) -> float:
         return float(self.cardinalities[se])
@@ -257,53 +148,14 @@ class PhysicalPlanner:
         return key if best[1] is JoinAlgorithm.SORT_MERGE else ()
 
 
-def execute_physical(
-    tree: PlanTree,
-    inputs: dict[str, "object"],
-    plan: PhysicalPlan,
-):
-    """Execute a join tree honouring the plan's algorithm choices.
-
-    ``inputs`` maps leaf names to :class:`~repro.engine.table.Table`.
-    All three implementations are semantically identical (the engine's
-    property tests pin that), so this mainly exists to demonstrate and test
-    the full logical-choice -> physical-execution loop.
-    """
-    from repro.engine.physical import hash_join, merge_join, nested_loop_join
-
-    def run(node: PlanTree):
-        if isinstance(node, Leaf):
-            return inputs[node.name]
-        left = run(node.left)
-        right = run(node.right)
-        algorithm = plan.algorithm_for(node.se)
-        if algorithm is JoinAlgorithm.SORT_MERGE:
-            return merge_join(left, right, node.key)
-        if algorithm is JoinAlgorithm.NESTED_LOOP:
-            return nested_loop_join(left, right, node.key)
-        result, _l, _r = hash_join(left, right, node.key)
-        return result
-
-    return run(tree)
-
-
 def physical_plans(
     analysis: BlockAnalysis,
     cardinalities: dict[AnySE, float],
     trees: dict[str, PlanTree] | None = None,
-    backend: str = "columnar",
-    compiled: bool = False,
 ) -> dict[str, PhysicalPlan]:
-    """Physical decisions for every block's (chosen or initial) tree.
-
-    ``backend`` selects the per-backend cost constants -- the same join
-    tree can warrant different physical operators on different engines --
-    and ``compiled`` switches to the fused-kernel constants.
-    """
+    """Physical decisions for every block's (chosen or initial) tree."""
     trees = trees or {}
-    planner = PhysicalPlanner(
-        PhysicalCostModel.for_backend(backend, cardinalities, compiled=compiled)
-    )
+    planner = PhysicalPlanner(PhysicalCostModel(cardinalities))
     out: dict[str, PhysicalPlan] = {}
     for block in analysis.blocks:
         tree = trees.get(block.name, block.initial_tree)

@@ -97,9 +97,6 @@ class EtlSession:
     history: list[RunRecord] = field(default_factory=list)
     _current_trees: dict[str, PlanTree] | None = None
     _adopted_cards: dict | None = None
-    backend: str | None = None  # override the pipeline's execution backend
-    workers: int | None = None  # override the pipeline's scheduler width
-    shards: int | None = None  # override row shards (multiprocess backend)
     retry: RetryPolicy | None = None  # scheduler policy for every run
     faults: "FaultPlan | None" = None  # chaos sessions (tests/benchmarks)
     stats_catalog: "object | None" = None  # shared StatisticsCatalog
@@ -110,19 +107,6 @@ class EtlSession:
     quarantine: "object | None" = None  # shared QuarantineStore across runs
     feedback: "object | None" = None  # shared catalog FeedbackCorrector
     _prior_observations: StatisticsStore | None = None
-
-    def __post_init__(self) -> None:
-        # a session-level backend/worker choice wins over the pipeline's:
-        # the same designed pipeline can be re-run on a different engine
-        # (the paper's engine-swappability premise, Section 3.2.5)
-        if self.backend is not None:
-            self.pipeline.backend = self.backend
-        if self.workers is not None:
-            self.pipeline.workers = self.workers
-        if self.shards is not None:
-            self.pipeline.shards = self.shards
-            if self.pipeline.backend != "multiprocess":
-                self.pipeline.backend = "multiprocess"
 
     def run(self, sources: dict[str, Table]) -> RunRecord:
         """Execute one load with the current plans; maybe re-optimize."""

@@ -555,16 +555,9 @@ class CatalogClient:
         the "catalog" rung of the confidence ladder with one rung knocked
         off by the pipeline.
         """
-        from repro.catalog.signatures import SignatureError
-
         self._ensure_synced()
         if not self.degraded:
-            keys: dict = {}
-            for stat in stats:
-                try:
-                    keys[stat] = signer.statistic_key(stat)
-                except SignatureError:
-                    continue
+            keys = signer.statistic_keys(stats)
             try:
                 body = {
                     "keys": sorted(set(keys.values())),
@@ -576,23 +569,12 @@ class CatalogClient:
             except (CatalogUnavailable, CatalogRequestError):
                 self._degrade()
             else:
-                by_key: dict[str, CatalogEntry] = {}
+                usable: dict[str, CatalogEntry] = {}
                 for entry_doc in answer.get("entries", []):
                     entry = CatalogEntry.from_dict(entry_doc)
-                    by_key[entry.key] = entry
+                    usable[entry.key] = entry
                     self._mirror.entries[entry.key] = entry
-                hits = CatalogHits()
-                for stat, key in keys.items():
-                    entry = by_key.get(key)
-                    if entry is None:
-                        continue
-                    hits.free.add(stat)
-                    hits.values.put(stat, entry.value())
-                    hits.keys[stat] = key
-                    hits.newest_observed_at = max(
-                        hits.newest_observed_at, entry.observed_at
-                    )
-                return hits
+                return CatalogHits.of(keys, usable)
         return self._mirror.lookup(signer, stats, now=now, count_hits=count_hits)
 
     # ------------------------------------------------------------------

@@ -31,10 +31,11 @@ and concurrency properties are testable in-process:
   rejected (:class:`FenceError`) instead of clobbering the takeover's.
 
 - **Fleet scheduling.** :meth:`plan_share` is the "what must I tap
-  tonight?" endpoint: each client posts its workflow, the service solves
-  its selection problem with everything the catalog (or an earlier
-  client tonight) already covers entered at zero cost, claims the
-  remainder for that client, and hands back the split.
+  tonight?" endpoint: each client posts its workflow and the service
+  runs :func:`repro.catalog.fleet.plan_share` -- the same call
+  ``plan_fleet`` loops over -- against the night's claims and its usable
+  entries, under the write lock and the epoch fence, and hands back the
+  split.
 
 - **Replication.** A service runs as a ``primary`` or a ``standby``.
   The primary keeps an in-memory tail of WAL records since the last
@@ -57,6 +58,7 @@ from dataclasses import replace
 from pathlib import Path
 from zlib import crc32
 
+from repro.catalog import fleet
 from repro.catalog.store import (
     DEFAULT_MIN_QUALITY,
     DEFAULT_TTL,
@@ -450,9 +452,7 @@ class CatalogService:
                 doomed.extend(
                     key
                     for key, entry in shard.items()
-                    if entry.expired(now, ttl)
-                    or entry.quality < min_quality
-                    or (drop_stale and entry.stale)
+                    if entry.collectable(now, ttl, min_quality, drop_stale)
                 )
         if doomed:
             self._mutate("delete", fence=fence, epoch=epoch, keys=sorted(doomed))
@@ -474,32 +474,24 @@ class CatalogService:
                 entry = CatalogEntry.from_dict(doc)
                 index = self._shard_index(entry.key)
                 with self._shard_locks[index]:
-                    mine = self._shards[index].get(entry.key)
-                    if (
-                        op == "merge"
-                        and mine is not None
-                        and mine.observed_at >= entry.observed_at
+                    if op == "put" or entry.supersedes(
+                        self._shards[index].get(entry.key)
                     ):
-                        continue
-                    self._shards[index][entry.key] = entry
+                        self._shards[index][entry.key] = entry
         elif op == "stale":
             for key in record.get("keys", ()):
                 index = self._shard_index(key)
                 with self._shard_locks[index]:
                     entry = self._shards[index].get(key)
                     if entry is not None and not entry.stale:
-                        self._shards[index][key] = replace(entry, stale=True)
+                        self._shards[index][key] = entry.as_stale()
         elif op == "quality":
             for key, rel_error in record.get("adjust", ()):
                 index = self._shard_index(key)
                 with self._shard_locks[index]:
                     entry = self._shards[index].get(key)
-                    if entry is None:
-                        continue
-                    accuracy = max(0.0, 1.0 - min(float(rel_error), 1.0))
-                    self._shards[index][key] = replace(
-                        entry, quality=0.5 * entry.quality + 0.5 * accuracy
-                    )
+                    if entry is not None:
+                        self._shards[index][key] = entry.with_error(rel_error)
         elif op == "delete":
             for key in record.get("keys", ()):
                 index = self._shard_index(key)
@@ -724,67 +716,35 @@ class CatalogService:
     ) -> dict:
         """One client's share of tonight's fleet observation plan.
 
-        Statistics the catalog already covers, or that an earlier client
-        claimed tonight, enter this workflow's selection problem at zero
-        cost (the Section 6.2 mechanism); whatever the solver still wants
-        observed is *claimed* for this client, so the next caller sees it
-        as free.  Each shared statistic is therefore tapped exactly once
-        per night across the fleet.
+        :func:`repro.catalog.fleet.plan_share` against this night's claims
+        and the catalog's usable entries, serialised for the wire.  The
+        whole call holds the write lock: what it claims is what the next
+        caller must see as free.
         """
-        from repro.algebra.blocks import analyze
-        from repro.catalog.signatures import SignatureError, WorkflowSigner
-        from repro.core.costs import CostModel
-        from repro.core.generator import GeneratorOptions, generate_css
-        from repro.core.greedy import solve_greedy
-        from repro.core.ilp import solve_ilp
-        from repro.core.selection import build_problem
-
-        analysis = analyze(workflow)
-        css = generate_css(analysis, GeneratorOptions())
-        signer = WorkflowSigner(analysis)
-        keys = {}
-        for stat in css.all_statistics:
-            try:
-                keys[stat] = signer.statistic_key(stat)
-            except SignatureError:
-                continue
-        catalog_keys = self.usable_keys()
+        client = client or workflow.name
         with self._write_lock:
             # claims mutate shared fleet state: primary-only, epoch-fenced
             self._check_writable()
             self._check_epoch(epoch)
-            claimed = self._claims.setdefault(night, {})
-            free = {
-                stat
-                for stat, key in keys.items()
-                if key in claimed or key in catalog_keys
-            }
-            solve = solve_greedy if solver == "greedy" else solve_ilp
-            selection = solve(
-                build_problem(
-                    css, CostModel(workflow.catalog), free_statistics=free
-                )
+            share = fleet.plan_share(
+                workflow,
+                self._claims.setdefault(night, {}),
+                self.usable_keys(),
+                client=client,
+                solver=solver,
             )
-            observe: list[dict] = []
-            shared: dict[str, str] = {}
-            name = client or workflow.name
-            for stat in selection.observed:
-                key = keys.get(stat)
-                if key is not None and key in claimed:
-                    shared[key] = claimed[key]
-                    continue
-                if key is not None and key in catalog_keys:
-                    shared[key] = "catalog"
-                    continue
-                observe.append({"key": key, "repr": repr(stat)})
-                if key is not None:
-                    claimed[key] = name
         return {
             "night": night,
-            "client": name,
-            "observe": observe,
-            "shared": shared,
-            "selection_cost": selection.total_cost,
+            "client": client,
+            "observe": [
+                {"key": share.keys.get(stat), "repr": repr(stat)}
+                for stat in share.observe
+            ],
+            "shared": {
+                share.keys[stat]: provider
+                for stat, provider in share.shared.items()
+            },
+            "selection_cost": share.selection.total_cost,
         }
 
     # ------------------------------------------------------------------

@@ -163,6 +163,56 @@ class TestSolvers:
         assert result.is_valid
 
 
+class TestSelectStatistics:
+    """``repro.core.select_statistics``: build + dispatch, written once."""
+
+    def test_free_statistics_are_exploited(self):
+        from repro.core import select_statistics
+
+        h1 = Statistic.hist(SE("T1"), "a")
+        h2 = Statistic.hist(SE("T2"), "a")
+        costs = FixedCost({h1: 50.0, h2: 50.0})
+        paid = select_statistics(tiny_catalog(), costs)
+        free = select_statistics(tiny_catalog(), costs, free={h1, h2})
+        assert paid.total_cost == 100.0  # |T12| is only reachable via both
+        assert free.total_cost == 0.0
+        assert set(free.observed) == {h1, h2}
+
+    @pytest.mark.parametrize("solver", ["ilp", "greedy"])
+    def test_solver_name_picks_the_solver(self, solver):
+        from repro.core import select_statistics
+
+        result = select_statistics(
+            tiny_catalog(), CostModel(Catalog()), solver=solver
+        )
+        assert result.method == solver
+        assert result.is_valid
+
+    def test_time_limit_reaches_the_ilp(self, monkeypatch):
+        import repro.core as core
+
+        seen = []
+
+        def spy(problem, time_limit=None):
+            seen.append(time_limit)
+            return solve_ilp(problem, time_limit=time_limit)
+
+        monkeypatch.setattr(core, "solve_ilp", spy)
+        core.select_statistics(tiny_catalog(), CostModel(Catalog()))
+        core.select_statistics(
+            tiny_catalog(), CostModel(Catalog()), time_limit=0.5
+        )
+        assert seen == [None, 0.5]
+
+    def test_infeasible_still_raises(self):
+        from repro.core import select_statistics
+
+        catalog = CssCatalog()
+        catalog.require(Statistic.card(SE("T1", "T2")))
+        with pytest.raises(ValueError, match="selection infeasible"):
+            select_statistics(catalog, CostModel(Catalog()))
+
+
 class TestFig8Formulation:
     """The paper's Figure 5/7/8 example, end to end through the ILP."""
 

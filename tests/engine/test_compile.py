@@ -472,40 +472,3 @@ class TestCompileTrace:
         pipeline.run_once(wfcase.tables(scale=SCALE, seed=SEED), tracer=tracer)
         spans = tracer.root.find(name="compile")
         assert spans and spans[0].duration is not None
-
-
-# ---------------------------------------------------------------------------
-# fused-operator cost factors
-# ---------------------------------------------------------------------------
-class TestCompiledCostFactors:
-    def test_compiled_factors_are_cheaper_and_converge(self):
-        from repro.estimation.physical import (
-            BACKEND_COST_FACTORS,
-            COMPILED_COST_FACTORS,
-            PhysicalCostModel,
-        )
-
-        for backend, factors in COMPILED_COST_FACTORS.items():
-            interp = BACKEND_COST_FACTORS[backend]
-            for name, value in factors.items():
-                assert value < interp[name], (backend, name)
-        se = SubExpression.of("T")
-        cards = {se: 1000.0}
-        fast = PhysicalCostModel.for_backend("streaming", cards, compiled=True)
-        slow = PhysicalCostModel.for_backend("streaming", cards)
-        assert fast.hash_cost(100, 1000, 500) < slow.hash_cost(100, 1000, 500)
-
-    def test_physical_plans_accept_compiled_flag(self):
-        from repro.estimation.physical import physical_plans
-
-        analysis, _, sources = _setup(9)  # a 3-way join block
-        ex = BackendExecutor(analysis, "columnar")
-        run = ex.run(sources)
-        cards = {se: float(n) for se, n in run.se_sizes.items()}
-        interp = physical_plans(analysis, cards, backend="streaming")
-        fused = physical_plans(
-            analysis, cards, backend="streaming", compiled=True
-        )
-        assert set(interp) == set(fused)
-        for name in interp:
-            assert fused[name].total_cost < interp[name].total_cost

@@ -145,39 +145,3 @@ class TestAggregateUdf:
         out = apply_aggregate_udf(t, lambda rows: [])
         assert out.num_rows == 0
         assert out.attrs == ("a",)
-
-
-class TestAlternativeJoinImplementations:
-    """Sort-merge and nested-loop must agree with the hash join exactly."""
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=25),
-        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=25),
-    )
-    @settings(max_examples=50)
-    def test_all_three_agree(self, lrows, rrows):
-        from repro.engine.physical import merge_join, nested_loop_join
-
-        left = (
-            Table.from_rows(("k", "l"), lrows) if lrows else Table.empty(("k", "l"))
-        )
-        right = (
-            Table.from_rows(("k", "r"), rrows) if rrows else Table.empty(("k", "r"))
-        )
-        hashed, _l, _r = hash_join(left, right, ("k",))
-        merged = merge_join(left, right, ("k",))
-        nested = nested_loop_join(left, right, ("k",))
-        want = sorted(hashed.rows(("k", "l", "r")))
-        assert sorted(merged.rows(("k", "l", "r"))) == want
-        assert sorted(nested.rows(("k", "l", "r"))) == want
-
-    def test_merge_join_composite_key(self):
-        from repro.engine.physical import merge_join
-
-        left = Table({"a": [1, 1, 2], "b": [5, 6, 5], "l": [10, 11, 12]})
-        right = Table({"a": [1, 2], "b": [5, 5], "r": [7, 8]})
-        out = merge_join(left, right, ("a", "b"))
-        assert sorted(out.rows(("a", "b", "l", "r"))) == [
-            (1, 5, 10, 7),
-            (2, 5, 12, 8),
-        ]

@@ -116,67 +116,3 @@ class TestWorkflowIntegration:
             from repro.algebra.plans import tree_joins
 
             assert n_joins == len(tree_joins(plan.tree))
-
-
-class TestPhysicalExecution:
-    def test_execute_physical_matches_hash_only(self):
-        """Executing the chosen algorithms gives exactly the hash-join
-        result, whatever mix the planner picked."""
-        from repro.algebra.blocks import analyze
-        from repro.engine.ground_truth import block_input_tables
-        from repro.engine.executor import Executor
-        from repro.estimation.physical import (
-            PhysicalCostModel,
-            PhysicalPlanner,
-            execute_physical,
-        )
-        from repro.workloads import case
-
-        wfcase = case(13)
-        analysis = analyze(wfcase.build())
-        block = analysis.blocks[0]
-        sources = wfcase.tables(scale=0.15, seed=6)
-        run = Executor(analysis).run(sources)
-        inputs = block_input_tables(block, run.env)
-
-        # force variety: cheap sorting pushes some joins to sort-merge
-        cards = dict(run.se_sizes)
-        for se in block.join_ses():
-            cards.setdefault(se, 100.0)
-        planner = PhysicalPlanner(
-            PhysicalCostModel(cards, sort_factor=0.01)
-        )
-        plan = planner.plan(block.initial_tree)
-        result = execute_physical(block.initial_tree, inputs, plan)
-
-        reference = run.env[block.output_name]
-        attrs = sorted(reference.attrs)
-        assert sorted(result.rows(attrs)) == sorted(reference.rows(attrs))
-        # the planner actually mixed algorithms (otherwise the test is vacuous)
-        algorithms = {j.algorithm for j in plan.joins}
-        assert len(algorithms) >= 1
-
-
-class TestBackendCostFactors:
-    CARDS = {SE("A"): 10_000, SE("B"): 8_000, SE("A", "B"): 9_000}
-
-    def _plan_cost(self, backend):
-        model = PhysicalCostModel.for_backend(backend, self.CARDS)
-        tree = JoinNode(Leaf("A"), Leaf("B"), ("k",))
-        return PhysicalPlanner(model).plan(tree).total_cost
-
-    def test_vectorized_is_cheapest_streaming_dearest(self):
-        costs = {
-            b: self._plan_cost(b)
-            for b in ("columnar", "streaming", "vectorized")
-        }
-        assert costs["vectorized"] < costs["columnar"] < costs["streaming"]
-
-    def test_unknown_backend_names_the_known_ones(self):
-        with pytest.raises(KeyError, match="columnar"):
-            PhysicalCostModel.for_backend("bogus", {})
-
-    def test_overrides_win_over_presets(self):
-        model = PhysicalCostModel.for_backend("columnar", {}, sort_factor=9.0)
-        assert model.sort_factor == 9.0
-        assert model.hash_build_factor == 1.5

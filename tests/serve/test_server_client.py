@@ -122,6 +122,25 @@ class TestHttpRoundTrips:
         assert set(fresh.entries) == {"k2"}
         client.close(), fresh.close()
 
+    def test_mirror_and_server_apply_the_same_entry_rules(self, server):
+        """The mirror runs StatisticsCatalog's transitions, the server
+        CatalogService._apply's: after a flush they must hold equal entries
+        (hits aside -- advisory, never WAL'd)."""
+        client = fast_client(server.url)
+        assert len(client) == 0  # synced now: later reads are the mirror's own
+        client.record("k1", "se:k1", _stat(), 1.0, workflow="wf", run_id="r")
+        client.record("k2", "se:k2", _stat("S"), 2.0, workflow="wf", run_id="r")
+        client.adjust_quality("k1", 0.4)
+        client.adjust_quality("k1", 3.0)  # errors clamp at 1.0
+        client.mark_stale(["k2", "missing"])
+        client.save()
+        service = server.server.service
+        for key in ("k1", "k2"):
+            assert service.get(key) == client.get(key)
+        assert client.get("k1").quality == pytest.approx(0.4)  # 1.0 -> 0.8 -> 0.4
+        assert client.get("k2").stale
+        client.close()
+
     def test_tcp_listener_works_too(self, tmp_path):
         with ServerThread(
             "127.0.0.1:0", tmp_path / "catalog.json", fsync=False

@@ -306,6 +306,92 @@ class TestCatalogCommands:
         assert "already available at zero cost" in out
         assert "cost=0 (" in out
 
+    def _warm_wf11(self, tmp_path, capsys):
+        self._run(tmp_path)
+        capsys.readouterr()
+        assert main(["export", "--number", "11"]) == 0
+        wf_path = tmp_path / "wf11.json"
+        wf_path.write_text(capsys.readouterr().out)
+        return str(wf_path), str(tmp_path / "catalog.json")
+
+    def test_identify_budget_uses_the_catalog(self, tmp_path, capsys):
+        wf, catalog = self._warm_wf11(tmp_path, capsys)
+        # without the catalog the optimum does not fit one counter...
+        assert main(["identify", wf, "--budget", "1"]) == 0
+        assert "1 execution(s)" not in capsys.readouterr().out
+        # ...with it every statistic is already there at zero cost
+        assert main(["identify", wf, "--budget", "1",
+                     "--catalog", catalog]) == 0
+        out = capsys.readouterr().out
+        assert "already available at zero cost" in out
+        assert "1 execution(s), peak memory 0" in out
+        assert "run 1: observe 0 statistics" in out
+
+    def test_identify_budget_says_when_it_ignores_the_catalog(
+        self, tmp_path, capsys
+    ):
+        from repro.catalog import StatisticsCatalog
+
+        wf, catalog = self._warm_wf11(tmp_path, capsys)
+        # keep a single entry: the optimum no longer fits one counter
+        store = StatisticsCatalog.open(catalog)
+        for key in sorted(store.entries)[1:]:
+            del store.entries[key]
+        store.save(merge=False)
+        assert main(["identify", wf, "--budget", "1",
+                     "--catalog", catalog]) == 0
+        out = capsys.readouterr().out
+        assert "1 statistics already available" in out
+        assert "does not use them" in out
+
+    def test_identify_budget_honours_time_limit(
+        self, wf_json, capsys, monkeypatch
+    ):
+        import repro.core as core
+
+        seen = []
+        real = core.solve_ilp
+
+        def spy(problem, time_limit=None):
+            seen.append(time_limit)
+            return real(problem, time_limit=time_limit)
+
+        monkeypatch.setattr(core, "solve_ilp", spy)
+        assert main(["identify", wf_json, "--budget", "100000",
+                     "--time-limit", "7"]) == 0
+        assert seen == [7.0]
+
+    def test_identify_missing_catalog_is_one_line_error(
+        self, wf_json, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing.json"
+        assert main(["identify", wf_json, "--catalog", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: catalog file not found: {missing}\n"
+        assert not missing.exists()
+
+    def test_identify_closes_a_served_catalog(
+        self, wf_json, tmp_path, capsys, monkeypatch
+    ):
+        from repro.serve.client import CatalogClient
+        from repro.serve.server import ServerThread
+
+        closed = []
+        close = CatalogClient.close
+        monkeypatch.setattr(
+            CatalogClient,
+            "close",
+            lambda self: (closed.append(self.url), close(self)),
+        )
+        with ServerThread(
+            f"unix://{tmp_path / 'catalog.sock'}",
+            tmp_path / "served.json",
+            fsync=False,
+        ) as server:
+            assert main(["identify", wf_json, "--catalog", server.url]) == 0
+            assert closed == [server.url]
+        assert "0 statistics already available" in capsys.readouterr().out
+
     def test_show_and_gc(self, tmp_path, capsys):
         _, catalog = self._run(tmp_path)
         capsys.readouterr()

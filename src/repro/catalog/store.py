@@ -22,8 +22,8 @@ Each entry carries:
   keeps ``repro-etl catalog show`` and catalog diffs meaningful).
 
 The file format rides on :mod:`repro.core.persistence`'s
-``format_version`` machinery: atomic writes, validated loads, sorted keys
-— a catalog is a git-diffable JSON document.
+``format_version`` machinery: atomic writes, validated loads, canonical
+form (sorted keys, one entry per line) — a catalog diffs per entry in git.
 """
 
 from __future__ import annotations
@@ -195,6 +195,15 @@ def catalog_lock(
                     pass
 
 
+def _file_identity(path: str | Path) -> tuple | None:
+    """What tells one ``os.replace``d version of ``path`` from the next."""
+    try:
+        st = os.stat(path)
+        return (st.st_ino, st.st_size, st.st_mtime_ns)
+    except OSError:
+        return None
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One catalogued statistic value with provenance and quality."""
@@ -342,6 +351,7 @@ class StatisticsCatalog:
         self.ttl = ttl
         self.min_quality = min_quality
         self.entries: dict[str, CatalogEntry] = {}
+        self._on_disk: tuple | None = None  # identity of the version we hold
 
     # ------------------------------------------------------------------
     # persistence
@@ -355,9 +365,12 @@ class StatisticsCatalog:
     ) -> "StatisticsCatalog":
         """Load the catalog at ``path``, or start an empty one there."""
         catalog = cls(path, ttl=ttl, min_quality=min_quality)
-        if Path(path).exists():
-            doc = _load_json(path, "catalog")
-            catalog._load_doc(doc)
+        # identity first: a save landing in between then costs a re-read,
+        # it is not mistaken for the version we hold
+        identity = _file_identity(path)
+        if identity is not None:
+            catalog._load_doc(_load_json(path, "catalog"))
+            catalog._on_disk = identity
         return catalog
 
     def _load_doc(self, doc: dict) -> None:
@@ -380,10 +393,12 @@ class StatisticsCatalog:
     def save(self, path: str | Path | None = None, merge: bool = True) -> None:
         """Persist the catalog under the advisory file lock.
 
-        With ``merge`` (the default) the on-disk catalog is re-read inside
-        the lock and folded in first (newer ``observed_at`` wins), so two
-        concurrent fleet runs saving the same file converge to the union
-        of their entries instead of the last writer dropping the other's.
+        With ``merge`` (the default) an on-disk catalog that is not the
+        version this object loaded or last wrote (every save is an
+        ``os.replace``: a new file identity) is re-read inside the lock and
+        folded in first (newer ``observed_at`` wins), so two concurrent
+        fleet runs saving the same file converge to the union of their
+        entries, and a night alone with the file parses it once.
         Deliberate removals (``gc``) must pass ``merge=False`` or the
         merge would resurrect every entry they just dropped.
         """
@@ -391,7 +406,7 @@ class StatisticsCatalog:
         if target is None:
             raise PersistenceError("catalog has no path to save to")
         with catalog_lock(target) as lock:
-            if merge and target.exists():
+            if merge and _file_identity(target) not in (None, self._on_disk):
                 try:
                     disk = StatisticsCatalog.open(
                         target, ttl=self.ttl, min_quality=self.min_quality
@@ -404,6 +419,7 @@ class StatisticsCatalog:
             # run took the lock over, fail here rather than clobber it
             lock.validate()
             atomic_write_json(self.to_dict(), target)
+            self._on_disk = _file_identity(target)
 
     # ------------------------------------------------------------------
     # reads

@@ -35,7 +35,12 @@ else is acyclic by construction, so the SCC restriction keeps the MILP
 small (it typically removes >95% of the level rows).
 
 Primary solver: ``scipy.optimize.milp`` (HiGHS).  Without scipy the greedy
-heuristic of Section 5.3 takes over.
+heuristic of Section 5.3 takes over.  HiGHS stops at its default relative
+gap (``mip_rel_gap`` 1e-4), so ``method == "ilp"`` means optimal *to within
+0.01 %*, not "no cheaper selection exists": wf27 gets 549001603 although
+549000002 is valid (EXPERIMENTS.md).  Presolve: when the zero-cost
+statistics (Section 6.2 source statistics, catalog hits) already derive
+``S_C``, cost 0 is the optimum outright and HiGHS is not started.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ def _strongly_connected(problem: SelectionProblem) -> dict[int, int]:
 def solve_ilp(
     problem: SelectionProblem, time_limit: float | None = None
 ) -> SelectionResult:
-    """Solve the selection problem exactly.
+    """Solve the selection problem to HiGHS's default relative gap (1e-4).
 
     ``time_limit`` (seconds) caps the HiGHS run; on timeout the best
     incumbent is used if it verifies, otherwise the greedy heuristic takes
@@ -126,6 +131,22 @@ def solve_ilp(
         from repro.core.greedy import solve_greedy
 
         return solve_greedy(problem)
+
+    # widest histograms first: the I/D rules derive narrower statistics
+    # from them, so those are not also taken as observed
+    free = [i for i in problem.observable if problem.costs[i] == 0]
+    free.sort(key=lambda i: (-len(problem.stats[i].attrs), i))
+    if free and min(problem.costs) >= 0:
+        via = problem.derivation(free)
+        if via.keys() >= problem.required:
+            # only what this derivation of S_C rests on (``via`` holds
+            # inputs before targets): unneeded source statistics stay untapped
+            used = set(problem.required)
+            for i in reversed(via):
+                if i in used and via[i] is not None:
+                    used.update(problem.entries[via[i]].inputs)
+            observed = {i for i in used if via[i] is None}
+            return SelectionResult(problem, observed, method="ilp")
 
     n = problem.n
     m = len(problem.entries)

@@ -85,18 +85,35 @@ def _load_json(path: str | Path, kind: str) -> dict:
     return doc
 
 
+#: without ``indent`` this is the C encoder
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical_json(doc: dict) -> str:
+    """The one on-disk form: keys sorted, no padding, each element of a
+    top-level list (``entries``, ``statistics``, ...) on its own line --
+    byte-stable across runs, and a changed entry is a one-line diff."""
+    members = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, list) and value:
+            text = "[\n" + ",\n".join(map(_encode, value)) + "\n]"
+        else:
+            text = _encode(value)
+        members.append(f"{_encode(key)}:{text}")
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
 def atomic_write_json(doc: dict, path: str | Path) -> None:
-    """Write ``doc`` to ``path`` via rename, so readers (and a resumed run)
-    never see a half-written checkpoint after a crash."""
+    """Write ``doc`` (as :func:`canonical_json`) to ``path`` via rename, so
+    readers (and a resumed run) never see a half-written checkpoint."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            # sorted keys keep persisted documents (statistics, catalogs,
-            # checkpoints) byte-stable across runs, so they diff cleanly
-            json.dump(doc, handle, indent=1, sort_keys=True)
+            handle.write(canonical_json(doc))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -15,6 +15,7 @@ the true bottom-up fixpoint; both solvers verify against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.costs import CostModel
 from repro.core.css import CSS, CssCatalog
@@ -56,37 +57,39 @@ class SelectionProblem:
     def stat(self, i: int) -> Statistic:
         return self.stats[i]
 
+    def derivation(self, observed: Iterable[int]) -> dict[int, int | None]:
+        """One bottom-up derivation from ``observed``, taken in the given
+        order: every computable statistic, in derivation order, mapped to
+        the CSS entry that first derived it (``None``: taken as observed).
+        A member already derived when its turn comes stays derived, so
+        walking back through these entries never cycles."""
+        via: dict[int, int | None] = {}
+        waiting: dict[int, list[int]] = {}  # input -> the entries it feeds
+        remaining: list[int] = []
+        for j, entry in enumerate(self.entries):
+            members = set(entry.inputs)
+            remaining.append(len(members))
+            for k in members:
+                waiting.setdefault(k, []).append(j)
+        seeds = [(e.target, j) for j, e in enumerate(self.entries) if not e.inputs]
+        seeds += [(i, None) for i in observed if i in self.observable]
+        for seed, how in seeds:
+            if seed in via:
+                continue
+            via[seed] = how
+            frontier = [seed]
+            while frontier:
+                for j in waiting.get(frontier.pop(), ()):
+                    remaining[j] -= 1
+                    target = self.entries[j].target
+                    if remaining[j] == 0 and target not in via:
+                        via[target] = j
+                        frontier.append(target)
+        return via
+
     def closure(self, observed: set[int]) -> set[int]:
         """True computability fixpoint from a set of observed statistics."""
-        computable = set(observed) & set(self.observable)
-        # index CSS entries by the inputs they wait on
-        waiting: dict[int, list[int]] = {}
-        remaining: dict[int, int] = {}
-        for j, entry in enumerate(self.entries):
-            missing = [k for k in set(entry.inputs) if k not in computable]
-            remaining[j] = len(missing)
-            for k in missing:
-                waiting.setdefault(k, []).append(j)
-        frontier = list(computable)
-        ready = [
-            j for j, entry in enumerate(self.entries)
-            if remaining[j] == 0 and entry.target not in computable
-        ]
-        while frontier or ready:
-            for j in ready:
-                target = self.entries[j].target
-                if target not in computable:
-                    computable.add(target)
-                    frontier.append(target)
-            ready = []
-            while frontier:
-                k = frontier.pop()
-                for j in waiting.get(k, []):
-                    remaining[j] -= 1
-                    if remaining[j] == 0:
-                        if self.entries[j].target not in computable:
-                            ready.append(j)
-        return computable
+        return set(self.derivation(observed))
 
     def is_sufficient(self, observed: set[int]) -> bool:
         return set(self.required) <= self.closure(observed)

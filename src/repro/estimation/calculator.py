@@ -15,6 +15,7 @@ force.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 from repro.core.css import CSS, CssCatalog
 from repro.core.histogram import Histogram
@@ -86,6 +87,17 @@ class StatisticsCalculator:
     # ------------------------------------------------------------------
     def compute_all(self) -> StatisticsStore:
         """Evaluate every computable statistic (bottom-up fixpoint)."""
+        return self.compute(None)
+
+    def compute(self, targets: Iterable[Statistic] | None) -> StatisticsStore:
+        """Evaluate ``targets`` (``None``: everything computable) and what
+        their derivations pass through, nothing else.
+
+        The fixpoint first runs symbolically -- which CSS derives which
+        statistic, in the order it always had -- so a caller that reads
+        only ``S_C`` does not pay for the joint histograms no required
+        cardinality is derived from.
+        """
         waiting: dict[Statistic, list[CSS]] = {}
         remaining: dict[int, int] = {}
         entries: list[CSS] = [
@@ -99,15 +111,23 @@ class StatisticsCalculator:
                 ready.append(css)
             for s in missing:
                 waiting.setdefault(s, []).append(css)
+        derived: dict[Statistic, CSS] = {}  # in derivation order
         while ready:
             css = ready.popleft()
-            if css.target in self.values:
+            if css.target in self.values or css.target in derived:
                 continue
-            self.values.put(css.target, self._evaluate(css))
+            derived[css.target] = css
             for dependent in waiting.get(css.target, []):
                 remaining[id(dependent)] -= 1
                 if remaining[id(dependent)] == 0:
                     ready.append(dependent)
+        wanted = set(derived if targets is None else targets)
+        for stat in reversed(derived):  # targets before their inputs
+            if stat in wanted:
+                wanted.update(derived[stat].inputs)
+        for stat, css in derived.items():
+            if stat in wanted:
+                self.values.put(stat, self._evaluate(css))
         return self.values
 
     def computable(self, stat: Statistic) -> bool:

@@ -15,13 +15,14 @@ class EstimationError(KeyError):
 class CardinalityEstimator:
     """Derives |e| for every SE from a set of observed statistics.
 
-    The constructor runs the CSS fixpoint once; lookups are O(1) after.
+    The constructor runs the CSS fixpoint once, for ``S_C`` only; lookups
+    are O(1) after.
     """
 
     def __init__(self, catalog: CssCatalog, observed: StatisticsStore):
         self.catalog = catalog
         calculator = StatisticsCalculator(catalog, observed)
-        self.values = calculator.compute_all()
+        self.values = calculator.compute(catalog.required)
 
     def cardinality(self, se: AnySE) -> float:
         stat = Statistic.card(se)

@@ -37,6 +37,21 @@ def _catalog(path, **entries):
     return catalog
 
 
+def _count_catalog_reads(monkeypatch) -> list:
+    """Every parse of a catalog file from here on appends its path."""
+    from repro.catalog import store
+
+    reads: list = []
+    real = store._load_json
+
+    def counting(path, kind):
+        reads.append(path)
+        return real(path, kind)
+
+    monkeypatch.setattr(store, "_load_json", counting)
+    return reads
+
+
 class TestCatalogLock:
     def test_lock_file_created_and_removed(self, tmp_path):
         target = tmp_path / "catalog.json"
@@ -175,6 +190,38 @@ class TestMergeOnSave:
         b.save()  # must fold a's entry in, not clobber it
         merged = StatisticsCatalog.open(path)
         assert set(merged.entries) == {"ka", "kb"}
+
+    def test_interleaved_saver_is_still_merged(self, tmp_path, monkeypatch):
+        """A opens -> B opens, records, saves -> A records, saves: B's save
+        changed the file's identity, so A re-reads it (once) under the lock
+        and the file ends as the union, newer ``observed_at`` winning."""
+        path = tmp_path / "catalog.json"
+        _catalog(path, shared=(1, 100.0), old=(5, 100.0)).save()
+        a = StatisticsCatalog.open(path)
+        b = _catalog(path, kb=(20, 150.0), shared=(2, 300.0), old=(6, 120.0))
+        b.save()
+        reads = _count_catalog_reads(monkeypatch)
+        for key, (value, at) in {"ka": (10, 150.0), "shared": (3, 200.0),
+                                 "old": (7, 130.0)}.items():
+            a.record(key, f"se:{key}", _stat(), value, observed_at=at)
+        a.save()
+        assert len(reads) == 1
+        merged = StatisticsCatalog.open(path)
+        assert {k: e.value() for k, e in merged.entries.items()} == {
+            "ka": 10, "kb": 20, "shared": 2, "old": 7}
+
+    def test_saver_alone_with_the_file_does_not_reread_it(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "catalog.json"
+        _catalog(path, k0=(1, 100.0)).save()
+        reads = _count_catalog_reads(monkeypatch)
+        catalog = _catalog(path, k1=(2, 100.0))  # the one parse
+        catalog.save()
+        catalog.record("k2", "se:k2", _stat(), 3, observed_at=100.0)
+        catalog.save()  # holds what it wrote: still no re-read
+        assert len(reads) == 1
+        assert set(StatisticsCatalog.open(path).entries) == {"k0", "k1", "k2"}
 
     def test_newer_observation_wins_on_both_sides(self, tmp_path):
         path = tmp_path / "catalog.json"

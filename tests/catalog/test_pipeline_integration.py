@@ -7,6 +7,7 @@ from repro.engine.faults import FaultPlan, FaultSpec
 from repro.framework.pipeline import StatisticsPipeline
 from repro.framework.session import EtlSession
 from repro.workloads import case
+from tests.catalog.test_lock import _count_catalog_reads
 
 
 def _permanent(target):
@@ -54,6 +55,21 @@ class TestWarmRuns:
             sources, stats_catalog=StatisticsCatalog.open(path)
         )
         assert warm.tapped == []
+
+    def test_a_night_parses_the_catalog_file_once(self, tmp_path, monkeypatch):
+        """``resolve_stats_catalog`` reads the file; ``save`` finds it
+        unchanged (same inode, size, mtime) and does not read it again."""
+        path = str(tmp_path / "catalog.json")
+        wfcase, pipeline = fresh()
+        sources = wfcase.tables(scale=0.2, seed=7)
+        pipeline.run_once(sources, stats_catalog=path)
+        reads = _count_catalog_reads(monkeypatch)
+        _, pipeline2 = fresh()
+        warm = pipeline2.run_once(sources, stats_catalog=path)
+        assert warm.tapped == [] and warm.catalog_hits
+        assert len(reads) == 1
+        # the night's hit counts reached the file
+        assert sum(e.hits for e in StatisticsCatalog.open(path).entries.values())
 
     def test_cross_workflow_sharing(self, tmp_path):
         catalog = StatisticsCatalog(tmp_path / "shared.json")

@@ -11,7 +11,7 @@ from repro.catalog.store import (
     StatisticsCatalog,
 )
 from repro.core.generator import generate_css
-from repro.core.persistence import PersistenceError
+from repro.core.persistence import PersistenceError, canonical_json
 from repro.core.statistics import Statistic
 from repro.workloads import case
 
@@ -211,7 +211,16 @@ def test_histogram_value_round_trip(tmp_path, wf11):
     entry = next(iter(StatisticsCatalog.open(path).entries.values()))
     assert entry.value() == histogram
 
-    # JSON on disk is sorted and therefore diffable
+    # on disk: the canonical form -- valid JSON, keys sorted, no padding,
+    # one entry per line (a changed entry is a one-line diff), byte-stable
     text = path.read_text()
-    assert json.loads(text)  # valid
-    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+    doc = json.loads(text)
+    compact = dict(sort_keys=True, separators=(",", ":"))
+    lines = text.splitlines()
+    assert lines[:2] == ["{", '"entries":[']
+    assert lines[2] == json.dumps(doc["entries"][0], **compact)
+    assert lines[3:] == ["],", '"format_version":2,',
+                         '"kind":"statistics-catalog"', "}"]
+    assert text == canonical_json(doc)
+    catalog.save()
+    assert path.read_text() == text

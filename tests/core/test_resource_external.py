@@ -15,6 +15,7 @@ from repro.engine.executor import Executor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.estimator import CardinalityEstimator
+from repro.framework.pipeline import StatisticsPipeline
 from repro.workloads import case
 
 SE = SubExpression.of
@@ -186,3 +187,27 @@ class TestExternalStatistics:
         truth = ground_truth_cardinalities(analysis, sources)
         for se, actual in truth.items():
             assert estimator.cardinality(se) == pytest.approx(actual)
+
+    @pytest.mark.parametrize(
+        "number, taps_before", [(9, 15), (11, 36), (25, 18)]
+    )
+    def test_covering_free_statistics_tap_only_what_is_needed(
+        self, number, taps_before
+    ):
+        """Every observable statistic handed in as free derives S_C on its
+        own.  HiGHS used to set every zero-cost ``x_i`` and the night
+        tapped all of them (``taps_before``, measured before the zero-cost
+        presolve); the presolve taps what one derivation rests on."""
+        wfcase = case(number)
+        sources = wfcase.tables(scale=0.2, seed=3)
+        free = set(StatisticsPipeline(wfcase.build()).catalog.observable)
+        assert len(free) == taps_before
+        pipeline = StatisticsPipeline(wfcase.build(), free_statistics=free)
+        report = pipeline.run_once(sources)
+        assert report.selection.method == "ilp"
+        assert report.selection.total_cost == 0.0
+        assert set(report.tapped) <= free
+        assert len(report.tapped) < taps_before
+        truth = ground_truth_cardinalities(report.analysis, sources)
+        for se, actual in truth.items():
+            assert report.estimator.cardinality(se) == pytest.approx(actual)

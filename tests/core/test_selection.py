@@ -163,6 +163,49 @@ class TestSolvers:
         assert result.is_valid
 
 
+class TestZeroCostPresolve:
+    """Zero-cost statistics that already derive S_C: cost 0 is the optimum
+    (costs are non-negative) and HiGHS is not started."""
+
+    def test_cover_is_answered_without_highs(self, monkeypatch):
+        import repro.core.ilp as ilp
+
+        h1 = Statistic.hist(SE("T1"), "a")
+        h2 = Statistic.hist(SE("T2"), "a")
+        c_t1 = Statistic.card(SE("T1"))
+        free = {h1, h2, c_t1}  # |T1| is free too, but H_T1^a derives it
+        problem = build_problem(
+            tiny_catalog(), FixedCost({}), free_statistics=free
+        )
+        monkeypatch.setattr(ilp, "milp", None)  # calling it would raise
+        result = solve_ilp(problem)
+        assert result.method == "ilp" and result.is_valid
+        assert result.total_cost == 0.0
+        assert set(result.observed) <= free
+        assert set(result.observed) == {h1, h2}  # only what S_C rests on
+
+    def test_partial_cover_goes_to_highs(self):
+        h1 = Statistic.hist(SE("T1"), "a")
+        h2 = Statistic.hist(SE("T2"), "a")
+        problem = build_problem(
+            tiny_catalog(), FixedCost({h2: 7.0}), free_statistics={h1}
+        )
+        result = solve_ilp(problem)
+        assert result.method == "ilp" and result.is_valid
+        assert result.total_cost == 7.0
+        assert set(result.observed) == {h1, h2}
+
+    def test_derivation_names_the_supporting_entry(self):
+        problem = build_problem(tiny_catalog(), FixedCost({}))
+        h1 = problem.index[Statistic.hist(SE("T1"), "a")]
+        h2 = problem.index[Statistic.hist(SE("T2"), "a")]
+        via = problem.derivation([h1, h2])
+        assert via[h1] is None and via[h2] is None
+        assert set(via) == problem.closure({h1, h2}) == set(range(problem.n))
+        joined = problem.index[Statistic.card(SE("T1", "T2"))]
+        assert set(problem.entries[via[joined]].inputs) == {h1, h2}
+
+
 class TestSelectStatistics:
     """``repro.core.select_statistics``: build + dispatch, written once."""
 

@@ -10,6 +10,9 @@ Hypothesis drives the seed space (derandomized, so CI is reproducible);
 the workflow generator turns each seed into a random join graph.
 """
 
+import dataclasses
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -52,3 +55,42 @@ def test_greedy_and_ilp_cover_all_cardinalities(seed):
 
     # optimality ordering: the approximation never beats the exact solve
     assert greedy.total_cost >= ilp.total_cost - 1e-9, seed
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**20),
+    share=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+)
+def test_zero_cost_presolve_agrees_with_highs(seed, share):
+    """With some statistics at zero cost, presolve-then-HiGHS pays what
+    HiGHS alone pays.  The reference never presolves: its free statistics
+    cost a negligible epsilon instead of nothing."""
+    workflow, _ = random_workflow(seed)
+    catalog = generate_css(analyze(workflow))
+    observable = sorted(catalog.observable, key=lambda s: s.sort_key())
+    free = set(random.Random(seed).sample(
+        observable, max(1, round(share * len(observable)))))
+    problem = build_problem(
+        catalog, CostModel(workflow.catalog), free_statistics=free
+    )
+    zero = {i for i in problem.observable if problem.costs[i] == 0}
+    assert zero == {problem.index[s] for s in free}
+
+    result = solve_ilp(problem)
+    assert result.method == "ilp" and result.is_valid, seed
+    if problem.is_sufficient(zero):
+        assert result.total_cost == 0, seed
+        assert result.observed_indexes <= zero, seed
+
+    reference = solve_ilp(dataclasses.replace(
+        problem, costs=[cost or 1e-9 for cost in problem.costs]))
+    assert reference.method == "ilp"
+    paid = problem.total_cost(reference.observed_indexes)
+    # two HiGHS runs may stop at different ends of the 1e-4 relative gap
+    assert result.total_cost == pytest.approx(paid, rel=2e-4, abs=1e-6), seed

@@ -515,8 +515,17 @@ class TestDeterministicExport:
         from pathlib import Path
 
         assert Path(a).read_text() == Path(b).read_text()
-        doc = json.loads(Path(a).read_text())
-        assert Path(a).read_text() == json.dumps(doc, indent=1, sort_keys=True)
+        text = Path(a).read_text()
+        doc = json.loads(text)
+        # canonical form: one statistic per line, keys sorted, no padding
+        entries = [
+            json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            for entry in doc["statistics"]
+        ]
+        assert text == (
+            '{\n"format_version":2,\n"statistics":[\n'
+            + ",\n".join(entries) + "\n]\n}\n"
+        )
 
 
 

@@ -26,7 +26,7 @@ from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.instrumentation import TapSet
 from repro.estimation.estimator import CardinalityEstimator
 from repro.estimation.optimizer import PlanOptimizer
@@ -64,7 +64,7 @@ def _strategy_costs():
         trees = block.graph.enumerate_trees(limit=256)
         stale_trees[block.name] = max(trees, key=model.tree_cost)
     analysis = with_plans(analysis, stale_trees)
-    executor = Executor(analysis)
+    executor = BackendExecutor(analysis)
 
     best_trees = {
         name: plan.tree
@@ -93,7 +93,7 @@ def _strategy_costs():
         build_problem(catalog, CostModel(workflow.catalog)), time_limit=20
     )
     taps = TapSet(selection.observed)
-    first = Executor(run1_analysis).run(sources, taps=taps)
+    first = BackendExecutor(run1_analysis).run(sources, taps=taps)
     estimator = CardinalityEstimator(catalog, first.observations)
     our_trees = {
         name: plan.tree

@@ -17,7 +17,7 @@ from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.estimator import CardinalityEstimator
@@ -43,7 +43,7 @@ def _accuracy_sweep():
         )
         sources = wfcase.tables(scale=DATA_SCALE, seed=13)
         taps = TapSet(selection.observed)
-        run = Executor(analysis).run(sources, taps=taps)
+        run = BackendExecutor(analysis).run(sources, taps=taps)
         learned = CardinalityEstimator(catalog, run.observations)
         indep = IndependenceEstimator(analysis, profile_inputs(analysis, run.env))
         truth = ground_truth_cardinalities(analysis, sources)

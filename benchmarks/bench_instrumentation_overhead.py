@@ -24,8 +24,8 @@ from repro.core.generator import generate_css
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
+from repro.engine.backend import BackendExecutor
 from repro.engine.instrumentation import TapSet
-from repro.engine.streaming import StreamExecutor
 from repro.workloads import case
 
 WORKFLOW = 14
@@ -41,7 +41,7 @@ def _overhead():
         build_problem(catalog, CostModel(workflow.catalog)), time_limit=20
     )
     tables = wfcase.tables(scale=DATA_SCALE, seed=19)
-    executor = StreamExecutor(analysis)
+    executor = BackendExecutor(analysis, "streaming")
 
     counter_stats = []
     for block in analysis.blocks:

@@ -16,7 +16,7 @@ import random
 from conftest import write_report
 
 from repro.algebra.blocks import analyze
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.table import Table
 from repro.estimation.costmodel import PlanCostModel
 from repro.framework.pipeline import StatisticsPipeline
@@ -64,7 +64,7 @@ DRIFT = [(0.10, 0.95), (0.30, 0.85), (0.55, 0.60), (0.85, 0.30), (0.98, 0.10)]
 
 
 def _executed_cost(analysis, sources, trees):
-    run = Executor(analysis).run(sources, trees=trees)
+    run = BackendExecutor(analysis).run(sources, trees=trees)
     model = PlanCostModel(dict(run.se_sizes))
     total = 0.0
     for block in analysis.blocks:

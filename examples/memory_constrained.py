@@ -13,7 +13,7 @@ Run:  python examples/memory_constrained.py
 from repro import (
     CardinalityEstimator,
     CostModel,
-    Executor,
+    BackendExecutor,
     GeneratorOptions,
     StatisticsStore,
     TapSet,
@@ -61,7 +61,7 @@ def main() -> None:
     merged = StatisticsStore()
     for i, step in enumerate(tight.steps, start=1):
         taps = TapSet(step.observe)
-        run = Executor(analysis).run(sources, trees=step.trees, taps=taps)
+        run = BackendExecutor(analysis).run(sources, trees=step.trees, taps=taps)
         merged.merge(run.observations)
         print(f"  run {i}: observed {len(step.observe)} statistics "
               f"({step.memory:.0f} units)")

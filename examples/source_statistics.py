@@ -11,7 +11,7 @@ Run:  python examples/source_statistics.py
 from repro import (
     CardinalityEstimator,
     CostModel,
-    Executor,
+    BackendExecutor,
     GeneratorOptions,
     TapSet,
     analyze,
@@ -52,7 +52,7 @@ def main() -> None:
         print(f"  {stat!r}")
 
     taps = TapSet(to_instrument)
-    run = Executor(analysis).run(sources, taps=taps)
+    run = BackendExecutor(analysis).run(sources, taps=taps)
     merged = run.observations
     merged.merge(values)
     estimator = CardinalityEstimator(catalog, merged)

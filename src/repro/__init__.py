@@ -18,7 +18,7 @@ Typical entry points:
   (Section 5 in one call; or its steps :func:`build_problem` +
   :func:`solve_ilp` / :func:`solve_greedy`),
   :class:`~repro.engine.instrumentation.TapSet` +
-  :class:`~repro.engine.executor.Executor` (instrumented runs), and
+  :class:`~repro.engine.backend.BackendExecutor` (instrumented runs), and
   :class:`~repro.estimation.estimator.CardinalityEstimator` +
   :class:`~repro.estimation.optimizer.PlanOptimizer` (Step 7).
 """
@@ -60,13 +60,13 @@ from repro.core.statistics import StatKind, Statistic, StatisticsStore
 from repro.engine.backend import (
     BackendExecutor,
     ExecutionBackend,
+    WorkflowRun,
     available_backends,
     get_backend,
 )
-from repro.engine.executor import Executor, WorkflowRun, execute_workflow
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.instrumentation import TapSet
-from repro.engine.scheduler import ParallelScheduler, RetryPolicy, RunFailure
+from repro.engine.scheduler import RetryPolicy, RunFailure
 from repro.engine.table import Table
 from repro.estimation.estimator import CardinalityEstimator
 from repro.estimation.optimizer import PlanOptimizer, optimize_workflow
@@ -81,9 +81,9 @@ __all__ = [
     "BackendExecutor", "Block", "BlockAnalysis",
     "build_problem", "CardinalityEstimator", "Catalog",
     "ConstrainedSchedule", "CostModel", "CSS", "CssCatalog", "EtlSession",
-    "execute_workflow", "ExecutionBackend", "Executor", "FaultPlan",
+    "ExecutionBackend", "FaultPlan",
     "FaultSpec", "Filter",
-    "generate_css", "get_backend", "ParallelScheduler",
+    "generate_css", "get_backend",
     "GeneratorOptions", "Histogram", "Join", "Materialize",
     "optimize_workflow", "PipelineReport", "plan_constrained",
     "plan_fleet", "PlanOptimizer", "Predicate", "Project",

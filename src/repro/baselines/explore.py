@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.algebra.blocks import Block, BlockAnalysis
 from repro.algebra.expressions import AnySE, SubExpression
 from repro.algebra.plans import PlanTree, internal_ses
-from repro.engine.executor import Executor, WorkflowRun
+from repro.engine.backend import BackendExecutor, WorkflowRun
 from repro.engine.table import Table
 
 #: cap on enumerated candidate plans per block (8-way joins explode)
@@ -122,7 +122,9 @@ class ExploreExploitSession:
 
     def run(self, sources: dict[str, Table]) -> ExplorationStep:
         trees, explored = self.choose_trees()
-        run: WorkflowRun = Executor(self.analysis).run(sources, trees=trees)
+        run: WorkflowRun = BackendExecutor(self.analysis).run(
+            sources, trees=trees
+        )
         before = len(self.known)
         self.known.update(run.se_sizes)
         executed_cost = 0.0

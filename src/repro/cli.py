@@ -9,9 +9,9 @@ console script):
   (Algorithm 1 + the Section 5 selection) and print the chosen set;
 - ``run --number N`` -- execute a suite workflow end to end on a chosen
   execution backend (``--backend columnar|streaming|vectorized|
-  multiprocess``, ``--workers W`` for the parallel block scheduler,
-  ``--shards K`` for multi-process row sharding, which implies the
-  multiprocess backend) and print the observe-and-optimize report.  Resilience flags: ``--faults spec.json``
+  multiprocess``; ``--shards K`` for multi-process row sharding, which
+  selects the multiprocess backend when ``--backend`` is not given) and
+  print the observe-and-optimize report.  Resilience flags: ``--faults spec.json``
   injects a deterministic chaos plan, ``--max-retries N`` and
   ``--block-timeout S`` configure the scheduler's retry/deadline policy,
   ``--resume checkpoint.json`` journals per-block progress to (and, if
@@ -239,6 +239,11 @@ def _cmd_run(args) -> int:
     if args.shards is not None:
         import os
 
+        if args.backend not in (None, "multiprocess"):
+            raise CliError(
+                f"--shards needs the multiprocess backend, "
+                f"not --backend {args.backend}"
+            )
         if args.shards < 1:
             raise CliError(
                 f"--shards must be a positive integer, got {args.shards}"
@@ -266,8 +271,7 @@ def _cmd_run(args) -> int:
     pipeline = StatisticsPipeline(
         workflow,
         solver=args.solver,
-        backend=args.backend,
-        workers=args.workers,
+        backend=args.backend or "columnar",
         shards=args.shards,
         distinct_sketch=args.distinct_sketch,
         sketch_precision=args.sketch_precision,
@@ -284,7 +288,7 @@ def _cmd_run(args) -> int:
     checkpoint = None
     if args.resume:
         checkpoint = RunCheckpoint.open(
-            args.resume, workflow=workflow.name, backend=args.backend
+            args.resume, workflow=workflow.name, backend=pipeline.backend
         )
         if checkpoint.completed:
             print(
@@ -364,8 +368,8 @@ def _cmd_run(args) -> int:
         else ""
     )
     print(
-        f"wf{wfcase.number:02d} {wfcase.name} on backend={pipeline.backend} "
-        f"workers={args.workers}{sharded}{sketched} "
+        f"wf{wfcase.number:02d} {wfcase.name} on "
+        f"backend={pipeline.backend}{sharded}{sketched} "
         f"({total_in} source rows)"
     )
     for name in sorted(report.run.targets):
@@ -718,14 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         choices=available_backends(),
-        default="columnar",
-        help="execution backend for the instrumented run",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel block-scheduler width (1 = serial)",
+        default=None,
+        help="execution backend for the instrumented run (default: "
+        "columnar, or multiprocess when --shards is given)",
     )
     p.add_argument(
         "--distinct-sketch",
@@ -745,8 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="row shards per block for the multiprocess backend "
-        "(implies --backend multiprocess)",
+        help="row shards per block on the multiprocess backend",
     )
     p.add_argument("--scale", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=7)

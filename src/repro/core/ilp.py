@@ -34,8 +34,7 @@ the strongly-connected components of the CSS dependency graph.  Everything
 else is acyclic by construction, so the SCC restriction keeps the MILP
 small (it typically removes >95% of the level rows).
 
-Primary solver: ``scipy.optimize.milp`` (HiGHS).  Without scipy the greedy
-heuristic of Section 5.3 takes over.  HiGHS stops at its default relative
+Solver: ``scipy.optimize.milp`` (HiGHS).  HiGHS stops at its default relative
 gap (``mip_rel_gap`` 1e-4), so ``method == "ilp"`` means optimal *to within
 0.01 %*, not "no cheaper selection exists": wf27 gets 549001603 although
 549000002 is valid (EXPERIMENTS.md).  Presolve: when the zero-cost
@@ -46,18 +45,11 @@ statistics (Section 6.2 source statistics, catalog hits) already derive
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
 
 from repro.core.costs import INFINITE
 from repro.core.selection import SelectionProblem, SelectionResult
-
-try:  # pragma: no cover - exercised implicitly
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csr_matrix
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover
-    HAVE_SCIPY = False
-
 
 def _strongly_connected(problem: SelectionProblem) -> dict[int, int]:
     """Tarjan SCC ids over the CSS dependency graph (target -> inputs).
@@ -127,11 +119,6 @@ def solve_ilp(
     over -- exactly the fallback Section 5.3 motivates ("The LP formulation
     could take a long time to solve").
     """
-    if not HAVE_SCIPY:  # pragma: no cover - scipy is a hard dep in practice
-        from repro.core.greedy import solve_greedy
-
-        return solve_greedy(problem)
-
     # widest histograms first: the I/D rules derive narrower statistics
     # from them, so those are not also taken as observed
     free = [i for i in problem.observable if problem.costs[i] == 0]

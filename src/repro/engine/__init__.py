@@ -4,8 +4,8 @@ There is one execution path (see :mod:`repro.engine.backend`): blocks are
 lowered and run by :mod:`repro.engine.compile`, observed by one
 :class:`TapSet`.  The named backends are configurations of it --
 ``get_backend("columnar" | "streaming" | "vectorized" | "multiprocess")``
-resolves one by name; :class:`BackendExecutor` runs it, optionally
-scheduling independent blocks in parallel.
+resolves one by name; :class:`BackendExecutor` runs it, walking the
+blocks in dependency order.
 """
 
 from repro.engine.backend import (
@@ -15,9 +15,8 @@ from repro.engine.backend import (
     WorkflowRun,
     available_backends,
     get_backend,
-    register_backend,
 )
-from repro.engine.executor import ColumnarBackend, Executor, execute_workflow
+from repro.engine.executor import ColumnarBackend
 from repro.engine.faults import (
     FaultInjector,
     FaultPlan,
@@ -28,26 +27,25 @@ from repro.engine.faults import (
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import InstrumentationError, TapSet
 from repro.engine.scheduler import (
-    ParallelScheduler,
     RetryPolicy,
     RunFailure,
     ScheduleResult,
     SchedulerError,
     classify_error,
-    topological_waves,
+    execute_tasks,
 )
-from repro.engine.streaming import StreamExecutor, StreamingBackend
+from repro.engine.streaming import StreamingBackend
 from repro.engine.table import Table, TableError
 from repro.engine.vectorized import VectorizedBackend
 
 __all__ = [
     "available_backends", "BackendExecutor", "classify_error",
-    "ColumnarBackend", "execute_workflow", "ExecutionBackend", "Executor",
+    "ColumnarBackend", "execute_tasks", "ExecutionBackend",
     "FaultInjector", "FaultPlan", "FaultSpec", "get_backend",
     "ground_truth_cardinalities", "InstrumentationError",
-    "ParallelScheduler", "PermanentFault", "register_backend", "RetryPolicy",
+    "PermanentFault", "RetryPolicy",
     "RunContext", "RunFailure", "ScheduleResult", "SchedulerError",
-    "StreamExecutor", "StreamingBackend", "Table",
-    "TableError", "TapSet", "topological_waves", "TransientFault",
+    "StreamingBackend", "Table",
+    "TableError", "TapSet", "TransientFault",
     "VectorizedBackend", "WorkflowRun",
 ]

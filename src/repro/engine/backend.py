@@ -11,20 +11,18 @@ kind of instrumentation (:class:`~repro.engine.instrumentation.TapSet`).
 
 An :class:`ExecutionBackend` is a named *configuration* of that path --
 its :class:`~repro.engine.compile.CompiledProfile` says how rows are
-batched (whole columns, or bounded chunks for ``streaming``) and which
-gather rung moves them -- plus the hooks a sharding backend needs to run
-the same path inside worker processes.
+batched (whole columns, or bounded chunks for ``streaming``) -- plus the
+hooks a sharding backend needs to run the same path inside worker
+processes.
 
 :class:`BackendExecutor` is the plan-walking core: it checks the sources,
-turns blocks and boundaries into dependency tasks, runs them through a
-:class:`~repro.engine.scheduler.ParallelScheduler` (serially by default,
-concurrently with ``workers > 1``), applies boundary operators, and
-collects the observations.
+turns blocks and boundaries into dependency tasks, runs them in
+dependency order (:func:`~repro.engine.scheduler.execute_tasks`), applies
+boundary operators, and collects the observations.
 
-Backends register by name; :func:`get_backend` resolves ``"columnar"``,
-``"streaming"``, ``"vectorized"`` and ``"multiprocess"`` lazily so the
-framework, the CLI and the benchmarks can thread a backend choice around
-as a plain string.
+:func:`get_backend` resolves ``"columnar"``, ``"streaming"``,
+``"vectorized"`` and ``"multiprocess"`` so the framework, the CLI and the
+benchmarks can thread a backend choice around as a plain string.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.algebra.blocks import Block, BlockAnalysis, BoundaryOp
 from repro.algebra.expressions import AnySE, RejectSE, SubExpression
@@ -45,15 +43,14 @@ from repro.engine.compile import (
     CompiledProfile,
     PlanCache,
     compile_block,
-    make_engine,
 )
 from repro.engine.instrumentation import TapSet
 from repro.engine.scheduler import (
-    ParallelScheduler,
     RetryPolicy,
     RunFailure,
     SchedulerError,
     Task,
+    execute_tasks,
 )
 from repro.engine.table import Table, TableError
 
@@ -111,8 +108,8 @@ class WorkflowRun:
 class RunContext:
     """Per-run state shared by the core and the block runtime.
 
-    ``lock`` serializes writes to the run-wide mutable maps when blocks
-    execute on scheduler threads.
+    ``lock`` serializes writes to the run-wide mutable maps: a timed-out
+    attempt's abandoned thread can still be running beside its retry.
 
     ``tracer`` (optional) records an instant *operator point* for every
     plan point a block materializes -- actual rows, the prior estimate
@@ -189,7 +186,7 @@ class ExecutionBackend:
 
     #: registry key; also used for per-backend cost-model constants
     name: str = "abstract"
-    #: how the runtime batches and gathers rows under this backend
+    #: how the runtime batches rows under this backend
     profile = CompiledProfile()
 
     def make_taps(self, stats: Iterable = ()) -> TapSet:
@@ -246,10 +243,7 @@ class ExecutionBackend:
                     cache_hits=int(hit),
                     cache_misses=int(not hit),
                 )
-        runner = CompiledBlockRunner(
-            program, block, self.profile, make_engine(self.profile.gather)
-        )
-        return runner.execute(ctx)
+        return CompiledBlockRunner(program, block, self.profile).execute(ctx)
 
 
 class BackendExecutor:
@@ -265,7 +259,6 @@ class BackendExecutor:
         self,
         analysis: BlockAnalysis,
         backend: "ExecutionBackend | str | None" = None,
-        workers: int = 1,
         *,
         plan_cache: "PlanCache | None" = None,
     ):
@@ -275,7 +268,6 @@ class BackendExecutor:
         if isinstance(backend, str):
             backend = get_backend(backend)
         self.backend = backend
-        self.workers = max(int(workers), 1)
         #: an executor's own cache when none is injected, so a long-lived
         #: executor gets warm-cache behaviour for free
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -412,7 +404,7 @@ class BackendExecutor:
             policy = RetryPolicy()  # capture failures; no retries by default
 
         try:
-            result = ParallelScheduler(self.workers).execute(
+            result = execute_tasks(
                 tasks,
                 available=set(run.env),
                 policy=policy,
@@ -506,51 +498,35 @@ def contract_tokens(quality) -> dict[str, str]:
     }
 
 
-# ---------------------------------------------------------------------------
-# backend registry
-# ---------------------------------------------------------------------------
+def _backends() -> "dict[str, type[ExecutionBackend]]":
+    # imported here: each of these modules subclasses ExecutionBackend
+    from repro.engine.dist import MultiprocessBackend
+    from repro.engine.executor import ColumnarBackend
+    from repro.engine.streaming import StreamingBackend
+    from repro.engine.vectorized import VectorizedBackend
 
-_REGISTRY: dict[str, Callable[[], ExecutionBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
-    """Register a backend factory under ``name`` (overrides allowed)."""
-    _REGISTRY[name] = factory
-
-
-def _builtin_factories() -> None:
-    if "columnar" not in _REGISTRY:
-        from repro.engine.executor import ColumnarBackend
-
-        register_backend("columnar", ColumnarBackend)
-    if "streaming" not in _REGISTRY:
-        from repro.engine.streaming import StreamingBackend
-
-        register_backend("streaming", StreamingBackend)
-    if "vectorized" not in _REGISTRY:
-        from repro.engine.vectorized import VectorizedBackend
-
-        register_backend("vectorized", VectorizedBackend)
-    if "multiprocess" not in _REGISTRY:
-        from repro.engine.dist import MultiprocessBackend
-
-        register_backend("multiprocess", MultiprocessBackend)
+    return {
+        cls.name: cls
+        for cls in (
+            ColumnarBackend,
+            MultiprocessBackend,
+            StreamingBackend,
+            VectorizedBackend,
+        )
+    }
 
 
 def available_backends() -> list[str]:
-    """Names of every registered backend."""
-    _builtin_factories()
-    return sorted(_REGISTRY)
+    """Names :func:`get_backend` resolves."""
+    return sorted(_backends())
 
 
 def get_backend(name: str) -> ExecutionBackend:
     """Resolve a backend name to a fresh backend instance."""
-    _builtin_factories()
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
+    cls = _backends().get(name)
+    if cls is None:
         raise TableError(
             f"unknown execution backend {name!r}; "
             f"available: {available_backends()}"
-        ) from None
-    return factory()
+        )
+    return cls()

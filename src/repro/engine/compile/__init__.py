@@ -2,8 +2,7 @@
 
 Every optimizable block executes the same way: it is lowered once to a
 physical-operator IR (:mod:`.lower`, :mod:`.ir`), with unary-operator
-chains fused into whole-column kernels on a numba -> numpy -> pure-Python
-gather ladder (:mod:`.accel`), cached keyed by
+chains fused into whole-column kernels over plain lists, cached keyed by
 :class:`~repro.catalog.signatures.WorkflowSigner` signatures so warm runs
 skip lowering entirely (:mod:`.cache`; schema-drift events and contract
 changes invalidate affected entries), and run over column batches by
@@ -13,7 +12,6 @@ changes invalidate affected entries), and run over column batches by
 
 from __future__ import annotations
 
-from repro.engine.compile.accel import accel_backend, make_engine
 from repro.engine.compile.cache import PlanCache
 from repro.engine.compile.ir import (
     BlockProgram,
@@ -43,9 +41,7 @@ __all__ = [
     "JoinIR",
     "ObservationBuffer",
     "PlanCache",
-    "accel_backend",
     "block_source_deps",
     "compile_block",
     "lower_block",
-    "make_engine",
 ]

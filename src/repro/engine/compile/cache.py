@@ -82,7 +82,6 @@ class PlanCache:
             ),
             "backend": backend,
             "chunk": profile.chunk_rows,
-            "gather": profile.gather,
             "canon": profile.canonical_output,
             "ctx": sorted(
                 [src, context_tokens[src]]

@@ -91,16 +91,13 @@ class CompiledProfile:
     """How a backend wants its compiled plans executed.
 
     ``chunk_rows`` turns whole-column execution into batched execution
-    over row chunks (the streaming backend's mode); ``gather`` picks the
-    gather engine rung (``"auto"`` climbs the numba -> numpy -> Python
-    ladder, ``"python"`` pins the reference rung);
+    over row chunks (the streaming backend's mode);
     ``canonical_output`` emits block outputs and reject tables in the
     block's canonical (sorted) attribute order -- the streaming
     backend's column order.
     """
 
     chunk_rows: Optional[int] = None
-    gather: str = "auto"  # "auto" | "python"
     canonical_output: bool = False
 
 

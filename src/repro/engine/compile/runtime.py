@@ -1,9 +1,9 @@
 """Batched execution of lowered block programs: the engine's one runtime.
 
 One :class:`CompiledBlockRunner` executes one lowered block over column
-*batches* -- a ``(columns dict, row count)`` pair.  Whole-column profiles
-(columnar, vectorized) run a single batch per input; the streaming
-profile slices inputs into bounded row chunks, so joins probe and
+*batches* -- a ``(columns dict, row count)`` pair of plain lists.  The
+whole-column profile (columnar) runs a single batch per input; the
+streaming profile slices inputs into bounded row chunks, so joins probe and
 instrumentation accumulates incrementally -- the paper's per-tuple
 handlers (Section 3.2.5), a few thousand tuples per call.
 
@@ -68,19 +68,32 @@ def _concat(parts: "list[Batch]") -> "Batch":
     for cols, cn in parts:
         n += cn
         for a, acc in out.items():
-            col = cols[a]
-            acc.extend(col if isinstance(col, list) else list(col))
+            acc.extend(cols[a])
     return out, n
 
 
-def _keys_of(cols: dict, key: tuple, engine) -> list:
+def _take(cols: dict, index: list) -> dict:
+    """Every column gathered through one index list."""
+    return {a: [col[i] for i in index] for a, col in cols.items()}
+
+
+def _gather_pair(lcols: dict, rcols: dict, li: list, ri: list) -> dict:
+    """Join output: left columns through ``li``, right extras through ``ri``."""
+    out = _take(lcols, li)
+    for a, col in rcols.items():
+        if a not in out:
+            out[a] = [col[i] for i in ri]
+    return out
+
+
+def _keys_of(cols: dict, key: tuple) -> list:
     """Join-key probe values: raw values for single keys, tuples else."""
     if len(key) == 1:
-        return engine.aslist(_col(cols, key[0]))
-    return list(zip(*(engine.aslist(_col(cols, a)) for a in key)))
+        return _col(cols, key[0])
+    return list(zip(*(_col(cols, a) for a in key)))
 
 
-def _build_side(cols: dict, key: tuple, engine) -> tuple[dict, bool]:
+def _build_side(cols: dict, key: tuple) -> tuple[dict, bool]:
     """Hash-build one side; detects unique keys for the fast probe path.
 
     Stored values are row indexes (unique) or index lists (duplicates);
@@ -88,7 +101,7 @@ def _build_side(cols: dict, key: tuple, engine) -> tuple[dict, bool]:
     """
     build: dict = {}
     unique = True
-    for idx, kv in enumerate(_keys_of(cols, key, engine)):
+    for idx, kv in enumerate(_keys_of(cols, key)):
         cur = build.get(kv)
         if cur is None and kv not in build:
             build[kv] = idx
@@ -108,9 +121,7 @@ def _build_side(cols: dict, key: tuple, engine) -> tuple[dict, bool]:
 def _reject_table(cols: dict, attr_order: Optional[tuple]) -> Table:
     if attr_order is not None:
         cols = {a: _col(cols, a) for a in attr_order}
-    return Table.wrap(
-        {a: (c if isinstance(c, list) else list(c)) for a, c in cols.items()}
-    )
+    return Table.wrap(cols)
 
 
 class ObservationBuffer:
@@ -149,7 +160,7 @@ class ObservationBuffer:
         )
         self.record(se, n, columns)
 
-    def add_selected(self, se: AnySE, n: int, base: dict, sel, engine) -> None:
+    def add_selected(self, se: AnySE, n: int, base: dict, sel) -> None:
         """Observe a mid-filter-run point without materializing it: value
         columns (if any are tapped) gather through the selection vector."""
         attrs = self.value_attrs(se)
@@ -158,11 +169,8 @@ class ObservationBuffer:
             if sel is None:
                 columns = {a: base[a] for a in attrs if a in base}
             else:
-                idx = engine.index(sel)
                 columns = {
-                    a: engine.gather(base[a], idx)
-                    for a in attrs
-                    if a in base
+                    a: [base[a][i] for i in sel] for a in attrs if a in base
                 }
         self.record(se, n, columns)
 
@@ -188,12 +196,10 @@ class CompiledBlockRunner:
         program: BlockProgram,
         block: Block,
         profile: CompiledProfile,
-        engine,
     ):
         self.program = program
         self.block = block
         self.profile = profile
-        self.engine = engine
 
     # ------------------------------------------------------------------
     def execute(self, ctx) -> Table:
@@ -260,7 +266,6 @@ class CompiledBlockRunner:
         only the predicate columns are touched until the run ends, at
         which point every surviving column materializes in one gather.
         """
-        engine = self.engine
         i = 0
         total = len(steps)
         while i < total:
@@ -273,40 +278,23 @@ class CompiledBlockRunner:
                     fn = st.fn
                     col = _col(base, st.attrs[0])
                     if sel is None:
-                        values = engine.aslist(col)
-                    else:
-                        values = engine.aslist(
-                            engine.gather(col, engine.index(sel))
-                        )
-                    keep = [j for j, v in enumerate(values) if fn(v)]
+                        keep = [j for j, v in enumerate(col) if fn(v)]
+                    else:  # absolute indexes of the nested selection
+                        keep = [j for j in sel if fn(col[j])]
                     if len(keep) != n:
-                        sel = (
-                            keep
-                            if sel is None
-                            else engine.compose(sel, keep)
-                        )
+                        sel = keep
                         n = len(keep)
                     if st.se is not None:
-                        obs.add_selected(st.se, n, base, sel, engine)
+                        obs.add_selected(st.se, n, base, sel)
                     i += 1
-                if sel is not None:
-                    idx = engine.index(sel)
-                    cols = {
-                        a: engine.gather(c, idx) for a, c in base.items()
-                    }
-                else:
-                    cols = base
+                cols = base if sel is None else _take(base, sel)
                 continue
             if step.kind == "transform":
+                fn = step.fn
                 if len(step.attrs) == 1:
-                    src = engine.aslist(_col(cols, step.attrs[0]))
-                    fn = step.fn
-                    values = [fn(v) for v in src]
+                    values = [fn(v) for v in _col(cols, step.attrs[0])]
                 else:
-                    srcs = [
-                        engine.aslist(_col(cols, a)) for a in step.attrs
-                    ]
-                    fn = step.fn
+                    srcs = [_col(cols, a) for a in step.attrs]
                     values = [fn(vals) for vals in zip(*srcs)]
                 cols = dict(cols)
                 cols[step.out_attr] = values
@@ -321,9 +309,8 @@ class CompiledBlockRunner:
     def _join(
         self, jir: JoinIR, ctx, obs: ObservationBuffer, wanted: set
     ) -> Iterator["Batch"]:
-        engine = self.engine
         rcols, rn = _concat(list(self._exec(jir.right, ctx, obs, wanted)))
-        build, unique = _build_side(rcols, jir.key, engine)
+        build, unique = _build_side(rcols, jir.key)
 
         want_l = jir.rej_left in wanted
         want_r = jir.rej_right in wanted
@@ -335,21 +322,21 @@ class CompiledBlockRunner:
         for lcols, ln in self._exec(jir.left, ctx, obs, wanted):
             if left_attrs is None:
                 left_attrs = tuple(lcols)
-            probe = _keys_of(lcols, jir.key, engine)
+            probe = _keys_of(lcols, jir.key)
             if unique and not track:
                 ris = list(map(build.get, probe))
                 if None not in ris:
                     # every probe hit a unique build row: the left side
                     # passes through untouched, only right extras gather
                     out = dict(lcols)
-                    ridx = engine.index(ris)
                     for a, col in rcols.items():
                         if a not in out:
-                            out[a] = engine.gather(col, ridx)
+                            out[a] = [col[i] for i in ris]
                     on = ln
                 else:
-                    li, ri = engine.split_hits(ris)
-                    out = self._gather_pair(lcols, rcols, li, ri)
+                    li = [i for i, r in enumerate(ris) if r is not None]
+                    ri = [r for r in ris if r is not None]
+                    out = _gather_pair(lcols, rcols, li, ri)
                     on = len(li)
             else:
                 li_idx: list[int] = []
@@ -377,19 +364,10 @@ class CompiledBlockRunner:
                         ri_idx.extend(bucket)
                         if want_r:
                             matched_right.update(bucket)
-                out = self._gather_pair(lcols, rcols, li_idx, ri_idx)
+                out = _gather_pair(lcols, rcols, li_idx, ri_idx)
                 on = len(li_idx)
                 if want_l and rejl:
-                    idx = engine.index(rejl)
-                    rej_left_parts.append(
-                        (
-                            {
-                                a: engine.gather(c, idx)
-                                for a, c in lcols.items()
-                            },
-                            len(rejl),
-                        )
-                    )
+                    rej_left_parts.append((_take(lcols, rejl), len(rejl)))
             out, on = self._segment(out, on, jir.floating, obs)
             obs.add(jir.se, on, out)
             yield out, on
@@ -408,24 +386,13 @@ class CompiledBlockRunner:
             obs.add_reject(jir.rej_left, _reject_table(cols, order))
         if want_r:
             unmatched = [i for i in range(rn) if i not in matched_right]
-            idx = engine.index(unmatched)
-            cols = {a: engine.gather(c, idx) for a, c in rcols.items()}
+            cols = _take(rcols, unmatched)
             order = (
                 tuple(self.block.se_attrs(jir.rej_right.source))
                 if canonical
                 else None
             )
             obs.add_reject(jir.rej_right, _reject_table(cols, order))
-
-    def _gather_pair(self, lcols: dict, rcols: dict, li, ri) -> dict:
-        engine = self.engine
-        li = engine.index(li)
-        ri = engine.index(ri)
-        out = {a: engine.gather(c, li) for a, c in lcols.items()}
-        for a, col in rcols.items():
-            if a not in out:
-                out[a] = engine.gather(col, ri)
-        return out
 
 
 __all__ = [

@@ -4,11 +4,10 @@ Block analysis (Section 3.2.1) cuts a workflow into optimizable blocks
 joined by boundary operators.  The resulting dependency structure is a DAG
 over environment names: each block consumes its input feeds and provides
 its output record-set, each boundary consumes one feed and provides one.
-The executors used to walk that DAG with an inlined readiness loop; this
-module extracts the walk so it can also run *in parallel* -- independent
-blocks (different sources, different branches of a multi-target flow)
-execute concurrently on a thread pool, which is the seam later
-multi-process and distributed schedulers plug into.
+This module walks that DAG serially, in dependency order: the block
+kernels are pure Python, so a thread pool over independent blocks bought
+nothing under the GIL (measured in EXPERIMENTS.md); parallelism lives in
+the row-sharding backend (:mod:`repro.engine.dist`), below this walk.
 
 The paper's premise makes fault tolerance non-optional: ETL sources (flat
 files, foreign DBMSs) are outside the engine's control and fail mid-run in
@@ -23,24 +22,20 @@ independent task still runs, and the caller receives a
 
 Entry points:
 
-- :func:`topological_waves` -- a pure analysis of the task DAG into
-  execution waves (every task in wave *i* depends only on waves ``< i``);
-- :func:`classify_error` -- transient-vs-permanent triage for worker
+- :func:`classify_error` -- transient-vs-permanent triage for task
   exceptions (duck-typed on a ``transient`` attribute, so the fault
   harness and real I/O errors classify uniformly);
-- :class:`ParallelScheduler` -- executes a task list respecting the
-  dependencies; ``max_workers <= 1`` degrades to the deterministic serial
-  walk, ``max_workers > 1`` uses ``concurrent.futures`` with greedy
-  dispatch (a task starts the moment its inputs exist, not when its wave
-  starts).  Without a policy, worker exceptions propagate unchanged.
+- :func:`execute_tasks` -- runs a task list once each, a task starting
+  only after everything it requires exists.  Without a policy, task
+  exceptions propagate unchanged.
 
-Tracing: ``execute`` accepts an optional
+Tracing: :func:`execute_tasks` accepts an optional
 :class:`~repro.obs.trace.Tracer`.  When enabled, every task gets a span
 (kind from ``Task.kind``) annotated with its outcome, attempt count and
 failure details, plus a ``retry`` point per failed attempt -- the span
 is the thread-local parent while the task function runs, so per-operator
 points emitted inside a block land under it.  With ``tracer=None``
-(the default) the scheduler's hot path is exactly the untraced walk.
+(the default) the hot path is exactly the untraced walk.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -74,7 +68,7 @@ TRANSIENT_ERROR_TYPES = (
 
 
 def classify_error(exc: BaseException) -> str:
-    """``"transient"`` or ``"permanent"`` triage for a worker exception.
+    """``"transient"`` or ``"permanent"`` triage for a task exception.
 
     An exception may self-classify through a boolean ``transient``
     attribute (the fault harness' :class:`~repro.engine.faults.TransientFault`
@@ -96,10 +90,10 @@ class RetryPolicy:
     ``max_retries`` counts *re*-tries: a task gets ``1 + max_retries``
     attempts before its failure is recorded.  Backoff between attempts is
     exponential (``base_delay * 2^n`` capped at ``max_delay``) with a
-    deterministic seeded jitter so concurrent retries of different blocks
-    do not stampede a recovering source in lockstep.  ``block_timeout``
+    deterministic seeded jitter so retries from several pipelines do not
+    hit a recovering source in lockstep.  ``block_timeout``
     bounds each attempt's wall time; a timed-out attempt counts as
-    transient (the worker thread is abandoned, so timed-out block
+    transient (the attempt's thread is abandoned, so timed-out block
     functions must be side-effect-safe, which ours are: a block publishes
     its output only on success).
     """
@@ -119,8 +113,8 @@ class RetryPolicy:
         return delay * (1.0 + self.jitter * rng.random())
 
     def rng_for(self, task_name: str) -> random.Random:
-        """Per-task RNG: jitter is deterministic regardless of how the
-        scheduler interleaves concurrent tasks."""
+        """Per-task RNG: a task's jitter does not depend on which other
+        tasks retried before it."""
         return random.Random(f"{self.seed}:{task_name}")
 
 
@@ -130,10 +124,8 @@ class RunFailure:
 
     ``kind`` is ``"permanent"`` (non-retryable error), ``"transient"``
     (retryable but the retry budget ran out), ``"timeout"`` (the final
-    attempt hit the deadline), ``"skipped"`` (a requirement's producer
-    failed, listed in ``missing``) or ``"pool-exhausted"`` (the worker
-    pool refused the task -- it was shut down, typically because the
-    process is tearing down mid-run).
+    attempt hit the deadline) or ``"skipped"`` (a requirement's producer
+    failed, listed in ``missing``).
     """
 
     task: str
@@ -180,327 +172,211 @@ class Task:
     kind: str = "task"
 
 
-def topological_waves(
-    tasks: Sequence[Task], available: Iterable[str] = ()
-) -> list[list[Task]]:
-    """Partition tasks into dependency waves (wave 0 is immediately ready).
+
+
+def _run_attempt(task: Task, policy: RetryPolicy, tracer=None, span=None) -> None:
+    """One attempt, bounded by the policy's deadline if it has one."""
+    if policy.block_timeout is None:
+        task.fn()
+        return
+    outcome: list[BaseException] = []
+    finished = threading.Event()
+
+    def runner() -> None:
+        try:
+            # the attempt runs on its own thread: re-activate the task
+            # span there so operator points parent correctly
+            if tracer is not None and span is not None:
+                with tracer.activate(span):
+                    task.fn()
+            else:
+                task.fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome.append(exc)
+        finally:
+            finished.set()
+
+    worker = threading.Thread(
+        target=runner, name=f"attempt-{task.name}", daemon=True
+    )
+    worker.start()
+    if not finished.wait(policy.block_timeout):
+        raise BlockTimeout(
+            f"block {task.name!r} exceeded its "
+            f"{policy.block_timeout:g}s deadline"
+        )
+    if outcome:
+        raise outcome[0]
+
+
+def _run_with_retries(
+    task: Task, policy: RetryPolicy, tracer=None, span=None
+) -> RunFailure | None:
+    """Attempt ``task`` until success or budget exhaustion."""
+    rng = policy.rng_for(task.name)
+    start = time.perf_counter()
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            _run_attempt(task, policy, tracer, span)
+            if span is not None and attempts > 1:
+                span.annotate(attempts=attempts, retried=True)
+            return None
+        except Exception as exc:  # noqa: BLE001 - classified below
+            timed_out = isinstance(exc, BlockTimeout)
+            kind = "timeout" if timed_out else policy.classify(exc)
+            retryable = kind != "permanent"
+            if not retryable or attempts > policy.max_retries:
+                return RunFailure(
+                    task=task.name,
+                    kind=kind,
+                    error=str(exc),
+                    error_type=type(exc).__name__,
+                    attempts=attempts,
+                    elapsed=time.perf_counter() - start,
+                )
+            if tracer is not None:
+                tracer.point(
+                    "retry",
+                    kind="retry",
+                    parent=span,
+                    attempt=attempts,
+                    failure_kind=kind,
+                    error=str(exc),
+                )
+            policy.sleep(policy.backoff(attempts - 1, rng))
+
+
+def _run_task(
+    task: Task,
+    policy: RetryPolicy | None,
+    tracer=None,
+    trace_parent=None,
+) -> RunFailure | None:
+    """One task, traced when a tracer is armed.
+
+    The span is opened on the calling thread, so it is the thread-local
+    parent for everything the task function records.
+    """
+    if tracer is None:
+        if policy is None:
+            task.fn()
+            return None
+        return _run_with_retries(task, policy)
+    span = tracer.start(task.name, kind=task.kind, parent=trace_parent)
+    try:
+        if policy is None:
+            task.fn()
+            failure = None
+        else:
+            failure = _run_with_retries(task, policy, tracer, span)
+    except BaseException as exc:
+        tracer.end(
+            span, outcome="error", error=f"{type(exc).__name__}: {exc}"
+        )
+        raise
+    if failure is None:
+        tracer.end(span, outcome="ok")
+    else:
+        tracer.end(
+            span,
+            outcome=failure.kind,
+            error=failure.error,
+            attempts=failure.attempts,
+        )
+    return failure
+
+
+def _skip_dependents(
+    pending: list[Task],
+    failed_provides: dict[str, str],
+    result: ScheduleResult,
+) -> None:
+    """Remove (to fixpoint) every pending task downstream of a failure."""
+    changed = True
+    while changed:
+        changed = False
+        for task in list(pending):
+            bad = tuple(r for r in task.requires if r in failed_provides)
+            if bad:
+                result.failures[task.name] = RunFailure(
+                    task=task.name,
+                    kind="skipped",
+                    error=(
+                        "not run: requirement(s) produced by failed "
+                        f"task(s) {sorted({failed_provides[r] for r in bad})}"
+                    ),
+                    error_type="SkippedTask",
+                    attempts=0,
+                    elapsed=0.0,
+                    missing=bad,
+                )
+                failed_provides[task.provides] = task.name
+                pending.remove(task)
+                changed = True
+
+
+def execute_tasks(
+    tasks: Sequence[Task],
+    available: Iterable[str] = (),
+    policy: RetryPolicy | None = None,
+    tracer=None,
+    trace_parent=None,
+) -> ScheduleResult:
+    """Run every task exactly once, honouring ``requires``/``provides``.
+
+    ``available`` seeds the set of already-existing names (the source
+    tables).  Task functions perform their own output publication; the
+    walk only tracks readiness.
+
+    Without a ``policy`` a task exception propagates to the caller
+    unchanged (the historical contract).  With one, failing attempts
+    are retried per the policy and the final outcome is captured in
+    the returned :class:`ScheduleResult`; tasks whose requirements
+    were produced by a failed task are recorded as ``skipped`` and the
+    rest of the graph still executes.
+
+    ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records one span
+    per task under ``trace_parent``, annotated with outcome, attempts
+    and failure details; skipped tasks become instant points.
 
     Raises :class:`SchedulerError` if some task can never run -- either a
     dependency cycle or a requirement nothing provides.
     """
+    if tracer is not None and not tracer.enabled:
+        tracer = None
     done = set(available)
+    result = ScheduleResult()
+    failed_provides: dict[str, str] = {}
     pending = list(tasks)
-    waves: list[list[Task]] = []
     while pending:
-        wave = [t for t in pending if all(r in done for r in t.requires)]
-        if not wave:
-            stuck = {t.name: [r for r in t.requires if r not in done] for t in pending}
-            raise SchedulerError(
-                f"task graph deadlocked; unsatisfiable dependencies: {stuck}"
-            )
-        waves.append(wave)
-        done.update(t.provides for t in wave)
-        pending = [t for t in pending if t not in wave]
-    return waves
-
-
-class ParallelScheduler:
-    """Executes a dependency-ordered task list, optionally concurrently."""
-
-    def __init__(self, max_workers: int = 1):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-
-    def execute(
-        self,
-        tasks: Sequence[Task],
-        available: Iterable[str] = (),
-        policy: RetryPolicy | None = None,
-        tracer=None,
-        trace_parent=None,
-    ) -> ScheduleResult:
-        """Run every task exactly once, honouring ``requires``/``provides``.
-
-        ``available`` seeds the set of already-existing names (the source
-        tables).  Task functions perform their own output publication; the
-        scheduler only tracks readiness.
-
-        Without a ``policy`` a worker exception propagates to the caller
-        unchanged (the historical contract).  With one, failing attempts
-        are retried per the policy and the final outcome is captured in
-        the returned :class:`ScheduleResult`; tasks whose requirements
-        were produced by a failed task are recorded as ``skipped`` and the
-        rest of the graph still executes.
-
-        ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records one span
-        per task under ``trace_parent``, annotated with outcome, attempts
-        and failure details; skipped tasks become instant points.
-        """
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        if self.max_workers <= 1:
-            result = self._execute_serial(
-                tasks, set(available), policy, tracer, trace_parent
-            )
-        else:
-            result = self._execute_parallel(
-                tasks, set(available), policy, tracer, trace_parent
-            )
-        if tracer is not None:
-            for failure in result.failures.values():
-                if failure.kind == "skipped":
-                    tracer.point(
-                        failure.task,
-                        kind="skipped",
-                        parent=trace_parent,
-                        missing=list(failure.missing),
-                    )
-        return result
-
-    # ------------------------------------------------------------------
-    # attempt loop (shared by serial and parallel modes)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _run_attempt(task: Task, policy: RetryPolicy, tracer=None,
-                     span=None) -> None:
-        """One attempt, bounded by the policy's deadline if it has one."""
-        if policy.block_timeout is None:
-            task.fn()
-            return
-        outcome: list[BaseException] = []
-        finished = threading.Event()
-
-        def runner() -> None:
-            try:
-                # the attempt runs on its own thread: re-activate the task
-                # span there so operator points parent correctly
-                if tracer is not None and span is not None:
-                    with tracer.activate(span):
-                        task.fn()
+        if policy is not None:
+            _skip_dependents(pending, failed_provides, result)
+        progressed = not pending
+        for task in list(pending):
+            if all(r in done for r in task.requires):
+                failure = _run_task(task, policy, tracer, trace_parent)
+                if failure is None:
+                    done.add(task.provides)
+                    result.completed.append(task.name)
                 else:
-                    task.fn()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                outcome.append(exc)
-            finally:
-                finished.set()
-
-        worker = threading.Thread(
-            target=runner, name=f"attempt-{task.name}", daemon=True
-        )
-        worker.start()
-        if not finished.wait(policy.block_timeout):
-            raise BlockTimeout(
-                f"block {task.name!r} exceeded its "
-                f"{policy.block_timeout:g}s deadline"
-            )
-        if outcome:
-            raise outcome[0]
-
-    @classmethod
-    def _run_with_retries(
-        cls, task: Task, policy: RetryPolicy, tracer=None, span=None
-    ) -> RunFailure | None:
-        """Attempt ``task`` until success or budget exhaustion."""
-        rng = policy.rng_for(task.name)
-        start = time.perf_counter()
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                cls._run_attempt(task, policy, tracer, span)
-                if span is not None and attempts > 1:
-                    span.annotate(attempts=attempts, retried=True)
-                return None
-            except Exception as exc:  # noqa: BLE001 - classified below
-                timed_out = isinstance(exc, BlockTimeout)
-                kind = "timeout" if timed_out else policy.classify(exc)
-                retryable = kind != "permanent"
-                if not retryable or attempts > policy.max_retries:
-                    return RunFailure(
-                        task=task.name,
-                        kind=kind,
-                        error=str(exc),
-                        error_type=type(exc).__name__,
-                        attempts=attempts,
-                        elapsed=time.perf_counter() - start,
-                    )
-                if tracer is not None:
-                    tracer.point(
-                        "retry",
-                        kind="retry",
-                        parent=span,
-                        attempt=attempts,
-                        failure_kind=kind,
-                        error=str(exc),
-                    )
-                policy.sleep(policy.backoff(attempts - 1, rng))
-
-    def _run_task(
-        self,
-        task: Task,
-        policy: RetryPolicy | None,
-        tracer=None,
-        trace_parent=None,
-    ) -> RunFailure | None:
-        """One task, traced when a tracer is armed.
-
-        Runs on the calling thread (serial mode) or a pool thread
-        (parallel mode); either way the span is opened on the executing
-        thread, so it is the thread-local parent for everything the task
-        function records.
-        """
-        if tracer is None:
-            if policy is None:
-                task.fn()
-                return None
-            return self._run_with_retries(task, policy)
-        span = tracer.start(task.name, kind=task.kind, parent=trace_parent)
-        try:
-            if policy is None:
-                task.fn()
-                failure = None
-            else:
-                failure = self._run_with_retries(task, policy, tracer, span)
-        except BaseException as exc:
-            tracer.end(
-                span, outcome="error", error=f"{type(exc).__name__}: {exc}"
-            )
-            raise
-        if failure is None:
-            tracer.end(span, outcome="ok")
-        else:
-            tracer.end(
-                span,
-                outcome=failure.kind,
-                error=failure.error,
-                attempts=failure.attempts,
-            )
-        return failure
-
-    @staticmethod
-    def _skip_dependents(
-        pending: list[Task],
-        failed_provides: dict[str, str],
-        result: ScheduleResult,
-    ) -> None:
-        """Remove (to fixpoint) every pending task downstream of a failure."""
-        changed = True
-        while changed:
-            changed = False
-            for task in list(pending):
-                bad = tuple(r for r in task.requires if r in failed_provides)
-                if bad:
-                    result.failures[task.name] = RunFailure(
-                        task=task.name,
-                        kind="skipped",
-                        error=(
-                            "not run: requirement(s) produced by failed "
-                            f"task(s) {sorted({failed_provides[r] for r in bad})}"
-                        ),
-                        error_type="SkippedTask",
-                        attempts=0,
-                        elapsed=0.0,
-                        missing=bad,
-                    )
+                    result.failures[task.name] = failure
                     failed_provides[task.provides] = task.name
-                    pending.remove(task)
-                    changed = True
-
-    # ------------------------------------------------------------------
-    def _execute_serial(
-        self,
-        tasks: Sequence[Task],
-        done: set[str],
-        policy: RetryPolicy | None,
-        tracer=None,
-        trace_parent=None,
-    ) -> ScheduleResult:
-        result = ScheduleResult()
-        failed_provides: dict[str, str] = {}
-        pending = list(tasks)
-        while pending:
-            if policy is not None:
-                self._skip_dependents(pending, failed_provides, result)
-            progressed = not pending
-            for task in list(pending):
-                if all(r in done for r in task.requires):
-                    failure = self._run_task(task, policy, tracer, trace_parent)
-                    if failure is None:
-                        done.add(task.provides)
-                        result.completed.append(task.name)
-                    else:
-                        result.failures[task.name] = failure
-                        failed_provides[task.provides] = task.name
-                    pending.remove(task)
-                    progressed = True
-            if not progressed:
-                raise SchedulerError(
-                    "task graph deadlocked; remaining tasks: "
-                    f"{[t.name for t in pending]}"
+                pending.remove(task)
+                progressed = True
+        if not progressed:
+            raise SchedulerError(
+                "task graph deadlocked; remaining tasks: "
+                f"{[t.name for t in pending]}"
+            )
+    if tracer is not None:
+        for failure in result.failures.values():
+            if failure.kind == "skipped":
+                tracer.point(
+                    failure.task,
+                    kind="skipped",
+                    parent=trace_parent,
+                    missing=list(failure.missing),
                 )
-        return result
-
-    def _execute_parallel(
-        self,
-        tasks: Sequence[Task],
-        done: set[str],
-        policy: RetryPolicy | None,
-        tracer=None,
-        trace_parent=None,
-    ) -> ScheduleResult:
-        result = ScheduleResult()
-        failed_provides: dict[str, str] = {}
-        pending = list(tasks)
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            running: dict[Future, Task] = {}
-            while pending or running:
-                if policy is not None:
-                    self._skip_dependents(pending, failed_provides, result)
-                for task in list(pending):
-                    if all(r in done for r in task.requires):
-                        pending.remove(task)
-                        try:
-                            future = pool.submit(
-                                self._run_task, task, policy, tracer,
-                                trace_parent,
-                            )
-                        except RuntimeError as exc:
-                            # the pool was shut down under us (interpreter
-                            # teardown, cancelled run): surface a structured
-                            # failure so dependents take the skip-cascade
-                            # path instead of a bare RuntimeError escaping
-                            if policy is None:
-                                raise SchedulerError(
-                                    f"worker pool rejected task "
-                                    f"{task.name!r}: {exc}"
-                                ) from exc
-                            result.failures[task.name] = RunFailure(
-                                task=task.name,
-                                kind="pool-exhausted",
-                                error=str(exc),
-                                error_type=type(exc).__name__,
-                                attempts=0,
-                                elapsed=0.0,
-                            )
-                            failed_provides[task.provides] = task.name
-                            continue
-                        running[future] = task
-                if not running:
-                    if not pending:
-                        break
-                    raise SchedulerError(
-                        "task graph deadlocked; remaining tasks: "
-                        f"{[t.name for t in pending]}"
-                    )
-                finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    task = running.pop(future)
-                    failure = future.result()  # propagates untraced errors
-                    if failure is None:
-                        done.add(task.provides)
-                        result.completed.append(task.name)
-                    else:
-                        result.failures[task.name] = failure
-                        failed_provides[task.provides] = task.name
-        return result
+    return result

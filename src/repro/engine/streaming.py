@@ -21,12 +21,11 @@ canonical (sorted) column order.
 
 from __future__ import annotations
 
-from repro.engine.backend import BackendExecutor, ExecutionBackend, WorkflowRun
+from repro.engine.backend import ExecutionBackend, WorkflowRun
 from repro.engine.compile import CompiledProfile
 from repro.engine.instrumentation import TapSet
 
 __all__ = [
-    "StreamExecutor",
     "StreamingBackend",
     "WorkflowRun",
 ]
@@ -36,16 +35,7 @@ class StreamingBackend(ExecutionBackend):
     """Bounded row chunks, canonical column order."""
 
     name = "streaming"
-    profile = CompiledProfile(
-        chunk_rows=2048, gather="auto", canonical_output=True
-    )
+    profile = CompiledProfile(chunk_rows=2048, canonical_output=True)
 
     def make_taps(self, stats=()):
         return TapSet(stats)
-
-
-class StreamExecutor(BackendExecutor):
-    """Workflow execution on the streaming backend."""
-
-    def __init__(self, analysis, workers: int = 1):
-        super().__init__(analysis, StreamingBackend(), workers=workers)

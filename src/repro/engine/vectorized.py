@@ -1,25 +1,17 @@
-"""The vectorized backend: whole columns on the best gather rung.
+"""The ``vectorized`` backend name: the columnar profile under a second name.
 
-Same runtime and batching as the columnar backend; the only difference is
-the gather engine.  Where ``columnar`` pins the reference pure-Python
-rung, ``vectorized`` climbs the acceleration ladder of
-:mod:`repro.engine.compile.accel` -- ``numpy`` object-dtype fancy indexing
-for bulk gathers and selection-vector composition (values round-trip
-unchanged, no bool/int/float coercion), ``numba`` for index composition
-when installed -- and keeps join outputs array-resident inside a block.
-Results are identical either way.
+Nothing distinguishes it from ``columnar`` at run time; the name resolves
+because the frozen benchmark (``nightbench/``) asks for it.
 """
 
 from __future__ import annotations
 
-from repro.engine.compile import CompiledProfile
 from repro.engine.executor import ColumnarBackend
 
 __all__ = ["VectorizedBackend"]
 
 
 class VectorizedBackend(ColumnarBackend):
-    """Whole-column batches on the best available gather rung."""
+    """Same profile as :class:`ColumnarBackend`; only the name differs."""
 
     name = "vectorized"
-    profile = CompiledProfile(chunk_rows=None, gather="auto")

@@ -231,7 +231,6 @@ class StatisticsPipeline:
     memory_weight: float = 1.0
     cpu_weight: float = 0.0
     backend: str = "columnar"  # any name get_backend() resolves
-    workers: int = 1  # > 1 executes independent blocks concurrently
     #: row shards per block for the multiprocess backend (None = that
     #: backend's own default); ignored by single-process backends
     shards: int | None = None
@@ -503,12 +502,10 @@ class StatisticsPipeline:
         # TapSet.merge's factory-fresh ones) follows the same spec
         with sketch_scope(self.sketch_spec):
             taps = backend.make_taps(tapped)
-            with tr.span("execution", backend=self.backend,
-                         workers=self.workers) as exec_span:
+            with tr.span("execution", backend=self.backend) as exec_span:
                 run = BackendExecutor(
                     analysis,
                     backend,
-                    workers=self.workers,
                     plan_cache=self.plan_cache,
                 ).run(
                     sources,
@@ -727,7 +724,6 @@ class StatisticsPipeline:
                 workflow=analysis.workflow.name,
                 run_id=run_id,
                 backend=self.backend,
-                workers=self.workers,
                 ok=report.ok,
             )
         if metrics is not None:

@@ -69,7 +69,7 @@ class TestJsonRoundTrip:
         assert filters and filters[0].predicate(100) and not filters[0].predicate(300)
 
     def test_executed_results_match_with_registry(self):
-        from repro.engine.executor import Executor
+        from repro.engine.backend import BackendExecutor
         from repro.workloads.tpcdi import P_FIRST_HALF, U_FISCAL
 
         wfcase = case(1)
@@ -80,8 +80,8 @@ class TestJsonRoundTrip:
         )
         clone = workflow_from_json(workflow_to_json(original), registry)
         sources = wfcase.tables(scale=0.2, seed=6)
-        run1 = Executor(analyze(original)).run(sources)
-        run2 = Executor(analyze(clone)).run(sources)
+        run1 = BackendExecutor(analyze(original)).run(sources)
+        run2 = BackendExecutor(analyze(clone)).run(sources)
         t1, t2 = run1.targets["dim_date"], run2.targets["dim_date"]
         assert sorted(t1.rows(sorted(t1.attrs))) == sorted(t2.rows(sorted(t2.attrs)))
 

@@ -6,7 +6,7 @@ from repro.algebra.blocks import analyze
 from repro.algebra.expressions import SubExpression
 from repro.baselines.independence import IndependenceEstimator, profile_inputs
 from repro.baselines.passive import PassiveMonitor
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.workloads import case
 
@@ -19,7 +19,7 @@ class TestPassiveMonitor:
         analysis = analyze(wfcase.build())
         sources = wfcase.tables(scale=0.2, seed=1)
         monitor = PassiveMonitor(analysis)
-        monitor.absorb(Executor(analysis).run(sources))
+        monitor.absorb(BackendExecutor(analysis).run(sources))
         coverage = monitor.coverage()
         assert 0 < coverage.fraction < 1
         # plan-internal SEs are known, off-plan SEs are not
@@ -41,11 +41,11 @@ class TestPassiveMonitor:
         sources = wfcase.tables(scale=0.2, seed=1)
         block = analysis.blocks[0]
         monitor = PassiveMonitor(analysis)
-        monitor.absorb(Executor(analysis).run(sources))
+        monitor.absorb(BackendExecutor(analysis).run(sources))
         before = monitor.coverage().fraction
         for tree in block.graph.enumerate_trees():
             monitor.absorb(
-                Executor(analysis).run(sources, trees={block.name: tree})
+                BackendExecutor(analysis).run(sources, trees={block.name: tree})
             )
         after = monitor.coverage().fraction
         assert after == 1.0
@@ -56,7 +56,7 @@ class TestPassiveMonitor:
         analysis = analyze(wfcase.build())
         sources = wfcase.tables(scale=0.2, seed=2)
         monitor = PassiveMonitor(analysis)
-        monitor.absorb(Executor(analysis).run(sources))
+        monitor.absorb(BackendExecutor(analysis).run(sources))
         truth = ground_truth_cardinalities(analysis, sources)
         for se, value in monitor.known.items():
             if se in truth:
@@ -68,7 +68,7 @@ class TestIndependenceEstimator:
         wfcase = case(9)
         analysis = analyze(wfcase.build())
         sources = wfcase.tables(scale=0.2, seed=1)
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         estimator = IndependenceEstimator(
             analysis, profile_inputs(analysis, run.env)
         )
@@ -84,7 +84,7 @@ class TestIndependenceEstimator:
         wfcase = case(16)
         analysis = analyze(wfcase.build())
         sources = wfcase.tables(scale=0.5, seed=7)
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         estimator = IndependenceEstimator(
             analysis, profile_inputs(analysis, run.env)
         )
@@ -99,7 +99,7 @@ class TestIndependenceEstimator:
         wfcase = case(13)
         analysis = analyze(wfcase.build())
         sources = wfcase.tables(scale=0.2, seed=1)
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         estimator = IndependenceEstimator(
             analysis, profile_inputs(analysis, run.env)
         )
@@ -112,7 +112,7 @@ class TestIndependenceEstimator:
         wfcase = case(9)
         analysis = analyze(wfcase.build())
         sources = wfcase.tables(scale=0.2, seed=1)
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         estimator = IndependenceEstimator(
             analysis, profile_inputs(analysis, run.env)
         )

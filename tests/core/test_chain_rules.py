@@ -28,7 +28,7 @@ from repro.core.generator import generate_css
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.engine.table import Table
@@ -42,7 +42,7 @@ def run_exact(workflow, sources):
     catalog = generate_css(analysis)
     selection = solve_ilp(build_problem(catalog, CostModel(workflow.catalog)))
     taps = TapSet(selection.observed)
-    run = Executor(analysis).run(sources, taps=taps)
+    run = BackendExecutor(analysis).run(sources, taps=taps)
     estimator = CardinalityEstimator(catalog, run.observations)
     truth = ground_truth_cardinalities(analysis, sources)
     for se, actual in truth.items():

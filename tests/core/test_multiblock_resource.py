@@ -9,7 +9,7 @@ from repro.core.ilp import solve_ilp
 from repro.core.resource import plan_constrained
 from repro.core.selection import build_problem
 from repro.core.statistics import StatisticsStore
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.estimator import CardinalityEstimator
@@ -50,7 +50,7 @@ class TestMultiBlockConstrained:
         merged = StatisticsStore()
         for step in schedule.steps:
             taps = TapSet(step.observe)
-            run = Executor(analysis).run(sources, trees=step.trees, taps=taps)
+            run = BackendExecutor(analysis).run(sources, trees=step.trees, taps=taps)
             assert taps.missing() == []
             merged.merge(run.observations)
         estimator = CardinalityEstimator(catalog, merged)
@@ -78,8 +78,8 @@ class TestSerializeBlackBoxRegistry:
         )
         clone = workflow_from_json(workflow_to_json(original), registry)
         sources = wfcase.tables(scale=0.3, seed=3)
-        run1 = Executor(analyze(original)).run(sources)
-        run2 = Executor(analyze(clone)).run(sources)
+        run1 = BackendExecutor(analyze(original)).run(sources)
+        run2 = BackendExecutor(analyze(clone)).run(sources)
         t1 = run1.targets["hr"]
         t2 = run2.targets["hr"]
         assert sorted(t1.rows(sorted(t1.attrs))) == sorted(

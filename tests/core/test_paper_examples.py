@@ -19,7 +19,7 @@ from repro.core.generator import generate_css
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.instrumentation import TapSet
 from repro.engine.table import Table
 from repro.estimation.estimator import CardinalityEstimator
@@ -102,7 +102,7 @@ class TestIntroExample:
             ),
         }
         taps = TapSet(result.observed)
-        run = Executor(analysis).run(sources, taps=taps)
+        run = BackendExecutor(analysis).run(sources, taps=taps)
         estimator = CardinalityEstimator(catalog, run.observations)
         from repro.engine.ground_truth import ground_truth_cardinalities
 

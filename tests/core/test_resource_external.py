@@ -11,7 +11,7 @@ from repro.core.ilp import solve_ilp
 from repro.core.resource import ConstrainedPlanner, plan_constrained
 from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.estimator import CardinalityEstimator
@@ -77,7 +77,7 @@ class TestConstrainedPlanner:
         merged = StatisticsStore()
         for step in schedule.steps:
             taps = TapSet(step.observe)
-            run = Executor(analysis).run(sources, trees=step.trees, taps=taps)
+            run = BackendExecutor(analysis).run(sources, trees=step.trees, taps=taps)
             assert taps.missing() == []
             merged.merge(run.observations)
         estimator = CardinalityEstimator(catalog, merged)
@@ -180,7 +180,7 @@ class TestExternalStatistics:
             build_problem(catalog, cost_model, free_statistics=free)
         )
         taps = TapSet([s for s in selection.observed if s not in free])
-        run = Executor(analysis).run(sources, taps=taps)
+        run = BackendExecutor(analysis).run(sources, taps=taps)
         merged = run.observations
         merged.merge(values)
         estimator = CardinalityEstimator(catalog, merged)

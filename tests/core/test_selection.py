@@ -338,14 +338,3 @@ class TestFig8Formulation:
         assert stats["h123_13"] in observed
         assert stats["hrej_12"] in observed
         assert stats["h1_12"] not in observed
-
-
-def test_ilp_falls_back_to_greedy_without_scipy(monkeypatch):
-    """The library stays functional when scipy is unavailable."""
-    import repro.core.ilp as ilp_module
-
-    problem = build_problem(tiny_catalog(), CostModel(Catalog()))
-    monkeypatch.setattr(ilp_module, "HAVE_SCIPY", False)
-    result = ilp_module.solve_ilp(problem)
-    assert result.method == "greedy"
-    assert result.is_valid

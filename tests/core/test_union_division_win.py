@@ -25,7 +25,7 @@ from repro.core.costs import CostModel
 from repro.core.generator import GeneratorOptions, generate_css
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.engine.table import Table
@@ -123,7 +123,7 @@ class TestUnionDivisionMagnitude:
         }
         catalog = generate_css(analysis, GeneratorOptions(fk_rules=False))
         taps = TapSet(results["ud"].observed)
-        run = Executor(analysis).run(sources, taps=taps)
+        run = BackendExecutor(analysis).run(sources, taps=taps)
         estimator = CardinalityEstimator(catalog, run.observations)
         truth = ground_truth_cardinalities(analysis, sources)
         for se, actual in truth.items():

@@ -170,32 +170,20 @@ class TestLowering:
 
 
 # ---------------------------------------------------------------------------
-# profile knobs: chunk size and gather rung never change what a run observes
+# profile knobs: the chunk size never changes what a run observes
 # ---------------------------------------------------------------------------
 class TestProfileEquivalence:
-    def _check(self, backend, workers=1):
+    def test_tiny_chunks_equal_the_oracle(self):
+        class TinyChunks(StreamingBackend):
+            profile = CompiledProfile(chunk_rows=5, canonical_output=True)
+
+        backend = TinyChunks()
         analysis, selection, sources = _setup(9)
         ref = reference_run(analysis, sources, stats=selection.observed)
-        run = BackendExecutor(analysis, backend, workers=workers).run(
+        run = BackendExecutor(analysis, backend).run(
             sources, taps=backend.make_taps(selection.observed)
         )
         assert_matches_reference(run, ref, selection.observed)
-
-    def test_tiny_chunks_equal_the_oracle(self):
-        class TinyChunks(StreamingBackend):
-            profile = CompiledProfile(
-                chunk_rows=5, gather="auto", canonical_output=True
-            )
-
-        self._check(TinyChunks(), workers=4)
-
-    def test_pure_python_rung_equals_the_oracle(self):
-        class PinnedPython(StreamingBackend):
-            profile = CompiledProfile(
-                chunk_rows=64, gather="python", canonical_output=True
-            )
-
-        self._check(PinnedPython())
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +217,14 @@ class TestPlanCache:
         assert replan.cache_misses == 1
         assert replan.cache_hits == len(analysis.blocks) - 1
 
-    def test_backend_and_chunking_key_separately(self):
+    def test_backend_and_chunking_key_separately(self, monkeypatch):
+        import repro.engine.compile.cache as cache_module
+
+        key_docs = []
+        digest = cache_module.digest
+        monkeypatch.setattr(
+            cache_module, "digest", lambda doc: key_docs.append(doc) or digest(doc)
+        )
         analysis, _, _ = _setup(1)
         cache = PlanCache()
         compile_blocks(analysis, backend="columnar", cache=cache)
@@ -240,6 +235,9 @@ class TestPlanCache:
             cache=cache,
         )
         assert other.cache_hits == 0
+        # the profile's two fields are all of it that reaches the key
+        assert key_docs and all("gather" not in doc for doc in key_docs)
+        assert {doc["chunk"] for doc in key_docs} == {None, 2048}
 
     def test_invalidate_source_drops_downstream_programs(self):
         analysis, _, _ = _setup(25)  # chained blocks: deps are transitive

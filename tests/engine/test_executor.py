@@ -20,7 +20,7 @@ from repro.algebra.operators import (
 from repro.algebra.plans import JoinNode, Leaf
 from repro.algebra.schema import Catalog
 from repro.core.statistics import Statistic
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.instrumentation import InstrumentationError, TapSet
 from repro.engine.table import Table, TableError
 
@@ -48,7 +48,7 @@ def setup():
 class TestExecution:
     def test_initial_plan_produces_target(self, setup):
         analysis, sources = setup
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         # brute force: O|x|P on pid then |x|C on cid
         expected = 0
         for pid, cid in zip(sources["O"].column("pid"), sources["O"].column("cid")):
@@ -59,7 +59,7 @@ class TestExecution:
 
     def test_se_sizes_recorded_for_plan_points(self, setup):
         analysis, sources = setup
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         assert run.se_sizes[SE("O")] == 4
         assert SE("O", "P") in run.se_sizes
         assert SE("C", "O", "P") in run.se_sizes
@@ -71,8 +71,8 @@ class TestExecution:
         reordered = JoinNode(
             JoinNode(Leaf("O"), Leaf("C"), ("cid",)), Leaf("P"), ("pid",)
         )
-        base = Executor(analysis).run(sources)
-        alt = Executor(analysis).run(sources, trees={block.name: reordered})
+        base = BackendExecutor(analysis).run(sources)
+        alt = BackendExecutor(analysis).run(sources, trees={block.name: reordered})
         assert (
             sorted(alt.target("out").rows(sorted(alt.target("out").attrs)))
             == sorted(base.target("out").rows(sorted(base.target("out").attrs)))
@@ -84,13 +84,13 @@ class TestExecution:
         block = analysis.blocks[0]
         bad = JoinNode(Leaf("O"), Leaf("P"), ("pid",))
         with pytest.raises(TableError):
-            Executor(analysis).run(sources, trees={block.name: bad})
+            BackendExecutor(analysis).run(sources, trees={block.name: bad})
 
     def test_missing_source_rejected(self, setup):
         analysis, sources = setup
         del sources["C"]
         with pytest.raises(TableError, match="missing source"):
-            Executor(analysis).run(sources)
+            BackendExecutor(analysis).run(sources)
 
     def test_taps_observe_requested_stats(self, setup):
         analysis, sources = setup
@@ -101,7 +101,7 @@ class TestExecution:
                 Statistic.hist(SE("C"), "cid"),
             ]
         )
-        run = Executor(analysis).run(sources, taps=taps)
+        run = BackendExecutor(analysis).run(sources, taps=taps)
         assert taps.missing() == []
         assert run.observations.cardinality(SE("O", "P")) == run.se_sizes[SE("O", "P")]
         hist = run.observations.get(Statistic.hist(SE("O"), "cid"))
@@ -113,7 +113,7 @@ class TestExecution:
         analysis, sources = setup
         rej = RejectSE(SE("O"), "pid", SE("P"))
         taps = TapSet([Statistic.card(rej), Statistic.hist(rej, "cid")])
-        run = Executor(analysis).run(sources, taps=taps)
+        run = BackendExecutor(analysis).run(sources, taps=taps)
         assert taps.missing() == []
         # O rows with pid=3 never join P
         assert run.observations.get(Statistic.card(rej)) == 1
@@ -131,7 +131,7 @@ class TestExecution:
         analysis, sources = setup
         taps = TapSet([Statistic.hist(SE("P"), "cid")])  # P has no cid
         with pytest.raises(InstrumentationError, match="not live"):
-            Executor(analysis).run(sources, taps=taps)
+            BackendExecutor(analysis).run(sources, taps=taps)
 
 
 class TestBoundariesExecution:
@@ -149,7 +149,7 @@ class TestBoundariesExecution:
             "B": Table({"k": [1, 2, 3]}),
             "D": Table({"g": [1, 3], "w": [10, 30]}),
         }
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         # pinned join drops k=9, downstream join keeps g=1 rows (2 of them)
         assert run.target("out").num_rows == 2
         # the materialized reject was produced
@@ -167,7 +167,7 @@ class TestBoundariesExecution:
             "T": Table({"g": [1, 1, 2], "v": [5, 6, 7]}),
             "R": Table({"g": [1, 2, 3], "w": [10, 20, 30]}),
         }
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         out = run.target("out")
         assert out.num_rows == 2
         rows = {row[0]: row for row in out.rows(("g", "n", "w"))}
@@ -182,7 +182,7 @@ class TestBoundariesExecution:
 
         flow = AggregateUDF(Source(cat, "T"), "dedupe", dedupe)
         wf = Workflow("w", cat, [Target(flow, "out")])
-        run = Executor(analyze(wf)).run({"T": Table({"a": [1, 1, 2]})})
+        run = BackendExecutor(analyze(wf)).run({"T": Table({"a": [1, 1, 2]})})
         assert run.target("out").num_rows == 2
 
     def test_materialize_passthrough(self):
@@ -190,7 +190,7 @@ class TestBoundariesExecution:
         cat.add_relation("T", {"a": 5})
         flow = Materialize(Source(cat, "T"), "snap")
         wf = Workflow("w", cat, [Target(flow, "out")])
-        run = Executor(analyze(wf)).run({"T": Table({"a": [1, 2]})})
+        run = BackendExecutor(analyze(wf)).run({"T": Table({"a": [1, 2]})})
         assert run.target("out").num_rows == 2
 
     def test_sealed_block_post_transform_applied(self):
@@ -213,7 +213,7 @@ class TestBoundariesExecution:
             "B": Table({"x": [1, 2], "b": [5, 6]}),
             "Cc": Table({"c": [8, 10, 11]}),
         }
-        run = Executor(analysis).run(sources)
+        run = BackendExecutor(analysis).run(sources)
         # derived c values: 3+5=8, 4+6=10 -> both match Cc
         assert run.target("out").num_rows == 2
 
@@ -231,5 +231,35 @@ class TestBoundariesExecution:
             "A": Table({"k": [1, 2, 3], "v": [4, 5, 6]}),
             "B": Table({"k": [1, 2]}),
         }
-        run = Executor(analyze(wf)).run(sources)
+        run = BackendExecutor(analyze(wf)).run(sources)
         assert run.target("out").num_rows == 1  # k=2,v=5 only
+
+
+class TestBackendNames:
+    def test_every_name_resolves_to_its_backend(self):
+        from repro.engine.backend import available_backends, get_backend
+
+        names = available_backends()
+        assert names == ["columnar", "multiprocess", "streaming", "vectorized"]
+        assert [get_backend(name).name for name in names] == names
+        # a second name for the columnar profile, not a second engine
+        assert get_backend("vectorized").profile is get_backend("columnar").profile
+
+    def test_unknown_name_lists_the_available_ones(self):
+        from repro.engine.backend import get_backend
+
+        with pytest.raises(TableError) as info:
+            get_backend("bogus")
+        assert str(info.value) == (
+            "unknown execution backend 'bogus'; available: "
+            "['columnar', 'multiprocess', 'streaming', 'vectorized']"
+        )
+
+    def test_scheduler_width_is_not_an_option(self, setup):
+        from repro import StatisticsPipeline
+
+        analysis, _ = setup
+        with pytest.raises(TypeError):
+            BackendExecutor(analysis, "columnar", workers=2)
+        with pytest.raises(TypeError):
+            StatisticsPipeline(analysis.workflow, workers=2)

@@ -21,10 +21,10 @@ from repro.engine.faults import (
 )
 from repro.engine.scheduler import (
     BlockTimeout,
-    ParallelScheduler,
     RetryPolicy,
     Task,
     classify_error,
+    execute_tasks,
 )
 from repro.engine.table import Table
 
@@ -312,9 +312,8 @@ def _task(name, requires, provides, fn):
     return Task(name=name, provides=provides, requires=tuple(requires), fn=fn)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
 class TestSchedulerRetries:
-    def test_transient_failures_are_retried_to_success(self, workers):
+    def test_transient_failures_are_retried_to_success(self):
         calls = []
 
         def flaky():
@@ -322,20 +321,20 @@ class TestSchedulerRetries:
             if len(calls) < 3:
                 raise TransientFault("still warming up")
 
-        result = ParallelScheduler(workers).execute(
+        result = execute_tasks(
             [_task("a", ["s"], "a", flaky)], available=["s"], policy=FAST
         )
         assert result.ok and result.completed == ["a"]
         assert len(calls) == 3
 
-    def test_permanent_failure_is_not_retried(self, workers):
+    def test_permanent_failure_is_not_retried(self):
         calls = []
 
         def broken():
             calls.append(1)
             raise PermanentFault("schema break")
 
-        result = ParallelScheduler(workers).execute(
+        result = execute_tasks(
             [_task("a", ["s"], "a", broken)], available=["s"], policy=FAST
         )
         failure = result.failures["a"]
@@ -343,11 +342,11 @@ class TestSchedulerRetries:
         assert failure.error_type == "PermanentFault"
         assert len(calls) == 1
 
-    def test_exhausted_retry_budget_records_transient(self, workers):
+    def test_exhausted_retry_budget_records_transient(self):
         def always_flaky():
             raise TransientFault("never recovers")
 
-        result = ParallelScheduler(workers).execute(
+        result = execute_tasks(
             [_task("a", ["s"], "a", always_flaky)], available=["s"],
             policy=FAST,
         )
@@ -355,7 +354,7 @@ class TestSchedulerRetries:
         assert failure.kind == "transient"
         assert failure.attempts == FAST.max_retries + 1
 
-    def test_timeout_is_classified_and_retryable(self, workers):
+    def test_timeout_is_classified_and_retryable(self):
         policy = RetryPolicy(max_retries=1, block_timeout=0.05,
                              base_delay=0.001, jitter=0.0,
                              sleep=lambda s: None)
@@ -365,7 +364,7 @@ class TestSchedulerRetries:
             started.append(1)
             time.sleep(30)
 
-        result = ParallelScheduler(workers).execute(
+        result = execute_tasks(
             [_task("a", ["s"], "a", hang)], available=["s"], policy=policy
         )
         failure = result.failures["a"]
@@ -373,7 +372,7 @@ class TestSchedulerRetries:
         assert len(started) == 2
         assert "deadline" in failure.error
 
-    def test_dependents_of_a_failure_are_skipped(self, workers):
+    def test_dependents_of_a_failure_are_skipped(self):
         log = []
 
         def boom():
@@ -385,7 +384,7 @@ class TestSchedulerRetries:
             _task("c", ["b"], "c", lambda: log.append("c")),
             _task("x", ["s"], "x", lambda: log.append("x")),
         ]
-        result = ParallelScheduler(workers).execute(
+        result = execute_tasks(
             tasks, available=["s"], policy=FAST
         )
         assert set(result.failures) == {"a", "b", "c"}
@@ -395,16 +394,16 @@ class TestSchedulerRetries:
         assert log == ["x"]  # the independent branch still ran
         assert "skipped" in result.failures["b"].describe()
 
-    def test_without_policy_exceptions_propagate(self, workers):
+    def test_without_policy_exceptions_propagate(self):
         def boom():
             raise PermanentFault("dead")
 
         with pytest.raises(PermanentFault):
-            ParallelScheduler(workers).execute(
+            execute_tasks(
                 [_task("a", ["s"], "a", boom)], available=["s"]
             )
 
-    def test_injector_wrapped_tasks_survive_with_one_retry(self, workers):
+    def test_injector_wrapped_tasks_survive_with_one_retry(self):
         inj = FaultPlan(
             (FaultSpec(target="ta", kind="transient"),), seed=CHAOS_SEED
         ).injector()
@@ -413,7 +412,7 @@ class TestSchedulerRetries:
             _task("ta", ["s"], "a", lambda: done.append("a")),
             _task("tb", ["a"], "b", lambda: done.append("b")),
         ])
-        result = ParallelScheduler(workers).execute(
+        result = execute_tasks(
             tasks, available=["s"], policy=FAST
         )
         assert result.ok and sorted(done) == ["a", "b"]
@@ -428,27 +427,7 @@ def test_backoff_sleeps_between_attempts():
     def always_flaky():
         raise TransientFault("no luck")
 
-    ParallelScheduler(1).execute(
+    execute_tasks(
         [_task("a", ["s"], "a", always_flaky)], available=["s"], policy=policy
     )
     assert slept == pytest.approx([0.1, 0.2])
-
-
-def test_concurrent_faulty_blocks_fire_deterministically():
-    """Interleaving must not change which faults fire for which task."""
-    plan = FaultPlan(
-        (FaultSpec(target="B*", kind="transient", times=1),), seed=CHAOS_SEED
-    )
-
-    def run(workers):
-        inj = plan.injector()
-        tasks = inj.wrap_tasks([
-            _task(f"B{i}", ["s"], f"B{i}.out", lambda: None) for i in range(6)
-        ])
-        result = ParallelScheduler(workers).execute(
-            tasks, available=["s"], policy=FAST
-        )
-        assert result.ok
-        return sorted((e.task, e.kind, e.attempt) for e in inj.events)
-
-    assert run(1) == run(4)

@@ -1,156 +1,50 @@
-"""Unit tests for the block scheduler (waves, serial and parallel modes)."""
-
-import threading
+"""Unit tests for the dependency-ordered task walk."""
 
 import pytest
 
-from repro.engine.scheduler import (
-    ParallelScheduler,
-    SchedulerError,
-    Task,
-    topological_waves,
-)
+from repro.engine.scheduler import SchedulerError, Task, execute_tasks
 
 
-def make_task(name, requires, provides, log, lock):
-    def fn():
-        with lock:
-            log.append(name)
+def make_task(name, requires, provides, log):
+    return Task(
+        name=name,
+        provides=provides,
+        requires=tuple(requires),
+        fn=lambda: log.append(name),
+    )
 
-    return Task(name=name, provides=provides, requires=tuple(requires), fn=fn)
 
-
-def diamond(log, lock):
+def diamond(log):
     """a -> (b, c) -> d over environment names s, a, b, c, d."""
     return [
-        make_task("a", ["s"], "a", log, lock),
-        make_task("b", ["a"], "b", log, lock),
-        make_task("c", ["a"], "c", log, lock),
-        make_task("d", ["b", "c"], "d", log, lock),
+        make_task("a", ["s"], "a", log),
+        make_task("b", ["a"], "b", log),
+        make_task("c", ["a"], "c", log),
+        make_task("d", ["b", "c"], "d", log),
     ]
 
 
-class TestTopologicalWaves:
-    def test_diamond_waves(self):
-        log, lock = [], threading.Lock()
-        waves = topological_waves(diamond(log, lock), available=["s"])
-        assert [[t.name for t in wave] for wave in waves] == [
-            ["a"], ["b", "c"], ["d"]
-        ]
+class TestExecuteTasks:
+    def test_runs_every_task_once_in_dependency_order(self):
+        log = []
+        # listed out of order: readiness, not position, decides who runs
+        result = execute_tasks(diamond(log)[::-1], available=["s"])
+        assert log in (["a", "b", "c", "d"], ["a", "c", "b", "d"])
+        assert result.ok and result.completed == log
 
-    def test_independent_tasks_share_a_wave(self):
-        log, lock = [], threading.Lock()
-        tasks = [
-            make_task("x", ["s"], "x", log, lock),
-            make_task("y", ["s"], "y", log, lock),
-        ]
-        assert len(topological_waves(tasks, available=["s"])) == 1
-
-    def test_missing_requirement_raises(self):
-        log, lock = [], threading.Lock()
-        tasks = [make_task("a", ["ghost"], "a", log, lock)]
-        with pytest.raises(SchedulerError, match="ghost"):
-            topological_waves(tasks)
-
-    def test_cycle_raises(self):
-        log, lock = [], threading.Lock()
-        tasks = [
-            make_task("a", ["b"], "a", log, lock),
-            make_task("b", ["a"], "b", log, lock),
-        ]
+    def test_deadlock_raises(self):
+        log = []
+        with pytest.raises(SchedulerError, match="'a'"):
+            execute_tasks([make_task("a", ["ghost"], "a", log)])
+        cycle = [make_task("a", ["b"], "a", log), make_task("b", ["a"], "b", log)]
         with pytest.raises(SchedulerError):
-            topological_waves(tasks)
+            execute_tasks(cycle)
+        assert log == []
 
-
-class TestParallelScheduler:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_runs_every_task_once_in_dependency_order(self, workers):
-        log, lock = [], threading.Lock()
-        ParallelScheduler(workers).execute(diamond(log, lock), available=["s"])
-        assert sorted(log) == ["a", "b", "c", "d"]
-        assert log[0] == "a" and log[-1] == "d"
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_deadlock_raises(self, workers):
-        log, lock = [], threading.Lock()
-        tasks = [make_task("a", ["ghost"], "a", log, lock)]
-        with pytest.raises(SchedulerError):
-            ParallelScheduler(workers).execute(tasks)
-
-    def test_worker_exceptions_propagate(self):
+    def test_task_exceptions_propagate(self):
         def boom():
             raise ValueError("kernel failed")
 
         tasks = [Task("a", "a", ("s",), boom)]
         with pytest.raises(ValueError, match="kernel failed"):
-            ParallelScheduler(2).execute(tasks, available=["s"])
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelScheduler(0)
-
-    def test_independent_tasks_overlap_with_two_workers(self):
-        """Each task blocks until the *other* one has started: only a
-        scheduler that truly runs independent tasks concurrently finishes."""
-        started_x, started_y = threading.Event(), threading.Event()
-
-        def run_x():
-            started_x.set()
-            assert started_y.wait(timeout=10.0)
-
-        def run_y():
-            started_y.set()
-            assert started_x.wait(timeout=10.0)
-
-        tasks = [
-            Task("x", "x", ("s",), run_x),
-            Task("y", "y", ("s",), run_y),
-        ]
-        ParallelScheduler(2).execute(tasks, available=["s"])
-        assert started_x.is_set() and started_y.is_set()
-
-
-class TestPoolExhaustion:
-    """A shut-down worker pool surfaces as a structured RunFailure."""
-
-    def _exhausted_pool(self, monkeypatch, reject_name):
-        """Patch the scheduler's pool so submitting one task fails."""
-        import repro.engine.scheduler as scheduler_module
-        from concurrent.futures import ThreadPoolExecutor
-
-        class FlakyPool(ThreadPoolExecutor):
-            def submit(self, fn, task, *args, **kwargs):
-                if getattr(task, "name", None) == reject_name:
-                    raise RuntimeError(
-                        "cannot schedule new futures after shutdown"
-                    )
-                return super().submit(fn, task, *args, **kwargs)
-
-        monkeypatch.setattr(
-            scheduler_module, "ThreadPoolExecutor", FlakyPool
-        )
-
-    def test_structured_failure_with_policy(self, monkeypatch):
-        from repro.engine.scheduler import RetryPolicy
-
-        self._exhausted_pool(monkeypatch, "b")
-        log, lock = [], threading.Lock()
-        result = ParallelScheduler(2).execute(
-            diamond(log, lock),
-            available=["s"],
-            policy=RetryPolicy(),
-        )
-        failure = result.failures["b"]
-        assert failure.kind == "pool-exhausted"
-        assert failure.error_type == "RuntimeError"
-        assert failure.attempts == 0
-        # b's dependent is skipped, the healthy branch still ran
-        assert result.failures["d"].kind == "skipped"
-        assert "b" in result.failures["d"].missing
-        assert sorted(log) == ["a", "c"]
-
-    def test_raises_without_policy(self, monkeypatch):
-        self._exhausted_pool(monkeypatch, "b")
-        log, lock = [], threading.Lock()
-        with pytest.raises(SchedulerError, match="rejected task 'b'"):
-            ParallelScheduler(2).execute(diamond(log, lock), available=["s"])
+            execute_tasks(tasks, available=["s"])

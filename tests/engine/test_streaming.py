@@ -22,7 +22,6 @@ from repro.engine.backend import BackendExecutor, available_backends
 from repro.engine.faults import TransientFault
 from repro.engine.instrumentation import TapSet
 from repro.engine.scheduler import RetryPolicy
-from repro.engine.streaming import StreamExecutor
 from repro.engine.table import Table
 from repro.estimation.estimator import CardinalityEstimator
 from repro.workloads import case
@@ -45,7 +44,7 @@ def test_streaming_matches_oracle(number):
     tables = wfcase.tables(scale=0.12, seed=7)
 
     ref = reference_run(analysis, tables, stats=selection.observed)
-    streaming = StreamExecutor(analysis).run(
+    streaming = BackendExecutor(analysis, "streaming").run(
         tables, taps=TapSet(selection.observed)
     )
     assert_matches_reference(streaming, ref, selection.observed)
@@ -58,7 +57,9 @@ def test_streaming_estimates_are_exact():
     catalog = generate_css(analysis)
     selection = solve_greedy(build_problem(catalog, CostModel(workflow.catalog)))
     tables = wfcase.tables(scale=0.12, seed=9)
-    run = StreamExecutor(analysis).run(tables, taps=TapSet(selection.observed))
+    run = BackendExecutor(analysis, "streaming").run(
+        tables, taps=TapSet(selection.observed)
+    )
     estimator = CardinalityEstimator(catalog, run.observations)
     from repro.engine.ground_truth import ground_truth_cardinalities
 
@@ -74,7 +75,7 @@ def test_reordered_plan_supported():
     tables = wfcase.tables(scale=0.2, seed=3)
     alternative = block.graph.enumerate_trees()[1]
     trees = {block.name: alternative}
-    alt = StreamExecutor(analysis).run(tables, trees=trees)
+    alt = BackendExecutor(analysis, "streaming").run(tables, trees=trees)
     assert_matches_reference(alt, reference_run(analysis, tables, trees))
 
 
@@ -97,9 +98,7 @@ def test_shared_feed_is_counted_once(backend):
         Statistic.hist(shared, attr),
         Statistic.distinct(shared, attr),
     ]
-    run = BackendExecutor(analysis, backend, workers=2).run(
-        tables, taps=TapSet(stats)
-    )
+    run = BackendExecutor(analysis, backend).run(tables, taps=TapSet(stats))
     feed = run.env["B1.out"]
     assert run.observations.get(stats[0]) == feed.num_rows > 0
     assert run.observations.get(stats[1]) == feed.histogram((attr,))

@@ -41,14 +41,12 @@ HLL = SketchSpec(mode="hll")
 #: default precision's typical error is ~0.8%, so 5% has ample headroom
 MAX_REL_ERROR = 0.05
 
-#: engine variants beyond the serial columnar reference: the second
-#: element is the scheduler width, or the shard count for multiprocess
-#: (``inline`` keeps this suite fork-free; the pool path is pinned by
-#: the dist-marker chaos case below and tests/dist)
+#: engine variants: the second element is the shard count, which only
+#: multiprocess reads (``inline`` keeps this suite fork-free; the pool
+#: path is pinned by the dist-marker chaos case below and tests/dist)
 VARIANTS = [
     ("columnar", 1),
     ("streaming", 1),
-    ("vectorized", 1),
     ("multiprocess", 1),
     ("multiprocess", 2),
     ("multiprocess", 4),
@@ -160,18 +158,18 @@ def test_chosen_plans_identical_across_backends(number, backend_name, shards):
 
 
 @pytest.mark.parametrize(
-    "backend_name,workers", VARIANTS, ids=lambda v: str(v)
+    "backend_name,shards", VARIANTS, ids=lambda v: str(v)
 )
 @pytest.mark.parametrize("wfcase", suite(), ids=lambda c: f"wf{c.number:02d}")
 def test_distinct_estimates_accurate_and_backend_identical(
-    wfcase, backend_name, workers, prepared
+    wfcase, backend_name, shards, prepared
 ):
     analysis, tapped, observed, sources, ref = prepared(wfcase)
     assert observed, "no distinct tap materialized -- the test is vacuous"
 
-    backend, width = variant_backend(backend_name, workers)
+    backend = variant_backend(backend_name, shards)
     with sketch_scope(HLL):
-        run = BackendExecutor(analysis, backend, workers=width).run(
+        run = BackendExecutor(analysis, backend).run(
             sources, taps=backend.make_taps(tapped)
         )
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.blocks import analyze
 from repro.algebra.dot import analysis_to_dot, plan_to_dot, workflow_to_dot
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.estimation.costmodel import PlanCostModel
 from repro.estimation.whatif import rank_plans, rank_workflow
@@ -58,10 +58,10 @@ class TestRankPlans:
         analysis, block, truth, ranking = ranked
         wfcase = case(13)
         sources = wfcase.tables(scale=0.15, seed=4)
-        model_best = Executor(analysis).run(
+        model_best = BackendExecutor(analysis).run(
             sources, trees={block.name: ranking.best.tree}
         )
-        model_worst = Executor(analysis).run(
+        model_worst = BackendExecutor(analysis).run(
             sources, trees={block.name: ranking.worst.tree}
         )
         def cost(run, tree):

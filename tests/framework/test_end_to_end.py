@@ -14,7 +14,7 @@ from repro.core.generator import GeneratorOptions, generate_css
 from repro.core.ilp import solve_ilp
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.estimator import CardinalityEstimator
@@ -39,7 +39,7 @@ def test_estimates_equal_ground_truth(number, solver):
 
     sources = wfcase.tables(scale=0.12 if number in (21, 29) else 0.2, seed=11)
     taps = TapSet(result.observed)
-    run = Executor(analysis).run(sources, taps=taps)
+    run = BackendExecutor(analysis).run(sources, taps=taps)
     assert taps.missing() == []
 
     estimator = CardinalityEstimator(catalog, run.observations)
@@ -63,7 +63,7 @@ def test_without_union_division_still_exact(number):
     result = solve_ilp(problem)
     sources = wfcase.tables(scale=0.2, seed=3)
     taps = TapSet(result.observed)
-    run = Executor(analysis).run(sources, taps=taps)
+    run = BackendExecutor(analysis).run(sources, taps=taps)
     estimator = CardinalityEstimator(catalog, run.observations)
     truth = ground_truth_cardinalities(analysis, sources)
     for se, actual in truth.items():
@@ -93,7 +93,7 @@ def test_optimized_plan_cost_verified_by_execution():
     pipeline = StatisticsPipeline(workflow)
     sources = wfcase.tables(scale=0.3, seed=5)
     report = pipeline.run_once(sources)
-    rerun = Executor(report.analysis).run(sources, trees=report.chosen_trees)
+    rerun = BackendExecutor(report.analysis).run(sources, trees=report.chosen_trees)
     for block in report.analysis.blocks:
         plan = report.plans[block.name]
         from repro.algebra.plans import internal_ses

@@ -66,7 +66,6 @@ class TestTracedRun:
 
         execution = root.first(name="execution")
         assert execution.attrs["backend"] == "columnar"
-        assert execution.attrs["workers"] == 1
         assert execution.attrs["failures"] == 0
 
         opt = root.first(name="optimization")

@@ -149,20 +149,19 @@ def _run_boundary(boundary, run, points) -> None:
 # -- helpers for the differential suites --------------------------------------
 
 
-def variant_backend(backend_name: str, workers: int):
-    """``(backend instance, scheduler width)`` for one variant row; for
-    ``multiprocess`` the second element is the shard count (``inline``
-    keeps the suites fork-free, the pool path is pinned by tests/dist)."""
+def variant_backend(backend_name: str, shards: int):
+    """The backend instance for one variant row; ``shards`` only applies
+    to ``multiprocess`` (``inline`` keeps the suites fork-free, the pool
+    path is pinned by tests/dist)."""
     if backend_name == "multiprocess":
         from repro.engine.dist import MultiprocessBackend
 
-        backend = MultiprocessBackend(
-            shards=workers,
+        return MultiprocessBackend(
+            shards=shards,
             inline=True,
             factors={"min_shard_rows": 0},  # tiny test tables still shard
         )
-        return backend, 1
-    return get_backend(backend_name), workers
+    return get_backend(backend_name)
 
 
 def rows_of(table: Table) -> list[tuple]:

@@ -72,15 +72,15 @@ def dirty_reference():
     return wfcase, analysis, expected, reference_run(analysis, survivors)
 
 
-@pytest.mark.parametrize("backend_name,workers", VARIANTS, ids=lambda v: str(v))
+@pytest.mark.parametrize("backend_name,shards", VARIANTS, ids=lambda v: str(v))
 def test_quarantine_victims_and_survivor_run_match_oracle(
-    backend_name, workers, dirty_reference
+    backend_name, shards, dirty_reference
 ):
     wfcase, analysis, expected, ref = dirty_reference
     sources = wfcase.tables(scale=0.05, seed=7)
     gate = QualityGate(contracts=ContractSet.infer(sources))
-    backend, workers = variant_backend(backend_name, workers)
-    run = BackendExecutor(analysis, backend, workers=workers).run(
+    backend = variant_backend(backend_name, shards)
+    run = BackendExecutor(analysis, backend).run(
         sources, faults=DIRTY.injector(), quality=gate
     )
     assert (

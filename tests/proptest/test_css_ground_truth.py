@@ -20,7 +20,7 @@ from repro.algebra.blocks import analyze
 from repro.core.css import CssCatalog
 from repro.core.generator import generate_css
 from repro.core.statistics import StatisticsStore
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.calculator import StatisticsCalculator, compute_statistics
@@ -41,7 +41,7 @@ def test_each_css_reproduces_ground_truth_cardinality(seed):
     # exact reference values for every derivable statistic: observe all of
     # S_O once, then run the full fixpoint
     taps = TapSet(catalog.observable)
-    run = Executor(analysis).run(tables, taps=taps)
+    run = BackendExecutor(analysis).run(tables, taps=taps)
     assert taps.missing() == []
     reference = compute_statistics(catalog, run.observations)
     truth = ground_truth_cardinalities(analysis, tables)

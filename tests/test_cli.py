@@ -132,12 +132,11 @@ class TestRun:
         assert "target" in out
         assert "timings:" in out
 
-    def test_run_with_parallel_workers(self, capsys):
-        assert main(
-            ["run", "--number", "25", "--backend", "vectorized",
-             "--workers", "4", "--scale", "0.05"]
-        ) == 0
-        assert "workers=4" in capsys.readouterr().out
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--number", "25", "--workers", "4"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -185,6 +184,12 @@ class TestErrorPaths:
         assert main(["run", "--number", "9",
                      "--faults", str(tmp_path / "ghost.json")]) == 1
         self._assert_one_line_error(capsys, "cannot read")
+
+    @pytest.mark.parametrize("backend", ["columnar", "streaming", "vectorized"])
+    def test_shards_with_a_single_process_backend(self, backend, capsys):
+        assert main(["run", "--number", "9", "--scale", "0.05",
+                     "--backend", backend, "--shards", "2"]) == 1
+        self._assert_one_line_error(capsys, "--shards", backend)
 
     def test_corrupt_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "ckpt.json"
@@ -245,6 +250,19 @@ class TestRunResilience:
         assert "resuming from" in out
         assert "B1" in out and "B2" in out
         assert "resumed from checkpoint" in out
+
+    def test_sharded_run_journals_the_backend_it_ran_on(self, tmp_path,
+                                                        capsys):
+        ckpt = tmp_path / "ckpt.json"
+        night = ["run", "--number", "9", "--scale", "0.05",
+                 "--resume", str(ckpt)]
+        assert main(night + ["--shards", "2"]) == 0
+        assert json.loads(ckpt.read_text())["backend"] == "multiprocess"
+        # the same run spelled out resumes; a serial resume is refused
+        assert main(night + ["--shards", "2", "--backend", "multiprocess"]) == 0
+        capsys.readouterr()
+        assert main(night) == 1
+        assert "multiprocess" in capsys.readouterr().err
 
     def test_prior_stats_backfill_failed_block(self, tmp_path, capsys):
         stats = str(tmp_path / "prior.json")

@@ -21,7 +21,7 @@ from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.estimator import CardinalityEstimator
@@ -52,7 +52,7 @@ def test_fuzz_end_to_end(seed):
 
     # 3. instrumented run -> exact estimates everywhere
     taps = TapSet(result.observed)
-    run = Executor(analysis).run(tables, taps=taps)
+    run = BackendExecutor(analysis).run(tables, taps=taps)
     assert taps.missing() == []
     estimator = CardinalityEstimator(catalog, run.observations)
     have, total = estimator.coverage()

@@ -13,7 +13,7 @@ from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.estimator import CardinalityEstimator
@@ -31,7 +31,7 @@ def test_exact_estimates_across_suite(case):
 
     sources = case.tables(scale=0.06, seed=17)
     taps = TapSet(selection.observed)
-    run = Executor(analysis).run(sources, taps=taps)
+    run = BackendExecutor(analysis).run(sources, taps=taps)
     assert taps.missing() == []
 
     estimator = CardinalityEstimator(catalog, run.observations)

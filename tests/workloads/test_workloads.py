@@ -153,12 +153,12 @@ class TestSuite:
 
     def test_workflows_execute_on_generated_data(self):
         """Smoke: a spread of workflows runs end to end on its own data."""
-        from repro.engine.executor import Executor
+        from repro.engine.backend import BackendExecutor
 
         for number in (2, 7, 16, 24, 30):
             c = case(number)
             analysis = analyze(c.build())
-            run = Executor(analysis).run(c.tables(scale=0.1, seed=4))
+            run = BackendExecutor(analysis).run(c.tables(scale=0.1, seed=4))
             assert run.targets
 
 

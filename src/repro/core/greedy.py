@@ -29,43 +29,49 @@ _OBSERVE = -1  # choice marker: observe the statistic directly
 
 def _label_costs(
     problem: SelectionProblem, computable: set[int]
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Cheapest acquisition cost per statistic, plus the supporting choice.
+) -> tuple[list[float], dict[int, int]]:
+    """Cheapest acquisition cost per statistic (``INFINITE``: none), plus
+    the supporting choice.
 
     ``choice[i]`` is ``_OBSERVE`` or the index of the CSS entry whose
     covered inputs realize the cost.  Only strict improvements update the
     labels, so following choices never cycles.
     """
-    best: dict[int, float] = {}
+    best = [INFINITE] * problem.n
     choice: dict[int, int] = {}
     for i in computable:
         best[i] = 0.0
     for i in problem.observable:
-        if i in computable:
-            continue
-        cost = problem.costs[i]
-        if cost < INFINITE and cost < best.get(i, INFINITE):
-            best[i] = cost
+        if i not in computable and problem.costs[i] < INFINITE:
+            best[i] = problem.costs[i]
             choice[i] = _OBSERVE
 
-    changed = True
-    while changed:
-        changed = False
-        for j, entry in enumerate(problem.entries):
-            members = set(entry.inputs)
-            if entry.target in members:
-                continue
+    # sweeps over the entries in index order until nothing improves, as
+    # Bellman-Ford would, but summing an entry only after one of its inputs
+    # got a label or a cheaper one -- no other sum can have changed
+    entries, members_of, feeds = problem.entries, problem.members, problem.feeds
+    stale = bytearray(len(entries))
+    for i, cost in enumerate(best):
+        if cost < INFINITE:
+            for fed in feeds.get(i, ()):
+                stale[fed] = 1
+    j = stale.find(1)
+    while j >= 0:
+        stale[j] = 0
+        target = entries[j].target
+        members = members_of[j]
+        if target not in members:
             total = 0.0
             for k in members:
-                cost_k = best.get(k)
-                if cost_k is None:
-                    total = INFINITE
-                    break
-                total += cost_k
-            if total < best.get(entry.target, INFINITE) - 1e-12:
-                best[entry.target] = total
-                choice[entry.target] = j
-                changed = True
+                total += best[k]
+            if total < best[target] - 1e-12:
+                best[target] = total
+                choice[target] = j
+                for fed in feeds.get(target, ()):
+                    stale[fed] = 1
+        j = stale.find(1, j + 1)
+        if j < 0:
+            j = stale.find(1)  # the next sweep
     return best, choice
 
 
@@ -87,7 +93,7 @@ def _collect_plan(
     if picked == _OBSERVE:
         out.add(stat)
         return
-    for k in set(problem.entries[picked].inputs):
+    for k in problem.members[picked]:
         _collect_plan(problem, k, computable, choice, out, visited)
 
 
@@ -103,7 +109,7 @@ def solve_greedy(problem: SelectionProblem) -> SelectionResult:
         rounds += 1
         best, choice = _label_costs(problem, computable)
         candidates = [
-            (best[stat], stat) for stat in uncovered if stat in best
+            (best[stat], stat) for stat in uncovered if best[stat] < INFINITE
         ]
         if not candidates:
             raise ValueError(

@@ -34,12 +34,26 @@ the strongly-connected components of the CSS dependency graph.  Everything
 else is acyclic by construction, so the SCC restriction keeps the MILP
 small (it typically removes >95% of the level rows).
 
-Solver: ``scipy.optimize.milp`` (HiGHS).  HiGHS stops at its default relative
-gap (``mip_rel_gap`` 1e-4), so ``method == "ilp"`` means optimal *to within
-0.01 %*, not "no cheaper selection exists": wf27 gets 549001603 although
-549000002 is valid (EXPERIMENTS.md).  Presolve: when the zero-cost
-statistics (Section 6.2 source statistics, catalog hits) already derive
-``S_C``, cost 0 is the optimum outright and HiGHS is not started.
+Solver: ``scipy.optimize.milp`` (HiGHS), after two reductions that apply
+when no cost is negative.  Presolve: when the zero-cost statistics (Section
+6.2 source statistics, catalog hits) already derive ``S_C``, cost 0 is the
+optimum outright and HiGHS is not started.  Bound: the Section 5.3 greedy
+selection costs ``U``, so no selection as cheap observes a statistic dearer
+than ``U``; whatever cannot be derived from observations of cost <= ``U``
+leaves the problem, with every CSS naming it (wf21: 774 statistics / 5,036
+CSSs -> 310 / 959), and HiGHS gets the order-preserving rest.
+``scipy.optimize.milp`` takes neither a warm start nor an objective cutoff,
+so the greedy cost acts on the model, not on the search.
+
+The gap rule is two-sided.  A model the bound shrank is solved with
+``mip_rel_gap = 0``: there ``method == "ilp"`` means proven optimal, and it
+has to, because a shrunken model can stop one unit short inside the default
+gap (wf26: 181,627 for 181,626).  A model the bound left whole reaches
+HiGHS exactly as it always did, at the default gap (1e-4), so there
+``method == "ilp"`` means optimal *to within 0.01 %*: wf27 gets 549001603
+although 549000002 is valid (EXPERIMENTS.md), and ``nightbench/golden.json``
+pins the former.  Once that check reads ``cost <= golden`` (ROADMAP item
+0(e)) the default-gap side goes and every model is solved exactly.
 """
 
 from __future__ import annotations
@@ -49,7 +63,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
 from repro.core.costs import INFINITE
+from repro.core.greedy import solve_greedy
 from repro.core.selection import SelectionProblem, SelectionResult
+
 
 def _strongly_connected(problem: SelectionProblem) -> dict[int, int]:
     """Tarjan SCC ids over the CSS dependency graph (target -> inputs).
@@ -58,9 +74,9 @@ def _strongly_connected(problem: SelectionProblem) -> dict[int, int]:
     part in a cyclic self-support; everything else needs no level row.
     """
     adj: dict[int, list[int]] = {}
-    for entry in problem.entries:
+    for entry, members in zip(problem.entries, problem.members):
         adj.setdefault(entry.target, []).extend(
-            k for k in set(entry.inputs) if k != entry.target
+            k for k in members if k != entry.target
         )
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -109,32 +125,16 @@ def _strongly_connected(problem: SelectionProblem) -> dict[int, int]:
     return scc_of
 
 
-def solve_ilp(
-    problem: SelectionProblem, time_limit: float | None = None
-) -> SelectionResult:
-    """Solve the selection problem to HiGHS's default relative gap (1e-4).
+def _highs(
+    problem: SelectionProblem, time_limit: float | None, exact: bool
+) -> tuple[set[int] | None, bool]:
+    """Assemble the Section 5.2 program and run HiGHS on it.
 
-    ``time_limit`` (seconds) caps the HiGHS run; on timeout the best
-    incumbent is used if it verifies, otherwise the greedy heuristic takes
-    over -- exactly the fallback Section 5.3 motivates ("The LP formulation
-    could take a long time to solve").
+    Returns the statistics the incumbent observes (``None``: HiGHS has no
+    incumbent) and whether it stopped at its gap rather than at the time
+    limit.  ``exact`` closes the gap completely instead of stopping at
+    HiGHS's default 1e-4.
     """
-    # widest histograms first: the I/D rules derive narrower statistics
-    # from them, so those are not also taken as observed
-    free = [i for i in problem.observable if problem.costs[i] == 0]
-    free.sort(key=lambda i: (-len(problem.stats[i].attrs), i))
-    if free and min(problem.costs) >= 0:
-        via = problem.derivation(free)
-        if via.keys() >= problem.required:
-            # only what this derivation of S_C rests on (``via`` holds
-            # inputs before targets): unneeded source statistics stay untapped
-            used = set(problem.required)
-            for i in reversed(via):
-                if i in used and via[i] is not None:
-                    used.update(problem.entries[via[i]].inputs)
-            observed = {i for i in used if via[i] is None}
-            return SelectionResult(problem, observed, method="ilp")
-
     n = problem.n
     m = len(problem.entries)
     scc_of = _strongly_connected(problem)
@@ -182,7 +182,7 @@ def solve_ilp(
     nontrivial = {e.target for e in problem.entries}
 
     for j, entry in enumerate(problem.entries):
-        members = sorted(set(entry.inputs))
+        members = sorted(problem.members[j])
         if entry.target in members:
             ub[z0 + j] = 0.0  # a self-referential CSS can never support
             continue
@@ -230,6 +230,8 @@ def solve_ilp(
     options = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
+    if exact:
+        options["mip_rel_gap"] = 0.0
     res = milp(
         c=cost,
         constraints=[LinearConstraint(a, np.array(c_lo), np.array(c_hi))],
@@ -238,23 +240,72 @@ def solve_ilp(
         options=options,
     )
     if res.x is None:
-        from repro.core.greedy import solve_greedy
-
-        fallback = solve_greedy(problem)
-        fallback.method = "greedy(ilp-no-incumbent)"
-        return fallback
-
+        return None, False
     observed = {
         i for i in range(n) if i in problem.observable and res.x[x0 + i] > 0.5
     }
-    if not (set(problem.required) <= problem.closure(observed)):
-        # should be impossible given the level constraints
-        from repro.core.greedy import solve_greedy  # pragma: no cover
+    return observed, bool(res.success)
 
-        fallback = solve_greedy(problem)  # pragma: no cover
-        fallback.method = "greedy(ilp-unsound)"  # pragma: no cover
-        return fallback  # pragma: no cover
-    method = "ilp" if res.success else "ilp(time-limit)"
+
+def _free_selection(problem: SelectionProblem) -> set[int] | None:
+    """The zero-cost observations ``S_C`` rests on, when those suffice."""
+    free = [i for i in problem.observable if problem.costs[i] == 0]
+    if not free:
+        return None
+    # widest histograms first: the I/D rules derive narrower statistics
+    # from them, so those are not also taken as observed
+    free.sort(key=lambda i: (-len(problem.stats[i].attrs), i))
+    via = problem.derivation(free)
+    if not via.keys() >= problem.required:
+        return None
+    # only what this derivation of S_C rests on (``via`` holds inputs
+    # before targets): unneeded source statistics stay untapped
+    used = set(problem.required)
+    for i in reversed(via):
+        if i in used and via[i] is not None:
+            used.update(problem.entries[via[i]].inputs)
+    return {i for i in used if via[i] is None}
+
+
+def solve_ilp(
+    problem: SelectionProblem, time_limit: float | None = None
+) -> SelectionResult:
+    """Solve the selection problem: proven optimal where the greedy bound
+    shrank it, to HiGHS's default relative gap (1e-4) where it did not.
+
+    ``time_limit`` (seconds) caps the HiGHS run; on timeout the best
+    incumbent is used if it verifies, otherwise the greedy heuristic takes
+    over -- exactly the fallback Section 5.3 motivates ("The LP formulation
+    could take a long time to solve").
+    """
+    greedy = None
+    model, kept = problem, range(problem.n)
+    if all(cost >= 0 for cost in problem.costs):
+        free = _free_selection(problem)
+        if free is not None:
+            return SelectionResult(problem, free, method="ilp")
+        # no selection as cheap as greedy's observes anything dearer than
+        # greedy's whole cost, nor derives anything from such a statistic
+        greedy = solve_greedy(problem)
+        bound = greedy.total_cost
+        alive = problem.closure(
+            {i for i in problem.observable if problem.costs[i] <= bound}
+        )
+        if len(alive) < problem.n:
+            model, kept = problem.restricted_to(alive)
+
+    observed, proved = _highs(model, time_limit, exact=model is not problem)
+    if observed is not None:
+        observed = {kept[i] for i in observed}
+    if observed is None or not problem.is_sufficient(observed):
+        # the second should be impossible given the level constraints
+        fallback = greedy if greedy is not None else solve_greedy(problem)
+        fallback.method = (
+            "greedy(ilp-no-incumbent)" if observed is None
+            else "greedy(ilp-unsound)"
+        )
+        return fallback
+    method = "ilp" if proved else "ilp(time-limit)"
     return SelectionResult(
         problem=problem, observed_indexes=observed, method=method, iterations=1
     )

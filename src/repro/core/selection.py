@@ -42,6 +42,10 @@ class SelectionProblem:
     costs: list[float]
     index: dict[Statistic, int] = field(default_factory=dict)
     by_target: dict[int, list[int]] = field(default_factory=dict)
+    #: per entry, its inputs without repeats
+    members: list[tuple[int, ...]] = field(init=False, repr=False)
+    #: statistic -> the entries it is an input of, ascending
+    feeds: dict[int, list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.index:
@@ -49,6 +53,11 @@ class SelectionProblem:
         if not self.by_target:
             for j, entry in enumerate(self.entries):
                 self.by_target.setdefault(entry.target, []).append(j)
+        self.members = [tuple(set(entry.inputs)) for entry in self.entries]
+        self.feeds = {}
+        for j, members in enumerate(self.members):
+            for k in members:
+                self.feeds.setdefault(k, []).append(j)
 
     @property
     def n(self) -> int:
@@ -64,13 +73,7 @@ class SelectionProblem:
         A member already derived when its turn comes stays derived, so
         walking back through these entries never cycles."""
         via: dict[int, int | None] = {}
-        waiting: dict[int, list[int]] = {}  # input -> the entries it feeds
-        remaining: list[int] = []
-        for j, entry in enumerate(self.entries):
-            members = set(entry.inputs)
-            remaining.append(len(members))
-            for k in members:
-                waiting.setdefault(k, []).append(j)
+        remaining = [len(members) for members in self.members]
         seeds = [(e.target, j) for j, e in enumerate(self.entries) if not e.inputs]
         seeds += [(i, None) for i in observed if i in self.observable]
         for seed, how in seeds:
@@ -79,13 +82,35 @@ class SelectionProblem:
             via[seed] = how
             frontier = [seed]
             while frontier:
-                for j in waiting.get(frontier.pop(), ()):
+                for j in self.feeds.get(frontier.pop(), ()):
                     remaining[j] -= 1
                     target = self.entries[j].target
                     if remaining[j] == 0 and target not in via:
                         via[target] = j
                         frontier.append(target)
         return via
+
+    def restricted_to(self, alive: set[int]) -> tuple[SelectionProblem, list[int]]:
+        """The same problem on the statistics in ``alive`` (which holds all
+        of ``S_C``) only, order preserved: statistics in index order, the
+        entries whose target and inputs all survive in their original order,
+        observability and costs untouched.  Also returns the index here of
+        each of its statistics."""
+        keep = sorted(alive)
+        new = {old: i for i, old in enumerate(keep)}
+        entries = [
+            CssEntry(new[e.target], tuple(new[k] for k in e.inputs), e.css)
+            for e, members in zip(self.entries, self.members)
+            if e.target in alive and alive.issuperset(members)
+        ]
+        sub = SelectionProblem(
+            stats=[self.stats[i] for i in keep],
+            observable=frozenset(new[i] for i in self.observable & alive),
+            required=frozenset(new[i] for i in self.required),
+            entries=entries,
+            costs=[self.costs[i] for i in keep],
+        )
+        return sub, keep
 
     def closure(self, observed: set[int]) -> set[int]:
         """True computability fixpoint from a set of observed statistics."""

@@ -206,6 +206,185 @@ class TestZeroCostPresolve:
         assert set(problem.entries[via[joined]].inputs) == {h1, h2}
 
 
+def suite_problem(number):
+    from repro import StatisticsPipeline
+    from repro.workloads import case
+
+    pipeline = StatisticsPipeline(case(number).build())
+    return build_problem(pipeline.catalog, pipeline.cost_model())
+
+
+def capture_milp(monkeypatch):
+    """Record what reaches ``repro.core.ilp.milp``; HiGHS still runs."""
+    import repro.core.ilp as ilp
+
+    calls = []
+    real = ilp.milp
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(ilp, "milp", spy)
+    return calls
+
+
+def same_model(got, want):
+    (got_rows,), (want_rows,) = got["constraints"], want["constraints"]
+    return (
+        (got["c"] == want["c"]).all()
+        and (got["integrality"] == want["integrality"]).all()
+        and (got["bounds"].lb == want["bounds"].lb).all()
+        and (got["bounds"].ub == want["bounds"].ub).all()
+        and (got_rows.A != want_rows.A).nnz == 0
+        and (got_rows.lb == want_rows.lb).all()
+        and (got_rows.ub == want_rows.ub).all()
+    )
+
+
+class TestGreedyBound:
+    """The greedy selection's cost bounds what any cheaper selection can
+    observe; what cannot be derived under that bound leaves the problem
+    before HiGHS sees it."""
+
+    def test_unshrunken_problem_reaches_highs_untouched(self, monkeypatch):
+        """wf20: nothing costs more than greedy's selection, so HiGHS gets
+        the whole problem's model and the default gap (golden.json pins an
+        in-gap answer for wf27, reached the same way)."""
+        import repro.core.ilp as ilp
+
+        problem = suite_problem(20)
+        calls = capture_milp(monkeypatch)
+        result = solve_ilp(problem)
+        ilp._highs(problem, None, exact=False)
+        solved, whole = calls
+        assert same_model(solved, whole)
+        assert solved["options"] == {}
+        assert result.method == "ilp" and result.total_cost == 508501.0
+
+    def test_shrunken_problem_is_solved_exactly(self, monkeypatch):
+        """wf26's shrunken model stops at 181,627 inside the default gap."""
+        problem = suite_problem(26)
+        calls = capture_milp(monkeypatch)
+        result = solve_ilp(problem)
+        (call,) = calls
+        assert call["options"] == {"mip_rel_gap": 0.0}
+        assert len(call["c"]) < 3 * problem.n + len(problem.entries)
+        assert result.problem is problem and result.is_valid
+        assert result.method == "ilp" and result.total_cost == 181626.0
+
+    def test_sub_problem_keeps_order_costs_and_observability(self):
+        problem = suite_problem(26)
+        alive = set(range(0, problem.n, 2)) | set(problem.required)
+        sub, kept = problem.restricted_to(alive)
+        assert kept == sorted(alive)
+        assert sub.stats == [problem.stats[i] for i in kept]
+        assert sub.costs == [problem.costs[i] for i in kept]
+        assert {kept[i] for i in sub.observable} == problem.observable & alive
+        assert {kept[i] for i in sub.required} == set(problem.required)
+        survivors = [
+            e for e in problem.entries if alive >= {e.target, *e.inputs}
+        ]
+        assert [e.css for e in sub.entries] == [e.css for e in survivors]
+        for mapped, original in zip(sub.entries, survivors):
+            assert kept[mapped.target] == original.target
+            assert tuple(kept[k] for k in mapped.inputs) == original.inputs
+
+    def test_negative_cost_bypasses_the_bound(self, monkeypatch):
+        import dataclasses
+
+        import repro.core.ilp as ilp
+
+        h2 = Statistic.hist(SE("T2"), "a")
+        problem = build_problem(tiny_catalog(), FixedCost({h2: 7.0}))
+        rebate = problem.index[Statistic.card(SE("T1"))]
+        costs = list(problem.costs)
+        costs[rebate] = -1.0
+        problem = dataclasses.replace(problem, costs=costs)
+        monkeypatch.setattr(ilp, "solve_greedy", None)  # calling it would raise
+        calls = capture_milp(monkeypatch)
+        result = solve_ilp(problem)
+        (call,) = calls
+        assert call["options"] == {}
+        assert len(call["c"]) == 3 * problem.n + len(problem.entries)
+        assert result.method == "ilp" and result.is_valid
+        assert rebate in result.observed_indexes
+
+    @pytest.mark.parametrize("number, shrunk", [(20, False), (26, True)])
+    def test_time_limit_reaches_highs(self, monkeypatch, number, shrunk):
+        calls = capture_milp(monkeypatch)
+        result = solve_ilp(suite_problem(number), time_limit=30.0)
+        (call,) = calls
+        assert call["options"]["time_limit"] == 30.0
+        assert ("mip_rel_gap" in call["options"]) == shrunk
+        assert result.method == "ilp"
+
+    def test_no_incumbent_returns_the_bounding_greedy(self, monkeypatch):
+        import types
+
+        import repro.core.ilp as ilp
+
+        problem = build_problem(tiny_catalog(), CostModel(Catalog()))
+        results = []
+
+        def counting(problem):
+            results.append(solve_greedy(problem))
+            return results[-1]
+
+        monkeypatch.setattr(ilp, "solve_greedy", counting)
+        monkeypatch.setattr(
+            ilp, "milp", lambda **_: types.SimpleNamespace(x=None, success=False)
+        )
+        result = solve_ilp(problem)
+        assert results == [result]  # one greedy solve, on the caller's problem
+        assert result.method == "greedy(ilp-no-incumbent)"
+        assert result.problem is problem and result.is_valid
+
+
+def sweeping_label_costs(problem, computable):
+    """The label pass as first written -- every entry, every sweep, until
+    a sweep improves nothing -- kept as the reference for the pass that
+    revisits only entries an input of which got cheaper."""
+    from repro.core.greedy import _OBSERVE
+
+    best = [INFINITE] * problem.n
+    choice = {}
+    for i in computable:
+        best[i] = 0.0
+    for i in problem.observable:
+        if i not in computable and problem.costs[i] < INFINITE:
+            best[i] = problem.costs[i]
+            choice[i] = _OBSERVE
+    changed = True
+    while changed:
+        changed = False
+        for j, entry in enumerate(problem.entries):
+            members = set(entry.inputs)
+            if entry.target in members:
+                continue
+            total = 0.0
+            for k in members:
+                total += best[k]
+            if total < best[entry.target] - 1e-12:
+                best[entry.target] = total
+                choice[entry.target] = j
+                changed = True
+    return best, choice
+
+
+@pytest.mark.parametrize("number", range(1, 31))
+def test_greedy_label_pass_agrees_with_full_sweeps(monkeypatch, number):
+    import repro.core.greedy as greedy
+
+    problem = suite_problem(number)
+    fast = solve_greedy(problem)
+    monkeypatch.setattr(greedy, "_label_costs", sweeping_label_costs)
+    reference = solve_greedy(problem)
+    assert fast.total_cost == reference.total_cost
+    assert fast.iterations == reference.iterations
+    assert fast.observed_indexes == reference.observed_indexes
+
+
 class TestSelectStatistics:
     """``repro.core.select_statistics``: build + dispatch, written once."""
 

@@ -94,3 +94,44 @@ def test_zero_cost_presolve_agrees_with_highs(seed, share):
     paid = problem.total_cost(reference.observed_indexes)
     # two HiGHS runs may stop at different ends of the 1e-4 relative gap
     assert result.total_cost == pytest.approx(paid, rel=2e-4, abs=1e-6), seed
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**20),
+    share=st.sampled_from([0.0, 0.2, 0.5]),
+)
+def test_greedy_bound_prune_costs_the_proven_optimum(seed, share):
+    """Solving what the greedy bound leaves costs exactly what the whole
+    model costs when HiGHS closes its gap, and the selection is sufficient
+    on the problem the caller passed, not only on the pruned one."""
+    from repro.core.ilp import _highs
+
+    workflow, _ = random_workflow(seed)
+    catalog = generate_css(analyze(workflow))
+    observable = sorted(catalog.observable, key=lambda s: s.sort_key())
+    free = set(random.Random(seed).sample(
+        observable, round(share * len(observable))))
+    problem = build_problem(
+        catalog, CostModel(workflow.catalog), free_statistics=free
+    )
+
+    result = solve_ilp(problem)
+    assert result.method == "ilp" and result.problem is problem, seed
+    assert problem.is_sufficient(result.observed_indexes), seed
+    assert result.observed_indexes <= problem.observable, seed
+
+    whole, proved = _highs(problem, None, exact=True)
+    assert proved, seed
+    bound = solve_greedy(problem).total_cost
+    alive = problem.closure(
+        {i for i in problem.observable if problem.costs[i] <= bound})
+    # a model the bound left whole is solved at the default gap, as ever
+    tolerance = 1e-9 if len(alive) < problem.n else 2e-4
+    assert result.total_cost == pytest.approx(
+        problem.total_cost(whole), rel=tolerance, abs=1e-6), seed

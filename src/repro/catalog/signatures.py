@@ -86,6 +86,9 @@ class WorkflowSigner:
         #: frozenset of member names -> owning block (for join SEs)
         self._blocks: list[Block] = list(analysis.blocks)
         self._block_sig_cache: dict[str, object] = {}
+        #: SE -> its signature: a workflow's candidate statistics sit a
+        #: handful to an SE, and each one's key embeds the SE's signature
+        self._se_sig_cache: dict[AnySE, object] = {}
         for block in self._blocks:
             self._register_block(block)
 
@@ -185,7 +188,16 @@ class WorkflowSigner:
     # public API
     # ------------------------------------------------------------------
     def se_signature(self, se: AnySE):
-        """Canonical signature document for any SE flavour."""
+        """Canonical signature document for any SE flavour.
+
+        Derived once per SE; an unresolvable SE raises every time.
+        """
+        sig = self._se_sig_cache.get(se)
+        if sig is None:
+            sig = self._se_sig_cache[se] = self._derive_se_signature(se)
+        return sig
+
+    def _derive_se_signature(self, se: AnySE):
         if isinstance(se, SubExpression):
             if se.is_base:
                 return self._feed(se.base_name)

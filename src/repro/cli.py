@@ -383,7 +383,7 @@ def _cmd_run(args) -> int:
         print(
             f"catalog {args.catalog}: {report.catalog_hits} reused, "
             f"{len(report.tapped)} observed fresh, "
-            f"{len(stats_catalog.entries)} entries after reconcile"
+            f"{len(stats_catalog)} entries after reconcile"
         )
         _close_catalog(stats_catalog)
     if contracts is not None:

@@ -401,338 +401,345 @@ class StatisticsPipeline:
         timings: dict[str, float] = {}
         clock = self.clock
 
+        opened = None  # the served-catalog client this cycle itself opened
         if isinstance(stats_catalog, str):
             # "http://host:port" / "unix:///path.sock" -> served catalog
             # behind the degrading client; a plain path -> the file store
             from repro.serve.client import resolve_stats_catalog
 
             stats_catalog = resolve_stats_catalog(stats_catalog)
-        # an HA client counts endpoint failovers; capture the baseline so
-        # the report carries this cycle's delta, not the client's lifetime
-        failovers_before = getattr(stats_catalog, "failovers", 0)
-        cache_before = (
-            self.plan_cache.hits,
-            self.plan_cache.misses,
-            self.plan_cache.invalidations,
-        )
-
-        quality = None
-        if contracts is not None and len(contracts):
-            from repro.quality.drift import DEFAULT_POLICY
-            from repro.quality.gate import QualityGate
-            from repro.quality.quarantine import QuarantineStore
-
-            quality = QualityGate(
-                contracts=contracts,
-                policy=on_drift or DEFAULT_POLICY,
-                quarantine=quarantine
-                if quarantine is not None
-                else QuarantineStore(),
+            if hasattr(stats_catalog, "close"):
+                opened = stats_catalog
+        try:
+            # an HA client counts endpoint failovers; capture the baseline so
+            # the report carries this cycle's delta, not the client's lifetime
+            failovers_before = getattr(stats_catalog, "failovers", 0)
+            cache_before = (
+                self.plan_cache.hits,
+                self.plan_cache.misses,
+                self.plan_cache.invalidations,
             )
 
-        t0 = clock()
-        with tr.span("enumerate") as enum_span:
-            if trees:
-                analysis = with_plans(self.analysis, trees)
-                catalog = generate_css(analysis, self.generator_options)
-            else:
-                analysis, catalog = self.analysis, self.catalog
-            if tracer is not None:
-                counts = catalog.counts()
-                enum_span.annotate(
-                    blocks=len(analysis.blocks),
-                    statistics=counts["statistics"],
-                    css=counts["css"],
-                    required=counts["required"],
+            quality = None
+            if contracts is not None and len(contracts):
+                from repro.quality.drift import DEFAULT_POLICY
+                from repro.quality.gate import QualityGate
+                from repro.quality.quarantine import QuarantineStore
+
+                quality = QualityGate(
+                    contracts=contracts,
+                    policy=on_drift or DEFAULT_POLICY,
+                    quarantine=quarantine
+                    if quarantine is not None
+                    else QuarantineStore(),
                 )
-        timings["enumerate"] = clock() - t0
-
-        t0 = clock()
-        signer = None
-        hits = None
-        free = set(self.free_statistics)
-        with tr.span("selection") as sel_span:
-            if stats_catalog is not None:
-                from repro.catalog.signatures import WorkflowSigner
-
-                signer = WorkflowSigner(analysis)
-                hits = stats_catalog.lookup(signer, catalog.all_statistics)
-                free |= hits.free
-            selection = core.select_statistics(
-                catalog, self.cost_model(), free=free, solver=self.solver
-            )
-            # catalog-covered statistics are consumed, never re-observed:
-            # they are dropped from the instrumented set, which is where the
-            # fleet-wide observation savings materialize
-            tapped = [
-                stat
-                for stat in selection.observed
-                if hits is None or stat not in hits.free
-            ]
-            sel_span.annotate(
-                method=selection.method,
-                observed=len(selection.observed_indexes),
-                cost=selection.total_cost,
-                tapped=len(tapped),
-                catalog_hits=len(selection.observed) - len(tapped),
-            )
-        timings["selection"] = clock() - t0
-
-        # prior row predictions, for estimated-vs-actual trace annotations:
-        # the previous cycle's materialized sizes, overlaid with tonight's
-        # catalog cardinalities (both are what the optimizer believed)
-        estimates = None
-        if tracer is not None or feedback is not None:
-            estimates = dict(self._se_sizes)
-            if hits is not None:
-                estimates.update(
-                    {
-                        stat.se: float(value)
-                        for stat, value in hits.values.items()
-                        if stat.is_cardinality
-                    }
-                )
-
-        t0 = clock()
-        from repro.estimation.sketches import sketch_scope
-
-        backend = self._make_backend()
-        # the scope covers tap construction, execution and the parent-side
-        # shard merges, so every accumulator the cycle builds (including
-        # TapSet.merge's factory-fresh ones) follows the same spec
-        with sketch_scope(self.sketch_spec):
-            taps = backend.make_taps(tapped)
-            with tr.span("execution", backend=self.backend) as exec_span:
-                run = BackendExecutor(
-                    analysis,
-                    backend,
-                    plan_cache=self.plan_cache,
-                ).run(
-                    sources,
-                    taps=taps,
-                    faults=faults,
-                    retry=retry,
-                    checkpoint=checkpoint,
-                    tracer=tracer,
-                    trace_parent=exec_span if tracer is not None else None,
-                    estimates=estimates,
-                    quality=quality,
-                )
-                exec_span.annotate(
-                    failures=len(run.failures), resumed=len(run.resumed)
-                )
-                if quality is not None:
-                    exec_span.annotate(
-                        quarantined=run.rows_quarantined,
-                        schema_drift=len(run.schema_drift),
-                    )
-        timings["execution"] = clock() - t0
-        sketch_bytes = 0
-        if self.sketch_spec.mode != "exact":
-            sketch_bytes = taps.distinct_bytes()
-            sketch_bytes += run.shard_stats.get("sketch_bytes", 0)
-        self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
-
-        drifted_sources = {event.source for event in run.schema_drift}
-        drift = None
-        drift_invalidated = 0
-        if stats_catalog is not None:
-            from repro.catalog.drift import invalidate_schema_drift, reconcile_run
 
             t0 = clock()
-            kwargs = {} if drift_threshold is None else {
-                "threshold": drift_threshold
-            }
-            with tr.span("reconcile") as rec_span:
-                # schema drift first: entries observed against the old shape
-                # go stale *before* tonight's (post-reconcile) observations
-                # re-admit whatever the run could still validate
-                if drifted_sources:
-                    drift_invalidated = invalidate_schema_drift(
+            with tr.span("enumerate") as enum_span:
+                if trees:
+                    analysis = with_plans(self.analysis, trees)
+                    catalog = generate_css(analysis, self.generator_options)
+                else:
+                    analysis, catalog = self.analysis, self.catalog
+                if tracer is not None:
+                    counts = catalog.counts()
+                    enum_span.annotate(
+                        blocks=len(analysis.blocks),
+                        statistics=counts["statistics"],
+                        css=counts["css"],
+                        required=counts["required"],
+                    )
+            timings["enumerate"] = clock() - t0
+
+            t0 = clock()
+            signer = None
+            hits = None
+            free = set(self.free_statistics)
+            with tr.span("selection") as sel_span:
+                if stats_catalog is not None:
+                    from repro.catalog.signatures import WorkflowSigner
+
+                    signer = WorkflowSigner(analysis)
+                    hits = stats_catalog.lookup(signer, catalog.all_statistics)
+                    free |= hits.free
+                selection = core.select_statistics(
+                    catalog, self.cost_model(), free=free, solver=self.solver
+                )
+                # catalog-covered statistics are consumed, never re-observed:
+                # they are dropped from the instrumented set, which is where the
+                # fleet-wide observation savings materialize
+                tapped = [
+                    stat
+                    for stat in selection.observed
+                    if hits is None or stat not in hits.free
+                ]
+                sel_span.annotate(
+                    method=selection.method,
+                    observed=len(selection.observed_indexes),
+                    cost=selection.total_cost,
+                    tapped=len(tapped),
+                    catalog_hits=len(selection.observed) - len(tapped),
+                )
+            timings["selection"] = clock() - t0
+
+            # prior row predictions, for estimated-vs-actual trace annotations:
+            # the previous cycle's materialized sizes, overlaid with tonight's
+            # catalog cardinalities (both are what the optimizer believed)
+            estimates = None
+            if tracer is not None or feedback is not None:
+                estimates = dict(self._se_sizes)
+                if hits is not None:
+                    estimates.update(
+                        {
+                            stat.se: float(value)
+                            for stat, value in hits.values.items()
+                            if stat.is_cardinality
+                        }
+                    )
+
+            t0 = clock()
+            from repro.estimation.sketches import sketch_scope
+
+            backend = self._make_backend()
+            # the scope covers tap construction, execution and the parent-side
+            # shard merges, so every accumulator the cycle builds (including
+            # TapSet.merge's factory-fresh ones) follows the same spec
+            with sketch_scope(self.sketch_spec):
+                taps = backend.make_taps(tapped)
+                with tr.span("execution", backend=self.backend) as exec_span:
+                    run = BackendExecutor(
+                        analysis,
+                        backend,
+                        plan_cache=self.plan_cache,
+                    ).run(
+                        sources,
+                        taps=taps,
+                        faults=faults,
+                        retry=retry,
+                        checkpoint=checkpoint,
+                        tracer=tracer,
+                        trace_parent=exec_span if tracer is not None else None,
+                        estimates=estimates,
+                        quality=quality,
+                    )
+                    exec_span.annotate(
+                        failures=len(run.failures), resumed=len(run.resumed)
+                    )
+                    if quality is not None:
+                        exec_span.annotate(
+                            quarantined=run.rows_quarantined,
+                            schema_drift=len(run.schema_drift),
+                        )
+            timings["execution"] = clock() - t0
+            sketch_bytes = 0
+            if self.sketch_spec.mode != "exact":
+                sketch_bytes = taps.distinct_bytes()
+                sketch_bytes += run.shard_stats.get("sketch_bytes", 0)
+            self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
+
+            drifted_sources = {event.source for event in run.schema_drift}
+            drift = None
+            drift_invalidated = 0
+            if stats_catalog is not None:
+                from repro.catalog.drift import invalidate_schema_drift, reconcile_run
+
+                t0 = clock()
+                kwargs = {} if drift_threshold is None else {
+                    "threshold": drift_threshold
+                }
+                with tr.span("reconcile") as rec_span:
+                    # schema drift first: entries observed against the old shape
+                    # go stale *before* tonight's (post-reconcile) observations
+                    # re-admit whatever the run could still validate
+                    if drifted_sources:
+                        drift_invalidated = invalidate_schema_drift(
+                            stats_catalog,
+                            signer,
+                            analysis,
+                            drifted_sources,
+                            metrics=metrics,
+                            workflow=analysis.workflow.name,
+                        )
+                    # a resumed run's journal-restored statistics were observed
+                    # on the *crashed* attempt: refreshing their entries now
+                    # would forge tonight's timestamp onto stale provenance
+                    fresh_tapped = [
+                        stat
+                        for stat in tapped
+                        if stat not in run.restored_statistics
+                    ]
+                    drift = reconcile_run(
                         stats_catalog,
                         signer,
-                        analysis,
-                        drifted_sources,
-                        metrics=metrics,
+                        run.observations,
+                        run.se_sizes,
+                        fresh_tapped,
                         workflow=analysis.workflow.name,
+                        run_id=run_id,
+                        backend=self.backend,
+                        metrics=metrics,
+                        **kwargs,
                     )
-                # a resumed run's journal-restored statistics were observed
-                # on the *crashed* attempt: refreshing their entries now
-                # would forge tonight's timestamp onto stale provenance
-                fresh_tapped = [
-                    stat
-                    for stat in tapped
-                    if stat not in run.restored_statistics
-                ]
-                drift = reconcile_run(
-                    stats_catalog,
-                    signer,
-                    run.observations,
-                    run.se_sizes,
-                    fresh_tapped,
-                    workflow=analysis.workflow.name,
-                    run_id=run_id,
-                    backend=self.backend,
-                    metrics=metrics,
-                    **kwargs,
-                )
-                rec_span.annotate(
-                    added=len(drift.added),
-                    refreshed=len(drift.refreshed),
-                    drifted=len(drift.drifted),
-                    stale_marked=drift.stale_marked,
-                    max_rel_error=drift.max_rel_error,
-                    schema_invalidated=drift_invalidated,
-                )
-            timings["reconcile"] = clock() - t0
+                    rec_span.annotate(
+                        added=len(drift.added),
+                        refreshed=len(drift.refreshed),
+                        drifted=len(drift.drifted),
+                        stale_marked=drift.stale_marked,
+                        max_rel_error=drift.max_rel_error,
+                        schema_invalidated=drift_invalidated,
+                    )
+                timings["reconcile"] = clock() - t0
 
-        feedback_report = None
-        if feedback is not None:
-            if signer is None:
-                from repro.catalog.signatures import WorkflowSigner
+            feedback_report = None
+            if feedback is not None:
+                if signer is None:
+                    from repro.catalog.signatures import WorkflowSigner
 
-                signer = WorkflowSigner(analysis)
+                    signer = WorkflowSigner(analysis)
+                t0 = clock()
+                with tr.span("feedback") as fb_span:
+                    feedback_report = feedback.observe_run(
+                        signer,
+                        estimates or {},
+                        run.se_sizes,
+                        workflow=analysis.workflow.name,
+                        run_id=run_id,
+                        backend=self.backend,
+                        metrics=metrics,
+                    )
+                    fb_span.annotate(
+                        observed=feedback_report.observed,
+                        corrected=len(feedback_report.corrected),
+                        flagged=len(feedback_report.flagged),
+                        mean_rel_error=feedback_report.mean_rel_error,
+                    )
+                timings["feedback"] = clock() - t0
+
+            # saved after the corrector ran, so in-place corrections persist
+            # in the same night's write
+            if stats_catalog is not None and stats_catalog.path is not None:
+                stats_catalog.save()
+
             t0 = clock()
-            with tr.span("feedback") as fb_span:
-                feedback_report = feedback.observe_run(
-                    signer,
-                    estimates or {},
-                    run.se_sizes,
+            opt_span = tr.start("optimization")
+            effective = run.observations
+            if hits is not None and len(hits.values):
+                effective = run.observations.copy()
+                effective.merge(hits.values)
+            estimator = CardinalityEstimator(catalog, effective)
+            degraded: dict[str, str] = {}
+            degraded_sources: dict[str, dict[str, str]] = {}
+            if run.failures:
+                from repro.framework.recovery import degraded_cardinalities
+
+                observed_only = (
+                    CardinalityEstimator(catalog, run.observations)
+                    if hits is not None and len(hits.values)
+                    else estimator
+                )
+                prefer_prior = (
+                    prior_observed_at is not None
+                    and hits is not None
+                    and prior_observed_at > hits.newest_observed_at
+                )
+                cards, degraded, degraded_sources = degraded_cardinalities(
+                    analysis,
+                    run,
+                    catalog,
+                    observed_only,
+                    prior=prior_statistics,
+                    catalog_statistics=hits.values if hits is not None else None,
+                    prefer_prior=prefer_prior,
+                    drifted_sources=drifted_sources,
+                )
+                optimizer = PlanOptimizer(analysis, cards, metric=self.cost_metric)
+                plans = {
+                    block.name: optimizer.optimize_or_fallback(
+                        block, confidence=degraded.get(block.name, "observed")
+                    )
+                    for block in analysis.blocks
+                }
+                # optimize_or_fallback may further downgrade a block to "none"
+                for name, plan in plans.items():
+                    if plan.confidence != "observed":
+                        degraded[name] = plan.confidence
+            else:
+                plans = PlanOptimizer(
+                    analysis, estimator.all_cardinalities(), metric=self.cost_metric
+                ).optimize()
+            catalog_degraded = bool(getattr(stats_catalog, "degraded", False))
+            if catalog_degraded:
+                # the server vanished mid-night: the chosen trees are exactly
+                # what the local view would have chosen, but they could not be
+                # cross-checked against the fleet's shared state -- every
+                # plan's confidence drops one rung, and the run still succeeds
+                from dataclasses import replace as _replace
+
+                from repro.framework.recovery import demote_confidence
+
+                for name, plan in plans.items():
+                    demoted = demote_confidence(plan.confidence)
+                    if demoted != plan.confidence:
+                        plans[name] = _replace(plan, confidence=demoted)
+                        degraded[name] = demoted
+
+            tr.end(
+                opt_span,
+                improved=sum(1 for p in plans.values() if p.improved),
+                degraded=len(degraded),
+            )
+            timings["optimization"] = clock() - t0
+
+            report = PipelineReport(
+                analysis=analysis,
+                catalog=catalog,
+                selection=selection,
+                run=run,
+                estimator=estimator,
+                plans=plans,
+                timings=timings,
+                failures=dict(run.failures),
+                degraded=degraded,
+                degraded_sources=degraded_sources,
+                tapped=tapped,
+                catalog_hits=len(selection.observed) - len(tapped),
+                drift=drift,
+                drift_invalidated=drift_invalidated,
+                trace=tracer,
+                catalog_degraded=catalog_degraded,
+                catalog_failovers=(
+                    getattr(stats_catalog, "failovers", 0) - failovers_before
+                ),
+                plan_cache_hits=self.plan_cache.hits - cache_before[0],
+                plan_cache_misses=self.plan_cache.misses - cache_before[1],
+                plan_cache_invalidations=self.plan_cache.invalidations
+                - cache_before[2],
+                sketch_mode=self.sketch_spec.mode,
+                sketch_bytes=sketch_bytes,
+                corrections=(
+                    len(feedback_report.corrected)
+                    if feedback_report is not None
+                    else 0
+                ),
+                feedback=feedback_report,
+            )
+            if tracer is not None:
+                tracer.finish(
                     workflow=analysis.workflow.name,
                     run_id=run_id,
                     backend=self.backend,
-                    metrics=metrics,
+                    ok=report.ok,
                 )
-                fb_span.annotate(
-                    observed=feedback_report.observed,
-                    corrected=len(feedback_report.corrected),
-                    flagged=len(feedback_report.flagged),
-                    mean_rel_error=feedback_report.mean_rel_error,
+            if metrics is not None:
+                from repro.obs.record import record_run_metrics
+
+                record_run_metrics(
+                    metrics,
+                    report,
+                    workflow=analysis.workflow.name,
+                    backend=self.backend,
                 )
-            timings["feedback"] = clock() - t0
-
-        # saved after the corrector ran, so in-place corrections persist
-        # in the same night's write
-        if stats_catalog is not None and stats_catalog.path is not None:
-            stats_catalog.save()
-
-        t0 = clock()
-        opt_span = tr.start("optimization")
-        effective = run.observations
-        if hits is not None and len(hits.values):
-            effective = run.observations.copy()
-            effective.merge(hits.values)
-        estimator = CardinalityEstimator(catalog, effective)
-        degraded: dict[str, str] = {}
-        degraded_sources: dict[str, dict[str, str]] = {}
-        if run.failures:
-            from repro.framework.recovery import degraded_cardinalities
-
-            observed_only = (
-                CardinalityEstimator(catalog, run.observations)
-                if hits is not None and len(hits.values)
-                else estimator
-            )
-            prefer_prior = (
-                prior_observed_at is not None
-                and hits is not None
-                and prior_observed_at > hits.newest_observed_at
-            )
-            cards, degraded, degraded_sources = degraded_cardinalities(
-                analysis,
-                run,
-                catalog,
-                observed_only,
-                prior=prior_statistics,
-                catalog_statistics=hits.values if hits is not None else None,
-                prefer_prior=prefer_prior,
-                drifted_sources=drifted_sources,
-            )
-            optimizer = PlanOptimizer(analysis, cards, metric=self.cost_metric)
-            plans = {
-                block.name: optimizer.optimize_or_fallback(
-                    block, confidence=degraded.get(block.name, "observed")
-                )
-                for block in analysis.blocks
-            }
-            # optimize_or_fallback may further downgrade a block to "none"
-            for name, plan in plans.items():
-                if plan.confidence != "observed":
-                    degraded[name] = plan.confidence
-        else:
-            plans = PlanOptimizer(
-                analysis, estimator.all_cardinalities(), metric=self.cost_metric
-            ).optimize()
-        catalog_degraded = bool(getattr(stats_catalog, "degraded", False))
-        if catalog_degraded:
-            # the server vanished mid-night: the chosen trees are exactly
-            # what the local view would have chosen, but they could not be
-            # cross-checked against the fleet's shared state -- every
-            # plan's confidence drops one rung, and the run still succeeds
-            from dataclasses import replace as _replace
-
-            from repro.framework.recovery import demote_confidence
-
-            for name, plan in plans.items():
-                demoted = demote_confidence(plan.confidence)
-                if demoted != plan.confidence:
-                    plans[name] = _replace(plan, confidence=demoted)
-                    degraded[name] = demoted
-
-        tr.end(
-            opt_span,
-            improved=sum(1 for p in plans.values() if p.improved),
-            degraded=len(degraded),
-        )
-        timings["optimization"] = clock() - t0
-
-        report = PipelineReport(
-            analysis=analysis,
-            catalog=catalog,
-            selection=selection,
-            run=run,
-            estimator=estimator,
-            plans=plans,
-            timings=timings,
-            failures=dict(run.failures),
-            degraded=degraded,
-            degraded_sources=degraded_sources,
-            tapped=tapped,
-            catalog_hits=len(selection.observed) - len(tapped),
-            drift=drift,
-            drift_invalidated=drift_invalidated,
-            trace=tracer,
-            catalog_degraded=catalog_degraded,
-            catalog_failovers=(
-                getattr(stats_catalog, "failovers", 0) - failovers_before
-            ),
-            plan_cache_hits=self.plan_cache.hits - cache_before[0],
-            plan_cache_misses=self.plan_cache.misses - cache_before[1],
-            plan_cache_invalidations=self.plan_cache.invalidations
-            - cache_before[2],
-            sketch_mode=self.sketch_spec.mode,
-            sketch_bytes=sketch_bytes,
-            corrections=(
-                len(feedback_report.corrected)
-                if feedback_report is not None
-                else 0
-            ),
-            feedback=feedback_report,
-        )
-        if tracer is not None:
-            tracer.finish(
-                workflow=analysis.workflow.name,
-                run_id=run_id,
-                backend=self.backend,
-                ok=report.ok,
-            )
-        if metrics is not None:
-            from repro.obs.record import record_run_metrics
-
-            record_run_metrics(
-                metrics,
-                report,
-                workflow=analysis.workflow.name,
-                backend=self.backend,
-            )
-        return report
+            return report
+        finally:
+            if opened is not None:
+                opened.close()

@@ -15,18 +15,32 @@ confidence, it never fails the run.**  The machinery, outermost first:
 - a **circuit breaker** counts consecutive request failures and, once
   open, fails calls instantly instead of stacking timeouts;
 - on the first unrecoverable failure the client **degrades**: its
-  in-memory mirror (seeded from the server at first contact, optionally
-  from a local fallback catalog file) serves every later read, writes
-  are folded into the fallback file at :meth:`save`, and ``degraded``
-  flips ``True`` -- which the pipeline translates into plan confidence
-  dropping one rung down the observed → catalog → prior → independence
-  ladder.
+  in-memory mirror (what this client has read from and written to the
+  server so far, plus a local fallback catalog file if one was given)
+  serves every later read, writes are folded into the fallback file at
+  :meth:`save`, and ``degraded`` flips ``True`` -- which the pipeline
+  translates into plan confidence dropping one rung down the observed →
+  catalog → prior → independence ladder.
+
+**The mirror is a read-through cache, not a replica.**  A night reads
+what it asks for: :meth:`lookup` is one ``POST /lookup`` carrying the
+workflow's candidate keys, and the answer -- the usable entries plus,
+under ``unusable``, the entries that exist for those keys but are stale,
+expired or of low quality -- is absorbed into the mirror, so the
+reconciler's ``get(key)`` still finds a stale predecessor without
+another request.  ``get`` of a key the server was never asked about
+reads through by key (never counting a hit), ``entries_on_se`` reads
+through ``POST /entries``, ``len()`` is ``/healthz``'s entry count, and
+only the whole-catalog readers (``entries``, ``usable_keys``,
+``describe``) download ``GET /export``.  No read overwrites an entry
+this client has written but not yet flushed.
 
 Writes are *staged* locally in order and flushed by :meth:`save` under a
 server lease: the flush acquires a fence token and attaches it to every
 mutation, so a client that stalls mid-save and loses its lease has the
 rest of its flush rejected (HTTP 409) rather than interleaved with its
-successor's.
+successor's -- and keeps the rejected rest staged, so a later
+:meth:`save` sends it.
 
 **High availability.**  The ``url`` may be a comma-separated endpoint
 list (``run --catalog URL1,URL2``).  Each endpoint gets its own
@@ -84,6 +98,13 @@ DEFAULT_BREAKER_COOLDOWN = 30.0
 #: per-request socket timeout, seconds
 DEFAULT_TIMEOUT = 2.0
 
+
+#: staged op -> the route that flushes it and the body field its items ride in
+_FLUSH_ROUTES = {
+    "put": ("/put", "entries"),
+    "stale": ("/stale", "keys"),
+    "quality": ("/quality", "adjust"),
+}
 
 #: POST routes that mutate catalog state and therefore carry the epoch
 EPOCHED_PATHS = frozenset(
@@ -217,11 +238,14 @@ class CatalogClient:
         else:
             self._fallback = None
 
-        #: local view of the server's entries; after degradation it IS the
-        #: catalog (seeded from the last sync and/or the fallback file)
+        #: the entries this client has read from or written to the server;
+        #: after degradation it IS the catalog (plus the fallback file)
         self._mirror = StatisticsCatalog(None, ttl=ttl, min_quality=min_quality)
+        #: keys the server has answered for: one of these missing from the
+        #: mirror is the server's "no such entry", not a question to ask
+        self._answered: set[str] = set()
+        self._exported = False  # GET /export absorbed: every key answered
         self._staged: list[tuple[str, list]] = []  # ordered, coalesced ops
-        self._synced = False
         self.degraded = False
         self.fence: int | None = None
         self.epoch = 0  # highest promotion epoch seen across endpoints
@@ -493,19 +517,81 @@ class CatalogClient:
                 for key, entry in self._fallback.entries.items():
                     self._mirror.entries.setdefault(key, entry)
 
-    def _ensure_synced(self) -> None:
-        """Seed the mirror from the server once per client lifetime."""
-        if self._synced or self.degraded:
-            return
+    # ------------------------------------------------------------------
+    # the read-through mirror
+    # ------------------------------------------------------------------
+    def _staged_keys(self) -> set[str]:
+        keys: set[str] = set()
+        for op, items in self._staged:
+            if op == "put":
+                keys.update(doc["key"] for doc in items)
+            elif op == "stale":
+                keys.update(items)
+            else:
+                keys.update(key for key, _ in items)
+        return keys
+
+    def _absorb(self, entry_docs) -> list[CatalogEntry]:
+        """Fold entries the server sent into the mirror.
+
+        A key with a staged write keeps the mirror's version: the server
+        has not seen that write yet, so its copy is the older one.
+        """
+        entries = [CatalogEntry.from_dict(doc) for doc in entry_docs]
+        mine = self._staged_keys()
+        for entry in entries:
+            if entry.key not in mine:
+                self._mirror.entries[entry.key] = entry
+        return entries
+
+    def _read(self, method: str, path: str, doc=None) -> dict | None:
+        """One read request; a failed one degrades and answers ``None``."""
+        if self.degraded:
+            return None
         try:
-            doc = self._request("GET", "/export")
+            return self._request(method, path, doc)
         except (CatalogUnavailable, CatalogRequestError):
             self._degrade()
+            return None
+
+    def _ask(
+        self, keys: list[str], now: float | None = None, count_hits: bool = False
+    ) -> dict[str, CatalogEntry] | None:
+        """``POST /lookup``: the usable entries among ``keys``, by key.
+
+        The mirror absorbs them and the unusable ones the answer carries
+        beside them; ``keys`` are answered for from here on.  ``None``
+        if the server could not be asked.
+        """
+        body = {"keys": keys, "count_hits": bool(count_hits)}
+        if now is not None:
+            body["now"] = now
+        answer = self._read("POST", "/lookup", body)
+        if answer is None:
+            return None
+        self._absorb(answer.get("unusable", []))
+        usable = self._absorb(answer.get("entries", []))
+        self._answered.update(keys)
+        return {entry.key: entry for entry in usable}
+
+    def _read_through(self, keys) -> None:
+        """Ask, counting no hit, for the keys the mirror cannot answer."""
+        if self._exported:
             return
-        for entry_doc in doc.get("entries", []):
-            entry = CatalogEntry.from_dict(entry_doc)
-            self._mirror.entries[entry.key] = entry
-        self._synced = True
+        unknown = [
+            key
+            for key in keys
+            if key not in self._answered and key not in self._mirror.entries
+        ]
+        if unknown:
+            self._ask(unknown)
+
+    def _export(self) -> None:
+        """Whole-catalog readers download the catalog, once per client."""
+        doc = None if self._exported else self._read("GET", "/export")
+        if doc is not None:
+            self._absorb(doc.get("entries", []))
+            self._exported = True
 
     # ------------------------------------------------------------------
     # StatisticsCatalog duck interface: reads
@@ -518,29 +604,35 @@ class CatalogClient:
 
     @property
     def entries(self) -> dict[str, CatalogEntry]:
-        self._ensure_synced()
+        self._export()
         return self._mirror.entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        health = self._read("GET", "/healthz")
+        if health is None:
+            return len(self._mirror.entries)
+        return int(health["entries"])
 
     def __contains__(self, key: str) -> bool:
-        return key in self.entries
+        return self.get(key) is not None
 
     def get(self, key: str) -> CatalogEntry | None:
-        self._ensure_synced()
+        self._read_through([key])
         return self._mirror.get(key)
 
     def usable_keys(self, now: float | None = None) -> set[str]:
-        self._ensure_synced()
+        self._export()
         return self._mirror.usable_keys(now)
 
     def entries_on_se(self, se_key: str) -> list[CatalogEntry]:
-        self._ensure_synced()
+        if not self._exported:
+            answer = self._read("POST", "/entries", {"se_keys": [se_key]})
+            if answer is not None:
+                self._absorb(answer.get("entries", []))
         return self._mirror.entries_on_se(se_key)
 
     def describe(self) -> str:
-        self._ensure_synced()
+        self._export()
         mode = "degraded to local view" if self.degraded else "connected"
         return f"catalog service {self.url} ({mode})\n" + self._mirror.describe()
 
@@ -549,31 +641,17 @@ class CatalogClient:
     ) -> CatalogHits:
         """Match candidate statistics; server answers, mirror absorbs.
 
-        When the server is healthy the answer is authoritative (and bumps
-        server-side hit counters); after degradation the mirror -- last
-        synced state plus the fallback file -- answers instead, which is
-        the "catalog" rung of the confidence ladder with one rung knocked
-        off by the pipeline.
+        The night's one read.  When the server is healthy the answer is
+        authoritative (and bumps server-side hit counters); after
+        degradation the mirror -- what this client read before the server
+        vanished, plus the fallback file -- answers instead, which is the
+        "catalog" rung of the confidence ladder with one rung knocked off
+        by the pipeline.
         """
-        self._ensure_synced()
         if not self.degraded:
             keys = signer.statistic_keys(stats)
-            try:
-                body = {
-                    "keys": sorted(set(keys.values())),
-                    "count_hits": bool(count_hits),
-                }
-                if now is not None:
-                    body["now"] = now
-                answer = self._request("POST", "/lookup", body)
-            except (CatalogUnavailable, CatalogRequestError):
-                self._degrade()
-            else:
-                usable: dict[str, CatalogEntry] = {}
-                for entry_doc in answer.get("entries", []):
-                    entry = CatalogEntry.from_dict(entry_doc)
-                    usable[entry.key] = entry
-                    self._mirror.entries[entry.key] = entry
+            usable = self._ask(sorted(set(keys.values())), now, count_hits)
+            if usable is not None:
                 return CatalogHits.of(keys, usable)
         return self._mirror.lookup(signer, stats, now=now, count_hits=count_hits)
 
@@ -593,12 +671,14 @@ class CatalogClient:
 
     def mark_stale(self, keys) -> int:
         keys = list(keys)
+        self._read_through(keys)
         marked = self._mirror.mark_stale(keys)
         for key in keys:
             self._stage("stale", key)
         return marked
 
     def adjust_quality(self, key: str, rel_error: float) -> None:
+        self._read_through([key])
         self._mirror.adjust_quality(key, rel_error)
         self._stage("quality", [key, float(rel_error)])
 
@@ -626,15 +706,21 @@ class CatalogClient:
 
         Healthy path: acquire a lease (fresh fence token), send every
         staged op in order carrying that fence -- the server WALs and acks
-        each before the next is sent.  A :class:`FenceError` mid-flush
-        means another writer took over; it propagates, because silently
+        each before the next is sent; with nothing staged, nothing is
+        sent.  A :class:`FenceError` means another writer holds the lease
+        or took it over mid-flush; it propagates, because silently
         dropping acknowledged-to-the-caller state is the one forbidden
-        outcome.  Degraded path: the staged ops are folded into the local
-        fallback catalog file instead (merge-on-save, advisory-locked),
-        so the night's observations survive for tomorrow's server merge.
+        outcome, and the ops the server has not acknowledged stay staged
+        for the caller's next ``save()``.  Degraded path: the staged ops
+        are folded into the local fallback catalog file instead
+        (merge-on-save, advisory-locked), so the night's observations
+        survive for tomorrow's server merge.
         """
         ops, self._staged = self._staged, []
         if not self.degraded:
+            if not ops:
+                return
+            sent = 0
             try:
                 self.fence = int(
                     self._request(
@@ -642,24 +728,11 @@ class CatalogClient:
                     )["fence"]
                 )
                 for op, items in ops:
-                    if op == "put":
-                        self._request(
-                            "POST",
-                            "/put",
-                            {"entries": items, "fence": self.fence},
-                        )
-                    elif op == "stale":
-                        self._request(
-                            "POST",
-                            "/stale",
-                            {"keys": items, "fence": self.fence},
-                        )
-                    elif op == "quality":
-                        self._request(
-                            "POST",
-                            "/quality",
-                            {"adjust": items, "fence": self.fence},
-                        )
+                    route, field = _FLUSH_ROUTES[op]
+                    self._request(
+                        "POST", route, {field: items, "fence": self.fence}
+                    )
+                    sent += 1
                 # give the lease back so the fleet's next run is not
                 # locked out for a whole TTL by a finished save
                 self._request(
@@ -668,6 +741,9 @@ class CatalogClient:
                 return
             except (CatalogUnavailable, CatalogRequestError):
                 self._degrade()
+            except FenceError:
+                self._staged = ops[sent:]
+                raise
         if self._fallback is not None:
             for op, items in ops:
                 if op == "put":

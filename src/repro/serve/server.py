@@ -13,8 +13,9 @@ Endpoints
 ``GET /healthz``             liveness + store summary (entries, WAL seq, fence)
 ``GET /metrics``             Prometheus 0.0.4 text (the shared exporter)
 ``GET /keys``                usable signature keys
-``GET /export``              the full catalog document (client mirror seed)
-``POST /lookup``             ``{keys}`` -> usable entries (counts hits)
+``GET /export``              the full catalog document (whole-catalog readers
+                             and ``catalog export``; a night never asks for it)
+``POST /lookup``             ``{keys, now?, count_hits?}`` -> ``{entries, unusable, epoch}``
 ``POST /entries``            ``{se_keys}`` -> every entry on those SEs
 ``POST /put``                ``{entries, fence?}`` -> insert/replace (WAL'd)
 ``POST /merge``              ``{entries, fence?}`` -> newer-observation-wins fold
@@ -28,6 +29,13 @@ Endpoints
 ``GET /wal/stream?from=N``   replication stream: records past N, or a reset
 ``POST /promote``            make this standby the primary (epoch bump)
 ===========================  ====================================================
+
+``/lookup`` answers for exactly the asked keys: ``entries`` are the usable
+ones (their hit counters bumped unless ``count_hits`` is false),
+``unusable`` the ones that exist but are stale, expired or of low quality
+-- never offered for reuse, but what a reconciling client needs to report
+a re-observation as a refresh rather than an admission.  A key in neither
+list has no entry.
 
 Writes carrying a stale fence token answer **409** -- the holder's lease
 was taken over and its buffered night must not clobber the successor's.
@@ -207,8 +215,8 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             if path == "/keys":
                 return 200, {"keys": sorted(service.usable_keys())}
             if path == "/export":
-                # the full catalog document (clients seed their mirror
-                # from this; it is also a valid on-disk catalog file)
+                # the full catalog document (also a valid on-disk catalog
+                # file); a client's night reads by key and never asks for it
                 return 200, service.to_dict()
             return 404, {"error": f"no such endpoint {path}"}
 
@@ -217,12 +225,21 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         epoch = body.get("epoch")
         epoch = int(epoch) if epoch is not None else None
         if path == "/lookup":
+            keys = body.get("keys", [])
             entries = service.lookup(
-                body.get("keys", []),
+                keys,
                 now=body.get("now"),
                 count_hits=bool(body.get("count_hits", True)),
             )
-            return 200, {"entries": [e.to_dict() for e in entries]}
+            usable = {entry.key for entry in entries}
+            unusable = [service.get(key) for key in keys if key not in usable]
+            return 200, {
+                "entries": [e.to_dict() for e in entries],
+                "unusable": [e.to_dict() for e in unusable if e is not None],
+                # a night's first contact: where its client learns the
+                # epoch its writes must carry
+                "epoch": service.epoch,
+            }
         if path == "/entries":
             entries = service.entries_on_se(body.get("se_keys", []))
             return 200, {"entries": [e.to_dict() for e in entries]}

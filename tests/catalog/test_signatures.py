@@ -139,3 +139,47 @@ def test_foreign_statistic_raises_signature_error():
     with pytest.raises(SignatureError):
         for stat in foreign:
             signer.statistic_key(stat)
+
+
+@pytest.mark.parametrize("number", range(1, 31))
+def test_memoised_signer_signs_like_a_fresh_one(number):
+    """``se_signature`` is derived once per SE; the keys must be those of
+    a signer that has never signed anything, for every SE flavour."""
+    analysis, signer = signer_for(number)
+    stats = sorted(
+        generate_css(analysis).all_statistics, key=lambda s: s.sort_key()
+    )
+    keys = signer.statistic_keys(stats)
+    assert set(keys) == set(stats)  # every suite statistic signs
+    for stat in stats:
+        fresh = WorkflowSigner(analysis)
+        assert fresh.statistic_key(stat) == keys[stat], repr(stat)
+        assert WorkflowSigner(analysis).se_key(stat.se) == signer.se_key(
+            stat.se
+        ), repr(stat.se)
+
+
+def test_suite_signing_covers_reject_flavours():
+    from repro.algebra.expressions import RejectJoinSE, RejectSE
+
+    flavours = set()
+    for number in range(1, 31):
+        analysis = analyze(case(number).build())
+        flavours.update(
+            type(stat.se) for stat in generate_css(analysis).all_statistics
+        )
+    assert {RejectSE, RejectJoinSE} <= flavours
+
+
+def test_unresolvable_se_raises_every_time():
+    from repro.algebra.expressions import SubExpression
+
+    _, signer = signer_for(7)
+    foreign = SubExpression.of("NoSuchRelation")
+    stat = Statistic.card(foreign)
+    for _ in range(2):  # an error is never remembered as a signature
+        with pytest.raises(SignatureError):
+            signer.se_signature(foreign)
+        with pytest.raises(SignatureError):
+            signer.se_key(foreign)
+        assert signer.statistic_keys([stat]) == {}

@@ -171,7 +171,43 @@ class TestLeaseFencing:
         with pytest.raises(FenceError):
             b.save()
         a._request("POST", "/lease/release", {"fence": a.fence})
+        # the fenced-out write was not acknowledged, so it is still b's to
+        # send: the retry after the release must land it
+        assert server.server.service.get("kb") is None
+        b.save()
+        assert server.server.service.get("kb").value() == 1.0
         a.close(), b.close()
+
+    def test_lease_lost_mid_flush_keeps_the_unsent_ops_in_order(self, server):
+        b = fast_client(server.url, client_id="b")
+        b.record("k1", "se:k1", _stat(), 1.0, workflow="wf", run_id="r")
+        b.mark_stale(["k1"])
+        b.record("k2", "se:k2", _stat("S"), 2.0, workflow="wf", run_id="r")
+        service = server.server.service
+        put_entries = service.put_entries
+
+        def put_then_lose_the_lease(*args, **kwargs):
+            seq = put_entries(*args, **kwargs)
+            service.put_entries = put_entries
+            service.lease_deadline = 0.0  # b stalls past its lease...
+            service.acquire_lease("a")  # ...and a takes it over
+            return seq
+
+        service.put_entries = put_then_lose_the_lease
+        with pytest.raises(FenceError):
+            b.save()  # k1's put was acknowledged, the rest is fenced out
+        assert service.get("k1") is not None and not service.get("k1").stale
+        assert service.get("k2") is None
+        service.release_lease(service.fence)
+        b.save()  # sends the stale mark and k2, not k1's put again
+        assert service.get("k1").stale and service.get("k2").value() == 2.0
+        puts = server.server.metrics.counter(
+            "catalog_server_wal_records_total"
+        ).value(op="put")
+        assert puts == 2  # k1 once, k2 once
+        b.save()  # nothing left: no third lease
+        assert service.fence == b.fence
+        b.close()
 
 
 class TestDegradation:

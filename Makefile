@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench nightbench examples experiments clean
+.PHONY: install test bench nightbench examples experiments loc clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -30,6 +30,15 @@ experiments:
 	$(PYTHON) -m repro.cli experiments data
 	$(PYTHON) -m repro.cli experiments fig9
 	$(PYTHON) -m repro.cli experiments fig12
+
+# the size figure CHANGES.md and ROADMAP.md quote per PR: lines of *.py under
+# src/repro/, per package (top-level modules count as "."), then the total
+loc:
+	@find src/repro -name '*.py' | xargs wc -l | awk '$$2 != "total" { \
+		split($$2, p, "/"); pkg = (p[4] == "" ? "." : p[3] "/"); \
+		n[pkg] += $$1; t += $$1 } \
+		END { for (pkg in n) printf "%7d  src/repro/%s\n", n[pkg], pkg; \
+		      printf "%7d  src/repro/ total\n", t }' | sort -k2
 
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results

@@ -310,15 +310,6 @@ class BlockAnalysis:
                 return blk
         raise KeyError(name)
 
-    def block_of_output(self, env_name: str) -> Optional[Block]:
-        for blk in self.blocks:
-            if blk.output_name == env_name:
-                return blk
-        return None
-
-    def max_join_arity(self) -> int:
-        return max((blk.n_way for blk in self.blocks), default=0)
-
     def describe(self) -> str:
         lines = [f"Analysis of {self.workflow.name!r}: {len(self.blocks)} block(s)"]
         for blk in self.blocks:

@@ -75,9 +75,6 @@ class JoinGraph:
             self._adjacency[edge.v].add(edge.u)
 
     # ------------------------------------------------------------------
-    def neighbors(self, name: str) -> frozenset[str]:
-        return frozenset(self._adjacency[name])
-
     def is_connected(self, names: frozenset[str]) -> bool:
         if not names:
             return False
@@ -103,12 +100,6 @@ class JoinGraph:
             or (edge.u in right and edge.v in left)
         }
         return tuple(sorted(attrs))
-
-    def join_key(self, left: SubExpression, right: SubExpression) -> tuple[str, ...]:
-        key = self.crossing_key(left.relations, right.relations)
-        if not key:
-            raise JoinGraphError(f"no join edge between {left!r} and {right!r}")
-        return key
 
     # ------------------------------------------------------------------
     def enumerate_ses(self) -> list[SubExpression]:

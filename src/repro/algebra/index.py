@@ -66,9 +66,6 @@ class SEIndex:
             return tuple(sorted(attrs))
         return self.block_of(se).se_attrs(se)
 
-    def is_join_se(self, se: AnySE) -> bool:
-        return isinstance(se, SubExpression) and len(se) > 1
-
     def reject_join_node(self, se: RejectSE) -> JoinNode | None:
         """The initial-plan join node realizing this reject link, if any."""
         block = self.block_of(se)

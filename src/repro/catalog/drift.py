@@ -104,6 +104,9 @@ def reconcile_run(
     now = time.time() if now is None else now
     report = DriftReport()
     tapped = set(tapped)
+    provenance = dict(
+        workflow=workflow, run_id=run_id, backend=backend, observed_at=now
+    )
 
     # 1 + 3: fresh observations refresh or admit entries
     refreshed_keys: set[str] = set()
@@ -122,17 +125,7 @@ def reconcile_run(
             err = _rel_error(previous.value(), value)
             report.max_rel_error = max(report.max_rel_error, err)
             quality = max(0.5, 1.0 - min(err, 1.0) / 2)
-        catalog.record(
-            key,
-            se_key,
-            stat,
-            value,
-            workflow=workflow,
-            run_id=run_id,
-            backend=backend,
-            observed_at=now,
-            quality=quality,
-        )
+        catalog.record(key, se_key, stat, value, quality=quality, **provenance)
         refreshed_keys.add(key)
         (report.refreshed if previous is not None else report.added).append(
             repr(stat)
@@ -151,22 +144,14 @@ def reconcile_run(
             continue
         err = _rel_error(entry.value(), actual)
         report.max_rel_error = max(report.max_rel_error, err)
-        catalog.adjust_quality(card_key, err)
         if err <= threshold:
+            catalog.adjust_quality(card_key, err)
             continue
         report.drifted.append(repr(se))
-        # the true size is itself a valid observation: refresh in place,
-        # carrying the just-penalized quality score forward
-        catalog.record(
-            card_key,
-            se_key,
-            Statistic.card(se),
-            actual,
-            workflow=workflow,
-            run_id=run_id,
-            backend=backend,
-            observed_at=now,
-            quality=catalog.get(card_key).quality,
+        # the true size is itself a valid observation: penalise, then
+        # refresh in place carrying the penalised quality forward
+        catalog.correct(
+            card_key, se_key, Statistic.card(se), actual, err, **provenance
         )
         # ...but the buckets of sibling histogram/distinct entries were
         # not materialized tonight — force their re-observation

@@ -151,23 +151,14 @@ class FeedbackCorrector:
             self.streaks[key] = self.streaks.get(key, 0) + 1
             if self.catalog is None:
                 continue
-            entry = self.catalog.get(key)
-            if entry is None:
+            if self.catalog.get(key) is None:
                 continue
-            # penalize first, then refresh in place with the observed
-            # value carrying the penalized quality forward (mirrors the
-            # drift scan's correction sequence)
-            self.catalog.adjust_quality(key, err)
-            self.catalog.record(
-                key,
-                se_key,
-                Statistic.card(se),
-                int(actual),
-                workflow=workflow,
-                run_id=run_id,
-                backend=backend,
+            # the drift scan's correction sequence: penalise, then refresh
+            # in place with the observed value
+            self.catalog.correct(
+                key, se_key, Statistic.card(se), int(actual), err,
+                workflow=workflow, run_id=run_id, backend=backend,
                 observed_at=now,
-                quality=self.catalog.get(key).quality,
             )
             report.corrected.append(repr(se))
 

@@ -63,6 +63,17 @@ DEFAULT_LOCK_TIMEOUT = 10.0
 #: a lock file untouched for this long belongs to a dead run -- take it over
 DEFAULT_LOCK_STALE = 120.0
 
+#: the mutation vocabulary, op -> the field its items ride in: a WAL record, a
+#: replication record, a ``POST /<op>`` body and a client's staged write are all
+#: ``{op, field: items}``, and :meth:`StatisticsCatalog.apply` interprets them
+MUTATIONS = {
+    "put": "entries",
+    "merge": "entries",
+    "stale": "keys",
+    "quality": "adjust",
+    "delete": "keys",
+}
+
 
 def _try_lock(fd: int) -> bool:
     if fcntl is not None:
@@ -242,7 +253,7 @@ class CatalogEntry:
             and not self.expired(now, ttl)
         )
 
-    # -- the entry rules: every store (file, mirror, server) applies these --
+    # -- the entry rules; only StatisticsCatalog applies them --
     def collectable(
         self, now: float, ttl: float, min_quality: float, drop_stale: bool
     ) -> bool:
@@ -281,6 +292,10 @@ class CatalogEntry:
             "stale": self.stale,
             "hits": self.hits,
         }
+
+    @classmethod
+    def of(cls, item: "CatalogEntry | dict") -> "CatalogEntry":
+        return item if isinstance(item, cls) else cls.from_dict(item)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CatalogEntry":
@@ -434,42 +449,105 @@ class StatisticsCatalog:
         return self.entries.get(key)
 
     def usable_keys(self, now: float | None = None) -> set[str]:
+        return set(self.usable_among(self.entries, now, count_hits=False))
+
+    def usable_among(
+        self, keys, now: float | None = None, count_hits: bool = True
+    ) -> dict[str, CatalogEntry]:
+        """The usable entries among ``keys``, by key.
+
+        Stale, expired and low-quality entries never match (that is what
+        triggers their re-observation).  Hit counts are advisory telemetry:
+        bumped here, never logged.
+        """
         now = time.time() if now is None else now
-        return {
-            key
-            for key, entry in self.entries.items()
-            if entry.usable(now, self.ttl, self.min_quality)
-        }
+        usable: dict[str, CatalogEntry] = {}
+        for key in keys:
+            entry = self.entries.get(key)
+            if entry is None or not entry.usable(now, self.ttl, self.min_quality):
+                continue
+            if count_hits:
+                entry = self.entries[key] = replace(entry, hits=entry.hits + 1)
+            usable[key] = entry
+        return usable
 
     def lookup(
-        self,
-        signer,
-        stats,
-        now: float | None = None,
-        count_hits: bool = True,
+        self, signer, stats, now: float | None = None, count_hits: bool = True
     ) -> CatalogHits:
         """Match a workflow's candidate statistics against the catalog.
 
         Returns the statistics the catalog can satisfy — they enter the
         selection problem at zero cost and their values back the estimator
-        without being re-observed.  Stale, expired and low-quality entries
-        never match (that is what triggers their re-observation).
+        without being re-observed.
         """
-        now = time.time() if now is None else now
         keys = signer.statistic_keys(stats)
-        usable: dict[str, CatalogEntry] = {}
-        for key in keys.values():
-            entry = self.entries.get(key)
-            if entry is None or not entry.usable(now, self.ttl, self.min_quality):
-                continue
-            usable[key] = entry
-            if count_hits:
-                self.entries[key] = replace(entry, hits=entry.hits + 1)
-        return CatalogHits.of(keys, usable)
+        return CatalogHits.of(keys, self.usable_among(keys.values(), now, count_hits))
+
+    def entries_on_se(self, se_key: str) -> list[CatalogEntry]:
+        """Every entry describing a statistic on the given SE."""
+        return sorted(
+            (e for e in self.entries.values() if e.se_key == se_key),
+            key=lambda e: e.key,
+        )
+
+    def collectable_keys(
+        self,
+        now: float | None = None,
+        ttl: float | None = None,
+        min_quality: float | None = None,
+        drop_stale: bool = True,
+    ) -> list[str]:
+        """The expired, low-quality and (optionally) stale keys ``gc`` drops."""
+        now = time.time() if now is None else now
+        ttl = self.ttl if ttl is None else ttl
+        min_quality = self.min_quality if min_quality is None else min_quality
+        return sorted(
+            key
+            for key, entry in self.entries.items()
+            if entry.collectable(now, ttl, min_quality, drop_stale)
+        )
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
+    def apply(self, op: str, items) -> int:
+        """Interpret one mutation of :data:`MUTATIONS`; returns the count of
+        entries it changed.
+
+        This is the definition of the five ops.  ``put`` inserts or
+        replaces whole entries, ``merge`` folds entries in with the newer
+        ``observed_at`` winning, ``stale`` flags keys for re-observation,
+        ``quality`` blends ``[key, rel_error]`` pairs into quality scores,
+        ``delete`` drops keys.  Entries arrive as documents or as
+        :class:`CatalogEntry`; a key that is not there is skipped.
+        """
+        entries = self.entries
+        changed = 0
+        if op in ("put", "merge"):
+            for item in items:
+                entry = CatalogEntry.of(item)
+                if op == "put" or entry.supersedes(entries.get(entry.key)):
+                    entries[entry.key] = entry
+                    changed += 1
+        elif op == "stale":
+            for key in items:
+                entry = entries.get(key)
+                if entry is not None and not entry.stale:
+                    entries[key] = entry.as_stale()
+                    changed += 1
+        elif op == "quality":
+            for key, rel_error in items:
+                entry = entries.get(key)
+                if entry is not None:
+                    entries[key] = entry.with_error(rel_error)
+                    changed += 1
+        elif op == "delete":
+            for key in items:
+                changed += entries.pop(key, None) is not None
+        else:
+            raise PersistenceError(f"unknown catalog mutation {op!r}")
+        return changed
+
     def record(
         self,
         key: str,
@@ -502,57 +580,36 @@ class StatisticsCatalog:
         self.entries[key] = entry
         return entry
 
+    def correct(
+        self, key, se_key, stat, actual, rel_error, **provenance
+    ) -> CatalogEntry:
+        """Penalise, then refresh in place.
+
+        A prediction that missed costs the entry ``rel_error`` of quality;
+        the observed ``actual`` -- itself a valid observation -- then
+        replaces the value, carrying the penalised quality forward.
+        """
+        self.adjust_quality(key, rel_error)
+        return self.record(
+            key, se_key, stat, actual,
+            quality=self.get(key).quality, **provenance,
+        )
+
     def mark_stale(self, keys) -> int:
         """Flag entries so the next run re-observes them; returns count."""
-        marked = 0
-        for key in keys:
-            entry = self.entries.get(key)
-            if entry is not None and not entry.stale:
-                self.entries[key] = entry.as_stale()
-                marked += 1
-        return marked
-
-    def entries_on_se(self, se_key: str) -> list[CatalogEntry]:
-        """Every entry describing a statistic on the given SE."""
-        return sorted(
-            (e for e in self.entries.values() if e.se_key == se_key),
-            key=lambda e: e.key,
-        )
+        return self.apply("stale", keys)
 
     def adjust_quality(self, key: str, rel_error: float) -> None:
         """Blend a fresh prediction error into an entry's quality score."""
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.entries[key] = entry.with_error(rel_error)
+        self.apply("quality", [(key, rel_error)])
 
-    def gc(
-        self,
-        now: float | None = None,
-        ttl: float | None = None,
-        min_quality: float | None = None,
-        drop_stale: bool = True,
-    ) -> int:
+    def gc(self, **criteria) -> int:
         """Drop expired, low-quality and (optionally) stale entries."""
-        now = time.time() if now is None else now
-        ttl = self.ttl if ttl is None else ttl
-        min_quality = self.min_quality if min_quality is None else min_quality
-        doomed = [
-            key
-            for key, entry in self.entries.items()
-            if entry.collectable(now, ttl, min_quality, drop_stale)
-        ]
-        for key in doomed:
-            del self.entries[key]
-        return len(doomed)
+        return self.apply("delete", self.collectable_keys(**criteria))
 
     def merge(self, other: "StatisticsCatalog") -> int:
         """Import entries from another catalog; newer observation wins."""
-        imported = 0
-        for key, entry in other.entries.items():
-            if entry.supersedes(self.entries.get(key)):
-                self.entries[key] = entry
-                imported += 1
-        return imported
+        return self.apply("merge", other.entries.values())
 
     # ------------------------------------------------------------------
     def describe(self, stale_only: bool = False) -> str:
@@ -588,6 +645,7 @@ __all__ = [
     "DEFAULT_LOCK_TIMEOUT",
     "DEFAULT_MIN_QUALITY",
     "DEFAULT_TTL",
+    "MUTATIONS",
     "CatalogEntry",
     "CatalogHits",
     "CatalogLockHandle",

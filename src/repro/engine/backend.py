@@ -98,11 +98,6 @@ class WorkflowRun:
     def rows_quarantined(self) -> int:
         return sum(t.num_rows for t in self.quarantined.values())
 
-    def failed_blocks(self, analysis: "BlockAnalysis") -> list[str]:
-        """Names of optimizable blocks that failed or were skipped."""
-        block_names = {b.name for b in analysis.blocks}
-        return sorted(name for name in self.failures if name in block_names)
-
 
 @dataclass
 class RunContext:

@@ -71,6 +71,9 @@ FAULT_KINDS = (
     "worker-hang",
 )
 
+#: kinds raised (or slept) inside a task attempt
+_TASK_KINDS = ("transient", "permanent", "delay")
+
 #: kinds applied to the source map before execution (never raised in-task)
 _SOURCE_KINDS = ("truncate", "corrupt-row", "type-flip", "column-rename", "null-burst")
 
@@ -421,35 +424,13 @@ class FaultInjector:
         with self._lock:
             self._attempts[task_name] += 1
             for index, spec in enumerate(self.plan.specs):
-                if (
-                    spec.kind in _SOURCE_KINDS
-                    or spec.kind in _SERVER_KINDS
-                    or spec.kind in _SHARD_KINDS
-                    or spec.kind in _REPLICATION_KINDS
-                ):
+                if spec.kind not in _TASK_KINDS:
                     continue
                 scope = next((s for s in scopes if spec.matches(s)), None)
                 if scope is None:
                     continue
-                key = (index, task_name)
-                limit = spec.fire_limit
-                if limit is not None and self._fired[key] >= limit:
+                if not self._draw(index, spec, task_name, task_name):
                     continue
-                if spec.probability < 1.0:
-                    rng = self._rngs.setdefault(
-                        key, random.Random(f"{self.plan.seed}:{index}:{task_name}")
-                    )
-                    if rng.random() >= spec.probability:
-                        continue
-                self._fired[key] += 1
-                self.events.append(
-                    FaultEvent(
-                        task=task_name,
-                        target=spec.target,
-                        kind=spec.kind,
-                        attempt=self._attempts[task_name],
-                    )
-                )
                 if spec.kind == "delay":
                     pause += spec.delay
                     continue
@@ -464,6 +445,41 @@ class FaultInjector:
             time.sleep(pause)
         if raised is not None:
             raise raised
+
+    def _draw(
+        self, index: int, spec: FaultSpec, fire_key: str, attempt_key: str | None = None
+    ) -> bool:
+        """Does spec ``index`` fire on ``fire_key`` now?  (Lock held.)
+
+        The budget draw every hook shares: the fire limit, the seeded
+        per-(spec, key) probability draw, the ``_fired`` bump and the
+        :class:`FaultEvent`.  ``attempt_key`` names the hook's own attempt
+        counter; without one the event numbers the firings on ``fire_key``
+        (a shard dispatch no fault touches is not an attempt).
+        """
+        key = (index, fire_key)
+        limit = spec.fire_limit
+        if limit is not None and self._fired[key] >= limit:
+            return False
+        if spec.probability < 1.0:
+            rng = self._rngs.setdefault(
+                key, random.Random(f"{self.plan.seed}:{index}:{fire_key}")
+            )
+            if rng.random() >= spec.probability:
+                return False
+        self._fired[key] += 1
+        if attempt_key is None:
+            attempt_key = fire_key
+            self._attempts[fire_key] += 1
+        self.events.append(
+            FaultEvent(
+                task=fire_key,
+                target=spec.target,
+                kind=spec.kind,
+                attempt=self._attempts[attempt_key],
+            )
+        )
+        return True
 
     def on_request(self, name: str, endpoint: str = "") -> None:
         """Fire matching *server* faults for one catalog-client request.
@@ -499,26 +515,8 @@ class FaultInjector:
                     fire_key = f"request:{endpoint}"
                 elif not spec.matches(name):
                     continue
-                key = (index, fire_key)
-                limit = spec.fire_limit
-                if limit is not None and self._fired[key] >= limit:
+                if not self._draw(index, spec, fire_key, request_key):
                     continue
-                if spec.probability < 1.0:
-                    rng = self._rngs.setdefault(
-                        key,
-                        random.Random(f"{self.plan.seed}:{index}:{fire_key}"),
-                    )
-                    if rng.random() >= spec.probability:
-                        continue
-                self._fired[key] += 1
-                self.events.append(
-                    FaultEvent(
-                        task=fire_key,
-                        target=spec.target,
-                        kind=spec.kind,
-                        attempt=self._attempts[request_key],
-                    )
-                )
                 if spec.kind == "primary-kill":
                     message = spec.message or (
                         f"injected primary-kill fault: endpoint "
@@ -560,27 +558,8 @@ class FaultInjector:
                     continue
                 if not spec.matches(name):
                     continue
-                key = (index, poll_key)
-                limit = spec.fire_limit
-                if limit is not None and self._fired[key] >= limit:
-                    continue
-                if spec.probability < 1.0:
-                    rng = self._rngs.setdefault(
-                        key,
-                        random.Random(f"{self.plan.seed}:{index}:{poll_key}"),
-                    )
-                    if rng.random() >= spec.probability:
-                        continue
-                self._fired[key] += 1
-                self.events.append(
-                    FaultEvent(
-                        task=poll_key,
-                        target=spec.target,
-                        kind=spec.kind,
-                        attempt=self._attempts[poll_key],
-                    )
-                )
-                pause += spec.delay
+                if self._draw(index, spec, poll_key, poll_key):
+                    pause += spec.delay
         if pause:
             time.sleep(pause)
 
@@ -597,7 +576,7 @@ class FaultInjector:
         which is what makes a default worker-kill survivable by a single
         shard retry.
         """
-        directive: FaultSpec | None = None
+        shard_key = f"{block_name}#shard{shard}"
         with self._lock:
             for index, spec in enumerate(self.plan.specs):
                 if spec.kind not in _SHARD_KINDS:
@@ -606,30 +585,9 @@ class FaultInjector:
                     continue
                 if (spec.shard if spec.shard is not None else 0) != shard:
                     continue
-                key = (index, f"{block_name}#shard{shard}")
-                limit = spec.fire_limit
-                if limit is not None and self._fired[key] >= limit:
-                    continue
-                if spec.probability < 1.0:
-                    rng = self._rngs.setdefault(
-                        key,
-                        random.Random(f"{self.plan.seed}:{index}:{key[1]}"),
-                    )
-                    if rng.random() >= spec.probability:
-                        continue
-                self._fired[key] += 1
-                self._attempts[key[1]] += 1
-                self.events.append(
-                    FaultEvent(
-                        task=key[1],
-                        target=spec.target,
-                        kind=spec.kind,
-                        attempt=self._attempts[key[1]],
-                    )
-                )
-                directive = spec
-                break
-        return directive
+                if self._draw(index, spec, shard_key):
+                    return spec
+        return None
 
     def fired(self) -> int:
         """Total number of fault firings so far."""

@@ -256,11 +256,6 @@ class HllSketch:
         """Still within the exact-set small-cardinality fallback?"""
         return self._values is not None
 
-    @property
-    def relative_error(self) -> float:
-        """The precision-implied typical relative error (1.04/sqrt(m))."""
-        return 1.04 / math.sqrt(1 << self.precision)
-
     def size_bytes(self) -> int:
         """Approximate in-memory footprint of the accumulator state."""
         if self._values is not None:

@@ -64,9 +64,6 @@ class Metric:
         self.help = help
         self._lock = threading.Lock()
 
-    def label_keys(self) -> list[LabelKey]:
-        raise NotImplementedError
-
     def sample_lines(self) -> list[str]:
         """Prometheus exposition lines for every labelled sample."""
         raise NotImplementedError
@@ -101,9 +98,6 @@ class Counter(Metric):
         """Sum over every label set."""
         return sum(self._samples.values())
 
-    def label_keys(self) -> list[LabelKey]:
-        return sorted(self._samples)
-
     def sample_lines(self) -> list[str]:
         return [
             f"{self.name}{_render_labels(key)} {value:g}"
@@ -137,9 +131,6 @@ class Gauge(Metric):
     def value(self, **labels) -> float:
         return self._samples.get(_label_key(labels), 0.0)
 
-    def label_keys(self) -> list[LabelKey]:
-        return sorted(self._samples)
-
     sample_lines = Counter.sample_lines
     to_dict = Counter.to_dict
 
@@ -172,9 +163,6 @@ class Histogram(Metric):
 
     def sum(self, **labels) -> float:
         return self._sums.get(_label_key(labels), 0.0)
-
-    def label_keys(self) -> list[LabelKey]:
-        return sorted(self._counts)
 
     def sample_lines(self) -> list[str]:
         lines: list[str] = []

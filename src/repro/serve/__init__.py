@@ -7,9 +7,10 @@ long-lived daemon (``repro-etl serve``) and a degrading client:
 
 - :mod:`repro.serve.wal` -- fsync'd, checksummed write-ahead log; an
   acknowledged write survives ``SIGKILL``, a torn tail is discarded;
-- :mod:`repro.serve.service` -- the transport-free store: sharded reads,
-  WAL-then-memory writes, lease-fenced writers, write-behind snapshots,
-  and the fleet "what must I tap tonight?" scheduler;
+- :mod:`repro.serve.service` -- the transport-free store: one
+  ``StatisticsCatalog`` behind a state lock, WAL-then-memory writes under
+  a write lock, lease-fenced writers, write-behind snapshots, and the
+  fleet "what must I tap tonight?" scheduler;
 - :mod:`repro.serve.server` -- stdlib HTTP over TCP or a unix socket,
   ``/metrics`` + ``/healthz`` on the shared Prometheus exporter;
 - :mod:`repro.serve.client` -- :class:`~repro.serve.client.CatalogClient`,

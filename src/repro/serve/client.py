@@ -77,6 +77,7 @@ from pathlib import Path
 from repro.catalog.store import (
     DEFAULT_MIN_QUALITY,
     DEFAULT_TTL,
+    MUTATIONS,
     CatalogEntry,
     CatalogHits,
     StatisticsCatalog,
@@ -99,17 +100,10 @@ DEFAULT_BREAKER_COOLDOWN = 30.0
 DEFAULT_TIMEOUT = 2.0
 
 
-#: staged op -> the route that flushes it and the body field its items ride in
-_FLUSH_ROUTES = {
-    "put": ("/put", "entries"),
-    "stale": ("/stale", "keys"),
-    "quality": ("/quality", "adjust"),
-}
-
 #: POST routes that mutate catalog state and therefore carry the epoch
 EPOCHED_PATHS = frozenset(
-    {"/put", "/merge", "/stale", "/quality", "/gc", "/lease",
-     "/lease/release", "/fleet/claim"}
+    {"/gc", "/lease", "/lease/release", "/fleet/claim"}
+    | {f"/{op}" for op in MUTATIONS}
 )
 
 
@@ -171,6 +165,17 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
         self.sock = sock
 
 
+def connect(url: str, timeout: float) -> http.client.HTTPConnection:
+    """A (not yet connected) HTTP connection to a catalog URL, TCP or unix."""
+    if url.startswith("unix://"):
+        return _UnixHTTPConnection(url[len("unix://"):], timeout)
+    hostport = url.split("://", 1)[-1]
+    host, _, port = hostport.rpartition(":")
+    return http.client.HTTPConnection(
+        host or hostport, int(port) if port.isdigit() else 80, timeout=timeout
+    )
+
+
 class _Endpoint:
     """One catalog server: its connection, failures and breaker state."""
 
@@ -181,6 +186,11 @@ class _Endpoint:
         self.conn: http.client.HTTPConnection | None = None
         self.failures = 0  # consecutive failures (resets on any answer)
         self.open_until = 0.0  # breaker: reject instantly until this time
+
+    def connection(self, timeout: float) -> http.client.HTTPConnection:
+        if self.conn is None:
+            self.conn = connect(self.url, timeout)
+        return self.conn
 
     def drop(self) -> None:
         if self.conn is not None:
@@ -270,21 +280,7 @@ class CatalogClient:
     # ------------------------------------------------------------------
     def _connect(self, endpoint: _Endpoint | None = None):
         endpoint = self.endpoints[self._active] if endpoint is None else endpoint
-        if endpoint.conn is None:
-            url = endpoint.url
-            if url.startswith("unix://"):
-                endpoint.conn = _UnixHTTPConnection(
-                    url[len("unix://"):], self.timeout
-                )
-            else:
-                hostport = url.split("://", 1)[1]
-                host, _, port = hostport.rpartition(":")
-                endpoint.conn = http.client.HTTPConnection(
-                    host or hostport,
-                    int(port) if port.isdigit() else 80,
-                    timeout=self.timeout,
-                )
-        return endpoint.conn
+        return endpoint.connection(self.timeout)
 
     def _drop_conn(self) -> None:
         for endpoint in self.endpoints:
@@ -523,9 +519,10 @@ class CatalogClient:
     def _staged_keys(self) -> set[str]:
         keys: set[str] = set()
         for op, items in self._staged:
-            if op == "put":
+            field = MUTATIONS[op]
+            if field == "entries":
                 keys.update(doc["key"] for doc in items)
-            elif op == "stale":
+            elif field == "keys":
                 keys.update(items)
             else:
                 keys.update(key for key, _ in items)
@@ -669,6 +666,9 @@ class CatalogClient:
         self._stage("put", entry.to_dict())
         return entry
 
+    #: penalise (stages ``quality``), then refresh in place (stages ``put``)
+    correct = StatisticsCatalog.correct
+
     def mark_stale(self, keys) -> int:
         keys = list(keys)
         self._read_through(keys)
@@ -690,7 +690,11 @@ class CatalogClient:
                 return int(answer.get("removed", 0))
             except (CatalogUnavailable, CatalogRequestError):
                 self._degrade()
-        return self._mirror.gc(**kwargs)
+        # no server to decide: the doomed keys are staged for the fallback
+        doomed = self._mirror.collectable_keys(**kwargs)
+        if doomed:
+            self._staged.append(("delete", doomed))
+        return self._mirror.apply("delete", doomed)
 
     def merge(self, other: StatisticsCatalog) -> int:
         docs = [entry.to_dict() for entry in other.entries.values()]
@@ -699,6 +703,8 @@ class CatalogClient:
                 self._request("POST", "/merge", {"entries": docs})
             except (CatalogUnavailable, CatalogRequestError):
                 self._degrade()
+        if self.degraded:
+            self._staged.append(("merge", docs))
         return self._mirror.merge(other)
 
     def save(self, path=None, merge: bool = True) -> None:
@@ -728,10 +734,8 @@ class CatalogClient:
                     )["fence"]
                 )
                 for op, items in ops:
-                    route, field = _FLUSH_ROUTES[op]
-                    self._request(
-                        "POST", route, {field: items, "fence": self.fence}
-                    )
+                    body = {MUTATIONS[op]: items, "fence": self.fence}
+                    self._request("POST", f"/{op}", body)
                     sent += 1
                 # give the lease back so the fleet's next run is not
                 # locked out for a whole TTL by a finished save
@@ -746,15 +750,7 @@ class CatalogClient:
                 raise
         if self._fallback is not None:
             for op, items in ops:
-                if op == "put":
-                    for doc in items:
-                        entry = CatalogEntry.from_dict(doc)
-                        self._fallback.entries[entry.key] = entry
-                elif op == "stale":
-                    self._fallback.mark_stale(items)
-                elif op == "quality":
-                    for key, rel_error in items:
-                        self._fallback.adjust_quality(key, rel_error)
+                self._fallback.apply(op, items)
             if self._fallback.path is not None:
                 self._fallback.save(merge=merge)
 

@@ -25,9 +25,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.client import HTTPConnection, HTTPException
+from http.client import HTTPException
 
 from repro.core.persistence import PersistenceError
+from repro.engine.faults import as_injector
+from repro.serve.client import _Endpoint
 from repro.serve.service import CatalogService, EpochError
 
 #: seconds between stream polls
@@ -39,24 +41,6 @@ DEFAULT_AUTO_PROMOTE_AFTER = 8
 
 class ReplicationError(PersistenceError):
     """A stream poll failed (connection, HTTP status, or bad payload)."""
-
-
-def _split_url(url: str) -> tuple[str, object]:
-    """A catalog URL -> ("unix", path) or ("tcp", (host, port))."""
-    from repro.serve.server import parse_listen
-
-    return parse_listen(url)
-
-
-def open_stream_connection(url: str, timeout: float = 5.0):
-    """An HTTP connection to a primary, over TCP or a unix socket."""
-    kind, address = _split_url(url)
-    if kind == "unix":
-        from repro.serve.client import _UnixHTTPConnection
-
-        return _UnixHTTPConnection(address, timeout=timeout)
-    host, port = address
-    return HTTPConnection(host, port, timeout=timeout)
 
 
 class ReplicationTailer:
@@ -75,16 +59,14 @@ class ReplicationTailer:
         sleep=time.sleep,
     ):
         self.service = service
-        self.primary_url = primary_url.rstrip("/")
+        self._upstream = _Endpoint(primary_url)  # the connection, and its URL
+        self.primary_url = self._upstream.url
         self.poll_interval = max(0.005, float(poll_interval))
         self.timeout = timeout
         self.auto_promote_after = max(0, int(auto_promote_after))
         self.metrics = metrics
         self.sleep = sleep
-        from repro.engine.faults import as_injector
-
         self._injector = as_injector(faults)
-        self._conn = None
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._loop, name="catalog-replication-tailer", daemon=True
@@ -101,27 +83,14 @@ class ReplicationTailer:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _connection(self):
-        if self._conn is None:
-            self._conn = open_stream_connection(self.primary_url, self.timeout)
-        return self._conn
-
-    def _drop_connection(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - close cannot matter
-                pass
-            self._conn = None
-
     def _fetch(self, path: str) -> dict:
-        conn = self._connection()
+        conn = self._upstream.connection(self.timeout)
         try:
             conn.request("GET", path)
             response = conn.getresponse()
             raw = response.read()
         except (OSError, HTTPException) as exc:
-            self._drop_connection()
+            self._upstream.drop()
             raise ReplicationError(
                 f"stream poll of {self.primary_url} failed: {exc}"
             ) from exc
@@ -216,7 +185,7 @@ class ReplicationTailer:
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join(timeout=5.0)
-        self._drop_connection()
+        self._upstream.drop()
 
     def wait_caught_up(self, head_seq: int, timeout: float = 5.0) -> bool:
         """Block until our WAL head reaches ``head_seq`` (tests, drains)."""
@@ -233,5 +202,4 @@ __all__ = [
     "DEFAULT_POLL_INTERVAL",
     "ReplicationError",
     "ReplicationTailer",
-    "open_stream_connection",
 ]

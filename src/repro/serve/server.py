@@ -50,13 +50,13 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import socketserver
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from repro.catalog.store import MUTATIONS
 from repro.core.persistence import PersistenceError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.service import (
@@ -67,6 +67,16 @@ from repro.serve.service import (
     NotPrimaryError,
     SnapshotDaemon,
 )
+
+
+#: ``POST /<op>`` -> the service method that validates, logs and applies it
+#: (``delete`` has no route of its own: ``/gc`` decides what to delete)
+_WRITE_METHODS = {
+    "put": "put_entries",
+    "merge": "merge_entries",
+    "stale": "mark_stale",
+    "quality": "adjust_quality",
+}
 
 
 def _fleet_workflow(body: dict):
@@ -108,12 +118,14 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:
         self.server.log(f"{self.address_string()} {format % args}")
 
-    def _reply(self, status: int, doc: dict) -> None:
-        if doc.get("_sent"):
-            return  # the route already streamed its own (non-JSON) body
-        body = json.dumps(doc, sort_keys=True).encode("utf-8")
+    def _reply(self, status: int, doc: dict | str) -> None:
+        if isinstance(doc, str):  # /metrics is Prometheus text, not JSON
+            body, content_type = doc.encode("utf-8"), "text/plain; version=0.0.4"
+        else:
+            body = json.dumps(doc, sort_keys=True).encode("utf-8")
+            content_type = "application/json"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -179,7 +191,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # routes
     # ------------------------------------------------------------------
-    def _dispatch(self, method: str) -> tuple[int, dict]:
+    def _dispatch(self, method: str) -> tuple[int, dict | str]:
         service = self.service
         path, _, query = self.path.partition("?")
         if method == "GET":
@@ -202,16 +214,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
                     ) from exc
                 return 200, service.wal_stream(from_seq)
             if path == "/metrics":
-                # /metrics is text, not JSON: short-circuit the reply
-                body = self.metrics.render_prometheus().encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4"
-                )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-                return 200, {"_sent": True}
+                return 200, self.metrics.render_prometheus()
             if path == "/keys":
                 return 200, {"keys": sorted(service.usable_keys())}
             if path == "/export":
@@ -243,24 +246,10 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         if path == "/entries":
             entries = service.entries_on_se(body.get("se_keys", []))
             return 200, {"entries": [e.to_dict() for e in entries]}
-        if path == "/put":
-            seq = service.put_entries(
-                body.get("entries", []), fence=fence, epoch=epoch
-            )
-            return 200, {"seq": seq, "epoch": service.epoch}
-        if path == "/merge":
-            seq = service.merge_entries(
-                body.get("entries", []), fence=fence, epoch=epoch
-            )
-            return 200, {"seq": seq, "epoch": service.epoch}
-        if path == "/stale":
-            seq = service.mark_stale(
-                body.get("keys", []), fence=fence, epoch=epoch
-            )
-            return 200, {"seq": seq, "epoch": service.epoch}
-        if path == "/quality":
-            seq = service.adjust_quality(
-                body.get("adjust", []), fence=fence, epoch=epoch
+        write = _WRITE_METHODS.get(path[1:])
+        if write is not None:
+            seq = getattr(service, write)(
+                body.get(MUTATIONS[path[1:]], []), fence=fence, epoch=epoch
             )
             return 200, {"seq": seq, "epoch": service.epoch}
         if path == "/gc":
@@ -545,14 +534,6 @@ class ServerThread:
         return epoch
 
 
-def resolve_socket_family(url: str) -> tuple[int, object]:
-    """Address family + connect argument for a catalog URL."""
-    kind, address = parse_listen(url)
-    if kind == "unix":
-        return socket.AF_UNIX, address
-    return socket.AF_INET, address
-
-
 __all__ = [
     "CatalogRequestHandler",
     "ServerThread",
@@ -560,5 +541,4 @@ __all__ = [
     "UnixCatalogServer",
     "make_server",
     "parse_listen",
-    "resolve_socket_family",
 ]

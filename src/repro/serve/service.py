@@ -18,11 +18,15 @@ and concurrency properties are testable in-process:
   by the server's lifetime, and the snapshot file doubles as the local
   catalog a degraded client can fall back to.
 
-- **Concurrency.** Entries live in hash-sharded dicts, one lock per
-  shard: readers only contend with writers touching their shard.
-  Mutations are serialized by a single write lock -- WAL order *is*
-  memory order, so replay reconstructs exactly the state the live server
-  had.
+- **One catalog, two locks.** The entries are one
+  :class:`~repro.catalog.store.StatisticsCatalog`, and every entry rule
+  (usable, supersedes, stale, quality, collectable) is its: live
+  mutations, WAL replay and the replication stream all end in its
+  ``apply(op, items)``.  Mutations are serialized by the write lock -- WAL
+  order *is* memory order, so replay reconstructs exactly the state the
+  live server had.  A second, short-held state lock guards the entry dict
+  itself, so a reader never waits for a WAL fsync or a long
+  :meth:`plan_share`, only for another dict access.
 
 - **Lease fencing.** Writers that reconcile a night's run first acquire
   a lease and attach its fence token to every write.  Tokens are
@@ -51,25 +55,20 @@ and concurrency properties are testable in-process:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
-from zlib import crc32
 
 from repro.catalog import fleet
 from repro.catalog.store import (
     DEFAULT_MIN_QUALITY,
     DEFAULT_TTL,
+    MUTATIONS,
     CatalogEntry,
     StatisticsCatalog,
 )
-from repro.core.persistence import FORMAT_VERSION, PersistenceError, atomic_write_json
+from repro.core.persistence import PersistenceError, _load_json, atomic_write_json
 from repro.serve.wal import WAL_FORMAT_VERSION, WriteAheadLog
-
-#: shards of the in-memory entry map (per-shard read locks)
-DEFAULT_SHARDS = 16
 
 #: applied mutations between write-behind snapshots
 DEFAULT_SNAPSHOT_EVERY = 256
@@ -108,7 +107,7 @@ class NotPrimaryError(PersistenceError):
 
 
 class CatalogService:
-    """Crash-safe, lease-fenced, sharded statistics-catalog state."""
+    """A :class:`StatisticsCatalog` made crash-safe, lease-fenced and replicated."""
 
     def __init__(
         self,
@@ -117,7 +116,6 @@ class CatalogService:
         *,
         ttl: float = DEFAULT_TTL,
         min_quality: float = DEFAULT_MIN_QUALITY,
-        shards: int = DEFAULT_SHARDS,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         fsync: bool = True,
@@ -142,10 +140,9 @@ class CatalogService:
         self.metrics = metrics
         self.clock = clock
 
-        self._shards: list[dict[str, CatalogEntry]] = [
-            {} for _ in range(max(1, shards))
-        ]
-        self._shard_locks = [threading.Lock() for _ in self._shards]
+        #: the entries and the entry rules; touched only under _state_lock
+        self.catalog = StatisticsCatalog(None, ttl, min_quality)
+        self._state_lock = threading.Lock()
         self._write_lock = threading.Lock()
 
         self.fence = 0  # latest issued lease token (monotonic, WAL'd)
@@ -171,25 +168,11 @@ class CatalogService:
     # startup: snapshot + WAL replay
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        replayed = 0
         if self.path.exists():
-            catalog = StatisticsCatalog.open(
-                self.path, ttl=self.ttl, min_quality=self.min_quality
-            )
-            for key, entry in catalog.entries.items():
-                self._shards[self._shard_index(key)][key] = entry
-            # the snapshot's absorbed-seq rides as an extra top-level field
-            # the plain catalog loader ignores
-            try:
-                doc = json.loads(self.path.read_text())
-                self.snapshot_seq = int(doc.get("wal_seq", 0))
-                self.epoch = max(self.epoch, int(doc.get("epoch", 1)))
-                self.fence = max(self.fence, int(doc.get("fence", 0)))
-                if doc.get("lease_holder"):
-                    self.lease_holder = str(doc["lease_holder"])
-                    self.lease_deadline = float(doc.get("lease_deadline", 0.0))
-            except (OSError, ValueError):
-                self.snapshot_seq = 0
+            doc = _load_json(self.path, "catalog")
+            self._load_snapshot_doc(doc)
+            self.epoch = max(self.epoch, int(doc.get("epoch", 1)))
+        replayed = 0
         for record in self.wal.replay(after_seq=self.snapshot_seq):
             self._apply(record)
             self._wal_tail.append(record)
@@ -198,6 +181,14 @@ class CatalogService:
         # promotion happened after the last snapshot was written)
         self.epoch = max(self.epoch, self.wal.epoch)
         self.replayed_records = replayed
+        self._publish_gauges()
+        if replayed and self.metrics is not None:
+            self.metrics.counter(
+                "catalog_server_wal_replayed_total",
+                "WAL records replayed at startup",
+            ).inc(replayed)
+
+    def _publish_gauges(self) -> None:
         if self.metrics is not None:
             self.metrics.gauge(
                 "catalog_server_entries", "entries held by the service"
@@ -205,74 +196,54 @@ class CatalogService:
             self.metrics.gauge(
                 "catalog_epoch", "promotion epoch of this catalog server"
             ).set(self.epoch)
-            if replayed:
-                self.metrics.counter(
-                    "catalog_server_wal_replayed_total",
-                    "WAL records replayed at startup",
-                ).inc(replayed)
+
+    def _load_snapshot_doc(self, doc: dict) -> None:
+        """Replace the entries with a snapshot document's.
+
+        A snapshot is a plain catalog document; the absorbed WAL sequence,
+        the fence and the lease ride as extra top-level fields the plain
+        catalog loader ignores.
+        """
+        catalog = StatisticsCatalog(None, self.ttl, self.min_quality)
+        catalog._load_doc(doc)
+        with self._state_lock:
+            self.catalog = catalog
+        self.snapshot_seq = int(doc.get("wal_seq", 0))
+        self.fence = max(self.fence, int(doc.get("fence", 0)))
+        self.lease_holder = str(doc.get("lease_holder", ""))
+        self.lease_deadline = float(doc.get("lease_deadline", 0.0))
 
     # ------------------------------------------------------------------
-    # sharded reads
+    # reads: the catalog's own, under the state lock
     # ------------------------------------------------------------------
-    def _shard_index(self, key: str) -> int:
-        return crc32(key.encode("utf-8")) % len(self._shards)
-
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return len(self.catalog)
 
     def get(self, key: str) -> CatalogEntry | None:
-        index = self._shard_index(key)
-        with self._shard_locks[index]:
-            return self._shards[index].get(key)
+        with self._state_lock:
+            return self.catalog.get(key)
 
     def lookup(
         self, keys, now: float | None = None, count_hits: bool = True
     ) -> list[CatalogEntry]:
         """The usable entries among ``keys`` (stale/expired never match)."""
         now = self.clock() if now is None else now
-        out: list[CatalogEntry] = []
-        for key in keys:
-            index = self._shard_index(key)
-            with self._shard_locks[index]:
-                entry = self._shards[index].get(key)
-                if entry is None or not entry.usable(now, self.ttl, self.min_quality):
-                    continue
-                if count_hits:
-                    # hit counts are advisory telemetry, deliberately not
-                    # WAL'd: losing them to a crash costs nothing
-                    entry = replace(entry, hits=entry.hits + 1)
-                    self._shards[index][key] = entry
-                out.append(entry)
-        return out
+        with self._state_lock:
+            return list(self.catalog.usable_among(keys, now, count_hits).values())
 
     def usable_keys(self, now: float | None = None) -> set[str]:
         now = self.clock() if now is None else now
-        out: set[str] = set()
-        for shard, lock in zip(self._shards, self._shard_locks):
-            with lock:
-                out.update(
-                    key
-                    for key, entry in shard.items()
-                    if entry.usable(now, self.ttl, self.min_quality)
-                )
-        return out
+        with self._state_lock:
+            return self.catalog.usable_keys(now)
 
     def entries_on_se(self, se_keys) -> list[CatalogEntry]:
         wanted = set(se_keys)
-        out: list[CatalogEntry] = []
-        for shard, lock in zip(self._shards, self._shard_locks):
-            with lock:
-                out.extend(
-                    entry for entry in shard.values() if entry.se_key in wanted
-                )
-        return sorted(out, key=lambda e: e.key)
+        return [entry for entry in self.all_entries() if entry.se_key in wanted]
 
     def all_entries(self) -> list[CatalogEntry]:
-        out: list[CatalogEntry] = []
-        for shard, lock in zip(self._shards, self._shard_locks):
-            with lock:
-                out.extend(shard.values())
-        return sorted(out, key=lambda e: e.key)
+        with self._state_lock:
+            entries = list(self.catalog.entries.values())
+        return sorted(entries, key=lambda e: e.key)
 
     # ------------------------------------------------------------------
     # leases
@@ -301,15 +272,10 @@ class CatalogService:
                     f"catalog lease held by {self.lease_holder!r} for another "
                     f"{self.lease_deadline - now:.0f}s"
                 )
-            fence = self.fence + 1
-            deadline = now + ttl
-            self._append(
-                "lease", fence=fence, holder=holder, deadline=deadline
+            self._commit(
+                "lease", fence=self.fence + 1, holder=holder, deadline=now + ttl
             )
-            self.fence = fence
-            self.lease_holder = holder
-            self.lease_deadline = deadline
-            return fence
+            return self.fence
 
     def release_lease(self, fence: int, epoch: int | None = None) -> bool:
         """Give the lease back after a completed save.
@@ -323,9 +289,7 @@ class CatalogService:
             self._check_epoch(epoch)
             if fence != self.fence or not self.lease_holder:
                 return False
-            self._append("lease", fence=self.fence, holder="", deadline=0.0)
-            self.lease_holder = ""
-            self.lease_deadline = 0.0
+            self._commit("lease", fence=self.fence, holder="", deadline=0.0)
             return True
 
     def _check_fence(self, fence: int | None) -> None:
@@ -365,69 +329,59 @@ class CatalogService:
     # ------------------------------------------------------------------
     # mutations: WAL first, memory second, ack last
     # ------------------------------------------------------------------
-    def _append(self, op: str, **fields) -> int:
+    def _commit(self, op: str, **fields) -> int:
+        """One durable record: appended, then applied as replay applies it."""
         seq = self.wal.last_seq + 1
         self.wal.append(op, seq, **fields)
-        self._wal_tail.append(
-            {"v": WAL_FORMAT_VERSION, "seq": seq, "op": op, **fields}
-        )
+        record = {"v": WAL_FORMAT_VERSION, "seq": seq, "op": op, **fields}
+        self._wal_tail.append(record)
+        self._apply(record)
         if self.metrics is not None:
             self.metrics.counter(
                 "catalog_server_wal_records_total", "durable WAL appends"
             ).inc(op=op)
         return seq
 
-    def _mutate(
-        self,
-        op: str,
-        fence: int | None = None,
-        epoch: int | None = None,
-        **fields,
-    ) -> int:
+    def _mutate(self, op: str, items, fence: int | None, epoch: int | None) -> int:
         with self._write_lock:
-            self._check_writable()
-            self._check_epoch(epoch)
-            self._check_fence(fence)
-            seq = self._append(op, **fields)
-            self._apply({"op": op, "seq": seq, **fields})
-            self._since_snapshot += 1
-            if self._since_snapshot >= self.snapshot_every:
-                # snapshots happen off the request path: flag the backlog
-                # and let the snapshot daemon (or an explicit caller) fold it
-                self._snapshot_due.set()
-            if self.metrics is not None:
-                self.metrics.gauge(
-                    "catalog_server_entries", "entries held by the service"
-                ).set(len(self))
-            return seq
+            return self._mutate_locked(op, items, fence, epoch)
+
+    def _mutate_locked(self, op, items, fence, epoch) -> int:
+        self._check_writable()
+        self._check_epoch(epoch)
+        self._check_fence(fence)
+        seq = self._commit(op, **{MUTATIONS[op]: items})
+        self._since_snapshot += 1
+        if self._since_snapshot >= self.snapshot_every:
+            # snapshots happen off the request path: flag the backlog
+            # and let the snapshot daemon (or an explicit caller) fold it
+            self._snapshot_due.set()
+        self._publish_gauges()
+        return seq
 
     def put_entries(
         self, entry_docs, fence: int | None = None, epoch: int | None = None
     ) -> int:
         """Insert-or-replace whole entries (the reconcile write path)."""
-        docs = [self._validated_entry(doc).to_dict() for doc in entry_docs]
-        return self._mutate("put", fence=fence, epoch=epoch, entries=docs)
+        return self._mutate("put", self._entry_docs(entry_docs), fence, epoch)
 
     def merge_entries(
         self, entry_docs, fence: int | None = None, epoch: int | None = None
     ) -> int:
         """Fold entries in, newer ``observed_at`` winning per key."""
-        docs = [self._validated_entry(doc).to_dict() for doc in entry_docs]
-        return self._mutate("merge", fence=fence, epoch=epoch, entries=docs)
+        return self._mutate("merge", self._entry_docs(entry_docs), fence, epoch)
 
     def mark_stale(
         self, keys, fence: int | None = None, epoch: int | None = None
     ) -> int:
-        return self._mutate(
-            "stale", fence=fence, epoch=epoch, keys=sorted(set(keys))
-        )
+        return self._mutate("stale", sorted(set(keys)), fence, epoch)
 
     def adjust_quality(
         self, adjustments, fence: int | None = None, epoch: int | None = None
     ) -> int:
         """Blend prediction errors into quality scores; ``[[key, err]..]``."""
         pairs = [[str(key), float(err)] for key, err in adjustments]
-        return self._mutate("quality", fence=fence, epoch=epoch, adjust=pairs)
+        return self._mutate("quality", pairs, fence, epoch)
 
     def gc(
         self,
@@ -439,64 +393,34 @@ class CatalogService:
     ) -> int:
         """Drop expired/low-quality/stale entries; returns the count.
 
-        The doomed set is computed up front and logged as an explicit
-        ``delete`` record, so replay removes exactly the same keys no
-        matter when the replaying process runs.
+        The doomed set is logged as an explicit ``delete`` record, so
+        replay removes exactly the same keys no matter when the replaying
+        process runs.  Scan and record sit under one hold of the write
+        lock: a ``put`` that refreshes a doomed key lands before the scan
+        or after the delete, never between them.
         """
-        now = self.clock()
-        ttl = self.ttl if ttl is None else ttl
-        min_quality = self.min_quality if min_quality is None else min_quality
-        doomed: list[str] = []
-        for shard, lock in zip(self._shards, self._shard_locks):
-            with lock:
-                doomed.extend(
-                    key
-                    for key, entry in shard.items()
-                    if entry.collectable(now, ttl, min_quality, drop_stale)
+        with self._write_lock:
+            with self._state_lock:
+                doomed = self.catalog.collectable_keys(
+                    self.clock(), ttl, min_quality, drop_stale
                 )
-        if doomed:
-            self._mutate("delete", fence=fence, epoch=epoch, keys=sorted(doomed))
+            if doomed:
+                self._mutate_locked("delete", doomed, fence, epoch)
         return len(doomed)
 
     @staticmethod
-    def _validated_entry(doc) -> CatalogEntry:
-        if isinstance(doc, CatalogEntry):
-            return doc
-        return CatalogEntry.from_dict(doc)
+    def _entry_docs(entries) -> list[dict]:
+        """Entries (documents or objects) as validated, canonical documents."""
+        return [CatalogEntry.of(entry).to_dict() for entry in entries]
 
     # ------------------------------------------------------------------
     # the single apply path (live mutations and replay share it)
     # ------------------------------------------------------------------
     def _apply(self, record: dict) -> None:
         op = record.get("op")
-        if op in ("put", "merge"):
-            for doc in record.get("entries", ()):
-                entry = CatalogEntry.from_dict(doc)
-                index = self._shard_index(entry.key)
-                with self._shard_locks[index]:
-                    if op == "put" or entry.supersedes(
-                        self._shards[index].get(entry.key)
-                    ):
-                        self._shards[index][entry.key] = entry
-        elif op == "stale":
-            for key in record.get("keys", ()):
-                index = self._shard_index(key)
-                with self._shard_locks[index]:
-                    entry = self._shards[index].get(key)
-                    if entry is not None and not entry.stale:
-                        self._shards[index][key] = entry.as_stale()
-        elif op == "quality":
-            for key, rel_error in record.get("adjust", ()):
-                index = self._shard_index(key)
-                with self._shard_locks[index]:
-                    entry = self._shards[index].get(key)
-                    if entry is not None:
-                        self._shards[index][key] = entry.with_error(rel_error)
-        elif op == "delete":
-            for key in record.get("keys", ()):
-                index = self._shard_index(key)
-                with self._shard_locks[index]:
-                    self._shards[index].pop(key, None)
+        if op in MUTATIONS:
+            with self._state_lock:
+                self.catalog.apply(op, record.get(MUTATIONS[op], ()))
         elif op == "lease":
             self.fence = max(self.fence, int(record.get("fence", 0)))
             self.lease_holder = str(record.get("holder", ""))
@@ -565,9 +489,7 @@ class CatalogService:
                     "catalog_server_replicated_records_total",
                     "WAL records applied from the replication stream",
                 ).inc(applied)
-                self.metrics.gauge(
-                    "catalog_server_entries", "entries held by the service"
-                ).set(len(self))
+                self._publish_gauges()
         return applied
 
     def load_snapshot(self, doc: dict, epoch: int | None = None) -> None:
@@ -580,22 +502,9 @@ class CatalogService:
         """
         with self._write_lock:
             self._adopt_epoch_locked(epoch)
-            for shard, lock in zip(self._shards, self._shard_locks):
-                with lock:
-                    shard.clear()
-            for entry_doc in doc.get("entries", ()):
-                entry = CatalogEntry.from_dict(entry_doc)
-                self._shards[self._shard_index(entry.key)][entry.key] = entry
-            self.fence = max(self.fence, int(doc.get("fence", 0)))
-            self.lease_holder = str(doc.get("lease_holder", ""))
-            self.lease_deadline = float(doc.get("lease_deadline", 0.0))
-            self.snapshot_seq = int(doc.get("wal_seq", 0))
+            self._load_snapshot_doc(doc)
             self.wal.last_seq = max(self.wal.last_seq, self.snapshot_seq)
-            atomic_write_json(self.to_dict(), self.path)
-            self.wal.truncate()
-            self._wal_tail = []
-            self._since_snapshot = 0
-            self._snapshot_due.clear()
+            self._snapshot_locked()
 
     def promote(self) -> int:
         """Make this standby the primary, fenced by a bumped epoch.
@@ -611,10 +520,8 @@ class CatalogService:
                 self.wal.write_epoch(self.epoch)
                 self.role = "primary"
                 self.primary_url = ""
+                self._publish_gauges()
                 if self.metrics is not None:
-                    self.metrics.gauge(
-                        "catalog_epoch", "promotion epoch of this catalog server"
-                    ).set(self.epoch)
                     self.metrics.counter(
                         "catalog_server_promotions_total",
                         "standby-to-primary promotions",
@@ -637,20 +544,16 @@ class CatalogService:
             )
         self.epoch = epoch
         self.wal.write_epoch(epoch)
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "catalog_epoch", "promotion epoch of this catalog server"
-            ).set(self.epoch)
+        self._publish_gauges()
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        entries = self.all_entries()
+        with self._state_lock:
+            doc = self.catalog.to_dict()
         return {
-            "format_version": FORMAT_VERSION,
-            "kind": "statistics-catalog",
-            "entries": [entry.to_dict() for entry in entries],
+            **doc,
             "wal_seq": self.wal.last_seq,
             "epoch": self.epoch,
             "fence": self.fence,
@@ -686,7 +589,7 @@ class CatalogService:
         # Only the primary appends -- a standby's WAL sequence numbers must
         # mirror the primary's exactly, and its fence rides the snapshot.
         if self.fence and self.role == "primary":
-            self._append(
+            self._commit(
                 "lease",
                 fence=self.fence,
                 holder=self.lease_holder,
@@ -834,7 +737,6 @@ class SnapshotDaemon:
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "DEFAULT_SHARDS",
     "DEFAULT_SNAPSHOT_EVERY",
     "DEFAULT_SNAPSHOT_INTERVAL",
     "CatalogService",

@@ -47,13 +47,15 @@ try:  # pragma: no cover - fcntl is present on every POSIX we target
 except ImportError:  # pragma: no cover - windows
     fcntl = None
 
+from repro.catalog.store import MUTATIONS
 from repro.core.persistence import PersistenceError
 
 #: version stamped into every record; replay accepts 1..WAL_FORMAT_VERSION
 WAL_FORMAT_VERSION = 1
 
-#: operations a record may carry (the service defines their semantics)
-WAL_OPS = ("put", "stale", "quality", "delete", "merge", "lease")
+#: operations a record may carry: the catalog's mutations (their semantics are
+#: ``StatisticsCatalog.apply``'s) and the service's own lease record
+WAL_OPS = (*MUTATIONS, "lease")
 
 #: the header op marking the log owner's promotion epoch (seq 0, not replayed)
 WAL_EPOCH_OP = "epoch"

@@ -191,6 +191,15 @@ class Block:
         """The SE of the full join (before post-steps)."""
         return SubExpression(frozenset(self.inputs))
 
+    def relations_on(self, sources) -> set[str]:
+        """Input and stage relation names fed by one of the base ``sources``."""
+        names: set[str] = set()
+        for name, inp in self.inputs.items():
+            if inp.base_name in sources:
+                names.add(name)
+                names.update(inp.stage_names())
+        return names
+
     def post_stage_names(self) -> list[str]:
         return [f"{self.name}:post@{s.node_id}" for s in self.post_steps]
 

@@ -12,15 +12,17 @@ fleet-wide, incrementally maintained asset:
   get re-observed;
 - :mod:`repro.catalog.fleet` — one combined nightly observation plan for
   a whole suite of workflows, observing each shared statistic once;
-- :mod:`repro.catalog.feedback` — the adaptive corrector: per-operator
-  estimation errors correct drifted cardinality entries in place and
-  re-rank what the fleet observes next.
+- :mod:`repro.catalog.feedback` — the loop's cross-night memory: the
+  reconcile pass's estimation errors, smoothed per statistic, re-rank
+  what the fleet observes next.
 """
 
 from repro.catalog.drift import (
     DEFAULT_DRIFT_THRESHOLD,
     DriftReport,
+    prediction_errors,
     reconcile_run,
+    rel_error,
 )
 from repro.catalog.feedback import (
     DEFAULT_CORRECTION_THRESHOLD,
@@ -53,5 +55,7 @@ __all__ = [
     "WorkflowObservationPlan",
     "WorkflowSigner",
     "plan_fleet",
+    "prediction_errors",
     "reconcile_run",
+    "rel_error",
 ]

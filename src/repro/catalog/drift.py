@@ -13,14 +13,18 @@ compare catalog predictions against.
 1. **refresh** — statistics actually tapped tonight overwrite their
    catalog entries (fresh observation beats any cached value), and the
    prediction error of the *old* entry is folded into its quality score;
-2. **drift scan** — for every SE the run materialized, the catalog's
-   cardinality prediction is compared with the true size; a relative
-   error above ``threshold`` marks the SE as drifted.  Its cardinality
-   entry is refreshed in place (the true size *is* a valid observation),
-   while the histogram/distinct entries riding on the same SE are marked
-   **stale** — the run never materialized their buckets, so they must be
+2. **drift scan** — the night's one estimated-vs-actual pass
+   (:func:`prediction_errors`): for every SE the run materialized, the
+   catalog's cardinality prediction is compared with the true size and
+   the error blended into the entry's quality; a relative error above
+   ``threshold`` marks the SE as drifted.  Its cardinality entry is
+   refreshed in place (the true size *is* a valid observation), while the
+   histogram/distinct entries riding on the same SE are marked **stale**
+   — the run never materialized their buckets, so they must be
    re-observed, and the stale flag is precisely what removes them from
-   the next run's zero-cost offer;
+   the next run's zero-cost offer.  The same errors are what a
+   :class:`~repro.catalog.feedback.FeedbackCorrector` remembers across
+   nights -- it is fed them here and writes nothing itself;
 3. **admission** — tapped statistics new to the catalog are inserted with
    full provenance.
 
@@ -35,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.catalog.signatures import SignatureError, WorkflowSigner
-from repro.catalog.store import StatisticsCatalog
+from repro.catalog.store import CatalogEntry, StatisticsCatalog
 from repro.core.statistics import Statistic, StatisticsStore
 
 #: relative cardinality error above which an entry counts as drifted
@@ -51,6 +55,8 @@ class DriftReport:
     drifted: list[str] = field(default_factory=list)  # SE reprs that moved
     stale_marked: int = 0
     max_rel_error: float = 0.0
+    #: FeedbackReport when the pass fed a corrector
+    feedback: "object | None" = None
 
     @property
     def touched(self) -> int:
@@ -70,8 +76,43 @@ class DriftReport:
         return "; ".join(parts)
 
 
-def _rel_error(predicted: float, actual: float) -> float:
+def rel_error(predicted: float, actual: float) -> float:
+    """``|actual - predicted| / max(|predicted|, 1)`` -- the one spelling."""
     return abs(float(actual) - float(predicted)) / max(abs(float(predicted)), 1.0)
+
+
+def prediction_errors(
+    signer: WorkflowSigner,
+    se_sizes: dict,
+    previous_sizes: dict | None = None,
+    catalog=None,
+    refreshed=frozenset(),
+):
+    """The night's one estimated-vs-actual pass.
+
+    Yields ``(se, card_key, entry, err)`` for every materialized SE the
+    night held a belief about.  The belief is the catalog's own
+    cardinality ``entry`` (usable or not) unless a tap already refreshed
+    it tonight (``card_key in refreshed``); otherwise the previous cycle's
+    size of that SE, and ``entry`` is ``None`` -- so an entry is only ever
+    charged with the error of its own value.
+    """
+    previous_sizes = previous_sizes or {}
+    for se in sorted(se_sizes, key=repr):
+        try:
+            card_key = signer.statistic_key(Statistic.card(se))
+        except SignatureError:
+            continue
+        entry = None
+        if catalog is not None and card_key not in refreshed:
+            entry = catalog.get(card_key)
+        if entry is not None:
+            predicted = entry.value()
+        elif se in previous_sizes:
+            predicted = previous_sizes[se]
+        else:
+            continue
+        yield se, card_key, entry, rel_error(predicted, se_sizes[se])
 
 
 def reconcile_run(
@@ -86,7 +127,8 @@ def reconcile_run(
     backend: str = "",
     threshold: float = DEFAULT_DRIFT_THRESHOLD,
     now: float | None = None,
-    metrics=None,
+    previous_sizes: dict | None = None,
+    corrector=None,
 ) -> DriftReport:
     """Fold one completed run back into the catalog.
 
@@ -96,10 +138,11 @@ def reconcile_run(
     are *not* tapped, which is the whole point — their entries are
     validated through the drift scan instead).
 
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) receives
-    the reconcile counters -- entries admitted/refreshed, SEs drifted,
-    siblings marked stale -- and a histogram of the prediction errors the
-    drift scan measured, labelled by workflow.
+    ``corrector`` (a :class:`~repro.catalog.feedback.FeedbackCorrector`)
+    is fed the scan's per-statistic errors -- plus, for SEs the catalog
+    holds no prediction for, the error of ``previous_sizes`` (the previous
+    cycle's ``se_sizes``) -- and its report lands in
+    :attr:`DriftReport.feedback`.  Only ``threshold`` decides a write.
     """
     now = time.time() if now is None else now
     report = DriftReport()
@@ -122,9 +165,9 @@ def reconcile_run(
         previous = catalog.get(key)
         quality = 1.0
         if previous is not None and not stat.is_histogram:
-            err = _rel_error(previous.value(), value)
+            err = rel_error(previous.value(), value)
             report.max_rel_error = max(report.max_rel_error, err)
-            quality = max(0.5, 1.0 - min(err, 1.0) / 2)
+            quality = CatalogEntry.reobserved_quality(err)
         catalog.record(key, se_key, stat, value, quality=quality, **provenance)
         refreshed_keys.add(key)
         (report.refreshed if previous is not None else report.added).append(
@@ -132,26 +175,27 @@ def reconcile_run(
         )
 
     # 2: drift scan over every materialized plan point
-    for se in sorted(se_sizes, key=repr):
-        actual = se_sizes[se]
-        try:
-            card_key = signer.statistic_key(Statistic.card(se))
-            se_key = signer.se_key(se)
-        except SignatureError:
+    errors: dict[str, float] = {}
+    for se, card_key, entry, err in prediction_errors(
+        signer,
+        se_sizes,
+        previous_sizes if corrector is not None else None,
+        catalog,
+        refreshed_keys,
+    ):
+        errors[card_key] = err
+        if entry is None:
             continue
-        entry = catalog.get(card_key)
-        if entry is None or card_key in refreshed_keys:
-            continue
-        err = _rel_error(entry.value(), actual)
         report.max_rel_error = max(report.max_rel_error, err)
         if err <= threshold:
             catalog.adjust_quality(card_key, err)
             continue
         report.drifted.append(repr(se))
+        se_key = signer.se_key(se)
         # the true size is itself a valid observation: penalise, then
         # refresh in place carrying the penalised quality forward
         catalog.correct(
-            card_key, se_key, Statistic.card(se), actual, err, **provenance
+            card_key, se_key, Statistic.card(se), se_sizes[se], err, **provenance
         )
         # ...but the buckets of sibling histogram/distinct entries were
         # not materialized tonight — force their re-observation
@@ -162,30 +206,8 @@ def reconcile_run(
         ]
         report.stale_marked += catalog.mark_stale(siblings)
 
-    if metrics is not None:
-        labels = {"workflow": workflow} if workflow else {}
-        if report.added:
-            metrics.counter(
-                "catalog_entries_added_total", "statistics newly admitted"
-            ).inc(len(report.added), **labels)
-        if report.refreshed:
-            metrics.counter(
-                "catalog_entries_refreshed_total",
-                "entries overwritten by fresh observations",
-            ).inc(len(report.refreshed), **labels)
-        if report.drifted:
-            metrics.counter(
-                "catalog_drifted_total", "SEs whose prediction drifted"
-            ).inc(len(report.drifted), **labels)
-        if report.stale_marked:
-            metrics.counter(
-                "catalog_stale_marked_total",
-                "sibling entries forced to re-observation",
-            ).inc(report.stale_marked, **labels)
-        metrics.gauge(
-            "catalog_max_rel_error", "worst prediction error this reconcile"
-        ).set(report.max_rel_error, **labels)
-
+    if corrector is not None:
+        report.feedback = corrector.observe_run(errors)
     return report
 
 
@@ -194,9 +216,6 @@ def invalidate_schema_drift(
     signer: WorkflowSigner,
     analysis,
     sources,
-    *,
-    metrics=None,
-    workflow: str = "",
 ) -> int:
     """Mark stale every entry on an SE touching a schema-drifted source.
 
@@ -219,11 +238,7 @@ def invalidate_schema_drift(
         return 0
     se_keys: set[str] = set()
     for block in analysis.blocks:
-        touched: set[str] = set()
-        for name, inp in block.inputs.items():
-            if inp.base_name in sources:
-                touched.add(name)
-                touched.update(inp.stage_names())
+        touched = block.relations_on(sources)
         if not touched:
             continue
         # the block's post stages derive from a join that includes the
@@ -241,12 +256,6 @@ def invalidate_schema_drift(
         marked += catalog.mark_stale(
             entry.key for entry in catalog.entries_on_se(se_key)
         )
-    if metrics is not None and marked:
-        labels = {"workflow": workflow} if workflow else {}
-        metrics.counter(
-            "catalog_schema_invalidated_total",
-            "entries invalidated by upstream schema drift",
-        ).inc(marked, **labels)
     return marked
 
 
@@ -254,5 +263,7 @@ __all__ = [
     "DEFAULT_DRIFT_THRESHOLD",
     "DriftReport",
     "invalidate_schema_drift",
+    "prediction_errors",
     "reconcile_run",
+    "rel_error",
 ]

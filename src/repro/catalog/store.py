@@ -277,6 +277,12 @@ class CatalogEntry:
         accuracy = max(0.0, 1.0 - min(float(rel_error), 1.0))
         return replace(self, quality=0.5 * self.quality + 0.5 * accuracy)
 
+    @staticmethod
+    def reobserved_quality(rel_error: float) -> float:
+        """Quality of an entry a tap just re-observed, in [0.5, 1]: the
+        fresh value is exact, the old one's miss costs at most half."""
+        return 1.0 - min(float(rel_error), 1.0) / 2
+
     def to_dict(self) -> dict:
         return {
             "key": self.key,

@@ -97,14 +97,17 @@ class PipelineReport:
     #: bytes of distinct-accumulator state the taps held (for a sharded
     #: run: what the shard workers actually shipped to the parent)
     sketch_bytes: int = 0
-    #: catalog cardinality entries the feedback corrector fixed in place
-    corrections: int = 0
     #: FeedbackReport when run_once(feedback=...) was given
     feedback: "object | None" = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def corrections(self) -> int:
+        """Catalog cardinality entries the reconcile pass fixed in place."""
+        return len(self.drift.drifted) if self.drift is not None else 0
 
     # -- data quality (populated when run_once(contracts=...) was given) ----
     @property
@@ -322,7 +325,6 @@ class StatisticsPipeline:
         prior_observed_at: float | None = None,
         stats_catalog=None,
         run_id: str = "",
-        drift_threshold: float | None = None,
         tracer=None,
         metrics=None,
         contracts=None,
@@ -332,8 +334,9 @@ class StatisticsPipeline:
     ) -> PipelineReport:
         """One full observe-and-optimize cycle.
 
-        ``trees`` overrides the executed plans (defaults to the initial
-        plan on the first cycle, or whatever the previous cycle chose).
+        ``trees`` overrides the executed plans; without it every cycle
+        executes the initial plan (:class:`~repro.framework.session
+        .EtlSession` is what remembers the previous cycle's choice).
         Because observability is a property of the *executed* plan, the
         whole identification stage (SEs -> CSSs -> selection) is re-derived
         against the overridden plans, exactly as the paper's cycle repeats
@@ -356,8 +359,10 @@ class StatisticsPipeline:
         entries join the selection problem at zero cost (the Section 6.2
         mechanism), are *not* re-instrumented tonight, and back the
         estimator directly.  After the run the catalog is reconciled --
-        fresh observations refresh it, drifted entries are penalized and
-        marked stale -- and saved if it has a backing file.
+        fresh observations refresh it, a drifted cardinality is penalized
+        and corrected in place, its siblings marked stale
+        (``PipelineReport.drift`` / ``corrections``) -- and saved if it has
+        a backing file.
         ``prior_observed_at`` (e.g. the mtime of a ``--prior-stats``
         file) lets the degraded fallback prefer the fresher of the prior
         store and the catalog.
@@ -386,12 +391,11 @@ class StatisticsPipeline:
         dead letters across calls for later persistence.
 
         ``feedback`` (a :class:`~repro.catalog.feedback
-        .FeedbackCorrector`) closes the adaptive loop: after the run it
-        consumes the estimated-vs-actual SE sizes (the same stream the
-        trace layer annotates as ``estimation_rel_error``), corrects
-        drifted catalog cardinality entries in place and remembers
-        per-statistic errors for fleet re-ranking.  Its report lands in
-        ``PipelineReport.feedback`` / ``corrections``.
+        .FeedbackCorrector`) is the loop's cross-night memory: the
+        reconcile pass feeds it the night's estimated-vs-actual errors
+        (catalog cardinalities, else the previous cycle's sizes) for fleet
+        re-ranking.  It writes nothing; its report lands in
+        ``PipelineReport.feedback``.
         """
         from repro.obs.trace import as_tracer
 
@@ -486,7 +490,7 @@ class StatisticsPipeline:
             # the previous cycle's materialized sizes, overlaid with tonight's
             # catalog cardinalities (both are what the optimizer believed)
             estimates = None
-            if tracer is not None or feedback is not None:
+            if tracer is not None:
                 estimates = dict(self._se_sizes)
                 if hits is not None:
                     estimates.update(
@@ -535,30 +539,24 @@ class StatisticsPipeline:
             if self.sketch_spec.mode != "exact":
                 sketch_bytes = taps.distinct_bytes()
                 sketch_bytes += run.shard_stats.get("sketch_bytes", 0)
+            previous_sizes = self._se_sizes
             self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
 
             drifted_sources = {event.source for event in run.schema_drift}
             drift = None
             drift_invalidated = 0
+            feedback_report = None
             if stats_catalog is not None:
                 from repro.catalog.drift import invalidate_schema_drift, reconcile_run
 
                 t0 = clock()
-                kwargs = {} if drift_threshold is None else {
-                    "threshold": drift_threshold
-                }
                 with tr.span("reconcile") as rec_span:
                     # schema drift first: entries observed against the old shape
                     # go stale *before* tonight's (post-reconcile) observations
                     # re-admit whatever the run could still validate
                     if drifted_sources:
                         drift_invalidated = invalidate_schema_drift(
-                            stats_catalog,
-                            signer,
-                            analysis,
-                            drifted_sources,
-                            metrics=metrics,
-                            workflow=analysis.workflow.name,
+                            stats_catalog, signer, analysis, drifted_sources
                         )
                     # a resumed run's journal-restored statistics were observed
                     # on the *crashed* attempt: refreshing their entries now
@@ -577,9 +575,10 @@ class StatisticsPipeline:
                         workflow=analysis.workflow.name,
                         run_id=run_id,
                         backend=self.backend,
-                        metrics=metrics,
-                        **kwargs,
+                        previous_sizes=previous_sizes,
+                        corrector=feedback,
                     )
+                    feedback_report = drift.feedback
                     rec_span.annotate(
                         added=len(drift.added),
                         refreshed=len(drift.refreshed),
@@ -589,36 +588,22 @@ class StatisticsPipeline:
                         schema_invalidated=drift_invalidated,
                     )
                 timings["reconcile"] = clock() - t0
+                if stats_catalog.path is not None:
+                    stats_catalog.save()
+            elif feedback is not None:
+                # no catalog to reconcile: the same comparison, against the
+                # previous cycle's sizes alone
+                from repro.catalog.drift import prediction_errors
+                from repro.catalog.signatures import WorkflowSigner
 
-            feedback_report = None
-            if feedback is not None:
-                if signer is None:
-                    from repro.catalog.signatures import WorkflowSigner
-
-                    signer = WorkflowSigner(analysis)
-                t0 = clock()
-                with tr.span("feedback") as fb_span:
-                    feedback_report = feedback.observe_run(
-                        signer,
-                        estimates or {},
-                        run.se_sizes,
-                        workflow=analysis.workflow.name,
-                        run_id=run_id,
-                        backend=self.backend,
-                        metrics=metrics,
-                    )
-                    fb_span.annotate(
-                        observed=feedback_report.observed,
-                        corrected=len(feedback_report.corrected),
-                        flagged=len(feedback_report.flagged),
-                        mean_rel_error=feedback_report.mean_rel_error,
-                    )
-                timings["feedback"] = clock() - t0
-
-            # saved after the corrector ran, so in-place corrections persist
-            # in the same night's write
-            if stats_catalog is not None and stats_catalog.path is not None:
-                stats_catalog.save()
+                feedback_report = feedback.observe_run(
+                    {
+                        key: err
+                        for _se, key, _entry, err in prediction_errors(
+                            WorkflowSigner(analysis), run.se_sizes, previous_sizes
+                        )
+                    }
+                )
 
             t0 = clock()
             opt_span = tr.start("optimization")
@@ -716,11 +701,6 @@ class StatisticsPipeline:
                 - cache_before[2],
                 sketch_mode=self.sketch_spec.mode,
                 sketch_bytes=sketch_bytes,
-                corrections=(
-                    len(feedback_report.corrected)
-                    if feedback_report is not None
-                    else 0
-                ),
                 feedback=feedback_report,
             )
             if tracer is not None:

@@ -330,12 +330,7 @@ def degraded_cardinalities(
         needed = [se for se in block.join_ses() if se not in cards]
         if not needed:
             continue
-        drifted_names: set[str] = set()
-        if drifted_sources:
-            for name, inp in block.inputs.items():
-                if inp.base_name in drifted_sources:
-                    drifted_names.add(name)
-                    drifted_names.update(inp.stage_names())
+        drifted_names = block.relations_on(drifted_sources)
         block_sources: dict[str, str] = {}
         for se in needed:
             ladder = demoted if se.relations & drifted_names else rungs

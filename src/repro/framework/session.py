@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algebra.plans import PlanTree
+from repro.catalog.drift import rel_error
 from repro.core.statistics import StatisticsStore
 from repro.engine.faults import FaultPlan
 from repro.engine.scheduler import RetryPolicy
@@ -105,7 +106,7 @@ class EtlSession:
     contracts: "object | None" = None  # quality.ContractSet for every run
     on_drift: str | None = None  # schema-drift policy when contracts are set
     quarantine: "object | None" = None  # shared QuarantineStore across runs
-    feedback: "object | None" = None  # shared catalog FeedbackCorrector
+    feedback: "object | None" = None  # FeedbackCorrector fed every run
     _prior_observations: StatisticsStore | None = None
 
     def run(self, sources: dict[str, Table]) -> RunRecord:
@@ -187,10 +188,8 @@ class EtlSession:
         worst = 0.0
         for se, value in cards.items():
             previous = self._adopted_cards.get(se)
-            if previous is None:
-                continue
-            base = max(abs(previous), 1.0)
-            worst = max(worst, abs(value - previous) / base)
+            if previous is not None:
+                worst = max(worst, rel_error(previous, value))
         return worst
 
     def _actual_cost(

@@ -31,7 +31,13 @@ def record_run_metrics(
     ``etl_catalog_hits_total``, ``etl_plans_improved_total``,
     ``etl_rows_quarantined_total`` (per source) and
     ``etl_schema_drift_events_total`` (per source and drift kind).  Gauges:
-    ``etl_plan_cost``, ``etl_selection_cost``.  Histograms:
+    ``etl_plan_cost``, ``etl_selection_cost``.  A catalog-backed cycle adds
+    the reconcile series off ``report.drift`` (``etl_catalog_refreshed_total``,
+    ``etl_catalog_drifted_total``, ``etl_catalog_corrections_total``,
+    ``catalog_entries_added_total``, ``catalog_entries_refreshed_total``,
+    ``catalog_stale_marked_total``, ``catalog_schema_invalidated_total``,
+    ``catalog_max_rel_error``) and a cycle with a corrector
+    ``feedback_mean_rel_error``.  Histograms:
     ``etl_phase_seconds`` (labelled by phase) and, when the report's
     trace carries estimated-vs-actual rows, ``etl_estimation_rel_error``.
     A sharded run additionally exports the ``etl_shard_*`` series
@@ -144,29 +150,43 @@ def record_run_metrics(
         for event in schema_drift:
             events.inc(source=event.source, kind=event.kind, **labels)
 
-    # distinct-sketch taps (mode "hll"): accumulator bytes the run held,
-    # and catalog corrections the feedback loop applied
+    # distinct-sketch taps (mode "hll"): accumulator bytes the run held
     if getattr(report, "sketch_mode", "exact") != "exact":
         registry.gauge(
             "etl_sketch_bytes",
             "distinct-sketch accumulator bytes held/shipped by the last run",
         ).set(getattr(report, "sketch_bytes", 0), **labels)
-    corrections = getattr(report, "corrections", 0)
-    if corrections:
-        registry.counter(
-            "etl_catalog_corrections_total",
-            "catalog entries corrected in place by the feedback loop",
-        ).inc(corrections, **labels)
 
-    drift = getattr(report, "drift", None)
+    # what the reconcile pass did to the shared catalog
+    drift = report.drift
     if drift is not None:
         registry.counter(
             "etl_catalog_refreshed_total", "catalog entries refreshed by runs"
         ).inc(len(drift.refreshed) + len(drift.added), **labels)
-        if drift.drifted:
-            registry.counter(
-                "etl_catalog_drifted_total", "SEs whose catalog prediction drifted"
-            ).inc(len(drift.drifted), **labels)
+        registry.gauge(
+            "catalog_max_rel_error", "worst prediction error this reconcile"
+        ).set(drift.max_rel_error, **labels)
+        for amount, metric, help_text in (
+            (len(drift.added), "catalog_entries_added_total",
+             "statistics newly admitted"),
+            (len(drift.refreshed), "catalog_entries_refreshed_total",
+             "entries overwritten by fresh observations"),
+            (len(drift.drifted), "etl_catalog_drifted_total",
+             "SEs whose catalog prediction drifted"),
+            (report.corrections, "etl_catalog_corrections_total",
+             "catalog entries corrected in place by the reconcile pass"),
+            (drift.stale_marked, "catalog_stale_marked_total",
+             "sibling entries forced to re-observation"),
+            (report.drift_invalidated, "catalog_schema_invalidated_total",
+             "entries invalidated by upstream schema drift"),
+        ):
+            if amount:
+                registry.counter(metric, help_text).inc(amount, **labels)
+    if report.feedback is not None and report.feedback.observed:
+        registry.gauge(
+            "feedback_mean_rel_error",
+            "mean prediction error the corrector saw this run",
+        ).set(report.feedback.mean_rel_error, **labels)
 
     trace = getattr(report, "trace", None)
     if trace is not None and getattr(trace, "enabled", False):

@@ -10,6 +10,7 @@ drifted or missing statistic).
 
 from __future__ import annotations
 
+from repro.catalog.drift import rel_error
 from repro.obs.trace import Span
 
 #: operator points below a phase are elided beyond this many per parent
@@ -55,19 +56,14 @@ def _span_suffix(span: Span) -> str:
 
 
 def estimation_errors(root: Span) -> list[tuple[float, Span]]:
-    """(relative error, span) for every point carrying est + actual rows.
-
-    Relative error follows the drift detector's convention:
-    ``|actual - estimated| / max(|estimated|, 1)``.
-    """
+    """(relative error, span) for every point carrying est + actual rows."""
     out = []
     for span in root.walk():
         est = span.attrs.get("estimated_rows")
         rows = span.attrs.get("rows")
         if est is None or rows is None:
             continue
-        err = abs(float(rows) - float(est)) / max(abs(float(est)), 1.0)
-        out.append((err, span))
+        out.append((rel_error(est, rows), span))
     out.sort(key=lambda pair: (-pair[0], pair[1].name))
     return out
 

@@ -75,7 +75,9 @@ def _measure():
         )
         bare = _timed(lambda: pipeline.run_once(sources))
         armed = _timed(
-            lambda: pipeline.run_once(sources, contracts=contracts)
+            lambda: pipeline.run_once(
+                sources, quality=QualityGate(contracts=contracts)
+            )
         )
         gate_share = gate_wall / bare
         for config, wall, note in (

@@ -1,8 +1,7 @@
-"""Baselines: pay-as-you-go, passive monitoring, independence estimation."""
+"""Baselines: pay-as-you-go, explore/exploit, independence estimation."""
 
 from repro.baselines.explore import ExploreExploitSession, ExplorationStep
 from repro.baselines.independence import BaseProfile, IndependenceEstimator, profile_inputs
-from repro.baselines.passive import PassiveCoverage, PassiveMonitor
 from repro.baselines.payg import (
     BlockSchedule,
     CoverageScheduler,
@@ -17,7 +16,7 @@ from repro.baselines.payg import (
 __all__ = [
     "BaseProfile", "BlockSchedule", "coverable_ses", "CoverageScheduler",
     "ExplorationStep", "ExploreExploitSession",
-    "IndependenceEstimator", "min_executions", "PassiveCoverage",
-    "PassiveMonitor", "profile_inputs", "semantic_lower_bound",
+    "IndependenceEstimator", "min_executions",
+    "profile_inputs", "semantic_lower_bound",
     "workflow_executions", "workflow_lower_bound", "workflow_schedule",
 ]

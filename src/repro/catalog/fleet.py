@@ -118,8 +118,7 @@ def plan_share(
     Section 6.2 mechanism.  Whatever the solver still wants observed is
     tapped by this workflow and recorded in ``claimed`` under ``client``,
     so the next caller sees it as free: each shared statistic is tapped
-    exactly once per night.  Both
-    :func:`plan_fleet` and the served ``POST /fleet/claim`` are this call.
+    exactly once per night.  :func:`plan_fleet` is a loop over this call.
     """
     analysis = analyze(workflow)
     css = generate_css(analysis, generator_options or GeneratorOptions())

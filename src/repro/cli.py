@@ -311,14 +311,13 @@ def _cmd_run(args) -> int:
         else None
     )
 
-    contracts = None
-    quarantine = None
+    quality = None
     if args.quarantine_dir and not args.contracts:
         raise CliError(
             "--quarantine-dir needs --contracts to arm the quality gate"
         )
     if args.contracts:
-        from repro.quality import ContractSet, QuarantineStore
+        from repro.quality import DEFAULT_POLICY, ContractSet, QualityGate
 
         contracts_path = Path(args.contracts)
         if contracts_path.exists():
@@ -332,7 +331,7 @@ def _cmd_run(args) -> int:
                 f"contracts inferred from tonight's sources and saved to "
                 f"{args.contracts} ({len(contracts)} source(s))"
             )
-        quarantine = QuarantineStore()
+        quality = QualityGate(contracts, args.on_drift or DEFAULT_POLICY)
 
     tracer = None
     if args.trace is not None:
@@ -355,10 +354,7 @@ def _cmd_run(args) -> int:
         stats_catalog=stats_catalog,
         run_id=f"wf{wfcase.number:02d}-seed{args.seed}",
         tracer=tracer,
-        metrics=metrics,
-        contracts=contracts,
-        on_drift=args.on_drift,
-        quarantine=quarantine,
+        quality=quality,
     )
     total_in = sum(t.num_rows for t in sources.values())
     sharded = f" shards={pipeline.shards}" if pipeline.shards else ""
@@ -386,14 +382,14 @@ def _cmd_run(args) -> int:
             f"{len(stats_catalog)} entries after reconcile"
         )
         _close_catalog(stats_catalog)
-    if contracts is not None:
+    if quality is not None:
         print(
             f"quality gate: {report.rows_quarantined} row(s) quarantined, "
             f"{len(report.violations)} violation(s), "
             f"{len(report.schema_drift)} schema drift event(s)"
         )
         if args.quarantine_dir:
-            written = quarantine.save(args.quarantine_dir)
+            written = quality.quarantine.save(args.quarantine_dir)
             if written:
                 print(
                     f"dead letter: {len(written)} artifact(s) written to "
@@ -418,8 +414,9 @@ def _cmd_run(args) -> int:
             write_trace(tracer, args.trace)
             print(f"trace written to {args.trace}")
     if metrics is not None:
-        from repro.obs import write_metrics
+        from repro.obs import record_run_metrics, write_metrics
 
+        record_run_metrics(metrics, report)
         fmt = write_metrics(metrics, args.metrics_out)
         print(f"metrics ({fmt}) written to {args.metrics_out}")
     if report.failures:

@@ -9,7 +9,6 @@ from repro.estimation.costmodel import CostModelError, PlanCostModel
 from repro.estimation.bootstrap import bootstrap_se_sizes
 from repro.estimation.estimator import CardinalityEstimator, EstimationError
 from repro.estimation.optimizer import OptimizedPlan, PlanOptimizer, optimize_workflow
-from repro.estimation.physical import JoinAlgorithm, PhysicalPlanner, physical_plans
 from repro.estimation.sketches import (
     HllSketch,
     SketchError,
@@ -19,14 +18,12 @@ from repro.estimation.sketches import (
     make_sketch,
     sketch_scope,
 )
-from repro.estimation.whatif import PlanRanking, rank_plans, rank_workflow
 
 __all__ = [
     "bootstrap_se_sizes", "CalculationError", "CardinalityEstimator",
     "compute_statistics", "CostModelError", "EstimationError",
-    "HllSketch", "JoinAlgorithm", "OptimizedPlan", "physical_plans",
-    "PhysicalPlanner", "PlanCostModel", "PlanOptimizer", "PlanRanking",
+    "HllSketch", "OptimizedPlan", "PlanCostModel", "PlanOptimizer",
     "SketchError", "SketchSpec", "active_sketch_spec",
-    "configure_sketches", "make_sketch", "rank_plans", "rank_workflow",
+    "configure_sketches", "make_sketch",
     "sketch_scope", "StatisticsCalculator", "optimize_workflow",
 ]

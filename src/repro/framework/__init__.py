@@ -2,11 +2,9 @@
 
 from repro.framework.pipeline import PipelineReport, StatisticsPipeline
 from repro.framework.recovery import RunCheckpoint, degraded_cardinalities
-from repro.framework.report import render_report, write_report
 from repro.framework.session import EtlSession, RunRecord
 
 __all__ = [
     "degraded_cardinalities", "EtlSession", "PipelineReport",
-    "render_report", "RunCheckpoint", "RunRecord", "StatisticsPipeline",
-    "write_report",
+    "RunCheckpoint", "RunRecord", "StatisticsPipeline",
 ]

@@ -16,6 +16,7 @@ chosen plans plus everything observed along the way.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -72,6 +73,8 @@ class PipelineReport:
     run: WorkflowRun
     estimator: CardinalityEstimator
     plans: dict[str, OptimizedPlan]
+    #: name of the execution backend the cycle ran on
+    backend: str
     timings: dict[str, float] = field(default_factory=dict)
     failures: dict[str, RunFailure] = field(default_factory=dict)
     degraded: dict[str, str] = field(default_factory=dict)
@@ -109,7 +112,7 @@ class PipelineReport:
         """Catalog cardinality entries the reconcile pass fixed in place."""
         return len(self.drift.drifted) if self.drift is not None else 0
 
-    # -- data quality (populated when run_once(contracts=...) was given) ----
+    # -- data quality (populated when run_once(quality=...) was given) ------
     @property
     def quarantined(self) -> dict[str, Table]:
         """Per-source dead-letter tables of rows the contracts rejected."""
@@ -326,10 +329,7 @@ class StatisticsPipeline:
         stats_catalog=None,
         run_id: str = "",
         tracer=None,
-        metrics=None,
-        contracts=None,
-        on_drift: str | None = None,
-        quarantine=None,
+        quality=None,
         feedback=None,
     ) -> PipelineReport:
         """One full observe-and-optimize cycle.
@@ -371,24 +371,19 @@ class StatisticsPipeline:
         cycle as a span tree -- enumeration, selection, one span per
         executed block with per-operator points (estimated-vs-actual rows
         where a prior prediction exists), catalog reconcile, optimization
-        -- surfaced as ``PipelineReport.trace``.  ``metrics`` (a
-        :class:`~repro.obs.metrics.MetricsRegistry`) receives the
-        standard run series via
-        :func:`~repro.obs.record.record_run_metrics`.  Both default to
-        off and cost nothing when off.
+        -- surfaced as ``PipelineReport.trace``.  Off by default, and free
+        when off.  The standard metric series are the caller's one call on
+        the returned report (:func:`~repro.obs.record.record_run_metrics`).
 
-        ``contracts`` (a :class:`~repro.quality.contracts.ContractSet`)
-        arms the data-quality gate: each contracted source is first
-        reconciled against schema drift under the ``on_drift`` policy
-        (``strict`` | ``coerce`` | ``ignore-extra``, default ``coerce``),
-        then validated row by row; invalid rows are diverted to a
-        dead-letter table *before* any block executes, so every tap and
-        ground-truth count this cycle observes excludes them.  Sources
-        whose schema drifted have their catalog entries invalidated
-        (``drift_invalidated``) and, in a degraded night, their catalog
-        rung demoted to prior-level trust.  ``quarantine`` (a
-        :class:`~repro.quality.quarantine.QuarantineStore`) collects the
-        dead letters across calls for later persistence.
+        ``quality`` (a :class:`~repro.quality.gate.QualityGate`: contracts,
+        schema-drift policy, dead-letter store) is handed to the executor
+        as is: each contracted source is first reconciled against schema
+        drift under the gate's policy, then validated row by row; invalid
+        rows are diverted to the gate's dead-letter store *before* any
+        block executes, so every tap and ground-truth count this cycle
+        observes excludes them.  Sources whose schema drifted have their
+        catalog entries invalidated (``drift_invalidated``) and, in a
+        degraded night, their catalog rung demoted to prior-level trust.
 
         ``feedback`` (a :class:`~repro.catalog.feedback
         .FeedbackCorrector`) is the loop's cross-night memory: the
@@ -406,7 +401,7 @@ class StatisticsPipeline:
         clock = self.clock
 
         opened = None  # the served-catalog client this cycle itself opened
-        if isinstance(stats_catalog, str):
+        if isinstance(stats_catalog, (str, os.PathLike)):
             # "http://host:port" / "unix:///path.sock" -> served catalog
             # behind the degrading client; a plain path -> the file store
             from repro.serve.client import resolve_stats_catalog
@@ -423,20 +418,6 @@ class StatisticsPipeline:
                 self.plan_cache.misses,
                 self.plan_cache.invalidations,
             )
-
-            quality = None
-            if contracts is not None and len(contracts):
-                from repro.quality.drift import DEFAULT_POLICY
-                from repro.quality.gate import QualityGate
-                from repro.quality.quarantine import QuarantineStore
-
-                quality = QualityGate(
-                    contracts=contracts,
-                    policy=on_drift or DEFAULT_POLICY,
-                    quarantine=quarantine
-                    if quarantine is not None
-                    else QuarantineStore(),
-                )
 
             t0 = clock()
             with tr.span("enumerate") as enum_span:
@@ -682,6 +663,7 @@ class StatisticsPipeline:
                 run=run,
                 estimator=estimator,
                 plans=plans,
+                backend=self.backend,
                 timings=timings,
                 failures=dict(run.failures),
                 degraded=degraded,
@@ -709,15 +691,6 @@ class StatisticsPipeline:
                     run_id=run_id,
                     backend=self.backend,
                     ok=report.ok,
-                )
-            if metrics is not None:
-                from repro.obs.record import record_run_metrics
-
-                record_run_metrics(
-                    metrics,
-                    report,
-                    workflow=analysis.workflow.name,
-                    backend=self.backend,
                 )
             return report
         finally:

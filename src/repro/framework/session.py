@@ -75,12 +75,11 @@ class EtlSession:
     primary crash fails over (``report.catalog_failovers``) instead of
     degrading the night.
 
-    Quality: ``contracts`` (a
-    :class:`~repro.quality.contracts.ContractSet`) arms the data-quality
-    gate on every run with the ``on_drift`` schema policy; a shared
-    ``quarantine`` (:class:`~repro.quality.quarantine.QuarantineStore`)
-    accumulates each night's dead-letter rows so the session's statistics
-    are only ever learned from rows that honored their source contracts.
+    Quality: ``quality`` (a :class:`~repro.quality.gate.QualityGate`)
+    screens every run's sources under its contracts and schema policy; its
+    dead-letter store holds the latest night's rejects, so the session's
+    statistics are only ever learned from rows that honored their source
+    contracts.
 
     Observability: ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) aggregates the standard
@@ -103,9 +102,7 @@ class EtlSession:
     stats_catalog: "object | None" = None  # shared StatisticsCatalog
     metrics: "object | None" = None  # shared MetricsRegistry
     tracing: bool = False  # span tree per run, on record.report.trace
-    contracts: "object | None" = None  # quality.ContractSet for every run
-    on_drift: str | None = None  # schema-drift policy when contracts are set
-    quarantine: "object | None" = None  # shared QuarantineStore across runs
+    quality: "object | None" = None  # QualityGate screening every run
     feedback: "object | None" = None  # FeedbackCorrector fed every run
     _prior_observations: StatisticsStore | None = None
 
@@ -127,12 +124,13 @@ class EtlSession:
             stats_catalog=self.stats_catalog,
             run_id=f"run{index}",
             tracer=tracer,
-            metrics=self.metrics,
-            contracts=self.contracts,
-            on_drift=self.on_drift,
-            quarantine=self.quarantine,
+            quality=self.quality,
             feedback=self.feedback,
         )
+        if self.metrics is not None:
+            from repro.obs.record import record_run_metrics
+
+            record_run_metrics(self.metrics, report)
         self._retain_observations(report)
 
         cards = report.estimator.all_cardinalities()

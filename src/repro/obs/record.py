@@ -18,13 +18,10 @@ from repro.obs.metrics import MetricsRegistry
 ERROR_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 10.0)
 
 
-def record_run_metrics(
-    registry: MetricsRegistry,
-    report,
-    workflow: str = "",
-    backend: str = "",
-) -> None:
+def record_run_metrics(registry: MetricsRegistry, report) -> None:
     """Fold one observe-and-optimize cycle into the registry.
+
+    Every series is labelled with the report's workflow name and backend.
 
     Counters: ``etl_runs_total``, ``etl_run_failures_total`` (labelled by
     failure kind), ``etl_statistics_tapped_total``,
@@ -43,11 +40,10 @@ def record_run_metrics(
     A sharded run additionally exports the ``etl_shard_*`` series
     (shard count, dispatched/retried tasks, merged rows, shm bytes).
     """
-    labels = {}
-    if workflow:
-        labels["workflow"] = workflow
-    if backend:
-        labels["backend"] = backend
+    labels = {
+        "workflow": report.analysis.workflow.name,
+        "backend": report.backend,
+    }
 
     registry.counter(
         "etl_runs_total", "observe-and-optimize cycles completed"

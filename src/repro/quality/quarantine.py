@@ -84,10 +84,11 @@ class QuarantineStore:
         violations: "list[Violation]",
         drift_events: "list[SchemaDriftEvent] | tuple" = (),
     ) -> None:
+        """Replace everything recorded for ``source`` with tonight's screening
+        (a store shared across nights must not replay last night's drift)."""
         self.tables[source] = table
         self.violations[source] = list(violations)
-        if drift_events:
-            self.drift[source] = list(drift_events)
+        self.drift[source] = list(drift_events)
 
     # ------------------------------------------------------------------
     @property

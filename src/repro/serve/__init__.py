@@ -9,8 +9,7 @@ long-lived daemon (``repro-etl serve``) and a degrading client:
   acknowledged write survives ``SIGKILL``, a torn tail is discarded;
 - :mod:`repro.serve.service` -- the transport-free store: one
   ``StatisticsCatalog`` behind a state lock, WAL-then-memory writes under
-  a write lock, lease-fenced writers, write-behind snapshots, and the
-  fleet "what must I tap tonight?" scheduler;
+  a write lock, lease-fenced writers and write-behind snapshots;
 - :mod:`repro.serve.server` -- stdlib HTTP over TCP or a unix socket,
   ``/metrics`` + ``/healthz`` on the shared Prometheus exporter;
 - :mod:`repro.serve.client` -- :class:`~repro.serve.client.CatalogClient`,

@@ -102,7 +102,7 @@ DEFAULT_TIMEOUT = 2.0
 
 #: POST routes that mutate catalog state and therefore carry the epoch
 EPOCHED_PATHS = frozenset(
-    {"/gc", "/lease", "/lease/release", "/fleet/claim"}
+    {"/gc", "/lease", "/lease/release"}
     | {f"/{op}" for op in MUTATIONS}
 )
 
@@ -759,17 +759,6 @@ class CatalogClient:
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         return self._request("GET", "/healthz")
-
-    def claim_share(self, night: str, *, number: int | None = None,
-                    workflow_doc: dict | None = None,
-                    solver: str = "greedy") -> dict:
-        """Ask the server which statistics *this* client taps tonight."""
-        body: dict = {"night": night, "client": self.client_id, "solver": solver}
-        if number is not None:
-            body["number"] = number
-        if workflow_doc is not None:
-            body["workflow"] = workflow_doc
-        return self._request("POST", "/fleet/claim", body)
 
     def close(self) -> None:
         self._drop_conn()

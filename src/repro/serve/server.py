@@ -12,7 +12,6 @@ Endpoints
 ===========================  ====================================================
 ``GET /healthz``             liveness + store summary (entries, WAL seq, fence)
 ``GET /metrics``             Prometheus 0.0.4 text (the shared exporter)
-``GET /keys``                usable signature keys
 ``GET /export``              the full catalog document (whole-catalog readers
                              and ``catalog export``; a night never asks for it)
 ``POST /lookup``             ``{keys, now?, count_hits?}`` -> ``{entries, unusable, epoch}``
@@ -24,7 +23,6 @@ Endpoints
 ``POST /gc``                 ``{ttl?, min_quality?, drop_stale?, fence?}``
 ``POST /lease``              ``{holder, ttl?}`` -> ``{fence}`` (writer lease)
 ``POST /lease/release``      ``{fence}`` -> give the lease back after a save
-``POST /fleet/claim``        ``{number | workflow, night, client?}`` -> my share
 ``POST /snapshot``           force a write-behind snapshot + WAL truncation
 ``GET /wal/stream?from=N``   replication stream: records past N, or a reset
 ``POST /promote``            make this standby the primary (epoch bump)
@@ -77,19 +75,6 @@ _WRITE_METHODS = {
     "stale": "mark_stale",
     "quality": "adjust_quality",
 }
-
-
-def _fleet_workflow(body: dict):
-    """Resolve the workflow a fleet-claim request talks about."""
-    if "number" in body:
-        from repro.workloads import case
-
-        return case(int(body["number"])).build()
-    if "workflow" in body:
-        from repro.algebra.serialize import workflow_from_dict
-
-        return workflow_from_dict(body["workflow"])
-    raise PersistenceError("fleet claim needs 'number' or 'workflow'")
 
 
 class CatalogRequestHandler(BaseHTTPRequestHandler):
@@ -215,8 +200,6 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
                 return 200, service.wal_stream(from_seq)
             if path == "/metrics":
                 return 200, self.metrics.render_prometheus()
-            if path == "/keys":
-                return 200, {"keys": sorted(service.usable_keys())}
             if path == "/export":
                 # the full catalog document (also a valid on-disk catalog
                 # file); a client's night reads by key and never asks for it
@@ -273,15 +256,6 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
                 int(body.get("fence", 0)), epoch=epoch
             )
             return 200, {"released": released, "epoch": service.epoch}
-        if path == "/fleet/claim":
-            share = service.plan_share(
-                _fleet_workflow(body),
-                night=str(body.get("night", "tonight")),
-                client=str(body.get("client", "")),
-                solver=str(body.get("solver", "greedy")),
-                epoch=epoch,
-            )
-            return 200, share
         if path == "/promote":
             new_epoch = service.promote()
             tailer = getattr(self.server, "tailer", None)

@@ -25,21 +25,14 @@ and concurrency properties are testable in-process:
   ``apply(op, items)``.  Mutations are serialized by the write lock -- WAL
   order *is* memory order, so replay reconstructs exactly the state the
   live server had.  A second, short-held state lock guards the entry dict
-  itself, so a reader never waits for a WAL fsync or a long
-  :meth:`plan_share`, only for another dict access.
+  itself, so a reader never waits for a WAL fsync, only for another dict
+  access.
 
 - **Lease fencing.** Writers that reconcile a night's run first acquire
   a lease and attach its fence token to every write.  Tokens are
   monotonic and WAL-persisted; a paused holder whose lease was taken
   over comes back with a stale token and every one of its writes is
   rejected (:class:`FenceError`) instead of clobbering the takeover's.
-
-- **Fleet scheduling.** :meth:`plan_share` is the "what must I tap
-  tonight?" endpoint: each client posts its workflow and the service
-  runs :func:`repro.catalog.fleet.plan_share` -- the same call
-  ``plan_fleet`` loops over -- against the night's claims and its usable
-  entries, under the write lock and the epoch fence, and hands back the
-  split.
 
 - **Replication.** A service runs as a ``primary`` or a ``standby``.
   The primary keeps an in-memory tail of WAL records since the last
@@ -59,7 +52,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.catalog import fleet
 from repro.catalog.store import (
     DEFAULT_MIN_QUALITY,
     DEFAULT_TTL,
@@ -150,8 +142,6 @@ class CatalogService:
         self.lease_deadline = 0.0
         self.snapshot_seq = 0  # last WAL seq absorbed by the snapshot
         self._since_snapshot = 0
-        #: per-night fleet claims: night -> statistic key -> claiming client
-        self._claims: dict[str, dict[str, str]] = {}
 
         self.role = role
         self.primary_url = primary_url.rstrip("/") if primary_url else ""
@@ -607,50 +597,6 @@ class CatalogService:
         self.wal.close()
 
     # ------------------------------------------------------------------
-    # fleet scheduling: hand each client its zero-cost share
-    # ------------------------------------------------------------------
-    def plan_share(
-        self,
-        workflow,
-        night: str,
-        client: str = "",
-        solver: str = "greedy",
-        epoch: int | None = None,
-    ) -> dict:
-        """One client's share of tonight's fleet observation plan.
-
-        :func:`repro.catalog.fleet.plan_share` against this night's claims
-        and the catalog's usable entries, serialised for the wire.  The
-        whole call holds the write lock: what it claims is what the next
-        caller must see as free.
-        """
-        client = client or workflow.name
-        with self._write_lock:
-            # claims mutate shared fleet state: primary-only, epoch-fenced
-            self._check_writable()
-            self._check_epoch(epoch)
-            share = fleet.plan_share(
-                workflow,
-                self._claims.setdefault(night, {}),
-                self.usable_keys(),
-                client=client,
-                solver=solver,
-            )
-        return {
-            "night": night,
-            "client": client,
-            "observe": [
-                {"key": share.keys.get(stat), "repr": repr(stat)}
-                for stat in share.observe
-            ],
-            "shared": {
-                share.keys[stat]: provider
-                for stat, provider in share.shared.items()
-            },
-            "selection_cost": share.selection.total_cost,
-        }
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """The health document ``GET /healthz`` returns."""
         return {
@@ -661,7 +607,6 @@ class CatalogService:
             "snapshot_seq": self.snapshot_seq,
             "fence": self.fence,
             "lease_holder": self.lease_holder,
-            "nights": sorted(self._claims),
             "role": self.role,
             "epoch": self.epoch,
             "primary": self.primary_url,

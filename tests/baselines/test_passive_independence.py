@@ -1,66 +1,15 @@
-"""Tests for passive monitoring and independence-assumption baselines."""
+"""Tests for the independence-assumption baseline."""
 
 import pytest
 
 from repro.algebra.blocks import analyze
 from repro.algebra.expressions import SubExpression
 from repro.baselines.independence import IndependenceEstimator, profile_inputs
-from repro.baselines.passive import PassiveMonitor
 from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.workloads import case
 
 SE = SubExpression.of
-
-
-class TestPassiveMonitor:
-    def test_single_run_covers_only_plan_points(self):
-        wfcase = case(9)  # 3-way join
-        analysis = analyze(wfcase.build())
-        sources = wfcase.tables(scale=0.2, seed=1)
-        monitor = PassiveMonitor(analysis)
-        monitor.absorb(BackendExecutor(analysis).run(sources))
-        coverage = monitor.coverage()
-        assert 0 < coverage.fraction < 1
-        # plan-internal SEs are known, off-plan SEs are not
-        block = analysis.blocks[0]
-        from repro.algebra.plans import tree_ses
-
-        for se in tree_ses(block.initial_tree):
-            assert monitor.cardinality(se) is not None
-        off_plan = [
-            se for se in block.join_ses()
-            if se not in set(tree_ses(block.initial_tree))
-        ]
-        assert off_plan
-        assert all(monitor.cardinality(se) is None for se in off_plan)
-
-    def test_absorbing_reordered_runs_grows_coverage(self):
-        wfcase = case(9)
-        analysis = analyze(wfcase.build())
-        sources = wfcase.tables(scale=0.2, seed=1)
-        block = analysis.blocks[0]
-        monitor = PassiveMonitor(analysis)
-        monitor.absorb(BackendExecutor(analysis).run(sources))
-        before = monitor.coverage().fraction
-        for tree in block.graph.enumerate_trees():
-            monitor.absorb(
-                BackendExecutor(analysis).run(sources, trees={block.name: tree})
-            )
-        after = monitor.coverage().fraction
-        assert after == 1.0
-        assert after > before
-
-    def test_known_values_are_exact(self):
-        wfcase = case(12)
-        analysis = analyze(wfcase.build())
-        sources = wfcase.tables(scale=0.2, seed=2)
-        monitor = PassiveMonitor(analysis)
-        monitor.absorb(BackendExecutor(analysis).run(sources))
-        truth = ground_truth_cardinalities(analysis, sources)
-        for se, value in monitor.known.items():
-            if se in truth:
-                assert value == truth[se]
 
 
 class TestIndependenceEstimator:

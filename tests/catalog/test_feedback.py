@@ -37,6 +37,7 @@ from repro.engine.backend import BackendExecutor, get_backend
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.framework.pipeline import StatisticsPipeline
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import record_run_metrics
 from repro.obs.trace import Tracer
 from repro.workloads import case
 
@@ -225,9 +226,9 @@ class TestCorrectorUnit:
         wfcase, sources, catalog, poisoned = poisoned_wf11(tmp_path / "c.json")
         registry = MetricsRegistry()
         report = night(
-            wfcase, sources, catalog, "n1",
-            feedback=FeedbackCorrector(), metrics=registry,
+            wfcase, sources, catalog, "n1", feedback=FeedbackCorrector()
         )
+        record_run_metrics(registry, report)
         labels = dict(workflow=wfcase.build().name, backend="columnar")
         # every reconcile series comes off the report, once
         assert report.corrections == len(report.drift.drifted) == len(poisoned)
@@ -438,8 +439,8 @@ class TestTwoNightSelfCorrection:
                 run_id,
                 feedback=corrector,
                 tracer=Tracer(),
-                metrics=registry,
             )
+            record_run_metrics(registry, report)
             reports.append(report)
             registries.append(registry)
 

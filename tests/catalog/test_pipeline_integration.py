@@ -58,14 +58,16 @@ class TestWarmRuns:
 
     def test_a_night_parses_the_catalog_file_once(self, tmp_path, monkeypatch):
         """``resolve_stats_catalog`` reads the file; ``save`` finds it
-        unchanged (same inode, size, mtime) and does not read it again."""
-        path = str(tmp_path / "catalog.json")
+        unchanged (same inode, size, mtime) and does not read it again.
+        The file may be spelled as a ``Path`` (night 1) or a ``str``."""
+        path = tmp_path / "catalog.json"
         wfcase, pipeline = fresh()
         sources = wfcase.tables(scale=0.2, seed=7)
         pipeline.run_once(sources, stats_catalog=path)
+        assert path.exists()
         reads = _count_catalog_reads(monkeypatch)
         _, pipeline2 = fresh()
-        warm = pipeline2.run_once(sources, stats_catalog=path)
+        warm = pipeline2.run_once(sources, stats_catalog=str(path))
         assert warm.tapped == [] and warm.catalog_hits
         assert len(reads) == 1
         # the night's hit counts reached the file

@@ -259,17 +259,16 @@ class TestPipelineWiring:
 
     def test_shard_metrics_are_exported(self):
         from repro.framework.pipeline import StatisticsPipeline
-        from repro.obs import MetricsRegistry
+        from repro.obs import MetricsRegistry, record_run_metrics
 
         wfcase = case(WORKFLOW)
         pipeline = StatisticsPipeline(wfcase.build(), shards=2)
         registry = MetricsRegistry()
         try:
-            pipeline.run_once(
-                wfcase.tables(scale=0.05, seed=7), metrics=registry
-            )
+            report = pipeline.run_once(wfcase.tables(scale=0.05, seed=7))
         finally:
             pipeline.close()
+        record_run_metrics(registry, report)
         text = registry.render_prometheus()
         assert "etl_shard_count" in text
         assert "etl_shard_tasks_total" in text

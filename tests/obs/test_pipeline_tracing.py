@@ -14,6 +14,7 @@ from repro.engine.scheduler import RetryPolicy
 from repro.framework.pipeline import StatisticsPipeline
 from repro.framework.session import EtlSession
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import record_run_metrics
 from repro.obs.trace import NullTracer, Tracer
 from repro.workloads import case
 
@@ -253,9 +254,9 @@ class TestSessionMetrics:
         )
         pipeline = _pipeline(25)
         report = pipeline.run_once(
-            _sources(25, scale=0.05), faults=faults, retry=FAST,
-            metrics=registry,
+            _sources(25, scale=0.05), faults=faults, retry=FAST
         )
+        record_run_metrics(registry, report)
         labels = {
             "workflow": report.analysis.workflow.name,
             "backend": "columnar",

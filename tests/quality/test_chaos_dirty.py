@@ -15,7 +15,7 @@ import pytest
 from repro.algebra.expressions import SubExpression
 from repro.engine.faults import CORRUPT_SENTINEL, FaultPlan, FaultSpec
 from repro.framework.pipeline import StatisticsPipeline
-from repro.quality import ContractSet, QuarantineStore
+from repro.quality import ContractSet, QualityGate
 from repro.workloads import case
 
 pytestmark = pytest.mark.chaos
@@ -68,12 +68,10 @@ class TestDirtyDataChaos:
         sources = _sources()
         contracts = ContractSet.infer(sources)
         injector = _dirty_plan().injector()
-        quarantine = QuarantineStore()
         report = _run_once(
             backend,
             faults=injector,
-            contracts=contracts,
-            quarantine=quarantine,
+            quality=QualityGate(contracts),
         )
         assert report.ok
 
@@ -108,7 +106,7 @@ class TestDirtyDataChaos:
         report = _run_once(
             backend,
             faults=_dirty_plan().injector(),
-            contracts=ContractSet.infer(_sources()),
+            quality=QualityGate(ContractSet.infer(_sources())),
         )
         assert _plan_trees(report) == _plan_trees(baseline)
 
@@ -126,7 +124,7 @@ class TestViolationCodes:
         report = _run_once(
             "columnar",
             faults=_dirty_plan().injector(),
-            contracts=ContractSet.infer(_sources()),
+            quality=QualityGate(ContractSet.infer(_sources())),
         )
         codes = {(v.source, v.code) for v in report.violations}
         assert ("Trade", "type") in codes  # corrupt-row: str sentinel

@@ -8,7 +8,7 @@ from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.scheduler import RetryPolicy
 from repro.framework.pipeline import StatisticsPipeline
 from repro.framework.session import EtlSession
-from repro.quality import ContractSet, QuarantineStore
+from repro.quality import ContractSet, QualityGate, QuarantineStore
 from repro.workloads import case
 
 WORKFLOW = 25
@@ -25,8 +25,8 @@ def _sources():
     return case(WORKFLOW).tables(scale=0.05, seed=7)
 
 
-def _contracts():
-    return ContractSet.infer(_sources())
+def _gate(**kwargs):
+    return QualityGate(ContractSet.infer(_sources()), **kwargs)
 
 
 def _run_once(**kwargs):
@@ -47,7 +47,7 @@ class TestSchemaDriftInvalidation:
 
         report = _run_once(
             stats_catalog=StatisticsCatalog.open(path),
-            contracts=_contracts(),
+            quality=_gate(),
             faults=FaultPlan((RENAME_DIMDATE,), seed=SEED),
             run_id="n2",
         )
@@ -60,7 +60,7 @@ class TestSchemaDriftInvalidation:
         _run_once(stats_catalog=StatisticsCatalog.open(path), run_id="n1")
         report = _run_once(
             stats_catalog=StatisticsCatalog.open(path),
-            contracts=_contracts(),
+            quality=_gate(),
             run_id="n2",
         )
         assert report.schema_drift == ()
@@ -74,7 +74,7 @@ class TestConfidenceDemotion:
             faults.append(RENAME_DIMDATE)
         return _run_once(
             stats_catalog=StatisticsCatalog.open(path),
-            contracts=_contracts(),
+            quality=_gate(),
             faults=FaultPlan(tuple(faults), seed=SEED),
             retry=FAST,
             run_id="degraded",
@@ -97,11 +97,11 @@ class TestConfidenceDemotion:
 
 class TestObservability:
     def test_quarantine_metrics_recorded(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs import MetricsRegistry, record_run_metrics
 
         metrics = MetricsRegistry()
-        _run_once(
-            contracts=_contracts(),
+        report = _run_once(
+            quality=_gate(),
             faults=FaultPlan(
                 (
                     FaultSpec(target="Trade", kind="null-burst", rows=2),
@@ -109,8 +109,8 @@ class TestObservability:
                 ),
                 seed=SEED,
             ),
-            metrics=metrics,
         )
+        record_run_metrics(metrics, report)
         text = metrics.render_prometheus()
         quarantined = [
             line for line in text.splitlines()
@@ -126,10 +126,10 @@ class TestObservability:
         assert 'source="DimDate"' in drifted[0]
 
     def test_clean_run_emits_no_quarantine_series(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs import MetricsRegistry, record_run_metrics
 
         metrics = MetricsRegistry()
-        _run_once(contracts=_contracts(), metrics=metrics)
+        record_run_metrics(metrics, _run_once(quality=_gate()))
         text = metrics.render_prometheus()
         assert "etl_rows_quarantined_total" not in text
 
@@ -138,7 +138,7 @@ class TestObservability:
 
         tracer = Tracer()
         _run_once(
-            contracts=_contracts(),
+            quality=_gate(),
             faults=FaultPlan(
                 (FaultSpec(target="Trade", kind="null-burst", rows=2),),
                 seed=SEED,
@@ -158,8 +158,7 @@ class TestSessionThreading:
         quarantine = QuarantineStore()
         session = EtlSession(
             StatisticsPipeline(case(WORKFLOW).build(), solver="greedy"),
-            contracts=_contracts(),
-            quarantine=quarantine,
+            quality=_gate(quarantine=quarantine),
             faults=FaultPlan(
                 (FaultSpec(target="Trade", kind="corrupt-row", rows=3),),
                 seed=SEED,
@@ -174,9 +173,31 @@ class TestSessionThreading:
 
         session = EtlSession(
             StatisticsPipeline(case(WORKFLOW).build(), solver="greedy"),
-            contracts=_contracts(),
-            on_drift="strict",
+            quality=_gate(policy="strict"),
             faults=FaultPlan((RENAME_DIMDATE,), seed=SEED),
         )
         with pytest.raises(SchemaDriftError):
             session.run(_sources())
+
+    def test_clean_night_after_a_drifted_one_on_a_shared_store(self):
+        """The store keeps the latest screening per source: last night's
+        drift event must not be replayed into a clean night's report."""
+        wfcase = case(2)
+        sources = wfcase.tables(scale=0.05, seed=7)
+        gate = QualityGate(ContractSet.infer(sources), policy="coerce")
+        pipeline = StatisticsPipeline(wfcase.build(), solver="greedy")
+        renamed = FaultPlan(
+            (
+                FaultSpec(
+                    target="StatusType", kind="column-rename",
+                    column="status_id", rename_to="zz_status_id",
+                ),
+            ),
+            seed=SEED,
+        )
+        night1 = pipeline.run_once(sources, quality=gate, faults=renamed)
+        assert [e.source for e in night1.schema_drift] == ["StatusType"]
+        night2 = pipeline.run_once(sources, quality=gate)
+        assert night2.schema_drift == ()
+        assert night2.plan_cache_invalidations == 0
+        assert night2.plan_cache_misses == 0

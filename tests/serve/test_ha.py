@@ -134,7 +134,7 @@ class TestFailoverMidNight:
             from repro.obs.record import record_run_metrics
 
             registry = MetricsRegistry()
-            record_run_metrics(registry, report2, workflow="w11")
+            record_run_metrics(registry, report2)
             text = registry.render_prometheus()
             assert "catalog_failovers_total" in text
 

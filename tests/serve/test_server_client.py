@@ -150,32 +150,6 @@ class TestHttpRoundTrips:
             client.close()
 
 
-class TestFleetClaimOverHttp:
-    def test_two_clients_split_one_night(self, server):
-        """``POST /fleet/claim`` splits a night exactly as
-        ``TestFleetScheduling`` sees ``plan_share`` split it in process."""
-        alice = fast_client(server.url, client_id="alice")
-        bob = fast_client(server.url, client_id="bob")
-        first = alice.claim_share("n1", number=11)
-        assert first["client"] == "alice" and first["observe"]
-        second = bob.claim_share("n1", number=11)
-        assert second["observe"] == []  # alice already claimed them
-        assert set(second["shared"].values()) == {"alice"}
-        assert second["shared"]  # ...and bob reads every one from her
-        assert set(second["shared"]) <= {o["key"] for o in first["observe"]}
-        # a new night resets the claims; a posted workflow document is the
-        # same workflow as its suite number
-        from repro.algebra.serialize import workflow_to_dict
-        from repro.workloads import case
-
-        third = bob.claim_share(
-            "n2", workflow_doc=workflow_to_dict(case(11).build())
-        )
-        assert third["observe"] == first["observe"]
-        assert server.server.service.stats()["nights"] == ["n1", "n2"]
-        alice.close(), bob.close()
-
-
 class TestLeaseFencing:
     def test_save_under_lease_releases_for_the_next_writer(self, server):
         a = fast_client(server.url, client_id="a")

@@ -246,123 +246,6 @@ class TestCrashSafetyProperty:
             reference.wal.close()
 
 
-class TestFleetScheduling:
-    def test_each_statistic_claimed_once_per_night(self, tmp_path):
-        from repro.workloads import case
-
-        svc = service(tmp_path)
-        workflow = case(11).build()
-        first = svc.plan_share(workflow, night="n1", client="alice")
-        assert first["observe"]  # cold catalog: alice taps her share
-        second = svc.plan_share(workflow, night="n1", client="bob")
-        assert second["observe"] == []  # alice already claimed them
-        alice_keys = {o["key"] for o in first["observe"]}
-        assert alice_keys & set(second["shared"])
-        # a new night resets the claims
-        third = svc.plan_share(workflow, night="n2", client="bob")
-        assert third["observe"]
-        svc.wal.close()
-
-    def test_catalog_entries_are_zero_cost_for_everyone(self, tmp_path):
-        from repro.workloads import case
-
-        svc = service(tmp_path)
-        workflow = case(11).build()
-        share = svc.plan_share(workflow, night="n1", client="a")
-        # record every claimed statistic as observed, then replan: the
-        # catalog now covers them and nobody needs to tap
-        for obs in share["observe"]:
-            svc.put_entries([entry_doc(
-                obs["key"], 5, se_key=f"se:{obs['key']}"
-            )])
-        later = svc.plan_share(workflow, night="n2", client="b")
-        claimed = {o["key"] for o in later["observe"]}
-        assert not (claimed & {o["key"] for o in share["observe"]})
-        svc.wal.close()
-
-
-class TestServedSharesMatchPlanFleet:
-    """``plan_share`` is ``plan_fleet``'s loop body behind a lock: claiming
-    the same workflows in the same order must split the night identically."""
-
-    FLEET = (11, 12, 13, 21)
-
-    def _workflows(self):
-        from repro.workloads import case
-
-        return [case(n).build() for n in self.FLEET]
-
-    def _assert_same_split(self, svc, fleet):
-        for workflow, plan in zip(self._workflows(), fleet.workflows):
-            share = svc.plan_share(workflow, night="n1")
-            assert share["client"] == plan.name
-            assert {o["key"] for o in share["observe"]} == {
-                plan.keys[stat] for stat in plan.observe
-            }
-            assert share["shared"] == {
-                plan.keys[stat]: provider
-                for stat, provider in plan.shared.items()
-            }
-            assert share["selection_cost"] == plan.selection.total_cost
-
-    def _warm(self, svc):
-        """Catalogue wf11's cold share on the server and in a file store."""
-        from repro.catalog import StatisticsCatalog, plan_fleet
-        from repro.catalog.store import CatalogEntry
-
-        cold = plan_fleet(self._workflows()[:1]).workflows[0]
-        docs = [entry_doc(cold.keys[stat], 5) for stat in cold.observe]
-        svc.put_entries(docs)
-        catalog = StatisticsCatalog()
-        for doc in docs:
-            catalog.entries[doc["key"]] = CatalogEntry.from_dict(doc)
-        return catalog, sorted(doc["key"] for doc in docs)
-
-    def test_cold_catalog(self, tmp_path):
-        from repro.catalog import plan_fleet
-
-        svc = service(tmp_path)
-        fleet = plan_fleet(self._workflows())
-        assert fleet.shared_count  # the four workflows do overlap
-        self._assert_same_split(svc, fleet)
-        svc.wal.close()
-
-    def test_warm_catalog(self, tmp_path):
-        from repro.catalog import plan_fleet
-
-        svc = service(tmp_path)
-        catalog, _ = self._warm(svc)
-        fleet = plan_fleet(self._workflows(), catalog, now=NOW)
-        assert fleet.workflows[0].observe == []  # wf11 is fully covered
-        assert "catalog" in fleet.workflows[0].shared.values()
-        self._assert_same_split(svc, fleet)
-        svc.wal.close()
-
-    def test_feedback_withdrawing_a_key(self, tmp_path):
-        """The server has no corrector; its spelling of "do not offer this
-        entry tonight" is the stale flag."""
-        from repro.catalog import FeedbackCorrector, plan_fleet
-
-        svc = service(tmp_path)
-        catalog, keys = self._warm(svc)
-        feedback = FeedbackCorrector()
-        feedback.errors[keys[0]] = 1.0
-        assert feedback.should_reobserve(keys[0])
-        svc.mark_stale([keys[0]])
-        fleet = plan_fleet(
-            self._workflows(), catalog, now=NOW, feedback=feedback
-        )
-        assert fleet.workflows[0].observe  # wf11 re-observes tonight
-        assert keys[0] not in {
-            plan.keys[stat]
-            for plan in fleet.workflows
-            for stat, provider in plan.shared.items()
-            if provider == "catalog"
-        }
-        self._assert_same_split(svc, fleet)
-        svc.wal.close()
-
-
 class TestStartup:
     def test_corrupt_snapshot_raises_persistence_error(self, tmp_path):
         (tmp_path / "catalog.json").write_text("{ nope")

@@ -70,15 +70,6 @@ def test_plan_fleet_and_its_standalone_cost(solves, wf9):
     assert solves == ["ilp", "ilp"]
 
 
-def test_served_plan_share(solves, wf9, tmp_path):
-    from repro.serve.service import CatalogService
-
-    service = CatalogService(tmp_path / "catalog.json", fsync=False)
-    share = service.plan_share(wf9.build(), night="n1")
-    service.wal.close()
-    assert share["observe"] and solves == ["greedy"]
-
-
 def test_plan_constrained(solves, wf9):
     from repro.core.resource import plan_constrained
 

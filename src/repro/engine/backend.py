@@ -135,6 +135,7 @@ class RunContext:
         taps: TapSet,
         sizes: "dict[AnySE, int]",
         rejects: "dict[RejectSE, Table]",
+        point_attrs: "dict[AnySE, dict]",
     ) -> None:
         """Fold one finished block's observations into the run, once.
 
@@ -145,6 +146,8 @@ class RunContext:
         a point another block already published -- a raw feed several
         blocks read in full is observed by each of them, and the taps
         are additive, so only the first publisher's accumulators count.
+        ``point_attrs`` (traced runs only) adds attributes to a point's
+        operator span -- a join's build-side shape.
         """
         points = set(sizes) | set(rejects)
         with self.lock:
@@ -160,7 +163,7 @@ class RunContext:
                 self.run.se_sizes[rej] = table.num_rows
         if self.tracer is not None:
             for se, rows in sizes.items():
-                self.trace_point(se, rows)
+                self.trace_point(se, rows, **point_attrs.get(se, {}))
             for rej, table in rejects.items():
                 self.trace_point(rej, table.num_rows, reject=True)
 

@@ -21,9 +21,12 @@ The observable contract (checked against the row-at-a-time oracle in
   (sorted) column order.
 
 The speed comes from never interpreting the plan per row: fused filter
-runs compose selection vectors and materialize survivors once, joins
-probe with the build dict directly and -- when every probe hits a unique
-build row -- pass the left columns through untouched.
+runs compose selection vectors and materialize survivors once.  A join
+builds ``last`` (key -> its last build row, one C-level ``dict(zip())``)
+and ``earlier`` (duplicated key -> its other rows), so containers are
+allocated per duplicated key, never per row; every batch probes with
+``map(last.get, keys)`` and, when every probe hits a unique build row,
+the left columns pass through untouched.
 """
 
 from __future__ import annotations
@@ -77,9 +80,12 @@ def _take(cols: dict, index: list) -> dict:
     return {a: [col[i] for i in index] for a, col in cols.items()}
 
 
-def _gather_pair(lcols: dict, rcols: dict, li: list, ri: list) -> dict:
-    """Join output: left columns through ``li``, right extras through ``ri``."""
-    out = _take(lcols, li)
+def _gather_pair(
+    lcols: dict, rcols: dict, li: Optional[list], ri: list
+) -> dict:
+    """Join output: left columns through ``li`` (``None``: every row,
+    untouched), right extras through ``ri``."""
+    out = dict(lcols) if li is None else _take(lcols, li)
     for a, col in rcols.items():
         if a not in out:
             out[a] = [col[i] for i in ri]
@@ -93,29 +99,23 @@ def _keys_of(cols: dict, key: tuple) -> list:
     return list(zip(*(_col(cols, a) for a in key)))
 
 
-def _build_side(cols: dict, key: tuple) -> tuple[dict, bool]:
-    """Hash-build one side; detects unique keys for the fast probe path.
+def _build_side(cols: dict, key: tuple) -> tuple[dict, dict]:
+    """Hash-build one side as ``(last, earlier)``.
 
-    Stored values are row indexes (unique) or index lists (duplicates);
-    never ``None``, so ``build.get`` doubles as the miss test.
+    ``last`` maps every distinct key to its last row; ``earlier`` maps
+    each *duplicated* key to its other rows, ascending.  A unique side
+    is one C-level ``dict(zip(...))`` and an empty ``earlier``.  Values
+    are row indexes, never ``None``, so ``last.get`` is the miss test.
     """
-    build: dict = {}
-    unique = True
-    for idx, kv in enumerate(_keys_of(cols, key)):
-        cur = build.get(kv)
-        if cur is None and kv not in build:
-            build[kv] = idx
-        elif isinstance(cur, list):
-            cur.append(idx)
-            unique = False
-        else:
-            build[kv] = [cur, idx]
-            unique = False
-    if not unique:
-        for kv, cur in build.items():
-            if not isinstance(cur, list):
-                build[kv] = [cur]
-    return build, unique
+    keys = _keys_of(cols, key)
+    n = len(keys)
+    last = dict(zip(keys, range(n)))
+    earlier: dict = {}
+    if len(last) != n:
+        for i, row in enumerate(map(last.__getitem__, keys)):
+            if row != i:
+                earlier.setdefault(keys[i], []).append(i)
+    return last, earlier
 
 
 def _reject_table(cols: dict, attr_order: Optional[tuple]) -> Table:
@@ -138,6 +138,8 @@ class ObservationBuffer:
         self.taps = TapSet(ctx.taps.requested)
         self.counts: dict[AnySE, int] = {}
         self.rejects: dict[RejectSE, Table] = {}
+        #: extra operator-point attributes, filled only on traced runs
+        self.point_attrs: dict[AnySE, dict] = {}
         self._attr_cache: dict[AnySE, tuple] = {}
 
     def value_attrs(self, se: AnySE) -> tuple:
@@ -185,7 +187,9 @@ class ObservationBuffer:
             self.taps.mark_streamed(se)
         for rej in self.rejects:
             self.taps.mark_streamed(rej)
-        self.ctx.publish(block_name, self.taps, self.counts, self.rejects)
+        self.ctx.publish(
+            block_name, self.taps, self.counts, self.rejects, self.point_attrs
+        )
 
 
 class CompiledBlockRunner:
@@ -310,11 +314,16 @@ class CompiledBlockRunner:
         self, jir: JoinIR, ctx, obs: ObservationBuffer, wanted: set
     ) -> Iterator["Batch"]:
         rcols, rn = _concat(list(self._exec(jir.right, ctx, obs, wanted)))
-        build, unique = _build_side(rcols, jir.key)
+        last, earlier = _build_side(rcols, jir.key)
+        if ctx.tracer is not None:
+            obs.point_attrs[jir.se] = {
+                "build_rows": rn,
+                "build_distinct": len(last),
+                "build_duplicated": len(earlier),
+            }
 
         want_l = jir.rej_left in wanted
         want_r = jir.rej_right in wanted
-        track = want_l or want_r
         matched_right: set[int] = set()
         rej_left_parts: list = []
         left_attrs: Optional[tuple] = None
@@ -323,52 +332,27 @@ class CompiledBlockRunner:
             if left_attrs is None:
                 left_attrs = tuple(lcols)
             probe = _keys_of(lcols, jir.key)
-            if unique and not track:
-                ris = list(map(build.get, probe))
-                if None not in ris:
-                    # every probe hit a unique build row: the left side
-                    # passes through untouched, only right extras gather
-                    out = dict(lcols)
-                    for a, col in rcols.items():
-                        if a not in out:
-                            out[a] = [col[i] for i in ris]
-                    on = ln
-                else:
-                    li = [i for i, r in enumerate(ris) if r is not None]
-                    ri = [r for r in ris if r is not None]
-                    out = _gather_pair(lcols, rcols, li, ri)
-                    on = len(li)
-            else:
-                li_idx: list[int] = []
-                ri_idx: list[int] = []
-                rejl: list[int] = []
-                if unique:
-                    for li, kv in enumerate(probe):
-                        ri = build.get(kv)
-                        if ri is None:
-                            if want_l:
-                                rejl.append(li)
-                            continue
-                        li_idx.append(li)
-                        ri_idx.append(ri)
-                        if want_r:
-                            matched_right.add(ri)
-                else:
-                    for li, kv in enumerate(probe):
-                        bucket = build.get(kv)
-                        if bucket is None:
-                            if want_l:
-                                rejl.append(li)
-                            continue
-                        li_idx.extend([li] * len(bucket))
-                        ri_idx.extend(bucket)
-                        if want_r:
-                            matched_right.update(bucket)
-                out = _gather_pair(lcols, rcols, li_idx, ri_idx)
-                on = len(li_idx)
-                if want_l and rejl:
+            ris = list(map(last.get, probe))
+            li = None  # every left row once, in order: no left gather
+            if None in ris:
+                li = [i for i, r in enumerate(ris) if r is not None]
+                if want_l:
+                    rejl = [i for i, r in enumerate(ris) if r is None]
                     rej_left_parts.append((_take(lcols, rejl), len(rejl)))
-            out, on = self._segment(out, on, jir.floating, obs)
+                ris = [r for r in ris if r is not None]
+            if earlier:
+                # a hit on a duplicated key emits its earlier rows first
+                hits = zip(range(ln) if li is None else li, ris)
+                li, ris = [], []
+                for i, r in hits:
+                    bucket = earlier.get(probe[i], ())
+                    li.extend([i] * (len(bucket) + 1))
+                    ris.extend(bucket)
+                    ris.append(r)
+            if want_r:
+                matched_right.update(ris)
+            out = _gather_pair(lcols, rcols, li, ris)
+            out, on = self._segment(out, len(ris), jir.floating, obs)
             obs.add(jir.se, on, out)
             yield out, on
 

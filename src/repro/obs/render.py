@@ -40,7 +40,8 @@ def _span_suffix(span: Span) -> str:
     outcome = span.attrs.get("outcome")
     if outcome is not None and outcome != "ok":
         parts.append(f"outcome={outcome}")
-    for key in ("method", "observed", "catalog_hits", "refreshed", "drifted"):
+    for key in ("method", "observed", "catalog_hits", "refreshed", "drifted",
+                "build_rows", "build_distinct", "build_duplicated"):
         value = span.attrs.get(key)
         if value not in (None, 0, ""):
             parts.append(f"{key}={value}")

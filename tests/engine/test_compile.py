@@ -187,6 +187,152 @@ class TestProfileEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# the hash join: duplicated build keys, in order
+# ---------------------------------------------------------------------------
+def _dup_join_analysis(key_attrs, reject_left, reject_right):
+    """``L JOIN R`` on ``key_attrs`` (shared names join implicitly)."""
+    from repro.algebra.operators import Join, Source, Target, Workflow
+    from repro.algebra.schema import Catalog
+
+    cat = Catalog()
+    cat.add_relation("L", {**{a: 10 for a in key_attrs}, "lv": 100})
+    cat.add_relation("R", {**{a: 10 for a in key_attrs}, "rv": 100})
+    join = Join(
+        Source(cat, "L"), Source(cat, "R"), key_attrs[0],
+        reject_left=reject_left, reject_right=reject_right,
+    )
+    return analyze(Workflow("dup_wf", cat, [Target(join, "out")]))
+
+
+def _ordered_rows(table):
+    """Rows in table order under sorted attribute order (profiles may
+    differ in column order, never in row order)."""
+    return list(table.rows(sorted(table.attrs)))
+
+
+def _assert_same_order(analysis, sources, chunk_rows):
+    class Chunked(StreamingBackend):
+        profile = CompiledProfile(chunk_rows=chunk_rows, canonical_output=True)
+
+    ref = reference_run(analysis, sources)
+    run = BackendExecutor(analysis, Chunked()).run(sources)
+    assert_matches_reference(run, ref)
+    assert _ordered_rows(run.targets["out"]) == _ordered_rows(ref.targets["out"])
+    for rej, table in ref.rejects.items():
+        assert _ordered_rows(run.rejects[rej]) == _ordered_rows(table), rej
+    return ref
+
+
+REJECT_FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+class TestDuplicateBuildKeys:
+    # build side R: key 2 three times, 1 twice, 3 once, 7 and 5 never probed;
+    # probe side L: duplicates too, a None, and 9 / 4 that miss.  With
+    # chunk_rows=2 key 2's probe rows (1, 3, 8) fall in three chunks.
+    L_KEYS = [1, 2, None, 2, 3, 9, 1, 4, 2]
+    R_KEYS = [2, 1, 2, 7, 2, 3, 1, 5]
+
+    def _sources(self, key_attrs, l_keys, r_keys):
+        left = {"lv": list(range(len(l_keys)))}
+        right = {"rv": [100 + i for i in range(len(r_keys))]}
+        for pos, attr in enumerate(key_attrs):
+            # later key columns are a function of the first, so every
+            # duplicate of the first column stays a duplicate of the tuple
+            left[attr] = [k if pos == 0 or k is None else k % 2 for k in l_keys]
+            right[attr] = [k if pos == 0 else k % 2 for k in r_keys]
+        return {"L": Table(left), "R": Table(right)}
+
+    @pytest.mark.parametrize("chunk_rows", [None, 2])
+    @pytest.mark.parametrize("reject_left,reject_right", REJECT_FLAGS)
+    @pytest.mark.parametrize("key_attrs", [("k",), ("k", "k2")])
+    def test_rows_and_rejects_in_oracle_order(
+        self, key_attrs, reject_left, reject_right, chunk_rows
+    ):
+        analysis = _dup_join_analysis(key_attrs, reject_left, reject_right)
+        sources = self._sources(key_attrs, self.L_KEYS, self.R_KEYS)
+        ref = _assert_same_order(analysis, sources, chunk_rows)
+        # 1 hits twice x2 rows, 2 hits three times x3 rows, 3 once
+        assert ref.targets["out"].num_rows == 2 * 2 + 3 * 3 + 1
+        assert len(ref.rejects) == reject_left + reject_right
+        assert all(t.num_rows > 0 for t in ref.rejects.values())
+
+    @pytest.mark.parametrize("chunk_rows", [None, 2])
+    @pytest.mark.parametrize("key_attrs", [("k",), ("k", "k2")])
+    def test_empty_build_side_rejects_every_probe_row(self, key_attrs, chunk_rows):
+        analysis = _dup_join_analysis(key_attrs, True, True)
+        sources = self._sources(key_attrs, self.L_KEYS, [])
+        ref = _assert_same_order(analysis, sources, chunk_rows)
+        assert ref.targets["out"].num_rows == 0
+        assert sorted(t.num_rows for t in ref.rejects.values()) == [0, len(self.L_KEYS)]
+
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    @pytest.mark.parametrize("case_no", range(6))
+    def test_seeded_random_key_multiplicities(self, case_no, chunk_rows):
+        import os
+        import random
+
+        seed = int(os.environ.get("REPRO_PROPERTY_SEED", "0"))
+        rng = random.Random(1000 * seed + case_no)
+        key_attrs = ("k", "k2") if case_no % 2 else ("k",)
+        # a small domain repeats keys 1 / 2 / many times on both sides
+        domain = [None, *range(rng.randint(2, 12))]
+        l_keys = [rng.choice(domain) for _ in range(rng.randint(0, 25))]
+        r_keys = [rng.choice(domain[1:]) for _ in range(rng.randint(0, 25))]
+        analysis = _dup_join_analysis(key_attrs, *REJECT_FLAGS[case_no % 4])
+        sources = self._sources(key_attrs, l_keys, r_keys)
+        _assert_same_order(analysis, sources, chunk_rows)
+
+
+class TestBuildSide:
+    def test_unique_keys_allocate_no_buckets(self):
+        from repro.engine.compile.runtime import _build_side
+
+        last, earlier = _build_side({"k": [5, 3, 9]}, ("k",))
+        assert last == {5: 0, 3: 1, 9: 2} and earlier == {}
+        last, earlier = _build_side({"a": [1, 1], "b": [0, 1]}, ("a", "b"))
+        assert last == {(1, 0): 0, (1, 1): 1} and earlier == {}
+        assert _build_side({"k": []}, ("k",)) == ({}, {})
+
+    def test_earlier_holds_only_duplicated_keys_ascending(self):
+        from repro.engine.compile.runtime import _build_side
+
+        col = [2, 1, 2, 7, 2, 3, 1, 5]
+        last, earlier = _build_side({"k": col}, ("k",))
+        assert last == {2: 4, 1: 6, 7: 3, 3: 5, 5: 7}
+        assert earlier == {2: [0, 2], 1: [1]}  # d = 2 keys, last row excluded
+        last, earlier = _build_side(
+            {"a": col, "b": [k % 2 for k in col]}, ("a", "b")
+        )
+        assert earlier == {(2, 0): [0, 2], (1, 1): [1]}
+        assert all(last[k] not in rows for k, rows in earlier.items())
+
+    def test_unique_build_runs_no_collector_pass(self):
+        """``zip``, ``range`` and one ``dict`` are the only containers a
+        unique single-column build creates, so the cyclic collector's
+        allocation counter never reaches a threshold."""
+        import gc
+
+        from repro.engine.compile.runtime import _build_side
+
+        cols = {"k": list(range(100_000))}
+        passes = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            last, earlier = _build_side(cols, ("k",))
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert passes == []
+        assert len(last) == 100_000 and not earlier
+
+
+# ---------------------------------------------------------------------------
 # the plan cache
 # ---------------------------------------------------------------------------
 class TestPlanCache:

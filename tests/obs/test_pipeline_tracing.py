@@ -101,6 +101,12 @@ class TestTracedRun:
         assert any(
             s.attrs.get("tapped") for s in tracer.root.walk()
         )
+        # a join's point says what its build side looked like
+        builds = [s.attrs for s in tracer.root.walk() if "build_rows" in s.attrs]
+        assert builds and all(
+            0 < a["build_distinct"] <= a["build_rows"] - a["build_duplicated"]
+            for a in builds
+        )
 
     def test_second_cycle_annotates_estimated_rows(self):
         pipeline = _pipeline()

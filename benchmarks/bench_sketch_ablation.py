@@ -5,8 +5,9 @@ Extends the Figure 11 memory story to the *observation* side: the exact
 a distinct tap's working set grows with the data; an HLL sketch caps it
 at ``2^p`` one-byte registers.  Per precision this bench taps every base
 feed of all 30 suite workflows with per-attribute distinct statistics
-through the one accumulator factory, then reports total accumulator
-bytes against the exact baseline and the estimate error it buys.
+through a tap set built with that precision's spec, then reports total
+accumulator bytes against the exact baseline and the estimate error it
+buys.
 
 Artifacts: ``results/sketch_ablation.md`` (the table) and
 ``results/sketch_ablation.json`` (the raw series for downstream tooling).
@@ -26,7 +27,7 @@ from conftest import DATA_SCALE, write_report
 from repro.algebra.expressions import SubExpression
 from repro.core.statistics import Statistic
 from repro.engine.instrumentation import TapSet
-from repro.estimation.sketches import DEFAULT_PRECISION, sketch_scope
+from repro.estimation.sketches import DEFAULT_PRECISION, SketchSpec
 
 PRECISIONS = [8, 10, 12, 14, 16]
 SEED = 11
@@ -44,9 +45,8 @@ def _tap_suite(workflow_cases, spec=None):
             stats = [
                 Statistic.distinct(se, attr) for attr in sorted(table.attrs)
             ]
-            taps = TapSet(stats)
-            with sketch_scope(spec or {"mode": "exact"}):
-                taps.observe_columns(se, table.num_rows, table.columns)
+            taps = TapSet(stats, sketch=spec)
+            taps.observe_columns(se, table.num_rows, table.columns)
             taps.mark_streamed(se)
             total_bytes += taps.distinct_bytes()
             observed = taps.collect()
@@ -62,7 +62,7 @@ def sketch_ablation_rows(workflow_cases):
     rows = []
     for precision in PRECISIONS:
         estimates, hll_bytes = _tap_suite(
-            workflow_cases, {"mode": "hll", "precision": precision}
+            workflow_cases, SketchSpec(mode="hll", precision=precision)
         )
         errors = [
             abs(estimates[key] - truth) / max(truth, 1)

@@ -92,6 +92,7 @@ from repro.core.generator import GeneratorOptions, generate_css
 from repro.core.persistence import PersistenceError
 from repro.engine.backend import available_backends
 from repro.engine.faults import FaultError
+from repro.estimation.sketches import SketchError
 from repro.quality import QualityError
 from repro.workloads import case, suite
 
@@ -255,19 +256,10 @@ def _cmd_run(args) -> int:
                 f"(8 x the {os.cpu_count() or 1} available CPUs); "
                 "that many row shards would only add merge overhead"
             )
-    if args.sketch_precision is not None:
-        from repro.estimation.sketches import MAX_PRECISION, MIN_PRECISION
-
-        if args.distinct_sketch != "hll":
-            raise CliError(
-                "--sketch-precision only applies with --distinct-sketch hll"
-            )
-        if not MIN_PRECISION <= args.sketch_precision <= MAX_PRECISION:
-            raise CliError(
-                f"--sketch-precision must be in "
-                f"[{MIN_PRECISION}, {MAX_PRECISION}], "
-                f"got {args.sketch_precision}"
-            )
+    if args.sketch_precision is not None and args.distinct_sketch != "hll":
+        raise CliError(
+            "--sketch-precision only applies with --distinct-sketch hll"
+        )
     pipeline = StatisticsPipeline(
         workflow,
         solver=args.solver,
@@ -1076,7 +1068,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, FaultError, PersistenceError, QualityError) as exc:
+    except (
+        CliError, FaultError, PersistenceError, QualityError, SketchError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

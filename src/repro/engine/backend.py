@@ -182,13 +182,15 @@ class RunContext:
 class ExecutionBackend:
     """A named configuration of the one block runtime."""
 
-    #: registry key; also used for per-backend cost-model constants
+    #: registry key (``get_backend``) and plan-cache key component
     name: str = "abstract"
     #: how the runtime batches rows under this backend
     profile = CompiledProfile()
 
-    def make_taps(self, stats: Iterable = ()) -> TapSet:
-        """Instrumentation object for a run on this backend."""
+    def make_taps(self, stats: Iterable = (), sketch=None) -> TapSet:
+        """Instrumentation object for a run on this backend; ``sketch``
+        is its distinct-count :class:`~repro.estimation.sketches
+        .SketchSpec` (``None``: exact)."""
         raise NotImplementedError
 
     def begin_run(
@@ -203,18 +205,6 @@ class ExecutionBackend:
         and source tables for their worker pool (fork inheritance) before
         any per-run mutation happens.
         """
-
-    def screen_sources(self, quality, sources, *, tracer=None, trace_parent=None):
-        """Route contracted sources through the quality gate.
-
-        Default delegates to the gate unchanged; sharding backends
-        override to validate row shards in parallel (re-keying per-shard
-        violations to global row ids so the quarantine output is
-        identical).
-        """
-        return quality.screen_sources(
-            sources, tracer=tracer, trace_parent=trace_parent
-        )
 
     def execute_block(self, block: Block, tree: PlanTree, ctx: RunContext) -> Table:
         """Run one optimizable block with the given join tree: lower it
@@ -331,8 +321,8 @@ class BackendExecutor:
             sources = injector.apply_sources(sources)
         self.backend.begin_run(self.analysis, sources, taps)
         if quality is not None:
-            sources = self.backend.screen_sources(
-                quality, sources, tracer=tracer, trace_parent=trace_parent
+            sources = quality.screen_sources(
+                sources, tracer=tracer, trace_parent=trace_parent
             )
         self._check_sources(sources)
         run = WorkflowRun(env=dict(sources))

@@ -1,16 +1,17 @@
 """The multiprocess execution backend: sharded blocks, exact merged taps.
 
 :class:`MultiprocessBackend` keeps the engine's observable contract --
-row-identical tap observations, SE sizes, reject tables and quarantine
-output versus a single-process columnar run -- while executing each block
-as ``k`` shard tasks in a pool of forked worker processes:
+row-identical tap observations, SE sizes and reject tables versus a
+single-process columnar run -- while executing each block as ``k`` shard
+tasks in a pool of forked worker processes:
 
 1. :meth:`begin_run` snapshots the analysis and fork-time sources into
    the workers (fork inheritance; step predicates are lambdas and never
    pickle), then forks the pool.
-2. :meth:`screen_sources` contract-checks row ranges in parallel and
-   re-keys per-shard violations to global row ids, so the dead-letter
-   store and exclusion fingerprints match an unsharded run byte for byte.
+2. Sources are screened by the run's
+   :class:`~repro.quality.gate.QualityGate` in the parent, exactly as on
+   every other backend; the surviving tables are post-fork tables and
+   reach the workers through shared memory like any block output.
 3. :meth:`execute_block` plans a shard strategy per block
    (:func:`~repro.engine.dist.sharding.plan_block_shards`), ships
    post-fork tables through shared memory, dispatches the shards (with
@@ -40,18 +41,13 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.algebra.blocks import Block, BlockAnalysis
 from repro.algebra.expressions import RejectSE
 from repro.algebra.plans import PlanTree
-from repro.engine.backend import (
-    ExecutionBackend,
-    RunContext,
-    contract_tokens,
-)
+from repro.engine.backend import ExecutionBackend, RunContext
 from repro.engine.compile import ObservationBuffer
 from repro.engine.dist.sharding import (
     DIST_COST_FACTORS,
     ShardPlan,
     plan_block_shards,
     reject_join_keys,
-    shard_range,
 )
 from repro.engine.dist.shm import ShmRef, encode_table
 from repro.engine.dist.worker import (
@@ -59,13 +55,11 @@ from repro.engine.dist.worker import (
     WorkerState,
     pool_ping,
     run_shard,
-    screen_shard,
     set_fork_state,
 )
 from repro.engine.faults import TransientFault
 from repro.engine.instrumentation import TapSet
 from repro.engine.table import Table
-from repro.estimation.sketches import active_sketch_spec
 
 
 class ShardExecutionError(RuntimeError):
@@ -116,7 +110,6 @@ class MultiprocessBackend(ExecutionBackend):
         self._analysis: "BlockAnalysis | None" = None
         self._fork_env: dict[str, Table] = {}
         self._stats: tuple = ()
-        self._context_tokens: "dict | None" = None
         self._run_token = 0
         #: (table, ref, segment) triples kept alive until the next run:
         #: the table pins its id() (the override-cache key) and the parent
@@ -128,8 +121,8 @@ class MultiprocessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # ExecutionBackend protocol
     # ------------------------------------------------------------------
-    def make_taps(self, stats=()):
-        return TapSet(stats)
+    def make_taps(self, stats=(), sketch=None):
+        return TapSet(stats, sketch=sketch)
 
     def begin_run(self, analysis, sources, taps) -> None:
         with self._lock:
@@ -143,7 +136,6 @@ class MultiprocessBackend(ExecutionBackend):
             )
             self._analysis = analysis
             self._stats = stats
-            self._context_tokens = None
             if reusable:
                 # same workflow, warm pool: tables that changed since the
                 # fork ship via shared memory, the plan caches stay hot
@@ -152,40 +144,6 @@ class MultiprocessBackend(ExecutionBackend):
             self._fork_env = dict(sources)
             if not self.inline:
                 self._start_pool()
-
-    def screen_sources(self, quality, sources, *, tracer=None, trace_parent=None):
-        with self._lock:
-            self._context_tokens = contract_tokens(quality)
-        out = dict(sources)
-        trace = tracer is not None and tracer.enabled
-        from repro.quality.drift import reconcile_schema
-
-        for name in sorted(sources):
-            contract = quality.contracts.get(name)
-            if contract is None:
-                continue
-            table, events = reconcile_schema(
-                sources[name], contract, quality.policy, source=name
-            )
-            violations = self._shard_violations(table, contract, name)
-            bad = sorted({v.row for v in violations})
-            if bad:
-                dead, clean = table.partition(bad)
-            else:
-                clean, dead = table, Table.empty(table.attrs)
-            quality.quarantine.add(name, dead, violations, events)
-            out[name] = clean
-            if trace:
-                tracer.point(
-                    name,
-                    kind="quarantine",
-                    parent=trace_parent,
-                    rows=clean.num_rows,
-                    quarantined=dead.num_rows,
-                    violations=len(violations),
-                    schema_drift=len(events),
-                )
-        return out
 
     def execute_block(self, block: Block, tree: PlanTree, ctx: RunContext) -> Table:
         with self._lock:
@@ -306,11 +264,11 @@ class MultiprocessBackend(ExecutionBackend):
             "plan": plan,
             "shard": shard,
             "overrides": overrides,
-            # the parent's sketch configuration rides along so a warm
-            # pool (forked under an older spec) builds its mergeable
-            # distinct accumulators exactly like the parent expects
-            "sketch": active_sketch_spec(),
-            "context_tokens": self._context_tokens,
+            # the run's sketch spec rides along so a warm pool (forked
+            # for an earlier run) builds the worker's tap set with the
+            # same distinct accumulators the parent's merge expects
+            "sketch": ctx.taps.sketch,
+            "context_tokens": ctx.context_tokens,
             "invalidate_sources": tuple(
                 sorted({e.source for e in ctx.run.schema_drift})
             ),
@@ -523,79 +481,6 @@ class MultiprocessBackend(ExecutionBackend):
             stats["shm_bytes"] = shm_bytes
             key = f"strategy_{plan.strategy}"
             stats[key] = stats.get(key, 0) + 1
-
-    # ------------------------------------------------------------------
-    # sharded screening
-    # ------------------------------------------------------------------
-    def _shard_violations(self, table: Table, contract, source: str) -> list:
-        """Contract violations for the whole table, computed shard-wise.
-
-        Workers validate disjoint row ranges and return violations re-keyed
-        to global rows; ranges tile the table in order and each shard's
-        list arrives sorted, so the concatenation equals the unsharded
-        violation list exactly.
-        """
-        from repro.quality.contracts import validate_rows
-
-        shards = min(self.shards, max(table.num_rows, 1))
-        if shards <= 1 or table.num_rows == 0:
-            _clean, _dead, violations = validate_rows(table, contract, source=source)
-            return violations
-        ranges = [shard_range(table.num_rows, shards, i) for i in range(shards)]
-        if self.inline or self._pool is None:
-            collected = []
-            for lo, hi in ranges:
-                collected.extend(
-                    _inline_screen(
-                        table,
-                        {"range": (lo, hi), "contract": contract, "source": source},
-                    )
-                )
-        else:
-            ref = self._table_ref(table)
-            futures = [
-                self._pool.submit(
-                    screen_shard,
-                    {
-                        "run_token": self._run_token,
-                        "table": ref,
-                        "range": (lo, hi),
-                        "contract": contract,
-                        "source": source,
-                    },
-                )
-                for lo, hi in ranges
-            ]
-            try:
-                collected = [
-                    v
-                    for future in futures
-                    for v in future.result(timeout=self.shard_timeout)
-                ]
-            except Exception:
-                # a broken/hung pool during screening: rebuild it and fall
-                # back to the (identical) single-process validation
-                self._reset_pool()
-                _clean, _dead, violations = validate_rows(
-                    table, contract, source=source
-                )
-                return violations
-        collected.sort(key=lambda v: (v.row, v.column, v.code))
-        return collected
-
-
-def _inline_screen(table: Table, payload: dict) -> list:
-    """In-process version of :func:`~repro.engine.dist.worker.screen_shard`."""
-    import dataclasses
-
-    from repro.quality.contracts import validate_rows
-
-    lo, hi = payload["range"]
-    part = table.take(range(lo, hi))
-    _clean, _dead, violations = validate_rows(
-        part, payload["contract"], source=payload["source"]
-    )
-    return [dataclasses.replace(v, row=v.row + lo) for v in violations]
 
 
 __all__ = ["MultiprocessBackend", "ShardExecutionError"]

@@ -24,7 +24,6 @@ timeout.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from dataclasses import dataclass
@@ -186,13 +185,6 @@ def run_shard(payload: dict, state: "WorkerState | None" = None) -> ShardResult:
     state = state if state is not None else _STATE
     if state is None:
         raise ShardError("worker has no fork state; pool started incorrectly")
-    spec = payload.get("sketch")
-    if spec is not None:
-        # follow the parent's distinct-accumulator configuration even on
-        # a warm pool forked under a different spec
-        from repro.estimation.sketches import configure_sketches
-
-        configure_sketches(spec)
     _begin_task(payload)
     _maybe_fault(payload.get("fault"))
     block = _block_named(state.analysis, payload["block"])
@@ -201,7 +193,7 @@ def run_shard(payload: dict, state: "WorkerState | None" = None) -> ShardResult:
     shard: int = payload["shard"]
 
     env = _shard_env(block, plan, shard, payload.get("overrides", {}), state)
-    taps = TapSet(state.stats)
+    taps = TapSet(state.stats, sketch=payload["sketch"])
     run = WorkflowRun(env=env)
     ctx = RunContext(
         run=run,
@@ -247,31 +239,10 @@ def run_shard(payload: dict, state: "WorkerState | None" = None) -> ShardResult:
     )
 
 
-def screen_shard(payload: dict, state: "WorkerState | None" = None) -> list:
-    """Pool entry point: contract-check one row range of one source.
-
-    Returns the shard's :class:`~repro.quality.quarantine.Violation` list
-    with rows **re-keyed to global row ids** (the parent partitions the
-    full table once from the union, so dead-letter contents and exclusion
-    fingerprints are byte-identical to an unsharded run).
-    """
-    from repro.quality.contracts import validate_rows
-
-    _begin_task(payload)
-    table = _attach(payload["table"])
-    lo, hi = payload["range"]
-    part = table.take(range(lo, hi))
-    _clean, _dead, violations = validate_rows(
-        part, payload["contract"], source=payload["source"]
-    )
-    return [dataclasses.replace(v, row=v.row + lo) for v in violations]
-
-
 __all__ = [
     "ShardError",
     "ShardResult",
     "WorkerState",
     "run_shard",
-    "screen_shard",
     "set_fork_state",
 ]

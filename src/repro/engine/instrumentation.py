@@ -10,7 +10,9 @@ such a point.
 
 - cardinality  -> a counter (one integer);
 - histogram    -> an exact frequency histogram on the tapped attributes;
-- distinct     -> a distinct-value counter.
+- distinct     -> a distinct-value counter: an exact value set, or a
+  mergeable HyperLogLog sketch when the tap set is built with a
+  ``mode="hll"`` :class:`~repro.estimation.sketches.SketchSpec`.
 
 Reject-link statistics are observable because the engine can always add an
 instrumentation-only reject output to a join of the initial plan
@@ -23,10 +25,14 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 from repro.algebra.expressions import AnySE, RejectJoinSE, RejectSE
 from repro.core.histogram import Histogram
 from repro.core.statistics import StatKind, Statistic, StatisticsStore
+
+if TYPE_CHECKING:
+    from repro.estimation.sketches import SketchSpec
 
 
 class InstrumentationError(ValueError):
@@ -42,9 +48,7 @@ class DistinctAccumulator:
     This is the exact implementation of the four-method accumulator
     interface -- ``add`` / ``update`` / ``merge`` / ``result`` -- whose
     sketch counterpart is :class:`~repro.estimation.sketches.HllSketch`;
-    :func:`make_distinct_accumulator` picks between them from the active
-    :class:`~repro.estimation.sketches.SketchSpec` without touching any
-    tap or backend code.
+    a :class:`TapSet` picks between them from its own ``sketch`` spec.
     """
 
     __slots__ = ("values",)
@@ -65,7 +69,7 @@ class DistinctAccumulator:
                 f"cannot merge a {type(other).__name__} into a "
                 "DistinctAccumulator: mixed distinct-accumulator "
                 "implementations would silently corrupt the count (was "
-                "one tap set built under a different sketch_scope?)"
+                "one tap set built with a different sketch spec?)"
             )
         self.values |= other.values
 
@@ -88,25 +92,6 @@ class DistinctAccumulator:
         return self.values == other.values
 
 
-def make_distinct_accumulator(values: Iterable[tuple] = ()):
-    """Factory for the distinct combiner every tap implementation uses.
-
-    This is the single seam behind every distinct tap: under the default
-    spec it returns the exact
-    :class:`DistinctAccumulator`; inside a ``mode="hll"``
-    :func:`~repro.estimation.sketches.sketch_scope` it returns a
-    mergeable :class:`~repro.estimation.sketches.HllSketch`, so shard
-    merges become register-max instead of set union and shipped
-    observation state drops from O(distinct values) to O(2^p).
-    """
-    from repro.estimation.sketches import active_sketch_spec, make_sketch
-
-    spec = active_sketch_spec()
-    if spec.mode == "hll":
-        return make_sketch(spec, values)
-    return DistinctAccumulator(values)
-
-
 class TapSet:
     """Per-point statistic accumulators: additive, mergeable, fail-closed.
 
@@ -121,13 +106,27 @@ class TapSet:
       stream calls :meth:`mark_streamed`; :meth:`collect` reports only
       streamed points, so a failed block's statistics read as *missing*,
       never as zeros or partial counts.
+
+    ``sketch`` decides how distinct statistics count: ``None`` (or a
+    ``mode="exact"`` spec) keeps exact value sets, a ``mode="hll"``
+    :class:`~repro.estimation.sketches.SketchSpec` builds sketches.  Tap
+    sets derived from this one (a block attempt's buffer, a shard
+    worker's taps) are built with the same spec.
     """
 
-    def __init__(self, stats: Iterable[Statistic] = ()):
+    def __init__(
+        self,
+        stats: Iterable[Statistic] = (),
+        sketch: "SketchSpec | None" = None,
+    ):
+        #: the distinct-count spec; ``None`` means exact value sets
+        self.sketch = (
+            sketch if sketch is not None and sketch.mode == "hll" else None
+        )
         self._by_se: dict[AnySE, list[Statistic]] = {}
         self._counters: dict[Statistic, int] = {}
         self._hists: dict[Statistic, Counter] = {}
-        #: stat -> accumulator (exact set or HLL sketch, per the factory)
+        #: stat -> accumulator (exact set or HLL sketch, per ``sketch``)
         self._distinct: dict[Statistic, object] = {}
         self._streamed: set[AnySE] = set()
         for stat in stats:
@@ -226,10 +225,14 @@ class TapSet:
     def _accumulator(self, stat: Statistic):
         acc = self._distinct.get(stat)
         if acc is None:
-            # always factory-fresh (never a copy of another tap set's
-            # internals): the factory decides exact vs sketch, and the
-            # accumulators' merge() rejects mixed implementations
-            acc = self._distinct[stat] = make_distinct_accumulator()
+            # always fresh (never a copy of another tap set's internals)
+            if self.sketch is None:
+                acc = DistinctAccumulator()
+            else:
+                from repro.estimation.sketches import make_sketch
+
+                acc = make_sketch(self.sketch)
+            self._distinct[stat] = acc
         return acc
 
     # ------------------------------------------------------------------
@@ -237,7 +240,9 @@ class TapSet:
         """Fold another tap set's accumulators into this one.
 
         The operands must have observed **disjoint rows** of the same
-        logical points; under that contract the merge is exact:
+        logical points and carry the same ``sketch`` spec (a mismatch
+        raises :class:`InstrumentationError` before anything is folded);
+        under that contract the merge is exact:
 
         - cardinalities add;
         - histogram buckets add (Equation 1's union of disjoint row sets);
@@ -245,6 +250,12 @@ class TapSet:
           (set union, or register-max for sketches);
         - a point counts as streamed if either side streamed it.
         """
+        if other.sketch != self.sketch:
+            raise InstrumentationError(
+                f"cannot merge tap sets with mixed sketch specs "
+                f"({other.sketch!r} into {self.sketch!r}): their distinct "
+                "counts are not comparable"
+            )
         for se, bucket in other._by_se.items():
             mine = self._by_se.setdefault(se, [])
             for stat in bucket:

@@ -13,17 +13,13 @@ from repro.estimation.sketches import (
     HllSketch,
     SketchError,
     SketchSpec,
-    active_sketch_spec,
-    configure_sketches,
     make_sketch,
-    sketch_scope,
 )
 
 __all__ = [
     "bootstrap_se_sizes", "CalculationError", "CardinalityEstimator",
     "compute_statistics", "CostModelError", "EstimationError",
     "HllSketch", "OptimizedPlan", "PlanCostModel", "PlanOptimizer",
-    "SketchError", "SketchSpec", "active_sketch_spec",
-    "configure_sketches", "make_sketch",
-    "sketch_scope", "StatisticsCalculator", "optimize_workflow",
+    "SketchError", "SketchSpec", "make_sketch",
+    "StatisticsCalculator", "optimize_workflow",
 ]

@@ -2,10 +2,10 @@
 
 The engine's distinct taps ride on one seam -- the four-method
 ``add`` / ``update`` / ``merge`` / ``result`` accumulator protocol of
-:class:`~repro.engine.instrumentation.DistinctAccumulator`, constructed
-everywhere through
-:func:`~repro.engine.instrumentation.make_distinct_accumulator`.  This
-module supplies the sketch implementation of that protocol:
+:class:`~repro.engine.instrumentation.DistinctAccumulator`.  Each
+:class:`~repro.engine.instrumentation.TapSet` carries the
+:class:`SketchSpec` its distinct accumulators follow; this module
+supplies the sketch implementation of that protocol:
 
 - :class:`HllSketch` -- a dense-register HyperLogLog [Flajolet et al.]
   over a deterministic 64-bit hash.  Small cardinalities are tracked as
@@ -15,14 +15,13 @@ module supplies the sketch implementation of that protocol:
   sketch state is a pure function of the value *set* -- shard merges in
   any order reproduce the unsharded sketch register for register, which
   is exactly the guarantee the multiprocess backend's tap merge needs.
-- :class:`SketchSpec` -- the process-wide configuration consulted by
-  ``make_distinct_accumulator``: ``mode="exact"`` keeps the historical
-  exact set union, ``mode="hll"`` swaps the sketch in for every backend
-  (columnar, streaming, vectorized, compiled and multiprocess taps all
-  construct their accumulators through the one factory).
-  :func:`sketch_scope` installs a spec for the duration of a pipeline
-  cycle; the multiprocess backend ships the active spec to its forked
-  workers in each task payload.
+- :class:`SketchSpec` -- the distinct-accumulator configuration a tap
+  set is built with: ``mode="exact"`` keeps the historical exact set
+  union, ``mode="hll"`` builds sketches instead.  The pipeline passes its
+  spec to ``make_taps``; every tap set derived from that one (a block
+  attempt's buffer, a shard worker's taps) copies it, and the
+  multiprocess backend ships it to its forked workers in each task
+  payload.
 
 Hashing uses ``blake2b(repr(value))`` rather than Python's builtin
 ``hash`` because the builtin is salted per process: forked shard workers
@@ -39,7 +38,6 @@ import base64
 import hashlib
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -89,11 +87,12 @@ def _default_threshold(precision: int) -> int:
 
 @dataclass(frozen=True)
 class SketchSpec:
-    """Process-wide distinct-accumulator configuration.
+    """Distinct-accumulator configuration of one tap set.
 
-    ``mode`` selects the implementation behind
-    :func:`~repro.engine.instrumentation.make_distinct_accumulator`:
-    ``"exact"`` (set union, the historical behavior) or ``"hll"``.
+    ``mode`` selects the accumulator a
+    :class:`~repro.engine.instrumentation.TapSet` builds per distinct
+    statistic: ``"exact"`` (set union, the historical behavior) or
+    ``"hll"``.
     ``precision`` is the HLL ``p`` (``2^p`` one-byte registers);
     ``exact_threshold`` is the set size at which a sketch densifies
     (``None`` picks a precision-scaled default).
@@ -182,7 +181,7 @@ class HllSketch:
             raise self._merge_error(
                 f"cannot merge a {type(other).__name__} into an HllSketch: "
                 "mixed distinct-accumulator implementations (was one tap "
-                "set built outside the active sketch_scope?)"
+                "set built with a different sketch spec?)"
             )
         if other.precision != self.precision:
             raise self._merge_error(
@@ -357,44 +356,8 @@ class HllSketch:
         return sketch
 
 
-# -- process-wide configuration ---------------------------------------------
-
-_ACTIVE_SPEC = SketchSpec()
-
-
-def active_sketch_spec() -> SketchSpec:
-    """The spec ``make_distinct_accumulator`` consults right now."""
-    return _ACTIVE_SPEC
-
-
-def configure_sketches(spec: "SketchSpec | dict | None") -> SketchSpec:
-    """Install a new active spec; returns the previous one.
-
-    Shard workers call this with the spec shipped in each task payload,
-    so a warm pool follows the parent across configuration changes.
-    """
-    global _ACTIVE_SPEC
-    if spec is None:
-        spec = SketchSpec()
-    elif isinstance(spec, dict):
-        spec = SketchSpec(**spec)
-    previous, _ACTIVE_SPEC = _ACTIVE_SPEC, spec
-    return previous
-
-
-@contextmanager
-def sketch_scope(spec: "SketchSpec | dict | None"):
-    """Scope the active spec to a ``with`` block (pipeline cycles)."""
-    previous = configure_sketches(spec)
-    try:
-        yield active_sketch_spec()
-    finally:
-        configure_sketches(previous)
-
-
-def make_sketch(spec: SketchSpec | None = None, values: Iterable = ()) -> HllSketch:
-    """Build an :class:`HllSketch` following ``spec`` (default: active)."""
-    spec = active_sketch_spec() if spec is None else spec
+def make_sketch(spec: SketchSpec, values: Iterable = ()) -> HllSketch:
+    """Build an :class:`HllSketch` following ``spec``."""
     return HllSketch(
         values,
         precision=spec.precision,
@@ -409,9 +372,6 @@ __all__ = [
     "HllSketch",
     "SketchError",
     "SketchSpec",
-    "active_sketch_spec",
-    "configure_sketches",
     "hash64",
     "make_sketch",
-    "sketch_scope",
 ]

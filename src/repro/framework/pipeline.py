@@ -241,7 +241,7 @@ class StatisticsPipeline:
     #: backend's own default); ignored by single-process backends
     shards: int | None = None
     #: distinct-tap implementation: "exact" (set union) or "hll"
-    #: (mergeable HyperLogLog sketches through the accumulator factory)
+    #: (mergeable HyperLogLog sketches in the cycle's tap sets)
     distinct_sketch: str = "exact"
     #: HLL precision p (2^p registers); None = the sketch default
     sketch_precision: int | None = None
@@ -483,38 +483,32 @@ class StatisticsPipeline:
                     )
 
             t0 = clock()
-            from repro.estimation.sketches import sketch_scope
-
             backend = self._make_backend()
-            # the scope covers tap construction, execution and the parent-side
-            # shard merges, so every accumulator the cycle builds (including
-            # TapSet.merge's factory-fresh ones) follows the same spec
-            with sketch_scope(self.sketch_spec):
-                taps = backend.make_taps(tapped)
-                with tr.span("execution", backend=self.backend) as exec_span:
-                    run = BackendExecutor(
-                        analysis,
-                        backend,
-                        plan_cache=self.plan_cache,
-                    ).run(
-                        sources,
-                        taps=taps,
-                        faults=faults,
-                        retry=retry,
-                        checkpoint=checkpoint,
-                        tracer=tracer,
-                        trace_parent=exec_span if tracer is not None else None,
-                        estimates=estimates,
-                        quality=quality,
-                    )
+            taps = backend.make_taps(tapped, sketch=self.sketch_spec)
+            with tr.span("execution", backend=self.backend) as exec_span:
+                run = BackendExecutor(
+                    analysis,
+                    backend,
+                    plan_cache=self.plan_cache,
+                ).run(
+                    sources,
+                    taps=taps,
+                    faults=faults,
+                    retry=retry,
+                    checkpoint=checkpoint,
+                    tracer=tracer,
+                    trace_parent=exec_span if tracer is not None else None,
+                    estimates=estimates,
+                    quality=quality,
+                )
+                exec_span.annotate(
+                    failures=len(run.failures), resumed=len(run.resumed)
+                )
+                if quality is not None:
                     exec_span.annotate(
-                        failures=len(run.failures), resumed=len(run.resumed)
+                        quarantined=run.rows_quarantined,
+                        schema_drift=len(run.schema_drift),
                     )
-                    if quality is not None:
-                        exec_span.annotate(
-                            quarantined=run.rows_quarantined,
-                            schema_drift=len(run.schema_drift),
-                        )
             timings["execution"] = clock() - t0
             sketch_bytes = 0
             if self.sketch_spec.mode != "exact":

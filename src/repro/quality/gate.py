@@ -1,9 +1,9 @@
 """The quality gate: the single screening point in front of every backend.
 
-All three execution backends (columnar, streaming, vectorized) enter
-through :meth:`~repro.engine.backend.BackendExecutor.run`, which hands the
-source map to :meth:`QualityGate.screen_sources` *before* any block task
-is built and before any observation point fires.  Screening at that choke
+Every execution backend (columnar, streaming, vectorized, multiprocess)
+enters through :meth:`~repro.engine.backend.BackendExecutor.run`, which
+hands the source map to :meth:`QualityGate.screen_sources` *before* any
+block task is built and before any observation point fires.  Screening at that choke
 point is what makes enforcement backend-consistent by construction: the
 blocks -- and therefore every tap, every materialized SE size and every
 ground-truth count -- only ever see the surviving rows, on any backend.

@@ -28,7 +28,7 @@ from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
 from repro.engine.backend import BackendExecutor, get_backend
-from repro.estimation.sketches import SketchSpec, sketch_scope
+from repro.estimation.sketches import SketchSpec
 from repro.framework.pipeline import StatisticsPipeline
 from repro.workloads import case, suite
 from tests.oracle import variant_backend
@@ -168,10 +168,9 @@ def test_distinct_estimates_accurate_and_backend_identical(
     assert observed, "no distinct tap materialized -- the test is vacuous"
 
     backend = variant_backend(backend_name, shards)
-    with sketch_scope(HLL):
-        run = BackendExecutor(analysis, backend).run(
-            sources, taps=backend.make_taps(tapped)
-        )
+    run = BackendExecutor(analysis, backend).run(
+        sources, taps=backend.make_taps(tapped, sketch=HLL)
+    )
 
     for stat in observed:
         exact = ref.observations.get(stat)
@@ -184,10 +183,9 @@ def test_distinct_estimates_accurate_and_backend_identical(
         # deterministic hashing: every backend lands the same registers,
         # so estimates agree exactly -- not merely within the bound
         columnar = get_backend("columnar")
-        with sketch_scope(HLL):
-            hll_ref = BackendExecutor(analysis, columnar).run(
-                sources, taps=columnar.make_taps(tapped)
-            )
+        hll_ref = BackendExecutor(analysis, columnar).run(
+            sources, taps=columnar.make_taps(tapped, sketch=HLL)
+        )
         for stat in observed:
             assert run.observations.maybe(stat) == hll_ref.observations.maybe(
                 stat
@@ -224,12 +222,11 @@ class TestShardRetryNeverDoubleMerges:
                 shards=2, inline=False, factors={"min_shard_rows": 0}
             )
             try:
-                with sketch_scope(HLL):
-                    return BackendExecutor(analysis, backend).run(
-                        sources,
-                        taps=backend.make_taps(tapped),
-                        faults=faults,
-                    )
+                return BackendExecutor(analysis, backend).run(
+                    sources,
+                    taps=backend.make_taps(tapped, sketch=HLL),
+                    faults=faults,
+                )
             finally:
                 backend.close()
 

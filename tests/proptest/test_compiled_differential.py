@@ -4,10 +4,10 @@ The oracle differential on clean data lives in
 ``tests/engine/test_backend_equivalence.py`` (30 suite workflows) and
 ``tests/proptest/test_backend_differential.py`` (seeded random
 workflows).  This file covers the dirty path: with fault-injected
-sources behind a quality gate, every profile of the runtime -- and every
-shard count, whose screening runs shard-wise -- must quarantine exactly
-the victims a plain ``QualityGate.screen_sources`` call quarantines, and
-then execute the survivors exactly like the oracle does.
+sources behind a quality gate, every profile of the runtime and every
+shard count must quarantine exactly the victims a plain
+``QualityGate.screen_sources`` call quarantines, and then execute the
+survivors exactly like the oracle does.
 """
 
 import pytest

@@ -18,19 +18,19 @@ import random
 
 import pytest
 
+from repro.algebra.expressions import SubExpression
+from repro.core.statistics import Statistic
 from repro.engine.instrumentation import (
     DistinctAccumulator,
     InstrumentationError,
-    make_distinct_accumulator,
+    TapSet,
 )
 from repro.estimation.sketches import (
     DEFAULT_PRECISION,
     HllSketch,
     SketchError,
     SketchSpec,
-    active_sketch_spec,
     hash64,
-    sketch_scope,
 )
 
 pytestmark = pytest.mark.property
@@ -185,18 +185,25 @@ class TestMixedImplementationMerge:
 
 
 class TestFactorySeam:
-    def test_default_spec_builds_exact_accumulators(self):
-        assert active_sketch_spec().mode == "exact"
-        acc = make_distinct_accumulator([(1,), (2,)])
-        assert isinstance(acc, DistinctAccumulator)
-        assert acc.result() == 2
+    STAT = Statistic.distinct(SubExpression.of("T"), "a")
 
-    def test_hll_scope_builds_sketches_and_restores(self):
-        with sketch_scope(SketchSpec(mode="hll", precision=10)):
-            acc = make_distinct_accumulator([(1,), (2,)])
-            assert isinstance(acc, HllSketch)
-            assert acc.precision == 10
-        assert isinstance(make_distinct_accumulator(), DistinctAccumulator)
+    def _accumulator(self, sketch=None):
+        """The accumulator a tap set built with ``sketch`` counts with."""
+        taps = TapSet([self.STAT], sketch=sketch)
+        taps.observe_columns(self.STAT.se, 2, {"a": [1, 2]})
+        return taps._distinct[self.STAT]
+
+    def test_default_spec_builds_exact_accumulators(self):
+        for sketch in (None, SketchSpec()):
+            acc = self._accumulator(sketch)
+            assert isinstance(acc, DistinctAccumulator)
+            assert acc.result() == 2
+
+    def test_hll_spec_builds_sketches(self):
+        acc = self._accumulator(SketchSpec(mode="hll", precision=10))
+        assert isinstance(acc, HllSketch)
+        assert acc.precision == 10
+        assert acc.result() == 2
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(SketchError):

@@ -191,6 +191,21 @@ class TestErrorPaths:
                      "--backend", backend, "--shards", "2"]) == 1
         self._assert_one_line_error(capsys, "--shards", backend)
 
+    def test_sketch_precision_needs_hll(self, capsys):
+        assert main(["run", "--number", "9", "--scale", "0.05",
+                     "--sketch-precision", "10"]) == 1
+        self._assert_one_line_error(
+            capsys, "--sketch-precision", "--distinct-sketch hll"
+        )
+
+    @pytest.mark.parametrize("precision", ["3", "19"])
+    def test_sketch_precision_out_of_range(self, precision, capsys):
+        # the range is SketchSpec's rule, reported through SketchError
+        assert main(["run", "--number", "9", "--scale", "0.05",
+                     "--distinct-sketch", "hll",
+                     "--sketch-precision", precision]) == 1
+        self._assert_one_line_error(capsys, "precision", "[4, 18]", precision)
+
     def test_corrupt_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "ckpt.json"
         path.write_text("{nope")

@@ -53,7 +53,7 @@ from repro.core.generator import GeneratorOptions, generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.histogram import Histogram
 from repro.core.ilp import solve_ilp
-from repro.core.persistence import SessionState, load_statistics, save_statistics
+from repro.core.persistence import SessionState
 from repro.core.resource import ConstrainedSchedule, plan_constrained
 from repro.core.selection import SelectionResult, build_problem
 from repro.core.statistics import StatKind, Statistic, StatisticsStore
@@ -89,8 +89,7 @@ __all__ = [
     "plan_fleet", "PlanOptimizer", "Predicate", "Project",
     "reconcile_run", "RejectJoinSE", "RejectSE",
     "RetryPolicy", "RunCheckpoint", "RunFailure",
-    "save_statistics", "select_statistics", "SelectionResult", "SessionState",
-    "load_statistics",
+    "select_statistics", "SelectionResult", "SessionState",
     "solve_greedy", "solve_ilp", "Source", "StatKind",
     "Statistic", "StatisticsCatalog", "StatisticsPipeline",
     "StatisticsStore", "SubExpression",

@@ -330,33 +330,48 @@ class CatalogEntry:
 
 @dataclass
 class CatalogHits:
-    """The slice of the catalog covering one workflow's candidate stats."""
+    """The slice of the catalog covering one workflow's candidate stats.
+
+    ``unusable`` maps the rest to their stale, expired or low-quality
+    entries, undecoded until a degraded night asks :meth:`prior_values`.
+    """
 
     free: set[Statistic] = field(default_factory=set)
     values: StatisticsStore = field(default_factory=StatisticsStore)
     keys: dict[Statistic, str] = field(default_factory=dict)
-    newest_observed_at: float = 0.0
+    unusable: dict[Statistic, CatalogEntry] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.free)
 
     @classmethod
     def of(
-        cls, keys: dict[Statistic, str], usable: dict[str, CatalogEntry]
+        cls,
+        keys: dict[Statistic, str],
+        usable: dict[str, CatalogEntry],
+        present: dict[str, CatalogEntry],
     ) -> "CatalogHits":
-        """The signed candidates ``keys`` that a usable entry covers."""
+        """The signed candidates ``keys`` that a usable entry covers; the
+        rest that ``present`` holds an entry for are ``unusable``."""
         hits = cls()
         for stat, key in keys.items():
             entry = usable.get(key)
             if entry is None:
+                entry = present.get(key)
+                if entry is not None:
+                    hits.unusable[stat] = entry
                 continue
             hits.free.add(stat)
             hits.values.put(stat, entry.value())
             hits.keys[stat] = key
-            hits.newest_observed_at = max(
-                hits.newest_observed_at, entry.observed_at
-            )
         return hits
+
+    def prior_values(self) -> StatisticsStore:
+        """The ``prior`` rung: the usable values plus the unusable ones."""
+        store = self.values.copy()
+        for stat, entry in self.unusable.items():
+            store.put(stat, entry.value())
+        return store
 
 
 class StatisticsCatalog:
@@ -484,10 +499,12 @@ class StatisticsCatalog:
 
         Returns the statistics the catalog can satisfy — they enter the
         selection problem at zero cost and their values back the estimator
-        without being re-observed.
+        without being re-observed — and the unusable entries of the rest.
         """
         keys = signer.statistic_keys(stats)
-        return CatalogHits.of(keys, self.usable_among(keys.values(), now, count_hits))
+        return CatalogHits.of(
+            keys, self.usable_among(keys.values(), now, count_hits), self.entries
+        )
 
     def entries_on_se(self, se_key: str) -> list[CatalogEntry]:
         """Every entry describing a statistic on the given SE."""

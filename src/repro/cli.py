@@ -15,10 +15,8 @@ console script):
   injects a deterministic chaos plan, ``--max-retries N`` and
   ``--block-timeout S`` configure the scheduler's retry/deadline policy,
   ``--resume checkpoint.json`` journals per-block progress to (and, if
-  the file exists, resumes from) a run checkpoint, ``--prior-stats
-  stats.json`` backfills a failed block's estimates from a previous
-  night's persisted statistics, and ``--save-stats stats.json`` persists
-  tonight's observations for exactly that purpose.  Observability:
+  the file exists, resumes from) a run checkpoint; a failed block's
+  estimates are backfilled from the ``--catalog``.  Observability:
   ``--trace [trace.json]`` records a span tree for the run (rendered to
   stdout; persisted when a path is given) and ``--metrics-out out.prom``
   exports the run's metric series (Prometheus text for ``.prom`` /
@@ -32,10 +30,10 @@ console script):
   ordering) so exports diff cleanly in git;
 - ``catalog <show|gc|import|export|plan-fleet>`` -- manage the shared
   statistics catalog: inspect entries with provenance and quality,
-  garbage-collect expired/stale/low-quality entries, merge catalogs or
-  sign a persisted statistics file into one, print the deterministic
-  JSON document, or compute the combined nightly observation plan that
-  observes each statistic shared across suite workflows exactly once;
+  garbage-collect expired/stale/low-quality entries, merge catalogs,
+  print the deterministic JSON document, or compute the combined nightly
+  observation plan that observes each statistic shared across suite
+  workflows exactly once;
 - ``serve --catalog CATALOG.JSON [--listen host:port|unix:///p.sock]`` --
   run the crash-safe statistics-catalog server: every write lands in a
   checksummed write-ahead log before it is acknowledged, snapshots are
@@ -287,16 +285,6 @@ def _cmd_run(args) -> int:
                 f"resuming from {args.resume}: "
                 f"{', '.join(sorted(checkpoint.completed))} already done"
             )
-    prior = None
-    prior_observed_at = None
-    if args.prior_stats:
-        from repro.core.persistence import load_statistics
-
-        prior = load_statistics(args.prior_stats)
-        try:
-            prior_observed_at = Path(args.prior_stats).stat().st_mtime
-        except OSError:  # pragma: no cover - just read it
-            prior_observed_at = None
     stats_catalog = (
         _open_catalog(args.catalog, fallback=args.catalog_fallback)
         if args.catalog
@@ -341,8 +329,6 @@ def _cmd_run(args) -> int:
         faults=faults,
         retry=retry,
         checkpoint=checkpoint,
-        prior_statistics=prior,
-        prior_observed_at=prior_observed_at,
         stats_catalog=stats_catalog,
         run_id=f"wf{wfcase.number:02d}-seed{args.seed}",
         tracer=tracer,
@@ -392,11 +378,6 @@ def _cmd_run(args) -> int:
                     f"dead letter: all sources clean, nothing written to "
                     f"{args.quarantine_dir}"
                 )
-    if args.save_stats:
-        from repro.core.persistence import save_statistics
-
-        save_statistics(report.run.observations, args.save_stats)
-        print(f"statistics saved to {args.save_stats}")
     if tracer is not None:
         from repro.obs import render_trace, write_trace
 
@@ -517,31 +498,6 @@ def _cmd_catalog_export(args) -> int:
 def _cmd_catalog_import(args) -> int:
     catalog = _open_catalog(args.path)
     imported = 0
-    if args.stats:
-        # sign a persisted statistics store against a suite workflow --
-        # the Section 6.2 "pre-existing source statistics" entry point
-        if args.number is None:
-            raise CliError("--stats needs --number to sign the statistics")
-        from repro.catalog import SignatureError, WorkflowSigner
-        from repro.core.persistence import load_statistics
-
-        wfcase = _case(args.number)
-        signer = WorkflowSigner(analyze(wfcase.build()))
-        store = load_statistics(args.stats)
-        for stat, value in store.items():
-            try:
-                key = signer.statistic_key(stat)
-                se_key = signer.se_key(stat.se)
-            except SignatureError as exc:
-                raise CliError(
-                    f"statistic {stat!r} does not belong to workflow "
-                    f"wf{args.number:02d}: {exc}"
-                ) from exc
-            catalog.record(
-                key, se_key, stat, value,
-                workflow=f"wf{wfcase.number:02d}", run_id="import",
-            )
-            imported += 1
     for source in args.sources:
         imported += catalog.merge(_open_catalog(source, must_exist=True))
     try:
@@ -766,25 +722,12 @@ def build_parser() -> argparse.ArgumentParser:
         "restored, not re-executed)",
     )
     p.add_argument(
-        "--prior-stats",
-        default=None,
-        metavar="STATS.JSON",
-        help="previous run's persisted statistics, used to backfill "
-        "estimates for blocks that permanently fail",
-    )
-    p.add_argument(
-        "--save-stats",
-        default=None,
-        metavar="STATS.JSON",
-        help="persist tonight's observed statistics here (feed them back "
-        "via --prior-stats on a later run)",
-    )
-    p.add_argument(
         "--catalog",
         default=None,
         metavar="CATALOG.JSON|URL",
         help="shared statistics catalog: covered statistics are consumed "
-        "at zero cost instead of re-observed; the run reconciles "
+        "at zero cost instead of re-observed, and what it remembers "
+        "backfills a block that permanently fails; the run reconciles "
         "(drift-checks) and saves the catalog afterwards.  A "
         "http://host:port or unix:///path.sock URL talks to a "
         "`repro-etl serve` daemon instead of a local file; a "
@@ -983,21 +926,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("path")
     c.set_defaults(fn=_cmd_catalog_export)
 
-    c = catalog_sub.add_parser(
-        "import", help="merge other catalogs or sign a statistics file in"
-    )
+    c = catalog_sub.add_parser("import", help="merge other catalogs in")
     c.add_argument("path", help="destination catalog file")
     c.add_argument(
-        "sources", nargs="*", help="other catalog files to merge in"
-    )
-    c.add_argument(
-        "--stats", default=None, metavar="STATS.JSON",
-        help="a persisted statistics store (from `run --save-stats`) to "
-        "sign into the catalog; needs --number",
-    )
-    c.add_argument(
-        "--number", type=int, default=None,
-        help="suite workflow the --stats file was observed on",
+        "sources", nargs="+", help="other catalog files to merge in"
     )
     c.set_defaults(fn=_cmd_catalog_import)
 

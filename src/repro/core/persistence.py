@@ -6,7 +6,8 @@ process involved has exited.  This module serializes the moving parts to
 JSON:
 
 - :class:`~repro.core.statistics.StatisticsStore` values (counters,
-  distinct counts, exact histograms) keyed by their statistic identity;
+  distinct counts, exact histograms) keyed by their statistic identity,
+  as a run checkpoint journals them;
 - plan trees (the chosen join order per block);
 - a :class:`SessionState` bundling both plus the adopted cardinalities the
   drift detector compares against;
@@ -245,16 +246,6 @@ def store_from_dict(doc: dict) -> StatisticsStore:
                 f"corrupt statistics entry {entry!r}: {exc}"
             ) from exc
     return store
-
-
-def save_statistics(store: StatisticsStore, path: str | Path) -> None:
-    """Write a statistics store to a JSON file."""
-    atomic_write_json(store_to_dict(store), path)
-
-
-def load_statistics(path: str | Path) -> StatisticsStore:
-    """Read a statistics store from a JSON file."""
-    return store_from_dict(_load_json(path, "statistics"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ class OptimizedPlan:
     """The chosen tree for one block, with its estimated cost.
 
     ``confidence`` records the provenance of the cardinalities behind the
-    choice: ``"observed"`` (tonight's instrumented run), ``"prior"`` (a
-    previous run's persisted statistics), ``"independence"`` (the no-
+    choice: ``"observed"`` (tonight's instrumented run), ``"catalog"``
+    (its usable entries), ``"prior"`` (its stale, expired or low-quality
+    entries), ``"independence"`` (the no-
     statistics baseline) or ``"none"`` (unoptimizable this cycle -- the
     tree is the block's fallback plan, costs are NaN).
     """

@@ -33,7 +33,7 @@ from repro.core.generator import GeneratorOptions, generate_css
 # module's copy of the name, and nightbench/ is frozen in this PR
 from repro.core.ilp import solve_ilp  # noqa: F401
 from repro.core.selection import SelectionResult
-from repro.core.statistics import Statistic, StatisticsStore
+from repro.core.statistics import Statistic
 from repro.engine.backend import BackendExecutor, WorkflowRun, get_backend
 from repro.engine.compile import PlanCache
 from repro.engine.scheduler import RetryPolicy, RunFailure
@@ -324,8 +324,6 @@ class StatisticsPipeline:
         faults=None,
         retry: RetryPolicy | None = None,
         checkpoint=None,
-        prior_statistics: StatisticsStore | None = None,
-        prior_observed_at: float | None = None,
         stats_catalog=None,
         run_id: str = "",
         tracer=None,
@@ -346,26 +344,24 @@ class StatisticsPipeline:
         :class:`~repro.engine.faults.FaultPlan`, ``retry`` sets the
         scheduler's :class:`~repro.engine.scheduler.RetryPolicy`,
         ``checkpoint`` journals/restores per-block progress
-        (:class:`~repro.framework.recovery.RunCheckpoint`), and
-        ``prior_statistics`` is a previous run's store used to backfill
-        the cardinalities of any block that permanently fails tonight
-        (falling back to the independence baseline, then to pinning the
-        block's current plan).  With a degraded run the cycle still
-        completes: healthy blocks get exactly the plans a fault-free run
-        would choose, affected blocks are annotated in ``degraded``.
+        (:class:`~repro.framework.recovery.RunCheckpoint`).  With a
+        degraded run the cycle still completes: healthy blocks get exactly
+        the plans a fault-free run would choose, affected blocks are
+        annotated in ``degraded``.
 
         ``stats_catalog`` is a shared
-        :class:`~repro.catalog.store.StatisticsCatalog`: its usable
-        entries join the selection problem at zero cost (the Section 6.2
-        mechanism), are *not* re-instrumented tonight, and back the
-        estimator directly.  After the run the catalog is reconciled --
-        fresh observations refresh it, a drifted cardinality is penalized
-        and corrected in place, its siblings marked stale
-        (``PipelineReport.drift`` / ``corrections``) -- and saved if it has
-        a backing file.
-        ``prior_observed_at`` (e.g. the mtime of a ``--prior-stats``
-        file) lets the degraded fallback prefer the fresher of the prior
-        store and the catalog.
+        :class:`~repro.catalog.store.StatisticsCatalog`, the cycle's only
+        cross-night memory: its usable entries join the selection problem
+        at zero cost (the Section 6.2 mechanism), are *not* re-instrumented
+        tonight, and back the estimator directly; its unusable entries
+        (stale, expired, low quality) backfill the cardinalities of a
+        block that permanently fails tonight, one rung below it.  After
+        the run the catalog is reconciled -- fresh observations refresh
+        it, a drifted cardinality is penalized and corrected in place, its
+        siblings marked stale (``PipelineReport.drift`` / ``corrections``)
+        -- and saved if it has a backing file.  Without a catalog a failed
+        block falls to the independence baseline, then to pinning its
+        current plan.
 
         ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records the whole
         cycle as a span tree -- enumeration, selection, one span per
@@ -597,19 +593,12 @@ class StatisticsPipeline:
                     if hits is not None and len(hits.values)
                     else estimator
                 )
-                prefer_prior = (
-                    prior_observed_at is not None
-                    and hits is not None
-                    and prior_observed_at > hits.newest_observed_at
-                )
                 cards, degraded, degraded_sources = degraded_cardinalities(
                     analysis,
                     run,
                     catalog,
                     observed_only,
-                    prior=prior_statistics,
-                    catalog_statistics=hits.values if hits is not None else None,
-                    prefer_prior=prefer_prior,
+                    hits=hits,
                     drifted_sources=drifted_sources,
                 )
                 optimizer = PlanOptimizer(analysis, cards, metric=self.cost_metric)

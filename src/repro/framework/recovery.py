@@ -17,14 +17,14 @@ the paper's premise is that stale or approximate statistics still beat
 none -- :func:`degraded_cardinalities` fills the failed blocks' SE
 cardinalities from, in order of trust:
 
-1. the shared statistics catalog (:mod:`repro.catalog`): its entries are
-   drift-checked every night and carry observation timestamps, so they
-   rank just below tonight's own observations;
-2. a prior run's persisted statistics (the data usually drifts slowly
-   between nightly loads) -- when the caller knows the prior store is
-   *fresher* than the matching catalog entries (``prefer_prior=True``,
-   e.g. a ``--prior-stats`` file written after the catalog's last
-   refresh), the two rungs swap;
+1. the statistics catalog's usable entries (:mod:`repro.catalog`): they
+   are drift-checked every night and carry observation timestamps, so
+   they rank just below tonight's own observations;
+2. ``prior``: what the catalog still remembers but refuses for selection
+   -- stale, expired or low-quality entries (the data usually drifts
+   slowly between nightly loads).  The catalog is the only cross-night
+   memory: an :class:`~repro.framework.session.EtlSession` without one
+   keeps a private catalog whose entries all expire by the next night;
 3. the textbook independence baseline
    (:mod:`repro.baselines.independence`) computed from whatever inputs
    did load tonight;
@@ -39,7 +39,6 @@ report exactly which source satisfied each gap.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.algebra.blocks import Block, BlockAnalysis
@@ -48,6 +47,7 @@ from repro.core.css import CssCatalog
 from repro.core.persistence import (
     FORMAT_VERSION,
     PersistenceError,
+    _load_json,
     atomic_write_json,
     se_from_dict,
     se_to_dict,
@@ -55,7 +55,6 @@ from repro.core.persistence import (
     store_to_dict,
     table_from_dict,
     table_to_dict,
-    validate_document,
 )
 from repro.core.statistics import StatisticsStore
 from repro.engine.backend import WorkflowRun
@@ -124,15 +123,7 @@ class RunCheckpoint:
     @classmethod
     def load(cls, path: str | Path) -> "RunCheckpoint":
         """Read an existing checkpoint; :class:`PersistenceError` if corrupt."""
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise PersistenceError(f"cannot read checkpoint {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(f"invalid checkpoint file {path}: {exc}") from exc
-        validate_document(doc, "checkpoint")
+        doc = _load_json(path, "checkpoint")
         checkpoint = cls(
             path, workflow=doc.get("workflow", ""), backend=doc.get("backend", "")
         )
@@ -262,26 +253,23 @@ def degraded_cardinalities(
     run: WorkflowRun,
     catalog: CssCatalog,
     estimator,
-    prior: StatisticsStore | None = None,
-    catalog_statistics: StatisticsStore | None = None,
-    prefer_prior: bool = False,
+    hits=None,
     drifted_sources: "set[str] | None" = None,
 ) -> tuple[dict[AnySE, float], dict[str, str], dict[str, dict[str, str]]]:
     """Fill in cardinalities the failed run could not observe.
 
     ``estimator`` is the :class:`~repro.estimation.estimator
     .CardinalityEstimator` built over tonight's (partial) observations.
-    ``catalog_statistics`` holds the shared-catalog values matched for
-    this workflow, ranked between tonight's observations and ``prior``
-    (swapped when ``prefer_prior`` says the prior file is fresher).
+    ``hits`` is the night's :class:`~repro.catalog.store.CatalogHits`: its
+    usable values are the ``catalog`` rung, and with its unusable entries
+    decoded beside them they are the ``prior`` rung.
 
     ``drifted_sources`` names base sources whose *schema* drifted tonight
     (the quality gate's :class:`~repro.quality.drift.SchemaDriftEvent`
     sources).  For an SE touching a drifted source, the catalog's values
-    were observed against a shape that no longer exists, so that rung is
-    demoted: it is consulted *after* the prior store and any value it
-    supplies is labelled :data:`CONFIDENCE_PRIOR` rather than
-    :data:`CONFIDENCE_CATALOG` -- one rung weaker, honestly reported.
+    were observed against a shape that no longer exists: the SE walks the
+    same ladder, but a value the catalog supplies is labelled
+    :data:`CONFIDENCE_PRIOR` -- one rung weaker, honestly reported.
 
     Returns ``(cardinalities, confidence, sources)``: ``confidence``
     labels each affected block with the *weakest* source used for it, and
@@ -295,26 +283,20 @@ def degraded_cardinalities(
     confidence: dict[str, str] = {}
     sources: dict[str, dict[str, str]] = {}
 
-    def store_estimator(store: StatisticsStore | None):
-        if store is None or not len(store):
+    def store_estimator(store: StatisticsStore):
+        if not len(store):
             return None
         try:
             return CardinalityEstimator(catalog, store)
         except (EstimationError, KeyError, ValueError):
             return None
 
-    catalog_pair = (CONFIDENCE_CATALOG, store_estimator(catalog_statistics))
-    prior_pair = (CONFIDENCE_PRIOR, store_estimator(prior))
-    ordered = (
-        [prior_pair, catalog_pair] if prefer_prior else [catalog_pair, prior_pair]
-    )
-    rungs = [pair for pair in ordered if pair[1] is not None]
-    # drift-suspect SEs: prior first, and the catalog answers at prior trust
-    demoted = [
-        (CONFIDENCE_PRIOR, estimator_)
-        for _label, estimator_ in (prior_pair, catalog_pair)
-        if estimator_ is not None
-    ]
+    rungs = []
+    if hits is not None:
+        rungs.append((CONFIDENCE_CATALOG, store_estimator(hits.values)))
+        if hits.unusable:
+            rungs.append((CONFIDENCE_PRIOR, store_estimator(hits.prior_values())))
+    rungs = [(label, rung) for label, rung in rungs if rung is not None]
     drifted_sources = set(drifted_sources or ())
 
     independence = None
@@ -333,13 +315,13 @@ def degraded_cardinalities(
         drifted_names = block.relations_on(drifted_sources)
         block_sources: dict[str, str] = {}
         for se in needed:
-            ladder = demoted if se.relations & drifted_names else rungs
+            drifted = bool(se.relations & drifted_names)
             value = None
             label = CONFIDENCE_NONE
-            for rung_label, rung_estimator in ladder:
+            for rung_label, rung_estimator in rungs:
                 try:
                     value = rung_estimator.cardinality(se)
-                    label = rung_label
+                    label = CONFIDENCE_PRIOR if drifted else rung_label
                     break
                 except (EstimationError, KeyError):
                     value = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.algebra.plans import PlanTree
 from repro.catalog.drift import rel_error
-from repro.core.statistics import StatisticsStore
+from repro.catalog.store import StatisticsCatalog
 from repro.engine.faults import FaultPlan
 from repro.engine.scheduler import RetryPolicy
 from repro.engine.table import Table
@@ -58,11 +58,10 @@ class EtlSession:
       stability when the data is quiet.
 
     Resilience: a ``retry`` policy and/or ``faults`` plan is forwarded to
-    every run.  The session keeps the last runs' observed statistics and
-    hands them to the pipeline as the prior-statistics fallback, so a
-    night whose block fails permanently is optimized from the freshest
-    statistics any earlier night produced; drift and plan adoption for
-    the failed statistics stand still until real observations return.
+    every run.  A night whose block fails permanently is optimized from
+    what the catalog remembers of earlier nights (the ``prior`` rung);
+    drift and plan adoption for the failed statistics stand still until
+    real observations return.
 
     Sharing: a ``stats_catalog``
     (:class:`~repro.catalog.store.StatisticsCatalog`) is threaded into
@@ -73,7 +72,10 @@ class EtlSession:
     pair: hand the session a :class:`~repro.serve.client.CatalogClient`
     built from ``"http://primary,http://standby"`` and a mid-session
     primary crash fails over (``report.catalog_failovers``) instead of
-    degrading the night.
+    degrading the night.  By default the session threads a private
+    in-memory catalog with a zero TTL: every entry has expired by the next
+    night, so each night re-observes everything (Section 1's cycle) and
+    earlier nights survive only as the ``prior`` rung.
 
     Quality: ``quality`` (a :class:`~repro.quality.gate.QualityGate`)
     screens every run's sources under its contracts and schema policy; its
@@ -99,12 +101,14 @@ class EtlSession:
     _adopted_cards: dict | None = None
     retry: RetryPolicy | None = None  # scheduler policy for every run
     faults: "FaultPlan | None" = None  # chaos sessions (tests/benchmarks)
-    stats_catalog: "object | None" = None  # shared StatisticsCatalog
+    #: shared StatisticsCatalog (default: a private in-memory one, ttl 0)
+    stats_catalog: "object | None" = field(
+        default_factory=lambda: StatisticsCatalog(ttl=0.0)
+    )
     metrics: "object | None" = None  # shared MetricsRegistry
     tracing: bool = False  # span tree per run, on record.report.trace
     quality: "object | None" = None  # QualityGate screening every run
     feedback: "object | None" = None  # FeedbackCorrector fed every run
-    _prior_observations: StatisticsStore | None = None
 
     def run(self, sources: dict[str, Table]) -> RunRecord:
         """Execute one load with the current plans; maybe re-optimize."""
@@ -120,7 +124,6 @@ class EtlSession:
             trees=self._current_trees,
             retry=self.retry,
             faults=self.faults,
-            prior_statistics=self._prior_observations,
             stats_catalog=self.stats_catalog,
             run_id=f"run{index}",
             tracer=tracer,
@@ -131,7 +134,6 @@ class EtlSession:
             from repro.obs.record import record_run_metrics
 
             record_run_metrics(self.metrics, report)
-        self._retain_observations(report)
 
         cards = report.estimator.all_cardinalities()
         drift = self._measure_drift(cards)
@@ -163,21 +165,6 @@ class EtlSession:
         )
         self.history.append(record)
         return record
-
-    def _retain_observations(self, report: PipelineReport) -> None:
-        """Keep the freshest observed statistics across runs.
-
-        Merging (rather than replacing) means a failed block's statistics
-        survive from the last night they were actually observed -- exactly
-        what the degraded-statistics fallback wants as its prior.
-        """
-        base = (
-            self._prior_observations.copy()
-            if self._prior_observations is not None
-            else StatisticsStore()
-        )
-        base.merge(report.run.observations)
-        self._prior_observations = base
 
     def _measure_drift(self, cards: dict) -> float:
         """Worst relative change vs the statistics behind the current plan."""

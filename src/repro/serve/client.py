@@ -639,17 +639,17 @@ class CatalogClient:
         """Match candidate statistics; server answers, mirror absorbs.
 
         The night's one read.  When the server is healthy the answer is
-        authoritative (and bumps server-side hit counters); after
-        degradation the mirror -- what this client read before the server
-        vanished, plus the fallback file -- answers instead, which is the
-        "catalog" rung of the confidence ladder with one rung knocked off
-        by the pipeline.
+        authoritative (and bumps server-side hit counters), and the
+        unusable entries it carries, absorbed into the mirror, are the
+        hits' ``unusable``; after degradation the mirror -- what this
+        client read before the server vanished, plus the fallback file --
+        answers instead, with one rung knocked off by the pipeline.
         """
         if not self.degraded:
             keys = signer.statistic_keys(stats)
             usable = self._ask(sorted(set(keys.values())), now, count_hits)
             if usable is not None:
-                return CatalogHits.of(keys, usable)
+                return CatalogHits.of(keys, usable, self._mirror.entries)
         return self._mirror.lookup(signer, stats, now=now, count_hits=count_hits)
 
     # ------------------------------------------------------------------

@@ -73,6 +73,45 @@ class TestWarmRuns:
         # the night's hit counts reached the file
         assert sum(e.hits for e in StatisticsCatalog.open(path).entries.values())
 
+    def test_warm_night_decodes_no_unusable_entry(self, tmp_path, monkeypatch):
+        """Unusable entries ride along in the lookup undecoded: only a
+        failed block's ``prior`` rung pays for their values."""
+        from repro.catalog.signatures import SignatureError, WorkflowSigner
+        from repro.catalog.store import CatalogEntry
+        from repro.core.histogram import Histogram
+
+        wfcase, pipeline = fresh()
+        sources = wfcase.tables(scale=0.2, seed=7)
+        catalog = StatisticsCatalog(tmp_path / "catalog.json")
+        cold = pipeline.run_once(sources, stats_catalog=catalog)
+        # stale histogram/distinct siblings of the statistics wf11 selected
+        signer = WorkflowSigner(pipeline.analysis)
+        siblings = []
+        for stat in pipeline.catalog.all_statistics:
+            if stat.is_cardinality or stat in cold.selection.observed:
+                continue
+            try:
+                key = signer.statistic_key(stat)
+            except SignatureError:
+                continue
+            if key in catalog:
+                continue
+            value = Histogram(stat.attrs, {}) if stat.is_histogram else 1
+            catalog.record(key, signer.se_key(stat.se), stat, value)
+            siblings.append(key)
+        assert catalog.mark_stale(siblings) > 0
+
+        decoded = []
+        value = CatalogEntry.value
+        monkeypatch.setattr(
+            CatalogEntry, "value",
+            lambda entry: decoded.append(entry.key) or value(entry),
+        )
+        warm = pipeline.run_once(sources, stats_catalog=catalog)
+        assert warm.ok and warm.tapped == []
+        assert decoded  # the usable hits were decoded...
+        assert not set(decoded) & set(siblings)  # ...and nothing else
+
     def test_cross_workflow_sharing(self, tmp_path):
         catalog = StatisticsCatalog(tmp_path / "shared.json")
         wf11, p11 = fresh(11)
@@ -206,11 +245,10 @@ class TestDegradedWithCatalog:
     def test_without_catalog_falls_back_to_prior(self):
         wfcase, pipeline = fresh(11)
         sources = wfcase.tables(scale=0.2, seed=7)
-        clean = pipeline.run_once(sources)
+        # no catalog from the caller: the session remembers in its own
+        session = EtlSession(pipeline)
+        session.run(sources)
         block = pipeline.analysis.blocks[0].name
-        report = pipeline.run_once(
-            sources,
-            faults=_permanent(block),
-            prior_statistics=clean.run.observations,
-        )
+        session.faults = _permanent(block)
+        report = session.run(sources).report
         assert report.degraded[block] == "prior"

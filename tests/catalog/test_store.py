@@ -53,7 +53,15 @@ class TestLookup:
         for stat in hits.free:
             assert stat in hits.values
             assert hits.keys[stat] in catalog
-        assert hits.newest_observed_at == NOW
+        assert hits.unusable == {}
+        # a stale entry is no hit, but the lookup still returns it
+        victim = next(iter(hits.free))
+        key = hits.keys[victim]
+        catalog.mark_stale([key])
+        hits = catalog.lookup(signer, css.all_statistics, now=NOW)
+        assert victim not in hits.free
+        assert hits.unusable[victim] is catalog.get(key)
+        assert hits.unusable[victim].observed_at == NOW
 
     def test_stale_entries_never_match(self, wf11):
         _, css, signer = wf11

@@ -11,8 +11,6 @@ from repro.core.persistence import (
     FORMAT_VERSION,
     PersistenceError,
     SessionState,
-    load_statistics,
-    save_statistics,
     se_from_dict,
     se_to_dict,
     statistic_from_dict,
@@ -27,6 +25,7 @@ from repro.core.persistence import (
 )
 from repro.core.statistics import Statistic, StatisticsStore
 from repro.engine.table import Table
+from repro.framework.recovery import RunCheckpoint
 
 SE = SubExpression.of
 
@@ -91,51 +90,65 @@ class TestStoreRoundTrip:
             assert clone.get(stat) == value
 
     def test_file_round_trip(self, tmp_path):
+        """A run checkpoint is where a statistics document is still a file."""
         store = self._store()
-        path = tmp_path / "stats.json"
-        save_statistics(store, path)
-        clone = load_statistics(path)
+        path = tmp_path / "ckpt.json"
+        _checkpoint(path, store).save()
+        clone = RunCheckpoint.load(path).statistics
         for stat, value in store.items():
             assert clone.get(stat) == value
 
     def test_file_is_valid_json(self, tmp_path):
-        path = tmp_path / "stats.json"
-        save_statistics(self._store(), path)
+        path = tmp_path / "ckpt.json"
+        _checkpoint(path, self._store()).save()
         doc = json.loads(path.read_text())
-        assert "statistics" in doc
+        assert "statistics" in doc["statistics"]
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(PersistenceError):
-            load_statistics(path)
+            RunCheckpoint.load(path)
 
     def test_deterministic_output(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_statistics(self._store(), p1)
-        save_statistics(self._store(), p2)
+        _checkpoint(p1, self._store()).save()
+        _checkpoint(p2, self._store()).save()
         assert p1.read_text() == p2.read_text()
+
+
+def _checkpoint(path, store):
+    checkpoint = RunCheckpoint(path, workflow="w", backend="columnar")
+    checkpoint.statistics = store
+    return checkpoint
 
 
 class TestFormatVersioning:
     def test_saved_files_carry_the_current_version(self, tmp_path):
-        path = tmp_path / "stats.json"
-        save_statistics(StatisticsStore(), path)
-        assert json.loads(path.read_text())["format_version"] == FORMAT_VERSION
+        path = tmp_path / "ckpt.json"
+        _checkpoint(path, StatisticsStore()).save()
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == FORMAT_VERSION
+        assert doc["statistics"]["format_version"] == FORMAT_VERSION
 
     def test_legacy_file_without_version_still_loads(self, tmp_path):
-        """Files written before versioning read as version 1."""
+        """Documents written before versioning read as version 1."""
+        assert len(store_from_dict({"statistics": []})) == 0
         path = tmp_path / "old.json"
-        path.write_text(json.dumps({"statistics": []}))
-        assert len(load_statistics(path)) == 0
+        path.write_text(json.dumps({"blocks": {}, "statistics": {}}))
+        assert len(RunCheckpoint.load(path).statistics) == 0
 
     def test_future_version_rejected_with_clear_error(self, tmp_path):
-        path = tmp_path / "new.json"
-        path.write_text(json.dumps(
-            {"format_version": FORMAT_VERSION + 1, "statistics": []}
-        ))
+        future = {"format_version": FORMAT_VERSION + 1, "statistics": []}
         with pytest.raises(PersistenceError, match="format_version"):
-            load_statistics(path)
+            store_from_dict(future)
+        path = tmp_path / "new.json"
+        path.write_text(json.dumps({"statistics": future}))
+        with pytest.raises(PersistenceError, match="format_version"):
+            RunCheckpoint.load(path)
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION + 1}))
+        with pytest.raises(PersistenceError, match="format_version"):
+            RunCheckpoint.load(path)
 
     @pytest.mark.parametrize("version", [0, -1, "two", None, 1.5])
     def test_malformed_version_rejected(self, version):

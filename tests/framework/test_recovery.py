@@ -2,8 +2,8 @@
 
 1. a permanent failure in one block of a multi-block workflow still yields
    a complete :class:`PipelineReport` -- the failure is recorded, the
-   failed block's cardinalities fall back to prior-run statistics or the
-   independence baseline, and every *healthy* block gets exactly the plan
+   failed block's cardinalities fall back to what the catalog remembers or
+   the independence baseline, and every *healthy* block gets exactly the plan
    a fault-free run would choose;
 2. a transient failure plus a retry policy converges to a report
    identical to the fault-free run;
@@ -16,11 +16,13 @@ for the CI matrix); every injection is seeded via ``REPRO_CHAOS_SEED``.
 
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.algebra.blocks import analyze
 from repro.algebra.expressions import SubExpression
+from repro.catalog import StatisticsCatalog, WorkflowSigner
 from repro.core.histogram import Histogram
 from repro.core.persistence import PersistenceError
 from repro.core.statistics import Statistic, StatisticsStore
@@ -92,8 +94,8 @@ class TestDegradedRun:
             assert report.plans[name].confidence == "observed"
             assert _plan_key(report)[name] == _plan_key(baseline)[name]
 
-        # the failed block was costed from the independence baseline
-        # (no prior run offered) over tonight's loaded inputs
+        # the failed block was costed from the independence baseline (no
+        # catalog, no session: nothing remembered) over tonight's inputs
         assert report.degraded["B2"] == "independence"
         assert report.plans["B2"].confidence == "independence"
         assert not math.isnan(report.plans["B2"].cost)
@@ -101,12 +103,14 @@ class TestDegradedRun:
         assert "B2" in report.describe()
 
     def test_prior_statistics_reproduce_the_baseline_plan(self, backend):
-        baseline = _run_once(backend)
+        # ttl 0: last night's entries have all expired by tonight
+        catalog = StatisticsCatalog(ttl=0.0)
+        baseline = _run_once(backend, stats_catalog=catalog)
         report = _run_once(
             backend,
             faults=_permanent("B2"),
             retry=FAST,
-            prior_statistics=baseline.run.observations,
+            stats_catalog=catalog,
         )
         # last night's statistics cover everything, so even the failed
         # block's plan matches what tonight would have chosen
@@ -308,8 +312,9 @@ class TestSessionResilience:
         assert not first.report.failures
         adopted = {k: repr(v) for k, v in session.current_trees.items()}
 
-        # night 2: B2 permanently fails; the session hands the pipeline
-        # night 1's statistics, so the failed block is optimized from them
+        # night 2: B2 permanently fails; the session's catalog still holds
+        # night 1's (expired) entries, so the failed block is optimized
+        # from them
         session.faults = _permanent("B2")
         second = session.run(sources)
         assert second.degraded
@@ -386,37 +391,106 @@ class TestConfidenceLadder:
         assert "[catalog]" in report.describe()
 
     def test_catalog_outranks_prior_by_default(self):
-        from repro.catalog import StatisticsCatalog
-
         catalog = StatisticsCatalog()
         pipeline = StatisticsPipeline(case(WORKFLOW).build())
-        healthy = pipeline.run_once(_sources(), stats_catalog=catalog)
+        pipeline.run_once(_sources(), stats_catalog=catalog)
+        # every entry off B2's SEs goes stale: the prior rung is there,
+        # but B2's usable entries answer first
+        signer = WorkflowSigner(pipeline.analysis)
+        b2 = next(b for b in pipeline.analysis.blocks if b.name == "B2")
+        b2_ses = {signer.se_key(se) for se in b2.universe()}
+        assert catalog.mark_stale(
+            [e.key for e in catalog.entries.values() if e.se_key not in b2_ses]
+        )
         report = pipeline.run_once(
             _sources(),
             stats_catalog=catalog,
-            prior_statistics=healthy.run.observations,
             faults=_permanent("B2"),
             retry=FAST,
         )
         assert report.degraded["B2"] == "catalog"
 
-    def test_fresher_prior_outranks_the_catalog(self):
-        import time
-
-        from repro.catalog import StatisticsCatalog
-
-        catalog = StatisticsCatalog()
-        pipeline = StatisticsPipeline(case(WORKFLOW).build())
-        healthy = pipeline.run_once(_sources(), stats_catalog=catalog)
-        report = pipeline.run_once(
-            _sources(),
-            stats_catalog=catalog,
-            prior_statistics=healthy.run.observations,
-            prior_observed_at=time.time() + 3600,  # prior file is newer
+    @pytest.mark.parametrize("unusable", ["stale", "expired", "low-quality"])
+    def test_unusable_catalog_entries_are_the_prior_rung(
+        self, tmp_path, unusable
+    ):
+        path = tmp_path / "catalog.json"
+        healthy = _run_once("columnar", stats_catalog=StatisticsCatalog(path))
+        catalog = StatisticsCatalog.open(path)
+        entries = list(catalog.entries.values())
+        if unusable == "stale":
+            catalog.mark_stale([e.key for e in entries])
+        elif unusable == "expired":
+            catalog.apply("put", [
+                replace(e, observed_at=e.observed_at - catalog.ttl - 1)
+                for e in entries
+            ])
+        else:
+            for e in entries:  # quality 1 -> 0.5 -> 0.25
+                catalog.adjust_quality(e.key, 1.0)
+                catalog.adjust_quality(e.key, 1.0)
+        catalog.save(merge=False)
+        report = _run_once(
+            "columnar",
+            stats_catalog=StatisticsCatalog.open(path),
             faults=_permanent("B2"),
             retry=FAST,
         )
         assert report.degraded["B2"] == "prior"
+        assert _plan_key(report)["B2"] == _plan_key(healthy)["B2"]
+
+    @pytest.mark.parametrize("server_stopped", [False, True])
+    def test_served_unusable_entries_are_the_prior_rung(
+        self, tmp_path, server_stopped
+    ):
+        from repro.framework.recovery import demote_confidence
+        from repro.serve.client import CatalogClient
+        from repro.serve.server import ServerThread
+
+        thread = ServerThread(
+            f"unix://{tmp_path / 'catalog.sock'}", tmp_path / "served.json",
+            fsync=False,
+        ).__enter__()
+        running = True
+        client = CatalogClient(
+            thread.url, max_retries=0, base_delay=0.0, max_delay=0.0
+        )
+        try:
+            healthy = _run_once("columnar", stats_catalog=client)
+            assert client.mark_stale(list(client.entries))
+            client.save()
+            if server_stopped:
+                # connections go with the server; the client's mirror
+                # still holds the entries it read
+                thread.stop()
+                running = False
+                client.close()
+            report = _run_once(
+                "columnar",
+                stats_catalog=client,
+                faults=_permanent("B2"),
+                retry=FAST,
+            )
+        finally:
+            client.close()
+            if running:
+                thread.stop()
+        assert report.catalog_degraded == server_stopped
+        # a degraded client costs one rung, as it does on every rung
+        expected = demote_confidence("prior") if server_stopped else "prior"
+        assert report.degraded["B2"] == expected
+        assert _plan_key(report)["B2"] == _plan_key(healthy)["B2"]
+
+    @pytest.mark.parametrize("removed", ["prior_statistics", "prior_observed_at"])
+    def test_run_once_takes_no_second_store(self, removed):
+        import inspect
+
+        params = inspect.signature(StatisticsPipeline.run_once).parameters
+        assert [p.kind for p in params.values()].count(
+            inspect.Parameter.KEYWORD_ONLY
+        ) == 8
+        with pytest.raises(TypeError, match=removed):
+            _run_once("columnar", **{removed: None})
 
     def test_degraded_cardinalities_returns_per_se_sources(self):
         """Direct unit coverage of the three-tuple contract."""

@@ -280,18 +280,32 @@ class TestRunResilience:
         assert "multiprocess" in capsys.readouterr().err
 
     def test_prior_stats_backfill_failed_block(self, tmp_path, capsys):
-        stats = str(tmp_path / "prior.json")
-        # healthy night persists its statistics...
+        catalog = str(tmp_path / "night.json")
+        # healthy night records its statistics in the catalog...
         assert main(["run", "--number", "25", "--scale", "0.05",
-                     "--save-stats", stats]) == 0
+                     "--catalog", catalog]) == 0
         capsys.readouterr()
         # ...which backfill the failed block the next night
         faults = self._fault_file(
             tmp_path, [{"target": "B2", "kind": "permanent"}]
         )
         assert main(["run", "--number", "25", "--scale", "0.05",
-                     "--faults", faults, "--prior-stats", stats]) == 1
-        assert "B2=prior" in capsys.readouterr().out
+                     "--faults", faults, "--catalog", catalog]) == 1
+        assert "B2=catalog" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--number", "9", "--prior-stats", "x.json"],
+        ["run", "--number", "9", "--save-stats", "x.json"],
+        ["catalog", "import", "d.json", "--stats", "x.json"],
+    ])
+    def test_statistics_file_flags_are_gone(self, argv, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # nothing written
 
 
 class TestIdentifyBudget:
@@ -447,16 +461,13 @@ class TestCatalogCommands:
         assert main(["catalog", "show", merged]) == 0
         capsys.readouterr()
 
-    def test_import_signs_a_stats_file(self, tmp_path, capsys):
-        stats = str(tmp_path / "stats.json")
-        assert main(["run", "--number", "11", "--save-stats", stats]) == 0
-        capsys.readouterr()
-        catalog = str(tmp_path / "signed.json")
-        assert main(["catalog", "import", catalog,
-                     "--stats", stats, "--number", "11"]) == 0
-        assert "imported" in capsys.readouterr().out
-        assert main(["catalog", "show", catalog]) == 0
-        assert "import" in capsys.readouterr().out
+    def test_import_needs_a_source(self, tmp_path, capsys):
+        dest = tmp_path / "dest.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["catalog", "import", str(dest)])
+        assert exit_.value.code == 2
+        assert "sources" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_plan_fleet(self, tmp_path, capsys):
         _, catalog = self._run(tmp_path)
@@ -472,6 +483,7 @@ class TestCatalogCommands:
         assert main(["catalog", "plan-fleet",
                      "--numbers", "11", "12"]) == 0
         assert "fleet plan" in capsys.readouterr().out
+
     def test_missing_catalog_file_is_an_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["catalog", "show", missing]) == 1
@@ -539,27 +551,23 @@ class TestDeterministicExport:
         doc = json.loads(first)
         assert first.strip() == json.dumps(doc, indent=2, sort_keys=True)
 
-    def test_saved_stats_file_is_deterministic(self, tmp_path, capsys):
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        for path in (a, b):
-            assert main(["run", "--number", "9", "--solver", "greedy",
-                         "--save-stats", path]) == 0
-            capsys.readouterr()
-        from pathlib import Path
-
-        assert Path(a).read_text() == Path(b).read_text()
-        text = Path(a).read_text()
+    def test_run_catalog_file_is_canonical(self, tmp_path, capsys):
+        path = tmp_path / "catalog.json"
+        assert main(["run", "--number", "9", "--solver", "greedy",
+                     "--catalog", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
         doc = json.loads(text)
-        # canonical form: one statistic per line, keys sorted, no padding
+        # canonical form: one entry per line, keys sorted, no padding
         entries = [
             json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            for entry in doc["statistics"]
+            for entry in doc["entries"]
         ]
+        assert entries
         assert text == (
-            '{\n"format_version":2,\n"statistics":[\n'
-            + ",\n".join(entries) + "\n]\n}\n"
+            '{\n"entries":[\n' + ",\n".join(entries) + "\n],\n"
+            '"format_version":2,\n"kind":"statistics-catalog"\n}\n'
         )
-
 
 
 class TestObservabilityCli:

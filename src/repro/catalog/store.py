@@ -24,14 +24,19 @@ Each entry carries:
 The file format rides on :mod:`repro.core.persistence`'s
 ``format_version`` machinery: atomic writes, validated loads, canonical
 form (sorted keys, one entry per line) — a catalog diffs per entry in git.
+A night pays for the entries that changed: each entry encodes its line
+once, ``save`` splices the lines, and ``open`` decodes only the lines the
+last version this process read or wrote does not hold.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 try:  # advisory flock; absent on some platforms -> O_EXCL fallback
@@ -42,8 +47,11 @@ except ImportError:  # pragma: no cover - posix everywhere we run
 from repro.core.persistence import (
     FORMAT_VERSION,
     PersistenceError,
-    _load_json,
-    atomic_write_json,
+    _encode,
+    _parse_json,
+    _read_text,
+    atomic_write_text,
+    canonical_json,
     statistic_from_dict,
     statistic_to_dict,
     value_from_doc,
@@ -206,6 +214,23 @@ def catalog_lock(
                     pass
 
 
+def _catalog_doc(entries: list) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "statistics-catalog",
+        "entries": entries,
+    }
+
+
+#: a non-empty catalog file is ``_HEAD + ",\n".join(entry lines) + _TAIL``
+_HEAD, _TAIL = canonical_json(_catalog_doc([None])).split("null")
+
+
+def _decode_entry(line: str) -> "CatalogEntry":
+    """The one decode of a catalog file's entry line."""
+    return CatalogEntry.from_dict(json.loads(line))
+
+
 def _file_identity(path: str | Path) -> tuple | None:
     """What tells one ``os.replace``d version of ``path`` from the next."""
     try:
@@ -235,6 +260,13 @@ class CatalogEntry:
     @property
     def kind(self) -> str:
         return self.stat_doc.get("kind", "?")
+
+    @cached_property
+    def line(self) -> str:
+        """This entry's line in the catalog file, encoded once per object
+        (a changed entry is a new object).  Fields hold JSON values only,
+        so the line decodes to an equal entry."""
+        return _encode(self.to_dict())
 
     def value(self) -> StatValue:
         return value_from_doc(self.value_doc)
@@ -377,6 +409,11 @@ class CatalogHits:
 class StatisticsCatalog:
     """File-backed store of statistics shared across workflows and runs."""
 
+    #: the last catalog version this process parsed or wrote, line -> entry;
+    #: one version for every path (entries are frozen, so sharing them
+    #: between catalogs cannot leak an edit)
+    _held: dict[str, CatalogEntry] = {}
+
     def __init__(
         self,
         path: str | Path | None = None,
@@ -405,9 +442,25 @@ class StatisticsCatalog:
         # it is not mistaken for the version we hold
         identity = _file_identity(path)
         if identity is not None:
-            catalog._load_doc(_load_json(path, "catalog"))
+            catalog._load_text(_read_text(path, "catalog"))
             catalog._on_disk = identity
         return catalog
+
+    def _load_text(self, text: str) -> None:
+        """Decode the entry lines the held version does not hold.  A file
+        not in the canonical layout, or a line that does not parse on its
+        own, is decoded whole: acceptance is the whole-document decode's."""
+        held = StatisticsCatalog._held
+        try:
+            if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
+                raise ValueError("not the canonical layout")
+            lines = text[len(_HEAD):-len(_TAIL)].split(",\n")
+            entries = [held.get(line) or _decode_entry(line) for line in lines]
+        except ValueError:  # JSONDecodeError and PersistenceError too
+            self._load_doc(_parse_json(text, self.path, "catalog"))
+            return
+        StatisticsCatalog._held = dict(zip(lines, entries))
+        self.entries = {entry.key: entry for entry in entries}
 
     def _load_doc(self, doc: dict) -> None:
         entries = doc.get("entries", [])
@@ -418,13 +471,16 @@ class StatisticsCatalog:
             self.entries[entry.key] = entry
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "statistics-catalog",
-            "entries": [
-                self.entries[key].to_dict() for key in sorted(self.entries)
-            ],
-        }
+        return _catalog_doc(
+            [self.entries[key].to_dict() for key in sorted(self.entries)]
+        )
+
+    def _text(self) -> str:
+        """``canonical_json(self.to_dict())``, spliced from entry lines."""
+        if not self.entries:
+            return canonical_json(self.to_dict())
+        lines = (self.entries[key].line for key in sorted(self.entries))
+        return _HEAD + ",\n".join(lines) + _TAIL
 
     def save(self, path: str | Path | None = None, merge: bool = True) -> None:
         """Persist the catalog under the advisory file lock.
@@ -454,8 +510,9 @@ class StatisticsCatalog:
             # fence check: if we slept past the stale deadline and another
             # run took the lock over, fail here rather than clobber it
             lock.validate()
-            atomic_write_json(self.to_dict(), target)
+            atomic_write_text(self._text(), target)
             self._on_disk = _file_identity(target)
+            StatisticsCatalog._held = {e.line: e for e in self.entries.values()}
 
     # ------------------------------------------------------------------
     # reads
@@ -595,8 +652,9 @@ class StatisticsCatalog:
             workflow=workflow,
             run_id=run_id,
             backend=backend,
-            observed_at=time.time() if observed_at is None else observed_at,
-            quality=1.0 if quality is None else quality,
+            # floats, as a decoded entry's: its line must read back equal
+            observed_at=time.time() if observed_at is None else float(observed_at),
+            quality=1.0 if quality is None else float(quality),
             stale=False,
             hits=previous.hits if previous is not None else 0,
         )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,18 +73,26 @@ def validate_document(doc, kind: str) -> int:
     return version
 
 
-def _load_json(path: str | Path, kind: str) -> dict:
-    """Read + parse + shape-check one persisted file."""
+def _read_text(path: str | Path, kind: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise PersistenceError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def _parse_json(text: str, path: str | Path, kind: str) -> dict:
+    """Parse + shape-check the text of one persisted file."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PersistenceError(f"invalid {kind} file {path}: {exc}") from exc
     validate_document(doc, kind)
     return doc
+
+
+def _load_json(path: str | Path, kind: str) -> dict:
+    """Read + parse + shape-check one persisted file."""
+    return _parse_json(_read_text(path, kind), path, kind)
 
 
 #: without ``indent`` this is the C encoder
@@ -106,15 +115,20 @@ def canonical_json(doc: dict) -> str:
 
 
 def atomic_write_json(doc: dict, path: str | Path) -> None:
-    """Write ``doc`` (as :func:`canonical_json`) to ``path`` via rename, so
-    readers (and a resumed run) never see a half-written checkpoint."""
+    """Write ``doc`` (as :func:`canonical_json`) to ``path`` via rename."""
+    atomic_write_text(canonical_json(doc), path)
+
+
+def atomic_write_text(text: str, path: str | Path) -> None:
+    """Write ``text`` to ``path`` via rename, so readers (and a resumed
+    run) never see a half-written checkpoint."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(canonical_json(doc))
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -209,12 +223,19 @@ def value_to_doc(value) -> dict:
 
 
 def value_from_doc(doc: dict):
-    """Inverse of :func:`value_to_doc`."""
-    if "histogram" in doc:
-        hdoc = doc["histogram"]
-        counts = {tuple(k): v for k, v in hdoc["buckets"]}
-        return Histogram(tuple(hdoc["attrs"]), counts)
-    return doc["value"]
+    """Inverse of :func:`value_to_doc`; a malformed value (a bucket that is
+    not ``[key, count]``, unsorted or duplicate attrs, ...) raises
+    :class:`PersistenceError`."""
+    try:
+        if "histogram" in doc:
+            hdoc = doc["histogram"]
+            counts = {tuple(k): v for k, v in hdoc["buckets"]}
+            return Histogram(tuple(hdoc["attrs"]), counts)
+        return doc["value"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"malformed statistic value {reprlib.repr(doc)}: {exc}"
+        ) from exc
 
 
 def store_to_dict(store: StatisticsStore) -> dict:

@@ -37,19 +37,30 @@ def _catalog(path, **entries):
     return catalog
 
 
-def _count_catalog_reads(monkeypatch) -> list:
-    """Every parse of a catalog file from here on appends its path."""
+def _count_decodes(monkeypatch, forget: bool = True) -> list:
+    """Every entry line decoded from here on appends its entry's key.
+
+    With ``forget`` every read starts with nothing held, as a fresh
+    process's would: each parse of a file then decodes every line once.
+    """
     from repro.catalog import store
 
-    reads: list = []
-    real = store._load_json
+    decoded: list = []
+    decode, load = store._decode_entry, StatisticsCatalog._load_text
 
-    def counting(path, kind):
-        reads.append(path)
-        return real(path, kind)
+    def counting(line):
+        entry = decode(line)
+        decoded.append(entry.key)
+        return entry
 
-    monkeypatch.setattr(store, "_load_json", counting)
-    return reads
+    def forgetful(catalog, text):
+        StatisticsCatalog._held = {}
+        return load(catalog, text)
+
+    monkeypatch.setattr(store, "_decode_entry", counting)
+    if forget:
+        monkeypatch.setattr(StatisticsCatalog, "_load_text", forgetful)
+    return decoded
 
 
 class TestCatalogLock:
@@ -192,20 +203,21 @@ class TestMergeOnSave:
         assert set(merged.entries) == {"ka", "kb"}
 
     def test_interleaved_saver_is_still_merged(self, tmp_path, monkeypatch):
-        """A opens -> B opens, records, saves -> A records, saves: B's save
-        changed the file's identity, so A re-reads it (once) under the lock
-        and the file ends as the union, newer ``observed_at`` winning."""
+        """A opens -> B (another run) opens, records, saves -> A records,
+        saves: B's save changed the file's identity, so A re-reads it (each
+        of B's lines once) under the lock and the file ends as the union,
+        newer ``observed_at`` winning."""
         path = tmp_path / "catalog.json"
         _catalog(path, shared=(1, 100.0), old=(5, 100.0)).save()
         a = StatisticsCatalog.open(path)
         b = _catalog(path, kb=(20, 150.0), shared=(2, 300.0), old=(6, 120.0))
         b.save()
-        reads = _count_catalog_reads(monkeypatch)
+        decoded = _count_decodes(monkeypatch)
         for key, (value, at) in {"ka": (10, 150.0), "shared": (3, 200.0),
                                  "old": (7, 130.0)}.items():
             a.record(key, f"se:{key}", _stat(), value, observed_at=at)
         a.save()
-        assert len(reads) == 1
+        assert sorted(decoded) == ["kb", "old", "shared"]
         merged = StatisticsCatalog.open(path)
         assert {k: e.value() for k, e in merged.entries.items()} == {
             "ka": 10, "kb": 20, "shared": 2, "old": 7}
@@ -215,12 +227,12 @@ class TestMergeOnSave:
     ):
         path = tmp_path / "catalog.json"
         _catalog(path, k0=(1, 100.0)).save()
-        reads = _count_catalog_reads(monkeypatch)
+        decoded = _count_decodes(monkeypatch)
         catalog = _catalog(path, k1=(2, 100.0))  # the one parse
         catalog.save()
         catalog.record("k2", "se:k2", _stat(), 3, observed_at=100.0)
         catalog.save()  # holds what it wrote: still no re-read
-        assert len(reads) == 1
+        assert decoded == ["k0"]
         assert set(StatisticsCatalog.open(path).entries) == {"k0", "k1", "k2"}
 
     def test_newer_observation_wins_on_both_sides(self, tmp_path):

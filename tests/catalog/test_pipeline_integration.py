@@ -7,7 +7,7 @@ from repro.engine.faults import FaultPlan, FaultSpec
 from repro.framework.pipeline import StatisticsPipeline
 from repro.framework.session import EtlSession
 from repro.workloads import case
-from tests.catalog.test_lock import _count_catalog_reads
+from tests.catalog.test_lock import _count_decodes
 
 
 def _permanent(target):
@@ -65,13 +65,52 @@ class TestWarmRuns:
         sources = wfcase.tables(scale=0.2, seed=7)
         pipeline.run_once(sources, stats_catalog=path)
         assert path.exists()
-        reads = _count_catalog_reads(monkeypatch)
+        keys = sorted(StatisticsCatalog.open(path).entries)
+        decoded = _count_decodes(monkeypatch)  # every read a fresh process's
         _, pipeline2 = fresh()
         warm = pipeline2.run_once(sources, stats_catalog=str(path))
         assert warm.tapped == [] and warm.catalog_hits
-        assert len(reads) == 1
+        assert sorted(decoded) == keys  # each line once: one parse
         # the night's hit counts reached the file
         assert sum(e.hits for e in StatisticsCatalog.open(path).entries.values())
+
+    def test_a_warm_night_decodes_only_the_lines_that_changed(
+        self, tmp_path, monkeypatch
+    ):
+        """The warm night after a cold one in the same process holds every
+        line it reads; after another process rewrites one entry, the next
+        ``open`` decodes exactly that line."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro
+
+        path = tmp_path / "catalog.json"
+        wfcase, pipeline = fresh()
+        sources = wfcase.tables(scale=0.2, seed=7)
+        pipeline.run_once(sources, stats_catalog=path)
+        decoded = _count_decodes(monkeypatch, forget=False)
+        warm = fresh()[1].run_once(sources, stats_catalog=path)
+        assert warm.ok and warm.tapped == [] and warm.catalog_hits
+        assert decoded == []
+
+        before = StatisticsCatalog.open(path)
+        victim = sorted(before.entries)[0]
+        script = textwrap.dedent(f"""
+            from repro.catalog.store import StatisticsCatalog
+            catalog = StatisticsCatalog.open({str(path)!r})
+            catalog.adjust_quality({victim!r}, 0.5)
+            catalog.save()
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parent.parent)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        reopened = StatisticsCatalog.open(path)
+        assert decoded == [victim]
+        assert reopened.get(victim).quality < before.get(victim).quality
 
     def test_warm_night_decodes_no_unusable_entry(self, tmp_path, monkeypatch):
         """Unusable entries ride along in the lookup undecoded: only a

@@ -507,6 +507,29 @@ class TestCatalogCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda h: h["buckets"].insert(0, [1]),  # a bucket without a count
+        lambda h: h.update(attrs=h["attrs"] * 2),  # duplicate attrs
+        lambda h: h.update(attrs=["~", *h["attrs"]]),  # unsorted attrs
+    ], ids=["short-bucket", "duplicate-attrs", "unsorted-attrs"])
+    def test_malformed_catalog_value_is_one_line_error(
+        self, tmp_path, capsys, corrupt
+    ):
+        from repro.core.persistence import canonical_json
+
+        assert self._run(tmp_path)[0] == 0
+        path = tmp_path / "catalog.json"
+        doc = json.loads(path.read_text())
+        histogram = next(e["histogram"] for e in doc["entries"]
+                         if "histogram" in e)
+        corrupt(histogram)
+        path.write_text(canonical_json(doc))
+        capsys.readouterr()
+        assert self._run(tmp_path)[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed statistic value")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unwritable_destination_is_one_line_error(self, tmp_path, capsys):
         import os
 

@@ -10,11 +10,7 @@ pin that down:
 - the client's p50 round-trip on a unix socket stays under 5 ms, so
   looking statistics up over the wire is never the bottleneck;
 - replaying a 10k-entry WAL on startup takes under 2 s, so crash
-  recovery is a restart, not an incident;
-- a warm standby tailing a 10k-record WAL stream holds a p50 lag under
-  100 records, and failing a writer over to it (redirect + promotion +
-  the retried write) completes in under 2 s, so losing the primary is
-  a blip, not an outage.
+  recovery is a restart, not an incident.
 """
 
 import json
@@ -27,7 +23,6 @@ from repro.framework.pipeline import StatisticsPipeline
 from repro.serve.client import CatalogClient
 from repro.serve.server import ServerThread
 from repro.serve.service import CatalogService
-from repro.serve.wal import WriteAheadLog
 from repro.workloads import suite
 
 SCALE = 0.08
@@ -35,9 +30,6 @@ SEED = 5
 P50_BUDGET_MS = 5.0
 REPLAY_ENTRIES = 10_000
 REPLAY_BUDGET_S = 2.0
-STREAM_RECORDS = 10_000
-LAG_P50_BUDGET_RECORDS = 100
-FAILOVER_BUDGET_S = 2.0
 
 
 def _client(url):
@@ -162,119 +154,4 @@ def test_catalog_service_budgets(results_dir, tmp_path):
     assert p50 < P50_BUDGET_MS, f"p50 round-trip {p50:.2f} ms over budget"
     assert replay_s < REPLAY_BUDGET_S, (
         f"WAL replay took {replay_s:.2f} s for {REPLAY_ENTRIES} entries"
-    )
-
-
-def _entry(i):
-    return {
-        "key": f"r{i}",
-        "se_key": f"se:r{i}",
-        "stat": {"kind": "card"},
-        "value": float(i),
-        "repr": f"T[r{i}]",
-        "workflow": "wf",
-        "run_id": "r",
-        "observed_at": 1_000_000.0,
-    }
-
-
-def test_replication_and_failover_budgets(results_dir, tmp_path):
-    """p50 standby lag on a 10k stream, and writer failover wall time."""
-    from repro.serve.replication import ReplicationTailer
-
-    url = f"unix://{tmp_path / 'primary.sock'}"
-    with ServerThread(
-        url, tmp_path / "primary.json", fsync=False,
-        snapshot_every=10**9,  # keep the stream tail-based for the burst
-    ) as thread:
-        primary = thread.server.service
-        standby = CatalogService(
-            tmp_path / "standby.json",
-            role="standby",
-            primary_url=url,
-            fsync=False,
-        )
-        tailer = ReplicationTailer(standby, url, poll_interval=0.005)
-        tailer.start()
-
-        # a 10k-record write burst (batched like a nightly reconcile),
-        # sampling the standby's lag as the stream drains
-        lags = []
-        for off in range(0, STREAM_RECORDS, 50):
-            for i in range(off, off + 50):
-                primary.put_entries([_entry(i)])
-            lags.append(max(0, primary.wal.last_seq - standby.wal.last_seq))
-            time.sleep(0.004)
-        assert tailer.wait_caught_up(primary.wal.last_seq, timeout=30.0), (
-            f"standby stuck at {standby.wal.last_seq}/{primary.wal.last_seq}"
-        )
-        lag_p50 = statistics.median(lags)
-        assert len(standby) == len(primary)
-        tailer.stop()
-
-        # failover: SIGKILL the primary; a writer with both endpoints
-        # must redirect, promote the standby and land its write
-        s_url = f"unix://{tmp_path / 'standby.sock'}"
-        with ServerThread(
-            s_url, tmp_path / "standby2.json", fsync=False,
-            replicate_from=url, poll_interval=0.01,
-        ) as s_thread:
-            s_thread.server.tailer.wait_caught_up(
-                primary.wal.last_seq, timeout=30.0
-            )
-            thread.kill()
-            client = CatalogClient(
-                f"{url},{s_url}",
-                timeout=2.0, max_retries=0, base_delay=0.0, max_delay=0.0,
-            )
-            from repro.algebra.expressions import SubExpression
-            from repro.core.statistics import Statistic
-
-            start = time.perf_counter()
-            client.record(
-                "failover-probe", "se:failover",
-                Statistic.card(SubExpression.of("R")), 1.0,
-                workflow="wf", run_id="r",
-            )
-            client.save()
-            failover_s = time.perf_counter() - start
-            assert not client.degraded
-            assert client.failovers >= 1
-            assert s_thread.server.service.role == "primary"
-            client.close()
-
-    rows = [
-        [f"standby lag p50 ({STREAM_RECORDS} records)",
-         f"{lag_p50:.0f} records", f"max {max(lags):.0f}",
-         f"budget: < {LAG_P50_BUDGET_RECORDS} records"],
-        ["writer failover", f"{failover_s * 1000.0:.0f} ms",
-         "redirect + promote + retried write",
-         f"budget: < {FAILOVER_BUDGET_S:g} s"],
-    ]
-    write_report(
-        results_dir,
-        "catalog_replication",
-        "Catalog replication: standby lag and writer failover",
-        ["measure", "value", "detail", "budget"],
-        rows,
-    )
-    (results_dir / "catalog_replication.json").write_text(
-        json.dumps(
-            {
-                "stream_records": STREAM_RECORDS,
-                "lag_p50_records": lag_p50,
-                "lag_max_records": max(lags),
-                "failover_seconds": failover_s,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-    assert lag_p50 < LAG_P50_BUDGET_RECORDS, (
-        f"standby lag p50 {lag_p50:.0f} records over budget"
-    )
-    assert failover_s < FAILOVER_BUDGET_S, (
-        f"failover took {failover_s:.2f} s"
     )

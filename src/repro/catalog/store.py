@@ -72,8 +72,8 @@ DEFAULT_LOCK_TIMEOUT = 10.0
 DEFAULT_LOCK_STALE = 120.0
 
 #: the mutation vocabulary, op -> the field its items ride in: a WAL record, a
-#: replication record, a ``POST /<op>`` body and a client's staged write are all
-#: ``{op, field: items}``, and :meth:`StatisticsCatalog.apply` interprets them
+#: ``POST /<op>`` body and a client's staged write are all ``{op, field:
+#: items}``, and :meth:`StatisticsCatalog.apply` interprets them
 MUTATIONS = {
     "put": "entries",
     "merge": "entries",

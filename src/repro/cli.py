@@ -41,12 +41,8 @@ console script):
   the log on restart without losing an acknowledged entry.  Point runs
   at it with ``run --catalog http://host:port`` (or the unix URL); an
   unreachable server degrades the run to the local view
-  (``--catalog-fallback``) with plan confidence demoted one rung.  For
-  high availability start a second server with ``--replicate-from URL``
-  (a warm standby tailing the primary's WAL stream) and give runs both
-  endpoints: ``run --catalog http://primary,http://standby`` fails
-  writes over to whichever server is primary, promoting the standby
-  (epoch-fenced against the old primary resurrecting) when needed;
+  (``--catalog-fallback``) with plan confidence demoted one rung.  A
+  catalog is one daemon: ``--catalog`` names exactly one endpoint;
 - ``trace show <trace.json>`` -- render a persisted run trace as an
   indented span tree, with the slowest blocks and the worst
   estimated-vs-actual row errors summarized below it;
@@ -542,14 +538,12 @@ def _cmd_serve(args) -> int:
             gc_interval=args.gc_interval,
             lease_ttl=args.lease_ttl,
             fsync=not args.no_fsync,
-            replicate_from=args.replicate_from,
-            auto_promote_after=args.auto_promote_after,
         )
     except (OSError, PersistenceError) as exc:
         raise CliError(f"cannot start catalog server: {exc}") from exc
     service = server.service
     print(
-        f"catalog server [{service.role}]: {args.listen} serving "
+        f"catalog server: {args.listen} serving "
         f"{args.catalog} ({len(service.all_entries())} entries, "
         f"{service.replayed_records} WAL record(s) replayed)",
         flush=True,
@@ -730,9 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         "backfills a block that permanently fails; the run reconciles "
         "(drift-checks) and saves the catalog afterwards.  A "
         "http://host:port or unix:///path.sock URL talks to a "
-        "`repro-etl serve` daemon instead of a local file; a "
-        "comma-separated URL list (primary,standby,...) fails writes "
-        "over to whichever endpoint is primary",
+        "`repro-etl serve` daemon instead of a local file",
     )
     p.add_argument(
         "--catalog-fallback",
@@ -872,23 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="expire aged catalog entries on the snapshot daemon at this "
-        "cadence (primary only; default: never)",
-    )
-    p.add_argument(
-        "--replicate-from",
-        default=None,
-        metavar="URL",
-        help="start as a warm standby of this primary: tail its WAL "
-        "stream, answer reads, refuse writes with a redirect, and "
-        "promote (epoch-fenced) if the primary goes silent",
-    )
-    p.add_argument(
-        "--auto-promote-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="standby self-promotes after N consecutive failed stream "
-        "polls (0 disables; promotion then needs POST /promote)",
+        "cadence (default: never)",
     )
     p.set_defaults(fn=_cmd_serve)
 

@@ -59,11 +59,6 @@ FAULT_KINDS = (
     "server-kill",
     "server-hang",
     "net-flap",
-    # HA injectors: primary-kill matches the *endpoint URL* (not the route)
-    # so one box of a replicated pair dies while the other keeps answering;
-    # replication-stall sleeps the standby's stream poll so lag grows
-    "primary-kill",
-    "replication-stall",
     # shard-worker injectors: consulted by sharding backends at shard
     # dispatch (``on_shard``), so a worker process dying or hanging mid-run
     # exercises the pool-recovery and shard-retry path
@@ -78,10 +73,7 @@ _TASK_KINDS = ("transient", "permanent", "delay")
 _SOURCE_KINDS = ("truncate", "corrupt-row", "type-flip", "column-rename", "null-burst")
 
 #: kinds fired at catalog-client request boundaries (see ``on_request``)
-_SERVER_KINDS = ("server-kill", "server-hang", "net-flap", "primary-kill")
-
-#: kinds fired at standby stream-poll boundaries (see ``on_replication``)
-_REPLICATION_KINDS = ("replication-stall",)
+_SERVER_KINDS = ("server-kill", "server-hang", "net-flap")
 
 #: kinds fired at shard dispatch inside a sharding backend (see ``on_shard``)
 _SHARD_KINDS = ("worker-kill", "worker-hang")
@@ -168,8 +160,6 @@ class FaultSpec:
             raise FaultError(f"fraction must be in [0, 1], got {self.fraction}")
         if self.kind == "column-rename" and not self.column:
             raise FaultError("a column-rename fault needs 'column'")
-        if self.kind == "replication-stall" and self.delay <= 0:
-            raise FaultError("a replication-stall fault needs 'delay' > 0")
         if self.rename_to is not None and self.kind != "column-rename":
             raise FaultError("'rename_to' only applies to column-rename faults")
         if self.shard is not None:
@@ -187,14 +177,10 @@ class FaultSpec:
         if self.times is not None:
             return self.times
         # a lone network flap, like a lone transient, should be outlived
-        # by a single retry; a killed server (or killed primary) stays dead
-        # until restarted.  a killed/hung worker is *replaced* by the pool,
-        # and a lone replication stall is outlived by the next poll, so
-        # their default budget is one firing
-        if self.kind in (
-            "transient", "net-flap", "worker-kill", "worker-hang",
-            "replication-stall",
-        ):
+        # by a single retry; a killed server stays dead until restarted.
+        # a killed/hung worker is *replaced* by the pool, so its default
+        # budget is one firing
+        if self.kind in ("transient", "net-flap", "worker-kill", "worker-hang"):
             return 1
         return None
 
@@ -481,7 +467,7 @@ class FaultInjector:
         )
         return True
 
-    def on_request(self, name: str, endpoint: str = "") -> None:
+    def on_request(self, name: str) -> None:
         """Fire matching *server* faults for one catalog-client request.
 
         ``name`` is the request route (``"/put"``); specs match it by glob
@@ -491,12 +477,6 @@ class FaultInjector:
         not heal by retrying), ``server-hang`` sleeps ``delay`` seconds
         and then times out transiently, ``net-flap`` raises one transient
         error a single retry outlives.
-
-        ``primary-kill`` is the HA variant: its target globs the
-        ``endpoint`` *URL* instead of the route, so with a replicated pair
-        exactly one box goes permanently dark while requests to the other
-        endpoint sail through -- the client's failover path, not its
-        degradation path, gets exercised.
         """
         pause = 0.0
         raised: InjectedFault | None = None
@@ -504,26 +484,10 @@ class FaultInjector:
         with self._lock:
             self._attempts[request_key] += 1
             for index, spec in enumerate(self.plan.specs):
-                if spec.kind not in _SERVER_KINDS:
+                if spec.kind not in _SERVER_KINDS or not spec.matches(name):
                     continue
-                fire_key = request_key
-                if spec.kind == "primary-kill":
-                    if not endpoint or not spec.matches(endpoint):
-                        continue
-                    # budget and telemetry keyed per endpoint, not per
-                    # route: the fault is about a box, not a request
-                    fire_key = f"request:{endpoint}"
-                elif not spec.matches(name):
+                if not self._draw(index, spec, request_key, request_key):
                     continue
-                if not self._draw(index, spec, fire_key, request_key):
-                    continue
-                if spec.kind == "primary-kill":
-                    message = spec.message or (
-                        f"injected primary-kill fault: endpoint "
-                        f"{endpoint!r} is dead"
-                    )
-                    raised = PermanentFault(message)
-                    break
                 message = spec.message or (
                     f"injected {spec.kind} fault on catalog request {name!r}"
                 )
@@ -539,29 +503,6 @@ class FaultInjector:
             time.sleep(pause)
         if raised is not None:
             raise raised
-
-    def on_replication(self, name: str) -> None:
-        """Fire matching *replication* faults for one stream poll.
-
-        ``name`` is the upstream the standby tails (its URL); a
-        ``replication-stall`` spec matching it sleeps ``delay`` seconds in
-        the tailer thread -- the stream survives, the standby just falls
-        behind, and the lag gauge shows it.  The default budget is one
-        stall (the next poll catches up); set ``times`` for a longer one.
-        """
-        pause = 0.0
-        poll_key = f"replication:{name}"
-        with self._lock:
-            self._attempts[poll_key] += 1
-            for index, spec in enumerate(self.plan.specs):
-                if spec.kind not in _REPLICATION_KINDS:
-                    continue
-                if not spec.matches(name):
-                    continue
-                if self._draw(index, spec, poll_key, poll_key):
-                    pause += spec.delay
-        if pause:
-            time.sleep(pause)
 
     def on_shard(self, block_name: str, shard: int) -> "FaultSpec | None":
         """The worker fault (if any) to apply to one shard dispatch.

@@ -88,8 +88,7 @@ class PipelineReport:
     #: the catalog server vanished and the client answered from its local
     #: view -- every plan's confidence was demoted one rung
     catalog_degraded: bool = False
-    #: catalog endpoints the HA client failed over between this cycle
-    #: (0 for a single-endpoint client or an uneventful night)
+    #: always 0; kept because nightbench/worker.py reads it (ROADMAP item 0 drops it)
     catalog_failovers: int = 0
     #: this cycle's plan-compilation cache activity (deltas, not totals)
     plan_cache_hits: int = 0
@@ -406,9 +405,6 @@ class StatisticsPipeline:
             if hasattr(stats_catalog, "close"):
                 opened = stats_catalog
         try:
-            # an HA client counts endpoint failovers; capture the baseline so
-            # the report carries this cycle's delta, not the client's lifetime
-            failovers_before = getattr(stats_catalog, "failovers", 0)
             cache_before = (
                 self.plan_cache.hits,
                 self.plan_cache.misses,
@@ -657,9 +653,6 @@ class StatisticsPipeline:
                 drift_invalidated=drift_invalidated,
                 trace=tracer,
                 catalog_degraded=catalog_degraded,
-                catalog_failovers=(
-                    getattr(stats_catalog, "failovers", 0) - failovers_before
-                ),
                 plan_cache_hits=self.plan_cache.hits - cache_before[0],
                 plan_cache_misses=self.plan_cache.misses - cache_before[1],
                 plan_cache_invalidations=self.plan_cache.invalidations

@@ -68,14 +68,10 @@ class EtlSession:
     every run -- catalog-covered statistics are consumed at zero cost
     instead of re-observed, each completed run reconciles (and persists)
     the catalog, and runs of *other* workflows sharing the same catalog
-    file inherit tonight's observations.  A served catalog may be an HA
-    pair: hand the session a :class:`~repro.serve.client.CatalogClient`
-    built from ``"http://primary,http://standby"`` and a mid-session
-    primary crash fails over (``report.catalog_failovers``) instead of
-    degrading the night.  By default the session threads a private
-    in-memory catalog with a zero TTL: every entry has expired by the next
-    night, so each night re-observes everything (Section 1's cycle) and
-    earlier nights survive only as the ``prior`` rung.
+    file inherit tonight's observations.  By default the session threads a
+    private in-memory catalog with a zero TTL: every entry has expired by
+    the next night, so each night re-observes everything (Section 1's
+    cycle) and earlier nights survive only as the ``prior`` rung.
 
     Quality: ``quality`` (a :class:`~repro.quality.gate.QualityGate`)
     screens every run's sources under its contracts and schema policy; its

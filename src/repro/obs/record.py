@@ -72,12 +72,6 @@ def record_run_metrics(registry: MetricsRegistry, report) -> None:
             "etl_catalog_degraded_total",
             "runs that lost the catalog server and fell back to local state",
         ).inc(**labels)
-    failovers = getattr(report, "catalog_failovers", 0)
-    if failovers:
-        registry.counter(
-            "catalog_failovers_total",
-            "catalog endpoint failovers the HA client performed",
-        ).inc(failovers, **labels)
 
     # plan-compilation cache activity (per-cycle deltas from the report, so
     # a shared long-lived cache still yields per-run series)

@@ -42,27 +42,12 @@ rest of its flush rejected (HTTP 409) rather than interleaved with its
 successor's -- and keeps the rejected rest staged, so a later
 :meth:`save` sends it.
 
-**High availability.**  The ``url`` may be a comma-separated endpoint
-list (``run --catalog URL1,URL2``).  Each endpoint gets its own
-connection, failure count and circuit breaker; a request walks the list
-starting at the last endpoint that answered, and only when *every*
-endpoint is down (or breaker-open) does :class:`CatalogUnavailable`
-escape -- which is the only path to degradation, so one dead box out of
-a replicated pair never costs plan confidence.  Three 409 shapes steer
-the walk: a ``not_primary`` answer redirects the write to the advertised
-primary (and, if that primary is dead, asks the answering standby to
-promote itself); a ``stale_epoch`` answer with a *higher* epoch makes
-the client adopt it and retry; one with a *lower* epoch marks the
-endpoint as a fenced stale primary to be skipped.  Writes carry the
-highest epoch the client has seen, which is exactly what lets a
-promoted standby's service fence a resurrected stale primary's clients
-(and vice versa).  Failovers are counted in :attr:`failovers` and
-surface as the run's ``catalog_failovers_total`` metric.
+A client speaks to exactly one daemon: the ``url`` names one endpoint,
+and a comma-separated list is rejected rather than read as a socket path.
 
 Chaos tests drive all of this deterministically through the
-``server-kill`` / ``server-hang`` / ``net-flap`` / ``primary-kill``
-fault kinds of :mod:`repro.engine.faults`, consulted at every request
-boundary.
+``server-kill`` / ``server-hang`` / ``net-flap`` fault kinds of
+:mod:`repro.engine.faults`, consulted at every request boundary.
 """
 
 from __future__ import annotations
@@ -100,55 +85,17 @@ DEFAULT_BREAKER_COOLDOWN = 30.0
 DEFAULT_TIMEOUT = 2.0
 
 
-#: POST routes that mutate catalog state and therefore carry the epoch
-EPOCHED_PATHS = frozenset(
-    {"/gc", "/lease", "/lease/release"}
-    | {f"/{op}" for op in MUTATIONS}
-)
-
-
 class CatalogUnavailable(PersistenceError):
-    """No endpoint could be reached (after retries / breakers open)."""
+    """The server could not be reached (after retries / breaker open)."""
 
 
 class CatalogRequestError(PersistenceError):
     """The server answered, but with an error status."""
 
 
-class _NotPrimary(Exception):
-    """Internal: a standby refused a write; ``primary`` names the leader."""
-
-    def __init__(self, primary: str, message: str):
-        super().__init__(message)
-        self.primary = primary
-
-
-class _StaleEpoch(Exception):
-    """Internal: an epoch-fenced 409; ``epoch`` is the server's."""
-
-    def __init__(self, epoch: int, message: str):
-        super().__init__(message)
-        self.epoch = epoch
-
-
 def is_catalog_url(spec) -> bool:
     """Does this ``stats_catalog=`` value name a served catalog?"""
     return isinstance(spec, str) and spec.startswith(CATALOG_URL_PREFIXES)
-
-
-def split_catalog_urls(spec: str) -> list[str]:
-    """A ``URL1,URL2`` endpoint list -> normalized URLs (order kept)."""
-    urls = [part.strip().rstrip("/") for part in spec.split(",")]
-    urls = [url for url in urls if url]
-    if not urls:
-        raise PersistenceError(f"empty catalog endpoint list {spec!r}")
-    for url in urls:
-        if not url.startswith(CATALOG_URL_PREFIXES):
-            raise PersistenceError(
-                f"bad catalog endpoint {url!r} in {spec!r}; endpoints "
-                f"must start with one of {CATALOG_URL_PREFIXES}"
-            )
-    return urls
 
 
 class _UnixHTTPConnection(http.client.HTTPConnection):
@@ -176,33 +123,8 @@ def connect(url: str, timeout: float) -> http.client.HTTPConnection:
     )
 
 
-class _Endpoint:
-    """One catalog server: its connection, failures and breaker state."""
-
-    __slots__ = ("url", "conn", "failures", "open_until")
-
-    def __init__(self, url: str):
-        self.url = url.rstrip("/")
-        self.conn: http.client.HTTPConnection | None = None
-        self.failures = 0  # consecutive failures (resets on any answer)
-        self.open_until = 0.0  # breaker: reject instantly until this time
-
-    def connection(self, timeout: float) -> http.client.HTTPConnection:
-        if self.conn is None:
-            self.conn = connect(self.url, timeout)
-        return self.conn
-
-    def drop(self) -> None:
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:  # pragma: no cover - close cannot matter here
-                pass
-            self.conn = None
-
-
 class CatalogClient:
-    """A ``StatisticsCatalog`` look-alike backed by catalog server(s)."""
+    """A ``StatisticsCatalog`` look-alike backed by one catalog server."""
 
     def __init__(
         self,
@@ -223,14 +145,11 @@ class CatalogClient:
         clock=time.monotonic,
         sleep=time.sleep,
     ):
-        if isinstance(url, str):
-            urls = split_catalog_urls(url)
-        else:
-            urls = [u.rstrip("/") for u in url]
-            if not urls:
-                raise PersistenceError("empty catalog endpoint list")
-        self.endpoints = [_Endpoint(u) for u in urls]
-        self.url = ",".join(urls)
+        if "," in url:
+            raise PersistenceError(
+                f"one catalog endpoint per client, got the list {url!r}"
+            )
+        self.url = url.rstrip("/")
         self.ttl = ttl
         self.min_quality = min_quality
         self.timeout = timeout
@@ -258,8 +177,6 @@ class CatalogClient:
         self._staged: list[tuple[str, list]] = []  # ordered, coalesced ops
         self.degraded = False
         self.fence: int | None = None
-        self.epoch = 0  # highest promotion epoch seen across endpoints
-        self.failovers = 0  # times a request succeeded on a new endpoint
         self.requests_sent = 0
         self.retries = 0
 
@@ -272,26 +189,31 @@ class CatalogClient:
         )
         self._rng = self._policy.rng_for(self.url)
         self._injector = as_injector(faults)
-        self._active = 0  # index of the endpoint serving requests now
+        self._conn: http.client.HTTPConnection | None = None
+        self._failures = 0  # consecutive failed requests (reset by any answer)
+        self._open_until = 0.0  # breaker: reject instantly until this time
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
-    # transport: timeout -> retry/backoff -> breaker -> endpoint failover
+    # transport: breaker -> timeout -> retry/backoff
     # ------------------------------------------------------------------
-    def _connect(self, endpoint: _Endpoint | None = None):
-        endpoint = self.endpoints[self._active] if endpoint is None else endpoint
-        return endpoint.connection(self.timeout)
+    def _connect(self) -> http.client.HTTPConnection:
+        if self._conn is None:
+            self._conn = connect(self.url, self.timeout)
+        return self._conn
 
     def _drop_conn(self) -> None:
-        for endpoint in self.endpoints:
-            endpoint.drop()
+        if self._conn is not None:
+            try:
+                self._conn.close()
+            except OSError:  # pragma: no cover - close cannot matter here
+                pass
+            self._conn = None
 
-    def _once(
-        self, endpoint: _Endpoint, method: str, path: str, doc
-    ) -> tuple[int, dict]:
+    def _once(self, method: str, path: str, doc) -> tuple[int, dict]:
         import json
 
-        conn = self._connect(endpoint)
+        conn = self._connect()
         body = None
         headers = {}
         if doc is not None:
@@ -306,200 +228,66 @@ class CatalogClient:
             answer = {"error": payload.decode("utf-8", "replace")[:200]}
         return response.status, answer
 
-    def _request_endpoint(
-        self, endpoint: _Endpoint, method: str, path: str, doc=None
-    ) -> dict:
-        """One request against one endpoint: retry transients, map 409s."""
-        attempt = 0
-        while True:
-            self.requests_sent += 1
-            try:
-                if self._injector is not None:
-                    self._injector.on_request(path, endpoint=endpoint.url)
-                status, answer = self._once(endpoint, method, path, doc)
-            except PermanentFault as exc:
-                # a dead server does not heal by retrying
-                endpoint.drop()
-                self._record_failure(endpoint)
-                raise CatalogUnavailable(
-                    f"catalog {endpoint.url} unreachable: {exc}"
-                ) from exc
-            except (
-                TransientFault,
-                OSError,
-                http.client.HTTPException,
-            ) as exc:
-                endpoint.drop()
-                if attempt >= self._policy.max_retries:
-                    self._record_failure(endpoint)
-                    raise CatalogUnavailable(
-                        f"catalog {endpoint.url} unreachable after "
-                        f"{attempt + 1} attempt(s): {exc}"
-                    ) from exc
-                self._policy.sleep(self._policy.backoff(attempt, self._rng))
-                attempt += 1
-                self.retries += 1
-                continue
-            break
-        endpoint.failures = 0  # any answer closes this endpoint's breaker
-        endpoint.open_until = 0.0
-        if status == 409:
-            if answer.get("not_primary"):
-                raise _NotPrimary(
-                    str(answer.get("primary", "")),
-                    answer.get("error", "not the primary"),
-                )
-            if answer.get("stale_epoch"):
-                raise _StaleEpoch(
-                    int(answer.get("epoch", 0)),
-                    answer.get("error", "stale epoch"),
-                )
-            raise FenceError(answer.get("error", "stale fence token"))
-        if status >= 400:
-            raise CatalogRequestError(
-                answer.get("error", f"catalog server answered {status}")
-            )
-        self._learn_epoch(answer)
-        return answer
-
-    def _learn_epoch(self, answer) -> None:
-        if isinstance(answer, dict):
-            try:
-                self.epoch = max(self.epoch, int(answer.get("epoch", 0)))
-            except (TypeError, ValueError):
-                pass
-
-    def _with_epoch(self, path: str, doc):
-        """Attach the cluster epoch to mutating bodies (split-brain fence)."""
-        if self.epoch and path in EPOCHED_PATHS:
-            doc = dict(doc or {})
-            doc.setdefault("epoch", self.epoch)
-        return doc
-
-    def _endpoint_for(self, url: str) -> _Endpoint:
-        """The endpoint for a redirect target, learned if previously unknown."""
-        url = url.rstrip("/")
-        for endpoint in self.endpoints:
-            if endpoint.url == url:
-                return endpoint
-        endpoint = _Endpoint(url)
-        self.endpoints.append(endpoint)
-        return endpoint
-
     def _request(self, method: str, path: str, doc=None) -> dict:
-        """One logical request: walk the endpoints until one answers.
+        """One logical request: breaker check, then retry transients.
 
-        The walk starts at the last endpoint that answered; each stop
-        gets its own retry/backoff and breaker bookkeeping.  A standby's
-        redirect pushes the advertised primary to the front of the walk
-        (keeping the standby as the fallback: if the primary is dead the
-        standby is asked to promote and the write retried there).  Only
-        when every endpoint failed does :class:`CatalogUnavailable`
-        escape to the degradation path.
+        :class:`CatalogUnavailable` (breaker open, a permanent fault, or
+        retries exhausted) is the only path to degradation; a 409 is a
+        :class:`FenceError`, any other error status a
+        :class:`CatalogRequestError`.
         """
         with self._lock:
-            count = len(self.endpoints)
-            queue = [
-                self.endpoints[(self._active + step) % count]
-                for step in range(count)
-            ]
-            tried: set[str] = set()
-            skipped_open = 0
-            hops = 0
-            last_error: Exception | None = None
-            while queue and hops < 2 * count + 4:
-                endpoint = queue.pop(0)
-                if endpoint.url in tried:
-                    continue
-                tried.add(endpoint.url)
-                hops += 1
-                now = self.clock()
-                if now < endpoint.open_until:
-                    skipped_open += 1
-                    last_error = CatalogUnavailable(
-                        f"catalog {endpoint.url} circuit breaker open for "
-                        f"another {endpoint.open_until - now:.1f}s"
-                    )
-                    continue
+            now = self.clock()
+            if now < self._open_until:
+                raise CatalogUnavailable(
+                    f"catalog {self.url} circuit breaker open for another "
+                    f"{self._open_until - now:.1f}s"
+                )
+            attempt = 0
+            while True:
+                self.requests_sent += 1
                 try:
-                    answer = self._request_endpoint(
-                        endpoint, method, path, self._with_epoch(path, doc)
-                    )
-                except CatalogUnavailable as exc:
-                    last_error = exc
+                    if self._injector is not None:
+                        self._injector.on_request(path)
+                    status, answer = self._once(method, path, doc)
+                except PermanentFault as exc:
+                    # a dead server does not heal by retrying
+                    self._drop_conn()
+                    self._record_failure()
+                    raise CatalogUnavailable(
+                        f"catalog {self.url} unreachable: {exc}"
+                    ) from exc
+                except (
+                    TransientFault,
+                    OSError,
+                    http.client.HTTPException,
+                ) as exc:
+                    self._drop_conn()
+                    if attempt >= self._policy.max_retries:
+                        self._record_failure()
+                        raise CatalogUnavailable(
+                            f"catalog {self.url} unreachable after "
+                            f"{attempt + 1} attempt(s): {exc}"
+                        ) from exc
+                    self._policy.sleep(self._policy.backoff(attempt, self._rng))
+                    attempt += 1
+                    self.retries += 1
                     continue
-                except _NotPrimary as exc:
-                    answer = self._handle_not_primary(
-                        endpoint, exc, method, path, doc, queue, tried
-                    )
-                    if answer is None:
-                        last_error = CatalogUnavailable(str(exc))
-                        continue
-                except _StaleEpoch as exc:
-                    if exc.epoch > self.epoch:
-                        # a standby was promoted since we last synced:
-                        # adopt the new epoch and retry right here
-                        self.epoch = exc.epoch
-                        tried.discard(endpoint.url)
-                        queue.insert(0, endpoint)
-                        continue
-                    # the endpoint is a fenced stale primary: skip it
-                    last_error = CatalogUnavailable(
-                        f"catalog {endpoint.url} is fenced at a stale "
-                        f"epoch (ours is {self.epoch}): {exc}"
-                    )
-                    continue
-                self._settle_active(endpoint)
-                return answer
-            if skipped_open and skipped_open >= len(tried):
-                raise last_error  # every endpoint's circuit breaker open
-            raise last_error if last_error is not None else CatalogUnavailable(
-                f"no catalog endpoint of {self.url} reachable"
-            )
+                break
+            self._failures = 0  # any answer closes the breaker
+            self._open_until = 0.0
+            if status == 409:
+                raise FenceError(answer.get("error", "stale fence token"))
+            if status >= 400:
+                raise CatalogRequestError(
+                    answer.get("error", f"catalog server answered {status}")
+                )
+            return answer
 
-    def _handle_not_primary(
-        self, endpoint, exc, method, path, doc, queue, tried
-    ):
-        """A standby refused a write: redirect, or promote it and retry.
-
-        Returns the successful answer, or ``None`` when this branch could
-        not complete the request (the walk continues).
-        """
-        primary = (
-            self._endpoint_for(exc.primary) if exc.primary else None
-        )
-        if primary is not None and primary.url not in tried:
-            # chase the advertised primary first, but come back to this
-            # standby if the primary turns out to be the dead box
-            queue.insert(0, primary)
-            queue.append(endpoint)
-            tried.discard(endpoint.url)
-            return None
-        # the advertised primary was already tried (and failed) or the
-        # standby knows none: ask the standby itself to take over
-        try:
-            promoted = self._request_endpoint(endpoint, "POST", "/promote", {})
-            self._learn_epoch(promoted)
-            self.failovers += 1
-            return self._request_endpoint(
-                endpoint, method, path, self._with_epoch(path, doc)
-            )
-        except (CatalogUnavailable, _NotPrimary, _StaleEpoch):
-            return None
-
-    def _settle_active(self, endpoint: _Endpoint) -> None:
-        try:
-            index = self.endpoints.index(endpoint)
-        except ValueError:  # pragma: no cover - endpoints only grow
-            return
-        if index != self._active:
-            self._active = index
-            self.failovers += 1
-
-    def _record_failure(self, endpoint: _Endpoint) -> None:
-        endpoint.failures += 1
-        if endpoint.failures >= self.breaker_threshold:
-            endpoint.open_until = self.clock() + self.breaker_cooldown
+    def _record_failure(self) -> None:
+        self._failures += 1
+        if self._failures >= self.breaker_threshold:
+            self._open_until = self.clock() + self.breaker_cooldown
 
     # ------------------------------------------------------------------
     # degradation
@@ -780,5 +568,4 @@ __all__ = [
     "CatalogUnavailable",
     "is_catalog_url",
     "resolve_stats_catalog",
-    "split_catalog_urls",
 ]

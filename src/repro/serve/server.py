@@ -14,7 +14,7 @@ Endpoints
 ``GET /metrics``             Prometheus 0.0.4 text (the shared exporter)
 ``GET /export``              the full catalog document (whole-catalog readers
                              and ``catalog export``; a night never asks for it)
-``POST /lookup``             ``{keys, now?, count_hits?}`` -> ``{entries, unusable, epoch}``
+``POST /lookup``             ``{keys, now?, count_hits?}`` -> ``{entries, unusable}``
 ``POST /entries``            ``{se_keys}`` -> every entry on those SEs
 ``POST /put``                ``{entries, fence?}`` -> insert/replace (WAL'd)
 ``POST /merge``              ``{entries, fence?}`` -> newer-observation-wins fold
@@ -24,8 +24,6 @@ Endpoints
 ``POST /lease``              ``{holder, ttl?}`` -> ``{fence}`` (writer lease)
 ``POST /lease/release``      ``{fence}`` -> give the lease back after a save
 ``POST /snapshot``           force a write-behind snapshot + WAL truncation
-``GET /wal/stream?from=N``   replication stream: records past N, or a reset
-``POST /promote``            make this standby the primary (epoch bump)
 ===========================  ====================================================
 
 ``/lookup`` answers for exactly the asked keys: ``entries`` are the usable
@@ -37,11 +35,8 @@ list has no entry.
 
 Writes carrying a stale fence token answer **409** -- the holder's lease
 was taken over and its buffered night must not clobber the successor's.
-Two more 409 shapes drive high availability: a mutation against a standby
-answers ``{"not_primary": true, "primary": URL}`` (the client should
-redirect), and a mutation carrying a stale promotion epoch answers
-``{"stale_epoch": true, "epoch": N}`` (split-brain fencing -- the writer,
-or the server itself, was superseded by a promoted standby).
+A malformed body (not a JSON object, a non-integer ``fence``) answers
+**400**.
 """
 
 from __future__ import annotations
@@ -60,9 +55,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.service import (
     DEFAULT_SNAPSHOT_INTERVAL,
     CatalogService,
-    EpochError,
     FenceError,
-    NotPrimaryError,
     SnapshotDaemon,
 )
 
@@ -130,21 +123,6 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         self.server.request_began()
         try:
             status, doc = self._dispatch(method)
-        except NotPrimaryError as exc:
-            # redirect semantics: the body names the primary to retry on
-            status, doc = 409, {
-                "error": str(exc),
-                "not_primary": True,
-                "primary": exc.primary,
-                "epoch": self.service.epoch,
-            }
-        except EpochError as exc:
-            # split-brain fencing: the writer (or this server) is stale
-            status, doc = 409, {
-                "error": str(exc),
-                "stale_epoch": True,
-                "epoch": self.service.epoch,
-            }
         except FenceError as exc:
             status, doc = 409, {"error": str(exc)}
         except (PersistenceError, ValueError, KeyError) as exc:
@@ -178,26 +156,10 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _dispatch(self, method: str) -> tuple[int, dict | str]:
         service = self.service
-        path, _, query = self.path.partition("?")
+        path = self.path.split("?", 1)[0]
         if method == "GET":
             if path == "/healthz":
-                doc = service.stats()
-                tailer = getattr(self.server, "tailer", None)
-                if tailer is not None:
-                    doc["replication_lag"] = tailer.lag
-                    doc["upstream"] = tailer.primary_url
-                return 200, doc
-            if path == "/wal/stream":
-                from urllib.parse import parse_qs
-
-                params = parse_qs(query)
-                try:
-                    from_seq = int(params.get("from", ["0"])[0])
-                except ValueError as exc:
-                    raise ValueError(
-                        f"bad ?from= cursor in {self.path!r}"
-                    ) from exc
-                return 200, service.wal_stream(from_seq)
+                return 200, service.stats()
             if path == "/metrics":
                 return 200, self.metrics.render_prometheus()
             if path == "/export":
@@ -208,8 +170,9 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
 
         body = self._body()
         fence = body.get("fence")
-        epoch = body.get("epoch")
-        epoch = int(epoch) if epoch is not None else None
+        if fence is not None and type(fence) is not int:
+            # a malformed token is a bad request, not a lease takeover (409)
+            raise ValueError(f"bad fence {fence!r}; a fence token is an integer")
         if path == "/lookup":
             keys = body.get("keys", [])
             entries = service.lookup(
@@ -222,9 +185,6 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             return 200, {
                 "entries": [e.to_dict() for e in entries],
                 "unusable": [e.to_dict() for e in unusable if e is not None],
-                # a night's first contact: where its client learns the
-                # epoch its writes must carry
-                "epoch": service.epoch,
             }
         if path == "/entries":
             entries = service.entries_on_se(body.get("se_keys", []))
@@ -232,38 +192,25 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         write = _WRITE_METHODS.get(path[1:])
         if write is not None:
             seq = getattr(service, write)(
-                body.get(MUTATIONS[path[1:]], []), fence=fence, epoch=epoch
+                body.get(MUTATIONS[path[1:]], []), fence=fence
             )
-            return 200, {"seq": seq, "epoch": service.epoch}
+            return 200, {"seq": seq}
         if path == "/gc":
             removed = service.gc(
                 ttl=body.get("ttl"),
                 min_quality=body.get("min_quality"),
                 drop_stale=bool(body.get("drop_stale", True)),
                 fence=fence,
-                epoch=epoch,
             )
             return 200, {"removed": removed}
         if path == "/lease":
             token = service.acquire_lease(
-                str(body.get("holder", "anonymous")),
-                ttl=body.get("ttl"),
-                epoch=epoch,
+                str(body.get("holder", "anonymous")), ttl=body.get("ttl")
             )
-            return 200, {"fence": token, "epoch": service.epoch}
+            return 200, {"fence": token}
         if path == "/lease/release":
-            released = service.release_lease(
-                int(body.get("fence", 0)), epoch=epoch
-            )
-            return 200, {"released": released, "epoch": service.epoch}
-        if path == "/promote":
-            new_epoch = service.promote()
-            tailer = getattr(self.server, "tailer", None)
-            if tailer is not None:
-                # stop tailing the old primary in the background; the
-                # epoch fence would reject its stream anyway
-                threading.Thread(target=tailer.stop, daemon=True).start()
-            return 200, {"epoch": new_epoch, "role": service.role}
+            released = service.release_lease(0 if fence is None else fence)
+            return 200, {"released": released}
         if path == "/snapshot":
             service.snapshot()
             return 200, {"wal_seq": service.wal.last_seq}
@@ -285,7 +232,6 @@ class _ServerCore:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._log_path = Path(log_path) if log_path else None
         self._log_lock = threading.Lock()
-        self.tailer = None  # ReplicationTailer when started as a standby
         self.snapshot_daemon = None
         self._inflight = 0
         self._inflight_lock = threading.Lock()
@@ -324,8 +270,6 @@ class _ServerCore:
                 handle.write(line)
 
     def stop_daemons(self) -> None:
-        if self.tailer is not None:
-            self.tailer.stop()
         if self.snapshot_daemon is not None:
             self.snapshot_daemon.stop()
 
@@ -406,19 +350,11 @@ def make_server(
     gc_interval: float | None = None,
     lease_ttl: float | None = None,
     fsync: bool = True,
-    replicate_from: str | None = None,
-    auto_promote_after: int | None = None,
-    poll_interval: float | None = None,
-    faults=None,
 ):
     """Build a ready-to-``serve_forever`` catalog server.
 
-    With ``replicate_from`` the server starts life as a standby: its
-    service refuses writes with a redirect to that URL, and a
-    :class:`~repro.serve.replication.ReplicationTailer` thread tails the
-    primary's WAL stream.  Every server also runs a
-    :class:`~repro.serve.service.SnapshotDaemon` so snapshots and GC
-    happen off the request path.
+    The server runs a :class:`~repro.serve.service.SnapshotDaemon` so
+    snapshots and GC happen off the request path.
     """
     metrics = metrics if metrics is not None else MetricsRegistry()
     kwargs = {}
@@ -426,9 +362,6 @@ def make_server(
         kwargs["snapshot_every"] = snapshot_every
     if lease_ttl is not None:
         kwargs["lease_ttl"] = lease_ttl
-    if replicate_from:
-        kwargs["role"] = "standby"
-        kwargs["primary_url"] = replicate_from
     service = CatalogService(
         catalog_path, wal_path, metrics=metrics, fsync=fsync, **kwargs
     )
@@ -444,21 +377,7 @@ def make_server(
     server.snapshot_daemon = SnapshotDaemon(
         service, interval=interval, gc_interval=gc_interval
     ).start()
-    if replicate_from:
-        from repro.serve.replication import ReplicationTailer
-
-        tailer_kwargs = {"faults": faults, "metrics": metrics}
-        if auto_promote_after is not None:
-            tailer_kwargs["auto_promote_after"] = auto_promote_after
-        if poll_interval is not None:
-            tailer_kwargs["poll_interval"] = poll_interval
-        server.tailer = ReplicationTailer(
-            service, replicate_from, **tailer_kwargs
-        ).start()
-    server.log(
-        f"serving catalog {catalog_path} on {listen} as {service.role}"
-        + (f" of {replicate_from}" if replicate_from else "")
-    )
+    server.log(f"serving catalog {catalog_path} on {listen}")
     return server
 
 
@@ -499,13 +418,6 @@ class ServerThread:
         # halts them without a snapshot (their stop paths never fold)
         self.server.stop_daemons()
         self.server.service.wal.close()
-
-    def promote(self) -> int:
-        """Promote this (standby) server's service; returns the epoch."""
-        epoch = self.server.service.promote()
-        if self.server.tailer is not None:
-            self.server.tailer.stop()
-        return epoch
 
 
 __all__ = [

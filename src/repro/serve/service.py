@@ -21,12 +21,11 @@ and concurrency properties are testable in-process:
 - **One catalog, two locks.** The entries are one
   :class:`~repro.catalog.store.StatisticsCatalog`, and every entry rule
   (usable, supersedes, stale, quality, collectable) is its: live
-  mutations, WAL replay and the replication stream all end in its
-  ``apply(op, items)``.  Mutations are serialized by the write lock -- WAL
-  order *is* memory order, so replay reconstructs exactly the state the
-  live server had.  A second, short-held state lock guards the entry dict
-  itself, so a reader never waits for a WAL fsync, only for another dict
-  access.
+  mutations and WAL replay both end in its ``apply(op, items)``.
+  Mutations are serialized by the write lock -- WAL order *is* memory
+  order, so replay reconstructs exactly the state the live server had.  A
+  second, short-held state lock guards the entry dict itself, so a reader
+  never waits for a WAL fsync, only for another dict access.
 
 - **Lease fencing.** Writers that reconcile a night's run first acquire
   a lease and attach its fence token to every write.  Tokens are
@@ -34,16 +33,9 @@ and concurrency properties are testable in-process:
   over comes back with a stale token and every one of its writes is
   rejected (:class:`FenceError`) instead of clobbering the takeover's.
 
-- **Replication.** A service runs as a ``primary`` or a ``standby``.
-  The primary keeps an in-memory tail of WAL records since the last
-  snapshot and serves it through :meth:`wal_stream`; a standby replays
-  the stream with :meth:`apply_replicated` (same sequence numbers, same
-  single apply path), answering reads but refusing writes with
-  :class:`NotPrimaryError` so clients are redirected.  Promotion is
-  fenced by a monotonic *epoch* persisted in the WAL header: a promoted
-  standby bumps it, and every mutation carrying a lower epoch -- i.e.
-  writes from a resurrected stale primary's clients -- is rejected with
-  :class:`EpochError` before it can corrupt entries (no split-brain).
+There is one service per catalog and no second copy of it: durability
+comes from the WAL, and availability from the client's degradation to
+its local view when the daemon is unreachable.
 """
 
 from __future__ import annotations
@@ -76,30 +68,8 @@ class FenceError(PersistenceError):
     """A write carried a stale fence token: its lease was taken over."""
 
 
-class EpochError(FenceError):
-    """A write carried a stale promotion epoch: a standby was promoted.
-
-    Subclasses :class:`FenceError` because it is the same shape of
-    failure one level up -- a writer (here: a whole server's clientele)
-    that lost ownership and must not be allowed to clobber the
-    successor's state.
-    """
-
-
-class NotPrimaryError(PersistenceError):
-    """A mutation reached a standby; it carries the primary to redirect to."""
-
-    def __init__(self, primary: str = ""):
-        self.primary = primary
-        where = f"; the primary is {primary}" if primary else ""
-        super().__init__(
-            f"this catalog server is a read-only standby{where}: "
-            "retry the write against the primary or promote this standby"
-        )
-
-
 class CatalogService:
-    """A :class:`StatisticsCatalog` made crash-safe, lease-fenced and replicated."""
+    """A :class:`StatisticsCatalog` made crash-safe and lease-fenced."""
 
     def __init__(
         self,
@@ -113,13 +83,7 @@ class CatalogService:
         fsync: bool = True,
         metrics=None,
         clock=time.time,
-        role: str = "primary",
-        primary_url: str = "",
     ):
-        if role not in ("primary", "standby"):
-            raise PersistenceError(
-                f"bad catalog role {role!r}; want 'primary' or 'standby'"
-            )
         self.path = Path(path)
         self.wal = WriteAheadLog(
             Path(wal_path) if wal_path is not None else Path(str(path) + ".wal"),
@@ -142,12 +106,6 @@ class CatalogService:
         self.lease_deadline = 0.0
         self.snapshot_seq = 0  # last WAL seq absorbed by the snapshot
         self._since_snapshot = 0
-
-        self.role = role
-        self.primary_url = primary_url.rstrip("/") if primary_url else ""
-        self.epoch = 1  # promotion epoch (monotonic, WAL-header persisted)
-        #: WAL records since the last snapshot, kept for wal_stream()
-        self._wal_tail: list[dict] = []
         #: set when snapshot_every mutations accumulated; the background
         #: snapshot daemon (not the request path) folds them into a snapshot
         self._snapshot_due = threading.Event()
@@ -158,18 +116,24 @@ class CatalogService:
     # startup: snapshot + WAL replay
     # ------------------------------------------------------------------
     def _load(self) -> None:
+        """Load the snapshot, then replay the WAL records it did not absorb.
+
+        A snapshot is a plain catalog document; the absorbed WAL sequence,
+        the fence and the lease ride as extra top-level fields the plain
+        catalog loader ignores, as it ignores any other top-level field an
+        earlier release wrote.
+        """
         if self.path.exists():
             doc = _load_json(self.path, "catalog")
-            self._load_snapshot_doc(doc)
-            self.epoch = max(self.epoch, int(doc.get("epoch", 1)))
+            self.catalog._load_doc(doc)
+            self.snapshot_seq = int(doc.get("wal_seq", 0))
+            self.fence = int(doc.get("fence", 0))
+            self.lease_holder = str(doc.get("lease_holder", ""))
+            self.lease_deadline = float(doc.get("lease_deadline", 0.0))
         replayed = 0
         for record in self.wal.replay(after_seq=self.snapshot_seq):
             self._apply(record)
-            self._wal_tail.append(record)
             replayed += 1
-        # the WAL header may carry a higher epoch than the snapshot (the
-        # promotion happened after the last snapshot was written)
-        self.epoch = max(self.epoch, self.wal.epoch)
         self.replayed_records = replayed
         self._publish_gauges()
         if replayed and self.metrics is not None:
@@ -183,25 +147,6 @@ class CatalogService:
             self.metrics.gauge(
                 "catalog_server_entries", "entries held by the service"
             ).set(len(self))
-            self.metrics.gauge(
-                "catalog_epoch", "promotion epoch of this catalog server"
-            ).set(self.epoch)
-
-    def _load_snapshot_doc(self, doc: dict) -> None:
-        """Replace the entries with a snapshot document's.
-
-        A snapshot is a plain catalog document; the absorbed WAL sequence,
-        the fence and the lease ride as extra top-level fields the plain
-        catalog loader ignores.
-        """
-        catalog = StatisticsCatalog(None, self.ttl, self.min_quality)
-        catalog._load_doc(doc)
-        with self._state_lock:
-            self.catalog = catalog
-        self.snapshot_seq = int(doc.get("wal_seq", 0))
-        self.fence = max(self.fence, int(doc.get("fence", 0)))
-        self.lease_holder = str(doc.get("lease_holder", ""))
-        self.lease_deadline = float(doc.get("lease_deadline", 0.0))
 
     # ------------------------------------------------------------------
     # reads: the catalog's own, under the state lock
@@ -238,9 +183,7 @@ class CatalogService:
     # ------------------------------------------------------------------
     # leases
     # ------------------------------------------------------------------
-    def acquire_lease(
-        self, holder: str, ttl: float | None = None, epoch: int | None = None
-    ) -> int:
+    def acquire_lease(self, holder: str, ttl: float | None = None) -> int:
         """Issue a fresh fence token; takes over an expired lease.
 
         A *live* lease held by someone else is not stolen -- the contender
@@ -250,8 +193,6 @@ class CatalogService:
         """
         ttl = self.lease_ttl if ttl is None else ttl
         with self._write_lock:
-            self._check_writable()
-            self._check_epoch(epoch)
             now = self.clock()
             if (
                 self.lease_holder
@@ -267,7 +208,7 @@ class CatalogService:
             )
             return self.fence
 
-    def release_lease(self, fence: int, epoch: int | None = None) -> bool:
+    def release_lease(self, fence: int) -> bool:
         """Give the lease back after a completed save.
 
         Releasing with a stale token is a silent no-op -- the lease was
@@ -275,8 +216,6 @@ class CatalogService:
         release.  The fence counter itself never goes backwards.
         """
         with self._write_lock:
-            self._check_writable()
-            self._check_epoch(epoch)
             if fence != self.fence or not self.lease_holder:
                 return False
             self._commit("lease", fence=self.fence, holder="", deadline=0.0)
@@ -289,33 +228,6 @@ class CatalogService:
                 "writer's lease was taken over; re-acquire and retry"
             )
 
-    def _check_writable(self) -> None:
-        if self.role != "primary":
-            raise NotPrimaryError(self.primary_url)
-
-    def _check_epoch(self, epoch: int | None) -> None:
-        """Epoch fencing, checked before anything else on every mutation.
-
-        A *lower* client epoch means the client is stale (a standby was
-        promoted since it last synced): it must refresh.  A *higher*
-        client epoch means **this server** is the stale one -- it was
-        SIGKILLed as primary, a standby took over, and it came back up
-        still believing it leads.  Rejecting here is what prevents
-        split-brain from corrupting entries.
-        """
-        if epoch is None or epoch == self.epoch:
-            return
-        if epoch > self.epoch:
-            raise EpochError(
-                f"this server's epoch {self.epoch} is behind the cluster "
-                f"epoch {epoch}: a standby was promoted over it; this "
-                "server is fenced and must resync before accepting writes"
-            )
-        raise EpochError(
-            f"stale epoch {epoch} (current {self.epoch}): a standby was "
-            "promoted since this writer last synced; refresh and retry"
-        )
-
     # ------------------------------------------------------------------
     # mutations: WAL first, memory second, ack last
     # ------------------------------------------------------------------
@@ -323,22 +235,18 @@ class CatalogService:
         """One durable record: appended, then applied as replay applies it."""
         seq = self.wal.last_seq + 1
         self.wal.append(op, seq, **fields)
-        record = {"v": WAL_FORMAT_VERSION, "seq": seq, "op": op, **fields}
-        self._wal_tail.append(record)
-        self._apply(record)
+        self._apply({"v": WAL_FORMAT_VERSION, "seq": seq, "op": op, **fields})
         if self.metrics is not None:
             self.metrics.counter(
                 "catalog_server_wal_records_total", "durable WAL appends"
             ).inc(op=op)
         return seq
 
-    def _mutate(self, op: str, items, fence: int | None, epoch: int | None) -> int:
+    def _mutate(self, op: str, items, fence: int | None) -> int:
         with self._write_lock:
-            return self._mutate_locked(op, items, fence, epoch)
+            return self._mutate_locked(op, items, fence)
 
-    def _mutate_locked(self, op, items, fence, epoch) -> int:
-        self._check_writable()
-        self._check_epoch(epoch)
+    def _mutate_locked(self, op, items, fence) -> int:
         self._check_fence(fence)
         seq = self._commit(op, **{MUTATIONS[op]: items})
         self._since_snapshot += 1
@@ -349,29 +257,21 @@ class CatalogService:
         self._publish_gauges()
         return seq
 
-    def put_entries(
-        self, entry_docs, fence: int | None = None, epoch: int | None = None
-    ) -> int:
+    def put_entries(self, entry_docs, fence: int | None = None) -> int:
         """Insert-or-replace whole entries (the reconcile write path)."""
-        return self._mutate("put", self._entry_docs(entry_docs), fence, epoch)
+        return self._mutate("put", self._entry_docs(entry_docs), fence)
 
-    def merge_entries(
-        self, entry_docs, fence: int | None = None, epoch: int | None = None
-    ) -> int:
+    def merge_entries(self, entry_docs, fence: int | None = None) -> int:
         """Fold entries in, newer ``observed_at`` winning per key."""
-        return self._mutate("merge", self._entry_docs(entry_docs), fence, epoch)
+        return self._mutate("merge", self._entry_docs(entry_docs), fence)
 
-    def mark_stale(
-        self, keys, fence: int | None = None, epoch: int | None = None
-    ) -> int:
-        return self._mutate("stale", sorted(set(keys)), fence, epoch)
+    def mark_stale(self, keys, fence: int | None = None) -> int:
+        return self._mutate("stale", sorted(set(keys)), fence)
 
-    def adjust_quality(
-        self, adjustments, fence: int | None = None, epoch: int | None = None
-    ) -> int:
+    def adjust_quality(self, adjustments, fence: int | None = None) -> int:
         """Blend prediction errors into quality scores; ``[[key, err]..]``."""
         pairs = [[str(key), float(err)] for key, err in adjustments]
-        return self._mutate("quality", pairs, fence, epoch)
+        return self._mutate("quality", pairs, fence)
 
     def gc(
         self,
@@ -379,7 +279,6 @@ class CatalogService:
         min_quality: float | None = None,
         drop_stale: bool = True,
         fence: int | None = None,
-        epoch: int | None = None,
     ) -> int:
         """Drop expired/low-quality/stale entries; returns the count.
 
@@ -395,7 +294,7 @@ class CatalogService:
                     self.clock(), ttl, min_quality, drop_stale
                 )
             if doomed:
-                self._mutate_locked("delete", doomed, fence, epoch)
+                self._mutate_locked("delete", doomed, fence)
         return len(doomed)
 
     @staticmethod
@@ -419,124 +318,6 @@ class CatalogService:
             raise PersistenceError(f"WAL record with unknown op {op!r}")
 
     # ------------------------------------------------------------------
-    # replication: stream the WAL out, apply a streamed WAL in
-    # ------------------------------------------------------------------
-    def wal_stream(self, from_seq: int) -> dict:
-        """One page of the replication stream, from a standby's cursor.
-
-        If the cursor predates the last snapshot the requested records
-        were already folded away, so the answer is a *reset*: the full
-        snapshot document the standby must load before tailing again.
-        Otherwise it is the (possibly empty) list of tail records with
-        ``seq > from_seq``.  Either shape carries the primary's epoch and
-        head sequence so the standby can fence and measure its lag.
-        """
-        with self._write_lock:
-            head = {
-                "epoch": self.epoch,
-                "seq": self.wal.last_seq,
-                "role": self.role,
-            }
-            if from_seq < self.snapshot_seq:
-                return {"reset": True, "snapshot": self.to_dict(), **head}
-            records = [
-                record
-                for record in self._wal_tail
-                if record.get("seq", 0) > from_seq
-            ]
-            return {"records": records, **head}
-
-    def apply_replicated(self, records, epoch: int | None = None) -> int:
-        """Apply streamed WAL records, preserving the primary's sequencing.
-
-        The standby's WAL ends up byte-for-byte equivalent to the
-        primary's suffix: same ops, same sequence numbers, through the
-        same single :meth:`_apply` path.  Records at or below our cursor
-        are skipped (the stream may overlap after a reconnect).
-        """
-        applied = 0
-        with self._write_lock:
-            self._adopt_epoch_locked(epoch)
-            for record in records:
-                seq = record.get("seq", 0)
-                if not isinstance(seq, int) or seq <= self.wal.last_seq:
-                    continue
-                op = record.get("op")
-                fields = {
-                    key: value
-                    for key, value in record.items()
-                    if key not in ("v", "seq", "op")
-                }
-                self.wal.append(op, seq, **fields)
-                self._apply(record)
-                self._wal_tail.append(record)
-                applied += 1
-                self._since_snapshot += 1
-            if self._since_snapshot >= self.snapshot_every:
-                self._snapshot_due.set()
-            if applied and self.metrics is not None:
-                self.metrics.counter(
-                    "catalog_server_replicated_records_total",
-                    "WAL records applied from the replication stream",
-                ).inc(applied)
-                self._publish_gauges()
-        return applied
-
-    def load_snapshot(self, doc: dict, epoch: int | None = None) -> None:
-        """Bootstrap (or re-bootstrap) this standby from a reset snapshot.
-
-        Replaces all in-memory state with the snapshot, persists it
-        locally, and fast-forwards the WAL cursor to the snapshot's
-        absorbed sequence so tailing resumes exactly where the snapshot
-        ends.
-        """
-        with self._write_lock:
-            self._adopt_epoch_locked(epoch)
-            self._load_snapshot_doc(doc)
-            self.wal.last_seq = max(self.wal.last_seq, self.snapshot_seq)
-            self._snapshot_locked()
-
-    def promote(self) -> int:
-        """Make this standby the primary, fenced by a bumped epoch.
-
-        The epoch is durably written to the WAL header *before* the role
-        flips, so even a crash mid-promotion leaves a server that outranks
-        the primary it replaced.  Promoting a primary is a no-op (returns
-        the current epoch) so the call is idempotent.
-        """
-        with self._write_lock:
-            if self.role != "primary":
-                self.epoch += 1
-                self.wal.write_epoch(self.epoch)
-                self.role = "primary"
-                self.primary_url = ""
-                self._publish_gauges()
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "catalog_server_promotions_total",
-                        "standby-to-primary promotions",
-                    ).inc()
-            return self.epoch
-
-    def _adopt_epoch_locked(self, epoch: int | None) -> None:
-        """Track the upstream's epoch while tailing it.
-
-        A *higher* upstream epoch is adopted (the upstream was itself
-        promoted).  A *lower* one means this server was promoted over the
-        upstream -- the stream is stale and must not be applied.
-        """
-        if epoch is None or epoch == self.epoch:
-            return
-        if epoch < self.epoch:
-            raise EpochError(
-                f"replication stream carries stale epoch {epoch} "
-                f"(ours is {self.epoch}): the upstream was superseded"
-            )
-        self.epoch = epoch
-        self.wal.write_epoch(epoch)
-        self._publish_gauges()
-
-    # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -545,7 +326,6 @@ class CatalogService:
         return {
             **doc,
             "wal_seq": self.wal.last_seq,
-            "epoch": self.epoch,
             "fence": self.fence,
             "lease_holder": self.lease_holder,
             "lease_deadline": self.lease_deadline,
@@ -566,27 +346,21 @@ class CatalogService:
     def snapshot(self) -> None:
         """Persist memory as a plain catalog document, truncate the WAL."""
         with self._write_lock:
-            self._snapshot_locked()
-
-    def _snapshot_locked(self) -> None:
-        doc = self.to_dict()
-        atomic_write_json(doc, self.path)
-        self.snapshot_seq = doc["wal_seq"]
-        self.wal.truncate()
-        self._wal_tail = []
-        # the lease fence must survive the truncation: re-seed the fresh
-        # log so a post-snapshot restart still rejects pre-snapshot tokens.
-        # Only the primary appends -- a standby's WAL sequence numbers must
-        # mirror the primary's exactly, and its fence rides the snapshot.
-        if self.fence and self.role == "primary":
-            self._commit(
-                "lease",
-                fence=self.fence,
-                holder=self.lease_holder,
-                deadline=self.lease_deadline,
-            )
-        self._since_snapshot = 0
-        self._snapshot_due.clear()
+            doc = self.to_dict()
+            atomic_write_json(doc, self.path)
+            self.snapshot_seq = doc["wal_seq"]
+            self.wal.truncate()
+            # the lease fence must survive the truncation: re-seed the fresh
+            # log so a post-snapshot restart still rejects pre-snapshot tokens
+            if self.fence:
+                self._commit(
+                    "lease",
+                    fence=self.fence,
+                    holder=self.lease_holder,
+                    deadline=self.lease_deadline,
+                )
+            self._since_snapshot = 0
+            self._snapshot_due.clear()
         if self.metrics is not None:
             self.metrics.counter(
                 "catalog_server_snapshots_total", "write-behind snapshots"
@@ -607,9 +381,6 @@ class CatalogService:
             "snapshot_seq": self.snapshot_seq,
             "fence": self.fence,
             "lease_holder": self.lease_holder,
-            "role": self.role,
-            "epoch": self.epoch,
-            "primary": self.primary_url,
         }
 
 
@@ -621,8 +392,7 @@ class SnapshotDaemon:
     flag or every ``interval`` seconds -- whichever comes first -- and
     does the actual fold, so no client ever pays the snapshot's
     write-and-truncate latency.  With ``gc_interval`` set, expired and
-    low-quality entries are also collected here (primary only: deletions
-    replicate to standbys through the WAL stream like any mutation).
+    low-quality entries are also collected here.
     """
 
     def __init__(
@@ -660,7 +430,6 @@ class SnapshotDaemon:
         try:
             if (
                 self.gc_interval is not None
-                and self.service.role == "primary"
                 and self.clock() - self._last_gc >= self.gc_interval
             ):
                 self.collected += self.service.gc(drop_stale=False)
@@ -685,8 +454,6 @@ __all__ = [
     "DEFAULT_SNAPSHOT_EVERY",
     "DEFAULT_SNAPSHOT_INTERVAL",
     "CatalogService",
-    "EpochError",
     "FenceError",
-    "NotPrimaryError",
     "SnapshotDaemon",
 ]

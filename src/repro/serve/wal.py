@@ -24,14 +24,9 @@ from it on -- those bytes were never acknowledged, so losing them is the
 contract, not a violation of it.  Anything wrong *before* the tail (a bad
 checksum followed by healthy records) is real corruption and raises.
 
-Replication adds one special record: the **epoch header**, an
-``{"op": "epoch", "seq": 0, "epoch": N}`` record carrying the promotion
-epoch of the server that owns this log.  It is the only record allowed to
-carry ``seq`` 0, it is never yielded by :meth:`WriteAheadLog.replay`
-(it sets :attr:`WriteAheadLog.epoch` instead), and :meth:`truncate`
-re-seeds it into the fresh log so the epoch survives snapshots.  A
-promoted standby bumps the epoch with :meth:`write_epoch`; a resurrected
-stale primary replays a lower epoch and is fenced by the service.
+One daemon owns a log (an exclusive ``flock`` on ``<wal>.lock``).  A log
+written by an earlier release may open with a ``seq`` 0 header record
+(``{"op": "epoch"}``); replay skips it, and nothing writes one any more.
 """
 
 from __future__ import annotations
@@ -56,9 +51,6 @@ WAL_FORMAT_VERSION = 1
 #: operations a record may carry: the catalog's mutations (their semantics are
 #: ``StatisticsCatalog.apply``'s) and the service's own lease record
 WAL_OPS = (*MUTATIONS, "lease")
-
-#: the header op marking the log owner's promotion epoch (seq 0, not replayed)
-WAL_EPOCH_OP = "epoch"
 
 
 class WalError(PersistenceError):
@@ -100,7 +92,6 @@ class WriteAheadLog:
         self.fsync = fsync
         self._fh = None
         self.last_seq = 0  # highest sequence appended or replayed
-        self.epoch = 0  # promotion epoch from the header record (0 = unset)
         self.records_written = 0
         # two servers appending to one log interleave acknowledged
         # records and race the truncation swap: refuse the second one
@@ -145,27 +136,6 @@ class WriteAheadLog:
         self.last_seq = seq
         self.records_written += 1
         return seq
-
-    def write_epoch(self, epoch: int) -> None:
-        """Durably record the owner's promotion epoch (a ``seq`` 0 header).
-
-        The epoch never decreases: a promoted standby writes its bumped
-        epoch here so that even after a crash-and-restart it outranks the
-        primary it replaced.
-        """
-        if not isinstance(epoch, int) or epoch < 1:
-            raise WalError(f"bad WAL epoch {epoch!r}; epochs start at 1")
-        if epoch < self.epoch:
-            raise WalError(
-                f"WAL epoch cannot go backwards ({self.epoch} -> {epoch})"
-            )
-        doc = {"v": WAL_FORMAT_VERSION, "seq": 0, "op": WAL_EPOCH_OP, "epoch": epoch}
-        handle = self._handle()
-        handle.write(encode_record(doc))
-        handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
-        self.epoch = epoch
 
     def _close_handle(self) -> None:
         if self._fh is not None and not self._fh.closed:
@@ -212,16 +182,9 @@ class WriteAheadLog:
                     f"WAL {self.path} record {index + 1} has unsupported "
                     f"version {version!r}"
                 )
-            if doc.get("op") == WAL_EPOCH_OP:
-                epoch = doc.get("epoch")
-                if not isinstance(epoch, int) or epoch < 1:
-                    raise WalError(
-                        f"WAL {self.path} record {index + 1} has bad "
-                        f"epoch {epoch!r}"
-                    )
-                self.epoch = max(self.epoch, epoch)
-                continue  # header record: state, not a mutation
             seq = doc.get("seq")
+            if seq == 0 and doc.get("op") == "epoch":
+                continue  # an earlier release's header record, not a mutation
             if not isinstance(seq, int) or seq <= 0:
                 raise WalError(
                     f"WAL {self.path} record {index + 1} has bad seq {seq!r}"
@@ -240,30 +203,16 @@ class WriteAheadLog:
         The snapshot carries ``last_seq``, so even a crash *before* this
         truncation is safe -- replay skips the absorbed records.  The swap
         is an atomic rename: there is never a moment with a half-written
-        log on disk.  The epoch header is re-seeded into the fresh log so
-        promotion state survives every snapshot.
+        log on disk.
         """
         self._close_handle()  # keep the server's exclusive lock
         tmp = self.path.with_name(self.path.name + ".tmp")
         with open(tmp, "wb") as handle:
-            if self.epoch:
-                handle.write(
-                    encode_record(
-                        {
-                            "v": WAL_FORMAT_VERSION,
-                            "seq": 0,
-                            "op": WAL_EPOCH_OP,
-                            "epoch": self.epoch,
-                        }
-                    )
-                )
-            handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
 
 
 __all__ = [
-    "WAL_EPOCH_OP",
     "WAL_FORMAT_VERSION",
     "WAL_OPS",
     "WalError",

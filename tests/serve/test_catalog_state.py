@@ -215,7 +215,7 @@ class TestGcNeverDeletesAnAcknowledgedRefresh:
     def test_put_racing_the_gc_scan_survives(self, tmp_path):
         """A put refreshes an expired key while gc waits for the write
         lock.  Scanning before taking the lock deleted the refreshed,
-        acknowledged entry -- here, on replay and on every standby."""
+        acknowledged entry -- here and on replay."""
         svc = service(tmp_path)
         svc.put_entries([entry_doc("k", 1, observed_at=NOW - 10**9)])
         svc._write_lock = _ObservedLock()
@@ -254,8 +254,9 @@ class TestGcNeverDeletesAnAcknowledgedRefresh:
 
 
 #: written by the commit before the cut (sharded service, five-branch
-#: ``_apply``): a promoted standby's snapshot at seq 2 and the WAL suffix
-#: after it -- epoch header, lease, put, merge, stale, quality, delete, lease
+#: ``_apply``, two-server releases): a snapshot at seq 2 carrying a top-level
+#: ``epoch`` and the WAL suffix after it -- a seq 0 header record, lease, put,
+#: merge, stale, quality, delete, lease
 PARENT_SNAPSHOT = '''{
 "entries":[
 {"backend":"","hits":0,"key":"a","observed_at":1000000.0,"quality":1.0,"repr":"T[a]","run_id":"r1","se_key":"se:a","stale":false,"stat":{"kind":"card"},"value":10,"workflow":"wf"},
@@ -297,6 +298,18 @@ class TestParentFilesReplay:
         assert entries_doc(svc.to_dict()["entries"]) == entries_doc([
             CatalogEntry.from_dict(doc).to_dict() for doc in PARENT_ENTRIES
         ])
-        assert (svc.epoch, svc.fence, svc.lease_holder) == (2, 1, "")
+        assert (svc.fence, svc.lease_holder) == (1, "")
         assert (svc.snapshot_seq, svc.wal.last_seq) == (2, 9)
+
+        # nothing new writes the old header or field
+        svc.snapshot()
+        records = (tmp_path / "catalog.json.wal").read_text().splitlines()
+        assert records and not any('"epoch"' in line for line in records)
+        assert "epoch" not in json.loads((tmp_path / "catalog.json").read_text())
         svc.wal.close()
+        again = service(tmp_path)
+        assert entries_doc(again.to_dict()["entries"]) == entries_doc(
+            svc.to_dict()["entries"]
+        )
+        assert (again.fence, again.wal.last_seq) == (1, 10)
+        again.wal.close()

@@ -2,16 +2,18 @@
 
 import pytest
 
+from repro.core.persistence import PersistenceError
 from repro.core.statistics import Statistic
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.serve.client import (
     CatalogClient,
+    CatalogRequestError,
     CatalogUnavailable,
     is_catalog_url,
     resolve_stats_catalog,
 )
-from repro.serve.server import ServerThread, parse_listen
-from repro.serve.service import FenceError
+from repro.serve.server import ServerThread, make_server, parse_listen
+from repro.serve.service import CatalogService, FenceError
 
 pytestmark = pytest.mark.catalog
 
@@ -178,6 +180,20 @@ class TestLeaseFencing:
         assert server.server.service.get("kb").value() == 1.0
         a.close(), b.close()
 
+    @pytest.mark.parametrize("fence", ["1", 1.0, True, [1]])
+    def test_non_integer_fence_is_a_bad_request(self, server, fence):
+        client = fast_client(server.url)
+        token = client._request("POST", "/lease", {"holder": "a"})["fence"]
+        assert token == 1  # so "1" names the live token in the wrong type
+        doc = {"keys": ["k"], "fence": fence}
+        # 400, not the 409 that tells a writer its lease was taken over
+        with pytest.raises(CatalogRequestError, match="bad fence"):
+            client._request("POST", "/stale", doc)
+        with pytest.raises(CatalogRequestError, match="bad fence"):
+            client._request("POST", "/lease/release", {"fence": fence})
+        assert server.server.service.lease_holder == "a"
+        client.close()
+
     def test_lease_lost_mid_flush_keeps_the_unsent_ops_in_order(self, server):
         b = fast_client(server.url, client_id="b")
         b.record("k1", "se:k1", _stat(), 1.0, workflow="wf", run_id="r")
@@ -311,3 +327,33 @@ class TestResolve:
         store = resolve_stats_catalog(str(tmp_path / "c.json"))
         assert isinstance(store, StatisticsCatalog)
         assert resolve_stats_catalog(store) is store
+
+    def test_an_endpoint_list_is_refused(self, tmp_path):
+        urls = f"unix://{tmp_path / 'a.sock'},unix://{tmp_path / 'b.sock'}"
+        with pytest.raises(PersistenceError, match="one catalog endpoint"):
+            CatalogClient(urls)
+        with pytest.raises(PersistenceError, match="one catalog endpoint"):
+            resolve_stats_catalog(urls)
+
+
+class TestOneDaemon:
+    def test_pair_options_are_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            CatalogService(tmp_path / "c.json", role="primary")
+        with pytest.raises(TypeError):
+            make_server(
+                f"unix://{tmp_path / 'c.sock'}", tmp_path / "c.json",
+                replicate_from="unix:///p.sock",
+            )
+
+    def test_healthz_and_replies_carry_no_pair_state(self, server):
+        client = fast_client(server.url)
+        client.record("k", "se:k", _stat(), 1.0, workflow="wf", run_id="r")
+        client.save()
+        health = client.healthz()
+        assert not {"role", "epoch", "primary"} & set(health)
+        answer = client._request("POST", "/lookup", {"keys": ["k"]})
+        assert set(answer) == {"entries", "unusable"}
+        with pytest.raises(CatalogRequestError, match="no such endpoint"):
+            client._request("GET", "/wal/stream")
+        client.close()

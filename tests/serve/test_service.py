@@ -9,11 +9,12 @@ synchronously with no crash.
 
 import json
 import random
+import time
 
 import pytest
 
 from repro.core.persistence import PersistenceError
-from repro.serve.service import CatalogService, FenceError
+from repro.serve.service import CatalogService, FenceError, SnapshotDaemon
 
 pytestmark = pytest.mark.catalog
 
@@ -176,6 +177,34 @@ class TestSnapshots:
         svc.wal.close()
         catalog = StatisticsCatalog.open(tmp_path / "catalog.json")
         assert catalog.entries["a"].value() == 42
+
+
+class TestSnapshotDaemon:
+    def test_pays_snapshot_debt_off_the_write_path(self, tmp_path):
+        svc = service(tmp_path, snapshot_every=2)
+        daemon = SnapshotDaemon(svc, interval=0.01).start()
+        try:
+            for i in range(5):
+                svc.put_entries([entry_doc(f"k{i}")])
+            deadline = time.monotonic() + 5.0
+            while svc.snapshot_seq == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert svc.snapshot_seq > 0
+            assert daemon.snapshots >= 1
+        finally:
+            daemon.stop()
+            svc.wal.close()
+
+    def test_gc_runs_on_the_daemon(self, tmp_path):
+        late = NOW + 10**9  # every NOW-observed entry is long expired
+        svc = service(tmp_path, clock=lambda: late)
+        svc.put_entries([entry_doc("old", observed_at=NOW)])
+        daemon = SnapshotDaemon(svc, interval=60.0, gc_interval=0.0)
+        daemon._last_gc = -10**12  # "a gc interval has elapsed"
+        daemon.run_once()
+        assert daemon.collected == 1
+        assert len(svc) == 0
+        svc.wal.close()
 
 
 class TestCrashSafetyProperty:

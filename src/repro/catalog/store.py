@@ -71,9 +71,10 @@ DEFAULT_LOCK_TIMEOUT = 10.0
 #: a lock file untouched for this long belongs to a dead run -- take it over
 DEFAULT_LOCK_STALE = 120.0
 
-#: the mutation vocabulary, op -> the field its items ride in: a WAL record, a
-#: ``POST /<op>`` body and a client's staged write are all ``{op, field:
-#: items}``, and :meth:`StatisticsCatalog.apply` interprets them
+#: the mutation vocabulary, op -> what its items are: a commit, a WAL record
+#: and a client's staged write are ``[op, items]`` pairs, and
+#: :meth:`StatisticsCatalog.apply` interprets them (an earlier version's
+#: one-op WAL record spells one as ``{"op": op, field: items}``)
 MUTATIONS = {
     "put": "entries",
     "merge": "entries",

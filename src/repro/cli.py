@@ -536,7 +536,6 @@ def _cmd_serve(args) -> int:
             snapshot_every=args.snapshot_every,
             snapshot_interval=args.snapshot_interval,
             gc_interval=args.gc_interval,
-            lease_ttl=args.lease_ttl,
             fsync=not args.no_fsync,
         )
     except (OSError, PersistenceError) as exc:
@@ -551,7 +550,7 @@ def _cmd_serve(args) -> int:
 
     def _term(signum, frame):
         # SIGTERM drains gracefully: stop accepting, let in-flight
-        # requests finish replying, take a final snapshot, release the
+        # requests finish replying, take a final snapshot, drop the
         # WAL lock, exit 0.  shutdown() blocks until serve_forever
         # returns, so it must not run on this (main) thread's signal
         # frame -- hand it to a helper and fall through to the drain.
@@ -837,13 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="write-behind snapshot + WAL truncation cadence in records",
-    )
-    p.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="writer-lease lifetime before another client may take over",
     )
     p.add_argument(
         "--no-fsync",

@@ -5,17 +5,19 @@ pipelines draws on one statistics catalog.  This package turns the
 file-backed :class:`~repro.catalog.store.StatisticsCatalog` into one
 long-lived daemon (``repro-etl serve``) and a degrading client:
 
-- :mod:`repro.serve.wal` -- fsync'd, checksummed write-ahead log; an
-  acknowledged write survives ``SIGKILL``, a torn tail is discarded;
+- :mod:`repro.serve.wal` -- fsync'd, checksummed write-ahead log, one
+  record per commit; an acknowledged commit survives ``SIGKILL``, a torn
+  tail is discarded whole;
 - :mod:`repro.serve.service` -- the transport-free store: one
-  ``StatisticsCatalog`` behind a state lock, WAL-then-memory writes under
-  a write lock, lease-fenced writers and write-behind snapshots;
+  ``StatisticsCatalog`` behind a state lock, commits checked whole and
+  then logged and applied under a write lock, write-behind snapshots;
 - :mod:`repro.serve.server` -- stdlib HTTP over TCP or a unix socket,
   ``/metrics`` + ``/healthz`` on the shared Prometheus exporter;
 - :mod:`repro.serve.client` -- :class:`~repro.serve.client.CatalogClient`,
-  a ``StatisticsCatalog`` look-alike with timeouts, seeded retry, a
-  circuit breaker, and degradation to the local file catalog -- a
-  vanished server demotes plan confidence, never fails the run.
+  a ``StatisticsCatalog`` look-alike whose ``save`` is one ``POST
+  /commit``, with timeouts, seeded retry, a circuit breaker, and
+  degradation to the local file catalog -- a vanished server demotes plan
+  confidence, never fails the run.
 
 Durability comes from the WAL, availability from that degradation:
 there is one daemon per catalog and no replica of it.
@@ -29,7 +31,7 @@ from repro.serve.client import (
     resolve_stats_catalog,
 )
 from repro.serve.server import ServerThread, make_server, parse_listen
-from repro.serve.service import CatalogService, FenceError, SnapshotDaemon
+from repro.serve.service import CatalogService, SnapshotDaemon
 from repro.serve.wal import WalError, WriteAheadLog
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "CatalogRequestError",
     "CatalogService",
     "CatalogUnavailable",
-    "FenceError",
     "ServerThread",
     "SnapshotDaemon",
     "WalError",

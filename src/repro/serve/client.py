@@ -35,12 +35,10 @@ only the whole-catalog readers (``entries``, ``usable_keys``,
 ``describe``) download ``GET /export``.  No read overwrites an entry
 this client has written but not yet flushed.
 
-Writes are *staged* locally in order and flushed by :meth:`save` under a
-server lease: the flush acquires a fence token and attaches it to every
-mutation, so a client that stalls mid-save and loses its lease has the
-rest of its flush rejected (HTTP 409) rather than interleaved with its
-successor's -- and keeps the rejected rest staged, so a later
-:meth:`save` sends it.
+Writes -- ``merge`` included -- are *staged* locally in order and flushed
+by :meth:`save` as one ``POST /commit``: the server logs the night's ops
+as one WAL record and applies them whole, so a flush is never half
+applied, and two nights flushing at once both land, one after the other.
 
 A client speaks to exactly one daemon: the ``url`` names one endpoint,
 and a comma-separated list is rejected rather than read as a socket path.
@@ -53,7 +51,6 @@ Chaos tests drive all of this deterministically through the
 from __future__ import annotations
 
 import http.client
-import os
 import socket
 import threading
 import time
@@ -70,7 +67,6 @@ from repro.catalog.store import (
 from repro.core.persistence import PersistenceError
 from repro.engine.faults import PermanentFault, TransientFault, as_injector
 from repro.engine.scheduler import RetryPolicy
-from repro.serve.service import FenceError
 
 #: URL prefixes that select the client over the file-backed store
 CATALOG_URL_PREFIXES = ("http://", "https://", "unix://")
@@ -140,7 +136,6 @@ class CatalogClient:
         seed: int = 0,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
-        client_id: str = "",
         faults=None,
         clock=time.monotonic,
         sleep=time.sleep,
@@ -153,7 +148,6 @@ class CatalogClient:
         self.ttl = ttl
         self.min_quality = min_quality
         self.timeout = timeout
-        self.client_id = client_id or f"client-{os.getpid()}"
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.clock = clock
@@ -176,7 +170,6 @@ class CatalogClient:
         self._exported = False  # GET /export absorbed: every key answered
         self._staged: list[tuple[str, list]] = []  # ordered, coalesced ops
         self.degraded = False
-        self.fence: int | None = None
         self.requests_sent = 0
         self.retries = 0
 
@@ -232,9 +225,8 @@ class CatalogClient:
         """One logical request: breaker check, then retry transients.
 
         :class:`CatalogUnavailable` (breaker open, a permanent fault, or
-        retries exhausted) is the only path to degradation; a 409 is a
-        :class:`FenceError`, any other error status a
-        :class:`CatalogRequestError`.
+        retries exhausted) is the only path to degradation; an error
+        status is a :class:`CatalogRequestError`.
         """
         with self._lock:
             now = self.clock()
@@ -276,8 +268,6 @@ class CatalogClient:
                 break
             self._failures = 0  # any answer closes the breaker
             self._open_until = 0.0
-            if status == 409:
-                raise FenceError(answer.get("error", "stale fence token"))
             if status >= 400:
                 raise CatalogRequestError(
                     answer.get("error", f"catalog server answered {status}")
@@ -443,11 +433,11 @@ class CatalogClient:
     # ------------------------------------------------------------------
     # StatisticsCatalog duck interface: writes (staged, flushed by save)
     # ------------------------------------------------------------------
-    def _stage(self, op: str, item) -> None:
+    def _stage(self, op: str, *items) -> None:
         if self._staged and self._staged[-1][0] == op:
-            self._staged[-1][1].append(item)
+            self._staged[-1][1].extend(items)
         else:
-            self._staged.append((op, [item]))
+            self._staged.append((op, list(items)))
 
     def record(self, key, se_key, stat, value, **provenance) -> CatalogEntry:
         entry = self._mirror.record(key, se_key, stat, value, **provenance)
@@ -461,8 +451,7 @@ class CatalogClient:
         keys = list(keys)
         self._read_through(keys)
         marked = self._mirror.mark_stale(keys)
-        for key in keys:
-            self._stage("stale", key)
+        self._stage("stale", *keys)
         return marked
 
     def adjust_quality(self, key: str, rel_error: float) -> None:
@@ -485,57 +474,29 @@ class CatalogClient:
         return self._mirror.apply("delete", doomed)
 
     def merge(self, other: StatisticsCatalog) -> int:
-        docs = [entry.to_dict() for entry in other.entries.values()]
-        if not self.degraded:
-            try:
-                self._request("POST", "/merge", {"entries": docs})
-            except (CatalogUnavailable, CatalogRequestError):
-                self._degrade()
-        if self.degraded:
-            self._staged.append(("merge", docs))
+        self._stage("merge", *(e.to_dict() for e in other.entries.values()))
         return self._mirror.merge(other)
 
     def save(self, path=None, merge: bool = True) -> None:
-        """Flush staged writes under a lease-fenced server transaction.
+        """Flush the staged writes as one commit.
 
-        Healthy path: acquire a lease (fresh fence token), send every
-        staged op in order carrying that fence -- the server WALs and acks
-        each before the next is sent; with nothing staged, nothing is
-        sent.  A :class:`FenceError` means another writer holds the lease
-        or took it over mid-flush; it propagates, because silently
-        dropping acknowledged-to-the-caller state is the one forbidden
-        outcome, and the ops the server has not acknowledged stay staged
-        for the caller's next ``save()``.  Degraded path: the staged ops
-        are folded into the local fallback catalog file instead
-        (merge-on-save, advisory-locked), so the night's observations
-        survive for tomorrow's server merge.
+        Healthy path: the staged ops, in order, are one ``POST /commit``,
+        which the server checks whole, logs as one fsync'd WAL record and
+        applies whole; with nothing staged, nothing is sent.  Degraded
+        path (or a commit the server could not take): the staged ops are
+        folded into the local fallback catalog file instead (merge-on-save,
+        advisory-locked), so the night's observations survive for
+        tomorrow's server merge.
         """
         ops, self._staged = self._staged, []
         if not self.degraded:
             if not ops:
                 return
-            sent = 0
             try:
-                self.fence = int(
-                    self._request(
-                        "POST", "/lease", {"holder": self.client_id}
-                    )["fence"]
-                )
-                for op, items in ops:
-                    body = {MUTATIONS[op]: items, "fence": self.fence}
-                    self._request("POST", f"/{op}", body)
-                    sent += 1
-                # give the lease back so the fleet's next run is not
-                # locked out for a whole TTL by a finished save
-                self._request(
-                    "POST", "/lease/release", {"fence": self.fence}
-                )
+                self._request("POST", "/commit", {"ops": ops})
                 return
             except (CatalogUnavailable, CatalogRequestError):
                 self._degrade()
-            except FenceError:
-                self._staged = ops[sent:]
-                raise
         if self._fallback is not None:
             for op, items in ops:
                 self._fallback.apply(op, items)

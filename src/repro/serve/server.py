@@ -10,19 +10,16 @@ Endpoints
 ---------
 
 ===========================  ====================================================
-``GET /healthz``             liveness + store summary (entries, WAL seq, fence)
+``GET /healthz``             liveness + store summary (entries, WAL seqs)
 ``GET /metrics``             Prometheus 0.0.4 text (the shared exporter)
 ``GET /export``              the full catalog document (whole-catalog readers
                              and ``catalog export``; a night never asks for it)
 ``POST /lookup``             ``{keys, now?, count_hits?}`` -> ``{entries, unusable}``
 ``POST /entries``            ``{se_keys}`` -> every entry on those SEs
-``POST /put``                ``{entries, fence?}`` -> insert/replace (WAL'd)
-``POST /merge``              ``{entries, fence?}`` -> newer-observation-wins fold
-``POST /stale``              ``{keys, fence?}`` -> mark for re-observation
-``POST /quality``            ``{adjust: [[key, rel_error]..], fence?}``
-``POST /gc``                 ``{ttl?, min_quality?, drop_stale?, fence?}``
-``POST /lease``              ``{holder, ttl?}`` -> ``{fence}`` (writer lease)
-``POST /lease/release``      ``{fence}`` -> give the lease back after a save
+``POST /commit``             ``{ops: [[op, items]..]}`` -> ``{seq}``: one WAL
+                             record, applied whole (op: put, merge, stale,
+                             quality)
+``POST /gc``                 ``{ttl?, min_quality?, drop_stale?}``
 ``POST /snapshot``           force a write-behind snapshot + WAL truncation
 ===========================  ====================================================
 
@@ -33,10 +30,11 @@ ones (their hit counters bumped unless ``count_hits`` is false),
 a re-observation as a refresh rather than an admission.  A key in neither
 list has no entry.
 
-Writes carrying a stale fence token answer **409** -- the holder's lease
-was taken over and its buffered night must not clobber the successor's.
-A malformed body (not a JSON object, a non-integer ``fence``) answers
-**400**.
+A commit is checked whole before anything is logged: a malformed body
+(not a JSON object) or op (unknown, ``delete``, items that are not a list,
+an entry that does not decode, a non-numeric ``rel_error``) answers
+**400** with nothing written.  Two writers' commits queue on the write
+lock and both land.
 """
 
 from __future__ import annotations
@@ -49,25 +47,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.catalog.store import MUTATIONS
 from repro.core.persistence import PersistenceError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.service import (
     DEFAULT_SNAPSHOT_INTERVAL,
     CatalogService,
-    FenceError,
     SnapshotDaemon,
 )
-
-
-#: ``POST /<op>`` -> the service method that validates, logs and applies it
-#: (``delete`` has no route of its own: ``/gc`` decides what to delete)
-_WRITE_METHODS = {
-    "put": "put_entries",
-    "merge": "merge_entries",
-    "stale": "mark_stale",
-    "quality": "adjust_quality",
-}
 
 
 class CatalogRequestHandler(BaseHTTPRequestHandler):
@@ -123,8 +109,6 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         self.server.request_began()
         try:
             status, doc = self._dispatch(method)
-        except FenceError as exc:
-            status, doc = 409, {"error": str(exc)}
         except (PersistenceError, ValueError, KeyError) as exc:
             status, doc = 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - the server must not die
@@ -169,10 +153,6 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             return 404, {"error": f"no such endpoint {path}"}
 
         body = self._body()
-        fence = body.get("fence")
-        if fence is not None and type(fence) is not int:
-            # a malformed token is a bad request, not a lease takeover (409)
-            raise ValueError(f"bad fence {fence!r}; a fence token is an integer")
         if path == "/lookup":
             keys = body.get("keys", [])
             entries = service.lookup(
@@ -189,28 +169,15 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         if path == "/entries":
             entries = service.entries_on_se(body.get("se_keys", []))
             return 200, {"entries": [e.to_dict() for e in entries]}
-        write = _WRITE_METHODS.get(path[1:])
-        if write is not None:
-            seq = getattr(service, write)(
-                body.get(MUTATIONS[path[1:]], []), fence=fence
-            )
-            return 200, {"seq": seq}
+        if path == "/commit":
+            return 200, {"seq": service.commit(body.get("ops", []))}
         if path == "/gc":
             removed = service.gc(
                 ttl=body.get("ttl"),
                 min_quality=body.get("min_quality"),
                 drop_stale=bool(body.get("drop_stale", True)),
-                fence=fence,
             )
             return 200, {"removed": removed}
-        if path == "/lease":
-            token = service.acquire_lease(
-                str(body.get("holder", "anonymous")), ttl=body.get("ttl")
-            )
-            return 200, {"fence": token}
-        if path == "/lease/release":
-            released = service.release_lease(0 if fence is None else fence)
-            return 200, {"released": released}
         if path == "/snapshot":
             service.snapshot()
             return 200, {"wal_seq": service.wal.last_seq}
@@ -348,7 +315,6 @@ def make_server(
     snapshot_every: int | None = None,
     snapshot_interval: float | None = None,
     gc_interval: float | None = None,
-    lease_ttl: float | None = None,
     fsync: bool = True,
 ):
     """Build a ready-to-``serve_forever`` catalog server.
@@ -360,8 +326,6 @@ def make_server(
     kwargs = {}
     if snapshot_every is not None:
         kwargs["snapshot_every"] = snapshot_every
-    if lease_ttl is not None:
-        kwargs["lease_ttl"] = lease_ttl
     service = CatalogService(
         catalog_path, wal_path, metrics=metrics, fsync=fsync, **kwargs
     )

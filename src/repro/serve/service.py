@@ -3,14 +3,17 @@
 This is the server's brain, factored free of any transport so the crash
 and concurrency properties are testable in-process:
 
-- **Durability.** Every mutation is appended to the
-  :class:`~repro.serve.wal.WriteAheadLog` (fsync'd) *before* it touches
-  memory and before the caller is acknowledged.  Startup loads the last
-  snapshot and replays the log's suffix; an acknowledged write therefore
-  survives ``SIGKILL`` at any instruction, and a torn tail (the one write
-  that was never acknowledged) is discarded.
+- **Durability.** A commit -- a client's staged ops, in order -- is
+  checked whole, then appended to the
+  :class:`~repro.serve.wal.WriteAheadLog` as **one** fsync'd record
+  *before* it touches memory and before the caller is acknowledged.
+  Startup loads the last snapshot and replays the log's suffix; an
+  acknowledged commit therefore survives ``SIGKILL`` at any instruction,
+  and a torn tail (the one commit that was never acknowledged) is
+  discarded whole.  A commit is applied whole or not at all, live and on
+  replay.
 
-- **Write-behind snapshots.** Every ``snapshot_every`` applied mutations
+- **Write-behind snapshots.** Every ``snapshot_every`` commits
   the in-memory state is written as a normal
   :class:`~repro.catalog.store.StatisticsCatalog` document (atomic
   rename) carrying the last absorbed WAL sequence, and the log is
@@ -21,17 +24,12 @@ and concurrency properties are testable in-process:
 - **One catalog, two locks.** The entries are one
   :class:`~repro.catalog.store.StatisticsCatalog`, and every entry rule
   (usable, supersedes, stale, quality, collectable) is its: live
-  mutations and WAL replay both end in its ``apply(op, items)``.
-  Mutations are serialized by the write lock -- WAL order *is* memory
-  order, so replay reconstructs exactly the state the live server had.  A
-  second, short-held state lock guards the entry dict itself, so a reader
-  never waits for a WAL fsync, only for another dict access.
-
-- **Lease fencing.** Writers that reconcile a night's run first acquire
-  a lease and attach its fence token to every write.  Tokens are
-  monotonic and WAL-persisted; a paused holder whose lease was taken
-  over comes back with a stale token and every one of its writes is
-  rejected (:class:`FenceError`) instead of clobbering the takeover's.
+  commits and WAL replay both end in its ``apply(op, items)``.  Commits
+  are serialized by the write lock -- WAL order *is* memory order, so
+  replay reconstructs exactly the state the live server had, and two
+  nights whose flushes overlap both land, one after the other.  A second,
+  short-held state lock guards the entry dict itself, so a reader never
+  waits for a WAL fsync, only for another dict access.
 
 There is one service per catalog and no second copy of it: durability
 comes from the WAL, and availability from the client's degradation to
@@ -52,24 +50,17 @@ from repro.catalog.store import (
     StatisticsCatalog,
 )
 from repro.core.persistence import PersistenceError, _load_json, atomic_write_json
-from repro.serve.wal import WAL_FORMAT_VERSION, WriteAheadLog
+from repro.serve.wal import WriteAheadLog
 
-#: applied mutations between write-behind snapshots
+#: commits between write-behind snapshots
 DEFAULT_SNAPSHOT_EVERY = 256
-
-#: seconds a writer lease lasts unless renewed
-DEFAULT_LEASE_TTL = 60.0
 
 #: seconds between background snapshot-daemon wakeups
 DEFAULT_SNAPSHOT_INTERVAL = 30.0
 
 
-class FenceError(PersistenceError):
-    """A write carried a stale fence token: its lease was taken over."""
-
-
 class CatalogService:
-    """A :class:`StatisticsCatalog` made crash-safe and lease-fenced."""
+    """A :class:`StatisticsCatalog` made crash-safe: one WAL record a commit."""
 
     def __init__(
         self,
@@ -79,7 +70,6 @@ class CatalogService:
         ttl: float = DEFAULT_TTL,
         min_quality: float = DEFAULT_MIN_QUALITY,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
         fsync: bool = True,
         metrics=None,
         clock=time.time,
@@ -92,7 +82,6 @@ class CatalogService:
         self.ttl = ttl
         self.min_quality = min_quality
         self.snapshot_every = snapshot_every
-        self.lease_ttl = lease_ttl
         self.metrics = metrics
         self.clock = clock
 
@@ -101,12 +90,9 @@ class CatalogService:
         self._state_lock = threading.Lock()
         self._write_lock = threading.Lock()
 
-        self.fence = 0  # latest issued lease token (monotonic, WAL'd)
-        self.lease_holder = ""
-        self.lease_deadline = 0.0
         self.snapshot_seq = 0  # last WAL seq absorbed by the snapshot
         self._since_snapshot = 0
-        #: set when snapshot_every mutations accumulated; the background
+        #: set when snapshot_every commits accumulated; the background
         #: snapshot daemon (not the request path) folds them into a snapshot
         self._snapshot_due = threading.Event()
 
@@ -118,22 +104,22 @@ class CatalogService:
     def _load(self) -> None:
         """Load the snapshot, then replay the WAL records it did not absorb.
 
-        A snapshot is a plain catalog document; the absorbed WAL sequence,
-        the fence and the lease ride as extra top-level fields the plain
-        catalog loader ignores, as it ignores any other top-level field an
-        earlier release wrote.
+        A snapshot is a plain catalog document; the absorbed WAL sequence
+        rides as an extra top-level field the plain catalog loader ignores,
+        as it ignores any other top-level field an earlier version wrote.
         """
         if self.path.exists():
             doc = _load_json(self.path, "catalog")
             self.catalog._load_doc(doc)
             self.snapshot_seq = int(doc.get("wal_seq", 0))
-            self.fence = int(doc.get("fence", 0))
-            self.lease_holder = str(doc.get("lease_holder", ""))
-            self.lease_deadline = float(doc.get("lease_deadline", 0.0))
         replayed = 0
         for record in self.wal.replay(after_seq=self.snapshot_seq):
             self._apply(record)
             replayed += 1
+        # a log truncated by the snapshot is empty: the next commit must
+        # still number after everything the snapshot absorbed, or replay
+        # would skip it as already absorbed
+        self.wal.last_seq = max(self.wal.last_seq, self.snapshot_seq)
         self.replayed_records = replayed
         self._publish_gauges()
         if replayed and self.metrics is not None:
@@ -181,111 +167,73 @@ class CatalogService:
         return sorted(entries, key=lambda e: e.key)
 
     # ------------------------------------------------------------------
-    # leases
+    # commits: checked whole, WAL first, memory second, ack last
     # ------------------------------------------------------------------
-    def acquire_lease(self, holder: str, ttl: float | None = None) -> int:
-        """Issue a fresh fence token; takes over an expired lease.
+    def commit(self, ops) -> int:
+        """Log ``[[op, items], ...]`` as one record and apply it; its seq.
 
-        A *live* lease held by someone else is not stolen -- the contender
-        gets a :class:`FenceError` and retries after the TTL.  Every
-        successful acquisition (including a renewal by the same holder)
-        bumps the fence, which is what invalidates a paused predecessor.
+        Every op is checked (and put in canonical form) before anything
+        is written, so a malformed op raises :class:`ValueError` with
+        nothing logged and nothing applied.  An empty commit writes
+        nothing.
         """
-        ttl = self.lease_ttl if ttl is None else ttl
+        if not isinstance(ops, list):
+            raise ValueError(f"a commit is a list of [op, items], got {ops!r}")
+        checked = [self._checked(op) for op in ops]
         with self._write_lock:
-            now = self.clock()
-            if (
-                self.lease_holder
-                and self.lease_holder != holder
-                and now < self.lease_deadline
-            ):
-                raise FenceError(
-                    f"catalog lease held by {self.lease_holder!r} for another "
-                    f"{self.lease_deadline - now:.0f}s"
-                )
-            self._commit(
-                "lease", fence=self.fence + 1, holder=holder, deadline=now + ttl
-            )
-            return self.fence
+            return self._commit(checked) if checked else self.wal.last_seq
 
-    def release_lease(self, fence: int) -> bool:
-        """Give the lease back after a completed save.
+    @staticmethod
+    def _checked(op) -> list:
+        """One committed ``[op, items]`` as the WAL logs it.
 
-        Releasing with a stale token is a silent no-op -- the lease was
-        already taken over, so there is nothing of this holder's left to
-        release.  The fence counter itself never goes backwards.
+        A client commits ``put`` / ``merge`` (entry documents), ``stale``
+        (keys) and ``quality`` (``[key, rel_error]`` pairs); only
+        :meth:`gc` commits a ``delete``.
         """
-        with self._write_lock:
-            if fence != self.fence or not self.lease_holder:
-                return False
-            self._commit("lease", fence=self.fence, holder="", deadline=0.0)
-            return True
+        try:
+            name, items = op
+            if name == "delete" or name not in MUTATIONS:
+                raise ValueError(f"unknown commit op {name!r}")
+            if not isinstance(items, list):
+                raise ValueError(f"{name} items must be a list, got {items!r}")
+            if name in ("put", "merge"):
+                return [name, [CatalogEntry.of(doc).to_dict() for doc in items]]
+            if name == "stale":
+                return [name, sorted({str(key) for key in items})]
+            return [name, [[str(key), float(err)] for key, err in items]]
+        except TypeError as exc:
+            raise ValueError(f"bad commit op {op!r}: {exc}") from exc
 
-    def _check_fence(self, fence: int | None) -> None:
-        if fence is not None and fence != self.fence:
-            raise FenceError(
-                f"stale fence token {fence} (current {self.fence}): this "
-                "writer's lease was taken over; re-acquire and retry"
-            )
-
-    # ------------------------------------------------------------------
-    # mutations: WAL first, memory second, ack last
-    # ------------------------------------------------------------------
-    def _commit(self, op: str, **fields) -> int:
-        """One durable record: appended, then applied as replay applies it."""
-        seq = self.wal.last_seq + 1
-        self.wal.append(op, seq, **fields)
-        self._apply({"v": WAL_FORMAT_VERSION, "seq": seq, "op": op, **fields})
-        if self.metrics is not None:
-            self.metrics.counter(
-                "catalog_server_wal_records_total", "durable WAL appends"
-            ).inc(op=op)
-        return seq
-
-    def _mutate(self, op: str, items, fence: int | None) -> int:
-        with self._write_lock:
-            return self._mutate_locked(op, items, fence)
-
-    def _mutate_locked(self, op, items, fence) -> int:
-        self._check_fence(fence)
-        seq = self._commit(op, **{MUTATIONS[op]: items})
+    def _commit(self, ops: list) -> int:
+        """One durable record (write lock held): appended, then applied as
+        replay applies it."""
+        seq = self.wal.append(self.wal.last_seq + 1, ops)
+        self._apply({"seq": seq, "ops": ops})
         self._since_snapshot += 1
         if self._since_snapshot >= self.snapshot_every:
             # snapshots happen off the request path: flag the backlog
             # and let the snapshot daemon (or an explicit caller) fold it
             self._snapshot_due.set()
         self._publish_gauges()
+        if self.metrics is not None:
+            self.metrics.counter(
+                "catalog_server_wal_records_total", "durable WAL appends"
+            ).inc()
         return seq
-
-    def put_entries(self, entry_docs, fence: int | None = None) -> int:
-        """Insert-or-replace whole entries (the reconcile write path)."""
-        return self._mutate("put", self._entry_docs(entry_docs), fence)
-
-    def merge_entries(self, entry_docs, fence: int | None = None) -> int:
-        """Fold entries in, newer ``observed_at`` winning per key."""
-        return self._mutate("merge", self._entry_docs(entry_docs), fence)
-
-    def mark_stale(self, keys, fence: int | None = None) -> int:
-        return self._mutate("stale", sorted(set(keys)), fence)
-
-    def adjust_quality(self, adjustments, fence: int | None = None) -> int:
-        """Blend prediction errors into quality scores; ``[[key, err]..]``."""
-        pairs = [[str(key), float(err)] for key, err in adjustments]
-        return self._mutate("quality", pairs, fence)
 
     def gc(
         self,
         ttl: float | None = None,
         min_quality: float | None = None,
         drop_stale: bool = True,
-        fence: int | None = None,
     ) -> int:
         """Drop expired/low-quality/stale entries; returns the count.
 
-        The doomed set is logged as an explicit ``delete`` record, so
-        replay removes exactly the same keys no matter when the replaying
+        The doomed set is committed as an explicit ``delete``, so replay
+        removes exactly the same keys no matter when the replaying
         process runs.  Scan and record sit under one hold of the write
-        lock: a ``put`` that refreshes a doomed key lands before the scan
+        lock: a commit that refreshes a doomed key lands before the scan
         or after the delete, never between them.
         """
         with self._write_lock:
@@ -294,28 +242,20 @@ class CatalogService:
                     self.clock(), ttl, min_quality, drop_stale
                 )
             if doomed:
-                self._mutate_locked("delete", doomed, fence)
+                self._commit([["delete", doomed]])
         return len(doomed)
 
-    @staticmethod
-    def _entry_docs(entries) -> list[dict]:
-        """Entries (documents or objects) as validated, canonical documents."""
-        return [CatalogEntry.of(entry).to_dict() for entry in entries]
-
     # ------------------------------------------------------------------
-    # the single apply path (live mutations and replay share it)
+    # the single apply path (live commits and replay share it)
     # ------------------------------------------------------------------
     def _apply(self, record: dict) -> None:
-        op = record.get("op")
-        if op in MUTATIONS:
-            with self._state_lock:
-                self.catalog.apply(op, record.get(MUTATIONS[op], ()))
-        elif op == "lease":
-            self.fence = max(self.fence, int(record.get("fence", 0)))
-            self.lease_holder = str(record.get("holder", ""))
-            self.lease_deadline = float(record.get("deadline", 0.0))
-        else:
-            raise PersistenceError(f"WAL record with unknown op {op!r}")
+        ops = record.get("ops")
+        if ops is None:  # an earlier version's one-op record: a one-op commit
+            op = record.get("op")
+            ops = [[op, record.get(MUTATIONS.get(op), ())]]
+        with self._state_lock:
+            for op, items in ops:
+                self.catalog.apply(op, items)
 
     # ------------------------------------------------------------------
     # snapshots
@@ -323,17 +263,11 @@ class CatalogService:
     def to_dict(self) -> dict:
         with self._state_lock:
             doc = self.catalog.to_dict()
-        return {
-            **doc,
-            "wal_seq": self.wal.last_seq,
-            "fence": self.fence,
-            "lease_holder": self.lease_holder,
-            "lease_deadline": self.lease_deadline,
-        }
+        return {**doc, "wal_seq": self.wal.last_seq}
 
     @property
     def snapshot_due(self) -> bool:
-        """True when ``snapshot_every`` mutations accumulated unfolded."""
+        """True when ``snapshot_every`` commits accumulated unfolded."""
         return self._snapshot_due.is_set()
 
     def maybe_snapshot(self) -> bool:
@@ -350,15 +284,6 @@ class CatalogService:
             atomic_write_json(doc, self.path)
             self.snapshot_seq = doc["wal_seq"]
             self.wal.truncate()
-            # the lease fence must survive the truncation: re-seed the fresh
-            # log so a post-snapshot restart still rejects pre-snapshot tokens
-            if self.fence:
-                self._commit(
-                    "lease",
-                    fence=self.fence,
-                    holder=self.lease_holder,
-                    deadline=self.lease_deadline,
-                )
             self._since_snapshot = 0
             self._snapshot_due.clear()
         if self.metrics is not None:
@@ -379,8 +304,6 @@ class CatalogService:
             "usable": len(self.usable_keys()),
             "wal_seq": self.wal.last_seq,
             "snapshot_seq": self.snapshot_seq,
-            "fence": self.fence,
-            "lease_holder": self.lease_holder,
         }
 
 
@@ -388,7 +311,7 @@ class SnapshotDaemon:
     """Background thread folding snapshots (and optional GC) off requests.
 
     The request path only flags that a snapshot is *due*
-    (``snapshot_every`` mutations accumulated); this daemon wakes on that
+    (``snapshot_every`` commits accumulated); this daemon wakes on that
     flag or every ``interval`` seconds -- whichever comes first -- and
     does the actual fold, so no client ever pays the snapshot's
     write-and-truncate latency.  With ``gc_interval`` set, expired and
@@ -450,10 +373,8 @@ class SnapshotDaemon:
 
 
 __all__ = [
-    "DEFAULT_LEASE_TTL",
     "DEFAULT_SNAPSHOT_EVERY",
     "DEFAULT_SNAPSHOT_INTERVAL",
     "CatalogService",
-    "FenceError",
     "SnapshotDaemon",
 ]

@@ -1,32 +1,36 @@
 """Write-ahead log backing the statistics-catalog service.
 
 The durability contract of :mod:`repro.serve` is exactly one sentence: a
-write the server acknowledged survives ``SIGKILL``.  The mechanism is the
-classic one -- before a mutation touches the in-memory store, a record
-describing it is appended here and ``fsync``'d; only then is the client
-answered.  On startup the service replays the log over the last snapshot
-and arrives at the same state byte for byte.
+commit the server acknowledged survives ``SIGKILL``.  The mechanism is the
+classic one -- before a commit touches the in-memory store, one record
+carrying all of its ops is appended here and ``fsync``'d; only then is the
+client answered.  On startup the service replays the log over the last
+snapshot and arrives at the same state byte for byte.
 
 Each record is one line::
 
     <crc32 hex, 8 chars> <compact JSON payload>\\n
 
-The payload carries ``{"v": WAL_FORMAT_VERSION, "seq": N, "op": ...}``
-plus op-specific fields.  Sequence numbers are strictly increasing; the
-snapshot stores the last sequence it absorbed, so replay after a crash
-between snapshot and truncation skips already-applied records instead of
-double-applying non-idempotent ones (quality blends).
+The payload is ``{"v": WAL_FORMAT_VERSION, "seq": N, "ops": [[op, items],
+...]}``, the ops being :data:`~repro.catalog.store.MUTATIONS`.  Sequence
+numbers are strictly increasing; the snapshot stores the last sequence it
+absorbed, so replay after a crash between snapshot and truncation skips
+already-applied records instead of double-applying non-idempotent ones
+(quality blends).
 
 A ``SIGKILL`` mid-append leaves a *torn tail*: a final line with no
 newline, half a JSON document, or a checksum that does not match.  Replay
 treats the first such line as the end of the log and discards everything
 from it on -- those bytes were never acknowledged, so losing them is the
-contract, not a violation of it.  Anything wrong *before* the tail (a bad
-checksum followed by healthy records) is real corruption and raises.
+contract, not a violation of it.  A torn commit is lost whole: none of its
+ops is applied.  Anything wrong *before* the tail (a bad checksum followed
+by healthy records) is real corruption and raises.
 
 One daemon owns a log (an exclusive ``flock`` on ``<wal>.lock``).  A log
-written by an earlier release may open with a ``seq`` 0 header record
-(``{"op": "epoch"}``); replay skips it, and nothing writes one any more.
+written by an earlier version may hold records of another shape: a
+one-op record ``{"op": "put", "entries": [...]}`` replays as a one-op
+commit, and the records of retired protocols are skipped (see
+:meth:`WriteAheadLog.replay`).
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ from repro.core.persistence import PersistenceError
 
 #: version stamped into every record; replay accepts 1..WAL_FORMAT_VERSION
 WAL_FORMAT_VERSION = 1
-
-#: operations a record may carry: the catalog's mutations (their semantics are
-#: ``StatisticsCatalog.apply``'s) and the service's own lease record
-WAL_OPS = (*MUTATIONS, "lease")
 
 
 class WalError(PersistenceError):
@@ -118,16 +118,19 @@ class WriteAheadLog:
             self._fh = open(self.path, "ab")
         return self._fh
 
-    def append(self, op: str, seq: int, **fields) -> int:
-        """Durably append one record; returns ``seq`` once it is on disk.
+    def append(self, seq: int, ops: list) -> int:
+        """Durably append one commit; returns ``seq`` once it is on disk.
 
         The ``fsync`` is what makes the acknowledgement honest: after this
         returns, a ``SIGKILL`` (or power cut, modulo the disk's own cache)
         cannot lose the record.
         """
-        if op not in WAL_OPS:
-            raise WalError(f"unknown WAL op {op!r}; expected one of {WAL_OPS}")
-        doc = {"v": WAL_FORMAT_VERSION, "seq": seq, "op": op, **fields}
+        for op, _ in ops:
+            if op not in MUTATIONS:
+                raise WalError(
+                    f"unknown WAL op {op!r}; expected one of {tuple(MUTATIONS)}"
+                )
+        doc = {"v": WAL_FORMAT_VERSION, "seq": seq, "ops": ops}
         handle = self._handle()
         handle.write(encode_record(doc))
         handle.flush()
@@ -184,14 +187,16 @@ class WriteAheadLog:
                 )
             seq = doc.get("seq")
             if seq == 0 and doc.get("op") == "epoch":
-                continue  # an earlier release's header record, not a mutation
+                continue  # an earlier version's header record, not a commit
             if not isinstance(seq, int) or seq <= 0:
                 raise WalError(
                     f"WAL {self.path} record {index + 1} has bad seq {seq!r}"
                 )
             self.last_seq = max(self.last_seq, seq)
-            if seq <= after_seq:
-                continue  # already absorbed by the snapshot
+            if seq <= after_seq or doc.get("op") == "lease":
+                # absorbed by the snapshot, or an earlier version's
+                # writer-lease record, which carries no entry
+                continue
             yield doc
 
     # ------------------------------------------------------------------
@@ -214,7 +219,6 @@ class WriteAheadLog:
 
 __all__ = [
     "WAL_FORMAT_VERSION",
-    "WAL_OPS",
     "WalError",
     "WriteAheadLog",
     "decode_record",

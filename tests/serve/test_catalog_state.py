@@ -1,11 +1,12 @@
 """One catalog state machine: the store is the daemon's specification.
 
 ``StatisticsCatalog.apply`` is the definition of the five mutations; the
-daemon, the degraded client and WAL replay only call it.  These tests pin
-that from four sides: a seeded differential (store == service == degraded
-client), readers against concurrent writers, the ``gc`` scan and its
-``delete`` record under one hold of the write lock, and a WAL + snapshot
-written by the commit before the cut replaying to the same entries.
+daemon's commits, the degraded client and WAL replay only call it.  These
+tests pin that from four sides: a seeded differential (store == service
+== degraded client), readers against concurrent writers, the ``gc`` scan
+and its ``delete`` record under one hold of the write lock, and a WAL +
+snapshot written by earlier versions (one-op and lease records, lease
+state in the snapshot) replaying to the same entries.
 """
 
 import json
@@ -108,10 +109,11 @@ class TestStoreIsTheSpecification:
             fallback=fallback, max_retries=0, sleep=lambda seconds: None,
         )
         assert client.get("k0") is None and client.degraded
-        apply_to_service = base.TestCrashSafetyProperty()._apply
+        crash_safety = base.TestCrashSafetyProperty()
+        for commit in crash_safety._commits(ops, seed):
+            crash_safety._apply_commit(svc, commit)  # one to three ops each
         for op in ops:
             drive_store(store, op)
-            apply_to_service(svc, op)
             drive_client(client, op)
         # gc staged deletions: merging the file back in would resurrect them
         client.save(merge=False)
@@ -129,14 +131,14 @@ class TestStoreIsTheSpecification:
 
     def test_the_vocabulary_is_declared_once(self):
         from repro.catalog.store import MUTATIONS
-        from repro.serve import client, server
+        from repro.serve import client, wal
         from repro.serve import service as service_module
 
         assert MUTATIONS == {
             "put": "entries", "merge": "entries", "stale": "keys",
             "quality": "adjust", "delete": "keys",
         }
-        for module in (client, server, service_module):
+        for module in (client, service_module, wal):
             assert module.MUTATIONS is MUTATIONS
 
     def test_shards_option_is_gone(self, tmp_path):
@@ -166,10 +168,10 @@ class TestReadersAgainstWriters:
         def write():
             for round_ in range(150):
                 fresh = round_ % 2 == 0
-                svc.put_entries([
+                svc.commit([["put", [
                     entry_doc(key, round_, quality=1.0 if fresh else 0.1)
                     for key in keys[round_ % 7::7]
-                ])
+                ]]])
                 svc.gc()  # drops every low-quality entry: the dict shrinks
             done.set()
 
@@ -217,22 +219,24 @@ class TestGcNeverDeletesAnAcknowledgedRefresh:
         lock.  Scanning before taking the lock deleted the refreshed,
         acknowledged entry -- here and on replay."""
         svc = service(tmp_path)
-        svc.put_entries([entry_doc("k", 1, observed_at=NOW - 10**9)])
+        svc.commit([["put", [entry_doc("k", 1, observed_at=NOW - 10**9)]]])
         svc._write_lock = _ObservedLock()
 
         inside, release = threading.Event(), threading.Event()
         append = svc.wal.append
 
-        def paused_append(op, seq, **fields):
-            if op == "put":  # the refresh: hold the write lock, mid-put
+        def paused_append(seq, ops):
+            if ops[0][0] == "put":  # the refresh: hold the write lock, mid-put
                 inside.set()
                 assert release.wait(30)
-            return append(op, seq, **fields)
+            return append(seq, ops)
 
         svc.wal.append = paused_append
         acked: list[int] = []
         put = threading.Thread(
-            target=lambda: acked.append(svc.put_entries([entry_doc("k", 2)]))
+            target=lambda: acked.append(
+                svc.commit([["put", [entry_doc("k", 2)]]])
+            )
         )
         removed: list[int] = []
         gc = threading.Thread(target=lambda: removed.append(svc.gc()))
@@ -253,10 +257,11 @@ class TestGcNeverDeletesAnAcknowledgedRefresh:
         replayed.wal.close()
 
 
-#: written by the commit before the cut (sharded service, five-branch
-#: ``_apply``, two-server releases): a snapshot at seq 2 carrying a top-level
-#: ``epoch`` and the WAL suffix after it -- a seq 0 header record, lease, put,
-#: merge, stale, quality, delete, lease
+#: written by earlier versions of the daemon (sharded service, two-server
+#: releases, writer leases): a snapshot at seq 2 carrying a top-level
+#: ``epoch``, a ``fence`` and the lease, and the WAL suffix after it -- a seq 0
+#: header record, lease, put, merge, stale, quality, delete, lease, each
+#: mutation a one-op record
 PARENT_SNAPSHOT = '''{
 "entries":[
 {"backend":"","hits":0,"key":"a","observed_at":1000000.0,"quality":1.0,"repr":"T[a]","run_id":"r1","se_key":"se:a","stale":false,"stat":{"kind":"card"},"value":10,"workflow":"wf"},
@@ -294,22 +299,29 @@ class TestParentFilesReplay:
         (tmp_path / "catalog.json").write_text(PARENT_SNAPSHOT)
         (tmp_path / "catalog.json.wal").write_text(PARENT_WAL)
         svc = service(tmp_path)
-        assert svc.replayed_records == 7
+        assert svc.replayed_records == 5  # the two lease records are skipped
         assert entries_doc(svc.to_dict()["entries"]) == entries_doc([
             CatalogEntry.from_dict(doc).to_dict() for doc in PARENT_ENTRIES
         ])
-        assert (svc.fence, svc.lease_holder) == (1, "")
         assert (svc.snapshot_seq, svc.wal.last_seq) == (2, 9)
 
-        # nothing new writes the old header or field
+        # nothing new writes the old header, the lease or their fields
         svc.snapshot()
-        records = (tmp_path / "catalog.json.wal").read_text().splitlines()
-        assert records and not any('"epoch"' in line for line in records)
-        assert "epoch" not in json.loads((tmp_path / "catalog.json").read_text())
+        assert (tmp_path / "catalog.json.wal").read_text() == ""
+        snapshot = json.loads((tmp_path / "catalog.json").read_text())
+        assert not {"epoch", "fence", "lease_holder", "lease_deadline"} & set(
+            snapshot
+        )
+        assert snapshot["wal_seq"] == 9
         svc.wal.close()
         again = service(tmp_path)
         assert entries_doc(again.to_dict()["entries"]) == entries_doc(
             svc.to_dict()["entries"]
         )
-        assert (again.fence, again.wal.last_seq) == (1, 10)
+        assert again.wal.last_seq == 9
+        assert again.commit([["stale", ["a"]]]) == 10
         again.wal.close()
+        revived = service(tmp_path)  # the commit after the snapshot replays
+        assert revived.replayed_records == 1 and revived.get("a").stale
+        assert '"ops"' in (tmp_path / "catalog.json.wal").read_text()
+        revived.wal.close()

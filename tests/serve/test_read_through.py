@@ -5,13 +5,14 @@ it asks for, reports what the file store reports, and closes what it opens.
    entry, a shrunk source and a grown one whose SE carries a sibling entry
    recorded by another workflow) against a catalog file and a served
    catalog give equal drift reports, taps, plans and final entries;
-2. traffic: one workflow-night is one ``POST /lookup`` and no
-   ``GET /export``; ``len(client)`` and the ``run`` banner are one
-   ``GET /healthz``; an empty ``save()`` sends nothing;
+2. traffic: one workflow-night is one ``POST /lookup``, one ``POST
+   /commit`` and no ``GET /export``; ``len(client)`` and the ``run`` banner
+   are one ``GET /healthz``; an empty ``save()`` sends nothing;
 3. a server that dies right after the lookup degrades the night, which
    still chooses the local baseline's plans and lands its writes in the
    fallback file;
-4. ``run_once`` closes the client it built from a URL, and only that one.
+4. two nights whose flushes overlap inside the daemon both land;
+5. ``run_once`` closes the client it built from a URL, and only that one.
 """
 
 import shutil
@@ -33,6 +34,8 @@ from repro.framework.recovery import demote_confidence
 from repro.serve.client import CatalogClient
 from repro.serve.server import ServerThread
 from repro.workloads import case
+
+from tests.serve.test_server_client import hold_first_append
 
 pytestmark = pytest.mark.catalog
 
@@ -198,17 +201,21 @@ class TestTraffic:
         cold = route_counts(server)
         assert cold["/lookup"] == 1
         assert "/export" not in cold and "/healthz" not in cold
-        assert cold["/lease"] == cold["/lease/release"] == 1
+        assert cold["/commit"] == 1  # the whole flush
+        service = server.server.service
+        assert service.wal.records_written == 1
 
         night(11, server.url, "warm")
         warm = route_counts(server)
         assert warm["/lookup"] == 2
         assert "/export" not in warm
+        assert warm["/commit"] == 2 and service.wal.records_written == 2
         # nothing tapped: the warm flush is the drift scan's quality blends
-        assert warm["/put"] == cold["/put"] and warm["/quality"] == 1
+        warm_record = list(service.wal.replay(after_seq=1))
+        assert [op for op, _ in warm_record[0]["ops"]] == ["quality"]
         # the one lookup carried every candidate key and counted its hits
         # once; nothing else the night read counted any
-        entries = server.server.service.all_entries()
+        entries = service.all_entries()
         assert entries and {entry.hits for entry in entries} == {1}
 
     def test_len_is_one_healthz(self, server):
@@ -234,7 +241,7 @@ class TestTraffic:
         assert counts["/lookup"] == 1 and counts["/healthz"] == 1
         assert "/export" not in counts
 
-    def test_empty_save_takes_no_lease(self, server):
+    def test_empty_save_sends_nothing(self, server):
         client = CatalogClient(server.url)
         client.save()
         client.close()
@@ -259,7 +266,7 @@ class TestTraffic:
 
     def test_reads_never_overwrite_staged_writes(self, server):
         stat = Statistic.card(SubExpression.of("R"))
-        other = CatalogClient(server.url, client_id="other")
+        other = CatalogClient(server.url)
         other.record("k", "se:r", stat, 1.0, workflow="other", run_id="r")
         other.record("sib", "se:r", stat, 2.0, workflow="other", run_id="r")
         other.save()
@@ -294,6 +301,7 @@ class TestServerDiesAfterLookup:
         try:
             seed = CatalogClient(thread.url)
             seed.merge(StatisticsCatalog.open(fallback))
+            seed.save()
             seed.close()
 
             class DiesAfterLookup(CatalogClient):
@@ -332,6 +340,39 @@ class TestServerDiesAfterLookup:
         )
         landed = StatisticsCatalog.open(fallback).entries[security]
         assert landed.value() == 1800 and landed.run_id == "dark"
+
+
+class TestOverlappingNights:
+    def test_two_nights_flushing_at_once_both_land(self, server):
+        """wf11's flush is held inside the daemon while wf13's night runs
+        and flushes: wf13 waits for the write lock instead of failing, and
+        the catalog holds both nights' statistics."""
+        held = hold_first_append(server.server.service)
+        reports, errors = {}, []
+
+        def run(number):
+            try:
+                reports[number] = night(number, server.url, f"wf{number}")
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        first = threading.Thread(target=run, args=(11,))
+        first.start()
+        assert held.inside.wait(60)  # wf11's commit is inside the daemon
+        second = threading.Thread(target=run, args=(13,))
+        second.start()
+        assert held.contended.wait(60)  # wf13 has reached its flush
+        held.release.set()
+        first.join(60), second.join(60)
+        assert not first.is_alive() and not second.is_alive()
+        assert not errors, errors
+
+        held_keys = {entry.key for entry in server.server.service.all_entries()}
+        for number, report in reports.items():
+            assert not report.catalog_degraded and report.failures == {}
+            signer = WorkflowSigner(analyze(case(number).build()))
+            tapped = set(signer.statistic_keys(report.tapped).values())
+            assert tapped and tapped <= held_keys, number
 
 
 def handler_threads() -> int:

@@ -1,4 +1,8 @@
-"""HTTP server round trips and the degrading client's failure ladder."""
+"""HTTP server round trips, whole commits and the degrading client's
+failure ladder."""
+
+import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +17,9 @@ from repro.serve.client import (
     resolve_stats_catalog,
 )
 from repro.serve.server import ServerThread, make_server, parse_listen
-from repro.serve.service import CatalogService, FenceError
+from repro.serve.service import CatalogService
+
+from tests.serve.test_catalog_state import _ObservedLock
 
 pytestmark = pytest.mark.catalog
 
@@ -39,6 +45,25 @@ def fast_client(url, **kwargs):
     kwargs.setdefault("base_delay", 0.0)
     kwargs.setdefault("max_delay", 0.0)
     return CatalogClient(url, **kwargs)
+
+
+def hold_first_append(service):
+    """Block the daemon's next WAL append -- inside the write lock -- until
+    ``release`` is set.  ``inside`` says it is blocked there, ``contended``
+    that another writer has queued behind it."""
+    held = SimpleNamespace(inside=threading.Event(), release=threading.Event())
+    service._write_lock = _ObservedLock()
+    held.contended = service._write_lock.contended
+    append = service.wal.append
+
+    def first_append(*args, **kwargs):
+        service.wal.append = append
+        held.inside.set()
+        assert held.release.wait(30)
+        return append(*args, **kwargs)
+
+    service.wal.append = first_append
+    return held
 
 
 class TestParseListen:
@@ -152,78 +177,97 @@ class TestHttpRoundTrips:
             client.close()
 
 
-class TestLeaseFencing:
-    def test_save_under_lease_releases_for_the_next_writer(self, server):
-        a = fast_client(server.url, client_id="a")
-        a.record("ka", "se:ka", _stat(), 1.0, workflow="wf", run_id="r")
-        a.save()
-        b = fast_client(server.url, client_id="b")
-        b.record("kb", "se:kb", _stat("S"), 2.0, workflow="wf", run_id="r")
-        b.save()  # would 409 if a's lease were still held
-        assert {  # both writes landed
-            "ka", "kb"
-        } <= set(fast_client(server.url).entries)
+class TestOneCommit:
+    def test_second_save_lands_while_the_first_is_inside_the_daemon(
+        self, server
+    ):
+        """Two nights whose flushes overlap: the second queues on the write
+        lock behind the first, and both land."""
+        service = server.server.service
+        held = hold_first_append(service)
+        a, b = fast_client(server.url), fast_client(server.url)
+        a.record("ka", "se:ka", _stat(), 1.0, workflow="wf", run_id="a")
+        b.record("kb", "se:kb", _stat("S"), 2.0, workflow="wf", run_id="b")
+        errors = []
+
+        def save(client):
+            try:
+                client.save()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        first = threading.Thread(target=save, args=(a,))
+        first.start()
+        assert held.inside.wait(30)  # a's flush is inside the daemon
+        second = threading.Thread(target=save, args=(b,))
+        second.start()
+        assert held.contended.wait(30)  # b's flush is waiting behind it
+        held.release.set()
+        first.join(30), second.join(30)
+        assert not first.is_alive() and not second.is_alive()
+        assert not errors, errors
+        assert not a.degraded and not b.degraded
+        assert service.get("ka").value() == 1.0
+        assert service.get("kb").value() == 2.0
         a.close(), b.close()
 
-    def test_second_writer_blocked_while_lease_live(self, server):
-        a = fast_client(server.url, client_id="a")
-        a.fence = int(a._request("POST", "/lease", {"holder": "a"})["fence"])
-        b = fast_client(server.url, client_id="b")
-        b.record("kb", "se:kb", _stat(), 1.0, workflow="wf", run_id="r")
-        with pytest.raises(FenceError):
-            b.save()
-        a._request("POST", "/lease/release", {"fence": a.fence})
-        # the fenced-out write was not acknowledged, so it is still b's to
-        # send: the retry after the release must land it
-        assert server.server.service.get("kb") is None
-        b.save()
-        assert server.server.service.get("kb").value() == 1.0
-        a.close(), b.close()
+    def test_a_save_is_one_request_and_one_record(self, server):
+        from repro.catalog.store import StatisticsCatalog
 
-    @pytest.mark.parametrize("fence", ["1", 1.0, True, [1]])
-    def test_non_integer_fence_is_a_bad_request(self, server, fence):
         client = fast_client(server.url)
-        token = client._request("POST", "/lease", {"holder": "a"})["fence"]
-        assert token == 1  # so "1" names the live token in the wrong type
-        doc = {"keys": ["k"], "fence": fence}
-        # 400, not the 409 that tells a writer its lease was taken over
-        with pytest.raises(CatalogRequestError, match="bad fence"):
-            client._request("POST", "/stale", doc)
-        with pytest.raises(CatalogRequestError, match="bad fence"):
-            client._request("POST", "/lease/release", {"fence": fence})
-        assert server.server.service.lease_holder == "a"
+        client.record("k1", "se:k1", _stat(), 1.0, workflow="wf", run_id="r")
+        client.record("k2", "se:k2", _stat("S"), 2.0, workflow="wf", run_id="r")
+        client.mark_stale(["k1"])
+        client.adjust_quality("k2", 0.5)
+        other = StatisticsCatalog()
+        other.record("k3", "se:k3", _stat("T"), 3.0, workflow="wf", run_id="r")
+        client.merge(other)  # staged like every other write
+        before = client.requests_sent
+        assert server.server.service.get("k3") is None
+        client.save()
+        assert client.requests_sent == before + 1
+        service = server.server.service
+        assert service.wal.records_written == 1
+        assert service.get("k1").stale and service.get("k2").quality == 0.75
+        assert service.get("k3").value() == 3.0
         client.close()
 
-    def test_lease_lost_mid_flush_keeps_the_unsent_ops_in_order(self, server):
-        b = fast_client(server.url, client_id="b")
-        b.record("k1", "se:k1", _stat(), 1.0, workflow="wf", run_id="r")
-        b.mark_stale(["k1"])
-        b.record("k2", "se:k2", _stat("S"), 2.0, workflow="wf", run_id="r")
+    @pytest.mark.parametrize("bad", [
+        ["upsert", []],
+        ["delete", ["k1"]],
+        ["stale", "k1"],
+        ["put", [{"key": "broken"}]],
+        ["quality", [["k1", "a lot"]]],
+        ["quality", [["k1", None]]],
+        ["put"],
+        "put",
+    ], ids=["unknown-op", "delete", "items-not-a-list", "bad-entry",
+            "non-numeric-error", "null-error", "no-items", "not-a-pair"])
+    def test_malformed_commit_is_400_and_writes_nothing(self, server, bad):
+        client = fast_client(server.url)
+        client.record("k1", "se:k1", _stat(), 1.0, workflow="wf", run_id="r")
+        client.save()
         service = server.server.service
-        put_entries = service.put_entries
+        seq = service.wal.last_seq
+        good = client.get("k1").to_dict()
+        status, answer = client._once("POST", "/commit", {"ops": [
+            ["put", [dict(good, key="k2")]], ["stale", ["k1"]], bad,
+        ]})
+        assert status == 400 and "error" in answer
+        assert service.wal.last_seq == seq
+        assert service.get("k2") is None and not service.get("k1").stale
+        client.close()
 
-        def put_then_lose_the_lease(*args, **kwargs):
-            seq = put_entries(*args, **kwargs)
-            service.put_entries = put_entries
-            service.lease_deadline = 0.0  # b stalls past its lease...
-            service.acquire_lease("a")  # ...and a takes it over
-            return seq
-
-        service.put_entries = put_then_lose_the_lease
-        with pytest.raises(FenceError):
-            b.save()  # k1's put was acknowledged, the rest is fenced out
-        assert service.get("k1") is not None and not service.get("k1").stale
-        assert service.get("k2") is None
-        service.release_lease(service.fence)
-        b.save()  # sends the stale mark and k2, not k1's put again
-        assert service.get("k1").stale and service.get("k2").value() == 2.0
-        puts = server.server.metrics.counter(
-            "catalog_server_wal_records_total"
-        ).value(op="put")
-        assert puts == 2  # k1 once, k2 once
-        b.save()  # nothing left: no third lease
-        assert service.fence == b.fence
-        b.close()
+    @pytest.mark.parametrize(
+        "route", ["/put", "/merge", "/stale", "/quality", "/lease",
+                  "/lease/release"],
+    )
+    def test_per_op_and_lease_routes_are_gone(self, server, route):
+        client = fast_client(server.url)
+        status, answer = client._once("POST", route, {"keys": ["k"]})
+        assert status == 404 and "no such endpoint" in answer["error"]
+        assert server.server.service.wal.last_seq == 0
+        client.close()
 
 
 class TestDegradation:
@@ -346,12 +390,45 @@ class TestOneDaemon:
                 replicate_from="unix:///p.sock",
             )
 
+    @pytest.mark.parametrize("option", [
+        "serve --lease-ttl", "CatalogService(lease_ttl=)",
+        "make_server(lease_ttl=)", "CatalogClient(client_id=)",
+    ])
+    def test_lease_options_are_gone(self, tmp_path, option):
+        from repro.cli import main
+
+        calls = {
+            "serve --lease-ttl": lambda: main([
+                "serve", "--catalog", str(tmp_path / "c.json"),
+                "--lease-ttl", "60",
+            ]),
+            "CatalogService(lease_ttl=)": lambda: CatalogService(
+                tmp_path / "c.json", lease_ttl=60.0
+            ),
+            "make_server(lease_ttl=)": lambda: make_server(
+                f"unix://{tmp_path / 'c.sock'}", tmp_path / "c.json",
+                lease_ttl=60.0,
+            ),
+            "CatalogClient(client_id=)": lambda: CatalogClient(
+                f"unix://{tmp_path / 'c.sock'}", client_id="night-a"
+            ),
+        }
+        if option.startswith("serve"):
+            with pytest.raises(SystemExit) as exit_:
+                calls[option]()
+            assert exit_.value.code == 2
+        else:
+            with pytest.raises(TypeError):
+                calls[option]()
+
     def test_healthz_and_replies_carry_no_pair_state(self, server):
         client = fast_client(server.url)
         client.record("k", "se:k", _stat(), 1.0, workflow="wf", run_id="r")
         client.save()
         health = client.healthz()
-        assert not {"role", "epoch", "primary"} & set(health)
+        assert not {"role", "epoch", "primary", "fence", "lease_holder"} & set(
+            health
+        )
         answer = client._request("POST", "/lookup", {"keys": ["k"]})
         assert set(answer) == {"entries", "unusable"}
         with pytest.raises(CatalogRequestError, match="no such endpoint"):

@@ -1,10 +1,11 @@
-"""CatalogService: durability, fencing, snapshots, fleet scheduling.
+"""CatalogService: durability, whole commits, snapshots.
 
-The crash-safety property here is the ISSUE's acceptance criterion: for
-any prefix of a seeded workload, SIGKILL the server (modelled as dropping
-the service without a snapshot), restart it, and the replayed catalog
-must equal -- byte for byte -- a reference that applied the same prefix
-synchronously with no crash.
+The crash-safety property: for any prefix of a seeded workload of
+commits, SIGKILL the server (modelled as dropping the service without a
+snapshot), restart it, and the replayed catalog must equal -- byte for
+byte -- a reference that applied the same prefix synchronously with no
+crash.  A commit is one WAL record: a torn one is lost whole, a malformed
+one is refused whole.
 """
 
 import json
@@ -14,7 +15,7 @@ import time
 import pytest
 
 from repro.core.persistence import PersistenceError
-from repro.serve.service import CatalogService, FenceError, SnapshotDaemon
+from repro.serve.service import CatalogService, SnapshotDaemon
 
 pytestmark = pytest.mark.catalog
 
@@ -42,10 +43,15 @@ def service(tmp_path, **kwargs):
     return CatalogService(tmp_path / "catalog.json", **kwargs)
 
 
+def put(svc, *docs) -> int:
+    """Commit one ``put`` of ``docs``; its WAL seq."""
+    return svc.commit([["put", list(docs)]])
+
+
 class TestMutations:
     def test_put_then_lookup(self, tmp_path):
         svc = service(tmp_path)
-        svc.put_entries([entry_doc("a", 10), entry_doc("b", 20)])
+        put(svc, entry_doc("a", 10), entry_doc("b", 20))
         assert len(svc) == 2
         found = svc.lookup(["a", "b", "missing"])
         assert [e.key for e in found] == ["a", "b"]
@@ -53,7 +59,7 @@ class TestMutations:
 
     def test_lookup_counts_hits_but_does_not_wal_them(self, tmp_path):
         svc = service(tmp_path)
-        svc.put_entries([entry_doc("a")])
+        put(svc, entry_doc("a"))
         before = svc.wal.records_written
         svc.lookup(["a"])
         svc.lookup(["a"])
@@ -63,30 +69,31 @@ class TestMutations:
 
     def test_merge_newer_observation_wins(self, tmp_path):
         svc = service(tmp_path)
-        svc.put_entries([entry_doc("a", 1, observed_at=NOW)])
-        svc.merge_entries([entry_doc("a", 2, observed_at=NOW - 10)])
+        put(svc, entry_doc("a", 1, observed_at=NOW))
+        svc.commit([["merge", [entry_doc("a", 2, observed_at=NOW - 10)]]])
         assert svc.get("a").value() == 1  # older loses
-        svc.merge_entries([entry_doc("a", 3, observed_at=NOW + 10)])
+        svc.commit([["merge", [entry_doc("a", 3, observed_at=NOW + 10)]]])
         assert svc.get("a").value() == 3  # newer wins
         svc.wal.close()
 
     def test_stale_and_quality(self, tmp_path):
         svc = service(tmp_path)
-        svc.put_entries([entry_doc("a"), entry_doc("b")])
-        svc.mark_stale(["a"])
+        put(svc, entry_doc("a"), entry_doc("b"))
+        svc.commit([["stale", ["a"]]])
         assert svc.get("a").stale and not svc.get("b").stale
         assert svc.lookup(["a"]) == []  # stale never matches
-        svc.adjust_quality([["b", 1.0]])  # full error halves quality
+        svc.commit([["quality", [["b", 1.0]]]])  # full error halves quality
         assert svc.get("b").quality == pytest.approx(0.5)
         svc.wal.close()
 
     def test_gc_logs_an_explicit_delete(self, tmp_path):
         svc = service(tmp_path)
-        svc.put_entries([
+        put(
+            svc,
             entry_doc("keep"),
             entry_doc("old", observed_at=NOW - 10**9),
             entry_doc("bad", quality=0.1),
-        ])
+        )
         removed = svc.gc()
         assert removed == 2
         assert {e.key for e in svc.all_entries()} == {"keep"}
@@ -97,54 +104,59 @@ class TestMutations:
         again.wal.close()
 
 
-class TestLeases:
-    def test_fenced_write_rejected_after_takeover(self, tmp_path):
-        clock = {"now": NOW}
-        svc = service(tmp_path, clock=lambda: clock["now"], lease_ttl=60.0)
-        stale_fence = svc.acquire_lease("night-a")
-        clock["now"] += 120  # night-a stalls past its TTL
-        fresh_fence = svc.acquire_lease("night-b")
-        assert fresh_fence > stale_fence
-        with pytest.raises(FenceError, match="stale fence"):
-            svc.put_entries([entry_doc("x")], fence=stale_fence)
-        svc.put_entries([entry_doc("x")], fence=fresh_fence)
-        assert svc.get("x") is not None
+class TestWholeCommits:
+    def test_a_commit_is_one_record_applied_in_order(self, tmp_path):
+        svc = service(tmp_path)
+        seq = svc.commit([
+            ["put", [entry_doc("a"), entry_doc("b")]],
+            ["stale", ["a"]],
+            ["quality", [["b", 1.0]]],
+        ])
+        assert seq == svc.wal.last_seq == svc.wal.records_written == 1
+        assert svc.get("a").stale and svc.get("b").quality == 0.5
         svc.wal.close()
 
-    def test_live_lease_is_not_stolen(self, tmp_path):
-        svc = service(tmp_path, lease_ttl=60.0)
-        svc.acquire_lease("night-a")
-        with pytest.raises(FenceError, match="held by"):
-            svc.acquire_lease("night-b")
+    def test_torn_commit_leaves_none_of_its_ops(self, tmp_path):
+        svc = service(tmp_path)
+        put(svc, entry_doc("a", 1))
+        svc.commit([["stale", ["b"]]])  # no such key yet: a no-op commit
+        svc.commit([
+            ["put", [entry_doc("b", 2)]],
+            ["stale", ["a"]],
+            ["quality", [["a", 1.0]]],
+        ])
+        svc.wal.close()
+        wal = tmp_path / "catalog.json.wal"
+        data = wal.read_bytes()
+        wal.write_bytes(data[:-7])  # SIGKILL mid-append of the last commit
+
+        revived = service(tmp_path)
+        assert revived.replayed_records == 2
+        assert revived.get("b") is None  # not the put...
+        a = revived.get("a")
+        assert a.value() == 1 and not a.stale  # ...nor the stale mark...
+        assert a.quality == 1.0  # ...nor the quality blend
+        revived.wal.close()
+
+    def test_an_empty_commit_writes_nothing(self, tmp_path):
+        svc = service(tmp_path)
+        assert svc.commit([]) == 0 and svc.wal.records_written == 0
+        with pytest.raises(ValueError):
+            svc.commit({"put": []})
         svc.wal.close()
 
-    def test_release_frees_the_lease_for_the_next_holder(self, tmp_path):
-        svc = service(tmp_path, lease_ttl=60.0)
-        fence = svc.acquire_lease("night-a")
-        assert svc.release_lease(fence)
-        svc.acquire_lease("night-b")  # no FenceError: lease was given back
-        svc.wal.close()
-
-    def test_release_with_stale_fence_is_a_noop(self, tmp_path):
-        clock = {"now": NOW}
-        svc = service(tmp_path, clock=lambda: clock["now"], lease_ttl=60.0)
-        old = svc.acquire_lease("night-a")
-        clock["now"] += 120
-        svc.acquire_lease("night-b")
-        assert not svc.release_lease(old)  # a's late release frees nothing
-        assert svc.lease_holder == "night-b"
-        svc.wal.close()
-
-    def test_fence_survives_restart_and_snapshot(self, tmp_path):
-        svc = service(tmp_path, lease_ttl=10**9)
-        fence = svc.acquire_lease("night-a")
-        svc.snapshot()  # truncates the WAL but re-seeds the lease record
-        svc.wal.close()
-        again = service(tmp_path, lease_ttl=10**9)
-        assert again.fence == fence
-        with pytest.raises(FenceError):
-            again.acquire_lease("night-b")  # still held across restart
-        again.wal.close()
+    def test_commits_after_a_restart_from_a_snapshot_replay(self, tmp_path):
+        """The snapshot truncates the log; the commits after a restart must
+        still number past it, or replay skips them as absorbed."""
+        svc = service(tmp_path)
+        put(svc, entry_doc("a"))
+        svc.close()
+        again = service(tmp_path)
+        assert put(again, entry_doc("b")) == 2
+        again.wal.close()  # SIGKILL
+        revived = service(tmp_path)
+        assert {e.key for e in revived.all_entries()} == {"a", "b"}
+        revived.wal.close()
 
 
 class TestSnapshots:
@@ -153,7 +165,7 @@ class TestSnapshots:
     ):
         svc = service(tmp_path, snapshot_every=3)
         for i in range(7):
-            svc.put_entries([entry_doc(f"k{i}")])
+            put(svc, entry_doc(f"k{i}"))
         # the write path only *flags* snapshot debt at the cadence -- the
         # background daemon (or an explicit maybe_snapshot) pays it, so
         # the fsync'd request path never blocks on a snapshot write
@@ -172,7 +184,7 @@ class TestSnapshots:
         from repro.catalog.store import StatisticsCatalog
 
         svc = service(tmp_path)
-        svc.put_entries([entry_doc("a", 42)])
+        put(svc, entry_doc("a", 42))
         svc.snapshot()
         svc.wal.close()
         catalog = StatisticsCatalog.open(tmp_path / "catalog.json")
@@ -185,7 +197,7 @@ class TestSnapshotDaemon:
         daemon = SnapshotDaemon(svc, interval=0.01).start()
         try:
             for i in range(5):
-                svc.put_entries([entry_doc(f"k{i}")])
+                put(svc, entry_doc(f"k{i}"))
             deadline = time.monotonic() + 5.0
             while svc.snapshot_seq == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -198,7 +210,7 @@ class TestSnapshotDaemon:
     def test_gc_runs_on_the_daemon(self, tmp_path):
         late = NOW + 10**9  # every NOW-observed entry is long expired
         svc = service(tmp_path, clock=lambda: late)
-        svc.put_entries([entry_doc("old", observed_at=NOW)])
+        put(svc, entry_doc("old", observed_at=NOW))
         daemon = SnapshotDaemon(svc, interval=60.0, gc_interval=0.0)
         daemon._last_gc = -10**12  # "a gc interval has elapsed"
         daemon.run_once()
@@ -233,16 +245,29 @@ class TestCrashSafetyProperty:
 
     def _apply(self, svc, op):
         kind, payload = op
-        if kind == "put":
-            svc.put_entries(payload)
-        elif kind == "merge":
-            svc.merge_entries(payload)
-        elif kind == "stale":
-            svc.mark_stale(payload)
-        elif kind == "quality":
-            svc.adjust_quality(payload)
-        else:
+        if kind == "gc":
             svc.gc(min_quality=0.4)
+        else:
+            svc.commit([[kind, payload]])
+
+    def _commits(self, ops, seed):
+        """The workload cut into commits of one to three ops; a gc is not
+        a commit op and runs on its own."""
+        rng = random.Random(seed)
+        commits = []
+        for op in ops:
+            last = commits[-1] if commits else [("gc", None)]
+            if "gc" not in (op[0], last[0][0]) and len(last) < rng.randint(1, 3):
+                last.append(op)
+            else:
+                commits.append([op])
+        return commits
+
+    def _apply_commit(self, svc, commit):
+        if commit[0][0] == "gc":
+            self._apply(svc, commit[0])
+        else:
+            svc.commit([[kind, payload] for kind, payload in commit])
 
     def _doc(self, svc):
         doc = svc.to_dict()
@@ -253,8 +278,9 @@ class TestCrashSafetyProperty:
     def test_killed_replay_equals_synchronous_reference(
         self, tmp_path, seed
     ):
-        ops = self._workload(seed)
-        prefixes = sorted({0, 1, 7, len(ops) // 2, len(ops)})
+        commits = self._commits(self._workload(seed), seed)
+        assert any(len(commit) > 1 for commit in commits)
+        prefixes = sorted({0, 1, 7, len(commits) // 2, len(commits)})
         for prefix in prefixes:
             crash_dir = tmp_path / f"crash-{seed}-{prefix}"
             ref_dir = tmp_path / f"ref-{seed}-{prefix}"
@@ -262,9 +288,9 @@ class TestCrashSafetyProperty:
 
             victim = service(crash_dir, snapshot_every=5)
             reference = service(ref_dir, snapshot_every=10**9)
-            for op in ops[:prefix]:
-                self._apply(victim, op)
-                self._apply(reference, op)
+            for commit in commits[:prefix]:
+                self._apply_commit(victim, commit)
+                self._apply_commit(reference, commit)
             victim.wal.close()  # SIGKILL: no snapshot, no graceful close
 
             revived = service(crash_dir)
@@ -283,7 +309,7 @@ class TestStartup:
 
     def test_stats_document(self, tmp_path):
         svc = service(tmp_path)
-        svc.put_entries([entry_doc("a")])
+        put(svc, entry_doc("a"))
         doc = svc.stats()
         assert doc["entries"] == 1
         assert doc["wal_seq"] == 1

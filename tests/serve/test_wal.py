@@ -45,8 +45,8 @@ class TestFraming:
 class TestAppendReplay:
     def test_append_then_replay(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "cat.wal")
-        wal.append("stale", 1, keys=["a"])
-        wal.append("stale", 2, keys=["b"])
+        wal.append(1, [["stale", ["a"]]])
+        wal.append(2, [["stale", ["b"]]])
         wal.close()
 
         fresh = WriteAheadLog(tmp_path / "cat.wal")
@@ -58,14 +58,14 @@ class TestAppendReplay:
     def test_replay_skips_snapshot_absorbed_seqs(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "cat.wal")
         for seq in range(1, 6):
-            wal.append("stale", seq, keys=[f"k{seq}"])
+            wal.append(seq, [["stale", [f"k{seq}"]]])
         assert [r["seq"] for r in wal.replay(after_seq=3)] == [4, 5]
         wal.close()
 
     def test_unknown_op_is_refused_at_append(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "cat.wal")
         with pytest.raises(WalError, match="unknown WAL op"):
-            wal.append("format-disk", 1)
+            wal.append(1, [["stale", ["k"]], ["format-disk", []]])
         wal.close()
 
     def test_unsupported_version_raises(self, tmp_path):
@@ -79,6 +79,17 @@ class TestAppendReplay:
             list(wal.replay())
         wal.close()
 
+    def test_earlier_lease_records_are_skipped(self, tmp_path):
+        path = tmp_path / "cat.wal"
+        path.write_bytes(
+            encode_record({"v": 1, "seq": 1, "op": "stale", "keys": ["a"]})
+            + encode_record({"v": 1, "seq": 2, "op": "lease", "fence": 1})
+        )
+        wal = WriteAheadLog(path)
+        assert [r["seq"] for r in wal.replay()] == [1]
+        assert wal.last_seq == 2  # the next commit still numbers past it
+        wal.close()
+
     def test_missing_file_replays_nothing(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "never-written.wal")
         assert list(wal.replay()) == []
@@ -89,7 +100,7 @@ class TestTornTail:
     def _write(self, path, n=3):
         wal = WriteAheadLog(path)
         for seq in range(1, n + 1):
-            wal.append("stale", seq, keys=[f"k{seq}"])
+            wal.append(seq, [["stale", [f"k{seq}"]]])
         wal.close()
 
     @pytest.mark.parametrize("chop", [1, 5, 20])
@@ -133,11 +144,11 @@ class TestTruncate:
     def test_truncate_resets_the_file(self, tmp_path):
         path = tmp_path / "cat.wal"
         wal = WriteAheadLog(path)
-        wal.append("stale", 1, keys=["a"])
+        wal.append(1, [["stale", ["a"]]])
         wal.truncate()
         assert path.read_bytes() == b""
         # appends keep working after a truncation
-        wal.append("stale", 2, keys=["b"])
+        wal.append(2, [["stale", ["b"]]])
         assert [r["seq"] for r in wal.replay(after_seq=1)] == [2]
         wal.close()
 
@@ -158,9 +169,10 @@ class TestDurability:
     def test_records_are_compact_single_lines(self, tmp_path):
         path = tmp_path / "cat.wal"
         wal = WriteAheadLog(path)
-        wal.append("put", 1, entries=[{"key": "k", "value": 1}])
+        ops = [["put", [{"key": "k", "value": 1}]], ["stale", ["k"]]]
+        wal.append(1, ops)
         wal.close()
         lines = path.read_bytes().splitlines()
-        assert len(lines) == 1
+        assert len(lines) == 1  # one commit, one line, however many ops
         payload = json.loads(lines[0][9:])
-        assert payload["op"] == "put" and payload["seq"] == 1
+        assert payload["ops"] == ops and payload["seq"] == 1

@@ -11,10 +11,7 @@ fleet-wide, incrementally maintained asset:
   entries, drifted entries are penalized and marked stale so only they
   get re-observed;
 - :mod:`repro.catalog.fleet` — one combined nightly observation plan for
-  a whole suite of workflows, observing each shared statistic once;
-- :mod:`repro.catalog.feedback` — the loop's cross-night memory: the
-  reconcile pass's estimation errors, smoothed per statistic, re-rank
-  what the fleet observes next.
+  a whole suite of workflows, observing each shared statistic once.
 """
 
 from repro.catalog.drift import (
@@ -23,11 +20,6 @@ from repro.catalog.drift import (
     prediction_errors,
     reconcile_run,
     rel_error,
-)
-from repro.catalog.feedback import (
-    DEFAULT_CORRECTION_THRESHOLD,
-    FeedbackCorrector,
-    FeedbackReport,
 )
 from repro.catalog.fleet import FleetPlan, WorkflowObservationPlan, plan_fleet
 from repro.catalog.signatures import SignatureError, WorkflowSigner
@@ -40,15 +32,12 @@ from repro.catalog.store import (
 )
 
 __all__ = [
-    "DEFAULT_CORRECTION_THRESHOLD",
     "DEFAULT_DRIFT_THRESHOLD",
     "DEFAULT_MIN_QUALITY",
     "DEFAULT_TTL",
     "CatalogEntry",
     "CatalogHits",
     "DriftReport",
-    "FeedbackCorrector",
-    "FeedbackReport",
     "FleetPlan",
     "SignatureError",
     "StatisticsCatalog",

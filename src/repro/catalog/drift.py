@@ -22,9 +22,9 @@ compare catalog predictions against.
    histogram/distinct entries riding on the same SE are marked **stale**
    — the run never materialized their buckets, so they must be
    re-observed, and the stale flag is precisely what removes them from
-   the next run's zero-cost offer.  The same errors are what a
-   :class:`~repro.catalog.feedback.FeedbackCorrector` remembers across
-   nights -- it is fed them here and writes nothing itself;
+   the next run's zero-cost offer.  The blended quality is the only
+   memory of an entry's errors: once it falls below the catalog's
+   ``min_quality`` the entry leaves the zero-cost offer too;
 3. **admission** — tapped statistics new to the catalog are inserted with
    full provenance.
 
@@ -55,8 +55,6 @@ class DriftReport:
     drifted: list[str] = field(default_factory=list)  # SE reprs that moved
     stale_marked: int = 0
     max_rel_error: float = 0.0
-    #: FeedbackReport when the pass fed a corrector
-    feedback: "object | None" = None
 
     @property
     def touched(self) -> int:
@@ -84,35 +82,26 @@ def rel_error(predicted: float, actual: float) -> float:
 def prediction_errors(
     signer: WorkflowSigner,
     se_sizes: dict,
-    previous_sizes: dict | None = None,
-    catalog=None,
+    catalog: StatisticsCatalog,
     refreshed=frozenset(),
 ):
     """The night's one estimated-vs-actual pass.
 
-    Yields ``(se, card_key, entry, err)`` for every materialized SE the
-    night held a belief about.  The belief is the catalog's own
-    cardinality ``entry`` (usable or not) unless a tap already refreshed
-    it tonight (``card_key in refreshed``); otherwise the previous cycle's
-    size of that SE, and ``entry`` is ``None`` -- so an entry is only ever
+    Yields ``(se, card_key, err)`` for every materialized SE whose
+    cardinality the catalog holds (usable or not) and no tap refreshed
+    tonight (``card_key in refreshed``) -- so an entry is only ever
     charged with the error of its own value.
     """
-    previous_sizes = previous_sizes or {}
     for se in sorted(se_sizes, key=repr):
         try:
             card_key = signer.statistic_key(Statistic.card(se))
         except SignatureError:
             continue
-        entry = None
-        if catalog is not None and card_key not in refreshed:
-            entry = catalog.get(card_key)
-        if entry is not None:
-            predicted = entry.value()
-        elif se in previous_sizes:
-            predicted = previous_sizes[se]
-        else:
+        if card_key in refreshed:
             continue
-        yield se, card_key, entry, rel_error(predicted, se_sizes[se])
+        entry = catalog.get(card_key)
+        if entry is not None:
+            yield se, card_key, rel_error(entry.value(), se_sizes[se])
 
 
 def reconcile_run(
@@ -127,8 +116,6 @@ def reconcile_run(
     backend: str = "",
     threshold: float = DEFAULT_DRIFT_THRESHOLD,
     now: float | None = None,
-    previous_sizes: dict | None = None,
-    corrector=None,
 ) -> DriftReport:
     """Fold one completed run back into the catalog.
 
@@ -137,12 +124,6 @@ def reconcile_run(
     that were actually instrumented tonight (catalog-covered statistics
     are *not* tapped, which is the whole point — their entries are
     validated through the drift scan instead).
-
-    ``corrector`` (a :class:`~repro.catalog.feedback.FeedbackCorrector`)
-    is fed the scan's per-statistic errors -- plus, for SEs the catalog
-    holds no prediction for, the error of ``previous_sizes`` (the previous
-    cycle's ``se_sizes``) -- and its report lands in
-    :attr:`DriftReport.feedback`.  Only ``threshold`` decides a write.
     """
     now = time.time() if now is None else now
     report = DriftReport()
@@ -175,17 +156,9 @@ def reconcile_run(
         )
 
     # 2: drift scan over every materialized plan point
-    errors: dict[str, float] = {}
-    for se, card_key, entry, err in prediction_errors(
-        signer,
-        se_sizes,
-        previous_sizes if corrector is not None else None,
-        catalog,
-        refreshed_keys,
+    for se, card_key, err in prediction_errors(
+        signer, se_sizes, catalog, refreshed_keys
     ):
-        errors[card_key] = err
-        if entry is None:
-            continue
         report.max_rel_error = max(report.max_rel_error, err)
         if err <= threshold:
             catalog.adjust_quality(card_key, err)
@@ -205,9 +178,6 @@ def reconcile_run(
             if sibling.key != card_key and sibling.key not in refreshed_keys
         ]
         report.stale_marked += catalog.mark_stale(siblings)
-
-    if corrector is not None:
-        report.feedback = corrector.observe_run(errors)
     return report
 
 

@@ -39,7 +39,6 @@ class WorkflowObservationPlan:
     selection: SelectionResult
     observe: list[Statistic]  # statistics this workflow actually taps
     shared: dict[Statistic, str]  # covered stat -> provider ("catalog" | wf)
-    keys: dict[Statistic, str]  # catalog signature of every signable stat
     planned_cost: float  # cost of the statistics it observes in the fleet
     css: CssCatalog
     cost_model: CostModel
@@ -151,7 +150,6 @@ def plan_share(
         selection=selection,
         observe=observe,
         shared=shared,
-        keys=keys,
         planned_cost=planned_cost,
         css=css,
         cost_model=cost_model,
@@ -166,7 +164,6 @@ def plan_fleet(
     solver: str = "greedy",
     generator_options: GeneratorOptions | None = None,
     now: float | None = None,
-    feedback=None,
 ) -> FleetPlan:
     """Compute the combined nightly observation plan.
 
@@ -175,19 +172,10 @@ def plan_fleet(
     statistics, later ones reuse them for free).  ``catalog``, when given,
     contributes its usable entries as zero-cost statistics for *every*
     workflow — pre-existing knowledge nobody needs to observe tonight.
-
-    ``feedback`` (a :class:`~repro.catalog.feedback.FeedbackCorrector`)
-    re-ranks the plan from the estimation-error stream: statistics it
-    flags via ``should_reobserve`` are withdrawn from the zero-cost
-    catalog offer (their cached values misled the optimizer, so tonight
-    re-observes them), and each workflow's ``observe`` list is ordered
-    by ``priority`` so persistently misestimated statistics come first.
+    An entry whose predictions kept missing has a quality below the
+    catalog's ``min_quality`` and is not usable, so tonight re-observes it.
     """
     catalog_keys = catalog.usable_keys(now) if catalog is not None else set()
-    if feedback is not None:
-        catalog_keys = {
-            key for key in catalog_keys if not feedback.should_reobserve(key)
-        }
 
     #: signature -> workflow name that will observe it tonight
     claimed: dict[str, str] = {}
@@ -201,12 +189,6 @@ def plan_fleet(
             solver=solver,
             generator_options=generator_options,
         )
-        if feedback is not None:
-            # stable sort: misestimated statistics first, untouched
-            # solver order otherwise
-            share.observe.sort(
-                key=lambda stat: -feedback.priority(share.keys.get(stat))
-            )
         fleet.workflows.append(share)
     return fleet
 

@@ -86,7 +86,6 @@ from repro.core.generator import GeneratorOptions, generate_css
 from repro.core.persistence import PersistenceError
 from repro.engine.backend import available_backends
 from repro.engine.faults import FaultError
-from repro.estimation.sketches import SketchError
 from repro.quality import QualityError
 from repro.workloads import case, suite
 
@@ -250,17 +249,11 @@ def _cmd_run(args) -> int:
                 f"(8 x the {os.cpu_count() or 1} available CPUs); "
                 "that many row shards would only add merge overhead"
             )
-    if args.sketch_precision is not None and args.distinct_sketch != "hll":
-        raise CliError(
-            "--sketch-precision only applies with --distinct-sketch hll"
-        )
     pipeline = StatisticsPipeline(
         workflow,
         solver=args.solver,
         backend=args.backend or "columnar",
         shards=args.shards,
-        distinct_sketch=args.distinct_sketch,
-        sketch_precision=args.sketch_precision,
     )
 
     faults = FaultPlan.from_file(args.faults) if args.faults else None
@@ -332,14 +325,9 @@ def _cmd_run(args) -> int:
     )
     total_in = sum(t.num_rows for t in sources.values())
     sharded = f" shards={pipeline.shards}" if pipeline.shards else ""
-    sketched = (
-        f" sketch=hll(p={pipeline.sketch_spec.precision})"
-        if pipeline.sketch_spec.mode == "hll"
-        else ""
-    )
     print(
         f"wf{wfcase.number:02d} {wfcase.name} on "
-        f"backend={pipeline.backend}{sharded}{sketched} "
+        f"backend={pipeline.backend}{sharded} "
         f"({total_in} source rows)"
     )
     for name in sorted(report.run.targets):
@@ -665,20 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         "columnar, or multiprocess when --shards is given)",
     )
     p.add_argument(
-        "--distinct-sketch",
-        choices=("exact", "hll"),
-        default="exact",
-        help="distinct-tap implementation: exact value sets (default) or "
-        "mergeable HyperLogLog sketches",
-    )
-    p.add_argument(
-        "--sketch-precision",
-        type=int,
-        default=None,
-        help="HLL precision p (2^p one-byte registers); requires "
-        "--distinct-sketch hll",
-    )
-    p.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -968,9 +942,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        CliError, FaultError, PersistenceError, QualityError, SketchError
-    ) as exc:
+    except (CliError, FaultError, PersistenceError, QualityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

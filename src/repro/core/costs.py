@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.algebra.expressions import AnySE, RejectJoinSE, RejectSE
+from repro.algebra.expressions import AnySE, RejectSE
 from repro.algebra.schema import Catalog
 from repro.core.statistics import StatKind, Statistic
 
@@ -45,11 +45,6 @@ class CostModel:
     cpu_weight: float = 0.0
     default_domain: int = 1024
     default_se_size: float = 1000.0
-    #: when distinct taps run as HLL sketches, a distinct count never
-    #: holds more than one byte per register -- its memory cost is capped
-    #: at the register count (``2^precision``) instead of the domain
-    #: product.  ``None`` keeps the exact-tracking table.
-    distinct_sketch_units: float | None = None
 
     def domain_size(self, attr: str) -> int:
         try:
@@ -78,11 +73,6 @@ class CostModel:
         bound = self._size_bound(stat.se)
         if bound is not None:
             units = min(units, max(bound, 1.0))
-        if (
-            stat.kind is StatKind.DISTINCT
-            and self.distinct_sketch_units is not None
-        ):
-            units = min(units, self.distinct_sketch_units)
         return units
 
     def _size_bound(self, se: AnySE) -> float | None:
@@ -92,8 +82,6 @@ class CostModel:
         if isinstance(se, RejectSE):
             base = self.se_sizes.get(se.source)
             return float(base) if base is not None else None
-        if isinstance(se, RejectJoinSE):
-            return None
         return None
 
     def se_size(self, se: AnySE) -> float:
@@ -102,8 +90,6 @@ class CostModel:
         if isinstance(se, RejectSE):
             base = self.se_sizes.get(se.source)
             return float(base) if base is not None else self.default_se_size
-        if isinstance(se, RejectJoinSE):
-            return self.default_se_size
         return self.default_se_size
 
     def cpu_units(self, stat: Statistic) -> float:

@@ -187,10 +187,8 @@ class ExecutionBackend:
     #: how the runtime batches rows under this backend
     profile = CompiledProfile()
 
-    def make_taps(self, stats: Iterable = (), sketch=None) -> TapSet:
-        """Instrumentation object for a run on this backend; ``sketch``
-        is its distinct-count :class:`~repro.estimation.sketches
-        .SketchSpec` (``None``: exact)."""
+    def make_taps(self, stats: Iterable = ()) -> TapSet:
+        """Instrumentation object for a run on this backend."""
         raise NotImplementedError
 
     def begin_run(

@@ -135,7 +135,7 @@ class ObservationBuffer:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.taps = TapSet(ctx.taps.requested, sketch=ctx.taps.sketch)
+        self.taps = TapSet(ctx.taps.requested)
         self.counts: dict[AnySE, int] = {}
         self.rejects: dict[RejectSE, Table] = {}
         #: extra operator-point attributes, filled only on traced runs

@@ -121,8 +121,8 @@ class MultiprocessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # ExecutionBackend protocol
     # ------------------------------------------------------------------
-    def make_taps(self, stats=(), sketch=None):
-        return TapSet(stats, sketch=sketch)
+    def make_taps(self, stats=()):
+        return TapSet(stats)
 
     def begin_run(self, analysis, sources, taps) -> None:
         with self._lock:
@@ -264,10 +264,6 @@ class MultiprocessBackend(ExecutionBackend):
             "plan": plan,
             "shard": shard,
             "overrides": overrides,
-            # the run's sketch spec rides along so a warm pool (forked
-            # for an earlier run) builds the worker's tap set with the
-            # same distinct accumulators the parent's merge expects
-            "sketch": ctx.taps.sketch,
             "context_tokens": ctx.context_tokens,
             "invalidate_sources": tuple(
                 sorted({e.source for e in ctx.run.schema_drift})
@@ -391,8 +387,6 @@ class MultiprocessBackend(ExecutionBackend):
     ) -> Table:
         ordered = [results[shard] for shard in range(plan.shards)]
 
-        # measured before folding: what the shards actually shipped
-        sketch_bytes = sum(r.taps.distinct_bytes() for r in ordered)
         obs = ObservationBuffer(ctx)
         for result in ordered:
             obs.taps.merge(result.taps)
@@ -422,9 +416,7 @@ class MultiprocessBackend(ExecutionBackend):
             else Table.empty(ordered[0].output_attrs)
         )
 
-        self._record_shard_stats(
-            block, plan, ordered, retries, ctx, out.num_rows, sketch_bytes
-        )
+        self._record_shard_stats(block, plan, ordered, retries, ctx, out.num_rows)
         return out
 
     def _merge_rejects(
@@ -467,7 +459,6 @@ class MultiprocessBackend(ExecutionBackend):
         retries: int,
         ctx: RunContext,
         rows_out: int,
-        sketch_bytes: int = 0,
     ) -> None:
         shm_bytes = sum(ref.size for _t, ref, _s in self._segments)
         with ctx.lock:
@@ -477,7 +468,6 @@ class MultiprocessBackend(ExecutionBackend):
             stats["tasks"] = stats.get("tasks", 0) + len(ordered)
             stats["retries"] = stats.get("retries", 0) + retries
             stats["rows_out"] = stats.get("rows_out", 0) + rows_out
-            stats["sketch_bytes"] = stats.get("sketch_bytes", 0) + sketch_bytes
             stats["shm_bytes"] = shm_bytes
             key = f"strategy_{plan.strategy}"
             stats[key] = stats.get(key, 0) + 1

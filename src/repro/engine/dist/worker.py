@@ -193,7 +193,7 @@ def run_shard(payload: dict, state: "WorkerState | None" = None) -> ShardResult:
     shard: int = payload["shard"]
 
     env = _shard_env(block, plan, shard, payload.get("overrides", {}), state)
-    taps = TapSet(state.stats, sketch=payload["sketch"])
+    taps = TapSet(state.stats)
     run = WorkflowRun(env=env)
     ctx = RunContext(
         run=run,

@@ -34,5 +34,5 @@ class ColumnarBackend(ExecutionBackend):
     name = "columnar"
     profile = CompiledProfile(chunk_rows=None)
 
-    def make_taps(self, stats=(), sketch=None):
-        return TapSet(stats, sketch=sketch)
+    def make_taps(self, stats=()):
+        return TapSet(stats)

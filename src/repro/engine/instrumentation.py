@@ -10,9 +10,7 @@ such a point.
 
 - cardinality  -> a counter (one integer);
 - histogram    -> an exact frequency histogram on the tapped attributes;
-- distinct     -> a distinct-value counter: an exact value set, or a
-  mergeable HyperLogLog sketch when the tap set is built with a
-  ``mode="hll"`` :class:`~repro.estimation.sketches.SketchSpec`.
+- distinct     -> the exact set of distinct values on the tapped attributes.
 
 Reject-link statistics are observable because the engine can always add an
 instrumentation-only reject output to a join of the initial plan
@@ -22,74 +20,16 @@ ones to produce.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 from repro.algebra.expressions import AnySE, RejectJoinSE, RejectSE
 from repro.core.histogram import Histogram
 from repro.core.statistics import StatKind, Statistic, StatisticsStore
 
-if TYPE_CHECKING:
-    from repro.estimation.sketches import SketchSpec
-
 
 class InstrumentationError(ValueError):
     """Raised when asked to observe something no plan point can provide."""
-
-
-class DistinctAccumulator:
-    """Exact mergeable distinct-value state for one statistic.
-
-    Counts and histogram buckets merge additively across disjoint row
-    shards, but a distinct count does not: merging needs the underlying
-    value sets (or a mergeable sketch of them).  This class is that seam.
-    This is the exact implementation of the four-method accumulator
-    interface -- ``add`` / ``update`` / ``merge`` / ``result`` -- whose
-    sketch counterpart is :class:`~repro.estimation.sketches.HllSketch`;
-    a :class:`TapSet` picks between them from its own ``sketch`` spec.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable[tuple] = ()):
-        self.values: set[tuple] = set(values)
-
-    def add(self, value: tuple) -> None:
-        self.values.add(value)
-
-    def update(self, values: Iterable[tuple]) -> None:
-        self.values.update(values)
-
-    def merge(self, other: "DistinctAccumulator") -> None:
-        """Fold another shard's accumulator into this one (set union)."""
-        if not isinstance(other, DistinctAccumulator):
-            raise InstrumentationError(
-                f"cannot merge a {type(other).__name__} into a "
-                "DistinctAccumulator: mixed distinct-accumulator "
-                "implementations would silently corrupt the count (was "
-                "one tap set built with a different sketch spec?)"
-            )
-        self.values |= other.values
-
-    def result(self) -> int:
-        """The distinct count over everything accumulated so far."""
-        return len(self.values)
-
-    def size_bytes(self) -> int:
-        """Approximate in-memory footprint of the retained value set."""
-        return sys.getsizeof(self.values) + sum(
-            sys.getsizeof(value) for value in self.values
-        )
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DistinctAccumulator):
-            return NotImplemented
-        return self.values == other.values
 
 
 class TapSet:
@@ -106,28 +46,14 @@ class TapSet:
       stream calls :meth:`mark_streamed`; :meth:`collect` reports only
       streamed points, so a failed block's statistics read as *missing*,
       never as zeros or partial counts.
-
-    ``sketch`` decides how distinct statistics count: ``None`` (or a
-    ``mode="exact"`` spec) keeps exact value sets, a ``mode="hll"``
-    :class:`~repro.estimation.sketches.SketchSpec` builds sketches.  Tap
-    sets derived from this one (a block attempt's buffer, a shard
-    worker's taps) are built with the same spec.
     """
 
-    def __init__(
-        self,
-        stats: Iterable[Statistic] = (),
-        sketch: "SketchSpec | None" = None,
-    ):
-        #: the distinct-count spec; ``None`` means exact value sets
-        self.sketch = (
-            sketch if sketch is not None and sketch.mode == "hll" else None
-        )
+    def __init__(self, stats: Iterable[Statistic] = ()):
         self._by_se: dict[AnySE, list[Statistic]] = {}
         self._counters: dict[Statistic, int] = {}
         self._hists: dict[Statistic, Counter] = {}
-        #: stat -> accumulator (exact set or HLL sketch, per ``sketch``)
-        self._distinct: dict[Statistic, object] = {}
+        #: stat -> the exact set of value tuples seen at its point
+        self._distinct: dict[Statistic, set] = {}
         self._streamed: set[AnySE] = set()
         for stat in stats:
             self.request(stat)
@@ -191,7 +117,7 @@ class TapSet:
             if stat.kind is StatKind.HISTOGRAM:
                 self._hists.setdefault(stat, Counter()).update(rows)
             else:
-                self._accumulator(stat).update(rows)
+                self._distinct.setdefault(stat, set()).update(rows)
 
     def mark_streamed(self, se: AnySE) -> None:
         """Record that this observation point's stream ran to completion.
@@ -218,44 +144,21 @@ class TapSet:
                         stat, Histogram(stat.attrs, self._hists.get(stat, {}))
                     )
                 else:
-                    acc = self._distinct.get(stat)
-                    store.put(stat, acc.result() if acc is not None else 0)
+                    store.put(stat, len(self._distinct.get(stat, ())))
         return store
-
-    def _accumulator(self, stat: Statistic):
-        acc = self._distinct.get(stat)
-        if acc is None:
-            # always fresh (never a copy of another tap set's internals)
-            if self.sketch is None:
-                acc = DistinctAccumulator()
-            else:
-                from repro.estimation.sketches import make_sketch
-
-                acc = make_sketch(self.sketch)
-            self._distinct[stat] = acc
-        return acc
 
     # ------------------------------------------------------------------
     def merge(self, other: "TapSet") -> None:
         """Fold another tap set's accumulators into this one.
 
         The operands must have observed **disjoint rows** of the same
-        logical points and carry the same ``sketch`` spec (a mismatch
-        raises :class:`InstrumentationError` before anything is folded);
-        under that contract the merge is exact:
+        logical points; under that contract the merge is exact:
 
         - cardinalities add;
         - histogram buckets add (Equation 1's union of disjoint row sets);
-        - distinct values merge through the accumulator's own ``merge``
-          (set union, or register-max for sketches);
+        - distinct value sets unite;
         - a point counts as streamed if either side streamed it.
         """
-        if other.sketch != self.sketch:
-            raise InstrumentationError(
-                f"cannot merge tap sets with mixed sketch specs "
-                f"({other.sketch!r} into {self.sketch!r}): their distinct "
-                "counts are not comparable"
-            )
         for se, bucket in other._by_se.items():
             mine = self._by_se.setdefault(se, [])
             for stat in bucket:
@@ -265,8 +168,8 @@ class TapSet:
             self._counters[stat] = self._counters.get(stat, 0) + count
         for stat, buckets in other._hists.items():
             self._hists.setdefault(stat, Counter()).update(buckets)
-        for stat, acc in other._distinct.items():
-            self._accumulator(stat).merge(acc)
+        for stat, values in other._distinct.items():
+            self._distinct.setdefault(stat, set()).update(values)
         self._streamed |= other._streamed
 
     def discard_points(self, ses: Iterable[AnySE]) -> None:
@@ -284,11 +187,6 @@ class TapSet:
                 self._hists.pop(stat, None)
                 self._distinct.pop(stat, None)
         self._streamed -= drop
-
-    def distinct_bytes(self) -> int:
-        """Bytes of distinct-accumulator state held by these taps (what a
-        shard ships to the parent; the ``etl_sketch_bytes`` gauge)."""
-        return sum(acc.size_bytes() for acc in self._distinct.values())
 
     def missing(self) -> list[Statistic]:
         """Requested statistics whose point never streamed (plan bug, or

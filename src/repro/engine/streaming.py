@@ -37,5 +37,5 @@ class StreamingBackend(ExecutionBackend):
     name = "streaming"
     profile = CompiledProfile(chunk_rows=2048, canonical_output=True)
 
-    def make_taps(self, stats=(), sketch=None):
-        return TapSet(stats, sketch=sketch)
+    def make_taps(self, stats=()):
+        return TapSet(stats)

@@ -9,17 +9,10 @@ from repro.estimation.costmodel import CostModelError, PlanCostModel
 from repro.estimation.bootstrap import bootstrap_se_sizes
 from repro.estimation.estimator import CardinalityEstimator, EstimationError
 from repro.estimation.optimizer import OptimizedPlan, PlanOptimizer, optimize_workflow
-from repro.estimation.sketches import (
-    HllSketch,
-    SketchError,
-    SketchSpec,
-    make_sketch,
-)
 
 __all__ = [
     "bootstrap_se_sizes", "CalculationError", "CardinalityEstimator",
     "compute_statistics", "CostModelError", "EstimationError",
-    "HllSketch", "OptimizedPlan", "PlanCostModel", "PlanOptimizer",
-    "SketchError", "SketchSpec", "make_sketch",
+    "OptimizedPlan", "PlanCostModel", "PlanOptimizer",
     "StatisticsCalculator", "optimize_workflow",
 ]

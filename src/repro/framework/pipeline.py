@@ -94,13 +94,6 @@ class PipelineReport:
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     plan_cache_invalidations: int = 0
-    #: distinct-tap implementation this cycle ran with ("exact" | "hll")
-    sketch_mode: str = "exact"
-    #: bytes of distinct-accumulator state the taps held (for a sharded
-    #: run: what the shard workers actually shipped to the parent)
-    sketch_bytes: int = 0
-    #: FeedbackReport when run_once(feedback=...) was given
-    feedback: "object | None" = None
 
     @property
     def ok(self) -> bool:
@@ -179,13 +172,6 @@ class PipelineReport:
                 "catalog server unavailable: ran from the local view, "
                 "plan confidence demoted one rung"
             )
-        if self.sketch_mode != "exact":
-            lines.append(
-                f"distinct taps: {self.sketch_mode} sketches "
-                f"({self.sketch_bytes} accumulator byte(s))"
-            )
-        if self.feedback is not None and getattr(self.feedback, "observed", 0):
-            lines.append(self.feedback.describe())
         if self.drift is not None and getattr(self.drift, "touched", 0) + len(
             getattr(self.drift, "drifted", ())
         ):
@@ -239,11 +225,6 @@ class StatisticsPipeline:
     #: row shards per block for the multiprocess backend (None = that
     #: backend's own default); ignored by single-process backends
     shards: int | None = None
-    #: distinct-tap implementation: "exact" (set union) or "hll"
-    #: (mergeable HyperLogLog sketches in the cycle's tap sets)
-    distinct_sketch: str = "exact"
-    #: HLL precision p (2^p registers); None = the sketch default
-    sketch_precision: int | None = None
     #: monotonic clock behind ``PipelineReport.timings`` (and the default
     #: span clock) -- injectable so tests assert exact, deterministic
     #: durations instead of sleeping
@@ -254,13 +235,6 @@ class StatisticsPipeline:
             # asking for row shards selects the sharded backend (keeps the
             # cost-model constants and metric labels consistent)
             self.backend = "multiprocess"
-        from repro.estimation.sketches import SketchSpec
-
-        kwargs = {"mode": self.distinct_sketch}
-        if self.sketch_precision is not None:
-            kwargs["precision"] = self.sketch_precision
-        # SketchError is a ValueError: a bad mode/precision fails fast here
-        self.sketch_spec = SketchSpec(**kwargs)
         self.analysis = analyze(self.workflow)
         self.catalog = generate_css(self.analysis, self.generator_options)
         self._se_sizes: dict = {}
@@ -298,12 +272,6 @@ class StatisticsPipeline:
             se_sizes=dict(self._se_sizes),
             memory_weight=self.memory_weight,
             cpu_weight=self.cpu_weight,
-            # a sketched distinct tap never exceeds its register count
-            distinct_sketch_units=(
-                float(self.sketch_spec.registers)
-                if self.sketch_spec.mode == "hll"
-                else None
-            ),
         )
 
     def select_statistics(self) -> SelectionResult:
@@ -327,7 +295,6 @@ class StatisticsPipeline:
         run_id: str = "",
         tracer=None,
         quality=None,
-        feedback=None,
     ) -> PipelineReport:
         """One full observe-and-optimize cycle.
 
@@ -379,13 +346,6 @@ class StatisticsPipeline:
         observes excludes them.  Sources whose schema drifted have their
         catalog entries invalidated (``drift_invalidated``) and, in a
         degraded night, their catalog rung demoted to prior-level trust.
-
-        ``feedback`` (a :class:`~repro.catalog.feedback
-        .FeedbackCorrector`) is the loop's cross-night memory: the
-        reconcile pass feeds it the night's estimated-vs-actual errors
-        (catalog cardinalities, else the previous cycle's sizes) for fleet
-        re-ranking.  It writes nothing; its report lands in
-        ``PipelineReport.feedback``.
         """
         from repro.obs.trace import as_tracer
 
@@ -476,7 +436,7 @@ class StatisticsPipeline:
 
             t0 = clock()
             backend = self._make_backend()
-            taps = backend.make_taps(tapped, sketch=self.sketch_spec)
+            taps = backend.make_taps(tapped)
             with tr.span("execution", backend=self.backend) as exec_span:
                 run = BackendExecutor(
                     analysis,
@@ -502,17 +462,11 @@ class StatisticsPipeline:
                         schema_drift=len(run.schema_drift),
                     )
             timings["execution"] = clock() - t0
-            sketch_bytes = 0
-            if self.sketch_spec.mode != "exact":
-                sketch_bytes = taps.distinct_bytes()
-                sketch_bytes += run.shard_stats.get("sketch_bytes", 0)
-            previous_sizes = self._se_sizes
             self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
 
             drifted_sources = {event.source for event in run.schema_drift}
             drift = None
             drift_invalidated = 0
-            feedback_report = None
             if stats_catalog is not None:
                 from repro.catalog.drift import invalidate_schema_drift, reconcile_run
 
@@ -542,10 +496,7 @@ class StatisticsPipeline:
                         workflow=analysis.workflow.name,
                         run_id=run_id,
                         backend=self.backend,
-                        previous_sizes=previous_sizes,
-                        corrector=feedback,
                     )
-                    feedback_report = drift.feedback
                     rec_span.annotate(
                         added=len(drift.added),
                         refreshed=len(drift.refreshed),
@@ -557,20 +508,6 @@ class StatisticsPipeline:
                 timings["reconcile"] = clock() - t0
                 if stats_catalog.path is not None:
                     stats_catalog.save()
-            elif feedback is not None:
-                # no catalog to reconcile: the same comparison, against the
-                # previous cycle's sizes alone
-                from repro.catalog.drift import prediction_errors
-                from repro.catalog.signatures import WorkflowSigner
-
-                feedback_report = feedback.observe_run(
-                    {
-                        key: err
-                        for _se, key, _entry, err in prediction_errors(
-                            WorkflowSigner(analysis), run.se_sizes, previous_sizes
-                        )
-                    }
-                )
 
             t0 = clock()
             opt_span = tr.start("optimization")
@@ -657,9 +594,6 @@ class StatisticsPipeline:
                 plan_cache_misses=self.plan_cache.misses - cache_before[1],
                 plan_cache_invalidations=self.plan_cache.invalidations
                 - cache_before[2],
-                sketch_mode=self.sketch_spec.mode,
-                sketch_bytes=sketch_bytes,
-                feedback=feedback_report,
             )
             if tracer is not None:
                 tracer.finish(

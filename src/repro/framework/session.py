@@ -104,7 +104,6 @@ class EtlSession:
     metrics: "object | None" = None  # shared MetricsRegistry
     tracing: bool = False  # span tree per run, on record.report.trace
     quality: "object | None" = None  # QualityGate screening every run
-    feedback: "object | None" = None  # FeedbackCorrector fed every run
 
     def run(self, sources: dict[str, Table]) -> RunRecord:
         """Execute one load with the current plans; maybe re-optimize."""
@@ -124,7 +123,6 @@ class EtlSession:
             run_id=f"run{index}",
             tracer=tracer,
             quality=self.quality,
-            feedback=self.feedback,
         )
         if self.metrics is not None:
             from repro.obs.record import record_run_metrics

@@ -33,8 +33,7 @@ def record_run_metrics(registry: MetricsRegistry, report) -> None:
     ``etl_catalog_drifted_total``, ``etl_catalog_corrections_total``,
     ``catalog_entries_added_total``, ``catalog_entries_refreshed_total``,
     ``catalog_stale_marked_total``, ``catalog_schema_invalidated_total``,
-    ``catalog_max_rel_error``) and a cycle with a corrector
-    ``feedback_mean_rel_error``.  Histograms:
+    ``catalog_max_rel_error``).  Histograms:
     ``etl_phase_seconds`` (labelled by phase) and, when the report's
     trace carries estimated-vs-actual rows, ``etl_estimation_rel_error``.
     A sharded run additionally exports the ``etl_shard_*`` series
@@ -140,13 +139,6 @@ def record_run_metrics(registry: MetricsRegistry, report) -> None:
         for event in schema_drift:
             events.inc(source=event.source, kind=event.kind, **labels)
 
-    # distinct-sketch taps (mode "hll"): accumulator bytes the run held
-    if getattr(report, "sketch_mode", "exact") != "exact":
-        registry.gauge(
-            "etl_sketch_bytes",
-            "distinct-sketch accumulator bytes held/shipped by the last run",
-        ).set(getattr(report, "sketch_bytes", 0), **labels)
-
     # what the reconcile pass did to the shared catalog
     drift = report.drift
     if drift is not None:
@@ -172,11 +164,6 @@ def record_run_metrics(registry: MetricsRegistry, report) -> None:
         ):
             if amount:
                 registry.counter(metric, help_text).inc(amount, **labels)
-    if report.feedback is not None and report.feedback.observed:
-        registry.gauge(
-            "feedback_mean_rel_error",
-            "mean prediction error the corrector saw this run",
-        ).set(report.feedback.mean_rel_error, **labels)
 
     trace = getattr(report, "trace", None)
     if trace is not None and getattr(trace, "enabled", False):

@@ -8,17 +8,14 @@ so this file carries the ``dist`` marker and CI runs it as its own job.
 import pytest
 
 from repro.algebra.blocks import analyze
-from repro.algebra.expressions import SubExpression
 from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
-from repro.core.statistics import Statistic
 from repro.engine.backend import BackendExecutor, get_backend
 from repro.engine.dist import MultiprocessBackend, ShardExecutionError
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.scheduler import RetryPolicy, classify_error
-from repro.estimation.sketches import SketchSpec
 from repro.quality import ContractSet, QualityGate
 from repro.workloads import case
 
@@ -88,51 +85,6 @@ class TestPoolEquivalence:
         finally:
             backend.close()
         assert first.se_sizes == second.se_sizes
-
-
-class TestWarmPoolSketchSpec:
-    """The spec reaches a warm pool's workers through the task payload:
-    the pool forked for an exact night then serves an HLL night."""
-
-    #: a low threshold so the shard sketches densify into registers
-    HLL = SketchSpec(mode="hll", precision=10, exact_threshold=8)
-
-    def test_hll_night_on_a_warm_pool_matches_columnar_hll(self):
-        analysis, selection, sources = _prepared()
-        distincts = [
-            Statistic.distinct(SubExpression.of(name), attr)
-            for name, table in sorted(sources.items())
-            for attr in sorted(table.attrs)[:2]
-        ]
-        tapped = list(selection.observed) + distincts
-
-        def night(backend, sketch=None):
-            return BackendExecutor(analysis, backend).run(
-                sources, taps=backend.make_taps(tapped, sketch=sketch)
-            )
-
-        columnar = get_backend("columnar")
-        exact_ref = night(columnar)
-        hll_ref = night(columnar, self.HLL)
-        backend = _pool_backend(2)
-        try:
-            exact = night(backend)
-            pool = backend._pool
-            hll = night(backend, self.HLL)
-            assert backend._pool is pool  # same taps: the pool stayed warm
-        finally:
-            backend.close()
-
-        observed = [s for s in distincts if hll_ref.observations.maybe(s)]
-        assert observed, "no distinct tap materialized"
-        for stat in observed:
-            assert exact.observations.get(stat) == exact_ref.observations.get(stat)
-            assert hll.observations.get(stat) == hll_ref.observations.get(stat)
-        # the sketches really counted: some estimate is not the exact count
-        assert any(
-            hll.observations.get(s) != exact.observations.get(s)
-            for s in observed
-        )
 
 
 class TestQuarantineFingerprint:

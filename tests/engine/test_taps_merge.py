@@ -8,20 +8,13 @@ statistics -- the property the multiprocess backend's correctness rests on.
 """
 
 import random
-import threading
-import time
 
 import pytest
 
 from repro.algebra.expressions import SubExpression
 from repro.core.statistics import Statistic
-from repro.engine.instrumentation import (
-    DistinctAccumulator,
-    InstrumentationError,
-    TapSet,
-)
+from repro.engine.instrumentation import TapSet
 from repro.engine.table import Table
-from repro.estimation.sketches import HllSketch, SketchSpec
 
 SE = SubExpression.of
 
@@ -121,28 +114,6 @@ class TestTapSetMergeRoundTrip:
             assert merged.collect().get(stat) == whole.collect().get(stat), stat
 
 
-class TestDistinctAccumulator:
-    def test_merge_is_set_union(self):
-        left = DistinctAccumulator([(1,), (2,)])
-        right = DistinctAccumulator([(2,), (3,)])
-        left.merge(right)
-        assert left.result() == 3
-        assert left == DistinctAccumulator([(1,), (2,), (3,)])
-
-    def test_random_partition_round_trip(self):
-        rng = random.Random(99)
-        values = [(rng.randrange(20), rng.choice("pq")) for _ in range(200)]
-        whole = DistinctAccumulator(values)
-        parts = [DistinctAccumulator() for _ in range(4)]
-        for value in values:
-            parts[rng.randrange(4)].add(value)
-        base, *rest = parts
-        for part in rest:
-            base.merge(part)
-        assert base.result() == whole.result()
-        assert base == whole
-
-
 class TestMergeProtocolEdges:
     def test_distinct_counts_stay_exact_across_observes(self):
         # the accumulator (not the last batch) backs the stored count
@@ -193,126 +164,3 @@ class TestMergeProtocolEdges:
         assert merged.frequency(3) == 1
         assert merged.total() == 5
 
-
-class TestSketchModeFactorySeam:
-    """Regression: a tap set builds every accumulator from its own spec.
-
-    A tap class once constructed ``DistinctAccumulator`` directly, which
-    under ``mode="hll"`` would have mixed implementations inside one run
-    -- the exact accumulator on the merge side, sketches on the observe
-    side -- and ``merge`` now refuses that instead of silently unioning a
-    sketch into a set.
-    """
-
-    HLL = SketchSpec(mode="hll", precision=10, exact_threshold=4)
-
-    def test_merge_builds_factory_accumulators(self):
-        stat = Statistic.distinct(SE("T"), "a")
-        # never observed: merge must create the accumulator
-        merged = TapSet([stat], sketch=self.HLL)
-        for lo in (0, 40):
-            shard = TapSet([stat], sketch=self.HLL)
-            observe(shard, SE("T"), Table({"a": list(range(lo, lo + 40))}))
-            merged.merge(shard)
-        assert isinstance(merged._distinct[stat], HllSketch)
-
-        whole = TapSet([stat], sketch=self.HLL)
-        observe(whole, SE("T"), Table({"a": list(range(80))}))
-        assert merged.collect().get(stat) == whole.collect().get(stat)
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("k", [2, 3, 7])
-    def test_tapset_sharded_sketch_merge_equals_unsharded(self, seed, k):
-        rng = random.Random(seed * 23 + k)
-        table = _random_table(rng, rows=rng.randrange(1, 120))
-        stats = _stats()
-        whole = TapSet(stats, sketch=self.HLL)
-        observe(whole, SE("T"), table)
-
-        shards = [TapSet(stats, sketch=self.HLL) for _ in range(k)]
-        for taps, piece in zip(shards, _random_shards(rng, table, k)):
-            observe(taps, SE("T"), piece)
-        merged, *rest = shards
-        for taps in rest:
-            merged.merge(taps)
-
-        for stat in stats:
-            assert merged.collect().get(stat) == whole.collect().get(stat), stat
-
-    def test_mixed_implementation_merge_raises(self):
-        stat = Statistic.distinct(SE("T"), "a")
-        exact_taps = TapSet([stat])
-        observe(exact_taps, SE("T"), Table({"a": [1, 2]}))
-        hll_taps = TapSet([stat], sketch=self.HLL)
-        observe(hll_taps, SE("T"), Table({"a": [2, 3]}))
-        with pytest.raises(InstrumentationError, match="mixed"):
-            hll_taps.merge(exact_taps)
-        with pytest.raises(InstrumentationError, match="mixed"):
-            exact_taps.merge(hll_taps)
-
-    def test_spec_mismatch_raises_before_folding_anything(self):
-        card = Statistic.card(SE("T"))
-        stat = Statistic.distinct(SE("T"), "a")
-        coarse = TapSet([card, stat], sketch=self.HLL)
-        observe(coarse, SE("T"), Table({"a": [1, 2]}))
-        fine = TapSet([card, stat], sketch=SketchSpec(mode="hll", precision=12))
-        observe(fine, SE("T"), Table({"a": [3]}))
-        with pytest.raises(InstrumentationError, match="mixed"):
-            coarse.merge(fine)
-        assert coarse.collect().get(card) == 2  # the counter was not folded
-
-    def test_exact_spec_is_the_default(self):
-        stat = Statistic.distinct(SE("T"), "a")
-        taps = TapSet([stat], sketch=SketchSpec(mode="exact"))
-        assert taps.sketch is None
-        taps.merge(TapSet([stat]))  # same spec: no mismatch
-
-    def test_distinct_bytes_reports_sketch_state(self):
-        stat = Statistic.distinct(SE("T"), "a")
-        taps = TapSet([stat], sketch=self.HLL)
-        observe(taps, SE("T"), Table({"a": list(range(100))}))
-        # past the threshold the accumulator densified: exactly 2^p
-        assert taps.distinct_bytes() == 1 << self.HLL.precision
-        plain = TapSet([stat])
-        observe(plain, SE("T"), Table({"a": list(range(100))}))
-        assert plain.distinct_bytes() > 1 << self.HLL.precision
-
-    def test_a_held_hll_night_does_not_leak_into_other_tap_sets(self):
-        """Regression: the distinct-count spec once lived in a
-        process-wide variable that ``run_once`` set for a whole night, so
-        a tap set built on another thread while an HLL night was running
-        silently counted with sketches."""
-        from repro.engine.faults import FaultPlan, FaultSpec
-        from repro.framework.pipeline import StatisticsPipeline
-        from repro.workloads import case
-
-        wfcase = case(9)
-        pipeline = StatisticsPipeline(
-            wfcase.build(), solver="greedy", distinct_sketch="hll"
-        )
-        injector = FaultPlan(
-            (FaultSpec(target="B1", kind="delay", delay=0.5),), seed=1
-        ).injector()
-        reports = []
-        night = threading.Thread(
-            target=lambda: reports.append(
-                pipeline.run_once(
-                    wfcase.tables(scale=0.05, seed=7), faults=injector
-                )
-            )
-        )
-        night.start()
-        try:
-            deadline = time.monotonic() + 30.0
-            while not injector.events:  # the delay fired: the night is held
-                assert time.monotonic() < deadline, "the night never started"
-                time.sleep(0.002)
-            stat = Statistic.distinct(SE("T"), "a")
-            taps = TapSet([stat])
-            observe(taps, SE("T"), Table({"a": [1, 2, 2]}))
-            assert night.is_alive()  # still held while this tap set counted
-            assert isinstance(taps._distinct[stat], DistinctAccumulator)
-            assert taps.collect().get(stat) == 2
-        finally:
-            night.join()
-        assert reports[0].sketch_mode == "hll"

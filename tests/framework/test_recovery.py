@@ -488,7 +488,7 @@ class TestConfidenceLadder:
         params = inspect.signature(StatisticsPipeline.run_once).parameters
         assert [p.kind for p in params.values()].count(
             inspect.Parameter.KEYWORD_ONLY
-        ) == 8
+        ) == 7
         with pytest.raises(TypeError, match=removed):
             _run_once("columnar", **{removed: None})
 

@@ -191,21 +191,6 @@ class TestErrorPaths:
                      "--backend", backend, "--shards", "2"]) == 1
         self._assert_one_line_error(capsys, "--shards", backend)
 
-    def test_sketch_precision_needs_hll(self, capsys):
-        assert main(["run", "--number", "9", "--scale", "0.05",
-                     "--sketch-precision", "10"]) == 1
-        self._assert_one_line_error(
-            capsys, "--sketch-precision", "--distinct-sketch hll"
-        )
-
-    @pytest.mark.parametrize("precision", ["3", "19"])
-    def test_sketch_precision_out_of_range(self, precision, capsys):
-        # the range is SketchSpec's rule, reported through SketchError
-        assert main(["run", "--number", "9", "--scale", "0.05",
-                     "--distinct-sketch", "hll",
-                     "--sketch-precision", precision]) == 1
-        self._assert_one_line_error(capsys, "precision", "[4, 18]", precision)
-
     def test_corrupt_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "ckpt.json"
         path.write_text("{nope")
@@ -702,3 +687,49 @@ class TestCompileTrace:
         out = capsys.readouterr().out
         assert "phase:compile" in out
         assert "cache_misses=" in out and "cache_hits=" in out
+
+
+def test_removed_options(capsys):
+    """Taps count exactly and the catalog is the one memory of estimation
+    error: the distinct-sketch options and the feedback hooks are gone.
+    The pipeline's fields and ``reconcile_run``'s keywords are pinned
+    exactly (so any other keyword is a TypeError), the three ``feedback=``
+    hooks raise TypeError, and the two ``run`` flags are usage errors."""
+    import inspect
+
+    from repro.catalog import plan_fleet, reconcile_run
+    from repro.framework.pipeline import StatisticsPipeline
+    from repro.framework.session import EtlSession
+    from repro.workloads import case
+
+    assert list(inspect.signature(StatisticsPipeline).parameters) == [
+        "workflow", "generator_options", "solver", "cost_metric",
+        "free_statistics", "memory_weight", "cpu_weight", "backend",
+        "shards", "clock",
+    ]
+    run_once = inspect.signature(StatisticsPipeline.run_once).parameters
+    assert [
+        name for name, p in run_once.items() if p.kind is p.KEYWORD_ONLY
+    ] == [
+        "faults", "retry", "checkpoint", "stats_catalog", "run_id",
+        "tracer", "quality",
+    ]
+    reconcile = inspect.signature(reconcile_run).parameters
+    assert [
+        name for name, p in reconcile.items() if p.kind is p.KEYWORD_ONLY
+    ] == ["workflow", "run_id", "backend", "threshold", "now"]
+
+    workflow = case(9).build()
+    pipeline = StatisticsPipeline(workflow, solver="greedy")
+    with pytest.raises(TypeError):
+        pipeline.run_once({}, feedback=object())
+    with pytest.raises(TypeError):
+        EtlSession(pipeline, feedback=object())
+    with pytest.raises(TypeError):
+        plan_fleet([workflow], feedback=object())
+
+    for flags in (["--distinct-sketch", "hll"], ["--sketch-precision", "12"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--number", "9", "--scale", "0.05", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

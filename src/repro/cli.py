@@ -11,7 +11,9 @@ console script):
   execution backend (``--backend columnar|streaming|vectorized|
   multiprocess``; ``--shards K`` for multi-process row sharding, which
   selects the multiprocess backend when ``--backend`` is not given) and
-  print the observe-and-optimize report.  Resilience flags: ``--faults spec.json``
+  print the observe-and-optimize report.  ``run`` selects statistics with
+  the Section 5.3 greedy solver unless ``--solver ilp`` is given, so a
+  default night never starts HiGHS.  Resilience flags: ``--faults spec.json``
   injects a deterministic chaos plan, ``--max-retries N`` and
   ``--block-timeout S`` configure the scheduler's retry/deadline policy,
   ``--resume checkpoint.json`` journals per-block progress to (and, if

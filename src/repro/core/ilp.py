@@ -58,10 +58,6 @@ pins the former.  Once that check reads ``cost <= golden`` (ROADMAP item
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
-
 from repro.core.costs import INFINITE
 from repro.core.greedy import solve_greedy
 from repro.core.selection import SelectionProblem, SelectionResult
@@ -135,6 +131,12 @@ def _highs(
     limit.  ``exact`` closes the gap completely instead of stopping at
     HiGHS's default 1e-4.
     """
+    # imported here, their only user: a presolved or greedy night never
+    # pays scipy's import
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
     n = problem.n
     m = len(problem.entries)
     scc_of = _strongly_connected(problem)

@@ -484,33 +484,27 @@ def contract_tokens(quality) -> dict[str, str]:
     }
 
 
-def _backends() -> "dict[str, type[ExecutionBackend]]":
-    # imported here: each of these modules subclasses ExecutionBackend
-    from repro.engine.dist import MultiprocessBackend
-    from repro.engine.executor import ColumnarBackend
-    from repro.engine.streaming import StreamingBackend
-    from repro.engine.vectorized import VectorizedBackend
-
-    return {
-        cls.name: cls
-        for cls in (
-            ColumnarBackend,
-            MultiprocessBackend,
-            StreamingBackend,
-            VectorizedBackend,
-        )
-    }
-
-
 def available_backends() -> list[str]:
-    """Names :func:`get_backend` resolves."""
-    return sorted(_backends())
+    """Names :func:`get_backend` resolves; imports no backend module."""
+    return ["columnar", "multiprocess", "streaming", "vectorized"]
 
 
 def get_backend(name: str) -> ExecutionBackend:
-    """Resolve a backend name to a fresh backend instance."""
-    cls = _backends().get(name)
-    if cls is None:
+    """Resolve a backend name to a fresh backend instance.
+
+    Only the named backend's module is imported: each subclasses
+    :class:`ExecutionBackend`, and the sharded one loads
+    ``multiprocessing`` and numpy, which no other backend needs.
+    """
+    if name == "columnar":
+        from repro.engine.executor import ColumnarBackend as cls
+    elif name == "multiprocess":
+        from repro.engine.dist import MultiprocessBackend as cls
+    elif name == "streaming":
+        from repro.engine.streaming import StreamingBackend as cls
+    elif name == "vectorized":
+        from repro.engine.vectorized import VectorizedBackend as cls
+    else:
         raise TableError(
             f"unknown execution backend {name!r}; "
             f"available: {available_backends()}"

@@ -28,8 +28,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-import numpy as np
-
 from repro.engine.table import Table
 
 #: CPython's ``random()``: 27 + 26 bits of two 32-bit words over 2**53
@@ -112,6 +110,8 @@ class ZipfSampler:
         ``getrandbits``, so a subclass that overrides ``random()`` would
         not see its override here.
         """
+        import numpy as np  # here: a process that draws nothing skips it
+
         bits = self._rng.getrandbits(64 * n).to_bytes(8 * n, "little")
         words = np.frombuffer(bits, dtype="<u4")
         u = (words[0::2] >> 5) * _TWO_POW_26 + (words[1::2] >> 6)

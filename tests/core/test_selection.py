@@ -168,7 +168,7 @@ class TestZeroCostPresolve:
     (costs are non-negative) and HiGHS is not started."""
 
     def test_cover_is_answered_without_highs(self, monkeypatch):
-        import repro.core.ilp as ilp
+        import scipy.optimize
 
         h1 = Statistic.hist(SE("T1"), "a")
         h2 = Statistic.hist(SE("T2"), "a")
@@ -177,7 +177,7 @@ class TestZeroCostPresolve:
         problem = build_problem(
             tiny_catalog(), FixedCost({}), free_statistics=free
         )
-        monkeypatch.setattr(ilp, "milp", None)  # calling it would raise
+        monkeypatch.setattr(scipy.optimize, "milp", None)  # calling it would raise
         result = solve_ilp(problem)
         assert result.method == "ilp" and result.is_valid
         assert result.total_cost == 0.0
@@ -215,17 +215,18 @@ def suite_problem(number):
 
 
 def capture_milp(monkeypatch):
-    """Record what reaches ``repro.core.ilp.milp``; HiGHS still runs."""
-    import repro.core.ilp as ilp
+    """Record what reaches ``scipy.optimize.milp``, which ``repro.core.ilp``
+    looks up when it solves; HiGHS still runs."""
+    import scipy.optimize
 
     calls = []
-    real = ilp.milp
+    real = scipy.optimize.milp
 
     def spy(**kwargs):
         calls.append(kwargs)
         return real(**kwargs)
 
-    monkeypatch.setattr(ilp, "milp", spy)
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
     return calls
 
 
@@ -322,6 +323,8 @@ class TestGreedyBound:
     def test_no_incumbent_returns_the_bounding_greedy(self, monkeypatch):
         import types
 
+        import scipy.optimize
+
         import repro.core.ilp as ilp
 
         problem = build_problem(tiny_catalog(), CostModel(Catalog()))
@@ -333,7 +336,9 @@ class TestGreedyBound:
 
         monkeypatch.setattr(ilp, "solve_greedy", counting)
         monkeypatch.setattr(
-            ilp, "milp", lambda **_: types.SimpleNamespace(x=None, success=False)
+            scipy.optimize,
+            "milp",
+            lambda **_: types.SimpleNamespace(x=None, success=False),
         )
         result = solve_ilp(problem)
         assert results == [result]  # one greedy solve, on the caller's problem

@@ -41,9 +41,10 @@ optimum outright and HiGHS is not started.  Bound: the Section 5.3 greedy
 selection costs ``U``, so no selection as cheap observes a statistic dearer
 than ``U``; whatever cannot be derived from observations of cost <= ``U``
 leaves the problem, with every CSS naming it (wf21: 774 statistics / 5,036
-CSSs -> 310 / 959), and HiGHS gets the order-preserving rest.
-``scipy.optimize.milp`` takes neither a warm start nor an objective cutoff,
-so the greedy cost acts on the model, not on the search.
+CSSs -> 310 / 959), and HiGHS gets the order-preserving rest plus one
+cutoff row, ``sum c_i x_i <= U``.  The greedy selection satisfies it, so
+it removes no optimum, and it cuts every branch dearer than greedy from
+the search (wf21: HiGHS 170 ms -> 27 ms).
 
 The gap rule is two-sided.  A model the bound shrank is solved with
 ``mip_rel_gap = 0``: there ``method == "ilp"`` means proven optimal, and it
@@ -122,14 +123,18 @@ def _strongly_connected(problem: SelectionProblem) -> dict[int, int]:
 
 
 def _highs(
-    problem: SelectionProblem, time_limit: float | None, exact: bool
+    problem: SelectionProblem,
+    time_limit: float | None,
+    exact: bool,
+    cutoff: float | None = None,
 ) -> tuple[set[int] | None, bool]:
     """Assemble the Section 5.2 program and run HiGHS on it.
 
     Returns the statistics the incumbent observes (``None``: HiGHS has no
     incumbent) and whether it stopped at its gap rather than at the time
     limit.  ``exact`` closes the gap completely instead of stopping at
-    HiGHS's default 1e-4.
+    HiGHS's default 1e-4; ``cutoff`` bounds the objective from above by
+    one more row.
     """
     # imported here, their only user: a presolved or greedy night never
     # pays scipy's import
@@ -228,6 +233,10 @@ def _highs(
         terms.extend((z0 + j, -1.0) for j in css_vars)
         add(terms, -np.inf, 0.0)
 
+    if cutoff is not None:
+        terms = [(x0 + i, c) for i, c in enumerate(cost[x0:y0]) if c]
+        add(terms, -np.inf, cutoff)
+
     a = csr_matrix((vals, (rows, cols)), shape=(len(c_lo), nvars))
     options = {}
     if time_limit is not None:
@@ -296,7 +305,8 @@ def solve_ilp(
         if len(alive) < problem.n:
             model, kept = problem.restricted_to(alive)
 
-    observed, proved = _highs(model, time_limit, exact=model is not problem)
+    cutoff = greedy.total_cost if model is not problem else None
+    observed, proved = _highs(model, time_limit, cutoff is not None, cutoff)
     if observed is not None:
         observed = {kept[i] for i in observed}
     if observed is None or not problem.is_sufficient(observed):

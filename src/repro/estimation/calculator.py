@@ -14,7 +14,7 @@ force.
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heappop, heappush
 from typing import Iterable
 
 from repro.core.css import CSS, CssCatalog
@@ -77,6 +77,22 @@ def group_distinct(h: Histogram, bs: tuple[str, ...]) -> Histogram:
     return Histogram(bs, out)
 
 
+# the rules whose ``_evaluate`` branch builds a Histogram
+_HISTOGRAM_RULES = frozenset({"J2", "J3", "J4", "J5", "S1", "S2", "G2", "I2"})
+
+
+def _label(
+    css: CSS, labels: dict[Statistic, tuple[int, int]]
+) -> tuple[int, int]:
+    """(histograms built, CSSs evaluated) to derive ``css.target`` by
+    ``css``; an input without a label is already held and costs nothing."""
+    built, steps = int(css.rule in _HISTOGRAM_RULES), 1
+    for stat in set(css.inputs):
+        b, n = labels.get(stat, (0, 0))
+        built, steps = built + b, steps + n
+    return built, steps
+
+
 class StatisticsCalculator:
     """Fixpoint evaluation of a CSS catalog over observed statistics."""
 
@@ -94,33 +110,42 @@ class StatisticsCalculator:
         their derivations pass through, nothing else.
 
         The fixpoint first runs symbolically -- which CSS derives which
-        statistic, in the order it always had -- so a caller that reads
-        only ``S_C`` does not pay for the joint histograms no required
-        cardinality is derived from.
+        statistic -- so a caller that reads only ``S_C`` does not pay for
+        the joint histograms no required cardinality is derived from.  Each
+        statistic takes its cheapest derivation (Knuth's generalisation of
+        Dijkstra to AND-OR graphs): a CSS is labelled (histograms built,
+        CSSs evaluated) summed over it and its inputs' derivations, a value
+        already held is (0, 0), and ties go to catalog order.  Histograms
+        are exact, so every derivation gives the same value.
         """
-        waiting: dict[Statistic, list[CSS]] = {}
-        remaining: dict[int, int] = {}
+        waiting: dict[Statistic, list[int]] = {}
+        remaining: list[int] = []
         entries: list[CSS] = [
             css for bucket in self.catalog.css.values() for css in bucket
         ]
-        ready: deque[CSS] = deque()
+        labels: dict[Statistic, tuple[int, int]] = {}
+        ready: list[tuple[tuple[int, int], int]] = []
         for idx, css in enumerate(entries):
             missing = [s for s in set(css.inputs) if s not in self.values]
-            remaining[id(css)] = len(missing)
+            remaining.append(len(missing))
             if not missing:
-                ready.append(css)
+                heappush(ready, (_label(css, labels), idx))
             for s in missing:
-                waiting.setdefault(s, []).append(css)
+                waiting.setdefault(s, []).append(idx)
         derived: dict[Statistic, CSS] = {}  # in derivation order
         while ready:
-            css = ready.popleft()
+            label, idx = heappop(ready)
+            css = entries[idx]
             if css.target in self.values or css.target in derived:
                 continue
             derived[css.target] = css
+            labels[css.target] = label
             for dependent in waiting.get(css.target, []):
-                remaining[id(dependent)] -= 1
-                if remaining[id(dependent)] == 0:
-                    ready.append(dependent)
+                remaining[dependent] -= 1
+                if remaining[dependent] == 0:
+                    heappush(
+                        ready, (_label(entries[dependent], labels), dependent)
+                    )
         wanted = set(derived if targets is None else targets)
         for stat in reversed(derived):  # targets before their inputs
             if stat in wanted:

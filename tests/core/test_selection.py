@@ -274,6 +274,39 @@ class TestGreedyBound:
         assert result.problem is problem and result.is_valid
         assert result.method == "ilp" and result.total_cost == 181626.0
 
+    @pytest.mark.parametrize("number", [20, 21, 26])
+    def test_shrunken_model_carries_the_greedy_cutoff_row(
+        self, monkeypatch, number
+    ):
+        """A model the bound shrank gets one row more than it used to,
+        ``c·x <= greedy cost``; an unshrunken one (wf20) gets none."""
+        from scipy.optimize import LinearConstraint
+
+        import repro.core.ilp as ilp
+
+        problem = suite_problem(number)
+        bound = solve_greedy(problem).total_cost
+        alive = problem.closure(
+            {i for i in problem.observable if problem.costs[i] <= bound}
+        )
+        shrunk = len(alive) < problem.n
+        model = problem.restricted_to(alive)[0] if shrunk else problem
+        calls = capture_milp(monkeypatch)
+        result = solve_ilp(problem)
+        ilp._highs(model, None, exact=shrunk)  # the call without the row
+        solved, plain = calls
+        assert shrunk == (number != 20)
+        assert result.method == "ilp"
+        if not shrunk:
+            assert same_model(solved, plain)
+            return
+        (rows,), (plain_rows,) = solved["constraints"], plain["constraints"]
+        assert rows.A.shape[0] == plain_rows.A.shape[0] + 1
+        head = LinearConstraint(rows.A[:-1], rows.lb[:-1], rows.ub[:-1])
+        assert same_model(dict(solved, constraints=[head]), plain)
+        assert (rows.A[-1].toarray()[0] == solved["c"]).all()
+        assert rows.lb[-1] == -float("inf") and rows.ub[-1] == bound
+
     def test_sub_problem_keeps_order_costs_and_observability(self):
         problem = suite_problem(26)
         alive = set(range(0, problem.n, 2)) | set(problem.required)

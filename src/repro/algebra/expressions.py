@@ -22,9 +22,39 @@ from functools import total_ordering
 from typing import Union
 
 
+class CachedHash:
+    """Base of the frozen dataclasses used as set members and dict keys.
+
+    Subclasses are declared ``eq=False`` and call :meth:`_freeze` with their
+    field values last in ``__post_init__``.  The hash is computed there,
+    once, and is the value the dataclass-generated ``__hash__`` would
+    return, so sets and dicts iterate in the same order.  Equality checks
+    identity, then the hashes, then the fields.  A pickle rebuilds the
+    object from its fields: hash seeds differ between processes, so a
+    cached hash must never cross one.
+    """
+
+    def _freeze(self, *fields) -> None:
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields == other._fields
+
+    def __reduce__(self):
+        return self.__class__, self._fields
+
+
 @total_ordering
-@dataclass(frozen=True)
-class SubExpression:
+@dataclass(frozen=True, eq=False)
+class SubExpression(CachedHash):
     """A join of a subset of block inputs.
 
     ``relations`` holds input names; a singleton SE is a (possibly filtered /
@@ -38,6 +68,7 @@ class SubExpression:
             raise ValueError("a sub-expression must contain at least one relation")
         if not isinstance(self.relations, frozenset):
             object.__setattr__(self, "relations", frozenset(self.relations))
+        self._freeze(self.relations)
 
     @classmethod
     def of(cls, *relations: str) -> "SubExpression":
@@ -77,8 +108,8 @@ class SubExpression:
         return "SE(" + "*".join(sorted(self.relations)) + ")"
 
 
-@dataclass(frozen=True)
-class RejectSE:
+@dataclass(frozen=True, eq=False)
+class RejectSE(CachedHash):
     """Rows of ``source`` rejected by its join with ``against`` on ``key``.
 
     The paper writes this as ``\\overline{T}_i^{J_ij}``.  It is observable by
@@ -90,17 +121,23 @@ class RejectSE:
     key: str
     against: SubExpression
 
+    def __post_init__(self) -> None:
+        self._freeze(self.source, self.key, self.against)
+
     def __repr__(self) -> str:
         return f"Rej({self.source!r}, {self.key}, {self.against!r})"
 
 
-@dataclass(frozen=True)
-class RejectJoinSE:
+@dataclass(frozen=True, eq=False)
+class RejectJoinSE(CachedHash):
     """The side join ``reject join_{key} other`` used by rules J4/J5."""
 
     reject: RejectSE
     key: str
     other: SubExpression
+
+    def __post_init__(self) -> None:
+        self._freeze(self.reject, self.key, self.other)
 
     def __repr__(self) -> str:
         return f"RejJoin({self.reject!r} |x|_{self.key} {self.other!r})"

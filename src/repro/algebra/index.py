@@ -25,6 +25,7 @@ class SEIndex:
         self.post: dict[str, tuple[Block, int]] = {}
         self.observable: dict[str, set[SubExpression]] = {}
         self.tree_joins: dict[str, list[JoinNode]] = {}
+        self._attrs: dict[AnySE, tuple[str, ...]] = {}
 
         for block in analysis.blocks:
             for se, se_splits in block.graph.plan_space().items():
@@ -57,6 +58,12 @@ class SEIndex:
         raise KeyError(f"no block owns {se!r}")
 
     def se_attrs(self, se: AnySE) -> tuple[str, ...]:
+        attrs = self._attrs.get(se)
+        if attrs is None:
+            attrs = self._attrs[se] = self._se_attrs(se)
+        return attrs
+
+    def _se_attrs(self, se: AnySE) -> tuple[str, ...]:
         if isinstance(se, RejectSE):
             return self.block_of(se.source).se_attrs(se.source)
         if isinstance(se, RejectJoinSE):

@@ -12,7 +12,9 @@ special rule ``TRIVIAL`` marks direct observation of the statistic itself.
 The :class:`CssCatalog` is the output of Algorithm 1 for a whole workflow:
 every generated statistic, the CSSs for each, which statistics are
 observable in the initial plan (``S_O``), and which must be computable
-(``S_C`` -- the cardinality of every SE in ℰ).
+(``S_C`` -- the cardinality of every SE in ℰ).  A target's CSSs keep the
+order they were added in (``build_problem``'s entry order, so the ILP's
+column order); duplicates are found in a set of the held CSSs.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.algebra.blocks import Step
+from repro.algebra.expressions import CachedHash
 from repro.core.statistics import Statistic
 
 TRIVIAL = "TRIVIAL"
 
 
-@dataclass(frozen=True)
-class CSS:
+@dataclass(frozen=True, eq=False)
+class CSS(CachedHash):
     """One candidate statistics set for ``target``.
 
     ``inputs`` order is meaningful: each rule defines the roles of its
@@ -38,6 +41,9 @@ class CSS:
     inputs: tuple[Statistic, ...]
     rule: str
     context: tuple[tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        self._freeze(self.target, self.inputs, self.rule, self.context)
 
     def ctx(self, key: str, default=None):
         for k, v in self.context:
@@ -68,14 +74,16 @@ class CssCatalog:
     required: set[Statistic] = field(default_factory=set)
     steps: dict[int, Step] = field(default_factory=dict)
     block_of: dict[Statistic, str] = field(default_factory=dict)
+    #: every CSS in the buckets, for the duplicate check in :meth:`add`
+    members: set[CSS] = field(default_factory=set, init=False, repr=False)
 
     # ------------------------------------------------------------------
     def add(self, css: CSS) -> bool:
         """Register a CSS; returns False if an identical one already exists."""
-        bucket = self.css.setdefault(css.target, [])
-        if css in bucket:
+        if css in self.members:
             return False
-        bucket.append(css)
+        self.members.add(css)
+        self.css.setdefault(css.target, []).append(css)
         return True
 
     def css_for(self, stat: Statistic) -> list[CSS]:

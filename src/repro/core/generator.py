@@ -97,7 +97,10 @@ class CssGenerator:
         self.options = options or GeneratorOptions()
         self.catalog = CssCatalog()
         self.index = SEIndex(analysis)
-        self._seen: set[Statistic] = set()
+        # intern tables: (kind, se, attrs) -> the one Statistic of this
+        # generation (queued when first asked for); J4/J5's reject SEs
+        self._stats: dict[tuple, Statistic] = {}
+        self._ses: dict[AnySE, AnySE] = {}
         self._queue: deque[Statistic] = deque()
         self._ud_patterns: dict[SubExpression, list[_UDPattern]] = {}
 
@@ -177,23 +180,29 @@ class CssGenerator:
     # ------------------------------------------------------------------
     # queueing
     # ------------------------------------------------------------------
-    def _want(self, stat: Statistic) -> Statistic:
-        if stat not in self._seen:
-            self._seen.add(stat)
+    def _stat(self, kind: StatKind, se: AnySE, *attrs: str) -> Statistic:
+        key = (kind, se, tuple(sorted(set(attrs))))
+        stat = self._stats.get(key)
+        if stat is None:
+            stat = self._stats[key] = Statistic(*key)
             self._queue.append(stat)
             if self.is_observable(stat):
                 self.catalog.mark_observable(stat)
             try:
-                self.catalog.block_of[stat] = self._block_of(stat.se).name
+                self.catalog.block_of[stat] = self._block_of(se).name
             except KeyError:
                 pass
         return stat
 
+    def _card(self, se: AnySE) -> Statistic:
+        return self._stat(StatKind.CARDINALITY, se)
+
+    def _hist(self, se: AnySE, *attrs: str) -> Statistic:
+        return self._stat(StatKind.HISTOGRAM, se, *attrs)
+
     def _emit(self, target: Statistic, rule: str, inputs: list[Statistic], **ctx):
-        inputs = tuple(self._want(s) for s in inputs)
-        self.catalog.add(
-            CSS(target, inputs, rule, tuple(sorted(ctx.items())))
-        )
+        context = tuple(sorted(ctx.items()))
+        self.catalog.add(CSS(target, tuple(inputs), rule, context))
 
     # ------------------------------------------------------------------
     # main loop (Algorithm 1)
@@ -201,7 +210,7 @@ class CssGenerator:
     def run(self) -> CssCatalog:
         for block in self.analysis.blocks:
             for se in block.universe():
-                stat = self._want(Statistic.card(se))
+                stat = self._card(se)
                 self.catalog.require(stat)
         while self._queue:
             stat = self._queue.popleft()
@@ -218,7 +227,7 @@ class CssGenerator:
             return
         if stat.kind is StatKind.DISTINCT:
             # D1: distinct values = bucket count of the exact histogram
-            self._emit(stat, "D1", [Statistic.hist(se, *stat.attrs)])
+            self._emit(stat, "D1", [self._hist(se, *stat.attrs)])
             return
         if len(se) > 1:
             self._expand_join(stat, se)
@@ -234,22 +243,20 @@ class CssGenerator:
                     stat,
                     "J1",
                     [
-                        Statistic.hist(split.left, *split.key),
-                        Statistic.hist(split.right, *split.key),
+                        self._hist(split.left, *split.key),
+                        self._hist(split.right, *split.key),
                     ],
                     key=split.key,
                 )
             else:
-                self._emit_join_hist(stat, block, split)
+                self._emit_join_hist(stat, split)
         if stat.is_cardinality and self.options.fk_rules:
             for smaller in self._fk_reductions(block, se):
-                self._emit(stat, "FK", [Statistic.card(smaller)])
+                self._emit(stat, "FK", [self._card(smaller)])
         for pattern in self._ud_patterns.get(se, []):
             self._emit_union_division(stat, pattern)
 
-    def _emit_join_hist(
-        self, stat: Statistic, block: Block, split: JoinSplit
-    ) -> None:
+    def _emit_join_hist(self, stat: Statistic, split: JoinSplit) -> None:
         bs = set(stat.attrs)
         key = set(split.key)
         if bs == key:
@@ -258,14 +265,14 @@ class CssGenerator:
                 stat,
                 "J3",
                 [
-                    Statistic.hist(split.left, *stat.attrs),
-                    Statistic.hist(split.right, *stat.attrs),
+                    self._hist(split.left, *stat.attrs),
+                    self._hist(split.right, *stat.attrs),
                 ],
                 key=split.key,
             )
             return
-        left_attrs = set(block.se_attrs(split.left))
-        right_attrs = set(block.se_attrs(split.right))
+        left_attrs = set(self.se_attrs(split.left))
+        right_attrs = set(self.se_attrs(split.right))
         carried_left = key | {b for b in bs if b in left_attrs}
         carried_right = key | {b for b in bs if b in right_attrs and b not in left_attrs}
         limit = self.options.max_hist_attrs
@@ -275,8 +282,8 @@ class CssGenerator:
             stat,
             "J2",
             [
-                Statistic.hist(split.left, *sorted(carried_left)),
-                Statistic.hist(split.right, *sorted(carried_right)),
+                self._hist(split.left, *sorted(carried_left)),
+                self._hist(split.right, *sorted(carried_right)),
             ],
             key=split.key,
             bs=tuple(sorted(bs)),
@@ -310,16 +317,18 @@ class CssGenerator:
 
     def _emit_union_division(self, stat: Statistic, p: _UDPattern) -> None:
         reject = RejectSE(p.e1, p.kg[0] if len(p.kg) == 1 else p.kg, p.t3)
+        reject = self._ses.setdefault(reject, reject)
         side_join = RejectJoinSE(reject, p.ke[0] if len(p.ke) == 1 else p.ke, p.other)
+        side_join = self._ses.setdefault(side_join, side_join)
         if stat.is_cardinality:
             # J4: |e| = |H_h^kg / H_t3^kg| + |rej(e1) join other|
             self._emit(
                 stat,
                 "J4",
                 [
-                    Statistic.hist(p.h, *p.kg),
-                    Statistic.hist(p.t3, *p.kg),
-                    Statistic.card(side_join),
+                    self._hist(p.h, *p.kg),
+                    self._hist(p.t3, *p.kg),
+                    self._card(side_join),
                 ],
                 kg=p.kg,
             )
@@ -332,9 +341,9 @@ class CssGenerator:
                 stat,
                 "J5",
                 [
-                    Statistic.hist(p.h, *sorted(bs | set(p.kg))),
-                    Statistic.hist(p.t3, *p.kg),
-                    Statistic.hist(side_join, *sorted(bs)),
+                    self._hist(p.h, *sorted(bs | set(p.kg))),
+                    self._hist(p.t3, *p.kg),
+                    self._hist(side_join, *sorted(bs)),
                 ],
                 kg=p.kg,
                 bs=tuple(sorted(bs)),
@@ -347,8 +356,8 @@ class CssGenerator:
                 stat,
                 "J1",
                 [
-                    Statistic.hist(se.reject, *key),
-                    Statistic.hist(se.other, *key),
+                    self._hist(se.reject, *key),
+                    self._hist(se.other, *key),
                 ],
                 key=key,
             )
@@ -358,7 +367,7 @@ class CssGenerator:
             self._emit(
                 stat,
                 "J3",
-                [Statistic.hist(se.reject, *key), Statistic.hist(se.other, *key)],
+                [self._hist(se.reject, *key), self._hist(se.other, *key)],
                 key=key,
             )
             return
@@ -372,8 +381,8 @@ class CssGenerator:
             stat,
             "J2",
             [
-                Statistic.hist(se.reject, *sorted(carried_rej)),
-                Statistic.hist(se.other, *sorted(carried_other)),
+                self._hist(se.reject, *sorted(carried_rej)),
+                self._hist(se.other, *sorted(carried_other)),
             ],
             key=key,
             bs=tuple(sorted(bs)),
@@ -400,10 +409,10 @@ class CssGenerator:
             return
         if link.kind in ("output", "materialize", "shared"):
             if stat.is_cardinality:
-                self._emit(stat, "B1", [Statistic.card(link.output_se)])
+                self._emit(stat, "B1", [self._card(link.output_se)])
             elif set(stat.attrs) <= set(link.output_attrs):
                 self._emit(
-                    stat, "B1", [Statistic.hist(link.output_se, *stat.attrs)]
+                    stat, "B1", [self._hist(link.output_se, *stat.attrs)]
                 )
         elif link.kind == "aggregate" and self.options.group_by_rules:
             group = tuple(sorted(link.group_attrs))
@@ -411,14 +420,14 @@ class CssGenerator:
                 self._emit(
                     stat,
                     "G1",
-                    [Statistic.distinct(link.output_se, *group)],
+                    [self._stat(StatKind.DISTINCT, link.output_se, *group)],
                     group=group,
                 )
             elif stat.is_histogram and set(stat.attrs) <= set(group):
                 self._emit(
                     stat,
                     "G2",
-                    [Statistic.hist(link.output_se, *group)],
+                    [self._hist(link.output_se, *group)],
                     group=group,
                     bs=stat.attrs,
                 )
@@ -429,38 +438,38 @@ class CssGenerator:
             attr = step.attrs[0]
             if stat.is_cardinality:
                 self._emit(
-                    stat, "S1", [Statistic.hist(prev, attr)], step=step.node_id
+                    stat, "S1", [self._hist(prev, attr)], step=step.node_id
                 )
             else:
                 joint = tuple(sorted(set(stat.attrs) | {attr}))
-                prev_attrs = set(self._block_of(prev).se_attrs(prev))
+                prev_attrs = set(self.se_attrs(prev))
                 if set(joint) <= prev_attrs:
                     limit = self.options.max_hist_attrs
                     if limit is None or len(joint) <= limit:
                         self._emit(
                             stat,
                             "S2",
-                            [Statistic.hist(prev, *joint)],
+                            [self._hist(prev, *joint)],
                             step=step.node_id,
                             bs=stat.attrs,
                         )
         elif step.kind == "transform":
             changed = {step.result_attr} if step.result_attr else set(step.attrs)
             if stat.is_cardinality:
-                self._emit(stat, "U1", [Statistic.card(prev)], step=step.node_id)
+                self._emit(stat, "U1", [self._card(prev)], step=step.node_id)
             elif not (set(stat.attrs) & changed):
-                prev_attrs = set(self._block_of(prev).se_attrs(prev))
+                prev_attrs = set(self.se_attrs(prev))
                 if set(stat.attrs) <= prev_attrs:
                     self._emit(
-                        stat, "U2", [Statistic.hist(prev, *stat.attrs)],
+                        stat, "U2", [self._hist(prev, *stat.attrs)],
                         step=step.node_id,
                     )
         elif step.kind == "project":
             if stat.is_cardinality:
-                self._emit(stat, "P1", [Statistic.card(prev)], step=step.node_id)
+                self._emit(stat, "P1", [self._card(prev)], step=step.node_id)
             elif set(stat.attrs) <= set(step.attrs):
                 self._emit(
-                    stat, "P2", [Statistic.hist(prev, *stat.attrs)],
+                    stat, "P2", [self._hist(prev, *stat.attrs)],
                     step=step.node_id,
                 )
 
@@ -468,22 +477,21 @@ class CssGenerator:
     # identity pass (I1 / I2), restricted to already-generated statistics
     # ------------------------------------------------------------------
     def _identity_pass(self) -> None:
-        by_se: dict[AnySE, list[Statistic]] = {}
-        for stat in sorted(self._seen, key=lambda s: s.sort_key()):
+        stats = sorted(self._stats.values(), key=Statistic.sort_key)
+        by_se: dict[AnySE, list[tuple[Statistic, set[str]]]] = {}
+        for stat in stats:
             if stat.is_histogram:
-                by_se.setdefault(stat.se, []).append(stat)
-        for stat in sorted(self._seen, key=lambda s: s.sort_key()):
+                by_se.setdefault(stat.se, []).append((stat, set(stat.attrs)))
+        for stat in stats:
             hists = by_se.get(stat.se, [])
             if stat.is_cardinality:
-                for h in hists:
+                for h, _ in hists:
                     self.catalog.add(CSS(stat, (h,), "I1"))
             elif stat.is_histogram:
-                for h in hists:
-                    if h is stat or not (set(stat.attrs) < set(h.attrs)):
-                        continue
-                    self.catalog.add(
-                        CSS(stat, (h,), "I2", (("bs", stat.attrs),))
-                    )
+                bs = set(stat.attrs)
+                for h, attrs in hists:
+                    if bs < attrs:
+                        self.catalog.add(CSS(stat, (h,), "I2", (("bs", stat.attrs),)))
 
 
 def generate_css(

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from repro.algebra.expressions import AnySE, se_sort_key
+from repro.algebra.expressions import AnySE, CachedHash, se_sort_key
 from repro.core.histogram import Histogram
 
 
@@ -36,8 +36,8 @@ class StatKind(enum.Enum):
     HISTOGRAM = "hist"
 
 
-@dataclass(frozen=True)
-class Statistic:
+@dataclass(frozen=True, eq=False)
+class Statistic(CachedHash):
     """An identified statistic ``s_e`` on a sub-expression ``e``."""
 
     kind: StatKind
@@ -53,8 +53,8 @@ class Statistic:
                 raise ValueError("distinct-count statistics need attributes")
         elif not self.attrs:
             raise ValueError("histogram statistics need at least one attribute")
-        if tuple(sorted(set(self.attrs))) != tuple(self.attrs):
-            object.__setattr__(self, "attrs", tuple(sorted(set(self.attrs))))
+        object.__setattr__(self, "attrs", tuple(sorted(set(self.attrs))))
+        self._freeze(self.kind, self.se, self.attrs)
 
     # -- constructors ---------------------------------------------------
     @classmethod

@@ -19,6 +19,7 @@ from repro.algebra.operators import (
 from repro.algebra.schema import Catalog
 from repro.core.generator import GeneratorOptions, generate_css
 from repro.core.statistics import Statistic
+from repro.workloads import suite
 
 
 def fig6_workflow():
@@ -251,3 +252,19 @@ class TestFkRule:
         assert not any(
             c.rule == "FK" for bucket in catalog.css.values() for c in bucket
         )
+
+
+def test_one_object_per_statistic():
+    """Algorithm 1 interns its statistics: every reference in wf21's
+    catalog to one statistic is to one object."""
+    case = next(case for case in suite() if case.number == 21)
+    catalog = generate_css(analyze(case.build()))
+    referenced = [
+        stat
+        for bucket in catalog.css.values()
+        for css in bucket
+        for stat in (css.target, *css.inputs)
+    ]
+    referenced += [*catalog.required, *catalog.observable, *catalog.block_of]
+    assert len(catalog.all_statistics) == 774
+    assert len({id(stat) for stat in referenced}) == 774

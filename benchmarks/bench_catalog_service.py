@@ -15,15 +15,20 @@ pin that down:
 
 import json
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from conftest import write_report
 
 from repro.framework.pipeline import StatisticsPipeline
 from repro.serve.client import CatalogClient
-from repro.serve.server import ServerThread
 from repro.serve.service import CatalogService
 from repro.workloads import suite
+
+# the in-process daemon the serve tests use
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.serve.thread import ServerThread  # noqa: E402
 
 SCALE = 0.08
 SEED = 5

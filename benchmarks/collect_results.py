@@ -22,8 +22,6 @@ ORDER = [
     "ablation_metadata",
     "ablation_solver",
     "ablation_strategies",
-    "ablation_bucketized",
-    "ablation_error_aware",
     "session_drift",
     "dist_throughput",
     "catalog_service",

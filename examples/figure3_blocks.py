@@ -5,7 +5,8 @@ A workflow with every boundary pattern from Section 3.2.1:
 - a join whose reject link is materialized for diagnostics (boundary B1);
 - a UDF deriving a new attribute from a multi-relation join, later used as
   a join key (boundary B2);
-- the remaining joins form a freely re-orderable third block.
+- an intermediate result staged to a table (``Materialize``, boundary
+  B3): the join after it is a block of its own (B4).
 
 The example prints the decomposition, the statistics identified per block,
 and the union-division opportunities the reject links open up.
@@ -17,6 +18,7 @@ from repro import (
     Catalog,
     CostModel,
     Join,
+    Materialize,
     Source,
     Target,
     Transform,
@@ -50,7 +52,8 @@ def build_workflow() -> Workflow:
     )
     # ... and c is the join key with T4, sealing everything before it
     j4 = Join(derived, t4, "c")
-    j45 = Join(j4, t5, "c")
+    # B3: the (derived |x| T4) result is staged to a table before T5 joins
+    j45 = Join(Materialize(j4, "staged"), t5, "c")
     return Workflow("figure3", catalog, [Target(j45, "warehouse")])
 
 

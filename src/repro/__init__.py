@@ -69,7 +69,7 @@ from repro.engine.instrumentation import TapSet
 from repro.engine.scheduler import RetryPolicy, RunFailure
 from repro.engine.table import Table
 from repro.estimation.estimator import CardinalityEstimator
-from repro.estimation.optimizer import PlanOptimizer, optimize_workflow
+from repro.estimation.optimizer import PlanOptimizer
 from repro.framework.pipeline import PipelineReport, StatisticsPipeline
 from repro.framework.recovery import RunCheckpoint
 from repro.framework.session import EtlSession
@@ -85,7 +85,7 @@ __all__ = [
     "FaultSpec", "Filter",
     "generate_css", "get_backend",
     "GeneratorOptions", "Histogram", "Join", "Materialize",
-    "optimize_workflow", "PipelineReport", "plan_constrained",
+    "PipelineReport", "plan_constrained",
     "plan_fleet", "PlanOptimizer", "Predicate", "Project",
     "reconcile_run", "RejectJoinSE", "RejectSE",
     "RetryPolicy", "RunCheckpoint", "RunFailure",

@@ -65,10 +65,6 @@ class Step:
     node: Node = field(compare=False, hash=False, repr=False, default=None)
 
     @property
-    def is_filter(self) -> bool:
-        return self.kind == "filter"
-
-    @property
     def is_transform(self) -> bool:
         return self.kind == "transform"
 
@@ -106,10 +102,6 @@ class _InputHandle:
             return self.steps[-1].out_attrs
         return tuple(self.base_node.output_attrs())
 
-    @property
-    def filtered(self) -> bool:
-        return any(s.is_filter for s in self.steps)
-
     def final_name(self) -> str:
         if not self.steps:
             return self.base_name
@@ -131,10 +123,6 @@ class BlockInput:
     out_attrs: tuple[str, ...]
     raw_attrs: tuple[str, ...] = ()
     upstream: Optional[UpstreamLink] = None
-
-    @property
-    def filtered(self) -> bool:
-        return any(s.is_filter for s in self.steps)
 
     def stage_names(self) -> list[str]:
         """Names of every stage, raw feed first, final (= ``name``) last."""
@@ -280,19 +268,9 @@ class Block:
                 return inp.stage_attrs(stage_names.index(name))
         raise WorkflowError(f"unknown SE member {name!r} in block {self.name}")
 
-    def input_for_attr(self, attr: str) -> list[str]:
-        """Names of inputs carrying ``attr`` (join-key owners)."""
-        return [n for n, inp in sorted(self.inputs.items()) if attr in inp.out_attrs]
-
     @property
     def n_way(self) -> int:
         return len(self.inputs)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Block({self.name}, inputs={sorted(self.inputs)}, "
-            f"joins={len(self.graph.edges)}, pinned={self.pinned})"
-        )
 
 
 @dataclass(frozen=True)
@@ -358,18 +336,6 @@ class _Cluster:
         self.tree = None  # _TLeaf / _TJoin
         self.floating: list[tuple[Step, frozenset]] = []  # (step, anchor handles ids)
         self.rejects: list[tuple] = []  # (side_tree, attr, other_tree)
-
-    def out_attrs(self) -> tuple[str, ...]:
-        attrs: list[str] = []
-        for h in self.handles:
-            for a in h.out_attrs:
-                if a not in attrs:
-                    attrs.append(a)
-        for step, _anchor in self.floating:
-            for a in step.out_attrs:
-                if a not in attrs:
-                    attrs.append(a)
-        return tuple(attrs)
 
     def owner_of(self, attr: str) -> Optional[_InputHandle]:
         owners = [h for h in self.handles if attr in h.out_attrs]
@@ -752,13 +718,6 @@ class _BlockOutputNode(Node):
 
     def output_attrs(self) -> tuple[str, ...]:
         return self.block.output_attrs
-
-    def origin_relations(self) -> frozenset[str]:
-        return frozenset({self.block.output_name})
-
-    @property
-    def label(self) -> str:
-        return f"BlockOutput({self.block.name})"
 
 
 def replace_block_post(block: Block, post: tuple[Step, ...]) -> Block:

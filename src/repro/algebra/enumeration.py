@@ -46,16 +46,6 @@ class JoinEdge:
             object.__setattr__(self, "u", u)
             object.__setattr__(self, "v", v)
 
-    def other(self, name: str) -> str:
-        if name == self.u:
-            return self.v
-        if name == self.v:
-            return self.u
-        raise JoinGraphError(f"{name!r} is not an endpoint of {self!r}")
-
-    def touches(self, name: str) -> bool:
-        return name in (self.u, self.v)
-
 
 class JoinGraph:
     """The join graph of one optimizable block."""
@@ -204,22 +194,3 @@ class JoinGraph:
 
         return count(se.relations)
 
-    def random_tree(self, rng, se: SubExpression | None = None) -> PlanTree:
-        """Sample a join tree uniformly-ish (used by the baseline search)."""
-        if se is None:
-            se = SubExpression(frozenset(self.inputs))
-
-        def build(names: frozenset[str]) -> PlanTree:
-            if len(names) == 1:
-                return Leaf(next(iter(names)))
-            splits = self.splits_for(SubExpression(names))
-            split = splits[rng.randrange(len(splits))]
-            return JoinNode(
-                build(split.left.relations), build(split.right.relations), split.key
-            )
-
-        return build(se.relations)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        edges = ", ".join(f"{e.u}-{e.attr}-{e.v}" for e in self.edges)
-        return f"JoinGraph({','.join(self.inputs)}; {edges})"

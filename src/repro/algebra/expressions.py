@@ -87,12 +87,6 @@ class SubExpression(CachedHash):
     def union(self, other: "SubExpression") -> "SubExpression":
         return SubExpression(self.relations | other.relations)
 
-    def contains(self, other: "SubExpression") -> bool:
-        return other.relations <= self.relations
-
-    def overlaps(self, other: "SubExpression") -> bool:
-        return bool(self.relations & other.relations)
-
     def __len__(self) -> int:
         return len(self.relations)
 

@@ -74,23 +74,13 @@ class Node:
         self.node_id = next(_node_ids)
         self.inputs = list(inputs)
 
-    # subclasses override -------------------------------------------------
-    def output_attrs(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
+    # subclasses override ``output_attrs`` and ``label`` -------------------
     def origin_relations(self) -> frozenset[str]:
         """Names of the base sources whose rows flow into this node."""
         out: set[str] = set()
         for node in self.inputs:
             out |= node.origin_relations()
         return frozenset(out)
-
-    @property
-    def label(self) -> str:
-        return f"{type(self).__name__}#{self.node_id}"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.label
 
 
 class Source(Node):

@@ -73,13 +73,6 @@ class JoinSplit:
             object.__setattr__(self, "right", right)
         object.__setattr__(self, "key", tuple(sorted(self.key)))
 
-    @property
-    def se(self) -> SubExpression:
-        return self.left.union(self.right)
-
-    def __repr__(self) -> str:
-        return f"{self.left!r} |x|_{','.join(self.key)} {self.right!r}"
-
 
 def subtrees(tree: PlanTree) -> Iterator[PlanTree]:
     """All subtrees, leaves included, in post-order."""
@@ -99,39 +92,7 @@ def internal_ses(tree: PlanTree) -> list[SubExpression]:
     return [node.se for node in subtrees(tree) if isinstance(node, JoinNode)]
 
 
-def tree_joins(tree: PlanTree) -> list[JoinNode]:
-    """All inner join nodes of the tree, post-order."""
-    return [node for node in subtrees(tree) if isinstance(node, JoinNode)]
-
-
 def leaves(tree: PlanTree) -> list[Leaf]:
     """The tree's leaves (block inputs), left to right."""
     return [node for node in subtrees(tree) if isinstance(node, Leaf)]
 
-
-def tree_splits(tree: PlanTree) -> list[JoinSplit]:
-    """The :class:`JoinSplit` realized at every join node of the tree."""
-    return [
-        JoinSplit(node.left.se, node.right.se, node.key)
-        for node in tree_joins(tree)
-    ]
-
-
-def left_deep(order: list[str], key_fn) -> PlanTree:
-    """Build a left-deep tree over ``order``; ``key_fn(left_se, right_se)``
-    supplies the join key for each step."""
-    if not order:
-        raise ValueError("cannot build a plan over zero inputs")
-    tree: PlanTree = Leaf(order[0])
-    for name in order[1:]:
-        right = Leaf(name)
-        tree = JoinNode(tree, right, tuple(key_fn(tree.se, right.se)))
-    return tree
-
-
-def find_node(tree: PlanTree, se: SubExpression) -> PlanTree | None:
-    """Locate the subtree producing ``se``, if any."""
-    for node in subtrees(tree):
-        if node.se == se:
-            return node
-    return None

@@ -43,9 +43,6 @@ class Attribute:
                 f"attribute {self.name!r} must have a positive domain size"
             )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Attribute({self.name!r}, ||{self.name}||={self.domain_size})"
-
 
 @dataclass(frozen=True)
 class ForeignKey:
@@ -80,12 +77,6 @@ class RelationSchema:
 
     def has_attribute(self, name: str) -> bool:
         return any(a.name == name for a in self.attributes)
-
-    def attribute(self, name: str) -> Attribute:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise SchemaError(f"relation {self.name!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -162,12 +153,3 @@ class Catalog:
             for fk in self.foreign_keys
         )
 
-    def derive_attribute(self, base: str, transform: str) -> Attribute:
-        """Register a derived attribute produced by a UDF on ``base``.
-
-        The derived attribute's domain is conservatively the same size as the
-        base attribute's domain (a UDF can at most preserve distinctness).
-        """
-        base_attr = self.attribute(base)
-        name = f"{transform}({base})"
-        return self.add_attribute(name, base_attr.domain_size)

@@ -52,10 +52,6 @@ class WorkflowObservationPlan:
             self.css, self.cost_model, solver=self.solver
         ).total_cost
 
-    @property
-    def saved(self) -> float:
-        return self.standalone_cost - self.planned_cost
-
 
 @dataclass
 class FleetPlan:

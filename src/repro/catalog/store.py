@@ -258,10 +258,6 @@ class CatalogEntry:
     stale: bool = False
     hits: int = 0
 
-    @property
-    def kind(self) -> str:
-        return self.stat_doc.get("kind", "?")
-
     @cached_property
     def line(self) -> str:
         """This entry's line in the catalog file, encoded once per object
@@ -520,9 +516,6 @@ class StatisticsCatalog:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
 
     def get(self, key: str) -> CatalogEntry | None:
         return self.entries.get(key)

@@ -451,7 +451,10 @@ def _cmd_export(args) -> int:
 
 def _cmd_catalog_show(args) -> int:
     catalog = _open_catalog(args.path, must_exist=True)
-    print(catalog.describe(stale_only=args.stale))
+    try:
+        print(catalog.describe(stale_only=args.stale))
+    finally:
+        _close_catalog(catalog)
     return 0
 
 
@@ -477,7 +480,10 @@ def _cmd_catalog_export(args) -> int:
     import json as _json
 
     catalog = _open_catalog(args.path, must_exist=True)
-    print(_json.dumps(catalog.to_dict(), indent=1, sort_keys=True))
+    try:
+        print(_json.dumps(catalog.to_dict(), indent=1, sort_keys=True))
+    finally:
+        _close_catalog(catalog)
     return 0
 
 

@@ -60,11 +60,6 @@ class CSS(CachedHash):
         return f"CSS[{self.rule}] {self.target!r} <- {{{inputs}}}"
 
 
-def trivial_css(stat: Statistic) -> CSS:
-    """The trivial CSS: observe the statistic itself (Section 3.1)."""
-    return CSS(stat, (stat,), TRIVIAL)
-
-
 @dataclass
 class CssCatalog:
     """All CSSs generated for a workflow, plus the S / S_O / S_C sets."""
@@ -88,9 +83,6 @@ class CssCatalog:
 
     def css_for(self, stat: Statistic) -> list[CSS]:
         return self.css.get(stat, [])
-
-    def nontrivial_css_for(self, stat: Statistic) -> list[CSS]:
-        return [c for c in self.css_for(stat) if not c.is_trivial]
 
     @property
     def all_statistics(self) -> set[Statistic]:
@@ -132,34 +124,6 @@ class CssCatalog:
             "css": n_css,
             "nontrivial_css": n_css - n_trivial,
         }
-
-    def closure(self, observed: set[Statistic]) -> set[Statistic]:
-        """Statistics computable from ``observed`` (bottom-up fixpoint).
-
-        Mirrors :meth:`SelectionProblem.closure` at the catalog level; used
-        by schedules that change observability between executions.
-        """
-        computable = set(observed)
-        entries = [c for bucket in self.css.values() for c in bucket]
-        changed = True
-        while changed:
-            changed = False
-            for entry in entries:
-                if entry.target in computable:
-                    continue
-                if all(s in computable for s in entry.inputs):
-                    computable.add(entry.target)
-                    changed = True
-        return computable
-
-    def merge(self, other: "CssCatalog") -> None:
-        for bucket in other.css.values():
-            for css in bucket:
-                self.add(css)
-        self.observable |= other.observable
-        self.required |= other.required
-        self.steps.update(other.steps)
-        self.block_of.update(other.block_of)
 
     def describe(self, stats: Optional[Iterable[Statistic]] = None) -> str:
         lines = []

@@ -10,20 +10,18 @@ Section 4 uses:
 operation              paper usage
 =====================  ======================================================
 ``dot``                J1: ``|T_12| = H_{T1}^a . H_{T2}^a``
-``join_distribute``    J2: matrix product of ``H_{T1}^{a,b}`` and ``H_{T2}^a``
 ``multiply``           J3 and Eq. 2: ``<H1 | H2>`` bucket-wise product
 ``divide``             Eq. 2/3: bucket-wise division (union-division method)
 ``marginalize``        I2: coarsen ``H^{a,b}`` to ``H^a``
 ``total``              I1: ``|T| = |H_T^a|`` (sum of bucket values)
 ``add``                Eq. 1: union of disjoint row sets
-``distinct_count``     G1: ``|a_T|``
+``distinct_count``     D1: ``|a_T|``
 =====================  ======================================================
 
 Buckets with zero frequency are never stored; histograms are immutable from
-the caller's perspective (all operations return new objects).
-
-Bucketized (approximate) histograms -- the Section 8.1 future-work extension
--- live in :mod:`repro.core.bucketized`.
+the caller's perspective (all operations return new objects).  Rule J2 (the
+distribution of carried attributes after a join) is evaluated by
+:func:`repro.estimation.calculator.join_histograms`.
 """
 
 from __future__ import annotations
@@ -90,18 +88,9 @@ class Histogram:
             counter[tuple(row[i] for i in order)] += 1
         return cls(canonical, dict(counter))
 
-    @classmethod
-    def single(cls, attr: str, counts: Mapping) -> "Histogram":
-        """Build a single-attribute histogram from ``{value: frequency}``."""
-        return cls((attr,), {_as_tuple(k): v for k, v in counts.items()})
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    @property
-    def is_single(self) -> bool:
-        return len(self.attrs) == 1
-
     def total(self) -> float:
         """``|H_T^a|`` -- the sum of bucket values, equals ``|T|`` (rule I1)."""
         return sum(self.counts.values())
@@ -109,9 +98,6 @@ class Histogram:
     def distinct_count(self) -> int:
         """Number of non-empty buckets: ``|a_T|`` for the stored attributes."""
         return len(self.counts)
-
-    def frequency(self, key) -> float:
-        return self.counts.get(_as_tuple(key), 0)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -173,39 +159,6 @@ class Histogram:
                 out[key] = value
         return Histogram(self.attrs, out)
 
-    def join_distribute(self, other: "Histogram", join_attr: str) -> "Histogram":
-        """Rule J2: distribution of the non-join attributes after a join.
-
-        ``self`` is ``H_{T1}^{(a, b...)}`` (contains the join attribute and
-        the carried attributes), ``other`` is ``H_{T2}^a`` on the join
-        attribute alone.  The result is ``H_{T1 join T2}^{b...}``::
-
-            H[b] = sum_a H_self[a, b] * H_other[a]
-        """
-        if join_attr not in self.attrs:
-            raise HistogramError(f"{join_attr!r} not in {self.attrs}")
-        if other.attrs != (join_attr,):
-            raise HistogramError(
-                f"expected a single-attribute histogram on {join_attr!r}, "
-                f"got {other.attrs}"
-            )
-        rest = tuple(a for a in self.attrs if a != join_attr)
-        if not rest:
-            raise HistogramError(
-                "join_distribute needs at least one carried attribute; "
-                "use multiply for the join attribute itself (rule J3)"
-            )
-        join_pos = self.attrs.index(join_attr)
-        rest_pos = [self.attrs.index(a) for a in rest]
-        out: dict[tuple, float] = {}
-        for key, freq in self.counts.items():
-            match = other.counts.get((key[join_pos],), 0)
-            if not match:
-                continue
-            sub = tuple(key[i] for i in rest_pos)
-            out[sub] = out.get(sub, 0) + freq * match
-        return Histogram(rest, out)
-
     def marginalize(self, attrs: Sequence[str]) -> "Histogram":
         """Rule I2: coarsen to a histogram on a subset of attributes."""
         attrs = tuple(sorted(attrs))
@@ -237,7 +190,3 @@ class Histogram:
         pos = self.attrs.index(attr)
         kept = {k: v for k, v in self.counts.items() if predicate(k[pos])}
         return Histogram(self.attrs, kept)
-
-    def memory_units(self) -> int:
-        """Actual bucket count (one integer per non-empty bucket)."""
-        return len(self.counts)

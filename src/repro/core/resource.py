@@ -19,7 +19,7 @@ number of plan re-orderings".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.algebra.blocks import BlockAnalysis
 from repro.algebra.expressions import RejectJoinSE, RejectSE, SubExpression
@@ -29,6 +29,8 @@ from repro.baselines.payg import CoverageScheduler
 from repro.core import select_statistics
 from repro.core.costs import INFINITE, CostModel
 from repro.core.css import CssCatalog
+from repro.core.greedy import _collect_plan, _label_costs
+from repro.core.selection import SelectionProblem, build_problem
 from repro.core.statistics import Statistic
 
 
@@ -111,37 +113,53 @@ class ConstrainedPlanner:
 
     # ------------------------------------------------------------------
     def _multi_run(self) -> ConstrainedSchedule:
-        computable: set[Statistic] = set()
+        # statistic i of every round's problem is statistic i of this one
+        problem = build_problem(self.catalog, self.cost_model)
+        # what earlier executions observed is known whatever this round's
+        # plan can observe: the closure seeds every observed statistic
+        known_from = replace(problem, observable=frozenset(range(problem.n)))
+        observed: set[int] = set()
+        computable: set[int] = set()
         steps: list[ExecutionStep] = []
-        first_round = True
-        while True:
-            uncovered = self.catalog.required - computable
-            if not uncovered:
-                break
-            trees = self._round_trees(uncovered, use_initial=first_round)
-            first_round = False
+        while problem.required - computable:
+            uncovered = [problem.stat(i) for i in sorted(problem.required - computable)]
+            trees = self._round_trees(uncovered, use_initial=not steps)
             observe, memory = self._round_observations(
-                trees, uncovered, computable
+                self._round_problem(problem, trees), known_from, observed
             )
             if not observe:
                 raise ValueError(
                     f"budget {self.budget} cannot make progress: even a "
                     "single counter does not fit"
                 )
-            steps.append(ExecutionStep(trees, observe, memory))
-            computable = self.catalog.closure(
-                computable | set(observe)
+            steps.append(
+                ExecutionStep(trees, [problem.stat(i) for i in observe], memory)
             )
-            if len(steps) > 4 * len(self.catalog.required) + 8:
-                raise RuntimeError(
-                    "constrained schedule failed to converge"
-                )  # pragma: no cover - safety net
+            observed.update(observe)
+            computable = known_from.closure(observed)
         return ConstrainedSchedule(
-            steps=steps, budget=self.budget, covered=computable
+            steps=steps,
+            budget=self.budget,
+            covered={problem.stat(i) for i in computable},
         )
 
+    def _round_problem(
+        self, problem: SelectionProblem, trees: dict[str, PlanTree]
+    ) -> SelectionProblem:
+        """``problem`` with this round's observable statistics and costs."""
+        plan_ses = {name: set(tree_ses(tree)) for name, tree in trees.items()}
+        observable = frozenset(
+            i for i, stat in enumerate(problem.stats)
+            if self._observable_in(stat, trees, plan_ses)
+        )
+        costs = [
+            self.cost_model.cost(stat, observable=i in observable)
+            for i, stat in enumerate(problem.stats)
+        ]
+        return replace(problem, observable=observable, costs=costs)
+
     def _round_trees(
-        self, uncovered: set[Statistic], use_initial: bool
+        self, uncovered: list[Statistic], use_initial: bool
     ) -> dict[str, PlanTree]:
         """Plans for this round: target uncovered SEs block by block."""
         trees: dict[str, PlanTree] = {}
@@ -164,7 +182,12 @@ class ConstrainedPlanner:
             trees[block.name] = scheduler._tree_with(family)
         return trees
 
-    def _observable_in(self, stat: Statistic, trees: dict[str, PlanTree]) -> bool:
+    def _observable_in(
+        self,
+        stat: Statistic,
+        trees: dict[str, PlanTree],
+        plan_ses: dict[str, set[SubExpression]],
+    ) -> bool:
         se = stat.se
         if isinstance(se, RejectJoinSE):
             return False
@@ -183,92 +206,50 @@ class ConstrainedPlanner:
         else:
             block = self.index.block_of(se)
             if len(se) > 1:
-                if se not in tree_ses(trees[block.name]):
+                if se not in plan_ses[block.name]:
                     return False
             # stage SEs are observable under any tree
         return set(stat.attrs) <= set(self.index.se_attrs(se))
 
     def _round_observations(
         self,
-        trees: dict[str, PlanTree],
-        uncovered: set[Statistic],
-        computable: set[Statistic],
-    ) -> tuple[list[Statistic], float]:
-        """Greedy: trivial counters first, then cheap unlocking statistics."""
-        observe: list[Statistic] = []
-        spent = 0.0
+        problem: SelectionProblem,
+        known_from: SelectionProblem,
+        observed: set[int],
+    ) -> tuple[list[int], float]:
+        """Greedy: trivial counters first, then cheap unlocking statistics.
 
-        # 1. trivial CSSs of uncovered SEs observable under this round's plan
-        for stat in sorted(uncovered, key=lambda s: s.sort_key()):
-            cost = self.cost_model.cost(stat)
-            if not self._observable_in(stat, trees):
-                continue
-            if spent + cost <= self.budget:
-                observe.append(stat)
-                spent += cost
+        ``problem`` is this round's: only what its plan can observe has a
+        finite cost.  The cheapest way to unlock a statistic is the §5.3
+        greedy's label pass over the CSS graph (polynomial, cycle-safe);
+        the statistics it collects are charged at their summed cost."""
+        observe: list[int] = []
+        spent = 0.0
+        computable = known_from.closure(observed)
+
+        # 1. trivial CSSs of uncovered statistics observable under this plan
+        for i in sorted(problem.required - computable):
+            if spent + problem.costs[i] <= self.budget:
+                observe.append(i)
+                spent += problem.costs[i]
 
         # 2. spend leftover budget on statistics plans that unlock coverage
-        known = self.catalog.closure(computable | set(observe))
-        improved = True
-        while improved:
-            improved = False
-            remaining = sorted(
-                self.catalog.required - known, key=lambda s: s.sort_key()
-            )
-            best: tuple[float, list[Statistic]] | None = None
-            for stat in remaining:
-                plan = self._cheapest_stat_plan(stat, known, trees, set())
-                if plan is None:
+        while True:
+            known = known_from.closure(observed | set(observe))
+            labels, choice = _label_costs(problem, known)
+            best: tuple[float, set[int]] | None = None
+            for i in sorted(problem.required - known):
+                if labels[i] == INFINITE:
                     continue
-                cost, stats = plan
-                if spent + cost > self.budget:
-                    continue
-                if best is None or cost < best[0]:
-                    best = (cost, stats)
-            if best is not None:
-                cost, stats = best
-                observe.extend(stats)
-                spent += cost
-                known = self.catalog.closure(computable | set(observe))
-                improved = True
-        return observe, spent
-
-    def _cheapest_stat_plan(
-        self,
-        stat: Statistic,
-        known: set[Statistic],
-        trees: dict[str, PlanTree],
-        visiting: set[Statistic],
-    ) -> tuple[float, list[Statistic]] | None:
-        if stat in known:
-            return 0.0, []
-        if stat in visiting:
-            return None
-        visiting = visiting | {stat}
-        best: tuple[float, list[Statistic]] | None = None
-        if self._observable_in(stat, trees):
-            cost = self.cost_model.cost(stat)
-            if cost < INFINITE:
-                best = (cost, [stat])
-        for css in self.catalog.css_for(stat):
-            total = 0.0
-            stats: list[Statistic] = []
-            feasible = True
-            acquired: set[Statistic] = set()
-            for member in css.inputs:
-                sub = self._cheapest_stat_plan(
-                    member, known | acquired, trees, visiting
-                )
-                if sub is None:
-                    feasible = False
-                    break
-                total += sub[0]
-                stats.extend(sub[1])
-                acquired.update(sub[1])
-                acquired.add(member)
-            if feasible and (best is None or total < best[0]):
-                best = (total, stats)
-        return best
+                plan: set[int] = set()
+                _collect_plan(problem, i, known, choice, plan, set())
+                cost = problem.total_cost(plan)
+                if spent + cost <= self.budget and (best is None or cost < best[0]):
+                    best = (cost, plan)
+            if best is None:
+                return observe, spent
+            observe.extend(sorted(best[1]))
+            spent += best[0]
 
 
 def plan_constrained(

@@ -122,9 +122,6 @@ class StatisticsStore:
     def get(self, stat: Statistic) -> StatValue:
         return self._values[stat]
 
-    def maybe(self, stat: Statistic, default=None):
-        return self._values.get(stat, default)
-
     def __contains__(self, stat: Statistic) -> bool:
         return stat in self._values
 
@@ -136,10 +133,6 @@ class StatisticsStore:
 
     def items(self):
         return self._values.items()
-
-    def cardinality(self, se: AnySE) -> float:
-        """Convenience: the stored cardinality of an SE."""
-        return float(self._values[Statistic.card(se)])
 
     def merge(self, other: "StatisticsStore") -> None:
         for stat, value in other.items():

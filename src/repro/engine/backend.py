@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterable
+from typing import Any
 
 from repro.algebra.blocks import Block, BlockAnalysis, BoundaryOp
 from repro.algebra.expressions import AnySE, RejectSE, SubExpression
@@ -86,13 +86,6 @@ class WorkflowRun:
     #: empty for single-process backends.  ``repro.obs`` turns these into
     #: ``etl_shard_*`` metrics
     shard_stats: dict = field(default_factory=dict)
-
-    def target(self, name: str) -> Table:
-        return self.targets[name]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     @property
     def rows_quarantined(self) -> int:
@@ -186,10 +179,6 @@ class ExecutionBackend:
     name: str = "abstract"
     #: how the runtime batches rows under this backend
     profile = CompiledProfile()
-
-    def make_taps(self, stats: Iterable = ()) -> TapSet:
-        """Instrumentation object for a run on this backend."""
-        raise NotImplementedError
 
     def begin_run(
         self,

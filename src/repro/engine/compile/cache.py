@@ -122,10 +122,6 @@ class PlanCache:
             self.invalidations += len(stale)
             return len(stale)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 

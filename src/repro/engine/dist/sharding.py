@@ -231,27 +231,8 @@ def reject_is_sharded(rej: RejectSE, plan: ShardPlan) -> bool:
     return True  # single: trivially exact
 
 
-def concat_tables(tables: "list[Table]") -> Table:
-    """Concatenate shard outputs in shard order (columns by name).
-
-    Every shard reports an output table (possibly zero-row), so an empty
-    list means the dispatch lost results -- better a loud error than an
-    empty table silently entering the environment.
-    """
-    tables = [t for t in tables if t is not None]
-    if not tables:
-        raise ValueError("concat_tables needs at least one shard output")
-    attrs = tables[0].attrs
-    columns: dict[str, list] = {a: [] for a in attrs}
-    for table in tables:
-        for a in attrs:
-            columns[a].extend(table.column(a))
-    return Table.wrap(columns)
-
-
 __all__ = [
     "ShardPlan",
-    "concat_tables",
     "hash_partition_indexes",
     "plan_block_shards",
     "reject_is_sharded",

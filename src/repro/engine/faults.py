@@ -184,30 +184,6 @@ class FaultSpec:
             return 1
         return None
 
-    def to_dict(self) -> dict:
-        doc: dict = {"target": self.target, "kind": self.kind}
-        if self.times is not None:
-            doc["times"] = self.times
-        if self.probability != 1.0:
-            doc["probability"] = self.probability
-        if self.delay:
-            doc["delay"] = self.delay
-        if self.keep is not None:
-            doc["keep"] = self.keep
-        if self.rows is not None:
-            doc["rows"] = self.rows
-        if self.column is not None:
-            doc["column"] = self.column
-        if self.fraction is not None:
-            doc["fraction"] = self.fraction
-        if self.rename_to is not None:
-            doc["rename_to"] = self.rename_to
-        if self.shard is not None:
-            doc["shard"] = self.shard
-        if self.message:
-            doc["message"] = self.message
-        return doc
-
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultSpec":
         if not isinstance(doc, dict):
@@ -249,9 +225,6 @@ class FaultPlan:
         """Fresh per-run injector (attempt counters start at zero)."""
         return FaultInjector(self)
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "faults": [s.to_dict() for s in self.specs]}
-
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultPlan":
         if not isinstance(doc, dict):
@@ -273,9 +246,6 @@ class FaultPlan:
         except json.JSONDecodeError as exc:
             raise FaultError(f"fault plan {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))
 
 
 @dataclass(frozen=True)
@@ -529,11 +499,6 @@ class FaultInjector:
                 if self._draw(index, spec, shard_key):
                     return spec
         return None
-
-    def fired(self) -> int:
-        """Total number of fault firings so far."""
-        with self._lock:
-            return len(self.events)
 
 
 def _dirty_value(kind: str, value):

@@ -152,10 +152,6 @@ class ScheduleResult:
     completed: list[str] = field(default_factory=list)
     failures: dict[str, RunFailure] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 @dataclass(frozen=True)
 class Task:

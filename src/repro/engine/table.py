@@ -71,9 +71,6 @@ class Table:
     def num_rows(self) -> int:
         return self._nrows
 
-    def __len__(self) -> int:
-        return self._nrows
-
     def column(self, attr: str) -> list:
         try:
             return self.columns[attr]
@@ -135,5 +132,3 @@ class Table:
     def distinct_count(self, attrs: Sequence[str]) -> int:
         return len(set(self.rows(attrs)))
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Table({self._nrows} rows, attrs={self.attrs})"

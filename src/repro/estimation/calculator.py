@@ -155,9 +155,6 @@ class StatisticsCalculator:
                 self.values.put(stat, self._evaluate(css))
         return self.values
 
-    def computable(self, stat: Statistic) -> bool:
-        return stat in self.values
-
     # ------------------------------------------------------------------
     def _evaluate(self, css: CSS):
         rule = css.rule

@@ -57,13 +57,3 @@ class PlanCostModel:
             if isinstance(node, JoinNode):
                 total += self.join_cost(node.left.se, node.right.se)
         return total
-
-    def describe(self, tree: PlanTree) -> str:
-        lines = [f"plan cost ({self.metric}) = {self.tree_cost(tree):g}"]
-        for node in subtrees(tree):
-            if isinstance(node, JoinNode):
-                lines.append(
-                    f"  {node.se!r}: |out|={self.size(node.se):g} "
-                    f"cost={self.join_cost(node.left.se, node.right.se):g}"
-                )
-        return "\n".join(lines)

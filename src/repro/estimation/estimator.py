@@ -46,8 +46,3 @@ class CardinalityEstimator:
         have = sum(1 for s in self.catalog.required if s in self.values)
         return have, len(self.catalog.required)
 
-    def missing(self) -> list[Statistic]:
-        return sorted(
-            (s for s in self.catalog.required if s not in self.values),
-            key=lambda s: s.sort_key(),
-        )

@@ -144,14 +144,3 @@ class PlanOptimizer:
                 plans[block.name] = self.optimize_block(block)
         return plans
 
-    def chosen_trees(self) -> dict[str, PlanTree]:
-        return {name: plan.tree for name, plan in self.optimize().items()}
-
-
-def optimize_workflow(
-    analysis: BlockAnalysis,
-    cardinalities: dict[AnySE, float],
-    metric: str = "cout",
-) -> dict[str, OptimizedPlan]:
-    """Convenience wrapper over :class:`PlanOptimizer`."""
-    return PlanOptimizer(analysis, cardinalities, metric=metric).optimize()

@@ -64,13 +64,6 @@ class Metric:
         self.help = help
         self._lock = threading.Lock()
 
-    def sample_lines(self) -> list[str]:
-        """Prometheus exposition lines for every labelled sample."""
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class Counter(Metric):
     """A monotonically increasing total per label set."""

@@ -131,10 +131,6 @@ class Span:
         span.children = [cls.from_dict(c) for c in doc.get("children", [])]
         return span
 
-    def __repr__(self) -> str:
-        ms = self.duration * 1e3
-        return f"Span({self.kind}:{self.name}, {ms:.2f}ms, {len(self.children)} child)"
-
 
 class Tracer:
     """Builds one span tree per run; thread-safe, thread-aware parenting.
@@ -256,12 +252,6 @@ class _NullSpan(Span):
 
     def annotate(self, **attrs) -> "Span":
         return self
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
 
 
 NULL_SPAN = _NullSpan()

@@ -339,17 +339,11 @@ class ContractSet:
     def __len__(self) -> int:
         return len(self.contracts)
 
-    def __contains__(self, source: str) -> bool:
-        return source in self.contracts
-
     def get(self, source: str) -> SourceContract | None:
         return self.contracts.get(source)
 
     def add(self, contract: SourceContract) -> None:
         self.contracts[contract.source] = contract
-
-    def sources(self) -> list[str]:
-        return sorted(self.contracts)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

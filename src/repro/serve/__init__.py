@@ -30,7 +30,7 @@ from repro.serve.client import (
     is_catalog_url,
     resolve_stats_catalog,
 )
-from repro.serve.server import ServerThread, make_server, parse_listen
+from repro.serve.server import make_server, parse_listen
 from repro.serve.service import CatalogService, SnapshotDaemon
 from repro.serve.wal import WalError, WriteAheadLog
 
@@ -39,7 +39,6 @@ __all__ = [
     "CatalogRequestError",
     "CatalogService",
     "CatalogUnavailable",
-    "ServerThread",
     "SnapshotDaemon",
     "WalError",
     "WriteAheadLog",

@@ -388,9 +388,6 @@ class CatalogClient:
             return len(self._mirror.entries)
         return int(health["entries"])
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
     def get(self, key: str) -> CatalogEntry | None:
         self._read_through([key])
         return self._mirror.get(key)
@@ -406,10 +403,17 @@ class CatalogClient:
                 self._absorb(answer.get("entries", []))
         return self._mirror.entries_on_se(se_key)
 
-    def describe(self) -> str:
+    def describe(self, stale_only: bool = False) -> str:
         self._export()
         mode = "degraded to local view" if self.degraded else "connected"
-        return f"catalog service {self.url} ({mode})\n" + self._mirror.describe()
+        return (
+            f"catalog service {self.url} ({mode})\n"
+            + self._mirror.describe(stale_only)
+        )
+
+    def to_dict(self) -> dict:
+        self._export()
+        return self._mirror.to_dict()
 
     def lookup(
         self, signer, stats, now: float | None = None, count_hits: bool = True

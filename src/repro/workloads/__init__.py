@@ -7,11 +7,10 @@ from repro.workloads.characteristics import (
     synthetic_population,
 )
 from repro.workloads.datagen import ColumnSpec, TableSpec, ZipfSampler, generate_tables
-from repro.workloads.randomgen import random_workflow
 from repro.workloads.tpcdi import WorkflowCase, case, suite
 
 __all__ = [
     "case", "ColumnSpec", "generate_tables", "paper_reference",
-    "random_workflow", "suite", "summarize", "SummaryRow",
+    "suite", "summarize", "SummaryRow",
     "synthetic_population", "TableSpec", "WorkflowCase", "ZipfSampler",
 ]

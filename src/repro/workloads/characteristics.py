@@ -83,10 +83,3 @@ def synthetic_population(
     uvs[biggest] = cards[biggest]
     return cards, uvs
 
-
-def format_table(rows: list[SummaryRow]) -> str:
-    """Plain-text rendering of the summary table."""
-    lines = [f"{'Stat':<8}{'Card':>12}{'UV':>12}"]
-    for row in rows:
-        lines.append(f"{row.stat:<8}{row.card:>12.0f}{row.uv:>12.0f}")
-    return "\n".join(lines)

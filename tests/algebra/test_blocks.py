@@ -10,7 +10,6 @@ from repro.algebra.operators import (
     Join,
     Materialize,
     Predicate,
-    Project,
     Source,
     Target,
     Transform,
@@ -203,8 +202,3 @@ class TestBlockAccessors:
         block = self._block()
         attrs = block.se_attrs(block.join_se)
         assert set(attrs) == {"a", "x", "y"}
-
-    def test_input_for_attr(self):
-        block = self._block()
-        owners = block.input_for_attr("a")
-        assert len(owners) == 2  # join key lives on both inputs

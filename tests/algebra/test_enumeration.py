@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.algebra.enumeration import JoinEdge, JoinGraph, JoinGraphError
 from repro.algebra.expressions import SubExpression
-from repro.algebra.plans import internal_ses, leaves, tree_ses
+from repro.algebra.plans import internal_ses, leaves
 
 
 def chain(n):
@@ -36,15 +36,10 @@ class TestJoinEdge:
     def test_canonical_endpoint_order(self):
         e = JoinEdge("B", "A", "k")
         assert (e.u, e.v) == ("A", "B")
-        assert e.other("A") == "B" and e.other("B") == "A"
 
     def test_self_edge_rejected(self):
         with pytest.raises(JoinGraphError):
             JoinEdge("A", "A", "k")
-
-    def test_other_validates_endpoint(self):
-        with pytest.raises(JoinGraphError):
-            JoinEdge("A", "B", "k").other("C")
 
 
 class TestJoinGraph:
@@ -164,15 +159,6 @@ class TestTrees:
         g = clique(4)
         for tree in g.enumerate_trees():
             for se in internal_ses(tree):
-                assert g.is_connected(se.relations)
-
-    def test_random_tree_is_valid(self):
-        g = clique(5)
-        rng = random.Random(3)
-        for _ in range(20):
-            tree = g.random_tree(rng)
-            assert {leaf.name for leaf in leaves(tree)} == set(g.inputs)
-            for se in tree_ses(tree):
                 assert g.is_connected(se.relations)
 
     def test_disconnected_se_has_no_tree(self):

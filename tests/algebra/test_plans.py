@@ -1,20 +1,14 @@
 """Unit tests for plan trees and join splits."""
 
-import pytest
-
 from repro.algebra.expressions import SubExpression
 from repro.algebra.plans import (
     JoinNode,
     JoinSplit,
     Leaf,
-    find_node,
     internal_ses,
     leaves,
-    left_deep,
     subtrees,
-    tree_joins,
     tree_ses,
-    tree_splits,
 )
 
 
@@ -54,22 +48,7 @@ class TestPlanTree:
     def test_leaves_and_joins(self):
         tree = sample_tree()
         assert [leaf.name for leaf in leaves(tree)] == ["A", "B", "C"]
-        assert len(tree_joins(tree)) == 2
-
-    def test_find_node(self):
-        tree = sample_tree()
-        node = find_node(tree, SubExpression.of("A", "B"))
-        assert node is not None and node.key == ("x",)
-        assert find_node(tree, SubExpression.of("B", "C")) is None
-
-    def test_left_deep_builder(self):
-        tree = left_deep(["A", "B", "C"], lambda l, r: ("k",))
-        assert tree.se == SubExpression.of("A", "B", "C")
-        assert internal_ses(tree)[0] == SubExpression.of("A", "B")
-
-    def test_left_deep_empty_rejected(self):
-        with pytest.raises(ValueError):
-            left_deep([], lambda l, r: ("k",))
+        assert len(internal_ses(tree)) == 2
 
 
 class TestJoinSplit:
@@ -82,17 +61,3 @@ class TestJoinSplit:
     def test_key_sorted(self):
         s = JoinSplit(SubExpression.of("A"), SubExpression.of("B"), ("z", "a"))
         assert s.key == ("a", "z")
-
-    def test_se_property(self):
-        s = JoinSplit(SubExpression.of("A"), SubExpression.of("B", "C"), ("k",))
-        assert s.se == SubExpression.of("A", "B", "C")
-
-    def test_tree_splits_match_join_nodes(self):
-        splits = tree_splits(sample_tree())
-        assert JoinSplit(SubExpression.of("A"), SubExpression.of("B"), ("x",)) in splits
-        assert (
-            JoinSplit(
-                SubExpression.of("A", "B"), SubExpression.of("C"), ("y",)
-            )
-            in splits
-        )

@@ -31,7 +31,9 @@ class TestCatalog:
         cat = Catalog()
         cat.add_relation("T1", {"a": 10})
         cat.add_relation("T2", {"a": 10, "b": 5})
-        assert cat.relation("T1").attribute("a") is cat.relation("T2").attribute("a")
+        (a1,) = cat.relation("T1").attributes
+        a2 = cat.relation("T2").attributes[0]
+        assert a1.name == a2.name == "a" and a1 is a2
 
     def test_duplicate_relation_rejected(self):
         cat = Catalog()
@@ -62,10 +64,3 @@ class TestCatalog:
         cat.add_relation("Dim", {"other": 3})
         with pytest.raises(SchemaError):
             cat.add_foreign_key("Fact", "Dim", "k")
-
-    def test_derive_attribute_inherits_domain(self):
-        cat = Catalog()
-        cat.add_relation("T", {"a": 10})
-        derived = cat.derive_attribute("a", "f")
-        assert derived.domain_size == 10
-        assert cat.domain_size("f(a)") == 10

@@ -19,8 +19,8 @@ from repro.workloads import case
 
 def make_block(names, edges, name="B1"):
     inputs = {
-        m: BlockInput(m, m, (), tuple(sorted({e.attr for e in edges if e.touches(m)})),
-                      tuple(sorted({e.attr for e in edges if e.touches(m)})))
+        m: BlockInput(m, m, (), tuple(sorted({e.attr for e in edges if m in (e.u, e.v)})),
+                      tuple(sorted({e.attr for e in edges if m in (e.u, e.v)})))
         for m in names
     }
     graph = JoinGraph(list(names), edges)

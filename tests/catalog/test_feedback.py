@@ -149,7 +149,7 @@ class TestOneCharge:
         se, rows = next(
             (se, rows)
             for se, rows in sorted(run.se_sizes.items(), key=repr)
-            if rows > 1 and signer.statistic_key(Statistic.card(se)) in catalog
+            if rows > 1 and signer.statistic_key(Statistic.card(se)) in catalog.entries
         )
         key = signer.statistic_key(Statistic.card(se))
         catalog.mark_stale([key])

@@ -133,7 +133,7 @@ class TestWarmRuns:
                 key = signer.statistic_key(stat)
             except SignatureError:
                 continue
-            if key in catalog:
+            if key in catalog.entries:
                 continue
             value = Histogram(stat.attrs, {}) if stat.is_histogram else 1
             catalog.record(key, signer.se_key(stat.se), stat, value)

@@ -52,7 +52,7 @@ class TestLookup:
         assert len(hits) == len(catalog)
         for stat in hits.free:
             assert stat in hits.values
-            assert hits.keys[stat] in catalog
+            assert hits.keys[stat] in catalog.entries
         assert hits.unusable == {}
         # a stale entry is no hit, but the lookup still returns it
         victim = next(iter(hits.free))

@@ -2,7 +2,10 @@
 
 
 from repro.algebra.expressions import SubExpression
-from repro.core.css import CSS, CssCatalog, trivial_css
+from repro.algebra.schema import Catalog
+from repro.core.costs import CostModel
+from repro.core.css import CSS, TRIVIAL, CssCatalog
+from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
 
 SE = SubExpression.of
@@ -10,6 +13,16 @@ SE = SubExpression.of
 
 def stat_card(name="T1", *more):
     return Statistic.card(SE(name, *more))
+
+
+def closure(catalog: CssCatalog, observed: set) -> set:
+    """What the catalog's CSSs derive from ``observed``, through the
+    selection problem built from it."""
+    for stat in observed:
+        catalog.mark_observable(stat)
+    problem = build_problem(catalog, CostModel(Catalog()))
+    derived = problem.closure({problem.index[stat] for stat in observed})
+    return {problem.stat(i) for i in derived}
 
 
 class TestCss:
@@ -22,7 +35,7 @@ class TestCss:
         assert css.ctx("missing", 42) == 42
 
     def test_trivial_flag(self):
-        assert trivial_css(stat_card()).is_trivial
+        assert CSS(stat_card(), (stat_card(),), TRIVIAL).is_trivial
         css = CSS(stat_card(), (Statistic.hist(SE("T1"), "a"),), "I1")
         assert not css.is_trivial
 
@@ -69,27 +82,16 @@ class TestCssCatalog:
         c = stat_card("C")
         catalog.add(CSS(b, (a,), "B1"))
         catalog.add(CSS(c, (b,), "B1"))
-        closure = catalog.closure({a})
-        assert closure == {a, b, c}
-        assert catalog.closure(set()) == set()
+        derived = closure(catalog, {a})
+        assert derived == {a, b, c}
+        assert closure(catalog, set()) == set()
 
     def test_closure_needs_all_inputs(self):
         catalog = CssCatalog()
         a, b, c = stat_card("A"), stat_card("B"), stat_card("C")
         catalog.add(CSS(c, (a, b), "J1"))
-        assert c not in catalog.closure({a})
-        assert c in catalog.closure({a, b})
-
-    def test_merge(self):
-        cat1, cat2 = CssCatalog(), CssCatalog()
-        a, b = stat_card("A"), stat_card("B")
-        cat1.add(CSS(b, (a,), "B1"))
-        cat2.require(a)
-        cat2.mark_observable(a)
-        cat1.merge(cat2)
-        assert a in cat1.required
-        assert a in cat1.observable
-        assert cat1.css_for(b)
+        assert c not in closure(catalog, {a})
+        assert c in closure(catalog, {a, b})
 
     def test_describe_lists_flags(self):
         catalog = CssCatalog()
@@ -103,7 +105,7 @@ class TestCssCatalog:
     def test_nontrivial_filter(self):
         catalog = CssCatalog()
         a = stat_card("A")
-        catalog.add(trivial_css(a))
+        catalog.add(CSS(a, (a,), TRIVIAL))
         catalog.add(CSS(a, (Statistic.hist(SE("A"), "x"),), "I1"))
         assert len(catalog.css_for(a)) == 2
-        assert len(catalog.nontrivial_css_for(a)) == 1
+        assert sum(not c.is_trivial for c in catalog.css_for(a)) == 1

@@ -1,5 +1,11 @@
 """Additional tests for the §6.1 constrained planner edge cases."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.algebra.blocks import analyze
@@ -82,3 +88,46 @@ class TestConstrainedEdgeCases:
             for block in analysis.blocks:
                 tree = step.trees[block.name]
                 assert {leaf.name for leaf in leaves(tree)} == set(block.inputs)
+
+
+#: wf21 (774 statistics, 5,036 CSSs) under a budget below its optimum: the
+#: schedule, checked against a closure the planner does not compute
+WF21_BELOW_OPTIMUM = """
+import json
+from dataclasses import replace
+from repro.algebra.blocks import analyze
+from repro.core.costs import CostModel
+from repro.core.generator import generate_css
+from repro.core.resource import plan_constrained
+from repro.core.selection import build_problem
+from repro.workloads import case
+
+workflow = case(21).build()
+analysis = analyze(workflow)
+catalog = generate_css(analysis)
+cost_model = CostModel(workflow.catalog)
+schedule = plan_constrained(analysis, catalog, cost_model, budget=100_000)
+problem = build_problem(catalog, cost_model)
+anything = replace(problem, observable=frozenset(range(problem.n)))
+observed = {problem.index[s] for step in schedule.steps for s in step.observe}
+print(json.dumps({
+    "uncovered": len(problem.required - anything.closure(observed)),
+    "steps": [[step.memory, sum(cost_model.cost(s) for s in step.observe)]
+              for step in schedule.steps],
+}))
+"""
+
+
+def test_wf21_below_its_optimum_returns_a_covering_schedule():
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", WF21_BELOW_OPTIMUM],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["uncovered"] == 0
+    assert len(result["steps"]) > 1  # the optimum (1.5 M units) does not fit
+    for memory, charged in result["steps"]:
+        assert memory == pytest.approx(charged)
+        assert memory <= 100_000

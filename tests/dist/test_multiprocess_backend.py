@@ -56,7 +56,7 @@ def _assert_equivalent(run, ref, selection):
         ), name
     assert run.se_sizes == ref.se_sizes
     for stat in selection.observed:
-        assert run.observations.maybe(stat) == ref.observations.get(stat), stat
+        assert run.observations.get(stat) == ref.observations.get(stat), stat
 
 
 class TestPoolEquivalence:

@@ -5,7 +5,6 @@ import pytest
 from repro.algebra.blocks import analyze
 from repro.engine.dist.sharding import (
     ShardPlan,
-    concat_tables,
     hash_partition_indexes,
     plan_block_shards,
     reject_is_sharded,
@@ -182,17 +181,3 @@ class TestRejectRouting:
         )
         assert reject_is_sharded(spine_side, plan)
         assert not reject_is_sharded(other_side, plan)
-
-
-class TestConcat:
-    def test_concat_preserves_shard_order(self):
-        merged = concat_tables(
-            [Table({"a": [1, 2]}), Table({"a": [3]}), Table({"a": [4, 5]})]
-        )
-        assert list(merged.column("a")) == [1, 2, 3, 4, 5]
-
-    def test_concat_of_nothing_fails_loudly(self):
-        with pytest.raises(ValueError, match="at least one shard"):
-            concat_tables([])
-        with pytest.raises(ValueError, match="at least one shard"):
-            concat_tables([None, None])

@@ -55,7 +55,7 @@ class TestExecution:
             p_matches = sum(1 for v in sources["P"].column("pid") if v == pid)
             c_matches = sum(1 for v in sources["C"].column("cid") if v == cid)
             expected += p_matches * c_matches
-        assert run.target("out").num_rows == expected
+        assert run.targets["out"].num_rows == expected
 
     def test_se_sizes_recorded_for_plan_points(self, setup):
         analysis, sources = setup
@@ -74,8 +74,8 @@ class TestExecution:
         base = BackendExecutor(analysis).run(sources)
         alt = BackendExecutor(analysis).run(sources, trees={block.name: reordered})
         assert (
-            sorted(alt.target("out").rows(sorted(alt.target("out").attrs)))
-            == sorted(base.target("out").rows(sorted(base.target("out").attrs)))
+            sorted(alt.targets["out"].rows(sorted(alt.targets["out"].attrs)))
+            == sorted(base.targets["out"].rows(sorted(base.targets["out"].attrs)))
         )
         assert SE("C", "O") in alt.se_sizes
 
@@ -103,7 +103,7 @@ class TestExecution:
         )
         run = BackendExecutor(analysis).run(sources, taps=taps)
         assert taps.missing() == []
-        assert run.observations.cardinality(SE("O", "P")) == run.se_sizes[SE("O", "P")]
+        assert run.observations.get(Statistic.card(SE("O", "P"))) == run.se_sizes[SE("O", "P")]
         hist = run.observations.get(Statistic.hist(SE("O"), "cid"))
         assert hist.total() == 4
 
@@ -151,7 +151,7 @@ class TestBoundariesExecution:
         }
         run = BackendExecutor(analysis).run(sources)
         # pinned join drops k=9, downstream join keeps g=1 rows (2 of them)
-        assert run.target("out").num_rows == 2
+        assert run.targets["out"].num_rows == 2
         # the materialized reject was produced
         assert any(r.source == SE("A") for r in run.rejects)
 
@@ -168,7 +168,7 @@ class TestBoundariesExecution:
             "R": Table({"g": [1, 2, 3], "w": [10, 20, 30]}),
         }
         run = BackendExecutor(analysis).run(sources)
-        out = run.target("out")
+        out = run.targets["out"]
         assert out.num_rows == 2
         rows = {row[0]: row for row in out.rows(("g", "n", "w"))}
         assert rows[1] == (1, 2, 10)
@@ -183,7 +183,7 @@ class TestBoundariesExecution:
         flow = AggregateUDF(Source(cat, "T"), "dedupe", dedupe)
         wf = Workflow("w", cat, [Target(flow, "out")])
         run = BackendExecutor(analyze(wf)).run({"T": Table({"a": [1, 1, 2]})})
-        assert run.target("out").num_rows == 2
+        assert run.targets["out"].num_rows == 2
 
     def test_materialize_passthrough(self):
         cat = Catalog()
@@ -191,7 +191,7 @@ class TestBoundariesExecution:
         flow = Materialize(Source(cat, "T"), "snap")
         wf = Workflow("w", cat, [Target(flow, "out")])
         run = BackendExecutor(analyze(wf)).run({"T": Table({"a": [1, 2]})})
-        assert run.target("out").num_rows == 2
+        assert run.targets["out"].num_rows == 2
 
     def test_sealed_block_post_transform_applied(self):
         """Figure 3 B2: the UDF deriving a downstream join key runs as a
@@ -215,7 +215,7 @@ class TestBoundariesExecution:
         }
         run = BackendExecutor(analysis).run(sources)
         # derived c values: 3+5=8, 4+6=10 -> both match Cc
-        assert run.target("out").num_rows == 2
+        assert run.targets["out"].num_rows == 2
 
     def test_filter_pushdown_preserves_semantics(self):
         cat = Catalog()
@@ -232,7 +232,7 @@ class TestBoundariesExecution:
             "B": Table({"k": [1, 2]}),
         }
         run = BackendExecutor(analyze(wf)).run(sources)
-        assert run.target("out").num_rows == 1  # k=2,v=5 only
+        assert run.targets["out"].num_rows == 1  # k=2,v=5 only
 
 
 class TestBackendNames:

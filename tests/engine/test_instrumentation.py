@@ -26,7 +26,7 @@ class TestTapSet:
         stat = Statistic.hist(SE("T"), "a")
         taps = TapSet([stat])
         observe(taps, SE("T"), Table({"a": [1, 1, 2]}))
-        assert taps.collect().get(stat).frequency(1) == 2
+        assert taps.collect().get(stat).counts.get((1,), 0) == 2
 
     def test_distinct(self):
         stat = Statistic.distinct(SE("T"), "a")
@@ -83,7 +83,7 @@ class TestTapSet:
         taps.mark_streamed(SE("T"))
         store = taps.collect()
         assert store.get(stats[0]) == 3
-        assert store.get(stats[1]).frequency(1) == 2
+        assert store.get(stats[1]).counts.get((1,), 0) == 2
         assert store.get(stats[2]) == 2
 
     def test_streamed_but_empty_reads_as_zero_not_missing(self):

@@ -158,7 +158,7 @@ class TestMidStreamFailure:
             taps=TapSet(stats),
             retry=RetryPolicy(max_retries=1, base_delay=0.0, jitter=0.0),
         )
-        assert run.ok
+        assert not run.failures
         clean_analysis, _, _ = _flaky_workflow(fail_calls=0)
         ref = reference_run(clean_analysis, sources, stats=stats)
         assert_matches_reference(run, ref, stats)

@@ -53,7 +53,7 @@ class TestTable:
 
     def test_histogram(self):
         t = Table({"a": [1, 1, 2]})
-        assert t.histogram(("a",)) == Histogram.single("a", {1: 2, 2: 1})
+        assert t.histogram(("a",)) == Histogram(("a",), {(1,): 2, (2,): 1})
 
     def test_distinct_count(self):
         t = Table({"a": [1, 1, 2], "b": [1, 1, 1]})

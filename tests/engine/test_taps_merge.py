@@ -159,8 +159,8 @@ class TestMergeProtocolEdges:
         observe(right, SE("T"), Table({"a": [2, 3]}))
         left.merge(right)
         merged = left.collect().get(stat)
-        assert merged.frequency(1) == 2
-        assert merged.frequency(2) == 2
-        assert merged.frequency(3) == 1
+        assert merged.counts.get((1,), 0) == 2
+        assert merged.counts.get((2,), 0) == 2
+        assert merged.counts.get((3,), 0) == 1
         assert merged.total() == 5
 

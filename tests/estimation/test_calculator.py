@@ -7,14 +7,16 @@ from repro.core.css import CSS, CssCatalog
 from repro.core.histogram import Histogram
 from repro.core.statistics import Statistic, StatisticsStore
 from repro.estimation.calculator import (
-    StatisticsCalculator,
     group_distinct,
     join_histograms,
     compute_statistics,
 )
 
 SE = SubExpression.of
-H = Histogram.single
+
+
+def H(attr, counts):
+    return Histogram((attr,), {(value,): n for value, n in counts.items()})
 
 
 class TestJoinHistograms:

@@ -111,7 +111,7 @@ def test_targeted_estimator_equals_full_fixpoint(number):
             stat.se: float(full.get(stat)) for stat in css.required
         }
         assert estimator.coverage() == (len(css.required), len(css.required))
-        assert estimator.missing() == []
+        assert estimator.catalog.required <= set(estimator.values)
         assert len(estimator.values) <= len(full)
 
 

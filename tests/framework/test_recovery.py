@@ -445,7 +445,7 @@ class TestConfidenceLadder:
     ):
         from repro.framework.recovery import demote_confidence
         from repro.serve.client import CatalogClient
-        from repro.serve.server import ServerThread
+        from tests.serve.thread import ServerThread
 
         thread = ServerThread(
             f"unix://{tmp_path / 'catalog.sock'}", tmp_path / "served.json",

@@ -183,4 +183,4 @@ def assert_matches_reference(run, ref: ReferenceRun, stats=()) -> None:
     for rej, table in ref.rejects.items():
         assert rows_of(run.rejects[rej]) == rows_of(table), rej
     for stat in stats:
-        assert run.observations.maybe(stat) == ref.observations.get(stat), stat
+        assert run.observations.get(stat) == ref.observations.get(stat), stat

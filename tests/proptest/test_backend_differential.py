@@ -23,7 +23,7 @@ from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
 from repro.engine.backend import BackendExecutor
-from repro.workloads.randomgen import random_workflow
+from tests.randomgen import random_workflow
 from tests.oracle import (
     assert_matches_reference,
     reference_run,

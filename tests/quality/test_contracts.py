@@ -99,7 +99,7 @@ class TestContractSet:
         path = tmp_path / "contracts.json"
         contracts.save(path)
         loaded = ContractSet.from_file(path)
-        assert loaded.sources() == ["t"]
+        assert sorted(loaded.contracts) == ["t"]
         assert loaded.get("t") == contracts.get("t")
 
     def test_duplicate_columns_rejected(self):

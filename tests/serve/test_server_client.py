@@ -16,7 +16,8 @@ from repro.serve.client import (
     is_catalog_url,
     resolve_stats_catalog,
 )
-from repro.serve.server import ServerThread, make_server, parse_listen
+from repro.serve.server import make_server, parse_listen
+from tests.serve.thread import ServerThread
 from repro.serve.service import CatalogService
 
 from tests.serve.test_catalog_state import _ObservedLock

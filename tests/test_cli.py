@@ -428,7 +428,7 @@ class TestCatalogCommands:
         self, wf_json, tmp_path, capsys, monkeypatch
     ):
         from repro.serve.client import CatalogClient
-        from repro.serve.server import ServerThread
+        from tests.serve.thread import ServerThread
 
         closed = []
         close = CatalogClient.close
@@ -467,6 +467,24 @@ class TestCatalogCommands:
         assert "imported" in capsys.readouterr().out
         assert main(["catalog", "show", merged]) == 0
         capsys.readouterr()
+
+    def test_show_and_export_a_served_catalog(self, tmp_path, capsys):
+        from tests.serve.thread import ServerThread
+
+        _, catalog = self._run(tmp_path)
+        capsys.readouterr()
+        with open(catalog) as f:
+            on_disk = json.load(f)["entries"]
+        with ServerThread(
+            f"unix://{tmp_path / 'catalog.sock'}", catalog, fsync=False
+        ) as server:
+            assert main(["catalog", "show", server.url]) == 0
+            out = capsys.readouterr().out
+            assert f"catalog: {len(on_disk)} entries" in out
+            assert main(["catalog", "show", server.url, "--stale"]) == 0
+            assert "q=1.00" not in capsys.readouterr().out  # none is stale
+            assert main(["catalog", "export", server.url]) == 0
+            assert json.loads(capsys.readouterr().out)["entries"] == on_disk
 
     def test_import_needs_a_source(self, tmp_path, capsys):
         dest = tmp_path / "dest.json"

@@ -32,12 +32,6 @@ ROOTS = (
 #: unreached but kept: paper-mapped extensions, each with the section row of
 #: docs/PAPER_MAPPING.md it implements and what executes it
 ALLOWED = {
-    "src/repro/core/bucketized.py": (
-        "§8.1", "benchmarks/bench_ablation_bucketized.py"
-    ),
-    "src/repro/core/error_aware.py": (
-        "§8.1", "benchmarks/bench_ablation_error_aware.py"
-    ),
     "src/repro/core/external.py": ("§6.2", "examples/source_statistics.py"),
     "src/repro/baselines/explore.py": (
         "XPLUS [8]", "benchmarks/bench_ablation_strategies.py"

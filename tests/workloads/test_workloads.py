@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.algebra.blocks import analyze
 from repro.workloads import case, suite
 from repro.workloads.characteristics import (
-    format_table,
     paper_reference,
     summarize,
     synthetic_population,
@@ -152,10 +151,6 @@ class TestCharacteristics:
         assert rows["Max"].card == 417874
         assert rows["Median"].uv == 6529
 
-    def test_format_table_renders(self):
-        text = format_table(paper_reference())
-        assert "Median" in text and "417874" in text
-
     def test_zipf_sizes_bounds(self):
         sizes = zipf_sizes(30, 1000, 10, 1.0, random.Random(3))
         assert len(sizes) == 30
@@ -249,11 +244,11 @@ class TestDataIntegrity:
 
         t = Table({"s": ["a", "a", "b"], "n": [1, 2, 2]})
         h = t.histogram(("s",))
-        assert h.frequency("a") == 2
+        assert h.counts.get(("a",), 0) == 2
         joint = t.histogram(("n", "s"))
-        assert joint.frequency((2, "b")) == 1
-        assert joint.marginalize(("s",)) == Histogram.single(
-            "s", {"a": 2, "b": 1}
+        assert joint.counts.get((2, "b"), 0) == 1
+        assert joint.marginalize(("s",)) == Histogram(
+            ("s",), {("a",): 2, ("b",): 1}
         )
         other = Table({"s": ["b", "c"]}).histogram(("s",))
         assert h.dot(other) == 1

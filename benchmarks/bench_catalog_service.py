@@ -38,7 +38,7 @@ REPLAY_BUDGET_S = 2.0
 
 
 def _client(url):
-    return CatalogClient(url, timeout=5.0, base_delay=0.0, max_delay=0.0)
+    return CatalogClient(url, timeout=5.0, sleep=lambda s: None)
 
 
 def _nightly_pass(url, run_id):
@@ -76,7 +76,7 @@ def _round_trip_p50_ms(url, samples=300):
 
 def _wal_replay_seconds(tmp_path):
     path = tmp_path / "big-catalog.json"
-    svc = CatalogService(path, fsync=False)
+    svc = CatalogService(path)
     docs = [
         {
             "key": f"k{i}",
@@ -95,7 +95,7 @@ def _wal_replay_seconds(tmp_path):
     svc.wal.close()  # crash: no snapshot -- the WAL holds everything
 
     start = time.perf_counter()
-    revived = CatalogService(path, fsync=False)
+    revived = CatalogService(path)
     elapsed = time.perf_counter() - start
     assert len(revived) == REPLAY_ENTRIES
     revived.wal.close()
@@ -105,7 +105,7 @@ def _wal_replay_seconds(tmp_path):
 def test_catalog_service_budgets(results_dir, tmp_path):
     url = f"unix://{tmp_path / 'catalog.sock'}"
     with ServerThread(
-        url, tmp_path / "catalog.json", fsync=False
+        url, tmp_path / "catalog.json"
     ) as thread:
         cold = _nightly_pass(thread.url, "night1")
         warm = _nightly_pass(thread.url, "night2")

@@ -13,6 +13,7 @@ from repro import (
     CostModel,
     BackendExecutor,
     GeneratorOptions,
+    StatisticsPipeline,
     TapSet,
     analyze,
     build_problem,
@@ -62,6 +63,11 @@ def main() -> None:
         for se, actual in truth.items()
     )
     print(f"\nestimates exact over all {len(truth)} sub-expressions: {exact}")
+
+    # the pipeline takes the same zero-cost set (with its default rules)
+    pipeline = StatisticsPipeline(workflow, free_statistics=free)
+    print(f"pipeline selection with DBMS catalogs free: "
+          f"{pipeline.select_statistics().total_cost:g}")
 
 
 if __name__ == "__main__":

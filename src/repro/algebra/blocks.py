@@ -164,7 +164,7 @@ class Block:
     inputs: dict[str, BlockInput]
     graph: JoinGraph
     initial_tree: PlanTree
-    floating: tuple[FloatingOp, ...] = ()
+    floating: tuple[FloatingOp, ...]
     post_steps: tuple[Step, ...] = ()
     materialized_rejects: tuple[RejectSE, ...] = ()
     pinned: bool = False
@@ -722,16 +722,7 @@ class _BlockOutputNode(Node):
 
 def replace_block_post(block: Block, post: tuple[Step, ...]) -> Block:
     """Return a copy of ``block`` with ``post`` appended as post-steps."""
-    return Block(
-        name=block.name,
-        inputs=block.inputs,
-        graph=block.graph,
-        initial_tree=block.initial_tree,
-        floating=block.floating,
-        post_steps=block.post_steps + post,
-        materialized_rejects=block.materialized_rejects,
-        pinned=block.pinned,
-    )
+    return replace(block, post_steps=block.post_steps + post)
 
 
 def analyze(workflow: Workflow) -> BlockAnalysis:
@@ -765,18 +756,7 @@ def with_plans(
             raise WorkflowError(
                 f"plan override for {block.name} does not cover its inputs"
             )
-        blocks.append(
-            Block(
-                name=block.name,
-                inputs=block.inputs,
-                graph=block.graph,
-                initial_tree=tree,
-                floating=block.floating,
-                post_steps=block.post_steps,
-                materialized_rejects=block.materialized_rejects,
-                pinned=block.pinned,
-            )
-        )
+        blocks.append(replace(block, initial_tree=tree))
     return BlockAnalysis(
         workflow=analysis.workflow,
         blocks=blocks,

@@ -175,10 +175,8 @@ class JoinGraph:
 
         return build(se.relations)
 
-    def count_trees(self, se: SubExpression | None = None) -> int:
-        """Plan-space size for ``se`` without materializing the trees."""
-        if se is None:
-            se = SubExpression(frozenset(self.inputs))
+    def count_trees(self) -> int:
+        """Plan-space size of the whole block without materializing it."""
         memo: dict[frozenset[str], int] = {}
 
         def count(names: frozenset[str]) -> int:
@@ -192,5 +190,5 @@ class JoinGraph:
             memo[names] = total
             return total
 
-        return count(se.relations)
+        return count(frozenset(self.inputs))
 

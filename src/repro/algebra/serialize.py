@@ -124,13 +124,13 @@ def workflow_to_dict(workflow: Workflow) -> dict:
     }
 
 
-def workflow_to_json(workflow: Workflow, indent: int = 2) -> str:
+def workflow_to_json(workflow: Workflow) -> str:
     """Serialize a workflow (catalog + DAG) to a JSON document.
 
     Keys are sorted so the same workflow always renders byte-identical
     output -- exports are diffable and safe to keep under version control.
     """
-    return json.dumps(workflow_to_dict(workflow), indent=indent, sort_keys=True)
+    return json.dumps(workflow_to_dict(workflow), indent=2, sort_keys=True)
 
 
 def workflow_to_xml(workflow: Workflow) -> str:

@@ -17,7 +17,7 @@ compare catalog predictions against.
    (:func:`prediction_errors`): for every SE the run materialized, the
    catalog's cardinality prediction is compared with the true size and
    the error blended into the entry's quality; a relative error above
-   ``threshold`` marks the SE as drifted.  Its cardinality entry is
+   :data:`DEFAULT_DRIFT_THRESHOLD` marks the SE as drifted.  Its cardinality entry is
    refreshed in place (the true size *is* a valid observation), while the
    histogram/distinct entries riding on the same SE are marked **stale**
    — the run never materialized their buckets, so they must be
@@ -114,7 +114,6 @@ def reconcile_run(
     workflow: str = "",
     run_id: str = "",
     backend: str = "",
-    threshold: float = DEFAULT_DRIFT_THRESHOLD,
     now: float | None = None,
 ) -> DriftReport:
     """Fold one completed run back into the catalog.
@@ -160,7 +159,7 @@ def reconcile_run(
         signer, se_sizes, catalog, refreshed_keys
     ):
         report.max_rel_error = max(report.max_rel_error, err)
-        if err <= threshold:
+        if err <= DEFAULT_DRIFT_THRESHOLD:
             catalog.adjust_quality(card_key, err)
             continue
         report.drifted.append(repr(se))

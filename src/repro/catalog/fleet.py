@@ -103,7 +103,6 @@ def plan_share(
     *,
     client: str,
     solver: str = "greedy",
-    generator_options: GeneratorOptions | None = None,
 ) -> WorkflowObservationPlan:
     """One workflow's share of tonight's fleet observation plan.
 
@@ -116,7 +115,7 @@ def plan_share(
     exactly once per night.  :func:`plan_fleet` is a loop over this call.
     """
     analysis = analyze(workflow)
-    css = generate_css(analysis, generator_options or GeneratorOptions())
+    css = generate_css(analysis, GeneratorOptions())
     cost_model = CostModel(workflow.catalog)
     keys = WorkflowSigner(analysis).statistic_keys(css.all_statistics)
     free = {
@@ -158,7 +157,6 @@ def plan_fleet(
     catalog: StatisticsCatalog | None = None,
     *,
     solver: str = "greedy",
-    generator_options: GeneratorOptions | None = None,
     now: float | None = None,
 ) -> FleetPlan:
     """Compute the combined nightly observation plan.
@@ -183,7 +181,6 @@ def plan_fleet(
             catalog_keys,
             client=workflow.name,
             solver=solver,
-            generator_options=generator_options,
         )
         fleet.workflows.append(share)
     return fleet

@@ -283,15 +283,9 @@ class CatalogEntry:
         )
 
     # -- the entry rules; only StatisticsCatalog applies them --
-    def collectable(
-        self, now: float, ttl: float, min_quality: float, drop_stale: bool
-    ) -> bool:
+    def collectable(self, now: float, ttl: float, min_quality: float) -> bool:
         """Should ``gc`` drop this entry?"""
-        return (
-            self.expired(now, ttl)
-            or self.quality < min_quality
-            or (drop_stale and self.stale)
-        )
+        return self.expired(now, ttl) or self.quality < min_quality or self.stale
 
     def supersedes(self, mine: "CatalogEntry | None") -> bool:
         """Merge rule: an entry replaces ``mine`` only if observed later."""
@@ -411,15 +405,12 @@ class StatisticsCatalog:
     #: between catalogs cannot leak an edit)
     _held: dict[str, CatalogEntry] = {}
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        ttl: float = DEFAULT_TTL,
-        min_quality: float = DEFAULT_MIN_QUALITY,
-    ):
+    #: an entry whose quality fell below this is not offered at zero cost
+    min_quality = DEFAULT_MIN_QUALITY
+
+    def __init__(self, path: str | Path | None = None, ttl: float = DEFAULT_TTL):
         self.path = Path(path) if path is not None else None
         self.ttl = ttl
-        self.min_quality = min_quality
         self.entries: dict[str, CatalogEntry] = {}
         self._on_disk: tuple | None = None  # identity of the version we hold
 
@@ -427,14 +418,9 @@ class StatisticsCatalog:
     # persistence
     # ------------------------------------------------------------------
     @classmethod
-    def open(
-        cls,
-        path: str | Path,
-        ttl: float = DEFAULT_TTL,
-        min_quality: float = DEFAULT_MIN_QUALITY,
-    ) -> "StatisticsCatalog":
+    def open(cls, path: str | Path) -> "StatisticsCatalog":
         """Load the catalog at ``path``, or start an empty one there."""
-        catalog = cls(path, ttl=ttl, min_quality=min_quality)
+        catalog = cls(path)
         # identity first: a save landing in between then costs a re-read,
         # it is not mistaken for the version we hold
         identity = _file_identity(path)
@@ -497,9 +483,7 @@ class StatisticsCatalog:
         with catalog_lock(target) as lock:
             if merge and _file_identity(target) not in (None, self._on_disk):
                 try:
-                    disk = StatisticsCatalog.open(
-                        target, ttl=self.ttl, min_quality=self.min_quality
-                    )
+                    disk = StatisticsCatalog.open(target)
                 except PersistenceError:
                     pass  # corrupt on-disk catalog: ours replaces it
                 else:
@@ -564,21 +548,13 @@ class StatisticsCatalog:
             key=lambda e: e.key,
         )
 
-    def collectable_keys(
-        self,
-        now: float | None = None,
-        ttl: float | None = None,
-        min_quality: float | None = None,
-        drop_stale: bool = True,
-    ) -> list[str]:
-        """The expired, low-quality and (optionally) stale keys ``gc`` drops."""
+    def collectable_keys(self, now: float | None = None) -> list[str]:
+        """The expired, low-quality and stale keys ``gc`` drops."""
         now = time.time() if now is None else now
-        ttl = self.ttl if ttl is None else ttl
-        min_quality = self.min_quality if min_quality is None else min_quality
         return sorted(
             key
             for key, entry in self.entries.items()
-            if entry.collectable(now, ttl, min_quality, drop_stale)
+            if entry.collectable(now, self.ttl, self.min_quality)
         )
 
     # ------------------------------------------------------------------
@@ -678,16 +654,16 @@ class StatisticsCatalog:
         """Blend a fresh prediction error into an entry's quality score."""
         self.apply("quality", [(key, rel_error)])
 
-    def gc(self, **criteria) -> int:
-        """Drop expired, low-quality and (optionally) stale entries."""
-        return self.apply("delete", self.collectable_keys(**criteria))
+    def gc(self, now: float | None = None) -> int:
+        """Drop expired, low-quality and stale entries."""
+        return self.apply("delete", self.collectable_keys(now))
 
     def merge(self, other: "StatisticsCatalog") -> int:
         """Import entries from another catalog; newer observation wins."""
         return self.apply("merge", other.entries.values())
 
     # ------------------------------------------------------------------
-    def describe(self, stale_only: bool = False) -> str:
+    def describe(self) -> str:
         now = time.time()
         lines = [
             f"catalog: {len(self.entries)} entries "
@@ -695,8 +671,6 @@ class StatisticsCatalog:
         ]
         for key in sorted(self.entries):
             entry = self.entries[key]
-            if stale_only and not entry.stale:
-                continue
             age = now - entry.observed_at
             flags = []
             if entry.stale:

@@ -92,6 +92,10 @@ from repro.quality import QualityError
 from repro.workloads import case, suite
 
 
+#: HiGHS's wall-clock limit per `identify` solve, in seconds
+IDENTIFY_TIME_LIMIT_S = 30.0
+
+
 class CliError(Exception):
     """An operational error reported as one line on stderr, exit status 1."""
 
@@ -188,11 +192,16 @@ def _cmd_identify(args) -> int:
     if args.budget is not None:
         from repro.core.resource import plan_constrained
 
-        schedule = plan_constrained(
-            analysis, catalog, cost_model, budget=args.budget,
-            solver=args.solver, free=free_statistics,
-            time_limit=args.time_limit,
-        )
+        if args.budget <= 0:
+            raise CliError(f"--budget must be positive, got {args.budget:g}")
+        try:
+            schedule = plan_constrained(
+                analysis, catalog, cost_model, budget=args.budget,
+                solver=args.solver, free=free_statistics,
+                time_limit=IDENTIFY_TIME_LIMIT_S,
+            )
+        except ValueError as exc:  # a budget below the cheapest statistic
+            raise CliError(str(exc)) from exc
         print(
             f"memory budget {args.budget:g}: {schedule.executions} "
             f"execution(s), peak memory {schedule.peak_memory:g}"
@@ -214,7 +223,7 @@ def _cmd_identify(args) -> int:
         cost_model,
         free=free_statistics,
         solver=args.solver,
-        time_limit=args.time_limit,
+        time_limit=IDENTIFY_TIME_LIMIT_S,
     )
     print(result.describe())
     if args.verbose:
@@ -230,6 +239,12 @@ def _cmd_run(args) -> int:
     from repro.framework.recovery import RunCheckpoint
 
     wfcase = _case(args.number)
+    if args.scale <= 0:
+        raise CliError(f"--scale must be positive, got {args.scale:g}")
+    if args.max_retries < 0:
+        raise CliError(f"--max-retries must be >= 0, got {args.max_retries}")
+    if args.block_timeout is not None and args.block_timeout <= 0:
+        raise CliError(f"--block-timeout must be positive, got {args.block_timeout:g}")
     workflow = wfcase.build()
     sources = wfcase.tables(scale=args.scale, seed=args.seed)
     if args.shards is not None:
@@ -368,7 +383,7 @@ def _cmd_run(args) -> int:
         from repro.obs import render_trace, write_trace
 
         print()
-        print(render_trace(tracer.root, top=args.top))
+        print(render_trace(tracer.root))
         if args.trace:
             write_trace(tracer, args.trace)
             print(f"trace written to {args.trace}")
@@ -422,6 +437,8 @@ def _cmd_experiments(args) -> int:
     if args.figure == "data":
         header, rows = data_characteristics_rows()
     else:
+        for number in args.workflows or ():
+            _case(number)
         context = SuiteContext.build(args.workflows)
         if args.figure == "fig9":
             header, rows = fig9_rows(context)
@@ -452,7 +469,7 @@ def _cmd_export(args) -> int:
 def _cmd_catalog_show(args) -> int:
     catalog = _open_catalog(args.path, must_exist=True)
     try:
-        print(catalog.describe(stale_only=args.stale))
+        print(catalog.describe())
     finally:
         _close_catalog(catalog)
     return 0
@@ -461,11 +478,7 @@ def _cmd_catalog_show(args) -> int:
 def _cmd_catalog_gc(args) -> int:
     catalog = _open_catalog(args.path, must_exist=True)
     before = len(catalog.entries)
-    removed = catalog.gc(
-        ttl=args.ttl,
-        min_quality=args.min_quality,
-        drop_stale=not args.keep_stale,
-    )
+    removed = catalog.gc()
     # merge=False: a merging save would re-adopt the just-dropped entries
     # from the on-disk file and undo the collection
     try:
@@ -527,12 +540,8 @@ def _cmd_serve(args) -> int:
         server = make_server(
             args.listen,
             args.catalog,
-            wal_path=args.wal,
             log_path=args.log,
             snapshot_every=args.snapshot_every,
-            snapshot_interval=args.snapshot_interval,
-            gc_interval=args.gc_interval,
-            fsync=not args.no_fsync,
         )
     except (OSError, PersistenceError) as exc:
         raise CliError(f"cannot start catalog server: {exc}") from exc
@@ -574,7 +583,8 @@ def _cmd_quality_infer(args) -> int:
     from repro.quality import ContractSet
 
     wfcase = _case(args.number)
-    sources = wfcase.tables(scale=args.scale, seed=args.seed)
+    # run's defaults: the sources a default night screens
+    sources = wfcase.tables(scale=0.1, seed=7)
     contracts = ContractSet.infer(sources)
     contracts.save(args.out)
     print(
@@ -609,7 +619,7 @@ def _cmd_trace_show(args) -> int:
         header.append(f"run {doc.run_id}")
     if header:
         print(f"trace of {' '.join(header)} ({args.path})")
-    print(render_trace(doc.root, top=args.top, verbose=args.verbose))
+    print(render_trace(doc.root, verbose=args.verbose))
     return 0
 
 
@@ -629,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="select the optimal statistics set")
     p.add_argument("workflow")
     p.add_argument("--solver", choices=("ilp", "greedy"), default="ilp")
-    p.add_argument("--time-limit", type=float, default=30.0)
     p.add_argument("--no-union-division", action="store_true")
     p.add_argument("--no-fk", action="store_true")
     p.add_argument(
@@ -752,12 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="export the run's metric series here (Prometheus text for "
         ".prom/.txt/.metrics suffixes, JSON otherwise)",
     )
-    p.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="rows in the slowest-blocks / worst-estimates tables (--trace)",
-    )
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("suite", help="describe the 30-workflow benchmark")
@@ -801,12 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the catalog snapshot file; created if missing",
     )
     p.add_argument(
-        "--wal",
-        default=None,
-        metavar="WAL",
-        help="write-ahead log path (default: <catalog>.wal)",
-    )
-    p.add_argument(
         "--log",
         default=None,
         metavar="LOG",
@@ -819,27 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="write-behind snapshot + WAL truncation cadence in records",
     )
-    p.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip per-record fsync (faster, loses crash durability)",
-    )
-    p.add_argument(
-        "--snapshot-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="background snapshot+GC daemon cadence (default 30s); the "
-        "write path only flags snapshot debt, the daemon pays it",
-    )
-    p.add_argument(
-        "--gc-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="expire aged catalog entries on the snapshot daemon at this "
-        "cadence (default: never)",
-    )
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -849,25 +825,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = catalog_sub.add_parser("show", help="list entries with provenance")
     c.add_argument("path", help="catalog file")
-    c.add_argument("--stale", action="store_true", help="stale entries only")
     c.set_defaults(fn=_cmd_catalog_show)
 
     c = catalog_sub.add_parser(
         "gc", help="drop expired, stale and low-quality entries"
     )
     c.add_argument("path")
-    c.add_argument(
-        "--ttl", type=float, default=None, metavar="SECONDS",
-        help="expire entries older than this (default: the catalog TTL)",
-    )
-    c.add_argument(
-        "--min-quality", type=float, default=None, metavar="Q",
-        help="drop entries whose quality score is below Q",
-    )
-    c.add_argument(
-        "--keep-stale", action="store_true",
-        help="keep drift-marked entries (they still never match lookups)",
-    )
     c.set_defaults(fn=_cmd_catalog_gc)
 
     c = catalog_sub.add_parser(
@@ -907,8 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
         "infer", help="bootstrap contracts from a suite workflow's sources"
     )
     q.add_argument("--number", type=int, required=True)
-    q.add_argument("--scale", type=float, default=0.1)
-    q.add_argument("--seed", type=int, default=7)
     q.add_argument(
         "--out", required=True, metavar="CONTRACTS.JSON",
         help="where to save the inferred contract set",
@@ -930,12 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
         "show", help="render a trace file as an indented span tree"
     )
     t.add_argument("path", help="trace file written by `run --trace`")
-    t.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="rows in the slowest-blocks / worst-estimates tables",
-    )
     t.add_argument(
         "--verbose", action="store_true",
         help="show every operator point (no per-block elision)",

@@ -26,6 +26,10 @@ from repro.algebra.schema import Catalog
 from repro.core.statistics import StatKind, Statistic
 
 INFINITE = math.inf
+#: rows assumed for an SE without a size estimate (the coarse first run)
+DEFAULT_SE_SIZE = 1000.0
+#: values assumed for an attribute the catalog does not know
+DEFAULT_DOMAIN = 1024
 
 
 @dataclass
@@ -33,7 +37,7 @@ class CostModel:
     """Computes per-statistic observation costs.
 
     ``se_sizes`` maps SEs to (estimated) row counts for CPU costing; when an
-    SE is missing, ``default_se_size`` applies (the coarse first-run
+    SE is missing, :data:`DEFAULT_SE_SIZE` applies (the coarse first-run
     approximation).  ``memory_weight`` / ``cpu_weight`` blend the metrics;
     the paper's experiments use pure memory cost (Figure 11), which is the
     default.
@@ -43,14 +47,12 @@ class CostModel:
     se_sizes: dict[AnySE, float] = field(default_factory=dict)
     memory_weight: float = 1.0
     cpu_weight: float = 0.0
-    default_domain: int = 1024
-    default_se_size: float = 1000.0
 
     def domain_size(self, attr: str) -> int:
         try:
             return self.catalog.domain_size(attr)
         except Exception:
-            return self.default_domain
+            return DEFAULT_DOMAIN
 
     def memory_units(self, stat: Statistic) -> float:
         """The Section 5.4 memory table.
@@ -89,8 +91,8 @@ class CostModel:
             return float(self.se_sizes[se])
         if isinstance(se, RejectSE):
             base = self.se_sizes.get(se.source)
-            return float(base) if base is not None else self.default_se_size
-        return self.default_se_size
+            return float(base) if base is not None else DEFAULT_SE_SIZE
+        return DEFAULT_SE_SIZE
 
     def cpu_units(self, stat: Statistic) -> float:
         """One update per tuple passing the observation point."""

@@ -20,7 +20,6 @@ column order); duplicates are found in a set of the held CSSs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from repro.algebra.blocks import Step
 from repro.algebra.expressions import CachedHash
@@ -45,11 +44,11 @@ class CSS(CachedHash):
     def __post_init__(self) -> None:
         self._freeze(self.target, self.inputs, self.rule, self.context)
 
-    def ctx(self, key: str, default=None):
+    def ctx(self, key: str):
         for k, v in self.context:
             if k == key:
                 return v
-        return default
+        return None
 
     @property
     def is_trivial(self) -> bool:
@@ -125,9 +124,9 @@ class CssCatalog:
             "nontrivial_css": n_css - n_trivial,
         }
 
-    def describe(self, stats: Optional[Iterable[Statistic]] = None) -> str:
+    def describe(self) -> str:
         lines = []
-        targets = sorted(stats or self.css, key=lambda s: s.sort_key())
+        targets = sorted(self.css, key=lambda s: s.sort_key())
         for stat in targets:
             flags = []
             if stat in self.observable:

@@ -24,7 +24,6 @@ from repro.engine.table import Table
 def harvest_source_statistics(
     sources: dict[str, Table],
     relations: Iterable[str] | None = None,
-    include_histograms: bool = True,
 ) -> tuple[set[Statistic], StatisticsStore]:
     """Profile (some of) the source tables like a DBMS catalog would.
 
@@ -44,8 +43,6 @@ def harvest_source_statistics(
         card = Statistic.card(se)
         free.add(card)
         values.put(card, table.num_rows)
-        if not include_histograms:
-            continue
         for attr in table.attrs:
             hist_stat = Statistic.hist(se, attr)
             free.add(hist_stat)

@@ -61,13 +61,10 @@ class GeneratorOptions:
     ``union_division`` toggles the paper's novel J4/J5 rules (the Figure 9 /
     Figure 11 "with vs without union-division" comparison flips this).
     ``fk_rules`` enables lookup-join derivations from catalog metadata.
-    ``max_hist_attrs`` caps joint-histogram width (None = unlimited).
     """
 
     union_division: bool = True
     fk_rules: bool = True
-    group_by_rules: bool = True
-    max_hist_attrs: int | None = None
 
 
 @dataclass(frozen=True)
@@ -275,9 +272,6 @@ class CssGenerator:
         right_attrs = set(self.se_attrs(split.right))
         carried_left = key | {b for b in bs if b in left_attrs}
         carried_right = key | {b for b in bs if b in right_attrs and b not in left_attrs}
-        limit = self.options.max_hist_attrs
-        if limit is not None and max(len(carried_left), len(carried_right)) > limit:
-            return
         self._emit(
             stat,
             "J2",
@@ -293,7 +287,9 @@ class CssGenerator:
         """SEs whose cardinality equals |se| by FK-lookup metadata."""
         catalog: Catalog = self.analysis.workflow.catalog
         out = []
-        for parent_name in se.relations:
+        # sorted: a frozenset's order follows the string-hash seed, and this
+        # order is the catalog's, build_problem's and HiGHS's column order
+        for parent_name in sorted(se.relations):
             parent = block.inputs.get(parent_name)
             if parent is None or parent.steps:
                 continue  # filtered / transformed parents break the lookup
@@ -414,7 +410,7 @@ class CssGenerator:
                 self._emit(
                     stat, "B1", [self._hist(link.output_se, *stat.attrs)]
                 )
-        elif link.kind == "aggregate" and self.options.group_by_rules:
+        elif link.kind == "aggregate":
             group = tuple(sorted(link.group_attrs))
             if stat.is_cardinality and group:
                 self._emit(
@@ -444,15 +440,13 @@ class CssGenerator:
                 joint = tuple(sorted(set(stat.attrs) | {attr}))
                 prev_attrs = set(self.se_attrs(prev))
                 if set(joint) <= prev_attrs:
-                    limit = self.options.max_hist_attrs
-                    if limit is None or len(joint) <= limit:
-                        self._emit(
-                            stat,
-                            "S2",
-                            [self._hist(prev, *joint)],
-                            step=step.node_id,
-                            bs=stat.attrs,
-                        )
+                    self._emit(
+                        stat,
+                        "S2",
+                        [self._hist(prev, *joint)],
+                        step=step.node_id,
+                        bs=stat.attrs,
+                    )
         elif step.kind == "transform":
             changed = {step.result_attr} if step.result_attr else set(step.attrs)
             if stat.is_cardinality:

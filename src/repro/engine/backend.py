@@ -113,7 +113,7 @@ class RunContext:
     plan_cache: PlanCache
     #: per-source contract fingerprints folded into plan-cache keys
     context_tokens: "dict[str, str] | None" = None
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    lock: threading.Lock = field(default_factory=threading.Lock, init=False)
     tracer: Any = None
     estimates: "dict[AnySE, float] | None" = None
     #: the run's fault injector (or ``None``); sharding backends consult
@@ -169,7 +169,7 @@ class RunContext:
                 attrs["estimated_rows"] = float(estimate)
         if self.taps.wants(se):
             attrs["tapped"] = True
-        self.tracer.point(repr(se), kind="operator", **attrs)
+        self.tracer.point(repr(se), **attrs)
 
 
 class ExecutionBackend:
@@ -211,7 +211,7 @@ class ExecutionBackend:
         if ctx.tracer is None:
             program, _hit = lower()
         else:
-            with ctx.tracer.span("compile", kind="phase") as span:
+            with ctx.tracer.span("compile") as span:
                 program, hit = lower()
                 span.annotate(
                     fused_ops=program.fused_ops,

@@ -42,8 +42,10 @@ def _tree_sig(signer: WorkflowSigner, node: PlanTree):
 class PlanCache:
     """A bounded LRU of compiled block programs, safe for shared use."""
 
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
+    #: plans kept before the least recently used is evicted
+    capacity = 256
+
+    def __init__(self):
         self._entries: "OrderedDict[str, BlockProgram]" = OrderedDict()
         self._lock = threading.Lock()
         self._signer: Optional[tuple] = None  # (analysis, signer)

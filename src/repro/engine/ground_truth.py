@@ -7,19 +7,15 @@ order per subset) and returns the exact counts the estimator must match
 (exact histograms admit no estimation error; see Section 3.1).
 
 The brute force itself runs on the reference row-at-a-time operators of
-:mod:`repro.engine.physical`; ``backend`` only picks which backend
-produces the boundary outputs it starts from.
+:mod:`repro.engine.physical`, starting from the boundary outputs of one
+columnar run.
 """
 
 from __future__ import annotations
 
 from repro.algebra.blocks import Block, BlockAnalysis
 from repro.algebra.expressions import AnySE, SubExpression
-from repro.engine.backend import (
-    BackendExecutor,
-    ExecutionBackend,
-    WorkflowRun,
-)
+from repro.engine.backend import BackendExecutor, WorkflowRun
 from repro.engine.physical import apply_step, hash_join
 from repro.engine.table import Table
 
@@ -66,14 +62,13 @@ def join_subset(
 def ground_truth_cardinalities(
     analysis: BlockAnalysis,
     sources: dict[str, Table],
-    backend: "ExecutionBackend | str" = "columnar",
 ) -> dict[AnySE, int]:
     """Exact |e| for every SE in every block's universe.
 
     Runs the workflow once (initial plans) to build the boundary outputs,
     then brute-forces each block's join subsets from its processed inputs.
     """
-    run: WorkflowRun = BackendExecutor(analysis, backend).run(sources)
+    run: WorkflowRun = BackendExecutor(analysis).run(sources)
     truth: dict[AnySE, int] = {}
     for block in analysis.blocks:
         inputs = block_input_tables(block, run.env)

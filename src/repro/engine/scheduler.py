@@ -44,7 +44,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 
 class SchedulerError(RuntimeError):
@@ -89,7 +89,7 @@ class RetryPolicy:
 
     ``max_retries`` counts *re*-tries: a task gets ``1 + max_retries``
     attempts before its failure is recorded.  Backoff between attempts is
-    exponential (``base_delay * 2^n`` capped at ``max_delay``) with a
+    exponential (``BASE_DELAY * 2^n`` capped at ``MAX_DELAY``) with a
     deterministic seeded jitter so retries from several pipelines do not
     hit a recovering source in lockstep.  ``block_timeout``
     bounds each attempt's wall time; a timed-out attempt counts as
@@ -98,19 +98,19 @@ class RetryPolicy:
     its output only on success).
     """
 
+    BASE_DELAY: ClassVar[float] = 0.05
+    MAX_DELAY: ClassVar[float] = 2.0
+    JITTER: ClassVar[float] = 0.25
+
     max_retries: int = 0
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    jitter: float = 0.25
     block_timeout: float | None = None
     seed: int = 0
-    classify: Callable[[BaseException], str] = classify_error
     sleep: Callable[[float], None] = time.sleep
 
     def backoff(self, retry_index: int, rng: random.Random) -> float:
         """Delay before retry ``retry_index`` (0-based), jittered."""
-        delay = min(self.base_delay * (2.0**retry_index), self.max_delay)
-        return delay * (1.0 + self.jitter * rng.random())
+        delay = min(self.BASE_DELAY * (2.0**retry_index), self.MAX_DELAY)
+        return delay * (1.0 + self.JITTER * rng.random())
 
     def rng_for(self, task_name: str) -> random.Random:
         """Per-task RNG: a task's jitter does not depend on which other
@@ -221,7 +221,7 @@ def _run_with_retries(
             return None
         except Exception as exc:  # noqa: BLE001 - classified below
             timed_out = isinstance(exc, BlockTimeout)
-            kind = "timeout" if timed_out else policy.classify(exc)
+            kind = "timeout" if timed_out else classify_error(exc)
             retryable = kind != "permanent"
             if not retryable or attempts > policy.max_retries:
                 return RunFailure(

@@ -43,8 +43,8 @@ class InputProfile:
     cardinality: float
     distinct: dict[str, float] = field(default_factory=dict)
 
-    def dv(self, attr: str, default: float = 1.0) -> float:
-        return max(self.distinct.get(attr, default), 1.0)
+    def dv(self, attr: str) -> float:
+        return max(self.distinct.get(attr, 1.0), 1.0)
 
 
 def profiles_from_characteristics(

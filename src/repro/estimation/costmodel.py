@@ -6,11 +6,8 @@ if the cardinalities of the outputs at all intermediate stages of the plan
 are determined, the cost of any operator in the plan and therefore the
 total cost of the plan could be computed."*
 
-Two classic metrics are provided:
-
-- ``cout``  -- the sum of intermediate-result sizes (the C_out metric used
-  throughout the join-ordering literature);
-- ``hash``  -- a hash-join model: build + probe + emit per join node.
+The metric is C_out, the sum of intermediate-result sizes used throughout
+the join-ordering literature.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ class PlanCostModel:
     """
 
     cardinalities: dict[AnySE, float]
-    metric: str = "cout"
 
     def size(self, se: AnySE) -> float:
         try:
@@ -41,14 +37,7 @@ class PlanCostModel:
             raise CostModelError(f"no cardinality estimate for {se!r}") from None
 
     def join_cost(self, left: SubExpression, right: SubExpression) -> float:
-        out = self.size(left.union(right))
-        if self.metric == "cout":
-            return out
-        if self.metric == "hash":
-            build = min(self.size(left), self.size(right))
-            probe = max(self.size(left), self.size(right))
-            return 1.5 * build + probe + out
-        raise ValueError(f"unknown metric {self.metric!r}")
+        return self.size(left.union(right))
 
     def tree_cost(self, tree: PlanTree) -> float:
         """Total plan cost: every join node's cost, final emit included."""

@@ -47,10 +47,9 @@ class PlanOptimizer:
         self,
         analysis: BlockAnalysis,
         cardinalities: dict[AnySE, float],
-        metric: str = "cout",
     ):
         self.analysis = analysis
-        self.model = PlanCostModel(cardinalities, metric=metric)
+        self.model = PlanCostModel(cardinalities)
 
     def optimize_block(self, block: Block) -> OptimizedPlan:
         best: dict[frozenset[str], tuple[float, PlanTree]] = {}
@@ -95,17 +94,15 @@ class PlanOptimizer:
     def optimize_or_fallback(
         self,
         block: Block,
-        fallback_tree: PlanTree | None = None,
         confidence: str = "observed",
     ) -> OptimizedPlan:
         """Like per-block optimization, but degradation-safe.
 
         When the cardinalities cannot cost the block (statistics lost to a
         failed run and no fallback estimates either), the block keeps
-        ``fallback_tree`` (default: its initial plan) with NaN costs and
+        its initial plan with NaN costs and
         confidence ``"none"`` instead of raising.
         """
-        tree = fallback_tree or block.initial_tree
         try:
             if block.pinned:
                 cost = self.model.tree_cost(block.initial_tree)
@@ -122,7 +119,7 @@ class PlanOptimizer:
         except (KeyError, ValueError):
             return OptimizedPlan(
                 block=block,
-                tree=tree,
+                tree=block.initial_tree,
                 cost=float("nan"),
                 initial_cost=float("nan"),
                 confidence="none",

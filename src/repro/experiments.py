@@ -51,7 +51,7 @@ class SuiteContext:
 
 def data_characteristics_rows() -> tuple[list[str], list[list]]:
     """The Section 7 data-characteristics table, ours next to the paper's."""
-    cards, uvs = synthetic_population(n_relations=60, seed=7)
+    cards, uvs = synthetic_population()
     ours = summarize(cards, uvs)
     paper = {r.stat: r for r in paper_reference()}
     rows = [

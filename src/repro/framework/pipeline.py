@@ -215,9 +215,7 @@ class StatisticsPipeline:
     """Configurable Figure-2 pipeline for a single workflow."""
 
     workflow: Workflow
-    generator_options: GeneratorOptions = field(default_factory=GeneratorOptions)
     solver: str = "ilp"  # "ilp" | "greedy"
-    cost_metric: str = "cout"
     free_statistics: set[Statistic] = field(default_factory=set)
     memory_weight: float = 1.0
     cpu_weight: float = 0.0
@@ -236,7 +234,7 @@ class StatisticsPipeline:
             # cost-model constants and metric labels consistent)
             self.backend = "multiprocess"
         self.analysis = analyze(self.workflow)
-        self.catalog = generate_css(self.analysis, self.generator_options)
+        self.catalog = generate_css(self.analysis, GeneratorOptions())
         self._se_sizes: dict = {}
         # shared across run_once calls: warm cycles skip plan lowering,
         # and plan changes/schema drift key/evict entries as needed
@@ -375,7 +373,7 @@ class StatisticsPipeline:
             with tr.span("enumerate") as enum_span:
                 if trees:
                     analysis = with_plans(self.analysis, trees)
-                    catalog = generate_css(analysis, self.generator_options)
+                    catalog = generate_css(analysis, GeneratorOptions())
                 else:
                     analysis, catalog = self.analysis, self.catalog
                 if tracer is not None:
@@ -534,7 +532,7 @@ class StatisticsPipeline:
                     hits=hits,
                     drifted_sources=drifted_sources,
                 )
-                optimizer = PlanOptimizer(analysis, cards, metric=self.cost_metric)
+                optimizer = PlanOptimizer(analysis, cards)
                 plans = {
                     block.name: optimizer.optimize_or_fallback(
                         block, confidence=degraded.get(block.name, "observed")
@@ -547,7 +545,7 @@ class StatisticsPipeline:
                         degraded[name] = plan.confidence
             else:
                 plans = PlanOptimizer(
-                    analysis, estimator.all_cardinalities(), metric=self.cost_metric
+                    analysis, estimator.all_cardinalities()
                 ).optimize()
             catalog_degraded = bool(getattr(stats_catalog, "degraded", False))
             if catalog_degraded:

@@ -175,9 +175,7 @@ class EtlSession:
         self, report: PipelineReport, executed: dict[str, PlanTree]
     ) -> float:
         """True cost of the plans that actually ran, from observed sizes."""
-        model = PlanCostModel(
-            dict(report.run.se_sizes), metric=self.pipeline.cost_metric
-        )
+        model = PlanCostModel(dict(report.run.se_sizes))
         total = 0.0
         for block in report.analysis.blocks:
             tree = executed.get(block.name, block.initial_tree)

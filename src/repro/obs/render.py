@@ -69,9 +69,9 @@ def estimation_errors(root: Span) -> list[tuple[float, Span]]:
     return out
 
 
-def slowest(root: Span, kind: str = "block", top: int = 5) -> list[Span]:
-    """The ``top`` longest spans of the given kind, slowest first."""
-    spans = [s for s in root.walk() if s.kind == kind]
+def slowest(root: Span, top: int = 5) -> list[Span]:
+    """The ``top`` longest block spans, slowest first."""
+    spans = [s for s in root.walk() if s.kind == "block"]
     spans.sort(key=lambda s: (-s.duration, s.name))
     return spans[:top]
 
@@ -124,7 +124,7 @@ def render_trace(root: Span, top: int = 5, verbose: bool = False) -> str:
     """The full ``trace show`` document: tree + hotspots + misestimates."""
     lines = [render_tree(root, verbose=verbose)]
 
-    blocks = slowest(root, kind="block", top=top)
+    blocks = slowest(root, top=top)
     if blocks:
         lines.append("")
         lines.append(f"slowest blocks (top {min(top, len(blocks))}):")

@@ -146,14 +146,13 @@ class Tracer:
 
     def __init__(
         self,
-        name: str = "run",
         clock: Callable[[], float] = time.perf_counter,
         wall_clock: Callable[[], float] = time.time,
         **attrs,
     ):
         self.clock = clock
         self.started_at = wall_clock()
-        self.root = Span(name, kind="run", start=clock(), attrs=dict(attrs))
+        self.root = Span("run", kind="run", start=clock(), attrs=dict(attrs))
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -190,9 +189,9 @@ class Tracer:
         return span
 
     @contextmanager
-    def span(self, name: str, kind: str = "phase", parent: Span | None = None,
-             **attrs) -> Iterator[Span]:
-        span = self.start(name, kind=kind, parent=parent, **attrs)
+    def span(self, name: str, **attrs) -> Iterator[Span]:
+        """A phase span around the ``with`` body, under this thread's current."""
+        span = self.start(name, **attrs)
         try:
             yield span
         finally:
@@ -284,7 +283,7 @@ class NullTracer(Tracer):
         return NULL_SPAN
 
     @contextmanager
-    def span(self, name, kind="phase", parent=None, **attrs) -> Iterator[Span]:
+    def span(self, name, **attrs) -> Iterator[Span]:
         yield NULL_SPAN
 
     def point(self, name, kind="operator", parent=None, **attrs) -> Span:

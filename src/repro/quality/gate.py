@@ -35,7 +35,7 @@ class QualityGate:
 
     contracts: ContractSet
     policy: str = DEFAULT_POLICY
-    quarantine: QuarantineStore = field(default_factory=QuarantineStore)
+    quarantine: QuarantineStore = field(default_factory=QuarantineStore, init=False)
 
     def screen_sources(
         self,

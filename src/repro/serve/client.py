@@ -57,8 +57,6 @@ import time
 from pathlib import Path
 
 from repro.catalog.store import (
-    DEFAULT_MIN_QUALITY,
-    DEFAULT_TTL,
     MUTATIONS,
     CatalogEntry,
     CatalogHits,
@@ -127,12 +125,8 @@ class CatalogClient:
         url: str,
         *,
         fallback: StatisticsCatalog | str | Path | None = None,
-        ttl: float = DEFAULT_TTL,
-        min_quality: float = DEFAULT_MIN_QUALITY,
         timeout: float = DEFAULT_TIMEOUT,
         max_retries: int = 2,
-        base_delay: float = 0.05,
-        max_delay: float = 1.0,
         seed: int = 0,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
@@ -145,8 +139,6 @@ class CatalogClient:
                 f"one catalog endpoint per client, got the list {url!r}"
             )
         self.url = url.rstrip("/")
-        self.ttl = ttl
-        self.min_quality = min_quality
         self.timeout = timeout
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
@@ -155,15 +147,13 @@ class CatalogClient:
         if isinstance(fallback, StatisticsCatalog):
             self._fallback = fallback
         elif fallback is not None:
-            self._fallback = StatisticsCatalog.open(
-                fallback, ttl=ttl, min_quality=min_quality
-            )
+            self._fallback = StatisticsCatalog.open(fallback)
         else:
             self._fallback = None
 
         #: the entries this client has read from or written to the server;
         #: after degradation it IS the catalog (plus the fallback file)
-        self._mirror = StatisticsCatalog(None, ttl=ttl, min_quality=min_quality)
+        self._mirror = StatisticsCatalog(None)
         #: keys the server has answered for: one of these missing from the
         #: mirror is the server's "no such entry", not a question to ask
         self._answered: set[str] = set()
@@ -175,8 +165,6 @@ class CatalogClient:
 
         self._policy = RetryPolicy(
             max_retries=max_retries,
-            base_delay=base_delay,
-            max_delay=max_delay,
             seed=seed,
             sleep=sleep,
         )
@@ -403,12 +391,12 @@ class CatalogClient:
                 self._absorb(answer.get("entries", []))
         return self._mirror.entries_on_se(se_key)
 
-    def describe(self, stale_only: bool = False) -> str:
+    def describe(self) -> str:
         self._export()
         mode = "degraded to local view" if self.degraded else "connected"
         return (
             f"catalog service {self.url} ({mode})\n"
-            + self._mirror.describe(stale_only)
+            + self._mirror.describe()
         )
 
     def to_dict(self) -> dict:
@@ -463,16 +451,16 @@ class CatalogClient:
         self._mirror.adjust_quality(key, rel_error)
         self._stage("quality", [key, float(rel_error)])
 
-    def gc(self, **kwargs) -> int:
+    def gc(self, now: float | None = None) -> int:
         if not self.degraded:
             try:
-                answer = self._request("POST", "/gc", kwargs or {})
-                self._mirror.gc(**kwargs)
+                answer = self._request("POST", "/gc", {})
+                self._mirror.gc(now)
                 return int(answer.get("removed", 0))
             except (CatalogUnavailable, CatalogRequestError):
                 self._degrade()
         # no server to decide: the doomed keys are staged for the fallback
-        doomed = self._mirror.collectable_keys(**kwargs)
+        doomed = self._mirror.collectable_keys(now)
         if doomed:
             self._staged.append(("delete", doomed))
         return self._mirror.apply("delete", doomed)
@@ -481,7 +469,7 @@ class CatalogClient:
         self._stage("merge", *(e.to_dict() for e in other.entries.values()))
         return self._mirror.merge(other)
 
-    def save(self, path=None, merge: bool = True) -> None:
+    def save(self, merge: bool = True) -> None:
         """Flush the staged writes as one commit.
 
         Healthy path: the staged ops, in order, are one ``POST /commit``,

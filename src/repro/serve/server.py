@@ -49,11 +49,7 @@ from pathlib import Path
 
 from repro.core.persistence import PersistenceError
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.service import (
-    DEFAULT_SNAPSHOT_INTERVAL,
-    CatalogService,
-    SnapshotDaemon,
-)
+from repro.serve.service import CatalogService, SnapshotDaemon
 
 
 class CatalogRequestHandler(BaseHTTPRequestHandler):
@@ -172,11 +168,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         if path == "/commit":
             return 200, {"seq": service.commit(body.get("ops", []))}
         if path == "/gc":
-            removed = service.gc(
-                ttl=body.get("ttl"),
-                min_quality=body.get("min_quality"),
-                drop_stale=bool(body.get("drop_stale", True)),
-            )
+            removed = service.gc()
             return 200, {"removed": removed}
         if path == "/snapshot":
             service.snapshot()
@@ -309,38 +301,26 @@ def make_server(
     listen: str,
     catalog_path: str | Path,
     *,
-    wal_path: str | Path | None = None,
-    metrics: MetricsRegistry | None = None,
     log_path: str | Path | None = None,
     snapshot_every: int | None = None,
-    snapshot_interval: float | None = None,
-    gc_interval: float | None = None,
-    fsync: bool = True,
 ):
     """Build a ready-to-``serve_forever`` catalog server.
 
     The server runs a :class:`~repro.serve.service.SnapshotDaemon` so
-    snapshots and GC happen off the request path.
+    snapshots happen off the request path.
     """
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    metrics = MetricsRegistry()
     kwargs = {}
     if snapshot_every is not None:
         kwargs["snapshot_every"] = snapshot_every
-    service = CatalogService(
-        catalog_path, wal_path, metrics=metrics, fsync=fsync, **kwargs
-    )
+    service = CatalogService(catalog_path, metrics=metrics, **kwargs)
     kind, address = parse_listen(listen)
     if kind == "unix":
         server = UnixCatalogServer(address, CatalogRequestHandler)
     else:
         server = TcpCatalogServer(address, CatalogRequestHandler)
     server.init_core(service, metrics, log_path)
-    interval = (
-        DEFAULT_SNAPSHOT_INTERVAL if snapshot_interval is None else snapshot_interval
-    )
-    server.snapshot_daemon = SnapshotDaemon(
-        service, interval=interval, gc_interval=gc_interval
-    ).start()
+    server.snapshot_daemon = SnapshotDaemon(service).start()
     server.log(f"serving catalog {catalog_path} on {listen}")
     return server
 

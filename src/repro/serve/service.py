@@ -43,8 +43,6 @@ import time
 from pathlib import Path
 
 from repro.catalog.store import (
-    DEFAULT_MIN_QUALITY,
-    DEFAULT_TTL,
     MUTATIONS,
     CatalogEntry,
     StatisticsCatalog,
@@ -65,28 +63,19 @@ class CatalogService:
     def __init__(
         self,
         path: str | Path,
-        wal_path: str | Path | None = None,
         *,
-        ttl: float = DEFAULT_TTL,
-        min_quality: float = DEFAULT_MIN_QUALITY,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        fsync: bool = True,
         metrics=None,
         clock=time.time,
     ):
         self.path = Path(path)
-        self.wal = WriteAheadLog(
-            Path(wal_path) if wal_path is not None else Path(str(path) + ".wal"),
-            fsync=fsync,
-        )
-        self.ttl = ttl
-        self.min_quality = min_quality
+        self.wal = WriteAheadLog(Path(str(path) + ".wal"))
         self.snapshot_every = snapshot_every
         self.metrics = metrics
         self.clock = clock
 
         #: the entries and the entry rules; touched only under _state_lock
-        self.catalog = StatisticsCatalog(None, ttl, min_quality)
+        self.catalog = StatisticsCatalog(None)
         self._state_lock = threading.Lock()
         self._write_lock = threading.Lock()
 
@@ -222,12 +211,7 @@ class CatalogService:
             ).inc()
         return seq
 
-    def gc(
-        self,
-        ttl: float | None = None,
-        min_quality: float | None = None,
-        drop_stale: bool = True,
-    ) -> int:
+    def gc(self) -> int:
         """Drop expired/low-quality/stale entries; returns the count.
 
         The doomed set is committed as an explicit ``delete``, so replay
@@ -238,9 +222,7 @@ class CatalogService:
         """
         with self._write_lock:
             with self._state_lock:
-                doomed = self.catalog.collectable_keys(
-                    self.clock(), ttl, min_quality, drop_stale
-                )
+                doomed = self.catalog.collectable_keys(self.clock())
             if doomed:
                 self._commit([["delete", doomed]])
         return len(doomed)
@@ -308,30 +290,19 @@ class CatalogService:
 
 
 class SnapshotDaemon:
-    """Background thread folding snapshots (and optional GC) off requests.
+    """Background thread folding snapshots off requests.
 
     The request path only flags that a snapshot is *due*
     (``snapshot_every`` commits accumulated); this daemon wakes on that
     flag or every ``interval`` seconds -- whichever comes first -- and
     does the actual fold, so no client ever pays the snapshot's
-    write-and-truncate latency.  With ``gc_interval`` set, expired and
-    low-quality entries are also collected here.
+    write-and-truncate latency.  It wakes every
+    :data:`DEFAULT_SNAPSHOT_INTERVAL` seconds -- or at once, on the flag.
     """
 
-    def __init__(
-        self,
-        service: CatalogService,
-        interval: float = DEFAULT_SNAPSHOT_INTERVAL,
-        gc_interval: float | None = None,
-        clock=time.monotonic,
-    ):
+    def __init__(self, service: CatalogService):
         self.service = service
-        self.interval = max(0.01, float(interval))
-        self.gc_interval = gc_interval
-        self.clock = clock
         self.snapshots = 0
-        self.collected = 0
-        self._last_gc = clock()
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._loop, name="catalog-snapshot-daemon", daemon=True
@@ -343,20 +314,14 @@ class SnapshotDaemon:
 
     def _loop(self) -> None:
         while not self._stop.is_set():
-            self.service._snapshot_due.wait(self.interval)
+            self.service._snapshot_due.wait(DEFAULT_SNAPSHOT_INTERVAL)
             if self._stop.is_set():
                 return
             self.run_once()
 
     def run_once(self) -> None:
-        """One daemon tick: GC if its interval elapsed, then fold."""
+        """One daemon tick: fold the WAL into a snapshot if it holds any."""
         try:
-            if (
-                self.gc_interval is not None
-                and self.clock() - self._last_gc >= self.gc_interval
-            ):
-                self.collected += self.service.gc(drop_stale=False)
-                self._last_gc = self.clock()
             if self.service._since_snapshot:
                 self.service.snapshot()
                 self.snapshots += 1

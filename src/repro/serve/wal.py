@@ -87,9 +87,8 @@ def decode_record(line: bytes) -> dict | None:
 class WriteAheadLog:
     """Append-only, fsync'd record log with torn-tail-tolerant replay."""
 
-    def __init__(self, path: str | Path, fsync: bool = True):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.fsync = fsync
         self._fh = None
         self.last_seq = 0  # highest sequence appended or replayed
         self.records_written = 0
@@ -134,8 +133,7 @@ class WriteAheadLog:
         handle = self._handle()
         handle.write(encode_record(doc))
         handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
         self.last_seq = seq
         self.records_written += 1
         return seq
@@ -156,7 +154,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # replay
     # ------------------------------------------------------------------
-    def replay(self, after_seq: int = 0) -> Iterator[dict]:
+    def replay(self, after_seq: int) -> Iterator[dict]:
         """Yield every durable record with ``seq > after_seq``, in order.
 
         The torn tail -- at most one damaged *final* line -- is silently

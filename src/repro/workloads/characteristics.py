@@ -57,18 +57,17 @@ def summarize(cards: list[float], uvs: list[float]) -> list[SummaryRow]:
     ]
 
 
-def synthetic_population(
-    n_relations: int = 60, seed: int = 7
-) -> tuple[list[int], list[int]]:
-    """Zipfian (cardinality, unique-values) populations in the paper's range.
+def synthetic_population() -> tuple[list[int], list[int]]:
+    """Zipfian (cardinality, unique-values) populations in the paper's range:
+    60 relations, drawn with seed 7.
 
     Cardinalities follow a rank-size Zipf between the paper's min and max;
     unique values are a per-relation Zipfian fraction of the cardinality
     (heavily skewed, reproducing UV-median << UV-mean).
     """
-    rng = random.Random(seed)
+    rng = random.Random(7)
     cards = zipf_sizes(
-        n_relations, max_size=417874, min_size=3342, skew=0.85, rng=rng
+        60, max_size=417874, min_size=3342, skew=0.85, rng=rng
     )
     uvs: list[int] = []
     for card in cards:

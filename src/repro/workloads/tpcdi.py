@@ -252,7 +252,7 @@ class WorkflowCase:
         return generate_tables(self.table_specs(scale), seed=seed)
 
     def characteristics(
-        self, scale: float = 1.0
+        self, scale: float
     ) -> tuple[dict[str, float], dict[str, dict[str, float]]]:
         """(cardinalities, per-attribute distinct counts) without data.
 

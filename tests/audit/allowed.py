@@ -1,8 +1,16 @@
-"""Functions under ``src/repro/`` that no user flow executes, and why they stay.
+"""Functions under ``src/repro/`` that no user flow executes, knobs that no
+user flow sets, and why they stay.
 
-Each key is ``file::qualified.name`` (file relative to ``src/repro/``);
-each value is ``(category, executor)``: one of :data:`CATEGORIES` and the
-test, bench or nightbench file that executes the function.
+:data:`ALLOWED`: each key is ``file::qualified.name`` (file relative to
+``src/repro/``); each value is ``(category, executor)``: one of
+:data:`CATEGORIES` and the test, bench or nightbench file that executes
+the function.
+
+:data:`KNOBS`: each key is ``file::Qualified.name(parameter)`` (a class's
+``__init__`` or dataclass field written ``Class(field)``) or ``repro-etl
+command --option``; each value is ``(category, why)``: one of
+:data:`KNOB_CATEGORIES` and the file that sets it (a test, bench or
+nightbench file) or the reason it stays.
 """
 
 CATEGORIES = {
@@ -84,8 +92,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
         "safety", "tests/serve/test_server_client.py"),
     "catalog/store.py::CatalogHits.prior_values": (
         "safety", "tests/framework/test_recovery.py"),
-    # a traced attempt under a block deadline runs on its own thread
-    "obs/trace.py::Tracer.activate": ("safety", "tests/obs/test_trace.py"),
     # the untraced tracer: a cold-path call is a no-op, not an AttributeError
     "obs/trace.py::NullTracer.root": ("safety", "tests/obs/test_trace.py"),
     "obs/trace.py::NullTracer.current": ("safety", "tests/obs/test_trace.py"),
@@ -108,4 +114,119 @@ ALLOWED: dict[str, tuple[str, str]] = {
         "safety", "tests/serve/test_service.py"),
     "serve/service.py::SnapshotDaemon.run_once": (
         "safety", "tests/serve/test_service.py"),
+}
+
+KNOB_CATEGORIES = {
+    "deployment": "an address or a path",
+    "test-seam": "an injected clock, sleep, now, RNG seed or fault hook",
+    "paper": "a Section 5.4 cost weight or a Fig 9/11 ablation",
+    "nightbench": "a name or argument nightbench/ sets or reads",
+    "safety": "bounds or checks what comes from outside the program "
+              "(simplicity-review guide)",
+    "record": "a field of a result record, filled after construction",
+}
+
+_FILLED = "filled after construction"
+_CATALOG_STATE = "tests/serve/test_catalog_state.py"
+_FAULTS = "tests/engine/test_faults.py"
+_DIST = "tests/dist/test_multiprocess_backend.py"
+
+KNOBS: dict[str, tuple[str, str]] = {
+    # result records: the producer fills them in after building the record
+    **{f"algebra/schema.py::Catalog({f})": (
+        "record", "filled by add_relation / add_foreign_key")
+       for f in ("relations", "foreign_keys")},
+    **{f"catalog/drift.py::DriftReport({f})": ("record", "filled by reconcile_run")
+       for f in ("added", "drifted", "max_rel_error", "refreshed", "stale_marked")},
+    "catalog/fleet.py::FleetPlan(workflows)": ("record", "filled by plan_fleet"),
+    **{f"catalog/store.py::CatalogHits({f})": ("record", "filled by lookup")
+       for f in ("free", "keys", "unusable", "values")},
+    **{f"core/css.py::CssCatalog({f})": ("record", "filled by generate_css")
+       for f in ("block_of", "css", "observable", "required", "steps")},
+    **{f"engine/backend.py::WorkflowRun({f})": ("record", "filled by the executor")
+       for f in ("failures", "observations", "quarantined", "rejects",
+                 "restored_statistics", "resumed", "schema_drift", "se_sizes",
+                 "shard_stats", "targets", "violations")},
+    **{f"engine/scheduler.py::ScheduleResult({f})": ("record", "filled by execute_tasks")
+       for f in ("completed", "failures")},
+    "framework/pipeline.py::PipelineReport(plan_cache_invalidations)": ("record", _FILLED),
+    "framework/session.py::EtlSession(history)": ("record", "one RunRecord per run"),
+    "quality/contracts.py::ContractSet(contracts)": ("record", "filled by infer / from_file"),
+    **{f"quality/quarantine.py::QuarantineStore({f})": ("record", "filled by the gate")
+       for f in ("drift", "tables", "violations")},
+    "workloads/datagen.py::TableSpec(columns)": ("record", "filled by TableSpec.column"),
+    # injected clocks, sleeps, `now`s, seeds and fault hooks
+    "catalog/drift.py::reconcile_run(now)": ("test-seam", "tests/catalog/test_drift.py"),
+    "catalog/fleet.py::plan_fleet(now)": ("test-seam", "tests/catalog/test_fleet.py"),
+    "catalog/store.py::StatisticsCatalog.gc(now)": ("test-seam", "tests/catalog/test_store.py"),
+    "catalog/store.py::StatisticsCatalog.lookup(now)": (
+        "test-seam", "tests/catalog/test_store.py"),
+    "serve/client.py::CatalogClient.gc(now)": ("test-seam", _CATALOG_STATE),
+    "serve/client.py::CatalogClient.lookup(now)": ("test-seam", _CATALOG_STATE),
+    "serve/client.py::CatalogClient.usable_keys(now)": ("test-seam", _CATALOG_STATE),
+    "serve/service.py::CatalogService.lookup(now)": ("test-seam", _CATALOG_STATE),
+    "serve/service.py::CatalogService.usable_keys(now)": ("test-seam", _CATALOG_STATE),
+    "serve/service.py::CatalogService(clock)": ("test-seam", "tests/serve/test_service.py"),
+    **{f"serve/client.py::CatalogClient({f})": (
+        "test-seam", "tests/serve/test_server_client.py")
+       for f in ("clock", "sleep", "seed", "faults")},
+    "engine/scheduler.py::RetryPolicy(sleep)": ("test-seam", _FAULTS),
+    "framework/pipeline.py::StatisticsPipeline(clock)": (
+        "test-seam", "tests/obs/test_pipeline_tracing.py"),
+    "obs/trace.py::Tracer(clock)": ("test-seam", "tests/obs/test_trace.py"),
+    "obs/trace.py::Tracer(wall_clock)": ("test-seam", "tests/obs/test_trace.py"),
+    "framework/session.py::EtlSession(faults)": (
+        "test-seam", "tests/quality/test_pipeline_quality.py"),
+    **{f"engine/faults.py::FaultSpec({f})": ("test-seam", _FAULTS)
+       for f in ("delay", "keep", "probability", "rows", "shard")},
+    "cli.py::main(argv)": ("test-seam", "tests/test_cli.py"),
+    "repro-etl run --seed": ("test-seam", "the synthetic sources' RNG seed"),
+    # shards run in-process (as on a platform without fork); the fork
+    # state is then passed in, and tiny test tables still shard
+    "engine/dist/backend.py::MultiprocessBackend(inline)": (
+        "test-seam", "tests/engine/test_compile.py"),
+    "engine/dist/backend.py::MultiprocessBackend(factors)": ("test-seam", "tests/oracle.py"),
+    "engine/dist/worker.py::run_shard(state)": (
+        "test-seam", "tests/engine/test_compile.py"),
+    # names and arguments nightbench/ reads
+    "framework/pipeline.py::PipelineReport(catalog_failovers)": (
+        "nightbench", "nightbench/worker.py"),
+    "catalog/store.py::StatisticsCatalog.save(path)": ("nightbench", "nightbench/trace.py"),
+    # the Section 5.4 cost weights and the Figure 9/11 rule ablations
+    **{f"{where}({f})": ("paper", "tests/framework/test_session.py")
+       for where in ("core/costs.py::CostModel",
+                     "framework/pipeline.py::StatisticsPipeline")
+       for f in ("memory_weight", "cpu_weight")},
+    "repro-etl identify --no-union-division": (
+        "paper", "the Figure 9/11 with/without union-division ablation"),
+    "repro-etl identify --no-fk": (
+        "paper", "the Figure 10 harness's rule set (fk_rules=False)"),
+    # a materialized reject link (Figure 3); no suite workflow executes one
+    "algebra/operators.py::Join(reject_right)": ("paper", "tests/engine/test_physical.py"),
+    "engine/physical.py::hash_join(want_reject_left)": (
+        "paper", "tests/engine/test_physical.py"),
+    "engine/physical.py::hash_join(want_reject_right)": (
+        "paper", "tests/engine/test_physical.py"),
+    # the Figure 2 loop "can either repeat at each run or" every n runs
+    "framework/session.py::EtlSession(reoptimize_every)": (
+        "paper", "tests/framework/test_session.py"),
+    # bounds on a wait or a failure, and checks of outside input
+    **{f"catalog/store.py::catalog_lock({f})": ("safety", "tests/catalog/test_lock.py")
+       for f in ("poll", "stale_after", "timeout")},
+    **{f"serve/client.py::CatalogClient({f})": (
+        "safety", "tests/serve/test_server_client.py")
+       for f in ("timeout", "breaker_threshold", "breaker_cooldown")},
+    **{f"engine/dist/backend.py::MultiprocessBackend({f})": ("safety", _DIST)
+       for f in ("shard_retries", "shard_timeout")},
+    "framework/session.py::EtlSession(retry)": ("safety", "tests/framework/test_recovery.py"),
+    "framework/session.py::EtlSession(quality)": (
+        "safety", "tests/quality/test_pipeline_quality.py"),
+    "quality/contracts.py::ColumnContract(domain)": (
+        "safety", "tests/quality/test_contracts.py"),
+    # the untraced tracer keeps Tracer.start's signature
+    "obs/trace.py::NullTracer.start(kind)": ("safety", "tests/obs/test_trace.py"),
+    "obs/trace.py::NullTracer.start(parent)": ("safety", "tests/obs/test_trace.py"),
+    # where a deployment keeps its statistics: a catalog file or a served URL
+    "framework/session.py::EtlSession(stats_catalog)": (
+        "deployment", "tests/framework/test_recovery.py"),
 }

@@ -1,17 +1,34 @@
 """The executed-code audit: its collector sees every process a flow starts,
-and its allow-list stays closed."""
+flags the functions no flow calls and the knobs no flow sets, and its
+allow-lists stay closed."""
 
 import sys
 from pathlib import Path
 
+from repro.cli import build_parser
 from tests.audit import run as audit
-from tests.audit.allowed import ALLOWED, CATEGORIES
+from tests.audit.allowed import ALLOWED, CATEGORIES, KNOB_CATEGORIES, KNOBS
 
 REPO = Path(__file__).resolve().parents[2]
 
 FIXTURE = '''
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Options:
+    passed: int = 0
+    not_passed: list = field(default_factory=list)
+
+
+def knobs(x, set_here=1, unset=2, *, set_in_worker=None):
+    return x
+
+
+def set_in_a_worker():
+    return knobs(0, set_in_worker="worker")
 
 
 def called():
@@ -32,11 +49,16 @@ def in_a_spawned_worker():
 
 def main():
     called()
+    knobs(0, set_here=5)
+    knobs(0, unset=2)  # the default, passed explicitly: still unset
+    Options(passed=1)
     for method, job, want in (("fork", in_a_forked_worker, 3),
                               ("spawn", in_a_spawned_worker, 4)):
         context = multiprocessing.get_context(method)
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             assert pool.submit(job).result() == want
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(set_in_a_worker).result() == 0
 '''
 
 
@@ -51,8 +73,24 @@ def test_collector_sees_pool_workers_and_flags_only_the_uncalled(tmp_path):
                              "from repro.fixture import main; main()"])]
 
     report, flagged = audit.audit(tmp_path, flows)
-    assert flagged == ["fixture.py::never_called"], report
+    assert flagged == ["fixture.py::never_called", "fixture.py::Options(not_passed)",
+                       "fixture.py::knobs(unset)"], report
     assert "| fixture | 0 |" in report
+
+
+def test_census_marks_the_options_a_command_line_sets():
+    every, given, bad = audit.census(
+        [["run", "--number", "9", "--scale", "0.5"]], build_parser())
+    assert {"run --scale", "run --seed", "run --number"} <= every
+    assert given == {"run --number", "run --scale"}
+    assert not bad
+
+
+def test_census_reads_commands_as_the_shell_splits_them():
+    assert audit.cli_argv("repro-etl run --number 9 \\\n  --scale 0.5 > out  # x") == [
+        "run", "--number", "9", "--scale", "0.5"]
+    assert audit.cli_argv("python -m repro.cli suite | head") == ["suite"]
+    assert audit.cli_argv("echo $?") is None
 
 
 def test_allow_list_names_existing_functions_categories_and_executors():
@@ -62,6 +100,17 @@ def test_allow_list_names_existing_functions_categories_and_executors():
         assert key in found, f"{key}: no such function (drop the entry)"
         assert category in CATEGORIES, f"{key}: unknown category {category!r}"
         assert (REPO / executor).is_file(), f"{key}: no executor {executor}"
+
+
+def test_knob_allow_list_names_existing_knobs_and_categories():
+    every = {f"repro-etl {key}" for key in audit.options(build_parser())}
+    params = audit.parameters(REPO / "src" / "repro")
+    for key, (category, why) in KNOBS.items():
+        assert key in every or key in params, f"{key}: no such knob (drop the entry)"
+        assert category in KNOB_CATEGORIES, f"{key}: unknown category {category!r}"
+        assert why, f"{key}: no executor or reason"
+        if why.endswith(".py"):
+            assert (REPO / why).is_file(), f"{key}: no executor {why}"
 
 
 def test_a_failing_flow_fails_the_audit(tmp_path):

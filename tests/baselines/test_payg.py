@@ -28,7 +28,7 @@ def make_block(names, edges, name="B1"):
     for m in names[1:]:
         key = graph.crossing_key(tree.se.relations, frozenset({m}))
         tree = JoinNode(tree, Leaf(m), key)
-    return Block(name, inputs, graph, tree)
+    return Block(name, inputs, graph, tree, floating=())
 
 
 def clique_block(n):

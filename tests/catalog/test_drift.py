@@ -176,7 +176,9 @@ def test_next_run_reobserves_only_the_drifted():
     assert report4.tapped == []
 
 
-def test_threshold_is_respected():
+def test_threshold_is_respected(monkeypatch):
+    import repro.catalog.drift as drift
+
     signer, selection, run = observe(11)
     catalog = StatisticsCatalog()
     reconcile_run(
@@ -184,8 +186,8 @@ def test_threshold_is_respected():
         selection.observed, now=NOW,
     )
     _, _, run2 = observe(11, grow=("Trade", 2))
+    monkeypatch.setattr(drift, "DEFAULT_DRIFT_THRESHOLD", 100.0)
     lax = reconcile_run(
-        catalog, signer, run2.observations, run2.se_sizes, [],
-        now=NOW + 10, threshold=100.0,
+        catalog, signer, run2.observations, run2.se_sizes, [], now=NOW + 10,
     )
     assert lax.drifted == [] and lax.stale_marked == 0

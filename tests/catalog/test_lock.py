@@ -260,7 +260,7 @@ class TestMergeOnSave:
         path = tmp_path / "catalog.json"
         catalog = _catalog(path, keep=(1, time.time()), drop=(2, 1.0))
         catalog.save()
-        removed = catalog.gc(ttl=3600.0)
+        removed = catalog.gc()
         assert removed == 1
         catalog.save(merge=False)  # the gc contract: no merge
         assert set(StatisticsCatalog.open(path).entries) == {"keep"}

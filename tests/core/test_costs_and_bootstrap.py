@@ -7,7 +7,7 @@ from repro.algebra.blocks import analyze
 from repro.algebra.expressions import RejectJoinSE, RejectSE, SubExpression
 from repro.algebra.operators import Join, Source, Target, Workflow
 from repro.algebra.schema import Catalog
-from repro.core.costs import INFINITE, CostModel
+from repro.core.costs import DEFAULT_DOMAIN, INFINITE, CostModel
 from repro.core.statistics import Statistic
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.estimation.bootstrap import (
@@ -56,8 +56,8 @@ class TestCostModel:
         assert cm2.memory_units(Statistic.hist(rej, "k")) == 3
 
     def test_unknown_attr_uses_default_domain(self):
-        cm = CostModel(catalog_ab(), default_domain=64)
-        assert cm.memory_units(Statistic.hist(SE("A"), "zzz")) == 64
+        cm = CostModel(catalog_ab())
+        assert cm.memory_units(Statistic.hist(SE("A"), "zzz")) == DEFAULT_DOMAIN
 
     def test_unobservable_is_infinite(self):
         cm = CostModel(catalog_ab())

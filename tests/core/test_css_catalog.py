@@ -32,7 +32,7 @@ class TestCss:
             (("key", ("a",)),),
         )
         assert css.ctx("key") == ("a",)
-        assert css.ctx("missing", 42) == 42
+        assert css.ctx("missing") is None
 
     def test_trivial_flag(self):
         assert CSS(stat_card(), (stat_card(),), TRIVIAL).is_trivial

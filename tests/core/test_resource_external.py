@@ -116,14 +116,6 @@ class TestExternalStatistics:
                 hist = values.get(Statistic.hist(SE(name), attr))
                 assert hist.total() == table.num_rows
 
-    def test_histograms_can_be_skipped(self):
-        wfcase = case(9)
-        sources = wfcase.tables(scale=0.2, seed=1)
-        free, _values = harvest_source_statistics(
-            sources, include_histograms=False
-        )
-        assert all(s.is_cardinality for s in free)
-
     def test_greedy_and_ilp_exploit_free_statistics_identically(
         self, star_setup
     ):

@@ -235,7 +235,7 @@ class TestWorkerFaults:
             run = _run(
                 analysis, selection, sources, backend,
                 faults=plan.injector(),
-                retry=RetryPolicy(max_retries=1, base_delay=0.01),
+                retry=RetryPolicy(max_retries=1, sleep=lambda s: None),
             )
         finally:
             backend.close()

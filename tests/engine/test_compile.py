@@ -404,7 +404,8 @@ class TestPlanCache:
 
     def test_lru_eviction_is_bounded(self):
         analysis, _, _ = _setup(25)  # three blocks
-        cache = PlanCache(capacity=2)
+        cache = PlanCache()
+        cache.capacity = 2
         compile_blocks(analysis, backend="columnar", cache=cache)
         assert len(cache) == 2
         again = compile_blocks(analysis, backend="columnar", cache=cache)

@@ -34,8 +34,7 @@ pytestmark = pytest.mark.chaos
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1337"))
 
 #: a policy that retries fast and never really sleeps
-FAST = RetryPolicy(max_retries=3, base_delay=0.001, jitter=0.0,
-                   sleep=lambda s: None)
+FAST = RetryPolicy(max_retries=3, sleep=lambda s: None)
 
 
 class TestFaultSpec:
@@ -301,13 +300,14 @@ class TestClassifyError:
 
 class TestRetryPolicy:
     def test_backoff_is_exponential_and_capped(self):
-        policy = RetryPolicy(base_delay=0.1, max_delay=0.5, jitter=0.0)
+        policy = RetryPolicy()
         rng = policy.rng_for("B1")
-        delays = [policy.backoff(i, rng) for i in range(5)]
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
+        for i in range(8):
+            base = min(RetryPolicy.BASE_DELAY * 2**i, RetryPolicy.MAX_DELAY)
+            assert base <= policy.backoff(i, rng) <= base * (1 + RetryPolicy.JITTER)
 
     def test_jitter_is_deterministic_per_task(self):
-        policy = RetryPolicy(jitter=0.5, seed=CHAOS_SEED)
+        policy = RetryPolicy(seed=CHAOS_SEED)
         a = [policy.backoff(i, policy.rng_for("B1")) for i in range(3)]
         b = [policy.backoff(i, policy.rng_for("B1")) for i in range(3)]
         assert a == b
@@ -362,7 +362,6 @@ class TestSchedulerRetries:
 
     def test_timeout_is_classified_and_retryable(self):
         policy = RetryPolicy(max_retries=1, block_timeout=0.05,
-                             base_delay=0.001, jitter=0.0,
                              sleep=lambda s: None)
         started = []
 
@@ -427,8 +426,7 @@ class TestSchedulerRetries:
 
 def test_backoff_sleeps_between_attempts():
     slept = []
-    policy = RetryPolicy(max_retries=2, base_delay=0.1, jitter=0.0,
-                         sleep=slept.append)
+    policy = RetryPolicy(max_retries=2, sleep=slept.append)
 
     def always_flaky():
         raise TransientFault("no luck")
@@ -436,4 +434,7 @@ def test_backoff_sleeps_between_attempts():
     execute_tasks(
         [_task("a", ["s"], "a", always_flaky)], available=["s"], policy=policy
     )
-    assert slept == pytest.approx([0.1, 0.2])
+    bases = [RetryPolicy.BASE_DELAY, 2 * RetryPolicy.BASE_DELAY]
+    assert len(slept) == 2
+    for delay, base in zip(slept, bases):
+        assert base <= delay <= base * (1 + RetryPolicy.JITTER)

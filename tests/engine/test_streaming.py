@@ -156,7 +156,7 @@ class TestMidStreamFailure:
         run = BackendExecutor(analysis, backend).run(
             sources,
             taps=TapSet(stats),
-            retry=RetryPolicy(max_retries=1, base_delay=0.0, jitter=0.0),
+            retry=RetryPolicy(max_retries=1, sleep=lambda s: None),
         )
         assert not run.failures
         clean_analysis, _, _ = _flaky_workflow(fail_calls=0)

@@ -48,17 +48,6 @@ class TestPlanCostModel:
         )
         assert model.tree_cost(bad) == 2000 + 400
 
-    def test_hash_metric_counts_build_and_probe(self):
-        model = PlanCostModel(CARDS, metric="hash")
-        tree = JoinNode(Leaf("A"), Leaf("B"), ("x",))
-        # build the smaller (10), probe the bigger (100), emit 50
-        assert model.tree_cost(tree) == 1.5 * 10 + 100 + 50
-
-    def test_unknown_metric_rejected(self):
-        model = PlanCostModel(CARDS, metric="nope")
-        with pytest.raises(ValueError):
-            model.join_cost(SE("A"), SE("B"))
-
     def test_missing_cardinality_raises(self):
         model = PlanCostModel({})
         with pytest.raises(CostModelError):

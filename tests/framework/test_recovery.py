@@ -45,8 +45,7 @@ BACKENDS = [_only] if _only else ["columnar", "streaming", "vectorized"]
 #: wf25 is the multi-target workflow: B1 feeds B2 and B3, which are
 #: mutually independent -- failing B2 leaves B1 and B3 healthy.
 WORKFLOW = 25
-FAST = RetryPolicy(max_retries=2, base_delay=0.001, jitter=0.0,
-                   seed=CHAOS_SEED, sleep=lambda s: None)
+FAST = RetryPolicy(max_retries=2, seed=CHAOS_SEED, sleep=lambda s: None)
 
 
 def _sources():
@@ -167,8 +166,7 @@ def test_hung_block_times_out_and_degrades():
     report = _run_once(
         "columnar",
         faults=faults,
-        retry=RetryPolicy(max_retries=1, block_timeout=0.1, base_delay=0.001,
-                          jitter=0.0, sleep=lambda s: None),
+        retry=RetryPolicy(max_retries=1, block_timeout=0.1, sleep=lambda s: None),
     )
     failure = report.failures["B2"]
     assert failure.kind == "timeout" and failure.attempts == 2
@@ -449,11 +447,10 @@ class TestConfidenceLadder:
 
         thread = ServerThread(
             f"unix://{tmp_path / 'catalog.sock'}", tmp_path / "served.json",
-            fsync=False,
         ).__enter__()
         running = True
         client = CatalogClient(
-            thread.url, max_retries=0, base_delay=0.0, max_delay=0.0
+            thread.url, max_retries=0, sleep=lambda s: None
         )
         try:
             healthy = _run_once("columnar", stats_catalog=client)

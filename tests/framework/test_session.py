@@ -101,11 +101,6 @@ class TestPipelineOptions:
         report2 = pipeline.run_once(night(0.5, 0.5, seed=2))
         assert report2.selection.is_valid
 
-    def test_hash_metric_optimizer(self):
-        pipeline = StatisticsPipeline(drift_workflow(), cost_metric="hash")
-        report = pipeline.run_once(night(0.5, 0.5, seed=1))
-        assert report.total_estimated_cost <= report.total_initial_cost
-
     def test_plan_override_reanalyzes_observability(self):
         """Running a re-ordered plan must re-derive observability: the
         selection for the new plan observes different SEs."""

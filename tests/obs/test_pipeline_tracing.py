@@ -28,8 +28,7 @@ class FakeClock:
         return self.now
 
 
-FAST = RetryPolicy(max_retries=2, base_delay=0.0, jitter=0.0, seed=7,
-                   sleep=lambda s: None)
+FAST = RetryPolicy(max_retries=2, seed=7, sleep=lambda s: None)
 
 
 def _pipeline(number=12, **kwargs):

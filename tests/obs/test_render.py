@@ -79,7 +79,7 @@ class TestHotspots:
         root.children.append(_closed("B-slow", "block", 0.0, 5.0))
         root.children.append(_closed("A-slow", "block", 0.0, 5.0))
         root.children.append(_closed("boundary", "boundary", 0.0, 9.0))
-        names = [s.name for s in slowest(root, kind="block", top=2)]
+        names = [s.name for s in slowest(root, top=2)]
         assert names == ["A-slow", "B-slow"]
 
     def test_estimation_errors_sorted_worst_first(self):

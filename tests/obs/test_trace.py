@@ -77,8 +77,9 @@ class TestTracer:
         with tracer.span("selection"):
             pass
         with tracer.span("execution") as exec_span:
-            with tracer.span("B1", kind="block"):
-                tracer.point("SE(R1)", rows=10)
+            block = tracer.start("B1", kind="block")
+            tracer.point("SE(R1)", rows=10)
+            tracer.end(block)
         root = tracer.finish()
         assert [c.name for c in root.children] == ["selection", "execution"]
         assert exec_span.children[0].name == "B1"
@@ -101,8 +102,9 @@ class TestTracer:
     def test_explicit_parent_overrides_stack(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("execution") as exec_span:
-            with tracer.span("B1", kind="block"):
-                tracer.point("skipped-task", kind="skipped", parent=exec_span)
+            block = tracer.start("B1", kind="block")
+            tracer.point("skipped-task", kind="skipped", parent=exec_span)
+            tracer.end(block)
         assert [c.name for c in exec_span.children] == ["B1", "skipped-task"]
 
     def test_thread_local_parenting_with_activate(self):

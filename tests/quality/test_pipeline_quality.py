@@ -8,13 +8,12 @@ from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.scheduler import RetryPolicy
 from repro.framework.pipeline import StatisticsPipeline
 from repro.framework.session import EtlSession
-from repro.quality import ContractSet, QualityGate, QuarantineStore
+from repro.quality import ContractSet, QualityGate
 from repro.workloads import case
 
 WORKFLOW = 25
 SEED = 1337
-FAST = RetryPolicy(max_retries=1, base_delay=0.001, jitter=0.0,
-                   seed=SEED, sleep=lambda s: None)
+FAST = RetryPolicy(max_retries=1, seed=SEED, sleep=lambda s: None)
 
 RENAME_DIMDATE = FaultSpec(
     target="DimDate", kind="column-rename", column="year_id", rename_to="yr"
@@ -155,10 +154,10 @@ class TestObservability:
 
 class TestSessionThreading:
     def test_session_accumulates_the_dead_letter(self):
-        quarantine = QuarantineStore()
+        gate = _gate()
         session = EtlSession(
             StatisticsPipeline(case(WORKFLOW).build(), solver="greedy"),
-            quality=_gate(quarantine=quarantine),
+            quality=gate,
             faults=FaultPlan(
                 (FaultSpec(target="Trade", kind="corrupt-row", rows=3),),
                 seed=SEED,
@@ -166,7 +165,7 @@ class TestSessionThreading:
         )
         record = session.run(_sources())
         assert record.report.rows_quarantined == 3
-        assert quarantine.total_rows == 3
+        assert gate.quarantine.total_rows == 3
 
     def test_strict_policy_fails_the_run_loudly(self):
         from repro.quality import SchemaDriftError

@@ -57,13 +57,10 @@ def workload(seed):
     ]
 
 
-GC = {"min_quality": 0.4}
-
-
 def drive_store(catalog, op):
     kind, payload = op
     if kind == "gc":
-        catalog.apply("delete", catalog.collectable_keys(now=NOW, **GC))
+        catalog.apply("delete", catalog.collectable_keys(now=NOW))
     else:
         catalog.apply(kind, payload)
 
@@ -88,7 +85,7 @@ def drive_client(client, op):
         for key, rel_error in payload:
             client.adjust_quality(key, rel_error)
     else:
-        client.gc(now=NOW, **GC)
+        client.gc(now=NOW)
 
 
 class TestStoreIsTheSpecification:

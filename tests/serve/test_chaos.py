@@ -56,9 +56,8 @@ def _dead_client(tmp_path, fallback=None):
         f"unix://{tmp_path / 'nobody-home.sock'}",
         fallback=fallback,
         max_retries=0,
-        base_delay=0.0,
-        max_delay=0.0,
         seed=CHAOS_SEED,
+        sleep=lambda s: None,
     )
 
 
@@ -114,7 +113,7 @@ class TestDegradationEquivalence:
 
 def _wait_healthy(url, deadline=15.0):
     probe = CatalogClient(
-        url, max_retries=0, base_delay=0.0, timeout=1.0,
+        url, max_retries=0, timeout=1.0, sleep=lambda s: None,
         breaker_threshold=10**6,  # startup probing must never trip it
     )
     end = time.monotonic() + deadline
@@ -170,7 +169,7 @@ class TestServerSigkill:
             assert not catalog_path.exists()
 
             # restart: replay must restore every acknowledged entry
-            revived = CatalogService(catalog_path, fsync=False)
+            revived = CatalogService(catalog_path)
             try:
                 assert revived.replayed_records > 0
                 after = {

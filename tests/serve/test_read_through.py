@@ -46,7 +46,6 @@ SCALE = 0.2
 def server(tmp_path):
     with ServerThread(
         f"unix://{tmp_path / 'catalog.sock'}", tmp_path / "served.json",
-        fsync=False,
     ) as thread:
         yield thread
 
@@ -294,7 +293,6 @@ class TestServerDiesAfterLookup:
         )
         thread = ServerThread(
             f"unix://{tmp_path / 'catalog.sock'}", tmp_path / "served.json",
-            fsync=False,
         ).__enter__()
         killed = False
         try:
@@ -315,7 +313,7 @@ class TestServerDiesAfterLookup:
 
             client = DiesAfterLookup(
                 thread.url, fallback=fallback,
-                max_retries=0, base_delay=0.0, max_delay=0.0,
+                max_retries=0, sleep=lambda s: None,
             )
             # DimSecurity tripled: tonight's reconcile has writes to stage
             report = night(

@@ -35,16 +35,14 @@ def _stat(name="R"):
 def server(tmp_path):
     listen = f"unix://{tmp_path / 'catalog.sock'}"
     with ServerThread(
-        listen, tmp_path / "catalog.json", fsync=False,
-        log_path=tmp_path / "server.log",
+        listen, tmp_path / "catalog.json", log_path=tmp_path / "server.log",
     ) as thread:
         yield thread
 
 
 def fast_client(url, **kwargs):
     kwargs.setdefault("timeout", 2.0)
-    kwargs.setdefault("base_delay", 0.0)
-    kwargs.setdefault("max_delay", 0.0)
+    kwargs.setdefault("sleep", lambda s: None)
     return CatalogClient(url, **kwargs)
 
 
@@ -171,7 +169,7 @@ class TestHttpRoundTrips:
 
     def test_tcp_listener_works_too(self, tmp_path):
         with ServerThread(
-            "127.0.0.1:0", tmp_path / "catalog.json", fsync=False
+            "127.0.0.1:0", tmp_path / "catalog.json"
         ) as thread:
             client = fast_client(thread.url)
             assert client.healthz()["entries"] == 0
@@ -313,7 +311,7 @@ class TestDegradation:
         clock = {"now": 0.0}
         client = CatalogClient(
             f"unix://{tmp_path / 'gone.sock'}",
-            max_retries=0, base_delay=0.0, max_delay=0.0,
+            max_retries=0, sleep=lambda s: None,
             breaker_threshold=2, breaker_cooldown=30.0,
             clock=lambda: clock["now"],
         )

@@ -39,7 +39,6 @@ def entry_doc(key, value=1.0, se_key=None, observed_at=NOW, **over):
 
 def service(tmp_path, **kwargs):
     kwargs.setdefault("clock", lambda: NOW)
-    kwargs.setdefault("fsync", False)  # tests do not need real disk flushes
     return CatalogService(tmp_path / "catalog.json", **kwargs)
 
 
@@ -194,7 +193,7 @@ class TestSnapshots:
 class TestSnapshotDaemon:
     def test_pays_snapshot_debt_off_the_write_path(self, tmp_path):
         svc = service(tmp_path, snapshot_every=2)
-        daemon = SnapshotDaemon(svc, interval=0.01).start()
+        daemon = SnapshotDaemon(svc).start()
         try:
             for i in range(5):
                 put(svc, entry_doc(f"k{i}"))
@@ -206,17 +205,6 @@ class TestSnapshotDaemon:
         finally:
             daemon.stop()
             svc.wal.close()
-
-    def test_gc_runs_on_the_daemon(self, tmp_path):
-        late = NOW + 10**9  # every NOW-observed entry is long expired
-        svc = service(tmp_path, clock=lambda: late)
-        put(svc, entry_doc("old", observed_at=NOW))
-        daemon = SnapshotDaemon(svc, interval=60.0, gc_interval=0.0)
-        daemon._last_gc = -10**12  # "a gc interval has elapsed"
-        daemon.run_once()
-        assert daemon.collected == 1
-        assert len(svc) == 0
-        svc.wal.close()
 
 
 class TestCrashSafetyProperty:
@@ -246,7 +234,7 @@ class TestCrashSafetyProperty:
     def _apply(self, svc, op):
         kind, payload = op
         if kind == "gc":
-            svc.gc(min_quality=0.4)
+            svc.gc()
         else:
             svc.commit([[kind, payload]])
 
@@ -305,7 +293,7 @@ class TestStartup:
     def test_corrupt_snapshot_raises_persistence_error(self, tmp_path):
         (tmp_path / "catalog.json").write_text("{ nope")
         with pytest.raises(PersistenceError):
-            CatalogService(tmp_path / "catalog.json", fsync=False)
+            CatalogService(tmp_path / "catalog.json")
 
     def test_stats_document(self, tmp_path):
         svc = service(tmp_path)

@@ -50,7 +50,7 @@ class TestAppendReplay:
         wal.close()
 
         fresh = WriteAheadLog(tmp_path / "cat.wal")
-        records = list(fresh.replay())
+        records = list(fresh.replay(0))
         assert [r["seq"] for r in records] == [1, 2]
         assert fresh.last_seq == 2
         fresh.close()
@@ -76,7 +76,7 @@ class TestAppendReplay:
         path.write_bytes(record)
         wal = WriteAheadLog(path)
         with pytest.raises(WalError, match="unsupported"):
-            list(wal.replay())
+            list(wal.replay(0))
         wal.close()
 
     def test_earlier_lease_records_are_skipped(self, tmp_path):
@@ -86,13 +86,13 @@ class TestAppendReplay:
             + encode_record({"v": 1, "seq": 2, "op": "lease", "fence": 1})
         )
         wal = WriteAheadLog(path)
-        assert [r["seq"] for r in wal.replay()] == [1]
+        assert [r["seq"] for r in wal.replay(0)] == [1]
         assert wal.last_seq == 2  # the next commit still numbers past it
         wal.close()
 
     def test_missing_file_replays_nothing(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "never-written.wal")
-        assert list(wal.replay()) == []
+        assert list(wal.replay(0)) == []
         wal.close()
 
 
@@ -111,7 +111,7 @@ class TestTornTail:
         path.write_bytes(data[: len(data) - chop])
         wal = WriteAheadLog(path)
         # every chop lands inside record 3: records 1-2 replay, 3 is gone
-        assert [r["seq"] for r in wal.replay()] == [1, 2]
+        assert [r["seq"] for r in wal.replay(0)] == [1, 2]
         wal.close()
 
     def test_damage_before_the_tail_raises(self, tmp_path):
@@ -122,7 +122,7 @@ class TestTornTail:
         path.write_bytes(b"".join(lines))
         wal = WriteAheadLog(path)
         with pytest.raises(WalError, match="damage before the tail"):
-            list(wal.replay())
+            list(wal.replay(0))
         wal.close()
 
     def test_every_prefix_of_acknowledged_bytes_replays_cleanly(self, tmp_path):
@@ -136,7 +136,7 @@ class TestTornTail:
             path.write_bytes(data[:cut])
             complete = sum(1 for b in boundaries if b < cut)
             wal = WriteAheadLog(path)
-            assert len(list(wal.replay())) == complete
+            assert len(list(wal.replay(0))) == complete
             wal.close()
 
 

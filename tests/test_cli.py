@@ -191,6 +191,21 @@ class TestErrorPaths:
                      "--backend", backend, "--shards", "2"]) == 1
         self._assert_one_line_error(capsys, "--shards", backend)
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["run", "--number", "9", "--scale", "-1"], "--scale"),
+        (["run", "--number", "9", "--max-retries", "-3"], "--max-retries"),
+        (["run", "--number", "9", "--block-timeout", "-1"], "--block-timeout"),
+        (["experiments", "fig9", "--workflows", "99"], "99"),
+        (["identify", "WF", "--budget", "0"], "--budget"),
+        (["identify", "WF", "--budget", "-5"], "--budget"),
+        (["identify", "WF", "--budget", "0.5"], "cannot make progress"),
+    ], ids=["scale", "max-retries", "block-timeout", "workflows", "budget-0",
+            "budget-negative", "budget-below-cheapest"])
+    def test_out_of_range_values(self, wf_json, capsys, argv, needle):
+        argv = [wf_json if arg == "WF" else arg for arg in argv]
+        assert main(argv) == 1
+        self._assert_one_line_error(capsys, needle)
+
     def test_corrupt_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "ckpt.json"
         path.write_text("{nope")
@@ -411,9 +426,10 @@ class TestCatalogCommands:
             return real(problem, time_limit=time_limit)
 
         monkeypatch.setattr(core, "solve_ilp", spy)
-        assert main(["identify", wf_json, "--budget", "100000",
-                     "--time-limit", "7"]) == 0
-        assert seen == [7.0]
+        from repro.cli import IDENTIFY_TIME_LIMIT_S
+
+        assert main(["identify", wf_json, "--budget", "100000"]) == 0
+        assert seen == [IDENTIFY_TIME_LIMIT_S]
 
     def test_identify_missing_catalog_is_one_line_error(
         self, wf_json, tmp_path, capsys
@@ -440,7 +456,6 @@ class TestCatalogCommands:
         with ServerThread(
             f"unix://{tmp_path / 'catalog.sock'}",
             tmp_path / "served.json",
-            fsync=False,
         ) as server:
             assert main(["identify", wf_json, "--catalog", server.url]) == 0
             assert closed == [server.url]
@@ -476,13 +491,11 @@ class TestCatalogCommands:
         with open(catalog) as f:
             on_disk = json.load(f)["entries"]
         with ServerThread(
-            f"unix://{tmp_path / 'catalog.sock'}", catalog, fsync=False
+            f"unix://{tmp_path / 'catalog.sock'}", catalog
         ) as server:
             assert main(["catalog", "show", server.url]) == 0
             out = capsys.readouterr().out
             assert f"catalog: {len(on_disk)} entries" in out
-            assert main(["catalog", "show", server.url, "--stale"]) == 0
-            assert "q=1.00" not in capsys.readouterr().out  # none is stale
             assert main(["catalog", "export", server.url]) == 0
             assert json.loads(capsys.readouterr().out)["entries"] == on_disk
 
@@ -653,7 +666,7 @@ class TestObservabilityCli:
         assert main(["run", "--number", "9", "--scale", "0.05",
                      "--trace", trace]) == 0
         capsys.readouterr()
-        assert main(["trace", "show", trace, "--verbose", "--top", "2"]) == 0
+        assert main(["trace", "show", trace, "--verbose"]) == 0
         assert "slowest blocks (top" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name,fmt", [("m.json", "json"),
@@ -721,9 +734,8 @@ def test_removed_options(capsys):
     from repro.workloads import case
 
     assert list(inspect.signature(StatisticsPipeline).parameters) == [
-        "workflow", "generator_options", "solver", "cost_metric",
-        "free_statistics", "memory_weight", "cpu_weight", "backend",
-        "shards", "clock",
+        "workflow", "solver", "free_statistics", "memory_weight",
+        "cpu_weight", "backend", "shards", "clock",
     ]
     run_once = inspect.signature(StatisticsPipeline.run_once).parameters
     assert [
@@ -735,7 +747,7 @@ def test_removed_options(capsys):
     reconcile = inspect.signature(reconcile_run).parameters
     assert [
         name for name, p in reconcile.items() if p.kind is p.KEYWORD_ONLY
-    ] == ["workflow", "run_id", "backend", "threshold", "now"]
+    ] == ["workflow", "run_id", "backend", "now"]
 
     workflow = case(9).build()
     pipeline = StatisticsPipeline(workflow, solver="greedy")

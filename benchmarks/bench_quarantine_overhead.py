@@ -1,7 +1,7 @@
 """Ablation: what the quality gate costs when every row is clean.
 
-The gate screens sources at the :class:`BackendExecutor` choke point on
-every run, so on a healthy extract its price is one schema comparison
+``run_once`` has the gate screen the sources once per night, before it
+reads the catalog, so on a healthy extract its price is one schema comparison
 plus one whole-column predicate pass per contracted column -- and the
 zero-copy clean path in :func:`validate_rows` hands the original tables
 straight through.  A dead-letter layer that taxed every clean night to

@@ -192,10 +192,12 @@ def invalidate_schema_drift(
     detected by the quality gate's :func:`repro.quality.drift
     .reconcile_schema` -- means the source's shape changed upstream, so
     every statistic whose sub-expression involves that source describes a
-    table that no longer exists.  Marking the entries stale removes them
-    from the zero-cost offer and forces their re-observation over the
-    reconciled schema; tonight's own (post-screening) observations re-admit
-    them through :func:`reconcile_run` in the same reconcile pass.
+    table that no longer exists.  The pipeline calls this after screening
+    and *before* its catalog lookup: the stale entries leave tonight's
+    zero-cost offer, so the selection taps them over the reconciled
+    schema and :func:`reconcile_run` re-admits them fresh the same night.
+    A degraded night still finds them among the lookup's unusable
+    entries, on the ``prior`` rung.
 
     ``sources`` are drifted *base* names (e.g. ``{"customers"}``); they
     are mapped to each block's input and stage relation names, then to the

@@ -72,12 +72,6 @@ class WorkflowRun:
     rejects: dict[RejectSE, Table] = field(default_factory=dict)
     failures: dict[str, RunFailure] = field(default_factory=dict)
     resumed: tuple[str, ...] = ()
-    #: source rows the quality gate diverted before execution (per source,
-    #: non-empty dead-letter tables only); ``env`` holds the survivors, so
-    #: every tap and ground-truth count excludes these rows by construction
-    quarantined: dict[str, Table] = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    schema_drift: tuple = ()
     #: statistics restored from the checkpoint journal rather than observed
     #: tonight -- catalog reconciliation must not refresh their provenance
     #: as if they were fresh taps
@@ -86,10 +80,6 @@ class WorkflowRun:
     #: empty for single-process backends.  ``repro.obs`` turns these into
     #: ``etl_shard_*`` metrics
     shard_stats: dict = field(default_factory=dict)
-
-    @property
-    def rows_quarantined(self) -> int:
-        return sum(t.num_rows for t in self.quarantined.values())
 
 
 @dataclass
@@ -111,8 +101,6 @@ class RunContext:
     analysis: BlockAnalysis
     #: lowered block programs, shared across runs by whoever owns it
     plan_cache: PlanCache
-    #: per-source contract fingerprints folded into plan-cache keys
-    context_tokens: "dict[str, str] | None" = None
     lock: threading.Lock = field(default_factory=threading.Lock, init=False)
     tracer: Any = None
     estimates: "dict[AnySE, float] | None" = None
@@ -186,7 +174,7 @@ class ExecutionBackend:
         sources: dict[str, Table],
         taps: TapSet,
     ) -> None:
-        """Run-start hook, fired after source faults and before screening.
+        """Run-start hook, fired on the night's final source tables.
 
         Default no-op.  Sharding backends use it to snapshot the analysis
         and source tables for their worker pool (fork inheritance) before
@@ -205,7 +193,6 @@ class ExecutionBackend:
                 backend=self.name,
                 profile=self.profile,
                 cache=ctx.plan_cache,
-                context_tokens=ctx.context_tokens,
             )
 
         if ctx.tracer is None:
@@ -256,23 +243,24 @@ class BackendExecutor:
         faults=None,
         retry: RetryPolicy | None = None,
         checkpoint=None,
-        quality=None,
         tracer=None,
         trace_parent=None,
         estimates: "dict[AnySE, float] | None" = None,
     ) -> WorkflowRun:
         """Execute the workflow.
 
-        ``trees`` maps block names to replacement join trees (defaults to
-        each block's initial plan); ``taps`` is the instrumentation to fire
+        ``sources`` are executed as given: source faults and screening are
+        the caller's (:meth:`~repro.framework.pipeline.StatisticsPipeline
+        .run_once` applies them before it reads the catalog).  ``trees``
+        maps block names to replacement join trees (defaults to each
+        block's initial plan); ``taps`` is the instrumentation to fire
         (defaults to an empty tap set).
 
         Resilience (all optional):
 
         - ``faults`` -- a :class:`~repro.engine.faults.FaultPlan` or
-          :class:`~repro.engine.faults.FaultInjector`; matching faults fire
-          at every block attempt and source truncations are applied to the
-          source map before execution;
+          :class:`~repro.engine.faults.FaultInjector`; matching task and
+          shard faults fire at every block attempt;
         - ``retry`` -- a :class:`~repro.engine.scheduler.RetryPolicy`.
           Whenever ``faults`` or ``retry`` is given the run is
           *failure-capturing*: a permanently failed block lands in
@@ -281,15 +269,7 @@ class BackendExecutor:
         - ``checkpoint`` -- a :class:`~repro.framework.recovery.RunCheckpoint`.
           Blocks already recorded there are restored (output table,
           SE sizes, statistics) instead of re-executed, and every block
-          that completes is persisted so a crashed run can resume;
-        - ``quality`` -- a :class:`~repro.quality.gate.QualityGate`.
-          Contracted sources are screened *here*, after source faults and
-          before any block task is built, so every backend executes (and
-          observes) the same surviving rows; the diverted rows land in
-          ``WorkflowRun.quarantined`` with their ``violations`` and
-          ``schema_drift`` events.  Screening runs after
-          ``injector.apply_sources`` on purpose: injected dirty data goes
-          through the same gate real dirty data would.
+          that completes is persisted so a crashed run can resume.
 
         Tracing (all optional): ``tracer`` records a span per scheduled
         task under ``trace_parent`` plus an operator point per
@@ -304,31 +284,14 @@ class BackendExecutor:
         trees = trees or {}
         taps = taps if taps is not None else self.backend.make_taps(())
         injector = as_injector(faults)
-        if injector is not None:
-            sources = injector.apply_sources(sources)
-        self.backend.begin_run(self.analysis, sources, taps)
-        if quality is not None:
-            sources = quality.screen_sources(
-                sources, tracer=tracer, trace_parent=trace_parent
-            )
         self._check_sources(sources)
+        self.backend.begin_run(self.analysis, sources, taps)
         run = WorkflowRun(env=dict(sources))
-        if quality is not None:
-            run.quarantined = quality.quarantined_tables()
-            run.violations = quality.all_violations()
-            run.schema_drift = quality.drift_events()
-        # schema drift means the cached programs were compiled against a
-        # source shape that no longer holds: evict, never silently reuse
-        for event in run.schema_drift:
-            self.plan_cache.invalidate_source(event.source)
         ctx = RunContext(
             run=run,
             taps=taps,
             analysis=self.analysis,
             plan_cache=self.plan_cache,
-            context_tokens=(
-                contract_tokens(quality) if quality is not None else None
-            ),
             tracer=tracer,
             estimates=estimates,
             injector=injector,
@@ -456,21 +419,6 @@ class BackendExecutor:
         ]
         if missing:
             raise TableError(f"missing source tables: {missing}")
-
-
-def contract_tokens(quality) -> dict[str, str]:
-    """Per-source contract fingerprints, folded into plan-cache keys so a
-    contract revision is a cache miss rather than a silent stale reuse."""
-    from repro.catalog.signatures import digest
-
-    contracts = getattr(quality, "contracts", None)
-    mapping = getattr(contracts, "contracts", None)
-    if not mapping:
-        return {}
-    return {
-        name: digest(contract.to_dict())
-        for name, contract in mapping.items()
-    }
 
 
 def available_backends() -> list[str]:

@@ -4,8 +4,8 @@ Every optimizable block executes the same way: it is lowered once to a
 physical-operator IR (:mod:`.lower`, :mod:`.ir`), with unary-operator
 chains fused into whole-column kernels over plain lists, cached keyed by
 :class:`~repro.catalog.signatures.WorkflowSigner` signatures so warm runs
-skip lowering entirely (:mod:`.cache`; schema-drift events and contract
-changes invalidate affected entries), and run over column batches by
+skip lowering entirely (:mod:`.cache`; a program reads no table, so the
+key is block, tree and profile), and run over column batches by
 :class:`CompiledBlockRunner` (:mod:`.runtime`).  A backend is a
 :class:`CompiledProfile` of this path, not a different engine.
 """
@@ -22,7 +22,6 @@ from repro.engine.compile.ir import (
 )
 from repro.engine.compile.lower import (
     CompileError,
-    block_source_deps,
     compile_block,
     lower_block,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "JoinIR",
     "ObservationBuffer",
     "PlanCache",
-    "block_source_deps",
     "compile_block",
     "lower_block",
 ]

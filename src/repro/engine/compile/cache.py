@@ -3,16 +3,13 @@
 Keys are built from the existing :class:`~repro.catalog.signatures.
 WorkflowSigner` canonical forms, so they survive re-analysis: a warm run
 of the same workflow (same block content, same join tree, same backend
-execution profile, same source contracts) skips lowering entirely, while
-any semantic change -- a different tree chosen by the optimizer, an
-edited stage chain, a contract revision -- lands on a fresh key.
+execution profile) skips lowering entirely, while any semantic change --
+a different tree chosen by the optimizer, an edited stage chain -- lands
+on a fresh key.
 
-Schema drift is handled by *invalidation* rather than keying: a
-:class:`~repro.quality.SchemaDriftEvent` means the source's runtime shape
-no longer matches what the program was compiled against, so
-``invalidate_source`` evicts every cached program whose transitive source
-set contains the drifted source (the executor calls it before consulting
-the cache).
+Programs are data-free: lowering reads no table, so nothing about
+tonight's sources (their contracts, a renamed column the gate coerced
+back) belongs in the key or can make an entry stale.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ class PlanCache:
         self._signer: Optional[tuple] = None  # (analysis, signer)
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------
     def signer_for(self, analysis) -> WorkflowSigner:
@@ -71,8 +67,6 @@ class PlanCache:
         tree: PlanTree,
         backend: str,
         profile: CompiledProfile,
-        sources: frozenset[str],
-        context_tokens: dict[str, str],
     ) -> str:
         """Cache key for one block's compiled program."""
         doc = {
@@ -85,11 +79,6 @@ class PlanCache:
             "backend": backend,
             "chunk": profile.chunk_rows,
             "canon": profile.canonical_output,
-            "ctx": sorted(
-                [src, context_tokens[src]]
-                for src in sources
-                if src in context_tokens
-            ),
         }
         return digest(doc)
 
@@ -110,19 +99,6 @@ class PlanCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def invalidate_source(self, source: str) -> int:
-        """Evict every program transitively fed by ``source``."""
-        with self._lock:
-            stale = [
-                key
-                for key, program in self._entries.items()
-                if source in program.sources
-            ]
-            for key in stale:
-                del self._entries[key]
-            self.invalidations += len(stale)
-            return len(stale)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -79,9 +79,6 @@ class BlockProgram:
     root: PlanIR
     root_se: SubExpression
     post: tuple[FusedStep, ...]
-    #: transitive *raw source* names feeding this block -- the plan
-    #: cache invalidates on schema drift against any of these
-    sources: frozenset[str]
     #: operators fused into segments (chains + floating + post)
     fused_ops: int
 

@@ -17,7 +17,6 @@ materialization.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.algebra.blocks import Block, BlockAnalysis, Step
@@ -122,40 +121,8 @@ def lower_block(block: Block, tree: PlanTree) -> BlockProgram:
         root=root,
         root_se=tree.se,
         post=post,
-        sources=frozenset(),  # filled in by compile_block
         fused_ops=fused_ops,
     )
-
-
-def block_source_deps(
-    analysis: BlockAnalysis,
-    block: Block,
-    _memo: Optional[dict] = None,
-) -> frozenset[str]:
-    """Transitive *raw source* names feeding a block.
-
-    Block inputs are either raw sources (``upstream is None``) or another
-    block's boundary output; the walk follows upstream links until it
-    bottoms out at sources.  Schema-drift and contract-change
-    invalidation use this set: an event on any of these sources makes the
-    block's cached program suspect.
-    """
-    memo = _memo if _memo is not None else {}
-    cached = memo.get(block.name)
-    if cached is not None:
-        return cached
-    memo[block.name] = frozenset()  # cycle guard; analysis DAGs are acyclic
-    deps: set[str] = set()
-    for inp in block.inputs.values():
-        if inp.upstream is None:
-            deps.add(inp.base_name)
-        else:
-            deps |= block_source_deps(
-                analysis, analysis.block(inp.upstream.block_name), memo
-            )
-    result = frozenset(deps)
-    memo[block.name] = result
-    return result
 
 
 def compile_block(
@@ -166,16 +133,12 @@ def compile_block(
     backend: str = "columnar",
     profile: Optional[CompiledProfile] = None,
     cache=None,
-    context_tokens: Optional[dict[str, str]] = None,
 ) -> tuple[BlockProgram, bool]:
     """Lower one block, consulting ``cache`` if given.
 
-    Returns ``(program, cache hit?)``.  ``context_tokens`` maps source
-    names to fingerprints of their active contracts; they are folded into
-    cache keys so a contract change is a cache miss rather than a silent
-    reuse.
+    Returns ``(program, cache hit?)``.  A program reads no table, so its
+    key is the block, the tree and the backend profile alone.
     """
-    deps = block_source_deps(analysis, block)
     key = None
     if cache is not None:
         key = cache.block_key(
@@ -184,13 +147,11 @@ def compile_block(
             tree,
             backend,
             profile or CompiledProfile(),
-            deps,
-            context_tokens or {},
         )
         program = cache.lookup(key)
         if program is not None:
             return program, True
-    program = replace(lower_block(block, tree), sources=deps)
+    program = lower_block(block, tree)
     if cache is not None:
         cache.store(key, program)
     return program, False
@@ -198,7 +159,6 @@ def compile_block(
 
 __all__ = [
     "CompileError",
-    "block_source_deps",
     "compile_block",
     "lower_block",
 ]

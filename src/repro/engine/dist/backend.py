@@ -5,14 +5,10 @@ row-identical tap observations, SE sizes and reject tables versus a
 single-process columnar run -- while executing each block as ``k`` shard
 tasks in a pool of forked worker processes:
 
-1. :meth:`begin_run` snapshots the analysis and fork-time sources into
-   the workers (fork inheritance; step predicates are lambdas and never
-   pickle), then forks the pool.
-2. Sources are screened by the run's
-   :class:`~repro.quality.gate.QualityGate` in the parent, exactly as on
-   every other backend; the surviving tables are post-fork tables and
-   reach the workers through shared memory like any block output.
-3. :meth:`execute_block` plans a shard strategy per block
+1. :meth:`begin_run` snapshots the analysis and the night's final
+   sources into the workers (fork inheritance; step predicates are
+   lambdas and never pickle), then forks the pool.
+2. :meth:`execute_block` plans a shard strategy per block
    (:func:`~repro.engine.dist.sharding.plan_block_shards`), ships
    post-fork tables through shared memory, dispatches the shards (with
    injected worker faults, a per-shard timeout and bounded retries over a
@@ -264,10 +260,6 @@ class MultiprocessBackend(ExecutionBackend):
             "plan": plan,
             "shard": shard,
             "overrides": overrides,
-            "context_tokens": ctx.context_tokens,
-            "invalidate_sources": tuple(
-                sorted({e.source for e in ctx.run.schema_drift})
-            ),
             "fault": None,  # filled at dispatch time, per attempt
         }
 

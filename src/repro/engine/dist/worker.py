@@ -102,8 +102,6 @@ def _begin_task(payload: dict) -> None:
         return
     _RUN_TOKEN = token
     _TABLE_CACHE.clear()  # segments from the previous run are unlinked
-    for source in payload.get("invalidate_sources", ()):
-        _PLAN_CACHE.invalidate_source(source)
 
 
 def _maybe_fault(directive: "dict | None") -> None:
@@ -200,7 +198,6 @@ def run_shard(payload: dict, state: "WorkerState | None" = None) -> ShardResult:
         taps=taps,
         analysis=state.analysis,
         plan_cache=_PLAN_CACHE,
-        context_tokens=payload.get("context_tokens"),
     )
     out = ColumnarBackend().execute_block(block, tree, ctx)
 

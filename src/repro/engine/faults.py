@@ -35,7 +35,7 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Sequence
@@ -55,7 +55,7 @@ FAULT_KINDS = (
     "column-rename",
     "null-burst",
     # catalog-server injectors: fired per client *request* (never in-task),
-    # so the CatalogClient's retry/breaker/degradation path is chaos-testable
+    # so the CatalogClient's retry/degradation path is chaos-testable
     "server-kill",
     "server-hang",
     "net-flap",

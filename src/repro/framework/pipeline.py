@@ -93,7 +93,13 @@ class PipelineReport:
     #: this cycle's plan-compilation cache activity (deltas, not totals)
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    plan_cache_invalidations: int = 0
+    # -- data quality (filled by run_once(quality=...)'s screening) --------
+    #: per-source dead-letter tables of rows the contracts rejected
+    quarantined: dict[str, Table] = field(default_factory=dict)
+    #: structured per-row :class:`~repro.quality.quarantine.Violation`s
+    violations: list = field(default_factory=list)
+    #: :class:`~repro.quality.drift.SchemaDriftEvent`s the gate resolved
+    schema_drift: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -104,25 +110,9 @@ class PipelineReport:
         """Catalog cardinality entries the reconcile pass fixed in place."""
         return len(self.drift.drifted) if self.drift is not None else 0
 
-    # -- data quality (populated when run_once(quality=...) was given) ------
-    @property
-    def quarantined(self) -> dict[str, Table]:
-        """Per-source dead-letter tables of rows the contracts rejected."""
-        return self.run.quarantined
-
-    @property
-    def violations(self) -> list:
-        """Structured per-row :class:`~repro.quality.quarantine.Violation`s."""
-        return self.run.violations
-
-    @property
-    def schema_drift(self) -> tuple:
-        """:class:`~repro.quality.drift.SchemaDriftEvent`s the gate resolved."""
-        return self.run.schema_drift
-
     @property
     def rows_quarantined(self) -> int:
-        return self.run.rows_quarantined
+        return sum(t.num_rows for t in self.quarantined.values())
 
     # -- sharded execution (populated by the multiprocess backend) ----------
     @property
@@ -336,15 +326,19 @@ class StatisticsPipeline:
         the returned report (:func:`~repro.obs.record.record_run_metrics`).
 
         ``quality`` (a :class:`~repro.quality.gate.QualityGate`: contracts,
-        schema-drift policy, dead-letter store) is handed to the executor
-        as is: each contracted source is first reconciled against schema
-        drift under the gate's policy, then validated row by row; invalid
-        rows are diverted to the gate's dead-letter store *before* any
-        block executes, so every tap and ground-truth count this cycle
-        observes excludes them.  Sources whose schema drifted have their
-        catalog entries invalidated (``drift_invalidated``) and, in a
-        degraded night, their catalog rung demoted to prior-level trust.
+        schema-drift policy, dead-letter store) makes tonight's sources
+        final before the catalog is read.  The order is: source faults,
+        applied once; screening, where each contracted source is
+        reconciled against schema drift under the gate's policy and then
+        validated row by row, invalid rows going to the gate's dead-letter
+        store; then the catalog entries on every schema-drifted source are
+        marked stale (``drift_invalidated``); only then the lookup and the
+        selection.  So every tap and ground-truth count excludes the
+        diverted rows, a drifted source's statistics are re-observed
+        tonight rather than served from the old shape, and a degraded
+        night finds them on the ``prior`` rung like any stale entry.
         """
+        from repro.engine.faults import as_injector
         from repro.obs.trace import as_tracer
 
         if tracer is not None and not tracer.enabled:
@@ -363,11 +357,22 @@ class StatisticsPipeline:
             if hasattr(stats_catalog, "close"):
                 opened = stats_catalog
         try:
-            cache_before = (
-                self.plan_cache.hits,
-                self.plan_cache.misses,
-                self.plan_cache.invalidations,
-            )
+            cache_before = (self.plan_cache.hits, self.plan_cache.misses)
+
+            # tonight's sources are final before the catalog is read
+            injector = as_injector(faults)
+            if injector is not None:
+                sources = injector.apply_sources(sources)
+            if quality is not None:
+                with tr.span("screen") as screen_span:
+                    sources = quality.screen_sources(
+                        sources,
+                        tracer=tracer,
+                        trace_parent=screen_span if tracer is not None else None,
+                    )
+                schema_drift = quality.drift_events()
+            else:
+                schema_drift = ()
 
             t0 = clock()
             with tr.span("enumerate") as enum_span:
@@ -389,12 +394,22 @@ class StatisticsPipeline:
             t0 = clock()
             signer = None
             hits = None
+            drift_invalidated = 0
             free = set(self.free_statistics)
             with tr.span("selection") as sel_span:
                 if stats_catalog is not None:
+                    from repro.catalog.drift import invalidate_schema_drift
                     from repro.catalog.signatures import WorkflowSigner
 
                     signer = WorkflowSigner(analysis)
+                    # entries observed against a shape that no longer holds
+                    # go stale before the lookup: re-tapped tonight
+                    drift_invalidated = invalidate_schema_drift(
+                        stats_catalog,
+                        signer,
+                        analysis,
+                        {event.source for event in schema_drift},
+                    )
                     hits = stats_catalog.lookup(signer, catalog.all_statistics)
                     free |= hits.free
                 selection = core.select_statistics(
@@ -443,40 +458,25 @@ class StatisticsPipeline:
                 ).run(
                     sources,
                     taps=taps,
-                    faults=faults,
+                    faults=injector,
                     retry=retry,
                     checkpoint=checkpoint,
                     tracer=tracer,
                     trace_parent=exec_span if tracer is not None else None,
                     estimates=estimates,
-                    quality=quality,
                 )
                 exec_span.annotate(
                     failures=len(run.failures), resumed=len(run.resumed)
                 )
-                if quality is not None:
-                    exec_span.annotate(
-                        quarantined=run.rows_quarantined,
-                        schema_drift=len(run.schema_drift),
-                    )
             timings["execution"] = clock() - t0
             self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
 
-            drifted_sources = {event.source for event in run.schema_drift}
             drift = None
-            drift_invalidated = 0
             if stats_catalog is not None:
-                from repro.catalog.drift import invalidate_schema_drift, reconcile_run
+                from repro.catalog.drift import reconcile_run
 
                 t0 = clock()
                 with tr.span("reconcile") as rec_span:
-                    # schema drift first: entries observed against the old shape
-                    # go stale *before* tonight's (post-reconcile) observations
-                    # re-admit whatever the run could still validate
-                    if drifted_sources:
-                        drift_invalidated = invalidate_schema_drift(
-                            stats_catalog, signer, analysis, drifted_sources
-                        )
                     # a resumed run's journal-restored statistics were observed
                     # on the *crashed* attempt: refreshing their entries now
                     # would forge tonight's timestamp onto stale provenance
@@ -501,7 +501,6 @@ class StatisticsPipeline:
                         drifted=len(drift.drifted),
                         stale_marked=drift.stale_marked,
                         max_rel_error=drift.max_rel_error,
-                        schema_invalidated=drift_invalidated,
                     )
                 timings["reconcile"] = clock() - t0
                 if stats_catalog.path is not None:
@@ -530,7 +529,6 @@ class StatisticsPipeline:
                     catalog,
                     observed_only,
                     hits=hits,
-                    drifted_sources=drifted_sources,
                 )
                 optimizer = PlanOptimizer(analysis, cards)
                 plans = {
@@ -590,9 +588,11 @@ class StatisticsPipeline:
                 catalog_degraded=catalog_degraded,
                 plan_cache_hits=self.plan_cache.hits - cache_before[0],
                 plan_cache_misses=self.plan_cache.misses - cache_before[1],
-                plan_cache_invalidations=self.plan_cache.invalidations
-                - cache_before[2],
             )
+            if quality is not None:
+                report.quarantined = quality.quarantined_tables()
+                report.violations = quality.all_violations()
+                report.schema_drift = schema_drift
             if tracer is not None:
                 tracer.finish(
                     workflow=analysis.workflow.name,

@@ -254,7 +254,6 @@ def degraded_cardinalities(
     catalog: CssCatalog,
     estimator,
     hits=None,
-    drifted_sources: "set[str] | None" = None,
 ) -> tuple[dict[AnySE, float], dict[str, str], dict[str, dict[str, str]]]:
     """Fill in cardinalities the failed run could not observe.
 
@@ -262,14 +261,9 @@ def degraded_cardinalities(
     .CardinalityEstimator` built over tonight's (partial) observations.
     ``hits`` is the night's :class:`~repro.catalog.store.CatalogHits`: its
     usable values are the ``catalog`` rung, and with its unusable entries
-    decoded beside them they are the ``prior`` rung.
-
-    ``drifted_sources`` names base sources whose *schema* drifted tonight
-    (the quality gate's :class:`~repro.quality.drift.SchemaDriftEvent`
-    sources).  For an SE touching a drifted source, the catalog's values
-    were observed against a shape that no longer exists: the SE walks the
-    same ladder, but a value the catalog supplies is labelled
-    :data:`CONFIDENCE_PRIOR` -- one rung weaker, honestly reported.
+    decoded beside them they are the ``prior`` rung.  An entry on a
+    schema-drifted source was marked stale before the lookup, so it is
+    on the ``prior`` rung like any other stale entry.
 
     Returns ``(cardinalities, confidence, sources)``: ``confidence``
     labels each affected block with the *weakest* source used for it, and
@@ -297,7 +291,6 @@ def degraded_cardinalities(
         if hits.unusable:
             rungs.append((CONFIDENCE_PRIOR, store_estimator(hits.prior_values())))
     rungs = [(label, rung) for label, rung in rungs if rung is not None]
-    drifted_sources = set(drifted_sources or ())
 
     independence = None
 
@@ -312,16 +305,14 @@ def degraded_cardinalities(
         needed = [se for se in block.join_ses() if se not in cards]
         if not needed:
             continue
-        drifted_names = block.relations_on(drifted_sources)
         block_sources: dict[str, str] = {}
         for se in needed:
-            drifted = bool(se.relations & drifted_names)
             value = None
             label = CONFIDENCE_NONE
             for rung_label, rung_estimator in rungs:
                 try:
                     value = rung_estimator.cardinality(se)
-                    label = CONFIDENCE_PRIOR if drifted else rung_label
+                    label = rung_label
                     break
                 except (EstimationError, KeyError):
                     value = None

@@ -79,8 +79,6 @@ def record_run_metrics(registry: MetricsRegistry, report) -> None:
          "compiled block programs reused from the plan cache"),
         ("plan_cache_misses", "etl_plan_cache_misses_total",
          "blocks lowered because no cached program matched"),
-        ("plan_cache_invalidations", "etl_plan_cache_invalidations_total",
-         "cached programs evicted by schema drift"),
     ):
         amount = getattr(report, field_name, 0)
         if amount:

@@ -8,8 +8,9 @@ the fault-tolerant scheduler (PR 2) and the shared statistics catalog
 (PR 3) a single run touches all of them.  A :class:`Tracer` records the
 whole cycle as one tree of :class:`Span` objects:
 
-- **phase spans** -- enumerate / selection / execution / reconcile /
-  optimization, opened by the pipeline;
+- **phase spans** -- screen (only with a quality gate, one
+  ``quarantine`` point per screened source) / enumerate / selection /
+  execution / reconcile / optimization, opened by the pipeline;
 - **block and boundary spans** -- one per scheduled task, opened by the
   scheduler, annotated with attempts, retries, timeouts and failure
   kinds;

@@ -3,9 +3,10 @@
 The trust boundary in front of statistics observation: declared (or
 inferred) per-source contracts, row-level validation that diverts invalid
 rows to a dead-letter table instead of failing the block, and schema-drift
-reconciliation governed by a per-source policy.  Enforced once, in
-:class:`~repro.engine.backend.BackendExecutor`, so all three execution
-backends observe identical surviving rows.
+reconciliation governed by a per-source policy.  Enforced once, by
+:meth:`~repro.framework.pipeline.StatisticsPipeline.run_once` before it
+reads the catalog, so every execution backend receives identical
+surviving rows.
 """
 
 from repro.quality.contracts import (

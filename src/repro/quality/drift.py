@@ -18,10 +18,11 @@ it *before* row validation, governed by a per-source policy:
   dropped nullable column is refilled with nulls.  Whatever coercion
   cannot fix is left in place for row validation to quarantine.
 
-Every resolution is reported as a :class:`SchemaDriftEvent`; the pipeline
-uses those events to invalidate the matching statistics-catalog entries
-(yesterday's statistics describe yesterday's schema) and to demote the
-catalog's confidence rung in the degraded-statistics fallback.
+Every resolution is reported as a :class:`SchemaDriftEvent`; before it
+reads the catalog, the pipeline uses those events to mark the matching
+statistics-catalog entries stale (yesterday's statistics describe
+yesterday's schema), so tonight re-observes them and a degraded night
+finds them on the ``prior`` rung.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """The quality gate: the single screening point in front of every backend.
 
-Every execution backend (columnar, streaming, vectorized, multiprocess)
-enters through :meth:`~repro.engine.backend.BackendExecutor.run`, which
-hands the source map to :meth:`QualityGate.screen_sources` *before* any
-block task is built and before any observation point fires.  Screening at that choke
-point is what makes enforcement backend-consistent by construction: the
-blocks -- and therefore every tap, every materialized SE size and every
+:meth:`~repro.framework.pipeline.StatisticsPipeline.run_once` hands the
+night's source map (source faults already applied) to
+:meth:`QualityGate.screen_sources` before it reads the catalog, and
+executes only what comes back.  Screening once, ahead of the engine, is
+what makes enforcement backend-consistent by construction: the blocks --
+and therefore every tap, every materialized SE size and every
 ground-truth count -- only ever see the surviving rows, on any backend.
 
 The gate composes the two quality passes per contracted source, in order:
@@ -46,9 +46,8 @@ class QualityGate:
         """Screen every contracted source; returns the surviving tables.
 
         Emits one ``quarantine`` trace point per screened source (under
-        the execution span) so a traced run shows, next to each block's
-        operator points, how many rows the gate diverted before the
-        blocks ran.  Raises :class:`~repro.quality.drift.SchemaDriftError`
+        the pipeline's ``screen`` span) so a traced run shows how many
+        rows the gate diverted before the blocks ran.  Raises :class:`~repro.quality.drift.SchemaDriftError`
         when the policy refuses a structural mismatch.
         """
         out = dict(sources)
@@ -75,7 +74,7 @@ class QualityGate:
                 )
         return out
 
-    # -- results, in the shapes WorkflowRun/PipelineReport carry ---------
+    # -- results, in the shapes PipelineReport carries --------------------
     def quarantined_tables(self) -> dict[str, Table]:
         return self.quarantine.dead_letter_tables()
 

@@ -15,9 +15,9 @@ long-lived daemon (``repro-etl serve``) and a degrading client:
   ``/metrics`` + ``/healthz`` on the shared Prometheus exporter;
 - :mod:`repro.serve.client` -- :class:`~repro.serve.client.CatalogClient`,
   a ``StatisticsCatalog`` look-alike whose ``save`` is one ``POST
-  /commit``, with timeouts, seeded retry, a circuit breaker, and
-  degradation to the local file catalog -- a vanished server demotes plan
-  confidence, never fails the run.
+  /commit``, with timeouts, seeded retry, and degradation to the local
+  file catalog (after which it sends nothing) -- a vanished server demotes
+  plan confidence, never fails the run.
 
 Durability comes from the WAL, availability from that degradation:
 there is one daemon per catalog and no replica of it.

@@ -12,15 +12,15 @@ confidence, it never fails the run.**  The machinery, outermost first:
 - every request runs behind a **timeout** and seeded exponential
   **retry/backoff** (the :class:`~repro.engine.scheduler.RetryPolicy`
   discipline -- transient errors are retried, a dead server is not);
-- a **circuit breaker** counts consecutive request failures and, once
-  open, fails calls instantly instead of stacking timeouts;
 - on the first unrecoverable failure the client **degrades**: its
   in-memory mirror (what this client has read from and written to the
   server so far, plus a local fallback catalog file if one was given)
   serves every later read, writes are folded into the fallback file at
   :meth:`save`, and ``degraded`` flips ``True`` -- which the pipeline
   translates into plan confidence dropping one rung down the observed →
-  catalog → prior → independence ladder.
+  catalog → prior → independence ladder.  A degraded client sends no
+  further request from any read or write path, so a dead server costs
+  one round of retries per night, not one per call.
 
 **The mirror is a read-through cache, not a replica.**  A night reads
 what it asks for: :meth:`lookup` is one ``POST /lookup`` carrying the
@@ -33,7 +33,8 @@ reads through by key (never counting a hit), ``entries_on_se`` reads
 through ``POST /entries``, ``len()`` is ``/healthz``'s entry count, and
 only the whole-catalog readers (``entries``, ``usable_keys``,
 ``describe``) download ``GET /export``.  No read overwrites an entry
-this client has written but not yet flushed.
+this client has written but not yet flushed: the mirror keeps its version,
+and :meth:`lookup` judges that key's usability on it.
 
 Writes -- ``merge`` included -- are *staged* locally in order and flushed
 by :meth:`save` as one ``POST /commit``: the server logs the night's ops
@@ -69,18 +70,13 @@ from repro.engine.scheduler import RetryPolicy
 #: URL prefixes that select the client over the file-backed store
 CATALOG_URL_PREFIXES = ("http://", "https://", "unix://")
 
-#: consecutive request failures before the breaker opens
-DEFAULT_BREAKER_THRESHOLD = 3
-
-#: seconds the breaker stays open before allowing a probe
-DEFAULT_BREAKER_COOLDOWN = 30.0
-
 #: per-request socket timeout, seconds
 DEFAULT_TIMEOUT = 2.0
 
 
 class CatalogUnavailable(PersistenceError):
-    """The server could not be reached (after retries / breaker open)."""
+    """The server could not be reached (a permanent fault, or retries
+    exhausted)."""
 
 
 class CatalogRequestError(PersistenceError):
@@ -128,10 +124,7 @@ class CatalogClient:
         timeout: float = DEFAULT_TIMEOUT,
         max_retries: int = 2,
         seed: int = 0,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
         faults=None,
-        clock=time.monotonic,
         sleep=time.sleep,
     ):
         if "," in url:
@@ -140,9 +133,6 @@ class CatalogClient:
             )
         self.url = url.rstrip("/")
         self.timeout = timeout
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.clock = clock
 
         if isinstance(fallback, StatisticsCatalog):
             self._fallback = fallback
@@ -171,12 +161,10 @@ class CatalogClient:
         self._rng = self._policy.rng_for(self.url)
         self._injector = as_injector(faults)
         self._conn: http.client.HTTPConnection | None = None
-        self._failures = 0  # consecutive failed requests (reset by any answer)
-        self._open_until = 0.0  # breaker: reject instantly until this time
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
-    # transport: breaker -> timeout -> retry/backoff
+    # transport: timeout -> retry/backoff
     # ------------------------------------------------------------------
     def _connect(self) -> http.client.HTTPConnection:
         if self._conn is None:
@@ -210,19 +198,13 @@ class CatalogClient:
         return response.status, answer
 
     def _request(self, method: str, path: str, doc=None) -> dict:
-        """One logical request: breaker check, then retry transients.
+        """One logical request, retrying transients.
 
-        :class:`CatalogUnavailable` (breaker open, a permanent fault, or
-        retries exhausted) is the only path to degradation; an error
-        status is a :class:`CatalogRequestError`.
+        :class:`CatalogUnavailable` (a permanent fault, or retries
+        exhausted) is the only path to degradation; an error status is a
+        :class:`CatalogRequestError`.
         """
         with self._lock:
-            now = self.clock()
-            if now < self._open_until:
-                raise CatalogUnavailable(
-                    f"catalog {self.url} circuit breaker open for another "
-                    f"{self._open_until - now:.1f}s"
-                )
             attempt = 0
             while True:
                 self.requests_sent += 1
@@ -233,7 +215,6 @@ class CatalogClient:
                 except PermanentFault as exc:
                     # a dead server does not heal by retrying
                     self._drop_conn()
-                    self._record_failure()
                     raise CatalogUnavailable(
                         f"catalog {self.url} unreachable: {exc}"
                     ) from exc
@@ -244,7 +225,6 @@ class CatalogClient:
                 ) as exc:
                     self._drop_conn()
                     if attempt >= self._policy.max_retries:
-                        self._record_failure()
                         raise CatalogUnavailable(
                             f"catalog {self.url} unreachable after "
                             f"{attempt + 1} attempt(s): {exc}"
@@ -254,18 +234,11 @@ class CatalogClient:
                     self.retries += 1
                     continue
                 break
-            self._failures = 0  # any answer closes the breaker
-            self._open_until = 0.0
             if status >= 400:
                 raise CatalogRequestError(
                     answer.get("error", f"catalog server answered {status}")
                 )
             return answer
-
-    def _record_failure(self) -> None:
-        self._failures += 1
-        if self._failures >= self.breaker_threshold:
-            self._open_until = self.clock() + self.breaker_cooldown
 
     # ------------------------------------------------------------------
     # degradation
@@ -333,9 +306,16 @@ class CatalogClient:
         if answer is None:
             return None
         self._absorb(answer.get("unusable", []))
-        usable = self._absorb(answer.get("entries", []))
+        usable = {e.key: e for e in self._absorb(answer.get("entries", []))}
         self._answered.update(keys)
-        return {entry.key: entry for entry in usable}
+        # a key this client has a staged write on is judged on the mirror's
+        # version: the server's answer predates that write
+        mine = self._staged_keys().intersection(keys)
+        if mine:
+            for key in mine:
+                usable.pop(key, None)
+            usable.update(self._mirror.usable_among(mine, now, count_hits=False))
+        return usable
 
     def _read_through(self, keys) -> None:
         """Ask, counting no hit, for the keys the mirror cannot answer."""

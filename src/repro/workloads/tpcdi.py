@@ -35,8 +35,6 @@ from repro.algebra.operators import (
     AggregateUDF,
     Filter,
     Join,
-    Materialize,
-    Node,
     Predicate,
     Project,
     Source,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.algebra.operators import (
     Aggregate,
-    AggregateUDF,
     Filter,
     Join,
     Materialize,

@@ -144,12 +144,13 @@ KNOBS: dict[str, tuple[str, str]] = {
     **{f"core/css.py::CssCatalog({f})": ("record", "filled by generate_css")
        for f in ("block_of", "css", "observable", "required", "steps")},
     **{f"engine/backend.py::WorkflowRun({f})": ("record", "filled by the executor")
-       for f in ("failures", "observations", "quarantined", "rejects",
-                 "restored_statistics", "resumed", "schema_drift", "se_sizes",
-                 "shard_stats", "targets", "violations")},
+       for f in ("failures", "observations", "rejects", "restored_statistics",
+                 "resumed", "se_sizes", "shard_stats", "targets")},
     **{f"engine/scheduler.py::ScheduleResult({f})": ("record", "filled by execute_tasks")
        for f in ("completed", "failures")},
-    "framework/pipeline.py::PipelineReport(plan_cache_invalidations)": ("record", _FILLED),
+    **{f"framework/pipeline.py::PipelineReport({f})": (
+        "record", "filled by run_once from its quality gate")
+       for f in ("quarantined", "schema_drift", "violations")},
     "framework/session.py::EtlSession(history)": ("record", "one RunRecord per run"),
     "quality/contracts.py::ContractSet(contracts)": ("record", "filled by infer / from_file"),
     **{f"quality/quarantine.py::QuarantineStore({f})": ("record", "filled by the gate")
@@ -169,7 +170,7 @@ KNOBS: dict[str, tuple[str, str]] = {
     "serve/service.py::CatalogService(clock)": ("test-seam", "tests/serve/test_service.py"),
     **{f"serve/client.py::CatalogClient({f})": (
         "test-seam", "tests/serve/test_server_client.py")
-       for f in ("clock", "sleep", "seed", "faults")},
+       for f in ("sleep", "seed", "faults")},
     "engine/scheduler.py::RetryPolicy(sleep)": ("test-seam", _FAULTS),
     "framework/pipeline.py::StatisticsPipeline(clock)": (
         "test-seam", "tests/obs/test_pipeline_tracing.py"),
@@ -215,7 +216,7 @@ KNOBS: dict[str, tuple[str, str]] = {
        for f in ("poll", "stale_after", "timeout")},
     **{f"serve/client.py::CatalogClient({f})": (
         "safety", "tests/serve/test_server_client.py")
-       for f in ("timeout", "breaker_threshold", "breaker_cooldown")},
+       for f in ("timeout",)},
     **{f"engine/dist/backend.py::MultiprocessBackend({f})": ("safety", _DIST)
        for f in ("shard_retries", "shard_timeout")},
     "framework/session.py::EtlSession(retry)": ("safety", "tests/framework/test_recovery.py"),

@@ -8,8 +8,6 @@ untouched -- so the next run re-observes exactly the invalidated
 statistics and nothing else.
 """
 
-import pytest
-
 from repro.algebra.blocks import analyze
 from repro.catalog import (
     StatisticsCatalog,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.algebra.blocks import analyze
 from repro.catalog import StatisticsCatalog, WorkflowSigner, plan_fleet
-from repro.core.generator import generate_css
 from repro.workloads import case
 
 NOW = 3_000_000.0

@@ -12,7 +12,6 @@ from repro.catalog.store import (
 )
 from repro.core.generator import generate_css
 from repro.core.persistence import PersistenceError, canonical_json
-from repro.core.statistics import Statistic
 from repro.workloads import case
 
 NOW = 1_000_000.0

@@ -11,7 +11,6 @@ from repro.core.costs import DEFAULT_DOMAIN, INFINITE, CostModel
 from repro.core.statistics import Statistic
 from repro.engine.ground_truth import ground_truth_cardinalities
 from repro.estimation.bootstrap import (
-    SizeBootstrapper,
     bootstrap_se_sizes,
     profiles_from_characteristics,
 )

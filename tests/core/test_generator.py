@@ -9,7 +9,6 @@ from repro.algebra.operators import (
     Filter,
     Join,
     Predicate,
-    Project,
     Source,
     Target,
     Transform,

@@ -8,7 +8,7 @@ from repro.core.costs import CostModel
 from repro.core.external import harvest_source_statistics
 from repro.core.generator import generate_css
 from repro.core.ilp import solve_ilp
-from repro.core.resource import ConstrainedPlanner, plan_constrained
+from repro.core.resource import plan_constrained
 from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
 from repro.engine.backend import BackendExecutor

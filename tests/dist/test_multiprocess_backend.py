@@ -87,6 +87,20 @@ class TestPoolEquivalence:
         assert first.se_sizes == second.se_sizes
 
 
+    def test_missing_source_raises_before_the_pool_starts(self):
+        from repro.engine.table import TableError
+
+        analysis, selection, sources = _prepared()
+        sources.pop(sorted(sources)[0])
+        backend = MultiprocessBackend(shards=2)
+        try:
+            with pytest.raises(TableError, match="missing source"):
+                _run(analysis, selection, sources, backend)
+            assert backend._pool is None  # nothing forked, nothing pinged
+        finally:
+            backend.close()
+
+
 class TestQuarantineFingerprint:
     DIRTY = FaultPlan(
         (
@@ -101,19 +115,23 @@ class TestQuarantineFingerprint:
         wfcase = case(25)
         sources = wfcase.tables(scale=0.05, seed=7)
         gate = QualityGate(contracts=ContractSet.infer(sources))
-        return BackendExecutor(analyze(wfcase.build()), backend).run(
-            sources, faults=self.DIRTY.injector(), quality=gate
+        survivors = gate.screen_sources(
+            self.DIRTY.injector().apply_sources(sources)
         )
+        run = BackendExecutor(analyze(wfcase.build()), backend).run(survivors)
+        return gate, run
 
     @staticmethod
-    def _fingerprint(run):
+    def _fingerprint(screened):
+        gate, run = screened
         return {
             "quarantined": {
                 name: list(table.rows())
-                for name, table in run.quarantined.items()
+                for name, table in gate.quarantined_tables().items()
             },
             "violations": [
-                (v.source, v.row, v.column, v.code) for v in run.violations
+                (v.source, v.row, v.column, v.code)
+                for v in gate.all_violations()
             ],
             "targets": {
                 name: sorted(table.rows(sorted(table.attrs)), key=repr)

@@ -3,8 +3,8 @@
 The runtime's contract is *oracle equivalence* (``tests/oracle.py``): same
 targets, same SE sizes, same tapped statistics, same reject rows -- under
 every profile, chunked or whole-column.  On top of that this file pins the
-cache behaviour: warm runs hit, plan changes miss, schema drift and
-contract changes invalidate instead of silently reusing stale programs.
+cache behaviour: warm runs hit, plan changes miss, and a program -- which
+reads no table -- still hits on a screened extract whose schema drifted.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.engine.compile import (
     CompiledProfile,
     JoinIR,
     PlanCache,
-    block_source_deps,
     compile_block,
     lower_block,
 )
@@ -156,17 +155,6 @@ class TestLowering:
         for block in analysis.blocks:
             program = lower_block(block, block.initial_tree)
             assert [s.se for s in program.post] == block.post_stage_ses()
-
-    def test_source_deps_walk_through_upstream_blocks(self):
-        analysis, _, _ = _setup(21)
-        sources = set(analysis.workflow.source_names())
-        union = set()
-        for block in analysis.blocks:
-            deps = block_source_deps(analysis, block)
-            assert deps, block.name
-            assert deps <= sources, block.name
-            union |= deps
-        assert union == sources
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +373,6 @@ class TestPlanCache:
         assert key_docs and all("gather" not in doc for doc in key_docs)
         assert {doc["chunk"] for doc in key_docs} == {None, 2048}
 
-    def test_invalidate_source_drops_downstream_programs(self):
-        analysis, _, _ = _setup(25)  # chained blocks: deps are transitive
-        cache = PlanCache()
-        compile_blocks(analysis, backend="columnar", cache=cache)
-        size = len(cache)
-        source = sorted(analysis.workflow.source_names())[0]
-        fed = sum(
-            1
-            for b in analysis.blocks
-            if source in block_source_deps(analysis, b)
-        )
-        assert fed > 0
-        dropped = cache.invalidate_source(source)
-        assert dropped == fed
-        assert len(cache) == size - dropped
-        assert cache.invalidations == dropped
-
     def test_lru_eviction_is_bounded(self):
         analysis, _, _ = _setup(25)  # three blocks
         cache = PlanCache()
@@ -416,24 +387,28 @@ class TestPlanCache:
 
 
 # ---------------------------------------------------------------------------
-# stale-cache regression: schema drift and contract changes
+# programs are data-free: schema drift the gate resolved reuses them
 # ---------------------------------------------------------------------------
-class TestStaleCacheInvalidation:
-    def test_schema_drift_evicts_instead_of_reusing(self):
-        analysis, selection, sources = _setup(25)
+class TestDataFreePrograms:
+    def test_clean_program_is_a_hit_on_the_coerced_extract(self):
+        """A night whose extract renamed a column (the gate coerces it
+        back) executes the programs compiled on the clean night: lowering
+        reads no table, so there is nothing to evict, and the run equals
+        the oracle on the survivors."""
         from repro.engine.faults import FaultPlan, FaultSpec
+        from repro.framework.pipeline import StatisticsPipeline
         from repro.quality import ContractSet, QualityGate
 
-        contracts = ContractSet.infer(sources)
-        ex = BackendExecutor(analysis, "vectorized")
-        ex.run(sources, quality=QualityGate(contracts=contracts))
-        warm = len(ex.plan_cache)
-        assert warm > 0
-        assert ex.plan_cache.invalidations == 0
+        wfcase = case(25)
+        sources = wfcase.tables(scale=SCALE, seed=SEED)
+        pipeline = StatisticsPipeline(
+            wfcase.build(), solver="greedy", backend="vectorized"
+        )
+        blocks = len(pipeline.analysis.blocks)
+        gate = QualityGate(contracts=ContractSet.infer(sources))
+        clean = pipeline.run_once(sources, quality=gate)
+        assert clean.plan_cache_misses == blocks
 
-        # tonight's extract renames a column: the gate coerces it back
-        # and reports drift -- the cached programs for every block fed by
-        # that source must be evicted, not silently reused
         drifty = FaultPlan(
             (
                 FaultSpec(
@@ -445,90 +420,15 @@ class TestStaleCacheInvalidation:
             ),
             seed=11,
         )
+        night = pipeline.run_once(sources, quality=gate, faults=drifty)
+        assert night.schema_drift  # the drift actually happened
+        assert (night.plan_cache_hits, night.plan_cache_misses) == (blocks, 0)
+
         survivors = QualityGate(
             contracts=ContractSet.infer(sources)
         ).screen_sources(drifty.injector().apply_sources(sources))
-        ref = reference_run(analysis, survivors, stats=selection.observed)
-        run = ex.run(
-            sources,
-            taps=ex.backend.make_taps(selection.observed),
-            faults=drifty.injector(),
-            quality=QualityGate(contracts=ContractSet.infer(sources)),
-        )
-        assert run.schema_drift  # the drift actually happened
-        fed = sum(
-            1
-            for blk in analysis.blocks
-            if "DimDate" in block_source_deps(analysis, blk)
-        )
-        assert ex.plan_cache.invalidations >= fed > 0
-        # and the recompiled programs are correct on the drifted extract
-        assert_matches_reference(run, ref, selection.observed)
-
-    def test_contract_change_is_a_cache_miss(self):
-        analysis, _, sources = _setup(25)
-        from repro.quality import ContractSet, QualityGate
-
-        contracts = ContractSet.infer(sources)
-        cache = PlanCache()
-        ex = BackendExecutor(analysis, "vectorized", plan_cache=cache)
-        ex.run(sources, quality=QualityGate(contracts=contracts))
-        misses_cold = cache.misses
-        ex.run(sources, quality=QualityGate(contracts=contracts))
-        assert cache.misses == misses_cold  # identical contracts: warm
-
-        from dataclasses import replace as d_replace
-
-        relaxed = ContractSet.from_dict(contracts.to_dict())
-        target = relaxed.get("DimDate")
-        assert target is not None
-        flipped = d_replace(
-            target.columns[0], nullable=not target.columns[0].nullable
-        )
-        relaxed.add(
-            d_replace(target, columns=(flipped,) + target.columns[1:])
-        )
-        ex.run(sources, quality=QualityGate(contracts=relaxed))
-        assert cache.misses > misses_cold  # revised contract: recompile
-
-    def test_contract_change_is_a_cache_miss_in_shard_workers(self, monkeypatch):
-        """Shard workers key their own plan cache on the contract tokens
-        the parent ships; a revision must miss there too, and a contract
-        that cannot be fingerprinted must fail the run, not silently drop
-        out of the key (the stale-program bug)."""
-        from dataclasses import replace as d_replace
-
-        from repro.engine.dist import MultiprocessBackend, worker
-        from repro.quality import ContractSet, QualityGate
-        from repro.quality.contracts import SourceContract
-
-        analysis, _, sources = _setup(25)
-        contracts = ContractSet.infer(sources)
-        backend = MultiprocessBackend(
-            shards=2, inline=True, factors={"min_shard_rows": 0}
-        )
-        ex = BackendExecutor(analysis, backend)
-        cache = worker._PLAN_CACHE  # inline shards share this process's
-        ex.run(sources, quality=QualityGate(contracts=contracts))
-        misses_cold = cache.misses
-        ex.run(sources, quality=QualityGate(contracts=contracts))
-        assert cache.misses == misses_cold  # identical contracts: warm
-
-        relaxed = ContractSet.from_dict(contracts.to_dict())
-        target = relaxed.get("DimDate")
-        flipped = d_replace(
-            target.columns[0], nullable=not target.columns[0].nullable
-        )
-        relaxed.add(d_replace(target, columns=(flipped,) + target.columns[1:]))
-        ex.run(sources, quality=QualityGate(contracts=relaxed))
-        assert cache.misses > misses_cold  # revised contract: recompile
-
-        def boom(self):
-            raise RuntimeError("unfingerprintable contract")
-
-        monkeypatch.setattr(SourceContract, "to_dict", boom)
-        with pytest.raises(RuntimeError, match="unfingerprintable"):
-            ex.run(sources, quality=QualityGate(contracts=contracts))
+        ref = reference_run(pipeline.analysis, survivors, stats=night.tapped)
+        assert_matches_reference(night.run, ref, night.tapped)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ The oracle differential on clean data lives in
 ``tests/engine/test_backend_equivalence.py`` (30 suite workflows) and
 ``tests/proptest/test_backend_differential.py`` (seeded random
 workflows).  This file covers the dirty path: with fault-injected
-sources behind a quality gate, every profile of the runtime and every
-shard count must quarantine exactly the victims a plain
-``QualityGate.screen_sources`` call quarantines, and then execute the
-survivors exactly like the oracle does.
+sources screened by a quality gate (once, before any backend runs), every
+profile of the runtime and every shard count must execute the survivors
+exactly like the oracle does, and the gate's victims must not depend on
+which backend follows it.
 """
 
 import pytest
@@ -79,12 +79,13 @@ def test_quarantine_victims_and_survivor_run_match_oracle(
     wfcase, analysis, expected, ref = dirty_reference
     sources = wfcase.tables(scale=0.05, seed=7)
     gate = QualityGate(contracts=ContractSet.infer(sources))
+    survivors = gate.screen_sources(DIRTY.injector().apply_sources(sources))
     backend = variant_backend(backend_name, shards)
-    run = BackendExecutor(analysis, backend).run(
-        sources, faults=DIRTY.injector(), quality=gate
-    )
+    run = BackendExecutor(analysis, backend).run(survivors)
     assert (
-        _quality_fingerprint(run.quarantined, run.violations, run.schema_drift)
+        _quality_fingerprint(
+            gate.quarantined_tables(), gate.all_violations(), gate.drift_events()
+        )
         == expected
     )
     assert_matches_reference(run, ref)

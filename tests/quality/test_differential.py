@@ -1,12 +1,10 @@
 """Backend-differential quality enforcement.
 
-The quality gate screens sources at the single :class:`BackendExecutor`
-choke point, so enforcement must be backend-invariant *by construction*:
-the same dirty extract yields the same quarantine decisions, the same
-surviving rows, and the same target outputs on every execution backend.
+The quality gate screens sources before any backend sees them, so
+enforcement is backend-invariant *by construction*: the same dirty extract
+yields the same quarantine decisions, the same surviving rows, and the
+same target outputs on every execution backend.
 """
-
-import pytest
 
 from repro.engine.backend import BackendExecutor, get_backend
 from repro.engine.faults import FaultPlan, FaultSpec
@@ -36,24 +34,26 @@ def _run(backend_name):
     wfcase = case(WORKFLOW)
     sources = wfcase.tables(scale=0.05, seed=7)
     gate = QualityGate(contracts=ContractSet.infer(sources))
+    survivors = gate.screen_sources(DIRTY.injector().apply_sources(sources))
     run = BackendExecutor(analyze(wfcase.build()), get_backend(backend_name)).run(
-        sources, faults=DIRTY.injector(), quality=gate
+        survivors
     )
-    return run
+    return gate, run
 
 
-def _fingerprint(run):
+def _fingerprint(screened):
+    gate, run = screened
     return {
         "quarantined": {
             name: list(table.rows())
-            for name, table in run.quarantined.items()
+            for name, table in gate.quarantined_tables().items()
         },
         "violations": [
-            (v.source, v.row, v.column, v.code) for v in run.violations
+            (v.source, v.row, v.column, v.code) for v in gate.all_violations()
         ],
         "drift": [
             (e.source, e.kind, e.column, e.resolution)
-            for e in run.schema_drift
+            for e in gate.drift_events()
         ],
         # canonical attribute order: the streaming backend materializes
         # targets from row dicts, so its column order differs
@@ -75,6 +75,7 @@ class TestDifferentialQuarantine:
             assert _fingerprint(runs[name]) == reference, name
 
     def test_quarantine_is_actually_enforced(self):
-        run = _run("columnar")
-        assert run.rows_quarantined > 0
-        assert len(run.violations) >= run.rows_quarantined
+        gate, _ = _run("columnar")
+        rows_quarantined = gate.quarantine.total_rows
+        assert rows_quarantined > 0
+        assert len(gate.all_violations()) >= rows_quarantined

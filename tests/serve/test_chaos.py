@@ -114,7 +114,6 @@ class TestDegradationEquivalence:
 def _wait_healthy(url, deadline=15.0):
     probe = CatalogClient(
         url, max_retries=0, timeout=1.0, sleep=lambda s: None,
-        breaker_threshold=10**6,  # startup probing must never trip it
     )
     end = time.monotonic() + deadline
     try:

@@ -12,7 +12,6 @@ from repro.engine.faults import FaultPlan, FaultSpec
 from repro.serve.client import (
     CatalogClient,
     CatalogRequestError,
-    CatalogUnavailable,
     is_catalog_url,
     resolve_stats_catalog,
 )
@@ -147,6 +146,26 @@ class TestHttpRoundTrips:
         fresh = fast_client(server.url)
         assert set(fresh.entries) == {"k2"}
         client.close(), fresh.close()
+
+    def test_lookup_judges_a_staged_stale_mark_on_the_mirror(self, server):
+        """A stale mark made before the lookup (a drifted source's entries)
+        is not yet on the server; the lookup must not offer that entry at
+        zero cost on the server's older word, and the mark still goes out
+        with the night's one commit."""
+        writer = fast_client(server.url)
+        writer.record("k", "se:k", _stat(), 5.0, workflow="wf", run_id="r")
+        writer.save()
+        signer = SimpleNamespace(statistic_keys=lambda stats: {
+            stat: "k" for stat in stats
+        })
+        client = fast_client(server.url)
+        assert client.mark_stale(["k"]) == 1
+        hits = client.lookup(signer, [_stat()])
+        assert hits.free == set() and hits.unusable[_stat()].stale
+        client.save()
+        fresh = fast_client(server.url)
+        assert fresh.lookup(signer, [_stat()]).free == set()
+        writer.close(), client.close(), fresh.close()
 
     def test_mirror_and_server_apply_the_same_entry_rules(self, server):
         """The mirror runs StatisticsCatalog's transitions, the server
@@ -307,22 +326,28 @@ class TestDegradation:
             tmp_path / "fallback.json"
         ).entries["k"].value() == 9.0
 
-    def test_breaker_opens_after_threshold(self, tmp_path):
-        clock = {"now": 0.0}
-        client = CatalogClient(
+    def test_a_degraded_client_sends_nothing(self, tmp_path):
+        """After the first unreachable request no read or write path goes
+        to the wire again: a dead server costs one round of retries."""
+        client = fast_client(
             f"unix://{tmp_path / 'gone.sock'}",
-            max_retries=0, sleep=lambda s: None,
-            breaker_threshold=2, breaker_cooldown=30.0,
-            clock=lambda: clock["now"],
+            fallback=tmp_path / "fallback.json",
+            max_retries=0,
         )
-        for _ in range(2):
-            with pytest.raises(CatalogUnavailable):
-                client._request("GET", "/healthz")
-        with pytest.raises(CatalogUnavailable, match="circuit breaker open"):
-            client._request("GET", "/healthz")
-        clock["now"] += 31.0  # cooldown over: probes are allowed again
-        with pytest.raises(CatalogUnavailable, match="unreachable"):
-            client._request("GET", "/healthz")
+        assert client.get("k") is None and client.degraded
+        sent = client.requests_sent
+        signer = SimpleNamespace(statistic_keys=lambda stats: {
+            stat: "k" for stat in stats
+        })
+        client.record("k", "se:k", _stat(), 3.0, workflow="wf", run_id="r")
+        assert client.lookup(signer, [_stat()]).free == {_stat()}
+        assert client.get("k").value() == 3.0
+        assert [e.key for e in client.entries_on_se("se:k")] == ["k"]
+        assert len(client) == 1
+        assert "degraded to local view" in client.describe()
+        client.save()
+        assert client.gc() == 0
+        assert client.requests_sent == sent
 
 
 class TestChaosFaults:

@@ -173,7 +173,7 @@ def reconcile_run(
         # not materialized tonight — force their re-observation
         siblings = [
             sibling.key
-            for sibling in catalog.entries_on_se(se_key)
+            for sibling in catalog.entries_on_se([se_key])
             if sibling.key != card_key and sibling.key not in refreshed_keys
         ]
         report.stale_marked += catalog.mark_stale(siblings)
@@ -222,12 +222,9 @@ def invalidate_schema_drift(
                 se_keys.add(signer.se_key(se))
             except SignatureError:
                 continue
-    marked = 0
-    for se_key in sorted(se_keys):
-        marked += catalog.mark_stale(
-            entry.key for entry in catalog.entries_on_se(se_key)
-        )
-    return marked
+    return catalog.mark_stale(
+        entry.key for entry in catalog.entries_on_se(se_keys)
+    )
 
 
 __all__ = [

@@ -541,10 +541,13 @@ class StatisticsCatalog:
             keys, self.usable_among(keys.values(), now, count_hits), self.entries
         )
 
-    def entries_on_se(self, se_key: str) -> list[CatalogEntry]:
-        """Every entry describing a statistic on the given SE."""
+    def entries_on_se(self, se_keys) -> list[CatalogEntry]:
+        """Every entry describing a statistic on one of the given SEs,
+        sorted by key.  ``se_keys`` is a collection of SE keys (a bare
+        ``str`` would be read as its characters)."""
+        wanted = set(se_keys)
         return sorted(
-            (e for e in self.entries.values() if e.se_key == se_key),
+            (e for e in self.entries.values() if e.se_key in wanted),
             key=lambda e: e.key,
         )
 

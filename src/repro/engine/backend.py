@@ -90,10 +90,9 @@ class RunContext:
     attempt's abandoned thread can still be running beside its retry.
 
     ``tracer`` (optional) records an instant *operator point* for every
-    plan point a block materializes -- actual rows, the prior estimate
-    from ``estimates`` when one exists (previous cycle or catalog), and
-    whether a tap fired there.  Hot paths guard on ``tracer is None``,
-    so an untraced run pays one attribute load and branch per point.
+    plan point a block materializes -- actual rows and whether a tap
+    fired there.  Hot paths guard on ``tracer is None``, so an untraced
+    run pays one attribute load and branch per point.
     """
 
     run: WorkflowRun
@@ -103,7 +102,6 @@ class RunContext:
     plan_cache: PlanCache
     lock: threading.Lock = field(default_factory=threading.Lock, init=False)
     tracer: Any = None
-    estimates: "dict[AnySE, float] | None" = None
     #: the run's fault injector (or ``None``); sharding backends consult
     #: it for shard-scoped faults (worker kill/hang) at dispatch time
     injector: Any = None
@@ -151,10 +149,6 @@ class RunContext:
     def trace_point(self, se: AnySE, rows: int, **extra) -> None:
         """One operator point under the executing task's span."""
         attrs = {"rows": rows, **extra}
-        if self.estimates is not None:
-            estimate = self.estimates.get(se)
-            if estimate is not None:
-                attrs["estimated_rows"] = float(estimate)
         if self.taps.wants(se):
             attrs["tapped"] = True
         self.tracer.point(repr(se), **attrs)
@@ -244,8 +238,6 @@ class BackendExecutor:
         retry: RetryPolicy | None = None,
         checkpoint=None,
         tracer=None,
-        trace_parent=None,
-        estimates: "dict[AnySE, float] | None" = None,
     ) -> WorkflowRun:
         """Execute the workflow.
 
@@ -271,16 +263,12 @@ class BackendExecutor:
           SE sizes, statistics) instead of re-executed, and every block
           that completes is persisted so a crashed run can resume.
 
-        Tracing (all optional): ``tracer`` records a span per scheduled
-        task under ``trace_parent`` plus an operator point per
-        materialized plan point; ``estimates`` maps SEs to prior row
-        predictions, annotated onto the matching operator points so a
-        trace exposes estimated-vs-actual rows.
+        Tracing (optional): ``tracer`` records, under the calling thread's
+        current span, a span per scheduled task plus an operator point
+        per materialized plan point.
         """
         from repro.engine.faults import as_injector
 
-        if tracer is not None and not tracer.enabled:
-            tracer = None
         trees = trees or {}
         taps = taps if taps is not None else self.backend.make_taps(())
         injector = as_injector(faults)
@@ -293,7 +281,6 @@ class BackendExecutor:
             analysis=self.analysis,
             plan_cache=self.plan_cache,
             tracer=tracer,
-            estimates=estimates,
             injector=injector,
         )
 
@@ -303,10 +290,7 @@ class BackendExecutor:
             run.resumed = tuple(sorted(resumed))
             if tracer is not None:
                 for name in sorted(resumed):
-                    tracer.point(
-                        name, kind="resumed", parent=trace_parent,
-                        source="checkpoint",
-                    )
+                    tracer.point(name, kind="resumed", source="checkpoint")
 
         tasks: list[Task] = []
         for block in self.analysis.blocks:
@@ -347,7 +331,6 @@ class BackendExecutor:
                 available=set(run.env),
                 policy=policy,
                 tracer=tracer,
-                trace_parent=trace_parent,
             )
         except SchedulerError as exc:  # pragma: no cover - analysis emits a DAG
             raise TableError(

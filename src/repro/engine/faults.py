@@ -81,6 +81,10 @@ _SHARD_KINDS = ("worker-kill", "worker-hang")
 #: source kinds that poison individual rows (need ``fraction`` or ``rows``)
 _DIRTY_ROW_KINDS = ("corrupt-row", "type-flip", "null-burst")
 
+#: the attempt counter source faults number their events by (no task has
+#: this name)
+_SOURCE_LOAD = "<source load>"
+
 #: the value a corrupt-row fault writes; fails any typed or domain check
 CORRUPT_SENTINEL = "__CORRUPT__"
 
@@ -271,7 +275,8 @@ class FaultInjector:
         self.plan = plan
         self._lock = threading.Lock()
         self._fired: Counter = Counter()  # (spec index, task name) -> firings
-        self._attempts: Counter = Counter()  # task name -> attempts seen
+        # task name -> attempts seen; a night loads its sources once
+        self._attempts: Counter = Counter({_SOURCE_LOAD: 1})
         self._rngs: dict[tuple[int, str], random.Random] = {}
         self.events: list[FaultEvent] = []
         #: rows poisoned per source (indices into the table as it reached
@@ -284,9 +289,12 @@ class FaultInjector:
         """Apply source faults: truncations and dirty-data mutations.
 
         Specs apply in plan order, each seeing its predecessors' output.
-        Dirty-row kinds draw their victim rows from a deterministic
-        per-(spec, source) RNG, so the same plan poisons the same rows on
-        every backend and every retry of the run.
+        A spec fires on a source through the budget draw every hook
+        shares (``times`` and ``probability``); a night loads each source
+        once, so its events are attempt 1.  Dirty-row kinds draw their
+        victim rows from a deterministic per-(spec, source) RNG, so the
+        same plan poisons the same rows on every backend and every retry
+        of the run.
         """
         out = dict(sources)
         for index, spec in enumerate(self.plan.specs):
@@ -296,6 +304,13 @@ class FaultInjector:
                 if not spec.matches(name):
                     continue
                 table = out[name]
+                if spec.kind == "column-rename" and not table.has_column(
+                    spec.column
+                ):
+                    continue
+                with self._lock:
+                    if not self._draw(index, spec, name, _SOURCE_LOAD):
+                        continue
                 if spec.kind == "truncate":
                     if spec.rows is not None:
                         kept = spec.rows
@@ -304,36 +319,23 @@ class FaultInjector:
                     kept = max(0, min(kept, table.num_rows))
                     out[name] = table.take(range(kept))
                 elif spec.kind == "column-rename":
-                    if not table.has_column(spec.column):
-                        continue
                     arrived_as = spec.rename_to or f"{spec.column}_v2"
                     out[name] = table.rename_columns({spec.column: arrived_as})
                 else:
-                    poisoned = self._poison_rows(index, spec, name, table)
-                    if poisoned is None:
-                        continue
-                    out[name] = poisoned
-                with self._lock:
-                    self._fired[(index, name)] += 1
-                    self.events.append(
-                        FaultEvent(task=name, target=spec.target, kind=spec.kind,
-                                   attempt=1)
-                    )
+                    out[name] = self._poison_rows(index, spec, name, table)
         return out
 
     def _poison_rows(
         self, index: int, spec: FaultSpec, name: str, table: Table
-    ) -> Table | None:
-        """One dirty-row mutation; returns ``None`` on an empty table."""
+    ) -> Table:
+        """One dirty-row mutation (an empty table passes through)."""
         n = table.num_rows
-        if n == 0:
-            return None
         if spec.rows is not None:
             count = max(0, min(spec.rows, n))
         else:
             count = min(n, max(1, round(spec.fraction * n)))
         if count == 0:
-            return None
+            return table
         rng = random.Random(f"{self.plan.seed}:{index}:{name}")
         victims = sorted(rng.sample(range(n), count))
         column = (

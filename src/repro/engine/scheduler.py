@@ -30,7 +30,7 @@ Entry points:
   exceptions propagate unchanged.
 
 Tracing: :func:`execute_tasks` accepts an optional
-:class:`~repro.obs.trace.Tracer`.  When enabled, every task gets a span
+:class:`~repro.obs.trace.Tracer`.  When given, every task gets a span
 (kind from ``Task.kind``) annotated with its outcome, attempt count and
 failure details, plus a ``retry`` point per failed attempt -- the span
 is the thread-local parent while the task function runs, so per-operator
@@ -236,7 +236,6 @@ def _run_with_retries(
                 tracer.point(
                     "retry",
                     kind="retry",
-                    parent=span,
                     attempt=attempts,
                     failure_kind=kind,
                     error=str(exc),
@@ -245,22 +244,19 @@ def _run_with_retries(
 
 
 def _run_task(
-    task: Task,
-    policy: RetryPolicy | None,
-    tracer=None,
-    trace_parent=None,
+    task: Task, policy: RetryPolicy | None, tracer=None
 ) -> RunFailure | None:
     """One task, traced when a tracer is armed.
 
     The span is opened on the calling thread, so it is the thread-local
-    parent for everything the task function records.
+    parent for everything the task function and its retries record.
     """
     if tracer is None:
         if policy is None:
             task.fn()
             return None
         return _run_with_retries(task, policy)
-    span = tracer.start(task.name, kind=task.kind, parent=trace_parent)
+    span = tracer.start(task.name, kind=task.kind)
     try:
         if policy is None:
             task.fn()
@@ -318,7 +314,6 @@ def execute_tasks(
     available: Iterable[str] = (),
     policy: RetryPolicy | None = None,
     tracer=None,
-    trace_parent=None,
 ) -> ScheduleResult:
     """Run every task exactly once, honouring ``requires``/``provides``.
 
@@ -334,14 +329,13 @@ def execute_tasks(
     rest of the graph still executes.
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records one span
-    per task under ``trace_parent``, annotated with outcome, attempts
-    and failure details; skipped tasks become instant points.
+    per task under the calling thread's current span, annotated with
+    outcome, attempts and failure details; skipped tasks become instant
+    points there.
 
     Raises :class:`SchedulerError` if some task can never run -- either a
     dependency cycle or a requirement nothing provides.
     """
-    if tracer is not None and not tracer.enabled:
-        tracer = None
     done = set(available)
     result = ScheduleResult()
     failed_provides: dict[str, str] = {}
@@ -352,7 +346,7 @@ def execute_tasks(
         progressed = not pending
         for task in list(pending):
             if all(r in done for r in task.requires):
-                failure = _run_task(task, policy, tracer, trace_parent)
+                failure = _run_task(task, policy, tracer)
                 if failure is None:
                     done.add(task.provides)
                     result.completed.append(task.name)
@@ -370,9 +364,6 @@ def execute_tasks(
         for failure in result.failures.values():
             if failure.kind == "skipped":
                 tracer.point(
-                    failure.task,
-                    kind="skipped",
-                    parent=trace_parent,
-                    missing=list(failure.missing),
+                    failure.task, kind="skipped", missing=list(failure.missing)
                 )
     return result

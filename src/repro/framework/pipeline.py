@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -226,8 +227,9 @@ class StatisticsPipeline:
         self.analysis = analyze(self.workflow)
         self.catalog = generate_css(self.analysis, GeneratorOptions())
         self._se_sizes: dict = {}
-        # shared across run_once calls: warm cycles skip plan lowering,
-        # and plan changes/schema drift key/evict entries as needed
+        # shared across run_once calls: warm cycles skip plan lowering;
+        # a changed plan is a new key (programs are data-free, so a
+        # drifted source evicts nothing)
         self.plan_cache = PlanCache()
         # the multiprocess backend is held across cycles so its worker
         # pool (and the per-process compiled-plan caches) stay warm
@@ -318,12 +320,15 @@ class StatisticsPipeline:
         current plan.
 
         ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records the whole
-        cycle as a span tree -- enumeration, selection, one span per
-        executed block with per-operator points (estimated-vs-actual rows
-        where a prior prediction exists), catalog reconcile, optimization
-        -- surfaced as ``PipelineReport.trace``.  Off by default, and free
-        when off.  The standard metric series are the caller's one call on
-        the returned report (:func:`~repro.obs.record.record_run_metrics`).
+        cycle as a span tree -- screening, enumeration, selection, one
+        span per executed block with per-operator points (estimated-vs-
+        actual rows where a prior prediction exists, annotated after the
+        run), catalog reconcile, optimization -- surfaced as
+        ``PipelineReport.trace``.  ``None`` (the default) is the only off
+        switch.  Each phase is timed once, into ``PipelineReport.timings``
+        by the pipeline's ``clock``, and, traced, opens its span.  The
+        standard metric series are the caller's one call on the returned
+        report (:func:`~repro.obs.record.record_run_metrics`).
 
         ``quality`` (a :class:`~repro.quality.gate.QualityGate`: contracts,
         schema-drift policy, dead-letter store) makes tonight's sources
@@ -339,13 +344,19 @@ class StatisticsPipeline:
         night finds them on the ``prior`` rung like any stale entry.
         """
         from repro.engine.faults import as_injector
-        from repro.obs.trace import as_tracer
 
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        tr = as_tracer(tracer)
         timings: dict[str, float] = {}
-        clock = self.clock
+
+        @contextmanager
+        def _phase(name: str, **attrs):
+            # one clock pair per phase for ``timings``; traced, its span too
+            start = self.clock()
+            if tracer is None:
+                yield None
+            else:
+                with tracer.span(name, **attrs) as span:
+                    yield span
+            timings[name] = self.clock() - start
 
         opened = None  # the served-catalog client this cycle itself opened
         if isinstance(stats_catalog, (str, os.PathLike)):
@@ -364,24 +375,19 @@ class StatisticsPipeline:
             if injector is not None:
                 sources = injector.apply_sources(sources)
             if quality is not None:
-                with tr.span("screen") as screen_span:
-                    sources = quality.screen_sources(
-                        sources,
-                        tracer=tracer,
-                        trace_parent=screen_span if tracer is not None else None,
-                    )
+                with _phase("screen"):
+                    sources = quality.screen_sources(sources, tracer=tracer)
                 schema_drift = quality.drift_events()
             else:
                 schema_drift = ()
 
-            t0 = clock()
-            with tr.span("enumerate") as enum_span:
+            with _phase("enumerate") as enum_span:
                 if trees:
                     analysis = with_plans(self.analysis, trees)
                     catalog = generate_css(analysis, GeneratorOptions())
                 else:
                     analysis, catalog = self.analysis, self.catalog
-                if tracer is not None:
+                if enum_span is not None:
                     counts = catalog.counts()
                     enum_span.annotate(
                         blocks=len(analysis.blocks),
@@ -389,14 +395,12 @@ class StatisticsPipeline:
                         css=counts["css"],
                         required=counts["required"],
                     )
-            timings["enumerate"] = clock() - t0
 
-            t0 = clock()
             signer = None
             hits = None
             drift_invalidated = 0
             free = set(self.free_statistics)
-            with tr.span("selection") as sel_span:
+            with _phase("selection") as sel_span:
                 if stats_catalog is not None:
                     from repro.catalog.drift import invalidate_schema_drift
                     from repro.catalog.signatures import WorkflowSigner
@@ -423,34 +427,34 @@ class StatisticsPipeline:
                     for stat in selection.observed
                     if hits is None or stat not in hits.free
                 ]
-                sel_span.annotate(
-                    method=selection.method,
-                    observed=len(selection.observed_indexes),
-                    cost=selection.total_cost,
-                    tapped=len(tapped),
-                    catalog_hits=len(selection.observed) - len(tapped),
-                )
-            timings["selection"] = clock() - t0
-
-            # prior row predictions, for estimated-vs-actual trace annotations:
-            # the previous cycle's materialized sizes, overlaid with tonight's
-            # catalog cardinalities (both are what the optimizer believed)
-            estimates = None
-            if tracer is not None:
-                estimates = dict(self._se_sizes)
-                if hits is not None:
-                    estimates.update(
-                        {
-                            stat.se: float(value)
-                            for stat, value in hits.values.items()
-                            if stat.is_cardinality
-                        }
+                if sel_span is not None:
+                    sel_span.annotate(
+                        method=selection.method,
+                        observed=len(selection.observed_indexes),
+                        cost=selection.total_cost,
+                        tapped=len(tapped),
+                        catalog_hits=len(selection.observed) - len(tapped),
                     )
 
-            t0 = clock()
+            # prior row predictions by operator-point name, for the
+            # estimated-vs-actual annotations: the previous cycle's
+            # materialized sizes overlaid with tonight's catalog
+            # cardinalities (both are what the optimizer believed)
+            estimates: dict[str, float] = {}
+            if tracer is not None:
+                estimates = {
+                    repr(se): float(rows) for se, rows in self._se_sizes.items()
+                }
+                if hits is not None:
+                    estimates.update(
+                        (repr(stat.se), float(value))
+                        for stat, value in hits.values.items()
+                        if stat.is_cardinality
+                    )
+
             backend = self._make_backend()
             taps = backend.make_taps(tapped)
-            with tr.span("execution", backend=self.backend) as exec_span:
+            with _phase("execution", backend=self.backend) as exec_span:
                 run = BackendExecutor(
                     analysis,
                     backend,
@@ -462,21 +466,22 @@ class StatisticsPipeline:
                     retry=retry,
                     checkpoint=checkpoint,
                     tracer=tracer,
-                    trace_parent=exec_span if tracer is not None else None,
-                    estimates=estimates,
                 )
-                exec_span.annotate(
-                    failures=len(run.failures), resumed=len(run.resumed)
-                )
-            timings["execution"] = clock() - t0
+                if exec_span is not None:
+                    exec_span.annotate(
+                        failures=len(run.failures), resumed=len(run.resumed)
+                    )
+                    for point in exec_span.find(kind="operator"):
+                        estimate = estimates.get(point.name)
+                        if estimate is not None:
+                            point.attrs["estimated_rows"] = estimate
             self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
 
             drift = None
             if stats_catalog is not None:
                 from repro.catalog.drift import reconcile_run
 
-                t0 = clock()
-                with tr.span("reconcile") as rec_span:
+                with _phase("reconcile") as rec_span:
                     # a resumed run's journal-restored statistics were observed
                     # on the *crashed* attempt: refreshing their entries now
                     # would forge tonight's timestamp onto stale provenance
@@ -495,78 +500,75 @@ class StatisticsPipeline:
                         run_id=run_id,
                         backend=self.backend,
                     )
-                    rec_span.annotate(
-                        added=len(drift.added),
-                        refreshed=len(drift.refreshed),
-                        drifted=len(drift.drifted),
-                        stale_marked=drift.stale_marked,
-                        max_rel_error=drift.max_rel_error,
-                    )
-                timings["reconcile"] = clock() - t0
+                    if rec_span is not None:
+                        rec_span.annotate(
+                            added=len(drift.added),
+                            refreshed=len(drift.refreshed),
+                            drifted=len(drift.drifted),
+                            stale_marked=drift.stale_marked,
+                            max_rel_error=drift.max_rel_error,
+                        )
                 if stats_catalog.path is not None:
                     stats_catalog.save()
 
-            t0 = clock()
-            opt_span = tr.start("optimization")
-            effective = run.observations
-            if hits is not None and len(hits.values):
-                effective = run.observations.copy()
-                effective.merge(hits.values)
-            estimator = CardinalityEstimator(catalog, effective)
-            degraded: dict[str, str] = {}
-            degraded_sources: dict[str, dict[str, str]] = {}
-            if run.failures:
-                from repro.framework.recovery import degraded_cardinalities
+            with _phase("optimization") as opt_span:
+                effective = run.observations
+                if hits is not None and len(hits.values):
+                    effective = run.observations.copy()
+                    effective.merge(hits.values)
+                estimator = CardinalityEstimator(catalog, effective)
+                degraded: dict[str, str] = {}
+                degraded_sources: dict[str, dict[str, str]] = {}
+                if run.failures:
+                    from repro.framework.recovery import degraded_cardinalities
 
-                observed_only = (
-                    CardinalityEstimator(catalog, run.observations)
-                    if hits is not None and len(hits.values)
-                    else estimator
-                )
-                cards, degraded, degraded_sources = degraded_cardinalities(
-                    analysis,
-                    run,
-                    catalog,
-                    observed_only,
-                    hits=hits,
-                )
-                optimizer = PlanOptimizer(analysis, cards)
-                plans = {
-                    block.name: optimizer.optimize_or_fallback(
-                        block, confidence=degraded.get(block.name, "observed")
+                    observed_only = (
+                        CardinalityEstimator(catalog, run.observations)
+                        if hits is not None and len(hits.values)
+                        else estimator
                     )
-                    for block in analysis.blocks
-                }
-                # optimize_or_fallback may further downgrade a block to "none"
-                for name, plan in plans.items():
-                    if plan.confidence != "observed":
-                        degraded[name] = plan.confidence
-            else:
-                plans = PlanOptimizer(
-                    analysis, estimator.all_cardinalities()
-                ).optimize()
-            catalog_degraded = bool(getattr(stats_catalog, "degraded", False))
-            if catalog_degraded:
-                # the server vanished mid-night: the chosen trees are exactly
-                # what the local view would have chosen, but they could not be
-                # cross-checked against the fleet's shared state -- every
-                # plan's confidence drops one rung, and the run still succeeds
-                from dataclasses import replace as _replace
+                    cards, degraded, degraded_sources = degraded_cardinalities(
+                        analysis,
+                        run,
+                        catalog,
+                        observed_only,
+                        hits=hits,
+                    )
+                    optimizer = PlanOptimizer(analysis, cards)
+                    plans = {
+                        block.name: optimizer.optimize_or_fallback(
+                            block, confidence=degraded.get(block.name, "observed")
+                        )
+                        for block in analysis.blocks
+                    }
+                    # optimize_or_fallback may further downgrade a block to "none"
+                    for name, plan in plans.items():
+                        if plan.confidence != "observed":
+                            degraded[name] = plan.confidence
+                else:
+                    plans = PlanOptimizer(
+                        analysis, estimator.all_cardinalities()
+                    ).optimize()
+                catalog_degraded = bool(getattr(stats_catalog, "degraded", False))
+                if catalog_degraded:
+                    # the server vanished mid-night: the chosen trees are exactly
+                    # what the local view would have chosen, but they could not be
+                    # cross-checked against the fleet's shared state -- every
+                    # plan's confidence drops one rung, and the run still succeeds
+                    from dataclasses import replace as _replace
 
-                from repro.framework.recovery import demote_confidence
+                    from repro.framework.recovery import demote_confidence
 
-                for name, plan in plans.items():
-                    demoted = demote_confidence(plan.confidence)
-                    if demoted != plan.confidence:
-                        plans[name] = _replace(plan, confidence=demoted)
-                        degraded[name] = demoted
-
-            tr.end(
-                opt_span,
-                improved=sum(1 for p in plans.values() if p.improved),
-                degraded=len(degraded),
-            )
-            timings["optimization"] = clock() - t0
+                    for name, plan in plans.items():
+                        demoted = demote_confidence(plan.confidence)
+                        if demoted != plan.confidence:
+                            plans[name] = _replace(plan, confidence=demoted)
+                            degraded[name] = demoted
+                if opt_span is not None:
+                    opt_span.annotate(
+                        improved=sum(1 for p in plans.values() if p.improved),
+                        degraded=len(degraded),
+                    )
 
             report = PipelineReport(
                 analysis=analysis,

@@ -17,9 +17,10 @@ data:
 - :func:`~repro.obs.record.record_run_metrics` -- the standard series
   recorded from every :class:`~repro.framework.pipeline.PipelineReport`.
 
-Tracing is zero-cost when disabled: every hook takes ``tracer=None`` and
-hot paths guard on it; :data:`~repro.obs.trace.NULL_TRACER` serves cold
-paths that prefer unconditional calls.
+Tracing is opt-in: every hook takes ``tracer=None``, ``None`` is the
+only off switch, and hot paths guard on it.  A span parents under its
+thread's current span; the pipeline times each phase once, into
+``PipelineReport.timings`` and, traced, its phase span.
 """
 
 from repro.obs.export import (
@@ -40,14 +41,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.record import record_run_metrics
 from repro.obs.render import estimation_errors, render_trace, render_tree, slowest
-from repro.obs.trace import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    as_tracer,
-)
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -55,13 +49,9 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "TraceDocument",
     "Tracer",
-    "as_tracer",
     "estimation_errors",
     "load_trace",
     "record_run_metrics",

@@ -34,7 +34,9 @@ def record_run_metrics(registry: MetricsRegistry, report) -> None:
     ``catalog_entries_added_total``, ``catalog_entries_refreshed_total``,
     ``catalog_stale_marked_total``, ``catalog_schema_invalidated_total``,
     ``catalog_max_rel_error``).  Histograms:
-    ``etl_phase_seconds`` (labelled by phase) and, when the report's
+    ``etl_phase_seconds`` (labelled by phase: enumerate, selection,
+    execution and optimization, plus reconcile on a catalog-backed night
+    and screen on a gated one) and, when the report's
     trace carries estimated-vs-actual rows, ``etl_estimation_rel_error``.
     A sharded run additionally exports the ``etl_shard_*`` series
     (shard count, dispatched/retried tasks, merged rows, shm bytes).
@@ -164,7 +166,7 @@ def record_run_metrics(registry: MetricsRegistry, report) -> None:
                 registry.counter(metric, help_text).inc(amount, **labels)
 
     trace = getattr(report, "trace", None)
-    if trace is not None and getattr(trace, "enabled", False):
+    if trace is not None:
         from repro.obs.render import estimation_errors
 
         errors = registry.histogram(

@@ -15,18 +15,17 @@ whole cycle as one tree of :class:`Span` objects:
   scheduler, annotated with attempts, retries, timeouts and failure
   kinds;
 - **operator points** -- zero-duration child spans for every plan point a
-  block materializes, carrying the actual row count, the estimated row
-  count when a prior prediction existed (previous cycle or catalog), and
-  whether a tap fired there;
+  block materializes, carrying the actual row count, whether a tap fired
+  there and, added by the pipeline after the run, the estimated row count
+  when a prior prediction existed (previous cycle or catalog);
 - **catalog annotations** -- hits consumed at zero cost, entries
   refreshed, SEs drifted.
 
-Tracing is strictly opt-in and zero-cost when off: every integration
-point takes ``tracer=None`` by default and guards its hot-path work with
-``tracer is None or not tracer.enabled``.  The :class:`NullTracer`
-singleton (:data:`NULL_TRACER`) carries ``enabled = False`` and turns
-every call into a no-op returning :data:`NULL_SPAN`, so cold paths may
-call it unconditionally.
+Tracing is strictly opt-in: every integration point takes ``tracer=None``
+by default, and ``None`` is the only off switch -- hot paths guard their
+annotation work with ``tracer is None``.  A span or point always
+parents under its thread's current span (the innermost one that thread
+opened or :meth:`Tracer.activate`-d), so a caller never names a parent.
 
 Clocks are injectable: ``clock`` supplies monotonic span timings and
 ``wall_clock`` the document timestamp, so tests drive traces with fake
@@ -136,14 +135,11 @@ class Span:
 class Tracer:
     """Builds one span tree per run; thread-safe, thread-aware parenting.
 
-    Spans opened on a scheduler worker thread parent under whatever span
-    that thread last activated (:meth:`activate` / :meth:`start`), so a
-    block's operator points land under the block's task span even though
-    the pipeline's execution phase span was opened on the main thread.
+    Every span and point parents under its thread's current span.  A
+    block attempt bounded by a deadline runs on its own thread, which
+    :meth:`activate`-s the block's task span first, so the block's
+    operator points land under it there too.
     """
-
-    #: hot paths check this before doing any tracing work
-    enabled = True
 
     def __init__(
         self,
@@ -170,10 +166,9 @@ class Tracer:
         return stack[-1] if stack else self.root
 
     # ------------------------------------------------------------------
-    def start(self, name: str, kind: str = "phase", parent: Span | None = None,
-              **attrs) -> Span:
-        """Open a span under ``parent`` (default: this thread's current)."""
-        parent = parent if parent is not None else self.current()
+    def start(self, name: str, kind: str = "phase", **attrs) -> Span:
+        """Open a span under this thread's current span."""
+        parent = self.current()
         span = Span(name, kind=kind, start=self.clock(), attrs=attrs)
         with self._lock:
             parent.children.append(span)
@@ -198,10 +193,10 @@ class Tracer:
         finally:
             self.end(span)
 
-    def point(self, name: str, kind: str = "operator",
-              parent: Span | None = None, **attrs) -> Span:
-        """An instant child span (start == end); never pushed on the stack."""
-        parent = parent if parent is not None else self.current()
+    def point(self, name: str, kind: str = "operator", **attrs) -> Span:
+        """An instant child of this thread's current span (start == end);
+        never pushed on the stack."""
+        parent = self.current()
         now = self.clock()
         span = Span(name, kind=kind, start=now, attrs=attrs)
         span.end = now
@@ -242,86 +237,8 @@ class Tracer:
         }
 
 
-class _NullSpan(Span):
-    """The do-nothing span every :class:`NullTracer` call returns."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        super().__init__("null", kind="null")
-
-    def annotate(self, **attrs) -> "Span":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
-class NullTracer(Tracer):
-    """A tracer whose every operation is a no-op.
-
-    ``enabled`` is False, so hot paths skip their annotation work
-    entirely; cold paths may still call any :class:`Tracer` method --
-    everything returns :data:`NULL_SPAN` and records nothing.
-    """
-
-    enabled = False
-
-    def __init__(self):  # deliberately no per-instance state
-        pass
-
-    @property
-    def root(self) -> Span:  # type: ignore[override]
-        return NULL_SPAN
-
-    def current(self) -> Span:
-        return NULL_SPAN
-
-    def start(self, name, kind="phase", parent=None, **attrs) -> Span:
-        return NULL_SPAN
-
-    def end(self, span, **attrs) -> Span:
-        return NULL_SPAN
-
-    @contextmanager
-    def span(self, name, **attrs) -> Iterator[Span]:
-        yield NULL_SPAN
-
-    def point(self, name, kind="operator", parent=None, **attrs) -> Span:
-        return NULL_SPAN
-
-    @contextmanager
-    def activate(self, span) -> Iterator[Span]:
-        yield NULL_SPAN
-
-    def finish(self, **attrs) -> Span:
-        return NULL_SPAN
-
-    def find(self, kind=None, name=None) -> list[Span]:
-        return []
-
-    def to_dict(self) -> dict:
-        raise ValueError("a NullTracer records nothing; there is no trace")
-
-
-NULL_TRACER = NullTracer()
-
-
-def as_tracer(tracer: "Tracer | None") -> Tracer:
-    """``tracer`` itself, or the shared no-op tracer for ``None``.
-
-    Lets cold-path code call tracer methods unconditionally while hot
-    paths keep the cheaper ``tracer is None`` guard.
-    """
-    return tracer if tracer is not None else NULL_TRACER
-
-
 __all__ = [
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "TRACE_FORMAT_VERSION",
     "Tracer",
-    "as_tracer",
 ]

@@ -41,17 +41,16 @@ class QualityGate:
         self,
         sources: dict[str, Table],
         tracer=None,
-        trace_parent=None,
     ) -> dict[str, Table]:
         """Screen every contracted source; returns the surviving tables.
 
-        Emits one ``quarantine`` trace point per screened source (under
-        the pipeline's ``screen`` span) so a traced run shows how many
-        rows the gate diverted before the blocks ran.  Raises :class:`~repro.quality.drift.SchemaDriftError`
-        when the policy refuses a structural mismatch.
+        Emits one ``quarantine`` trace point per screened source under
+        the calling thread's current span (the pipeline's ``screen``
+        span) so a traced run shows how many rows the gate diverted
+        before the blocks ran.  Raises :class:`~repro.quality.drift
+        .SchemaDriftError` when the policy refuses a structural mismatch.
         """
         out = dict(sources)
-        trace = tracer is not None and tracer.enabled
         for name in sorted(sources):
             contract = self.contracts.get(name)
             if contract is None:
@@ -62,11 +61,10 @@ class QualityGate:
             clean, dead, violations = validate_rows(table, contract, source=name)
             self.quarantine.add(name, dead, violations, events)
             out[name] = clean
-            if trace:
+            if tracer is not None:
                 tracer.point(
                     name,
                     kind="quarantine",
-                    parent=trace_parent,
                     rows=clean.num_rows,
                     quarantined=dead.num_rows,
                     violations=len(violations),

@@ -364,12 +364,13 @@ class CatalogClient:
         self._export()
         return self._mirror.usable_keys(now)
 
-    def entries_on_se(self, se_key: str) -> list[CatalogEntry]:
+    def entries_on_se(self, se_keys) -> list[CatalogEntry]:
+        se_keys = sorted(se_keys)
         if not self._exported:
-            answer = self._read("POST", "/entries", {"se_keys": [se_key]})
+            answer = self._read("POST", "/entries", {"se_keys": se_keys})
             if answer is not None:
                 self._absorb(answer.get("entries", []))
-        return self._mirror.entries_on_se(se_key)
+        return self._mirror.entries_on_se(se_keys)
 
     def describe(self) -> str:
         self._export()

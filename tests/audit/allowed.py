@@ -92,14 +92,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
         "safety", "tests/serve/test_server_client.py"),
     "catalog/store.py::CatalogHits.prior_values": (
         "safety", "tests/framework/test_recovery.py"),
-    # the untraced tracer: a cold-path call is a no-op, not an AttributeError
-    "obs/trace.py::NullTracer.root": ("safety", "tests/obs/test_trace.py"),
-    "obs/trace.py::NullTracer.current": ("safety", "tests/obs/test_trace.py"),
-    "obs/trace.py::NullTracer.point": ("safety", "tests/obs/test_trace.py"),
-    "obs/trace.py::NullTracer.activate": ("safety", "tests/obs/test_trace.py"),
-    "obs/trace.py::NullTracer.finish": ("safety", "tests/obs/test_trace.py"),
-    "obs/trace.py::NullTracer.find": ("safety", "tests/obs/test_trace.py"),
-    "obs/trace.py::NullTracer.to_dict": ("safety", "tests/obs/test_trace.py"),
     # contracts screening extracts that come from outside the program
     "quality/contracts.py::_is_number": ("safety", "tests/quality/test_contracts.py"),
     "quality/contracts.py::_compile_domain.all_of": (
@@ -224,9 +216,6 @@ KNOBS: dict[str, tuple[str, str]] = {
         "safety", "tests/quality/test_pipeline_quality.py"),
     "quality/contracts.py::ColumnContract(domain)": (
         "safety", "tests/quality/test_contracts.py"),
-    # the untraced tracer keeps Tracer.start's signature
-    "obs/trace.py::NullTracer.start(kind)": ("safety", "tests/obs/test_trace.py"),
-    "obs/trace.py::NullTracer.start(parent)": ("safety", "tests/obs/test_trace.py"),
     # where a deployment keeps its statistics: a catalog file or a served URL
     "framework/session.py::EtlSession(stats_catalog)": (
         "deployment", "tests/framework/test_recovery.py"),

@@ -247,6 +247,35 @@ class TestFaultInjector:
         out = inj.apply_sources({"customers": Table({"id": list(range(10))})})
         assert out["customers"].num_rows == 3
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec(target="customers", kind="truncate", keep=0.5,
+                      probability=0.0),
+            FaultSpec(target="customers", kind="truncate", keep=0.5, times=0),
+            FaultSpec(target="customers", kind="corrupt-row", rows=5,
+                      probability=0.0),
+        ],
+        ids=["truncate-p0", "truncate-times0", "corrupt-row-p0"],
+    )
+    def test_source_faults_respect_their_budget(self, spec):
+        inj = FaultPlan((spec,), seed=CHAOS_SEED).injector()
+        table = Table({"id": list(range(10))})
+        out = inj.apply_sources({"customers": table})
+        assert list(out["customers"].rows()) == list(table.rows())
+        assert inj.events == [] and inj.dirty_rows == {}
+
+    def test_source_fault_event_names_the_source_once(self):
+        inj = FaultPlan(
+            (FaultSpec(target="customers", kind="truncate", keep=0.5),
+             FaultSpec(target="customers", kind="null-burst", rows=2)),
+            seed=CHAOS_SEED,
+        ).injector()
+        inj.apply_sources({"customers": Table({"id": list(range(10))})})
+        assert [(e.task, e.kind, e.attempt) for e in inj.events] == [
+            ("customers", "truncate", 1), ("customers", "null-burst", 1)
+        ]
+
     def test_probabilistic_faults_are_seed_deterministic(self):
         plan = FaultPlan(
             (FaultSpec(target="B1", kind="transient", times=100,

@@ -15,7 +15,7 @@ from repro.framework.pipeline import StatisticsPipeline
 from repro.framework.session import EtlSession
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.record import record_run_metrics
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import Tracer
 from repro.workloads import case
 
 
@@ -141,10 +141,6 @@ class TestTracedRun:
 
     def test_untraced_run_has_no_trace(self):
         report = _pipeline().run_once(_sources())
-        assert report.trace is None
-
-    def test_null_tracer_is_normalized_away(self):
-        report = _pipeline().run_once(_sources(), tracer=NullTracer())
         assert report.trace is None
 
 

@@ -5,15 +5,7 @@ import threading
 import pytest
 
 from repro.core.persistence import PersistenceError
-from repro.obs.trace import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TRACE_FORMAT_VERSION,
-    Tracer,
-    as_tracer,
-)
+from repro.obs.trace import TRACE_FORMAT_VERSION, Span, Tracer
 
 
 class FakeClock:
@@ -99,14 +91,6 @@ class TestTracer:
         assert root.children[0].duration == 1.0
         assert root.duration == 3.0
 
-    def test_explicit_parent_overrides_stack(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("execution") as exec_span:
-            block = tracer.start("B1", kind="block")
-            tracer.point("skipped-task", kind="skipped", parent=exec_span)
-            tracer.end(block)
-        assert [c.name for c in exec_span.children] == ["B1", "skipped-task"]
-
     def test_thread_local_parenting_with_activate(self):
         tracer = Tracer(clock=FakeClock())
         block = tracer.start("B1", kind="block")
@@ -149,31 +133,3 @@ class TestTracer:
         assert doc["started_at"] == 7.0
         assert doc["root"]["attrs"] == {"workflow": "wf"}
 
-
-class TestNullTracer:
-    def test_all_operations_are_noops(self):
-        tracer = NullTracer()
-        assert not tracer.enabled
-        span = tracer.start("x")
-        assert span is NULL_SPAN
-        assert tracer.end(span) is NULL_SPAN
-        assert tracer.point("y") is NULL_SPAN
-        with tracer.span("z") as inner:
-            assert inner is NULL_SPAN
-        with tracer.activate(span):
-            pass
-        assert tracer.finish() is NULL_SPAN
-        assert tracer.find() == []
-        assert tracer.current() is NULL_SPAN
-        assert tracer.root is NULL_SPAN
-        assert NULL_SPAN.annotate(rows=1) is NULL_SPAN
-        assert NULL_SPAN.attrs == {}  # annotation recorded nothing
-
-    def test_to_dict_refuses(self):
-        with pytest.raises(ValueError):
-            NULL_TRACER.to_dict()
-
-    def test_as_tracer(self):
-        assert as_tracer(None) is NULL_TRACER
-        real = Tracer(clock=FakeClock())
-        assert as_tracer(real) is real

@@ -111,6 +111,24 @@ class TestDriftNightOrder:
         assert night2 == (dimdate, 5, 0)  # re-tapped tonight, none left stale
         assert night3 == ([], 7, 0)
 
+    def test_served_drift_night_asks_for_the_entries_once(self, tmp_path):
+        from tests.serve.test_read_through import route_counts
+        from tests.serve.thread import ServerThread
+
+        with ServerThread(
+            f"unix://{tmp_path / 'catalog.sock'}", tmp_path / "served.json"
+        ) as server:
+            _run_once(stats_catalog=server.url, quality=_gate(), run_id="n1")
+            before = route_counts(server).get("/entries", 0)
+            report = _run_once(
+                stats_catalog=server.url, quality=_gate(),
+                faults=FaultPlan((RENAME_DIMDATE,), seed=SEED), run_id="n2",
+            )
+            after = route_counts(server).get("/entries", 0)
+        assert report.drift_invalidated > 0
+        # every SE touching DimDate in one POST /entries, not one per SE
+        assert after - before == 1
+
     def test_a_truncate_fault_is_applied_once(self):
         sources = _sources()
         injector = FaultPlan(
@@ -206,6 +224,21 @@ class TestObservability:
         }
         trade = next(p for p in points if p.name == "Trade")
         assert trade.attrs["quarantined"] == 2
+
+    def test_screen_phase_is_timed_like_every_other(self):
+        from repro.obs import MetricsRegistry, record_run_metrics
+
+        report = _run_once(quality=_gate())
+        assert list(report.timings) == [
+            "screen", "enumerate", "selection", "execution", "optimization"
+        ]
+        metrics = MetricsRegistry()
+        record_run_metrics(metrics, report)
+        phases = metrics.get("etl_phase_seconds")
+        assert phases.count(
+            phase="screen", workflow=report.analysis.workflow.name,
+            backend="columnar",
+        ) == 1
 
 
 class TestSessionThreading:

@@ -271,7 +271,7 @@ class TestTraffic:
         other.close()
         client = CatalogClient(server.url)
         client.record("k", "se:r", stat, 9.0, workflow="mine", run_id="r")
-        on_se = {entry.key: entry for entry in client.entries_on_se("se:r")}
+        on_se = {entry.key: entry for entry in client.entries_on_se(["se:r"])}
         assert on_se["k"].value() == 9.0  # the staged write, not the server's
         assert on_se["sib"].value() == 2.0  # read through
         assert client.entries["k"].value() == 9.0  # nor does an export

@@ -342,7 +342,7 @@ class TestDegradation:
         client.record("k", "se:k", _stat(), 3.0, workflow="wf", run_id="r")
         assert client.lookup(signer, [_stat()]).free == {_stat()}
         assert client.get("k").value() == 3.0
-        assert [e.key for e in client.entries_on_se("se:k")] == ["k"]
+        assert [e.key for e in client.entries_on_se(["se:k"])] == ["k"]
         assert len(client) == 1
         assert "degraded to local view" in client.describe()
         client.save()

@@ -26,12 +26,17 @@ class SEIndex:
         self.observable: dict[str, set[SubExpression]] = {}
         self.tree_joins: dict[str, list[JoinNode]] = {}
         self._attrs: dict[AnySE, tuple[str, ...]] = {}
+        self._ses: dict[AnySE, AnySE] = {}
 
         for block in analysis.blocks:
             for se, se_splits in block.graph.plan_space().items():
                 if len(se) > 1:
+                    se = self.one(se)
                     self.join_block.setdefault(se, block)
-                    self.splits.setdefault(se, se_splits)
+                    self.splits.setdefault(se, [
+                        JoinSplit(self.one(s.left), self.one(s.right), s.key)
+                        for s in se_splits
+                    ])
             for inp in block.inputs.values():
                 for idx, name in enumerate(inp.stage_names()):
                     self.stage.setdefault(name, (block, inp, idx))
@@ -43,6 +48,11 @@ class SEIndex:
             ]
 
     # ------------------------------------------------------------------
+    def one(self, se: AnySE) -> AnySE:
+        """The index's one object for ``se`` (``se`` itself when new), so
+        that lookups keyed on SEs hit by identity."""
+        return self._ses.setdefault(se, se)
+
     def block_of(self, se: AnySE) -> Block:
         if isinstance(se, RejectSE):
             return self.block_of(se.source)

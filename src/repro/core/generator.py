@@ -94,10 +94,10 @@ class CssGenerator:
         self.options = options or GeneratorOptions()
         self.catalog = CssCatalog()
         self.index = SEIndex(analysis)
-        # intern tables: (kind, se, attrs) -> the one Statistic of this
-        # generation (queued when first asked for); J4/J5's reject SEs
+        # intern table: (kind, se, attrs) -> the one Statistic of this
+        # generation (queued when first asked for); its SEs are the index's
+        # one object each (``SEIndex.one``), so keys match by identity
         self._stats: dict[tuple, Statistic] = {}
-        self._ses: dict[AnySE, AnySE] = {}
         self._queue: deque[Statistic] = deque()
         self._ud_patterns: dict[SubExpression, list[_UDPattern]] = {}
 
@@ -146,15 +146,15 @@ class CssGenerator:
                     ) - set(g.key)
                     if extra:
                         continue
-                    e = e1.se.union(other.se)
+                    one = self.index.one
                     patterns.append(
                         _UDPattern(
-                            e=e,
-                            h=h_node.se,
-                            t3=t3.se,
+                            e=one(e1.se.union(other.se)),
+                            h=one(h_node.se),
+                            t3=one(t3.se),
                             kg=tuple(g.key),
-                            e1=e1.se,
-                            other=other.se,
+                            e1=one(e1.se),
+                            other=one(other.se),
                             ke=ke,
                         )
                     )
@@ -207,7 +207,7 @@ class CssGenerator:
     def run(self) -> CssCatalog:
         for block in self.analysis.blocks:
             for se in block.universe():
-                stat = self._card(se)
+                stat = self._card(self.index.one(se))
                 self.catalog.require(stat)
         while self._queue:
             stat = self._queue.popleft()
@@ -308,14 +308,14 @@ class CssGenerator:
                 if c in block.inputs and attr in block.inputs[c].out_attrs
             )
             if child_ok:
-                out.append(SubExpression(rest))
+                out.append(self.index.one(SubExpression(rest)))
         return out
 
     def _emit_union_division(self, stat: Statistic, p: _UDPattern) -> None:
         reject = RejectSE(p.e1, p.kg[0] if len(p.kg) == 1 else p.kg, p.t3)
-        reject = self._ses.setdefault(reject, reject)
+        reject = self.index.one(reject)
         side_join = RejectJoinSE(reject, p.ke[0] if len(p.ke) == 1 else p.ke, p.other)
-        side_join = self._ses.setdefault(side_join, side_join)
+        side_join = self.index.one(side_join)
         if stat.is_cardinality:
             # J4: |e| = |H_h^kg / H_t3^kg| + |rej(e1) join other|
             self._emit(
@@ -392,23 +392,25 @@ class CssGenerator:
             prev = (
                 block.post_stage_ses()[idx - 1] if idx > 0 else block.join_se
             )
+            prev = self.index.one(prev)
             self._emit_step_rules(stat, block.post_steps[idx], prev)
             return
         block, inp, idx = self.index.stage[name]
         if idx > 0:
-            prev = SubExpression.of(inp.stage_names()[idx - 1])
+            prev = self.index.one(SubExpression.of(inp.stage_names()[idx - 1]))
             self._emit_step_rules(stat, inp.steps[idx - 1], prev)
             return
         # raw feed: cross-block provenance rules
         link = inp.upstream
         if link is None:
             return
+        output_se = self.index.one(link.output_se)
         if link.kind in ("output", "materialize", "shared"):
             if stat.is_cardinality:
-                self._emit(stat, "B1", [self._card(link.output_se)])
+                self._emit(stat, "B1", [self._card(output_se)])
             elif set(stat.attrs) <= set(link.output_attrs):
                 self._emit(
-                    stat, "B1", [self._hist(link.output_se, *stat.attrs)]
+                    stat, "B1", [self._hist(output_se, *stat.attrs)]
                 )
         elif link.kind == "aggregate":
             group = tuple(sorted(link.group_attrs))
@@ -416,14 +418,14 @@ class CssGenerator:
                 self._emit(
                     stat,
                     "G1",
-                    [self._stat(StatKind.DISTINCT, link.output_se, *group)],
+                    [self._stat(StatKind.DISTINCT, output_se, *group)],
                     group=group,
                 )
             elif stat.is_histogram and set(stat.attrs) <= set(group):
                 self._emit(
                     stat,
                     "G2",
-                    [self._hist(link.output_se, *group)],
+                    [self._hist(output_se, *group)],
                     group=group,
                     bs=stat.attrs,
                 )

@@ -46,6 +46,10 @@ class SelectionProblem:
     members: list[tuple[int, ...]] = field(init=False, repr=False)
     #: statistic -> the entries it is an input of, ascending
     feeds: dict[int, list[int]] = field(init=False, repr=False)
+    #: per entry, how many of its inputs a derivation still awaits at start
+    unmet: list[int] = field(init=False, repr=False)
+    #: (target, entry) of each entry without inputs: derived from nothing
+    seeds: list[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.index:
@@ -58,6 +62,8 @@ class SelectionProblem:
         for j, members in enumerate(self.members):
             for k in members:
                 self.feeds.setdefault(k, []).append(j)
+        self.unmet = [len(members) for members in self.members]
+        self.seeds = [(e.target, j) for j, e in enumerate(self.entries) if not e.inputs]
 
     @property
     def n(self) -> int:
@@ -73,9 +79,13 @@ class SelectionProblem:
         A member already derived when its turn comes stays derived, so
         walking back through these entries never cycles."""
         via: dict[int, int | None] = {}
-        remaining = [len(members) for members in self.members]
-        seeds = [(e.target, j) for j, e in enumerate(self.entries) if not e.inputs]
-        seeds += [(i, None) for i in observed if i in self.observable]
+        seeds = self.seeds + [(i, None) for i in observed if i in self.observable]
+        self.derive(via, self.unmet[:], seeds)
+        return via
+
+    def derive(self, via: dict[int, int | None], remaining: list[int], seeds) -> None:
+        """Grow ``via`` in place from ``seeds`` (statistic, how), keeping
+        ``remaining`` (per entry, its inputs not in ``via``) up to date."""
         for seed, how in seeds:
             if seed in via:
                 continue
@@ -88,7 +98,6 @@ class SelectionProblem:
                     if remaining[j] == 0 and target not in via:
                         via[target] = j
                         frontier.append(target)
-        return via
 
     def restricted_to(self, alive: set[int]) -> tuple[SelectionProblem, list[int]]:
         """The same problem on the statistics in ``alive`` (which holds all

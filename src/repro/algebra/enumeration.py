@@ -59,25 +59,30 @@ class JoinGraph:
         for edge in edges:
             if edge.u not in known or edge.v not in known:
                 raise JoinGraphError(f"edge {edge} references unknown input")
-        self._adjacency: dict[str, set[str]] = {name: set() for name in inputs}
+        adjacency: dict[str, set[str]] = {name: set() for name in inputs}
         for edge in edges:
-            self._adjacency[edge.u].add(edge.v)
-            self._adjacency[edge.v].add(edge.u)
+            adjacency[edge.u].add(edge.v)
+            adjacency[edge.v].add(edge.u)
+        # every connected subset of inputs, grown one neighbour at a time
+        # from the single inputs: the block's SEs, and the only sets that
+        # splits_for or a caller ever needs tested for connectivity
+        connected: set[frozenset[str]] = {frozenset({n}) for n in self.inputs}
+        frontier = list(connected)
+        while frontier:
+            current = frontier.pop()
+            reachable: set[str] = set()
+            for name in current:
+                reachable |= adjacency[name]
+            for nxt in reachable - current:
+                grown = current | {nxt}
+                if grown not in connected:
+                    connected.add(grown)
+                    frontier.append(grown)
+        self._connected = frozenset(connected)
 
     # ------------------------------------------------------------------
     def is_connected(self, names: frozenset[str]) -> bool:
-        if not names:
-            return False
-        names = frozenset(names)
-        seen = {next(iter(names))}
-        frontier = list(seen)
-        while frontier:
-            current = frontier.pop()
-            for nxt in self._adjacency[current] & names:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen == names
+        return frozenset(names) in self._connected
 
     def crossing_key(
         self, left: frozenset[str], right: frozenset[str]
@@ -94,19 +99,7 @@ class JoinGraph:
     # ------------------------------------------------------------------
     def enumerate_ses(self) -> list[SubExpression]:
         """All connected subsets of inputs, smallest first (the block's ℰ)."""
-        found: set[frozenset[str]] = {frozenset({name}) for name in self.inputs}
-        frontier = list(found)
-        while frontier:
-            current = frontier.pop()
-            reachable = set()
-            for name in current:
-                reachable |= self._adjacency[name]
-            for nxt in reachable - current:
-                grown = current | {nxt}
-                if grown not in found:
-                    found.add(grown)
-                    frontier.append(grown)
-        return sorted((SubExpression(s) for s in found))
+        return sorted(SubExpression(s) for s in self._connected)
 
     def splits_for(self, se: SubExpression) -> list[JoinSplit]:
         """Plan set ``P_e``: all (connected, connected) partitions with a
@@ -123,7 +116,7 @@ class JoinGraph:
                 right = se.relations - left
                 if not right:
                     continue
-                if not self.is_connected(left) or not self.is_connected(right):
+                if left not in self._connected or right not in self._connected:
                     continue
                 key = self.crossing_key(left, right)
                 if not key:

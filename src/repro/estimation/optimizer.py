@@ -33,7 +33,7 @@ class OptimizedPlan:
     tree: PlanTree
     cost: float
     initial_cost: float
-    confidence: str = "observed"
+    confidence: str
 
     @property
     def improved(self) -> bool:
@@ -51,7 +51,31 @@ class PlanOptimizer:
         self.analysis = analysis
         self.model = PlanCostModel(cardinalities)
 
-    def optimize_block(self, block: Block) -> OptimizedPlan:
+    def optimize_block(self, block: Block, confidence: str) -> OptimizedPlan:
+        """The block's plan, labelled ``confidence``: the cheapest tree, or
+        the initial plan of a pinned block.
+
+        A block on a degraded rung that the cardinalities cannot cost keeps
+        its initial plan with NaN costs and confidence ``"none"``.  An
+        ``"observed"`` block that cannot be costed raises: tonight's
+        selection guaranteed every cardinality it needs.
+        """
+        try:
+            if block.pinned:
+                tree = block.initial_tree
+                cost = initial_cost = self.model.tree_cost(tree)
+            else:
+                cost, tree = self._cheapest(block)
+                initial_cost = self.model.tree_cost(block.initial_tree)
+        except (KeyError, ValueError):
+            if confidence == "observed":
+                raise
+            nan = float("nan")
+            return OptimizedPlan(block, block.initial_tree, nan, nan, "none")
+        return OptimizedPlan(block, tree, cost, initial_cost, confidence)
+
+    def _cheapest(self, block: Block) -> tuple[float, PlanTree]:
+        """Dynamic programming over the block's connected subsets."""
         best: dict[frozenset[str], tuple[float, PlanTree]] = {}
         for name in block.inputs:
             best[frozenset({name})] = (0.0, Leaf(name))
@@ -80,64 +104,18 @@ class PlanOptimizer:
 
         full = block.join_se
         if len(full) == 1:
-            tree: PlanTree = Leaf(full.base_name)
-            cost = 0.0
-        else:
-            cost, tree = best[full.relations]
-        return OptimizedPlan(
-            block=block,
-            tree=tree,
-            cost=cost,
-            initial_cost=self.model.tree_cost(block.initial_tree),
-        )
+            return 0.0, Leaf(full.base_name)
+        return best[full.relations]
 
-    def optimize_or_fallback(
-        self,
-        block: Block,
-        confidence: str = "observed",
-    ) -> OptimizedPlan:
-        """Like per-block optimization, but degradation-safe.
-
-        When the cardinalities cannot cost the block (statistics lost to a
-        failed run and no fallback estimates either), the block keeps
-        its initial plan with NaN costs and
-        confidence ``"none"`` instead of raising.
-        """
-        try:
-            if block.pinned:
-                cost = self.model.tree_cost(block.initial_tree)
-                plan = OptimizedPlan(
-                    block=block,
-                    tree=block.initial_tree,
-                    cost=cost,
-                    initial_cost=cost,
-                )
-            else:
-                plan = self.optimize_block(block)
-            plan.confidence = confidence
-            return plan
-        except (KeyError, ValueError):
-            return OptimizedPlan(
-                block=block,
-                tree=block.initial_tree,
-                cost=float("nan"),
-                initial_cost=float("nan"),
-                confidence="none",
+    def optimize(
+        self, confidence: dict[str, str] | None = None
+    ) -> dict[str, OptimizedPlan]:
+        """Every block's plan; ``confidence`` labels the blocks on a
+        degraded rung, and every other block is ``"observed"``."""
+        confidence = confidence or {}
+        return {
+            block.name: self.optimize_block(
+                block, confidence.get(block.name, "observed")
             )
-
-    def optimize(self) -> dict[str, OptimizedPlan]:
-        """Best plan per block; pinned blocks keep their initial plan."""
-        plans: dict[str, OptimizedPlan] = {}
-        for block in self.analysis.blocks:
-            if block.pinned:
-                cost = self.model.tree_cost(block.initial_tree)
-                plans[block.name] = OptimizedPlan(
-                    block=block,
-                    tree=block.initial_tree,
-                    cost=cost,
-                    initial_cost=cost,
-                )
-            else:
-                plans[block.name] = self.optimize_block(block)
-        return plans
-
+            for block in self.analysis.blocks
+        }

@@ -1,16 +1,23 @@
 """The end-to-end optimization process of Figure 2.
 
-1. start with the user-defined initial plan;
-2. identify optimizable blocks;
-3. generate all possible SEs;
-4. generate the candidate statistics sets;
-5. determine the minimal-cost set of statistics to observe;
-6. instrument the plan and run it, gathering the statistics;
-7. cost alternative plans and pick the best for future runs.
+One call to :meth:`StatisticsPipeline.run_once` is one night: the boxes of
+the figure in order, each a step method timed as one phase (its
+``PipelineReport.timings`` key and, traced, its span's name).
 
-:class:`StatisticsPipeline` wires the pieces together; one call to
-:meth:`StatisticsPipeline.run_once` performs steps 1-7 and returns the
-chosen plans plus everything observed along the way.
+- tonight's sources made final (source faults, the quality gate):
+  ``_screen``, phase ``screen`` (timed only with a quality gate);
+- 1-4. the initial (or executed) plan, its optimizable blocks, all
+  possible SEs and the candidate statistics sets: ``_enumerate``, phase
+  ``enumerate`` (derived once, at construction, for the initial plan);
+- 5. the minimal-cost set of statistics to observe, a shared catalog's
+  usable entries free: ``_select``, phase ``selection``;
+- 6. instrument the plan and run it, gathering the statistics:
+  ``_observe``, phase ``execution``;
+- the shared catalog takes tonight's observations: ``_reconcile``, phase
+  ``reconcile`` (run only with a catalog);
+- 7. cost alternative plans and pick the best for future runs: ``_plan``,
+  phase ``optimization``; healthy and degraded nights alike, through
+  :meth:`~repro.estimation.optimizer.PlanOptimizer.optimize`.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.algebra.blocks import BlockAnalysis, analyze, with_plans
@@ -37,6 +45,7 @@ from repro.core.selection import SelectionResult
 from repro.core.statistics import Statistic
 from repro.engine.backend import BackendExecutor, WorkflowRun, get_backend
 from repro.engine.compile import PlanCache
+from repro.engine.faults import as_injector
 from repro.engine.scheduler import RetryPolicy, RunFailure
 from repro.engine.table import Table
 from repro.estimation.estimator import CardinalityEstimator
@@ -45,27 +54,20 @@ from repro.estimation.optimizer import OptimizedPlan, PlanOptimizer
 
 @dataclass
 class PipelineReport:
-    """Everything one observe-and-optimize cycle produced.
+    """Everything one observe-and-optimize cycle produced, built once, at
+    the end of :meth:`StatisticsPipeline.run_once`; a value that restates
+    another field is a property.
 
     A degraded cycle (some block permanently failed) still reports plans
-    for every block: ``failures`` holds the structured per-task failure
-    records, ``degraded`` maps each affected block to the statistics
-    source that substituted for tonight's observations (with the per-SE
-    detail in ``degraded_sources``), and each plan's ``confidence``
-    annotates how trustworthy its cost estimates are.
-
-    When a shared :class:`~repro.catalog.store.StatisticsCatalog` backs
-    the cycle, ``tapped`` lists the statistics actually instrumented
-    tonight (catalog-covered ones are consumed at zero cost instead of
-    being re-observed — ``catalog_hits`` counts them) and ``drift`` holds
-    the reconciliation report.
-
-    A traced cycle (``run_once(tracer=...)``) carries the tracer in
-    ``trace``: ``trace.root`` is the span tree covering enumeration,
-    selection, every executed block with its operator points, catalog
-    reconciliation and re-optimization, so tests and benchmarks assert
-    on spans instead of scraping stdout.  ``trace`` is ``None`` for an
-    untraced run.
+    for every block: ``failures`` holds the run's structured per-task
+    failure records, each plan's ``confidence`` (``plan_confidence``) names
+    the rung of the ladder its costs rest on, and ``degraded_sources``
+    which rung filled each SE of an affected block.  With a
+    shared catalog, ``tapped`` lists the statistics instrumented tonight
+    (``catalog_hits`` counts those the catalog covered at zero cost) and
+    ``drift`` holds the reconciliation report.  ``trace`` is the
+    :class:`~repro.obs.trace.Tracer` of a traced cycle (its ``root`` the
+    span tree tests and benchmarks assert on), else ``None``.
     """
 
     analysis: BlockAnalysis
@@ -76,31 +78,43 @@ class PipelineReport:
     plans: dict[str, OptimizedPlan]
     #: name of the execution backend the cycle ran on
     backend: str
-    timings: dict[str, float] = field(default_factory=dict)
-    failures: dict[str, RunFailure] = field(default_factory=dict)
-    degraded: dict[str, str] = field(default_factory=dict)
-    degraded_sources: dict[str, dict[str, str]] = field(default_factory=dict)
-    tapped: list[Statistic] = field(default_factory=list)
-    catalog_hits: int = 0
-    drift: "object | None" = None  # DriftReport when a catalog was given
-    trace: "object | None" = None  # Tracer when run_once(tracer=...) was given
+    timings: dict[str, float]
+    #: per degraded block and SE, the rung of the ladder that filled it
+    degraded_sources: dict[str, dict[str, str]]
+    tapped: list[Statistic]
+    drift: "object | None"  # DriftReport when a catalog was given
+    trace: "object | None"  # Tracer when run_once(tracer=...) was given
     #: catalog entries invalidated because their source's schema drifted
-    drift_invalidated: int = 0
+    drift_invalidated: int
     #: the catalog server vanished and the client answered from its local
     #: view -- every plan's confidence was demoted one rung
-    catalog_degraded: bool = False
-    #: always 0; kept because nightbench/worker.py reads it (ROADMAP item 0 drops it)
-    catalog_failovers: int = 0
+    catalog_degraded: bool
     #: this cycle's plan-compilation cache activity (deltas, not totals)
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    # -- data quality (filled by run_once(quality=...)'s screening) --------
+    plan_cache_hits: int
+    plan_cache_misses: int
+    # -- data quality (run_once(quality=...)'s screening; empty without) ----
     #: per-source dead-letter tables of rows the contracts rejected
-    quarantined: dict[str, Table] = field(default_factory=dict)
+    quarantined: dict[str, Table]
     #: structured per-row :class:`~repro.quality.quarantine.Violation`s
-    violations: list = field(default_factory=list)
+    violations: list
     #: :class:`~repro.quality.drift.SchemaDriftEvent`s the gate resolved
-    schema_drift: tuple = ()
+    schema_drift: tuple
+
+    @property
+    def failures(self) -> dict[str, RunFailure]:
+        """The run's structured per-task failure records."""
+        return self.run.failures
+
+    @property
+    def catalog_hits(self) -> int:
+        """Selected statistics the catalog covered, consumed untapped."""
+        return len(self.selection.observed) - len(self.tapped)
+
+    @property
+    def catalog_failovers(self) -> int:
+        """Always 0: a catalog is one daemon, with no standby to fail over
+        to.  Kept because nightbench/worker.py reads it."""
+        return 0
 
     @property
     def ok(self) -> bool:
@@ -115,7 +129,6 @@ class PipelineReport:
     def rows_quarantined(self) -> int:
         return sum(t.num_rows for t in self.quarantined.values())
 
-    # -- sharded execution (populated by the multiprocess backend) ----------
     @property
     def shard_stats(self) -> dict:
         """Shard/task/retry counters from a sharded run (else empty)."""
@@ -163,16 +176,12 @@ class PipelineReport:
                 "catalog server unavailable: ran from the local view, "
                 "plan confidence demoted one rung"
             )
-        if self.drift is not None and getattr(self.drift, "touched", 0) + len(
-            getattr(self.drift, "drifted", ())
-        ):
+        if self.drift is not None and (self.drift.touched or self.drift.drifted):
             lines.append(self.drift.describe())
         if self.rows_quarantined or self.schema_drift:
-            by_source: dict[str, int] = {}
-            for name, table in self.quarantined.items():
-                by_source[name] = table.num_rows
             detail = ", ".join(
-                f"{name}: {count}" for name, count in sorted(by_source.items())
+                f"{name}: {table.num_rows}"
+                for name, table in sorted(self.quarantined.items())
             )
             lines.append(
                 f"quarantined {self.rows_quarantined} row(s) "
@@ -255,7 +264,7 @@ class StatisticsPipeline:
         if backend is not None:
             backend.close()
 
-    # -- steps 4-5 ---------------------------------------------------------
+    # -- step 5 for the initial plan, outside a night ----------------------
     def cost_model(self) -> CostModel:
         return CostModel(
             self.workflow.catalog,
@@ -272,21 +281,13 @@ class StatisticsPipeline:
             solver=self.solver,
         )
 
-    # -- steps 6-7 ---------------------------------------------------------
-    def run_once(
-        self,
-        sources: dict[str, Table],
-        trees: dict[str, PlanTree] | None = None,
-        *,
-        faults=None,
-        retry: RetryPolicy | None = None,
-        checkpoint=None,
-        stats_catalog=None,
-        run_id: str = "",
-        tracer=None,
-        quality=None,
-    ) -> PipelineReport:
-        """One full observe-and-optimize cycle.
+    # -- one night: the steps of Figure 2 -----------------------------------
+    def run_once(self, sources: dict[str, Table],
+                 trees: dict[str, PlanTree] | None = None, *, faults=None,
+                 retry: RetryPolicy | None = None, checkpoint=None, stats_catalog=None,
+                 run_id: str = "", tracer=None, quality=None) -> PipelineReport:
+        """One full observe-and-optimize cycle: the steps of Figure 2 (see
+        the module docstring), each timed as one phase.
 
         ``trees`` overrides the executed plans; without it every cycle
         executes the initial plan (:class:`~repro.framework.session
@@ -296,313 +297,316 @@ class StatisticsPipeline:
         against the overridden plans, exactly as the paper's cycle repeats
         from the currently-best plan.
 
-        Resilience knobs (all optional): ``faults`` injects a
-        :class:`~repro.engine.faults.FaultPlan`, ``retry`` sets the
-        scheduler's :class:`~repro.engine.scheduler.RetryPolicy`,
-        ``checkpoint`` journals/restores per-block progress
-        (:class:`~repro.framework.recovery.RunCheckpoint`).  With a
-        degraded run the cycle still completes: healthy blocks get exactly
-        the plans a fault-free run would choose, affected blocks are
-        annotated in ``degraded``.
+        ``quality`` (a :class:`~repro.quality.gate.QualityGate`) makes
+        tonight's sources final before the catalog is read: the source
+        faults apply once, each contracted source is reconciled against
+        schema drift under the gate's policy and validated row by row
+        (invalid rows go to its dead-letter store), and the catalog entries
+        on every schema-drifted source go stale (``drift_invalidated``)
+        before the lookup.  So every tap and ground-truth count excludes the
+        diverted rows, and a drifted source's statistics are re-observed
+        tonight rather than served from the old shape.
 
-        ``stats_catalog`` is a shared
-        :class:`~repro.catalog.store.StatisticsCatalog`, the cycle's only
-        cross-night memory: its usable entries join the selection problem
-        at zero cost (the Section 6.2 mechanism), are *not* re-instrumented
-        tonight, and back the estimator directly; its unusable entries
-        (stale, expired, low quality) backfill the cardinalities of a
-        block that permanently fails tonight, one rung below it.  After
-        the run the catalog is reconciled -- fresh observations refresh
-        it, a drifted cardinality is penalized and corrected in place, its
-        siblings marked stale (``PipelineReport.drift`` / ``corrections``)
-        -- and saved if it has a backing file.  Without a catalog a failed
-        block falls to the independence baseline, then to pinning its
-        current plan.
+        ``stats_catalog`` (a :class:`~repro.catalog.store.StatisticsCatalog`,
+        a path, or a served catalog's URL) is the only cross-night memory:
+        its usable entries join the selection at zero cost (Section 6.2),
+        are not re-instrumented and back the estimator; its stale, expired
+        or low-quality entries are the ``prior`` rung of a failed block.
+        After the run it is reconciled -- a drifted cardinality penalized
+        and corrected in place, its siblings marked stale
+        (``PipelineReport.drift`` / ``corrections``) -- and saved if it has
+        a backing file.
 
-        ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records the whole
-        cycle as a span tree -- screening, enumeration, selection, one
-        span per executed block with per-operator points (estimated-vs-
-        actual rows where a prior prediction exists, annotated after the
-        run), catalog reconcile, optimization -- surfaced as
-        ``PipelineReport.trace``.  ``None`` (the default) is the only off
-        switch.  Each phase is timed once, into ``PipelineReport.timings``
-        by the pipeline's ``clock``, and, traced, opens its span.  The
-        standard metric series are the caller's one call on the returned
-        report (:func:`~repro.obs.record.record_run_metrics`).
+        ``faults`` (a :class:`~repro.engine.faults.FaultPlan`), ``retry``
+        (a :class:`~repro.engine.scheduler.RetryPolicy`) and ``checkpoint``
+        (a :class:`~repro.framework.recovery.RunCheckpoint`) drive the
+        execution.  A degraded run still completes: healthy blocks get
+        exactly the plans a fault-free run would choose, and each failed
+        block is planned from the strongest rung that covers it (catalog,
+        prior, independence, else its current plan), named by its plan's
+        ``confidence``.
 
-        ``quality`` (a :class:`~repro.quality.gate.QualityGate`: contracts,
-        schema-drift policy, dead-letter store) makes tonight's sources
-        final before the catalog is read.  The order is: source faults,
-        applied once; screening, where each contracted source is
-        reconciled against schema drift under the gate's policy and then
-        validated row by row, invalid rows going to the gate's dead-letter
-        store; then the catalog entries on every schema-drifted source are
-        marked stale (``drift_invalidated``); only then the lookup and the
-        selection.  So every tap and ground-truth count excludes the
-        diverted rows, a drifted source's statistics are re-observed
-        tonight rather than served from the old shape, and a degraded
-        night finds them on the ``prior`` rung like any stale entry.
+        ``tracer`` (a :class:`~repro.obs.trace.Tracer`; ``None`` is the
+        only off switch) records the cycle as a span tree, one span per
+        phase and per executed block, with operator points annotated with
+        estimated-vs-actual rows where a prior prediction exists
+        (``PipelineReport.trace``).  The standard metric series are the
+        caller's one call on the returned report
+        (:func:`~repro.obs.record.record_run_metrics`).
         """
-        from repro.engine.faults import as_injector
-
-        timings: dict[str, float] = {}
-
-        @contextmanager
-        def _phase(name: str, **attrs):
-            # one clock pair per phase for ``timings``; traced, its span too
-            start = self.clock()
-            if tracer is None:
-                yield None
-            else:
-                with tracer.span(name, **attrs) as span:
-                    yield span
-            timings[name] = self.clock() - start
-
-        opened = None  # the served-catalog client this cycle itself opened
-        if isinstance(stats_catalog, (str, os.PathLike)):
-            # "http://host:port" / "unix:///path.sock" -> served catalog
-            # behind the degrading client; a plain path -> the file store
-            from repro.serve.client import resolve_stats_catalog
-
-            stats_catalog = resolve_stats_catalog(stats_catalog)
-            if hasattr(stats_catalog, "close"):
-                opened = stats_catalog
-        try:
-            cache_before = (self.plan_cache.hits, self.plan_cache.misses)
-
-            # tonight's sources are final before the catalog is read
-            injector = as_injector(faults)
-            if injector is not None:
-                sources = injector.apply_sources(sources)
-            if quality is not None:
-                with _phase("screen"):
-                    sources = quality.screen_sources(sources, tracer=tracer)
-                schema_drift = quality.drift_events()
-            else:
-                schema_drift = ()
-
-            with _phase("enumerate") as enum_span:
-                if trees:
-                    analysis = with_plans(self.analysis, trees)
-                    catalog = generate_css(analysis, GeneratorOptions())
-                else:
-                    analysis, catalog = self.analysis, self.catalog
-                if enum_span is not None:
-                    counts = catalog.counts()
-                    enum_span.annotate(
-                        blocks=len(analysis.blocks),
-                        statistics=counts["statistics"],
-                        css=counts["css"],
-                        required=counts["required"],
-                    )
-
-            signer = None
-            hits = None
-            drift_invalidated = 0
-            free = set(self.free_statistics)
-            with _phase("selection") as sel_span:
-                if stats_catalog is not None:
-                    from repro.catalog.drift import invalidate_schema_drift
-                    from repro.catalog.signatures import WorkflowSigner
-
-                    signer = WorkflowSigner(analysis)
-                    # entries observed against a shape that no longer holds
-                    # go stale before the lookup: re-tapped tonight
-                    drift_invalidated = invalidate_schema_drift(
-                        stats_catalog,
-                        signer,
-                        analysis,
-                        {event.source for event in schema_drift},
-                    )
-                    hits = stats_catalog.lookup(signer, catalog.all_statistics)
-                    free |= hits.free
-                selection = core.select_statistics(
-                    catalog, self.cost_model(), free=free, solver=self.solver
-                )
-                # catalog-covered statistics are consumed, never re-observed:
-                # they are dropped from the instrumented set, which is where the
-                # fleet-wide observation savings materialize
-                tapped = [
-                    stat
-                    for stat in selection.observed
-                    if hits is None or stat not in hits.free
-                ]
-                if sel_span is not None:
-                    sel_span.annotate(
-                        method=selection.method,
-                        observed=len(selection.observed_indexes),
-                        cost=selection.total_cost,
-                        tapped=len(tapped),
-                        catalog_hits=len(selection.observed) - len(tapped),
-                    )
-
-            # prior row predictions by operator-point name, for the
-            # estimated-vs-actual annotations: the previous cycle's
-            # materialized sizes overlaid with tonight's catalog
-            # cardinalities (both are what the optimizer believed)
-            estimates: dict[str, float] = {}
-            if tracer is not None:
-                estimates = {
-                    repr(se): float(rows) for se, rows in self._se_sizes.items()
-                }
-                if hits is not None:
-                    estimates.update(
-                        (repr(stat.se), float(value))
-                        for stat, value in hits.values.items()
-                        if stat.is_cardinality
-                    )
-
-            backend = self._make_backend()
-            taps = backend.make_taps(tapped)
-            with _phase("execution", backend=self.backend) as exec_span:
-                run = BackendExecutor(
-                    analysis,
-                    backend,
-                    plan_cache=self.plan_cache,
-                ).run(
-                    sources,
-                    taps=taps,
-                    faults=injector,
-                    retry=retry,
-                    checkpoint=checkpoint,
-                    tracer=tracer,
-                )
-                if exec_span is not None:
-                    exec_span.annotate(
-                        failures=len(run.failures), resumed=len(run.resumed)
-                    )
-                    for point in exec_span.find(kind="operator"):
-                        estimate = estimates.get(point.name)
-                        if estimate is not None:
-                            point.attrs["estimated_rows"] = estimate
-            self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
-
+        phase = partial(_phase, self.clock, tracer, timings := {})
+        with _opened(stats_catalog) as stats_catalog:
+            night = _Night(sources, stats_catalog, as_injector(faults), retry,
+                           checkpoint, tracer, run_id)
+            cache = self.plan_cache.hits, self.plan_cache.misses
+            with phase("screen") if quality is not None else nullcontext():
+                night.sources, drift_events = self._screen(night, quality)
+            with phase("enumerate") as span:
+                analysis, catalog = self._enumerate(trees, span)
+            with phase("selection") as span:
+                selection, tapped, invalidated = self._select(
+                    night, analysis, catalog, drift_events, span)
+            with phase("execution", backend=self.backend) as span:
+                run = self._observe(night, analysis, tapped, span)
             drift = None
             if stats_catalog is not None:
-                from repro.catalog.drift import reconcile_run
-
-                with _phase("reconcile") as rec_span:
-                    # a resumed run's journal-restored statistics were observed
-                    # on the *crashed* attempt: refreshing their entries now
-                    # would forge tonight's timestamp onto stale provenance
-                    fresh_tapped = [
-                        stat
-                        for stat in tapped
-                        if stat not in run.restored_statistics
-                    ]
-                    drift = reconcile_run(
-                        stats_catalog,
-                        signer,
-                        run.observations,
-                        run.se_sizes,
-                        fresh_tapped,
-                        workflow=analysis.workflow.name,
-                        run_id=run_id,
-                        backend=self.backend,
-                    )
-                    if rec_span is not None:
-                        rec_span.annotate(
-                            added=len(drift.added),
-                            refreshed=len(drift.refreshed),
-                            drifted=len(drift.drifted),
-                            stale_marked=drift.stale_marked,
-                            max_rel_error=drift.max_rel_error,
-                        )
-                if stats_catalog.path is not None:
-                    stats_catalog.save()
-
-            with _phase("optimization") as opt_span:
-                effective = run.observations
-                if hits is not None and len(hits.values):
-                    effective = run.observations.copy()
-                    effective.merge(hits.values)
-                estimator = CardinalityEstimator(catalog, effective)
-                degraded: dict[str, str] = {}
-                degraded_sources: dict[str, dict[str, str]] = {}
-                if run.failures:
-                    from repro.framework.recovery import degraded_cardinalities
-
-                    observed_only = (
-                        CardinalityEstimator(catalog, run.observations)
-                        if hits is not None and len(hits.values)
-                        else estimator
-                    )
-                    cards, degraded, degraded_sources = degraded_cardinalities(
-                        analysis,
-                        run,
-                        catalog,
-                        observed_only,
-                        hits=hits,
-                    )
-                    optimizer = PlanOptimizer(analysis, cards)
-                    plans = {
-                        block.name: optimizer.optimize_or_fallback(
-                            block, confidence=degraded.get(block.name, "observed")
-                        )
-                        for block in analysis.blocks
-                    }
-                    # optimize_or_fallback may further downgrade a block to "none"
-                    for name, plan in plans.items():
-                        if plan.confidence != "observed":
-                            degraded[name] = plan.confidence
-                else:
-                    plans = PlanOptimizer(
-                        analysis, estimator.all_cardinalities()
-                    ).optimize()
-                catalog_degraded = bool(getattr(stats_catalog, "degraded", False))
-                if catalog_degraded:
-                    # the server vanished mid-night: the chosen trees are exactly
-                    # what the local view would have chosen, but they could not be
-                    # cross-checked against the fleet's shared state -- every
-                    # plan's confidence drops one rung, and the run still succeeds
-                    from dataclasses import replace as _replace
-
-                    from repro.framework.recovery import demote_confidence
-
-                    for name, plan in plans.items():
-                        demoted = demote_confidence(plan.confidence)
-                        if demoted != plan.confidence:
-                            plans[name] = _replace(plan, confidence=demoted)
-                            degraded[name] = demoted
-                if opt_span is not None:
-                    opt_span.annotate(
-                        improved=sum(1 for p in plans.values() if p.improved),
-                        degraded=len(degraded),
-                    )
-
-            report = PipelineReport(
-                analysis=analysis,
-                catalog=catalog,
-                selection=selection,
-                run=run,
-                estimator=estimator,
-                plans=plans,
-                backend=self.backend,
-                timings=timings,
-                failures=dict(run.failures),
-                degraded=degraded,
-                degraded_sources=degraded_sources,
-                tapped=tapped,
-                catalog_hits=len(selection.observed) - len(tapped),
-                drift=drift,
-                drift_invalidated=drift_invalidated,
-                trace=tracer,
-                catalog_degraded=catalog_degraded,
-                plan_cache_hits=self.plan_cache.hits - cache_before[0],
-                plan_cache_misses=self.plan_cache.misses - cache_before[1],
-            )
-            if quality is not None:
-                report.quarantined = quality.quarantined_tables()
-                report.violations = quality.all_violations()
-                report.schema_drift = schema_drift
+                with phase("reconcile") as span:
+                    drift = self._reconcile(night, analysis, run, tapped, span)
+            with phase("optimization") as span:
+                estimator, plans, degraded_sources = self._plan(
+                    night, analysis, catalog, run, span)
             if tracer is not None:
-                tracer.finish(
-                    workflow=analysis.workflow.name,
-                    run_id=run_id,
-                    backend=self.backend,
-                    ok=report.ok,
+                tracer.finish(workflow=analysis.workflow.name, run_id=run_id,
+                              backend=self.backend, ok=not run.failures)
+            return PipelineReport(
+                analysis, catalog, selection, run, estimator, plans,
+                backend=self.backend, timings=timings, tapped=tapped,
+                degraded_sources=degraded_sources, drift=drift, trace=tracer,
+                drift_invalidated=invalidated,
+                catalog_degraded=night.catalog_degraded,
+                plan_cache_hits=self.plan_cache.hits - cache[0],
+                plan_cache_misses=self.plan_cache.misses - cache[1],
+                quarantined={} if quality is None else quality.quarantined_tables(),
+                violations=[] if quality is None else quality.all_violations(),
+                schema_drift=drift_events,
+            )
+
+    def _screen(self, night: _Night, quality) -> tuple[dict[str, Table], tuple]:
+        """Tonight's sources, final before the catalog is read (the source
+        faults applied once, then the quality gate's screening), and the
+        schema-drift events the gate resolved."""
+        sources = night.sources
+        if night.injector is not None:
+            sources = night.injector.apply_sources(sources)
+        if quality is None:
+            return sources, ()
+        sources = quality.screen_sources(sources, tracer=night.tracer)
+        return sources, quality.drift_events()
+
+    def _enumerate(self, trees, span) -> tuple[BlockAnalysis, CssCatalog]:
+        """Steps 1-4 for the executed plans: blocks, SEs and CSSs.  The
+        initial plans' were derived once, when the pipeline was built."""
+        analysis, catalog = self.analysis, self.catalog
+        if trees:
+            analysis = with_plans(self.analysis, trees)
+            catalog = generate_css(analysis, GeneratorOptions())
+        if span is not None:
+            counts = catalog.counts()
+            span.annotate(
+                blocks=len(analysis.blocks),
+                statistics=counts["statistics"],
+                css=counts["css"],
+                required=counts["required"],
+            )
+        return analysis, catalog
+
+    def _select(
+        self, night: _Night, analysis, catalog, drift_events, span
+    ) -> tuple[SelectionResult, list[Statistic], int]:
+        """Step 5: the minimal-cost statistics, the catalog's usable entries
+        free.  Returns the selection, the statistics to tap tonight and how
+        many entries went stale for schema drift before the lookup."""
+        free = set(self.free_statistics)
+        invalidated = 0
+        if night.stats_catalog is not None:
+            from repro.catalog.drift import invalidate_schema_drift
+            from repro.catalog.signatures import WorkflowSigner
+
+            night.signer = WorkflowSigner(analysis)
+            # entries observed against a shape that no longer holds go
+            # stale before the lookup: re-tapped tonight
+            invalidated = invalidate_schema_drift(
+                night.stats_catalog,
+                night.signer,
+                analysis,
+                {event.source for event in drift_events},
+            )
+            night.hits = night.stats_catalog.lookup(
+                night.signer, catalog.all_statistics
+            )
+            free |= night.hits.free
+        selection = core.select_statistics(
+            catalog, self.cost_model(), free=free, solver=self.solver
+        )
+        # catalog-covered statistics are consumed, never re-observed: they
+        # are dropped from the instrumented set, which is where the
+        # fleet-wide observation savings materialize
+        tapped = [
+            stat
+            for stat in selection.observed
+            if night.hits is None or stat not in night.hits.free
+        ]
+        if span is not None:
+            span.annotate(
+                method=selection.method,
+                observed=len(selection.observed_indexes),
+                cost=selection.total_cost,
+                tapped=len(tapped),
+                catalog_hits=len(selection.observed) - len(tapped),
+            )
+        return selection, tapped, invalidated
+
+    def _observe(self, night: _Night, analysis, tapped, span) -> WorkflowRun:
+        """Step 6: instrument the plans with taps for ``tapped`` and run
+        them on tonight's sources."""
+        backend = self._make_backend()
+        run = BackendExecutor(
+            analysis, backend, plan_cache=self.plan_cache
+        ).run(
+            night.sources,
+            taps=backend.make_taps(tapped),
+            faults=night.injector,
+            retry=night.retry,
+            checkpoint=night.checkpoint,
+            tracer=night.tracer,
+        )
+        if span is not None:
+            span.annotate(failures=len(run.failures), resumed=len(run.resumed))
+            # prior row predictions by operator-point name: the previous
+            # cycle's materialized sizes overlaid with tonight's catalog
+            # cardinalities (both are what the optimizer believed)
+            estimates = {
+                repr(se): float(rows) for se, rows in self._se_sizes.items()
+            }
+            if night.hits is not None:
+                estimates.update(
+                    (repr(stat.se), float(value))
+                    for stat, value in night.hits.values.items()
+                    if stat.is_cardinality
                 )
-            return report
-        finally:
-            if opened is not None:
-                opened.close()
+            for point in span.find(kind="operator"):
+                estimate = estimates.get(point.name)
+                if estimate is not None:
+                    point.attrs["estimated_rows"] = estimate
+        self._se_sizes = dict(run.se_sizes)  # feeds next cycle's CPU costs
+        return run
+
+    def _reconcile(self, night: _Night, analysis, run, tapped, span):
+        """Tonight's observations into the catalog, saved if it has a
+        backing file: the :class:`~repro.catalog.drift.DriftReport`."""
+        from repro.catalog.drift import reconcile_run
+
+        # a resumed run's journal-restored statistics were observed on the
+        # *crashed* attempt: refreshing their entries now would forge
+        # tonight's timestamp onto stale provenance
+        fresh_tapped = [
+            stat for stat in tapped if stat not in run.restored_statistics
+        ]
+        drift = reconcile_run(
+            night.stats_catalog,
+            night.signer,
+            run.observations,
+            run.se_sizes,
+            fresh_tapped,
+            workflow=analysis.workflow.name,
+            run_id=night.run_id,
+            backend=self.backend,
+        )
+        if span is not None:
+            span.annotate(
+                added=len(drift.added),
+                refreshed=len(drift.refreshed),
+                drifted=len(drift.drifted),
+                stale_marked=drift.stale_marked,
+                max_rel_error=drift.max_rel_error,
+            )
+        if night.stats_catalog.path is not None:
+            night.stats_catalog.save()
+        return drift
+
+    def _plan(self, night: _Night, analysis, catalog, run, span):
+        """Step 7: estimate every cardinality, cost the alternatives and
+        choose each block's plan.  Returns the estimator, the plans and,
+        per degraded block and SE, the rung that filled each gap."""
+        effective = run.observations
+        if night.hits is not None and len(night.hits.values):
+            effective = run.observations.copy()
+            effective.merge(night.hits.values)
+        estimator = CardinalityEstimator(catalog, effective)
+        if not run.failures:
+            cards, rungs, gaps = estimator.all_cardinalities(), {}, {}
+        else:
+            # only a degraded night builds the ladder: the observed-only
+            # estimator and the rungs each run a fixpoint
+            from repro.framework.recovery import degraded_cardinalities
+
+            observed_only = (
+                estimator
+                if effective is run.observations
+                else CardinalityEstimator(catalog, run.observations)
+            )
+            cards, rungs, gaps = degraded_cardinalities(
+                analysis, run, catalog, observed_only, hits=night.hits
+            )
+        plans = PlanOptimizer(analysis, cards).optimize(rungs)
+        if night.catalog_degraded:
+            # the server vanished mid-night: the chosen trees are exactly
+            # what the local view would have chosen, but they could not be
+            # cross-checked against the fleet's shared state -- every
+            # plan's confidence drops one rung, and the run still succeeds
+            from repro.framework.recovery import demote_confidence
+
+            for plan in plans.values():
+                plan.confidence = demote_confidence(plan.confidence)
+        if span is not None:
+            span.annotate(
+                improved=sum(1 for p in plans.values() if p.improved),
+                degraded=sum(p.confidence != "observed" for p in plans.values()),
+            )
+        return estimator, plans, gaps
+
+
+@dataclass
+class _Night:
+    """What one night's steps hand each other and the report does not
+    keep: its sources, catalog and execution settings, and the catalog's
+    answers once the selection step has asked."""
+
+    sources: dict[str, Table]
+    stats_catalog: "object | None"
+    injector: "object | None"  # tonight's FaultInjector
+    retry: RetryPolicy | None
+    checkpoint: "object | None"
+    tracer: "object | None"
+    run_id: str
+    #: the executed plans' WorkflowSigner and tonight's CatalogHits
+    signer: "object | None" = field(default=None, init=False)
+    hits: "object | None" = field(default=None, init=False)
+
+    @property
+    def catalog_degraded(self) -> bool:
+        """The catalog server vanished and the client answers from its
+        local view."""
+        return bool(getattr(self.stats_catalog, "degraded", False))
+
+
+@contextmanager
+def _phase(clock, tracer, timings: dict[str, float], name: str, **attrs):
+    """One phase of the night: a clock pair into ``timings``; traced, its
+    span too (yielded, else ``None``)."""
+    start = clock()
+    if tracer is None:
+        yield None
+    else:
+        with tracer.span(name, **attrs) as span:
+            yield span
+    timings[name] = clock() - start
+
+
+@contextmanager
+def _opened(stats_catalog):
+    """``run_once``'s catalog: a URL ("http://host:port",
+    "unix:///path.sock") is served behind the degrading client, a plain
+    path is the file store, and a client opened here is closed after the
+    night."""
+    if not isinstance(stats_catalog, (str, os.PathLike)):
+        yield stats_catalog
+        return
+    from repro.serve.client import resolve_stats_catalog
+
+    stats_catalog = resolve_stats_catalog(stats_catalog)
+    try:
+        yield stats_catalog
+    finally:
+        if hasattr(stats_catalog, "close"):
+            stats_catalog.close()

@@ -140,9 +140,6 @@ KNOBS: dict[str, tuple[str, str]] = {
                  "resumed", "se_sizes", "shard_stats", "targets")},
     **{f"engine/scheduler.py::ScheduleResult({f})": ("record", "filled by execute_tasks")
        for f in ("completed", "failures")},
-    **{f"framework/pipeline.py::PipelineReport({f})": (
-        "record", "filled by run_once from its quality gate")
-       for f in ("quarantined", "schema_drift", "violations")},
     "framework/session.py::EtlSession(history)": ("record", "one RunRecord per run"),
     "quality/contracts.py::ContractSet(contracts)": ("record", "filled by infer / from_file"),
     **{f"quality/quarantine.py::QuarantineStore({f})": ("record", "filled by the gate")
@@ -182,8 +179,6 @@ KNOBS: dict[str, tuple[str, str]] = {
     "engine/dist/worker.py::run_shard(state)": (
         "test-seam", "tests/engine/test_compile.py"),
     # names and arguments nightbench/ reads
-    "framework/pipeline.py::PipelineReport(catalog_failovers)": (
-        "nightbench", "nightbench/worker.py"),
     "catalog/store.py::StatisticsCatalog.save(path)": ("nightbench", "nightbench/trace.py"),
     # the Section 5.4 cost weights and the Figure 9/11 rule ablations
     **{f"{where}({f})": ("paper", "tests/framework/test_session.py")

@@ -274,12 +274,12 @@ class TestDegradedWithCatalog:
             sources, stats_catalog=catalog, faults=faults
         )
         assert report.failures
-        assert report.degraded
+        assert set(report.plan_confidence.values()) != {"observed"}
         labels = set()
         for per_se in report.degraded_sources.values():
             labels |= set(per_se.values())
         assert "catalog" in labels
-        assert report.degraded[block] == "catalog"
+        assert report.plan_confidence[block] == "catalog"
 
     def test_without_catalog_falls_back_to_prior(self):
         wfcase, pipeline = fresh(11)
@@ -290,4 +290,4 @@ class TestDegradedWithCatalog:
         block = pipeline.analysis.blocks[0].name
         session.faults = _permanent(block)
         report = session.run(sources).report
-        assert report.degraded[block] == "prior"
+        assert report.plan_confidence[block] == "prior"

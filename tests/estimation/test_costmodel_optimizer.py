@@ -1,5 +1,7 @@
 """Unit tests for the plan cost model and the DP join-order optimizer."""
 
+import math
+
 import pytest
 
 from repro.algebra.blocks import analyze
@@ -90,3 +92,17 @@ class TestPlanOptimizer:
         analysis = analyze(chain_workflow())
         with pytest.raises((CostModelError, KeyError, ValueError)):
             PlanOptimizer(analysis, {SE("A"): 1.0}).optimize()
+
+    def test_only_a_block_on_a_degraded_rung_falls_back(self):
+        analysis = analyze(chain_workflow())
+        block = analysis.blocks[0]
+        optimizer = PlanOptimizer(analysis, {SE("A"): 1.0})
+        with pytest.raises((CostModelError, KeyError, ValueError)):
+            optimizer.optimize({block.name: "observed"})
+        plan = optimizer.optimize({block.name: "independence"})[block.name]
+        assert plan.confidence == "none" and plan.tree == block.initial_tree
+        assert math.isnan(plan.cost) and math.isnan(plan.initial_cost)
+        # a rung whose cardinalities cost the block keeps the optimum
+        plan = PlanOptimizer(analysis, CARDS).optimize({block.name: "catalog"})
+        assert plan[block.name].confidence == "catalog"
+        assert plan[block.name].cost == 50 + 400

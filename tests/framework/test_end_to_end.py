@@ -102,3 +102,22 @@ def test_optimized_plan_cost_verified_by_execution():
             assert rerun.se_sizes[se] == pytest.approx(
                 report.estimator.cardinality(se)
             )
+
+
+def test_an_observed_block_that_cannot_be_costed_raises(monkeypatch):
+    """A healthy night's selection guarantees every cardinality the
+    optimizer reads, so a gap is an error, not a block pinned to its
+    initial plan."""
+    wfcase = case(25)
+    pipeline = StatisticsPipeline(wfcase.build())
+    widest = max(pipeline.analysis.blocks, key=lambda b: len(b.join_se))
+    assert len(widest.join_se) > 1 and not widest.pinned
+    gap = set(widest.join_ses())
+    every = CardinalityEstimator.all_cardinalities
+    monkeypatch.setattr(
+        CardinalityEstimator,
+        "all_cardinalities",
+        lambda self: {se: v for se, v in every(self).items() if se not in gap},
+    )
+    with pytest.raises((KeyError, ValueError)):
+        pipeline.run_once(wfcase.tables(scale=0.05, seed=7))

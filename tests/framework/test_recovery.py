@@ -95,7 +95,6 @@ class TestDegradedRun:
 
         # the failed block was costed from the independence baseline (no
         # catalog, no session: nothing remembered) over tonight's inputs
-        assert report.degraded["B2"] == "independence"
         assert report.plans["B2"].confidence == "independence"
         assert not math.isnan(report.plans["B2"].cost)
         assert "[independence]" in report.describe()
@@ -113,7 +112,6 @@ class TestDegradedRun:
         )
         # last night's statistics cover everything, so even the failed
         # block's plan matches what tonight would have chosen
-        assert report.degraded["B2"] == "prior"
         assert report.plans["B2"].confidence == "prior"
         assert _plan_key(report) == _plan_key(baseline)
 
@@ -124,8 +122,7 @@ class TestDegradedRun:
         assert report.failures["B3"].kind == "skipped"
         # B1's own sources loaded -> independence; B2/B3 have no input at
         # all tonight -> unoptimizable, pinned to their current plans
-        assert report.degraded["B1"] == "independence"
-        assert report.degraded["B2"] == "none"
+        assert report.plan_confidence["B1"] == "independence"
         assert report.plans["B2"].confidence == "none"
         assert math.isnan(report.plans["B2"].cost)
         # NaN plans are excluded from the totals instead of poisoning them
@@ -139,7 +136,6 @@ class TestDegradedRun:
         )
         report = _run_once(backend, faults=faults, retry=FAST)
         assert report.ok
-        assert report.degraded == {}
         assert all(p.confidence == "observed" for p in report.plans.values())
         assert _plan_key(report) == _plan_key(baseline)
         assert report.estimator.coverage() == baseline.estimator.coverage()
@@ -316,7 +312,6 @@ class TestSessionResilience:
         session.faults = _permanent("B2")
         second = session.run(sources)
         assert second.degraded
-        assert second.report.degraded["B2"] == "prior"
         assert second.report.plans["B2"].confidence == "prior"
         # same data + prior fallback: nothing drifted, plans stand still
         assert not second.reoptimized
@@ -375,7 +370,6 @@ class TestConfidenceLadder:
             faults=_permanent("B2"),
             retry=FAST,
         )
-        assert report.degraded["B2"] == "catalog"
         assert report.plans["B2"].confidence == "catalog"
         # per-SE provenance: every gap of B2 was filled from the catalog
         assert "B2" in report.degraded_sources
@@ -406,7 +400,7 @@ class TestConfidenceLadder:
             faults=_permanent("B2"),
             retry=FAST,
         )
-        assert report.degraded["B2"] == "catalog"
+        assert report.plan_confidence["B2"] == "catalog"
 
     @pytest.mark.parametrize("unusable", ["stale", "expired", "low-quality"])
     def test_unusable_catalog_entries_are_the_prior_rung(
@@ -434,7 +428,7 @@ class TestConfidenceLadder:
             faults=_permanent("B2"),
             retry=FAST,
         )
-        assert report.degraded["B2"] == "prior"
+        assert report.plan_confidence["B2"] == "prior"
         assert _plan_key(report)["B2"] == _plan_key(healthy)["B2"]
 
     @pytest.mark.parametrize("server_stopped", [False, True])
@@ -475,7 +469,7 @@ class TestConfidenceLadder:
         assert report.catalog_degraded == server_stopped
         # a degraded client costs one rung, as it does on every rung
         expected = demote_confidence("prior") if server_stopped else "prior"
-        assert report.degraded["B2"] == expected
+        assert report.plan_confidence["B2"] == expected
         assert _plan_key(report)["B2"] == _plan_key(healthy)["B2"]
 
     @pytest.mark.parametrize("removed", ["prior_statistics", "prior_observed_at"])

@@ -4,9 +4,9 @@ demotion, metrics, tracing, and session threading."""
 import pytest
 
 from repro.catalog.store import StatisticsCatalog
-from repro.engine.faults import FaultPlan, FaultSpec
+from repro.engine.faults import FaultPlan, FaultSpec, as_injector
 from repro.engine.scheduler import RetryPolicy
-from repro.framework.pipeline import StatisticsPipeline
+from repro.framework.pipeline import StatisticsPipeline, _Night
 from repro.framework.session import EtlSession
 from repro.quality import ContractSet, QualityGate
 from repro.workloads import case
@@ -35,6 +35,22 @@ def _run_once(**kwargs):
     return pipeline.run_once(_sources(), **kwargs)
 
 
+def _select(stats_catalog, faults=None):
+    """A night's steps up to the selection, called directly: screen,
+    enumerate, select.  Returns the schema-drift events, the number of
+    entries invalidated before the lookup, the statistics to tap and the
+    selection."""
+    pipeline = StatisticsPipeline(case(WORKFLOW).build(), solver="greedy")
+    night = _Night(_sources(), stats_catalog, as_injector(faults), None, None,
+                   None, "n2")
+    night.sources, drift_events = pipeline._screen(night, _gate())
+    analysis, catalog = pipeline._enumerate(None, None)
+    selection, tapped, invalidated = pipeline._select(
+        night, analysis, catalog, drift_events, None
+    )
+    return drift_events, invalidated, tapped, selection
+
+
 class TestSchemaDriftInvalidation:
     def test_drift_marks_matching_catalog_entries_stale(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -57,13 +73,9 @@ class TestSchemaDriftInvalidation:
     def test_clean_run_invalidates_nothing(self, tmp_path):
         path = tmp_path / "catalog.json"
         _run_once(stats_catalog=StatisticsCatalog.open(path), run_id="n1")
-        report = _run_once(
-            stats_catalog=StatisticsCatalog.open(path),
-            quality=_gate(),
-            run_id="n2",
-        )
-        assert report.schema_drift == ()
-        assert report.drift_invalidated == 0
+        schema_drift, invalidated, _, _ = _select(StatisticsCatalog.open(path))
+        assert schema_drift == ()
+        assert invalidated == 0
 
 
 class TestDriftNightOrder:
@@ -111,7 +123,24 @@ class TestDriftNightOrder:
         assert night2 == (dimdate, 5, 0)  # re-tapped tonight, none left stale
         assert night3 == ([], 7, 0)
 
+    def test_drifted_entries_are_stale_before_the_lookup(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        _run_once(stats_catalog=StatisticsCatalog.open(path), quality=_gate(),
+                  run_id="n1")
+        catalog = StatisticsCatalog.open(path)
+        _, invalidated, tapped, selection = _select(
+            catalog, FaultPlan((RENAME_DIMDATE,), seed=SEED)
+        )
+        # the lookup already refused DimDate's entries: tapped tonight
+        assert invalidated == 2
+        assert sorted(map(repr, tapped)) == [
+            "|SE(B1.out*DimDate)|", "|SE(DimDate)|"
+        ]
+        assert len(selection.observed) - len(tapped) == 5
+        assert sum(e.stale for e in catalog.entries.values()) == invalidated
+
     def test_served_drift_night_asks_for_the_entries_once(self, tmp_path):
+        from repro.serve.client import CatalogClient
         from tests.serve.test_read_through import route_counts
         from tests.serve.thread import ServerThread
 
@@ -120,12 +149,15 @@ class TestDriftNightOrder:
         ) as server:
             _run_once(stats_catalog=server.url, quality=_gate(), run_id="n1")
             before = route_counts(server).get("/entries", 0)
-            report = _run_once(
-                stats_catalog=server.url, quality=_gate(),
-                faults=FaultPlan((RENAME_DIMDATE,), seed=SEED), run_id="n2",
-            )
+            client = CatalogClient(server.url)
+            try:
+                _, invalidated, _, _ = _select(
+                    client, FaultPlan((RENAME_DIMDATE,), seed=SEED)
+                )
+            finally:
+                client.close()
             after = route_counts(server).get("/entries", 0)
-        assert report.drift_invalidated > 0
+        assert invalidated > 0
         # every SE touching DimDate in one POST /entries, not one per SE
         assert after - before == 1
 
@@ -158,14 +190,14 @@ class TestConfidenceDemotion:
         _run_once(stats_catalog=StatisticsCatalog.open(path), run_id="n1")
 
         steady = self._degraded(path, drift=False)
-        assert steady.degraded["B2"] == "catalog"
+        assert steady.plan_confidence["B2"] == "catalog"
 
         demoted = self._degraded(path, drift=True)
         # B2 joins the drifted DimDate: the catalog still answers, but at
         # prior-level trust -- one rung weaker, honestly reported
-        assert demoted.degraded["B2"] == "prior"
+        assert demoted.plan_confidence["B2"] == "prior"
         # B3 joins DimSecurity, which did not drift: full catalog trust
-        assert demoted.degraded["B3"] == "catalog"
+        assert demoted.plan_confidence["B3"] == "catalog"
 
 
 class TestObservability:
